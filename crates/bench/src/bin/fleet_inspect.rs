@@ -15,7 +15,10 @@
 //!
 //! Everything is derived from the journal alone — the binary never loads
 //! simulator state — so it works on any journal from any run, including
-//! one produced on another machine.
+//! one produced on another machine. One line of `summary` is the
+//! exception: the predictor's memo accounting lives in the metrics
+//! registry (see [`Inspector::predictor_summary`]), so it is printed when
+//! the run's `BASE.prom` sits next to `BASE.jsonl`.
 
 use yala_telemetry::Inspector;
 
@@ -52,7 +55,15 @@ fn main() {
             .unwrap_or_else(|_| usage())
     };
     let out = match cmd.as_str() {
-        "summary" => inspector.summary(),
+        "summary" => {
+            let prom = path
+                .strip_suffix(".jsonl")
+                .map(|base| format!("{base}.prom"));
+            let predictor = prom
+                .and_then(|p| std::fs::read_to_string(p).ok())
+                .and_then(|text| Inspector::predictor_summary(&text));
+            inspector.summary() + predictor.as_deref().unwrap_or("")
+        }
         "timeline" => inspector.timeline(),
         "tenant" => inspector.tenant(id_arg()),
         "why" => inspector.why(id_arg()),

@@ -3,7 +3,12 @@
 //! accelerator, the queue count and per-request service time that enter the
 //! round-robin model (Eq. 1).
 
+use std::borrow::Cow;
 use yala_sim::{CounterSample, ResourceKind};
+
+/// Accelerators one contender can press on: every [`ResourceKind`] but
+/// `CpuMem`.
+const MAX_ACCELS: usize = 3;
 
 /// One competitor's presence on one accelerator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,30 +30,42 @@ impl AccelContention {
 }
 
 /// Everything Yala knows about one competitor when predicting a target's
-/// throughput: no source code, only profiled observables.
+/// throughput: no source code, only profiled observables. Plain data with
+/// no heap behind it (a `'static` name costs nothing to clone), so the
+/// placement loop can describe a NIC's residents without allocating.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Contender {
     /// Display name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// The competitor's solo counter vector (its memory contentiousness).
     pub counters: CounterSample,
-    /// Its accelerator presence, one entry per accelerator it uses.
-    pub accel: Vec<AccelContention>,
+    /// Its accelerator presence, one entry per accelerator it uses, in
+    /// the order added.
+    accel: [Option<AccelContention>; MAX_ACCELS],
 }
 
 impl Contender {
     /// A memory-only contender (e.g. mem-bench or a header-only NF).
-    pub fn memory_only(name: impl Into<String>, counters: CounterSample) -> Self {
+    pub fn memory_only(name: impl Into<Cow<'static, str>>, counters: CounterSample) -> Self {
         Self {
             name: name.into(),
             counters,
-            accel: Vec::new(),
+            accel: [None; MAX_ACCELS],
         }
     }
 
     /// Adds accelerator presence (builder style).
+    ///
+    /// # Panics
+    ///
+    /// Panics on more entries than there are accelerator kinds.
     pub fn with_accel(mut self, accel: AccelContention) -> Self {
-        self.accel.push(accel);
+        let slot = self
+            .accel
+            .iter_mut()
+            .find(|a| a.is_none())
+            .expect("a contender presses on at most three accelerators");
+        *slot = Some(accel);
         self
     }
 
@@ -56,6 +73,7 @@ impl Contender {
     pub fn pressure_on(&self, kind: ResourceKind) -> f64 {
         self.accel
             .iter()
+            .flatten()
             .filter(|a| a.kind == kind)
             .map(|a| a.pressure_s())
             .sum()

@@ -115,17 +115,13 @@ impl Engine {
         }
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..scenarios).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(scenarios) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= scenarios {
-                        break;
-                    }
-                    let result = job(i);
-                    *slots[i].lock().expect("scenario slot poisoned") = Some(result);
-                });
+        run_workers(self.threads.min(scenarios), || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= scenarios {
+                break;
             }
+            let result = job(i);
+            *slots[i].lock().expect("scenario slot poisoned") = Some(result);
         });
         slots
             .into_iter()
@@ -156,19 +152,15 @@ impl Engine {
         let chunks = scenarios.div_ceil(chunk);
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Vec<T>>> = (0..chunks).map(|_| Mutex::new(Vec::new())).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(chunks) {
-                scope.spawn(|| loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= chunks {
-                        break;
-                    }
-                    let lo = c * chunk;
-                    let hi = (lo + chunk).min(scenarios);
-                    let results: Vec<T> = (lo..hi).map(&job).collect();
-                    *slots[c].lock().expect("chunk slot poisoned") = results;
-                });
+        run_workers(self.threads.min(chunks), || loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= chunks {
+                break;
             }
+            let lo = c * chunk;
+            let hi = (lo + chunk).min(scenarios);
+            let results: Vec<T> = (lo..hi).map(&job).collect();
+            *slots[c].lock().expect("chunk slot poisoned") = results;
         });
         let mut out = Vec::with_capacity(scenarios);
         for slot in slots {
@@ -177,6 +169,25 @@ impl Engine {
         debug_assert_eq!(out.len(), scenarios, "every chunk was claimed");
         out
     }
+}
+
+/// Runs `worker` on `n` threads and joins them. `std::thread::scope` on
+/// its own only waits until the workers' closures have returned; the OS
+/// threads may still be exiting when it does. A caller that starts its
+/// next run within that window — a fleet loop a few hundred microseconds
+/// from audit to audit — finds the exiting workers' allocator arenas
+/// still attached, so its new workers are handed fresh ones, and every
+/// arena that has once served a training run keeps some 40 MB resident.
+/// Joining the OS threads closes the window: two workers, two arenas.
+fn run_workers(n: usize, worker: impl Fn() + Sync) {
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..n).map(|_| scope.spawn(&worker)).collect();
+        for handle in workers {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
 #[cfg(test)]

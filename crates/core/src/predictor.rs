@@ -10,6 +10,7 @@ use crate::memory_model::{
 };
 use crate::observe::{Observation, Refinable};
 use crate::profiler::{memory_dataset_fixed, MemLevel};
+use std::borrow::Cow;
 use yala_ml::{Dataset, GbrParams};
 use yala_nf::NfKind;
 use yala_sim::{CounterSample, ExecutionPattern, ResourceKind, Simulator};
@@ -59,11 +60,15 @@ impl Default for TrainConfig {
     }
 }
 
+/// Resources one NF can be modelled on: the memory subsystem plus every
+/// accelerator kind.
+const MAX_RESOURCES: usize = 4;
+
 /// A trained Yala model for one NF.
 #[derive(Debug, Clone, PartialEq)]
 pub struct YalaModel {
     /// NF name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Detected execution pattern.
     pub pattern: ExecutionPattern,
     /// Black-box memory model (traffic-aware unless trained fixed).
@@ -165,7 +170,7 @@ impl YalaModel {
         // 3. Execution-pattern detection (§4.2).
         let pattern = Self::detect(sim, kind, &accels, &mut cost);
         Self {
-            name: kind.name().to_string(),
+            name: Cow::Borrowed(kind.name()),
             pattern,
             memory,
             accels,
@@ -217,15 +222,32 @@ impl YalaModel {
         traffic: &TrafficProfile,
         contenders: &[Contender],
     ) -> Vec<(ResourceKind, f64)> {
+        let (per, n) = self.per_resource_tputs(solo_tput, traffic, contenders);
+        let kinds = std::iter::once(ResourceKind::CpuMem).chain(self.accels.iter().map(|a| a.kind));
+        kinds.zip(per[..n].iter().copied()).collect()
+    }
+
+    /// The `T_k` of [`Self::per_resource`] in the same order, on the
+    /// stack: the values and how many of them are set.
+    fn per_resource_tputs(
+        &self,
+        solo_tput: f64,
+        traffic: &TrafficProfile,
+        contenders: &[Contender],
+    ) -> ([f64; MAX_RESOURCES], usize) {
         assert!(solo_tput > 0.0, "solo throughput must be positive");
+        assert!(
+            self.accels.len() < MAX_RESOURCES,
+            "more accelerator models than accelerator kinds"
+        );
         let traffic_arg = self.memory.is_traffic_aware().then_some(traffic);
-        let mem = self
+        let mut per = [0.0; MAX_RESOURCES];
+        per[0] = self
             .memory
             .predict(&aggregate_counters(contenders), traffic_arg)
             .min(solo_tput);
-        let mut out = vec![(ResourceKind::CpuMem, mem)];
-        for am in &self.accels {
-            let t_k = match self.pattern {
+        for (t_k, am) in per[1..].iter_mut().zip(&self.accels) {
+            *t_k = match self.pattern {
                 ExecutionPattern::Pipeline => {
                     am.contended_cap(traffic.mtbr, contenders).min(solo_tput)
                 }
@@ -233,9 +255,8 @@ impl YalaModel {
                     .rtc_end_to_end(solo_tput, traffic.mtbr, self.cores, contenders)
                     .min(solo_tput),
             };
-            out.push((am.kind, t_k));
         }
-        out
+        (per, 1 + self.accels.len())
     }
 
     /// Predicts the target's end-to-end throughput when co-located with
@@ -263,15 +284,12 @@ impl YalaModel {
         traffic: &TrafficProfile,
         contenders: &[Contender],
     ) -> f64 {
-        let per: Vec<f64> = self
-            .per_resource(solo_tput, traffic, contenders)
-            .iter()
-            .map(|(_, t)| *t)
-            .collect();
+        let (per, n) = self.per_resource_tputs(solo_tput, traffic, contenders);
+        let per = &per[..n];
         match composition {
-            Composition::ExecutionPattern => compose(self.pattern, solo_tput, &per),
-            Composition::Sum => compose_sum(solo_tput, &per),
-            Composition::Min => compose_min(solo_tput, &per),
+            Composition::ExecutionPattern => compose(self.pattern, solo_tput, per),
+            Composition::Sum => compose_sum(solo_tput, per),
+            Composition::Min => compose_min(solo_tput, per),
         }
     }
 

@@ -173,15 +173,13 @@ pub fn regex_bench_contender(
         .accel(ResourceKind::Regex)
         .expect("NIC has a regex engine")
         .service_time(bytes, mtbr * bytes / 1e6);
-    crate::Contender {
-        name: "regex-bench".to_string(),
-        counters,
-        accel: vec![crate::contender::AccelContention {
+    crate::Contender::memory_only("regex-bench", counters).with_accel(
+        crate::contender::AccelContention {
             kind: ResourceKind::Regex,
             queues: 1.0,
             service_s: service,
-        }],
-    }
+        },
+    )
 }
 
 #[cfg(test)]

@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn select_victim_qos_sheds_best_effort_first() {
         use yala_sim::CounterSample;
-        let hog = |name: &str, car: f64| {
+        let hog = |name: &'static str, car: f64| {
             Contender::memory_only(
                 name,
                 CounterSample {

@@ -52,7 +52,7 @@ impl Diagnoser<'_> {
     pub fn contenders(
         &self,
         nic_model: NicModelId,
-        residents: &[Placed],
+        residents: &[&Placed],
         exclude: usize,
     ) -> Vec<Contender> {
         residents
@@ -76,14 +76,14 @@ impl Diagnoser<'_> {
     pub fn bottleneck(
         &self,
         nic_model: NicModelId,
-        residents: &[Placed],
+        residents: &[&Placed],
         violator: usize,
         co: &[Contender],
     ) -> ResourceKind {
         match self {
             Diagnoser::MemoryOnly => ResourceKind::CpuMem,
             Diagnoser::Yala(_) => {
-                let v = &residents[violator];
+                let v = residents[violator];
                 let model = self
                     .model(nic_model, v.arrival.kind)
                     .expect("yala diagnoser");

@@ -429,7 +429,7 @@ impl<'a> FleetSim<'a> {
         let period_ms = cfg.audit_period_s * MS_PER_S;
         let observing = tel.is_enabled();
         tel.wall_tick();
-        match class {
+        let processed = match class {
             CLASS_DEPARTURE => {
                 let id = index as usize;
                 let at = self.location[id].map(|n| n as i64).unwrap_or(-1);
@@ -709,10 +709,8 @@ impl<'a> FleetSim<'a> {
                                     (FleetPolicy::ContentionAware { diagnoser, .. }, n)
                                         if n >= 2 =>
                                     {
-                                        let placed: Vec<Placed> = self.residents[nic]
-                                            .iter()
-                                            .map(|&r| snapshot(profiled, &self.cursor, r).clone())
-                                            .collect();
+                                        let placed =
+                                            snapshots(profiled, &self.cursor, &self.residents[nic]);
                                         let co = diagnoser.contenders(model, &placed, pos);
                                         diagnoser.bottleneck(model, &placed, pos, &co).to_string()
                                     }
@@ -969,6 +967,24 @@ impl<'a> FleetSim<'a> {
                 Some(Processed::Audit(index))
             }
             _ => unreachable!("unknown event class"),
+        };
+        if observing && self.next_event == self.events.len() {
+            self.mirror_memo_stats(tel);
+        }
+        processed
+    }
+
+    /// Mirrors the predictor's memo accounting onto the `predict.*`
+    /// counters once the last event is consumed. Registry only: a
+    /// restored run starts with a cold memo, so the numbers may differ
+    /// across a kill/restore where the journal may not.
+    fn mirror_memo_stats(&self, tel: &mut Telemetry) {
+        if let FleetPolicy::ContentionAware { predictor, .. } = &self.policy {
+            if let Some(stats) = predictor.memo_stats() {
+                tel.inc("predict.calls", stats.lookups);
+                tel.inc("predict.memo_hits", stats.hits);
+                tel.inc("predict.memo_clears", stats.clears);
+            }
         }
     }
 
@@ -1269,18 +1285,18 @@ fn try_preempt_best_effort(
         let mut found = false;
         for &id in be.iter().rev() {
             parked_here.push(id);
-            let mut candidate: Vec<Placed> = nic
+            let candidate: Vec<&Placed> = nic
                 .iter()
                 .filter(|r| !parked_here.contains(r))
-                .map(|&r| snapshot(profiled, cursor, r).clone())
+                .map(|&r| snapshot(profiled, cursor, r))
+                .chain([nf])
                 .collect();
-            candidate.push(nf.clone());
             let cores: u32 = candidate.iter().map(|p| p.workload.cores).sum();
             if cores > nics_map.cores[i] {
                 continue;
             }
             if (0..candidate.len()).all(|t| {
-                predictor.predict(model, t, &candidate)
+                predictor.predict_refs(model, t, &candidate)
                     >= candidate[t].sla_floor(model) * (1.0 + margin)
             }) {
                 found = true;
@@ -1317,6 +1333,14 @@ fn snapshot<'a>(profiled: &'a ProfiledTrace, cursor: &[usize], id: u32) -> &'a P
     &profiled.timelines[id as usize].snapshots[cursor[id as usize]].1
 }
 
+/// The profile snapshots currently in force for a NIC's residents, in
+/// residency order.
+fn snapshots<'a>(profiled: &'a ProfiledTrace, cursor: &[usize], nic: &[u32]) -> Vec<&'a Placed> {
+    nic.iter()
+        .map(|&id| snapshot(profiled, cursor, id))
+        .collect()
+}
+
 /// Harvests one audit epoch's ground truth into `out`: for every resident
 /// of every multi-tenant NIC, the prediction context (NIC model, NF kind,
 /// live traffic, the co-residents' aggregate counters and accelerator
@@ -1342,12 +1366,9 @@ fn harvest_observations(
             continue;
         }
         let model = nics_map.model[nic];
-        let placed: Vec<Placed> = residents[nic]
-            .iter()
-            .map(|&id| snapshot(profiled, cursor, id).clone())
-            .collect();
+        let placed = snapshots(profiled, cursor, &residents[nic]);
         for (target, outcome) in report.outcomes.iter().enumerate() {
-            let snap = &placed[target];
+            let snap = placed[target];
             let co = diagnoser.contenders(model, &placed, target);
             let accel_pressure: Vec<(ResourceKind, f64)> =
                 [ResourceKind::Regex, ResourceKind::Compression]
@@ -1537,13 +1558,16 @@ fn choose_contention_aware(
             "indexed contention-aware shortlist diverged from the linear scan"
         );
     }
+    let mut candidate: Vec<&Placed> = Vec::new();
     for &i in &cands {
         let model = nics_map.model[i];
-        let mut candidate: Vec<Placed> = residents[i]
-            .iter()
-            .map(|&id| snapshot(profiled, cursor, id).clone())
-            .collect();
-        candidate.push(nf.clone());
+        candidate.clear();
+        candidate.extend(
+            residents[i]
+                .iter()
+                .map(|&id| snapshot(profiled, cursor, id)),
+        );
+        candidate.push(nf);
         // Explicit loop with the same short-circuit as the original
         // `all()`, so margin collection sees each prediction the moment
         // it is made without changing which predictions are made.
@@ -1552,7 +1576,7 @@ fn choose_contention_aware(
         }
         let mut safe = true;
         for t in 0..candidate.len() {
-            let predicted = predictor.predict(model, t, &candidate);
+            let predicted = predictor.predict_refs(model, t, &candidate);
             let floor = candidate[t].sla_floor(model) * (1.0 + margin);
             if let Some(m) = margins.as_deref_mut() {
                 m.push((t, predicted, floor));
@@ -1605,10 +1629,7 @@ fn migrate(
             continue;
         }
         let model = nics_map.model[nic];
-        let placed: Vec<Placed> = residents[nic]
-            .iter()
-            .map(|&id| snapshot(profiled, cursor, id).clone())
-            .collect();
+        let placed = snapshots(profiled, cursor, &residents[nic]);
         let Some(&violator) = predictor.reevaluate(model, &placed).first() else {
             continue;
         };
@@ -1629,7 +1650,7 @@ fn migrate(
         let victim_pos = co_positions[sel];
         let victim_id = residents[nic][victim_pos];
         let violator_id = residents[nic][violator];
-        let victim = placed[victim_pos].clone();
+        let victim = placed[victim_pos];
         // Drain-and-replace: a safe occupied NIC first, else power on an
         // empty one; if the fleet is exhausted the victim stays put.
         let dst = choose_contention_aware(
@@ -1640,12 +1661,12 @@ fn migrate(
             state,
             pidx,
             predictor,
-            &victim,
+            victim,
             Some(nic),
             0.0,
             None,
         )
-        .or_else(|| choose_empty(residents, nics_map, state, pidx, &victim, Some(nic)));
+        .or_else(|| choose_empty(residents, nics_map, state, pidx, victim, Some(nic)));
         if let Some(dst) = dst {
             residents[nic].remove(victim_pos);
             pidx.remove(nic, victim.workload.cores);

@@ -5,6 +5,7 @@
 //! residuals, with shrinkage (`learning_rate`) and optional stochastic
 //! subsampling. Deterministic for a fixed seed.
 
+use crate::forest::Forest;
 use crate::tree::{RegressionTree, TreeParams};
 use crate::Dataset;
 use rand::rngs::StdRng;
@@ -55,8 +56,7 @@ impl Default for GbrParams {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GradientBoostingRegressor {
     base: f64,
-    learning_rate: f64,
-    stages: Vec<RegressionTree>,
+    forest: Forest,
     n_features: usize,
 }
 
@@ -67,40 +67,10 @@ impl GradientBoostingRegressor {
     ///
     /// Panics if `ds` is empty or `params.subsample` is outside `(0, 1]`.
     pub fn fit(ds: &Dataset, params: &GbrParams, seed: u64) -> Self {
-        assert!(!ds.is_empty(), "cannot fit GBR on an empty dataset");
-        assert!(
-            params.subsample > 0.0 && params.subsample <= 1.0,
-            "subsample must be in (0, 1]"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        let base = ds.target_mean();
-        let mut current: Vec<f64> = vec![base; ds.len()];
-        let mut stages = Vec::with_capacity(params.n_estimators);
-        let sample_size = ((ds.len() as f64) * params.subsample).ceil() as usize;
-        let residual_ds_rows: Vec<usize> = (0..ds.len()).collect();
-
-        for _ in 0..params.n_estimators {
-            // Residuals of the squared loss are just y - F(x).
-            let rows: Vec<usize> = if params.subsample < 1.0 {
-                sample_without_replacement(&mut rng, ds.len(), sample_size)
-            } else {
-                residual_ds_rows.clone()
-            };
-            let mut stage_ds = Dataset::new(ds.n_features());
-            for &i in &rows {
-                stage_ds.push(ds.row(i), ds.target(i) - current[i]);
-            }
-            let tree = RegressionTree::fit(&stage_ds, &params.tree);
-            // Update F on *all* rows (not just the subsample).
-            for (i, cur) in current.iter_mut().enumerate() {
-                *cur += params.learning_rate * tree.predict(ds.row(i));
-            }
-            stages.push(tree);
-        }
+        let (base, stages) = fit_stages(ds, params, seed);
         Self {
             base,
-            learning_rate: params.learning_rate,
-            stages,
+            forest: Forest::new(&stages, params.learning_rate),
             n_features: ds.n_features(),
         }
     }
@@ -112,11 +82,7 @@ impl GradientBoostingRegressor {
     /// Panics if `x.len()` differs from the training feature count.
     pub fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.n_features, "feature width mismatch");
-        let mut acc = self.base;
-        for tree in &self.stages {
-            acc += self.learning_rate * tree.predict(x);
-        }
-        acc
+        self.forest.predict(self.base, x)
     }
 
     /// Predictions for every row of `ds`.
@@ -126,13 +92,50 @@ impl GradientBoostingRegressor {
 
     /// Number of fitted boosting stages.
     pub fn n_stages(&self) -> usize {
-        self.stages.len()
+        self.forest.len()
     }
 
     /// The constant (mean) prediction the ensemble starts from.
     pub fn base_prediction(&self) -> f64 {
         self.base
     }
+}
+
+/// The boosting loop: the constant base prediction and one residual tree
+/// per stage. [`GradientBoostingRegressor::fit`] flattens the trees into
+/// its [`Forest`] and drops them.
+fn fit_stages(ds: &Dataset, params: &GbrParams, seed: u64) -> (f64, Vec<RegressionTree>) {
+    assert!(!ds.is_empty(), "cannot fit GBR on an empty dataset");
+    assert!(
+        params.subsample > 0.0 && params.subsample <= 1.0,
+        "subsample must be in (0, 1]"
+    );
+    let mut rng = StdRng::seed_from_u64(seed);
+    let base = ds.target_mean();
+    let mut current: Vec<f64> = vec![base; ds.len()];
+    let mut stages = Vec::with_capacity(params.n_estimators);
+    let sample_size = ((ds.len() as f64) * params.subsample).ceil() as usize;
+    let residual_ds_rows: Vec<usize> = (0..ds.len()).collect();
+
+    for _ in 0..params.n_estimators {
+        // Residuals of the squared loss are just y - F(x).
+        let rows: Vec<usize> = if params.subsample < 1.0 {
+            sample_without_replacement(&mut rng, ds.len(), sample_size)
+        } else {
+            residual_ds_rows.clone()
+        };
+        let mut stage_ds = Dataset::new(ds.n_features());
+        for &i in &rows {
+            stage_ds.push(ds.row(i), ds.target(i) - current[i]);
+        }
+        let tree = RegressionTree::fit(&stage_ds, &params.tree);
+        // Update F on *all* rows (not just the subsample).
+        for (i, cur) in current.iter_mut().enumerate() {
+            *cur += params.learning_rate * tree.predict(ds.row(i));
+        }
+        stages.push(tree);
+    }
+    (base, stages)
 }
 
 /// `k` distinct indices from `0..n`, Fisher–Yates over a scratch vector.
@@ -245,6 +248,72 @@ mod tests {
         );
         assert_eq!(model.n_stages(), 0);
         assert_eq!(model.predict(&[0.0, 0.0]), ds.target_mean());
+    }
+
+    /// What `predict` computed before the forest: one recursive walk per
+    /// stage, each scaled and added in fit order.
+    fn recursive_walk(base: f64, lr: f64, stages: &[RegressionTree], x: &[f64]) -> f64 {
+        stages
+            .iter()
+            .fold(base, |acc, tree| acc + lr * tree.predict(x))
+    }
+
+    #[test]
+    fn flat_forest_matches_recursive_walk_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0xF0_2E57);
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1e300];
+        for case in 0..56usize {
+            let width = rng.gen_range(1..=6usize);
+            let rows = rng.gen_range(1..=70usize);
+            // Every eighth dataset has constant targets: single-leaf trees.
+            let constant = case % 8 == 7;
+            let mut ds = Dataset::new(width);
+            for _ in 0..rows {
+                // A coarse grid, so features tie and some splits are barred.
+                let x: Vec<f64> = (0..width)
+                    .map(|_| rng.gen_range(0..12u32) as f64 * 0.5)
+                    .collect();
+                let y = if constant {
+                    3.25
+                } else {
+                    x.iter().sum::<f64>() + rng.gen_range(-2.0..2.0)
+                };
+                ds.push(&x, y);
+            }
+            let params = GbrParams {
+                n_estimators: rng.gen_range(0..=24usize),
+                learning_rate: rng.gen_range(0.01..0.6),
+                subsample: if case % 2 == 0 { 1.0 } else { 0.6 },
+                tree: TreeParams {
+                    max_depth: case % 7,
+                    min_samples_leaf: rng.gen_range(1..=3usize),
+                    ..TreeParams::default()
+                },
+            };
+            let seed = case as u64;
+            let (base, stages) = fit_stages(&ds, &params, seed);
+            let model = GradientBoostingRegressor::fit(&ds, &params, seed);
+            assert_eq!(model.n_stages(), stages.len());
+            let mut probes: Vec<Vec<f64>> = ds.rows().map(|(x, _)| x.to_vec()).collect();
+            for _ in 0..24 {
+                let mut x: Vec<f64> = (0..width).map(|_| rng.gen_range(-2.0..8.0)).collect();
+                for v in x.iter_mut() {
+                    if rng.gen_range(0..3u32) == 0 {
+                        *v = specials[rng.gen_range(0..specials.len())];
+                    }
+                }
+                probes.push(x);
+            }
+            for x in &probes {
+                let want = recursive_walk(base, params.learning_rate, &stages, x);
+                assert_eq!(
+                    model.predict(x).to_bits(),
+                    want.to_bits(),
+                    "case {case} depth {} at {x:?}",
+                    params.tree.max_depth
+                );
+            }
+        }
     }
 
     #[test]

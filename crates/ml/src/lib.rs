@@ -32,6 +32,7 @@
 //! ```
 
 pub mod dataset;
+mod forest;
 pub mod gbr;
 pub mod linear;
 pub mod metrics;

@@ -29,9 +29,9 @@ impl Default for TreeParams {
     }
 }
 
-/// One node of the tree, stored in a flat arena.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-enum Node {
+/// One node of the tree, stored in a flat arena (root at index 0).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub(crate) enum Node {
     Leaf {
         value: f64,
     },
@@ -150,6 +150,11 @@ impl RegressionTree {
                 }
             }
         }
+    }
+
+    /// The node arena, for flattening into a `Forest`.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// Total node count (splits + leaves), useful for complexity assertions.

@@ -27,6 +27,10 @@
 //! NF whose workload submits Regex requests is never profiled on (and is
 //! rejected by every strategy for) a regex-less NIC.
 
+mod memo;
+
+pub use memo::MemoStats;
+
 use yala_core::engine::{model_seed_base, scenario_seed, simulator_for, Engine};
 use yala_core::profile_cache::{ProfileEntry, SoloProfile};
 use yala_core::{Contender, ModelBank, ObservationBuffer, QosClass, YalaModel};
@@ -133,19 +137,29 @@ impl Placed {
 /// A predictor that judges whether a candidate co-location is SLA-safe.
 pub trait PlacementPredictor {
     /// Predicted throughput of `residents[target]` when all `residents`
-    /// share one NIC of hardware `model`.
-    fn predict(&mut self, model: NicModelId, target: usize, residents: &[Placed]) -> f64;
+    /// share one NIC of hardware `model`. Residents are borrowed: a
+    /// placement loop scores hundreds of candidate NICs per arrival and
+    /// must not copy a tenant's profile to ask about it.
+    fn predict_refs(&mut self, model: NicModelId, target: usize, residents: &[&Placed]) -> f64;
+
+    /// [`Self::predict_refs`] for a caller that holds the residents by
+    /// value.
+    fn predict(&mut self, model: NicModelId, target: usize, residents: &[Placed]) -> f64 {
+        let refs: Vec<&Placed> = residents.iter().collect();
+        self.predict_refs(model, target, &refs)
+    }
 
     /// Re-evaluates an already-populated NIC of hardware `model` — e.g.
     /// after traffic drift has shifted some residents' profiles — and
     /// returns the indices of residents predicted to violate their SLA
     /// floor, in ascending order. A fleet orchestrator calls this each
     /// audit epoch to decide whether to migrate. The default issues one
-    /// [`Self::predict`] per resident; implementations that can evaluate
-    /// a whole NIC at once (the oracle's single co-run) may override it.
-    fn reevaluate(&mut self, model: NicModelId, residents: &[Placed]) -> Vec<usize> {
+    /// [`Self::predict_refs`] per resident; implementations that can
+    /// evaluate a whole NIC at once (the oracle's single co-run) may
+    /// override it.
+    fn reevaluate(&mut self, model: NicModelId, residents: &[&Placed]) -> Vec<usize> {
         (0..residents.len())
-            .filter(|&i| self.predict(model, i, residents) < residents[i].sla_floor(model))
+            .filter(|&i| self.predict_refs(model, i, residents) < residents[i].sla_floor(model))
             .collect()
     }
 
@@ -158,6 +172,14 @@ pub trait PlacementPredictor {
     /// ground-truth reference (refining it would be circular).
     fn absorb(&mut self, _buffer: &ObservationBuffer, _engine: &Engine) -> usize {
         0
+    }
+
+    /// Predictions requested so far, how many were answered from a memo
+    /// of earlier answers, and how often that memo was emptied — `None`
+    /// for a predictor that keeps no memo. A fleet run exports it as the
+    /// `predict.*` counters.
+    fn memo_stats(&self) -> Option<MemoStats> {
+        None
     }
 }
 
@@ -471,10 +493,10 @@ pub fn place_sequence(
                 if !fits(nic, nf, max_cores) {
                     return false;
                 }
-                let mut candidate = nic.clone();
-                candidate.push(nf.clone());
-                (0..candidate.len())
-                    .all(|i| pred.predict(model, i, &candidate) >= candidate[i].sla_floor(model))
+                let candidate: Vec<&Placed> = nic.iter().chain([nf]).collect();
+                (0..candidate.len()).all(|i| {
+                    pred.predict_refs(model, i, &candidate) >= candidate[i].sla_floor(model)
+                })
             }),
         };
         match slot {
@@ -511,20 +533,36 @@ fn fits(nic: &[Placed], nf: &Placed, max_cores: u32) -> bool {
 /// [`ModelBank`]. The predictor *owns* its bank (cloned from the trained
 /// reference at construction) so it can refine cells mid-episode from
 /// audit observations ([`PlacementPredictor::absorb`]) without mutating
-/// the caller's frozen copy.
+/// the caller's frozen copy — and, since nothing else can change that
+/// bank, so it can remember the answers it has already worked out
+/// ([`PlacementPredictor::memo_stats`]).
 pub struct YalaPredictor {
     bank: ModelBank<YalaModel>,
     absorbed: usize,
     refine_passes: usize,
+    memo: memo::Memo,
+    /// The contender slate of the evaluation in progress, kept for its
+    /// capacity.
+    slate: Vec<Contender>,
 }
 
 impl YalaPredictor {
     /// Clones a trained per-model bank into a refinable working copy.
     pub fn new(bank: &ModelBank<YalaModel>) -> Self {
+        Self::with_memo_cap(bank, memo::DEFAULT_CAP)
+    }
+
+    /// [`Self::new`] with a memo of `cap` answer slots and `cap` interned
+    /// resident descriptions instead of the default size. Every
+    /// prediction is the same at any cap; the tests of that claim need a
+    /// memo small enough to overflow.
+    pub fn with_memo_cap(bank: &ModelBank<YalaModel>, cap: usize) -> Self {
         Self {
             bank: bank.clone(),
             absorbed: 0,
             refine_passes: 0,
+            memo: memo::Memo::new(cap),
+            slate: Vec::new(),
         }
     }
 
@@ -546,23 +584,31 @@ impl YalaPredictor {
 }
 
 impl PlacementPredictor for YalaPredictor {
-    fn predict(&mut self, model: NicModelId, target: usize, residents: &[Placed]) -> f64 {
-        let t = &residents[target];
-        let contenders: Vec<Contender> = residents
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != target)
-            .map(|(_, p)| {
-                self.bank
-                    .expect(model, p.arrival.kind)
-                    .as_contender(p.solo(model).counters, p.arrival.traffic.mtbr)
-            })
-            .collect();
-        self.bank.expect(model, t.arrival.kind).predict(
+    fn predict_refs(&mut self, model: NicModelId, target: usize, residents: &[&Placed]) -> f64 {
+        let key = self.memo.key(model, target, residents);
+        if let Some(known) = self.memo.get(key) {
+            return known;
+        }
+        let bank = &self.bank;
+        self.slate.clear();
+        self.slate.extend(
+            residents
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != target)
+                .map(|(_, p)| {
+                    bank.expect(model, p.arrival.kind)
+                        .as_contender(p.solo(model).counters, p.arrival.traffic.mtbr)
+                }),
+        );
+        let t = residents[target];
+        let predicted = bank.expect(model, t.arrival.kind).predict(
             t.solo(model).solo_tput,
             &t.arrival.traffic,
-            &contenders,
-        )
+            &self.slate,
+        );
+        self.memo.put(key, predicted);
+        predicted
     }
 
     fn absorb(&mut self, buffer: &ObservationBuffer, engine: &Engine) -> usize {
@@ -570,8 +616,14 @@ impl PlacementPredictor for YalaPredictor {
         if n > 0 {
             self.absorbed += n;
             self.refine_passes += 1;
+            // The refit cells answer differently from now on.
+            self.memo.clear();
         }
         n
+    }
+
+    fn memo_stats(&self) -> Option<MemoStats> {
+        Some(self.memo.stats())
     }
 }
 
@@ -612,8 +664,8 @@ impl SlomoPredictor {
 }
 
 impl PlacementPredictor for SlomoPredictor {
-    fn predict(&mut self, model: NicModelId, target: usize, residents: &[Placed]) -> f64 {
-        let t = &residents[target];
+    fn predict_refs(&mut self, model: NicModelId, target: usize, residents: &[&Placed]) -> f64 {
+        let t = residents[target];
         let agg = CounterSample::aggregate(
             residents
                 .iter()
@@ -672,7 +724,7 @@ impl OraclePredictor {
 }
 
 impl PlacementPredictor for OraclePredictor {
-    fn predict(&mut self, model: NicModelId, target: usize, residents: &[Placed]) -> f64 {
+    fn predict_refs(&mut self, model: NicModelId, target: usize, residents: &[&Placed]) -> f64 {
         let workloads: Vec<WorkloadSpec> = residents.iter().map(|p| p.workload.clone()).collect();
         self.sim(model).co_run(&workloads).outcomes[target].throughput_pps
     }
@@ -680,7 +732,7 @@ impl PlacementPredictor for OraclePredictor {
     /// One co-run yields every resident's ground-truth throughput, so the
     /// oracle audits a whole NIC with a single fixed-point solve instead
     /// of `residents.len()` of them.
-    fn reevaluate(&mut self, model: NicModelId, residents: &[Placed]) -> Vec<usize> {
+    fn reevaluate(&mut self, model: NicModelId, residents: &[&Placed]) -> Vec<usize> {
         if residents.is_empty() {
             return Vec::new();
         }
@@ -892,7 +944,12 @@ mod tests {
         let a = arrivals(&mut s, 6);
         struct DefaultOracle(Simulator);
         impl PlacementPredictor for DefaultOracle {
-            fn predict(&mut self, _model: NicModelId, target: usize, residents: &[Placed]) -> f64 {
+            fn predict_refs(
+                &mut self,
+                _model: NicModelId,
+                target: usize,
+                residents: &[&Placed],
+            ) -> f64 {
                 let ws: Vec<WorkloadSpec> = residents.iter().map(|p| p.workload.clone()).collect();
                 self.0.co_run(&ws).outcomes[target].throughput_pps
             }
@@ -900,9 +957,10 @@ mod tests {
         let mut oracle = OraclePredictor::new(NicSpec::bluefield2());
         let mut default_oracle = DefaultOracle(Simulator::new(NicSpec::bluefield2()));
         for chunk in a.chunks(3) {
+            let chunk: Vec<&Placed> = chunk.iter().collect();
             assert_eq!(
-                oracle.reevaluate(bf2(), chunk),
-                default_oracle.reevaluate(bf2(), chunk)
+                oracle.reevaluate(bf2(), &chunk),
+                default_oracle.reevaluate(bf2(), &chunk)
             );
         }
         assert!(oracle.reevaluate(bf2(), &[]).is_empty());

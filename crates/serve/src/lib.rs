@@ -42,6 +42,7 @@ use yala_placement::{
 };
 use yala_sim::NicModelId;
 use yala_telemetry::journal::{parse_line, RawEvent};
+use yala_traffic::profile::{MAX_FLOW_COUNT, MAX_MTBR, MAX_PACKET_SIZE, MIN_PACKET_SIZE};
 use yala_traffic::TrafficProfile;
 
 /// Version stamp of the request/response line protocol and of the serve
@@ -312,13 +313,13 @@ impl ServeLoop {
                     if residents[n].is_empty() {
                         return true;
                     }
-                    let mut cand: Vec<Placed> = residents[n]
+                    let cand: Vec<&Placed> = residents[n]
                         .iter()
-                        .map(|id| instances[id].placed.clone())
+                        .map(|id| &instances[id].placed)
+                        .chain([placed])
                         .collect();
-                    cand.push(placed.clone());
                     (0..cand.len()).all(|i| {
-                        predictor.predict(models[n], i, &cand) >= cand[i].sla_floor(models[n])
+                        predictor.predict_refs(models[n], i, &cand) >= cand[i].sla_floor(models[n])
                     })
                 })
             }
@@ -658,12 +659,26 @@ fn need_id(ev: &RawEvent) -> Result<u32, String> {
         .ok_or_else(|| format!("id {id} out of range"))
 }
 
+fn need_u32_in(ev: &RawEvent, key: &str, lo: u32, hi: u32) -> Result<u32, String> {
+    let v = need_int(ev, key)?;
+    u32::try_from(v)
+        .ok()
+        .filter(|v| (lo..=hi).contains(v))
+        .ok_or_else(|| format!("field {key} = {v} outside [{lo},{hi}]"))
+}
+
+/// The traffic profile of a `place` / `query` / `drift` line. A value
+/// outside the ranges [`TrafficProfile`] supports is refused here: past
+/// this point a zero flow count or packet size panics the packet
+/// generator, and a flow count is an allocation size.
 fn traffic_from(ev: &RawEvent) -> Result<TrafficProfile, String> {
-    Ok(TrafficProfile {
-        flow_count: need_int(ev, "flows")? as u32,
-        packet_size: need_int(ev, "psize")? as u32,
-        mtbr: need_num(ev, "mtbr")?,
-    })
+    let flows = need_u32_in(ev, "flows", 1, MAX_FLOW_COUNT)?;
+    let psize = need_u32_in(ev, "psize", MIN_PACKET_SIZE, MAX_PACKET_SIZE)?;
+    let mtbr = need_num(ev, "mtbr")?;
+    if !(0.0..=MAX_MTBR).contains(&mtbr) {
+        return Err(format!("field mtbr = {mtbr} outside [0,{MAX_MTBR}]"));
+    }
+    Ok(TrafficProfile::new(flows, psize, mtbr))
 }
 
 #[cfg(test)]
@@ -755,6 +770,39 @@ mod tests {
             let r = s.handle_line(bad, &engine);
             assert!(r.starts_with("{\"ok\":false"), "{bad} => {r}");
         }
+        // Traffic outside the supported ranges is refused on every op
+        // that carries it: zero flows and zero-byte packets used to panic
+        // the packet generator, four billion flows to allocate for them.
+        assert!(s
+            .handle_line(&place(9, "nat", 5_000), &engine)
+            .starts_with("{\"ok\":true"));
+        for (flows, psize, mtbr, field) in [
+            ("0", "512", "0.0", "flows"),
+            ("4000000000", "512", "0.0", "flows"),
+            ("4294967297", "512", "0.0", "flows"),
+            ("5000", "0", "0.0", "psize"),
+            ("5000", "9000", "0.0", "psize"),
+            ("5000", "512", "-1.0", "mtbr"),
+            ("5000", "512", "1e9", "mtbr"),
+        ] {
+            let traffic = format!("\"flows\":{flows},\"psize\":{psize},\"mtbr\":{mtbr}");
+            for line in [
+                format!(
+                    "{{\"op\":\"place\",\"id\":7,\"kind\":\"nat\",{traffic},\"sla_drop\":0.1}}"
+                ),
+                format!("{{\"op\":\"query\",\"kind\":\"nat\",{traffic},\"sla_drop\":0.1}}"),
+                format!("{{\"op\":\"drift\",\"id\":9,{traffic}}}"),
+            ] {
+                let r = s.handle_line(&line, &engine);
+                assert!(
+                    r.starts_with("{\"ok\":false") && r.contains(field),
+                    "{line} => {r}"
+                );
+            }
+        }
+        // The refusals changed nothing: the instance is still there.
+        let again = s.handle_line(&place(9, "nat", 5_000), &engine);
+        assert!(again.contains("already exists"), "{again}");
         // Duplicate id is an error; the original instance survives.
         let ok = s.handle_line(&place(8, "nat", 5_000), &engine);
         assert!(ok.starts_with("{\"ok\":true"), "{ok}");

@@ -126,6 +126,27 @@ impl Inspector {
         out
     }
 
+    /// The predictor line of `fleet_inspect summary`, from the run's
+    /// Prometheus export (`BASE.prom`, written next to the journal): how
+    /// many predictions the placement loop asked for and how many its
+    /// predictor answered from memory. The journal cannot carry this — a
+    /// restored run's memo starts cold, and the journal must not differ
+    /// across a kill/restore — so it comes from the metrics registry.
+    /// `None` when the run exported no `predict.*` counters.
+    pub fn predictor_summary(prom: &str) -> Option<String> {
+        let counter = |name: &str| -> Option<u64> {
+            prom.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        };
+        let calls = counter("predict_calls")?;
+        let hits = counter("predict_memo_hits").unwrap_or(0);
+        let clears = counter("predict_memo_clears").unwrap_or(0);
+        Some(format!(
+            "  predictions {calls} (memo hits {hits} = {:.1}%, memo emptied {clears} time(s))\n",
+            100.0 * hits as f64 / calls.max(1) as f64
+        ))
+    }
+
     /// Per-epoch timeline: each `epoch` snapshot line, annotated with the
     /// tally of fleet events since the previous snapshot.
     pub fn timeline(&self) -> String {
@@ -531,6 +552,24 @@ mod tests {
         assert!(t.contains("[00:20:00]"));
         assert!(t.contains("parked=1"));
         assert!(t.contains("1 migrate"));
+    }
+
+    #[test]
+    fn predictor_summary_reads_the_prometheus_export() {
+        let mut m = crate::MetricsRegistry::new();
+        m.inc("predict.calls", 400);
+        m.inc("predict.memo_hits", 300);
+        m.inc("predict.memo_clears", 2);
+        m.inc("predict.calls_elsewhere", 9);
+        let line = Inspector::predictor_summary(&m.to_prometheus()).expect("counters present");
+        assert_eq!(
+            line,
+            "  predictions 400 (memo hits 300 = 75.0%, memo emptied 2 time(s))\n"
+        );
+        assert_eq!(
+            Inspector::predictor_summary("# TYPE x counter\nx 1\n"),
+            None
+        );
     }
 
     #[test]
