@@ -1,59 +1,43 @@
 //! Criterion microbenchmarks of the performance-critical substrates:
-//! the profiling dataplane (scalar vs batched), the co-run solver, the
+//! one profile measurement, the co-run solver, the
 //! accelerator water-filling, regex scanning, and GBR training/prediction.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use yala_ml::{Dataset, GbrParams, GradientBoostingRegressor};
 use yala_nf::bench::{mem_bench, regex_bench, synthetic_nf1};
-use yala_nf::runtime::{build_workload_legacy, Profiler};
+use yala_nf::runtime::Profiler;
 use yala_nf::NfKind;
 use yala_rxp::l7_default_ruleset;
 use yala_sim::{accel, ExecutionPattern, NicSpec, Simulator};
 use yala_traffic::TrafficProfile;
 
-/// The headline comparison: profiling throughput of the legacy scalar
-/// dataplane (owned `Packet` per generated packet, per-byte payload
-/// synthesis, fresh tracker per packet) vs the batched zero-allocation
-/// dataplane (`PacketBatch` arena + pooled synthesis + `process_batch`).
-/// Identical NF logic and cost accounting; only the dataplane differs.
-/// A small flow set keeps table warm-up (identical on both sides) from
-/// diluting the per-packet comparison.
-fn bench_profiling_dataplane(c: &mut Criterion) {
+/// One profile measurement (`NfKind::workload_with`: synthesise the flow
+/// set, warm the NF's tables with all of it, replay 600 packets) through
+/// a long-lived [`Profiler`], as every place, query, drift and training
+/// point pays it: a one-table NF, the two-table NF and a table-free NF,
+/// each at a small and a large flow count. The seed changes every
+/// iteration so no iteration re-synthesises the flow set it just had.
+fn bench_measurement(c: &mut Criterion) {
     let mut group = c.benchmark_group("profiling");
-    group.sample_size(10);
-    let packets = 2_048;
-    // Header-only NF: the dataplane itself dominates.
-    let flowstats = TrafficProfile::new(256, 1024, 0.0);
-    group.bench_function("scalar_flowstats_2048pkts", |b| {
-        b.iter(|| {
-            let mut nf = NfKind::FlowStats.build();
-            black_box(build_workload_legacy(nf.as_mut(), flowstats, packets, 1))
-        })
-    });
-    group.bench_function("batched_flowstats_2048pkts", |b| {
-        let mut profiler = Profiler::new();
-        b.iter(|| {
-            let mut nf = NfKind::FlowStats.build();
-            black_box(profiler.profile(nf.as_mut(), flowstats, packets, 1))
-        })
-    });
-    // Regex NF: payload scanning (identical on both sides) shrinks the
-    // relative gap; reported for completeness.
-    let flowmonitor = TrafficProfile::new(256, 1024, 600.0);
-    group.bench_function("scalar_flowmonitor_2048pkts", |b| {
-        b.iter(|| {
-            let mut nf = NfKind::FlowMonitor.build();
-            black_box(build_workload_legacy(nf.as_mut(), flowmonitor, packets, 1))
-        })
-    });
-    group.bench_function("batched_flowmonitor_2048pkts", |b| {
-        let mut profiler = Profiler::new();
-        b.iter(|| {
-            let mut nf = NfKind::FlowMonitor.build();
-            black_box(profiler.profile(nf.as_mut(), flowmonitor, packets, 1))
-        })
-    });
+    group.sample_size(20);
+    let mut profiler = Profiler::new();
+    let mut seed = 0u64;
+    for (kind, label) in [
+        (NfKind::FlowStats, "flowstats"),
+        (NfKind::Nat, "nat"),
+        (NfKind::Acl, "acl"),
+    ] {
+        for (flows, size) in [(8_000, "8k"), (128_000, "128k")] {
+            let profile = TrafficProfile::new(flows, 1024, 0.0);
+            group.bench_function(&format!("measure_{label}_{size}"), |b| {
+                b.iter(|| {
+                    seed += 1;
+                    black_box(kind.workload_with(&mut profiler, profile, seed))
+                })
+            });
+        }
+    }
     group.finish();
 }
 
@@ -143,7 +127,7 @@ fn bench_gbr(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_profiling_dataplane,
+    bench_measurement,
     bench_solver,
     bench_waterfill,
     bench_regex_scan,

@@ -79,17 +79,15 @@ pub fn bench_counters(sim: &mut Simulator, level: MemLevel) -> CounterSample {
 /// NF at a traffic point. Workload construction replays hundreds of packets
 /// through the real NF, so repeated measurements at the same traffic point
 /// (ubiquitous in profiling sweeps) would otherwise dominate runtime. Cache
-/// misses profile through a per-thread reusable [`yala_nf::Profiler`], so
-/// even a sweep of all-distinct traffic points performs no per-packet
-/// allocation.
+/// misses measure through [`NfKind::workload`] — the calling thread's
+/// long-lived [`yala_nf::Profiler`] — so even a sweep of all-distinct
+/// traffic points reuses one set of measurement buffers.
 pub fn cached_workload(kind: NfKind, traffic: TrafficProfile, seed: u64) -> WorkloadSpec {
     use std::cell::RefCell;
     use std::collections::HashMap;
     type Key = (NfKind, u32, u32, u64, u64);
     thread_local! {
         static CACHE: RefCell<HashMap<Key, WorkloadSpec>> = RefCell::new(HashMap::new());
-        static PROFILER: RefCell<yala_nf::Profiler> =
-            RefCell::new(yala_nf::Profiler::new());
     }
     let key = (
         kind,
@@ -104,9 +102,7 @@ pub fn cached_workload(kind: NfKind, traffic: TrafficProfile, seed: u64) -> Work
             map.clear();
         }
         map.entry(key)
-            .or_insert_with(|| {
-                PROFILER.with(|p| kind.workload_with(&mut p.borrow_mut(), traffic, seed))
-            })
+            .or_insert_with(|| kind.workload(traffic, seed))
             .clone()
     })
 }

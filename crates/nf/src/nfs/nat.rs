@@ -52,14 +52,15 @@ impl Nat {
         self.out_table.len()
     }
 
-    fn allocate(&mut self, flow: FiveTuple) -> (NatBinding, usize) {
+    /// Binds `flow`, whose hash the caller already holds as `key`.
+    fn allocate(&mut self, flow: FiveTuple, key: u64) -> (NatBinding, usize) {
         let port = self.next_port;
         self.next_port = self.next_port.wrapping_add(1).max(10_000);
         let binding = NatBinding {
             external_port: port,
             inner: flow,
         };
-        let p1 = self.out_table.insert(flow.hash64(), binding);
+        let p1 = self.out_table.insert(key, binding);
         let p2 = self.in_table.insert(port as u64, binding);
         (binding, p1 + p2)
     }
@@ -90,7 +91,7 @@ impl NetworkFunction for Nat {
         let _binding = match hit {
             Some(b) => *b,
             None => {
-                let (b, insert_probes) = self.allocate(pkt.five_tuple);
+                let (b, insert_probes) = self.allocate(pkt.five_tuple, key);
                 cost.compute(PROBE_CYCLES * insert_probes as f64 + 2.0 * UPDATE_CYCLES);
                 cost.write_lines(insert_probes as f64);
                 b
@@ -109,8 +110,9 @@ impl NetworkFunction for Nat {
 
     fn warm(&mut self, flows: &[FiveTuple]) {
         for f in flows {
-            if self.out_table.get_mut(f.hash64()).0.is_none() {
-                self.allocate(*f);
+            let key = f.hash64();
+            if self.out_table.get_mut(key).0.is_none() {
+                self.allocate(*f, key);
             }
         }
     }

@@ -8,6 +8,7 @@ use crate::nfs::{
 };
 use crate::runtime::{NetworkFunction, Profiler, DEFAULT_SAMPLE_PACKETS};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use yala_sim::{NicSpec, ResourceKind, WorkloadSpec};
 use yala_traffic::TrafficProfile;
 
@@ -195,14 +196,19 @@ impl NfKind {
     }
 
     /// Profiles this NF under `profile` into a simulator workload
-    /// (builds, warms, streams batches, measures demand).
+    /// (builds, warms, streams batches, measures demand) through the
+    /// calling thread's long-lived [`Profiler`], so measurement after
+    /// measurement — a daemon's `place` stream, a timeline build, a
+    /// training sweep — reuses one set of buffers.
     pub fn workload(self, profile: TrafficProfile, seed: u64) -> WorkloadSpec {
-        self.workload_with(&mut Profiler::new(), profile, seed)
+        thread_local! {
+            static PROFILER: RefCell<Profiler> = RefCell::new(Profiler::new());
+        }
+        PROFILER.with(|p| self.workload_with(&mut p.borrow_mut(), profile, seed))
     }
 
-    /// Like [`Self::workload`], but reuses a caller-held [`Profiler`] so
-    /// repeated profiling (the adaptive sweeps measure thousands of
-    /// traffic points) keeps its arena and cost buffers warm.
+    /// Like [`Self::workload`], but through a caller-held [`Profiler`]
+    /// (a non-default batch size, or framework overhead off).
     pub fn workload_with(
         self,
         profiler: &mut Profiler,

@@ -4,23 +4,20 @@
 //! NFs implement [`NetworkFunction::process`] over borrowed
 //! [`PacketView`]s with genuine logic (hash tables, tries, payload scans)
 //! and charge costs to a [`CostTracker`]. The
-//! measurement dataplane is batched and allocation-free: a [`Profiler`]
-//! streams a traffic profile through [`NetworkFunction::process_batch`]
-//! one reusable [`PacketBatch`] arena at a time, folds the measured
-//! demand into a [`CostAggregate`], and emits the simulator workload — so
-//! traffic attributes shape resource demand through the actual code path
-//! (flow count → table footprint, packet size → bytes touched, MTBR →
-//! matches reported).
+//! measurement dataplane is batched: a [`Profiler`] streams a traffic
+//! profile through [`NetworkFunction::process_batch`] one reusable
+//! [`PacketBatch`] arena at a time, folds the measured demand into a
+//! [`CostAggregate`], and emits the simulator workload — so traffic
+//! attributes shape resource demand through the actual code path (flow
+//! count → table footprint, packet size → bytes touched, MTBR → matches
+//! reported).
 //!
-//! Three harness entry points exist, from fastest to slowest:
+//! Two harness entry points exist:
 //!
 //! * [`build_workload`] — the batched dataplane (the default everywhere).
 //! * [`build_workload_per_packet`] — same packets, processed one view at a
 //!   time with a fresh tracker per packet: the parity oracle proving the
 //!   batched path changes nothing (`tests/batched_parity.rs`).
-//! * [`build_workload_legacy`] — the original scalar dataplane (owned
-//!   `Packet` + per-byte payload synthesis per packet): the baseline side
-//!   of the scalar-vs-batched microbenchmark.
 
 use crate::cost::{
     safe_div, CostAggregate, CostTracker, FRAMEWORK_CYCLES, FRAMEWORK_READS, FRAMEWORK_WRITES,
@@ -80,12 +77,27 @@ pub trait NetworkFunction {
     }
 }
 
-/// The streaming measurement harness: owns one reusable [`PacketBatch`],
-/// one [`CostTracker`], and one [`CostAggregate`], so profiling an NF —
-/// and re-profiling it at thousands of traffic points, as the adaptive
-/// sweeps do — performs no per-packet allocation at steady state.
+/// The streaming measurement harness. A measurement is O(flows) set-up
+/// (synthesise the flow set, warm the NF's tables with it) for a
+/// 600-packet sample, so what a long-lived `Profiler` keeps between
+/// calls is what set-up would otherwise allocate and page-fault in:
+///
+/// * **reused** — the [`PacketGenerator`] with its flow `Vec` and dedupe
+///   scratch (re-targeted by [`PacketGenerator::reset`]), the
+///   [`PacketBatch`] arena, the [`CostTracker`] and the
+///   [`CostAggregate`]; the flow tables' probe arrays come from and go
+///   back to [`crate::table`]'s process-wide pool;
+/// * **not reused** — the NF instance itself and its tables' dense value
+///   stores, built per measurement and dropped with the NF (keeping a
+///   warmed NF per kind costs more resident memory than it saves time).
+///
+/// Nothing kept reaches a result: every buffer is overwritten before it
+/// is read (`tests/workload_golden.rs` replays 576 points through one
+/// profiler in a big-small-big order against bits captured before any
+/// reuse existed).
 #[derive(Debug, Clone)]
 pub struct Profiler {
+    gen: Option<PacketGenerator>,
     batch: PacketBatch,
     cost: CostTracker,
     agg: CostAggregate,
@@ -103,6 +115,7 @@ impl Profiler {
     /// A profiler with the default batch size and framework overhead on.
     pub fn new() -> Self {
         Self {
+            gen: None,
             batch: PacketBatch::new(),
             cost: CostTracker::new(),
             agg: CostAggregate::new(),
@@ -150,7 +163,13 @@ impl Profiler {
         seed: u64,
     ) -> WorkloadSpec {
         assert!(sample_packets > 0, "need at least one sample packet");
-        let mut gen = PacketGenerator::new(profile, seed);
+        let gen = match &mut self.gen {
+            Some(gen) => {
+                gen.reset(profile, seed);
+                gen
+            }
+            empty => empty.insert(PacketGenerator::new(profile, seed)),
+        };
         nf.warm(gen.flows());
         self.agg.reset();
         let mut remaining = sample_packets;
@@ -244,28 +263,6 @@ pub fn build_workload_per_packet(
             agg.absorb(&cost, 1);
         }
         remaining -= n;
-    }
-    finish_workload(nf, profile, &agg, true)
-}
-
-/// The original scalar dataplane, kept as the microbenchmark baseline: one
-/// owned [`Packet`](yala_traffic::Packet) heap allocation per generated
-/// packet, per-byte payload synthesis, and a fresh tracker per packet.
-pub fn build_workload_legacy(
-    nf: &mut dyn NetworkFunction,
-    profile: TrafficProfile,
-    sample_packets: usize,
-    seed: u64,
-) -> WorkloadSpec {
-    assert!(sample_packets > 0, "need at least one sample packet");
-    let mut gen = PacketGenerator::new(profile, seed);
-    nf.warm(gen.flows());
-    let mut agg = CostAggregate::new();
-    for _ in 0..sample_packets {
-        let pkt = gen.next_packet();
-        let mut cost = CostTracker::new();
-        nf.process(pkt.view(), &mut cost);
-        agg.absorb(&cost, 1);
     }
     finish_workload(nf, profile, &agg, true)
 }
@@ -481,19 +478,5 @@ mod tests {
             }
             other => panic!("unexpected stage {other:?}"),
         }
-    }
-
-    #[test]
-    fn legacy_path_still_measures_the_same_demand_shape() {
-        // The legacy scalar dataplane uses a different payload synthesis
-        // stream, so specs are not bit-identical — but the measured demand
-        // must agree closely (same NF, same profile, same costs per op).
-        let profile = TrafficProfile::new(200, 512, 0.0);
-        let batched = build_workload(&mut Toy { scan: false }, profile, 200, 5);
-        let legacy = build_workload_legacy(&mut Toy { scan: false }, profile, 200, 5);
-        let (bc, br, ..) = cpu_stage(&batched);
-        let (lc, lr, ..) = cpu_stage(&legacy);
-        assert!((bc - lc).abs() / lc < 1e-6, "{bc} vs {lc}");
-        assert!((br - lr).abs() / lr < 1e-6, "{br} vs {lr}");
     }
 }

@@ -6,6 +6,100 @@
 //! mechanism the paper identifies behind flow-count sensitivity: *"traffic
 //! attributes usually affect performance by changing the size of key data
 //! structures in the NF processing logic"* (§5.2).
+//!
+//! # Layout
+//!
+//! The probe array holds 16-byte `(key, dense index)` slots and nothing
+//! else; values live in an append-only `Vec<V>` in insertion order. A
+//! growth therefore re-places index entries, not payloads, and the probe
+//! array is the same type for every `V` — which is what lets emptied
+//! probe arrays be recycled through one small process-wide pool (at
+//! most `POOL_ARRAYS` of them) instead of being page-faulted in afresh
+//! by every measurement. Which slot a key lands in, when the table grows,
+//! and the order entries are re-placed in (old-slot order) are those of
+//! the textbook one-array table — `tests/table_oracle.rs` holds the two
+//! to equal probe counts, step for step.
+
+use std::sync::Mutex;
+
+/// One probe-array slot. `index == FREE` marks an empty slot; any key,
+/// including 0 and `u64::MAX`, is a valid key.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    key: u64,
+    index: u32,
+}
+
+const FREE: u32 = u32::MAX;
+
+const EMPTY_SLOT: Slot = Slot {
+    key: 0,
+    index: FREE,
+};
+
+/// Probe arrays the pool keeps at most. A measurement holds one probe
+/// array per table (two for `Nat`) plus the one a growth is filling, and
+/// the engine measures on two to four threads: eight covers that, and
+/// bounds what an idle process retains to eight arrays of the largest
+/// size seen. (Per-thread pools and pooled NF instances were measured at
+/// +27 % to +60 % peak RSS; see DESIGN.md, "What a profile measurement
+/// costs".)
+const POOL_ARRAYS: usize = 8;
+
+/// The process-wide stock of emptied probe arrays.
+struct ProbePool {
+    arrays: Mutex<Vec<Vec<Slot>>>,
+}
+
+static POOL: ProbePool = ProbePool {
+    arrays: Mutex::new(Vec::new()),
+};
+
+impl ProbePool {
+    /// An all-free probe array of exactly `slots` slots: the smallest
+    /// pooled allocation that holds them, else a new one. Whatever the
+    /// array held before is overwritten here, so pool history cannot
+    /// reach a table.
+    fn take(&self, slots: usize) -> Vec<Slot> {
+        let recycled = {
+            let mut arrays = self.lock();
+            let best = (0..arrays.len())
+                .filter(|&i| arrays[i].capacity() >= slots)
+                .min_by_key(|&i| arrays[i].capacity());
+            best.map(|i| arrays.swap_remove(i))
+        };
+        let mut array = recycled.unwrap_or_else(|| Vec::with_capacity(slots));
+        array.clear();
+        array.resize(slots, EMPTY_SLOT);
+        array
+    }
+
+    /// Returns a probe array. A full pool keeps its largest arrays: those
+    /// are the ones a fresh allocation pays the most page faults for.
+    fn give(&self, array: Vec<Slot>) {
+        if array.capacity() == 0 {
+            return;
+        }
+        let mut arrays = self.lock();
+        if arrays.len() < POOL_ARRAYS {
+            arrays.push(array);
+            return;
+        }
+        let smallest = arrays.iter_mut().min_by_key(|a| a.capacity());
+        if let Some(smallest) = smallest.filter(|a| a.capacity() < array.capacity()) {
+            *smallest = array;
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Vec<Slot>>> {
+        // Every update leaves the pool a valid list of arrays, so a
+        // panicking holder poisons nothing worth refusing (and `give`
+        // runs in `Drop`, which must not panic).
+        self.arrays
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
 
 /// An open-addressing hash table keyed by 64-bit flow hashes.
 ///
@@ -19,12 +113,29 @@
 /// let (v, _probes) = t.get_mut(42);
 /// assert_eq!(v.copied(), Some(7));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FlowTable<V> {
-    slots: Vec<Option<(u64, V)>>,
-    len: usize,
+    slots: Vec<Slot>,
+    /// Values in insertion order; `slots[..].index` points in here.
+    values: Vec<V>,
     /// Modelled bytes one entry occupies on the NIC (key + value + metadata).
     entry_bytes: f64,
+}
+
+impl<V: Clone> Clone for FlowTable<V> {
+    fn clone(&self) -> Self {
+        Self {
+            slots: self.slots.clone(),
+            values: self.values.clone(),
+            entry_bytes: self.entry_bytes,
+        }
+    }
+}
+
+impl<V> Drop for FlowTable<V> {
+    fn drop(&mut self) {
+        POOL.give(std::mem::take(&mut self.slots));
+    }
 }
 
 impl<V> FlowTable<V> {
@@ -43,24 +154,21 @@ impl<V> FlowTable<V> {
     /// Panics if `entry_bytes` is not positive.
     pub fn with_entry_bytes(capacity: usize, entry_bytes: f64) -> Self {
         assert!(entry_bytes > 0.0, "entry bytes must be positive");
-        let cap = capacity.max(8).next_power_of_two();
-        let mut slots = Vec::with_capacity(cap);
-        slots.resize_with(cap, || None);
         Self {
-            slots,
-            len: 0,
+            slots: POOL.take(capacity.max(8).next_power_of_two()),
+            values: Vec::new(),
             entry_bytes,
         }
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.values.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.values.is_empty()
     }
 
     /// Current slot capacity.
@@ -71,125 +179,74 @@ impl<V> FlowTable<V> {
     /// Modelled working-set footprint: live entries plus the slot array's
     /// occupancy metadata.
     pub fn wss_bytes(&self) -> f64 {
-        self.len as f64 * self.entry_bytes + self.slots.len() as f64 * 8.0
+        self.len() as f64 * self.entry_bytes + self.slots.len() as f64 * 8.0
     }
 
+    /// Probes for `key` from its home slot: the slot holding it or the
+    /// free slot ending its chain, and the slots touched getting there.
     #[inline]
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
+    fn probe(&self, key: u64) -> (usize, usize) {
+        let mask = self.slots.len() - 1;
+        let mut at = (key as usize) & mask;
+        let mut probes = 1usize;
+        loop {
+            let slot = self.slots[at];
+            if slot.index == FREE || slot.key == key {
+                return (at, probes);
+            }
+            at = (at + 1) & mask;
+            probes += 1;
+            debug_assert!(probes <= self.slots.len(), "table full during probe");
+        }
     }
 
     /// Looks up `key`, returning the value (if present) and the number of
     /// slots probed — each probe is one cache-line touch.
     pub fn get_mut(&mut self, key: u64) -> (Option<&mut V>, usize) {
-        let mask = self.mask();
-        let mut idx = (key as usize) & mask;
-        let mut probes = 1usize;
-        loop {
-            match &self.slots[idx] {
-                Some((k, _)) if *k == key => {
-                    // Re-borrow mutably (NLL workaround-free shape).
-                    let slot = self.slots[idx].as_mut().expect("checked above");
-                    return (Some(&mut slot.1), probes);
-                }
-                Some(_) => {
-                    idx = (idx + 1) & mask;
-                    probes += 1;
-                    debug_assert!(probes <= self.slots.len(), "table full during probe");
-                }
-                None => return (None, probes),
-            }
+        let (at, probes) = self.probe(key);
+        match self.slots[at].index {
+            FREE => (None, probes),
+            index => (Some(&mut self.values[index as usize]), probes),
         }
     }
 
     /// Inserts or overwrites `key`, returning the number of probes.
     /// Resizes (rehash) at 75% load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table would hold `u32::MAX` entries.
     pub fn insert(&mut self, key: u64, value: V) -> usize {
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
+        if (self.len() + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
-        let mask = self.mask();
-        let mut idx = (key as usize) & mask;
-        let mut probes = 1usize;
-        loop {
-            match &mut self.slots[idx] {
-                Some((k, v)) if *k == key => {
-                    *v = value;
-                    return probes;
-                }
-                Some(_) => {
-                    idx = (idx + 1) & mask;
-                    probes += 1;
-                }
-                slot @ None => {
-                    *slot = Some((key, value));
-                    self.len += 1;
-                    return probes;
-                }
+        let (at, probes) = self.probe(key);
+        match self.slots[at].index {
+            FREE => {
+                assert!(self.len() < FREE as usize, "flow table is full");
+                let index = self.len() as u32;
+                self.slots[at] = Slot { key, index };
+                self.values.push(value);
             }
+            index => self.values[index as usize] = value,
         }
+        probes
     }
 
-    /// Removes `key` if present, returning the value and probes. Uses
-    /// backward-shift deletion to keep probe chains intact.
-    pub fn remove(&mut self, key: u64) -> (Option<V>, usize) {
-        let mask = self.mask();
-        let mut idx = (key as usize) & mask;
-        let mut probes = 1usize;
-        loop {
-            match &self.slots[idx] {
-                Some((k, _)) if *k == key => break,
-                Some(_) => {
-                    idx = (idx + 1) & mask;
-                    probes += 1;
-                }
-                None => return (None, probes),
-            }
-        }
-        let (_, value) = self.slots[idx].take().expect("found above");
-        self.len -= 1;
-        // Backward-shift: re-place the cluster after the hole.
-        let mut next = (idx + 1) & mask;
-        while let Some((k, _)) = &self.slots[next] {
-            let home = (*k as usize) & mask;
-            let hole_reachable = in_probe_range(home, next, idx, mask);
-            if hole_reachable {
-                self.slots[idx] = self.slots[next].take();
-                idx = next;
-            }
-            next = (next + 1) & mask;
-            probes += 1;
-        }
-        (Some(value), probes)
-    }
-
+    /// Doubles the probe array, re-placing entries in old-slot order.
     fn grow(&mut self) {
-        let new_cap = self.slots.len() * 2;
-        let mut new_slots: Vec<Option<(u64, V)>> = Vec::with_capacity(new_cap);
-        new_slots.resize_with(new_cap, || None);
-        let old = std::mem::replace(&mut self.slots, new_slots);
-        self.len = 0;
-        for slot in old.into_iter().flatten() {
-            let (k, v) = slot;
-            // Direct reinsert without another grow (capacity doubled).
-            let mask = self.mask();
-            let mut idx = (k as usize) & mask;
-            while self.slots[idx].is_some() {
-                idx = (idx + 1) & mask;
+        let bigger = POOL.take(self.slots.len() * 2);
+        let old = std::mem::replace(&mut self.slots, bigger);
+        let mask = self.slots.len() - 1;
+        for slot in old.iter().filter(|s| s.index != FREE) {
+            let mut at = (slot.key as usize) & mask;
+            while self.slots[at].index != FREE {
+                at = (at + 1) & mask;
             }
-            self.slots[idx] = Some((k, v));
-            self.len += 1;
+            self.slots[at] = *slot;
         }
+        POOL.give(old);
     }
-}
-
-/// Whether moving the entry at `pos` (whose home slot is `home`) into the
-/// hole at `hole` keeps it reachable by linear probing.
-fn in_probe_range(home: usize, pos: usize, hole: usize, mask: usize) -> bool {
-    // Distances measured forward (wrapping) from home.
-    let d_pos = pos.wrapping_sub(home) & mask;
-    let d_hole = hole.wrapping_sub(home) & mask;
-    d_hole <= d_pos
 }
 
 #[cfg(test)]
@@ -253,22 +310,56 @@ mod tests {
         assert!(dense_probes >= sparse_probes);
     }
 
+    /// Inserts and looks up a fixed key stream, returning every probe
+    /// count, the final shape, and every value read back.
+    fn trace(initial: usize) -> (Vec<usize>, usize, usize, Vec<Option<u64>>) {
+        let mut t: FlowTable<u64> = FlowTable::new(initial);
+        let mut probes = Vec::new();
+        let key = |k: u64| k.wrapping_mul(0x100_0000_01b3) >> 7;
+        for k in 0..5_000u64 {
+            probes.push(t.insert(key(k), k));
+            probes.push(t.get_mut(key(k / 2 + 9_000)).1);
+        }
+        let read = (0..10_000).map(|k| t.get_mut(key(k)).0.copied()).collect();
+        (probes, t.len(), t.capacity(), read)
+    }
+
     #[test]
-    fn remove_keeps_probe_chains() {
-        let mut t: FlowTable<u64> = FlowTable::new(16);
-        let keys: Vec<u64> = (0..200u64).map(|k| k.wrapping_mul(0x100000001B3)).collect();
-        for &k in &keys {
-            t.insert(k, k);
+    fn poisoned_pool_arrays_never_reach_a_table() {
+        let clean = trace(8);
+        // Stock the pool to its bound with arrays of odd capacities whose
+        // every slot claims to be occupied, then run the same stream.
+        let garbage = Slot {
+            key: 0xDEAD_BEEF_DEAD_BEEF,
+            index: 7,
+        };
+        for capacity in [9, 1_000, 3_001, 8_193, 70_001, 16, 12_345, 65_537] {
+            POOL.give(vec![garbage; capacity]);
         }
-        // Remove every third key, then everything else must still resolve.
-        for &k in keys.iter().step_by(3) {
-            let (v, _) = t.remove(k);
-            assert_eq!(v, Some(k));
+        assert_eq!(trace(8), clean);
+        assert_eq!(trace(100), trace(128), "same power-of-two start");
+        let mut t: FlowTable<u8> = FlowTable::new(8);
+        assert_eq!(t.get_mut(0xDEAD_BEEF_DEAD_BEEF), (None, 1));
+    }
+
+    #[test]
+    fn pool_is_bounded_and_keeps_its_largest_arrays() {
+        let pool = ProbePool {
+            arrays: Mutex::new(Vec::new()),
+        };
+        for capacity in 1..=3 * POOL_ARRAYS {
+            pool.give(Vec::with_capacity(capacity));
         }
-        for (i, &k) in keys.iter().enumerate() {
-            let expect = if i % 3 == 0 { None } else { Some(k) };
-            assert_eq!(t.get_mut(k).0.copied(), expect, "key index {i}");
-        }
+        let mut held: Vec<usize> = pool.lock().iter().map(Vec::capacity).collect();
+        held.sort_unstable();
+        let want: Vec<usize> = (2 * POOL_ARRAYS + 1..=3 * POOL_ARRAYS).collect();
+        assert_eq!(held, want);
+        // The smallest array that fits is the one handed out.
+        let array = pool.take(2 * POOL_ARRAYS + 2);
+        assert_eq!(array.len(), 2 * POOL_ARRAYS + 2);
+        assert!(array.iter().all(|s| s.index == FREE));
+        assert_eq!(array.capacity(), 2 * POOL_ARRAYS + 2);
+        assert_eq!(pool.lock().len(), POOL_ARRAYS - 1);
     }
 
     #[test]

@@ -32,8 +32,8 @@
 use std::collections::BTreeMap;
 
 use yala_core::{
-    Engine, ModelBank, ObservationBuffer, ProfileCache, ProfileKey, QosClass, TrafficKey,
-    TrainConfig,
+    Engine, ModelBank, ObservationBuffer, ProfileCache, ProfileEntry, ProfileKey, QosClass,
+    TrafficKey, TrainConfig,
 };
 use yala_fleet::{read_observation, FleetConfig};
 use yala_nf::NfKind;
@@ -55,6 +55,9 @@ pub const SERVE_WIRE_VERSION: i64 = 1;
 /// measurement noise byte-for-byte, or cache collisions would silently
 /// alias the two.
 const SERVE_SALT: u64 = 0x5E12_E5A1;
+
+/// The pseudo-instance id every `query` is profiled under.
+const QUERY_INSTANCE: u32 = u32::MAX;
 
 /// Placement rule the daemon serves with. The names double as the wire
 /// and CLI spelling (`--policy greedy`).
@@ -180,6 +183,12 @@ impl ServeLoop {
         })
     }
 
+    /// Profile measurements the daemon holds in its cache: one per
+    /// distinct `(kind, traffic)` queried so far.
+    pub fn cached_profiles(&self) -> usize {
+        self.cache.len()
+    }
+
     /// Whether a `shutdown` request has been served. The driving loop
     /// exits when this turns true.
     pub fn is_shutdown(&self) -> bool {
@@ -260,29 +269,39 @@ impl ServeLoop {
         })
     }
 
-    /// Profiles (through the cache) and materializes the placement record
-    /// for one instance, mirroring the timeline convention: per-instance
-    /// workload seed, salted simulator stream.
+    /// The seed of every random stream in instance `id`'s measurement —
+    /// the timeline convention: scenario seed plus instance id.
+    fn workload_seed(&self, id: u32) -> u64 {
+        self.cfg.seed.wrapping_add(id as u64)
+    }
+
+    /// Measures `arrival` for instance `id`: per-instance workload seed,
+    /// salted simulator stream. A pure function of its arguments and the
+    /// configuration.
+    fn measure(&self, id: u32, arrival: &Arrival) -> ProfileEntry {
+        let mut sims = sims_for(
+            &self.cfg.specs(),
+            arrival.kind,
+            self.cfg.noise_sigma,
+            self.cfg.seed ^ SERVE_SALT,
+            id as usize,
+        );
+        measure_entry(
+            &mut sims,
+            arrival.kind,
+            arrival.traffic,
+            self.workload_seed(id),
+        )
+    }
+
+    /// Measures and materializes the placement record of a real
+    /// instance — past the cache. Its key would be `(kind, traffic,
+    /// seed + id)`: `place` asks for it once and a `drift` moves on to
+    /// another, so caching it kept one entry nothing could hit for every
+    /// request a long-running daemon served.
     fn profile(&self, id: u32, arrival: Arrival) -> Placed {
-        let specs = self.cfg.specs();
-        let workload_seed = self.cfg.seed.wrapping_add(id as u64);
-        let key = ProfileKey {
-            kind: arrival.kind,
-            traffic: TrafficKey::exact(&arrival.traffic),
-            seed: workload_seed,
-        };
-        let entry = self.cache.get_or_measure(&key, || {
-            let mut sims = sims_for(
-                &specs,
-                arrival.kind,
-                self.cfg.noise_sigma,
-                self.cfg.seed ^ SERVE_SALT,
-                id as usize,
-            );
-            measure_entry(&mut sims, arrival.kind, arrival.traffic, workload_seed)
-        });
         let name = format!("nf{id}");
-        placed_from_entry(&entry, arrival, Some(&name))
+        placed_from_entry(&self.measure(id, &arrival), arrival, Some(&name))
     }
 
     /// The placement decision: candidate NICs that fit, ordered
@@ -363,8 +382,18 @@ impl ServeLoop {
         let arrival = self.arrival_from(ev)?;
         // Queries share the cache under a reserved pseudo-instance id so
         // repeated queries are cheap and, crucially, never perturb any
-        // real instance's measurement stream.
-        let placed = self.profile(u32::MAX, arrival);
+        // real instance's measurement stream. A hit is the bytes a fresh
+        // measurement of the key would be.
+        let key = ProfileKey {
+            kind: arrival.kind,
+            traffic: TrafficKey::exact(&arrival.traffic),
+            seed: self.workload_seed(QUERY_INSTANCE),
+        };
+        let entry = self
+            .cache
+            .get_or_measure(&key, || self.measure(QUERY_INSTANCE, &arrival));
+        let name = format!("nf{QUERY_INSTANCE}");
+        let placed = placed_from_entry(&entry, arrival, Some(&name));
         let nic = self.choose_nic(&placed);
         self.counters.queries += 1;
         let n = nic.map(|n| n as i64).unwrap_or(-1);
@@ -731,6 +760,40 @@ mod tests {
         assert!(stats.contains("\"departures\":1"), "{stats}");
         assert!(stats.contains("\"queries\":1"), "{stats}");
         assert!(stats.contains("\"nics_up\":4"), "{stats}");
+    }
+
+    #[test]
+    fn profile_cache_stays_bounded_over_a_long_request_stream() {
+        // Regression: every `place` and `drift` used to leave behind a
+        // cache entry keyed by its instance id, which nothing could hit
+        // again and nothing evicted — ~300 B per request, forever.
+        let engine = Engine::sequential();
+        let mut s = ServeLoop::new(&cfg(5), "greedy", &engine).expect("build");
+        let query = |flows: u32| {
+            format!(
+                "{{\"op\":\"query\",\"kind\":\"flowstats\",\"flows\":{flows},\
+                 \"psize\":256,\"mtbr\":0.0,\"sla_drop\":0.1}}"
+            )
+        };
+        let mut replies = Vec::new();
+        for id in 0..4_000u32 {
+            replies.push(s.handle_line(&place(id, "flowstats", 40 + id % 7), &engine));
+            if id % 100 == 0 {
+                replies.push(s.handle_line(&query(50 + id % 300), &engine));
+                let drift = format!(
+                    "{{\"op\":\"drift\",\"id\":{id},\"flows\":90,\"psize\":512,\"mtbr\":0.0}}"
+                );
+                replies.push(s.handle_line(&drift, &engine));
+            }
+            replies.push(s.handle_line(&format!("{{\"op\":\"depart\",\"id\":{id}}}"), &engine));
+        }
+        assert!(replies.iter().all(|r| r.starts_with("{\"ok\":true")));
+        // Three distinct queries were asked (flows 50, 150, 250); no
+        // instance is live.
+        assert_eq!(s.cached_profiles(), 3);
+        // A repeated query still hits.
+        s.handle_line(&query(150), &engine);
+        assert_eq!(s.cached_profiles(), 3);
     }
 
     #[test]

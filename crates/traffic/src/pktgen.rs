@@ -8,12 +8,16 @@
 //!   allocation) with pooled payload synthesis (no per-byte RNG draws).
 //!   This is what the profiling harness uses.
 //! * [`PacketGenerator::next_packet`] / [`PacketGenerator::batch`] — the
-//!   legacy scalar path producing owned [`Packet`]s, kept as the
-//!   reference implementation and as the baseline side of the
-//!   scalar-vs-batched microbenchmark.
+//!   scalar path producing owned [`Packet`]s, kept as the reference
+//!   implementation.
+//!
+//! A generator is re-targeted in place with [`PacketGenerator::reset`]:
+//! the flow set and the dedupe scratch keep their allocations, so a
+//! harness that measures one traffic point after another synthesises
+//! flows without touching the allocator.
 
 use crate::batch::PacketBatch;
-use crate::flow::{generate_flows, FiveTuple};
+use crate::flow::{generate_flows_into, FiveTuple};
 use crate::packet::Packet;
 use crate::payload::PayloadSynthesizer;
 use crate::profile::TrafficProfile;
@@ -35,6 +39,8 @@ use rand::{Rng, SeedableRng};
 pub struct PacketGenerator {
     profile: TrafficProfile,
     flows: Vec<FiveTuple>,
+    /// Dedupe scratch of flow synthesis, kept for the next [`Self::reset`].
+    seen: Vec<u64>,
     synth: PayloadSynthesizer,
     rng: StdRng,
 }
@@ -43,13 +49,32 @@ impl PacketGenerator {
     /// Creates a generator for `profile`, deterministic in `seed`.
     pub fn new(profile: TrafficProfile, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let flows = generate_flows(&mut rng, profile.flow_count);
+        let mut flows = Vec::new();
+        // A generator that is never re-targeted keeps no scratch: the
+        // dedupe set is twice the flow set's size.
+        generate_flows_into(&mut rng, profile.flow_count, &mut flows, &mut Vec::new());
         Self {
             profile,
             flows,
+            seen: Vec::new(),
             synth: PayloadSynthesizer::new(),
             rng,
         }
+    }
+
+    /// Re-targets the generator: afterwards it is indistinguishable from
+    /// `PacketGenerator::new(profile, seed)` — same flow set, same packet
+    /// stream — but the flow buffer is reused, and so is the dedupe
+    /// scratch, which the generator holds from its first `reset` on.
+    pub fn reset(&mut self, profile: TrafficProfile, seed: u64) {
+        self.profile = profile;
+        self.rng = StdRng::seed_from_u64(seed);
+        generate_flows_into(
+            &mut self.rng,
+            profile.flow_count,
+            &mut self.flows,
+            &mut self.seen,
+        );
     }
 
     /// The profile being generated.
@@ -90,6 +115,7 @@ impl PacketGenerator {
             flows,
             synth,
             rng,
+            ..
         } = self;
         let len = profile.payload_size() as usize;
         for _ in 0..n {
@@ -137,6 +163,23 @@ mod tests {
         let mut a = PacketGenerator::new(TrafficProfile::default(), 11);
         let mut b = PacketGenerator::new(TrafficProfile::default(), 11);
         assert_eq!(a.batch(20), b.batch(20));
+    }
+
+    #[test]
+    fn reset_equals_a_fresh_generator() {
+        // Big, small, big again: the kept buffers never reach the stream.
+        let mut reused = PacketGenerator::new(TrafficProfile::new(9_000, 700, 300.0), 4);
+        for (profile, seed) in [
+            (TrafficProfile::new(3, 64, 0.0), 5),
+            (TrafficProfile::new(20_000, 1500, 600.0), 6),
+            (TrafficProfile::new(9_000, 700, 300.0), 4),
+        ] {
+            reused.reset(profile, seed);
+            let mut fresh = PacketGenerator::new(profile, seed);
+            assert_eq!(reused.profile(), profile);
+            assert_eq!(reused.flows(), fresh.flows());
+            assert_eq!(reused.batch(40), fresh.batch(40));
+        }
     }
 
     #[test]
