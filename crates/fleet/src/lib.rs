@@ -55,6 +55,7 @@ pub mod replay;
 pub mod report;
 pub mod sim;
 pub mod snapshot;
+mod state;
 pub mod timeline;
 pub mod trace;
 
@@ -63,10 +64,7 @@ pub use record_io::{read_trace, write_trace, TraceIoError, TRACE_VERSION};
 pub use replay::{replay_journal, verify_against, ReplaySummary};
 pub use report::{ClassStats, FleetReport, FleetSample};
 pub use sim::{run_fleet, run_fleet_observed, FleetSim, Processed};
-pub use snapshot::{
-    read_observation, restore_fleet, snapshot_fleet, write_observation, JournalResume,
-    SnapshotError, SNAPSHOT_VERSION,
-};
+pub use snapshot::{restore_fleet, snapshot_fleet, SnapshotError, SNAPSHOT_VERSION};
 pub use timeline::{NfTimeline, ProfileStats, ProfiledTrace};
 pub use trace::{
     FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetTrace, NfRecord, TraceError, TrafficModel,

@@ -144,3 +144,16 @@ pub enum FleetPolicy<'a> {
         qos_aware: bool,
     },
 }
+
+impl FleetPolicy<'_> {
+    /// Whether this is a contention-aware policy honoring QoS tiers.
+    pub(crate) fn qos_aware(&self) -> bool {
+        matches!(
+            self,
+            FleetPolicy::ContentionAware {
+                qos_aware: true,
+                ..
+            }
+        )
+    }
+}

@@ -16,23 +16,16 @@
 //! move an NF *across* models — the victim's SLA floor on the
 //! destination hardware is its solo baseline there.
 
-use crate::index::PlacementIndex;
-use crate::policy::{Diagnoser, FleetPolicy};
+use crate::policy::FleetPolicy;
 use crate::report::{ClassStats, FleetReport, FleetSample};
+use crate::state::{FleetState, NicState};
 use crate::timeline::ProfiledTrace;
 use crate::trace::{FaultKind, MS_PER_S};
-use yala_core::contender::{aggregate_counters, total_pressure};
 use yala_core::engine::{scenario_seed, simulator_for, Engine};
-use yala_core::{Observation, ObservationBuffer, QosClass};
-use yala_diagnosis::{select_victim, select_victim_qos, victim_pressure};
-use yala_placement::{Placed, PlacementPredictor};
-use yala_sim::{CoRunReport, NicModelId, ResourceKind, WorkloadSpec};
-use yala_telemetry::{Event, Telemetry};
-
-/// Per-resident predicted-vs-floor margins a contention-aware placement
-/// gathered on the NIC it accepted: `(slot, predicted, floor_with_margin)`.
-/// `None` disables collection entirely (the telemetry-off path).
-type MarginSink<'a> = Option<&'a mut Vec<(usize, f64, f64)>>;
+use yala_core::{ObservationBuffer, QosClass};
+use yala_sim::{CoRunReport, NicModelId, WorkloadSpec};
+use yala_telemetry::journal::FieldValue;
+use yala_telemetry::{stable_hash64, Event, Telemetry};
 
 /// Salt separating the audit seed stream from the timeline stream.
 const AUDIT_SALT: u64 = 0xAD17_0CA5;
@@ -63,98 +56,6 @@ const READMIT_MARGIN: f64 = 0.05;
 /// Cap on the parked-NF retry backoff, in audit epochs (delays double
 /// per failed attempt: 1, 2, 4, 8, 8, ...).
 const BACKOFF_CAP_EPOCHS: u64 = 8;
-
-/// Operational state of a NIC under the fault machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NicState {
-    /// In service: admits placements.
-    Up,
-    /// Maintenance announced: residents keep running until the deadline
-    /// but no new placements are admitted.
-    Draining,
-    /// Failed or offline for maintenance: empty, admits nothing.
-    Down,
-}
-
-/// A shed NF waiting to re-enter the fleet: retried at audit epochs
-/// with exponential backoff.
-pub(crate) struct Parked {
-    pub(crate) id: u32,
-    /// Earliest time a retry may run (audits at or after this qualify).
-    pub(crate) next_retry_ms: u64,
-    /// Current backoff, in audit epochs; doubles per failed retry.
-    pub(crate) backoff_epochs: u64,
-}
-
-/// Per-NIC hardware facts expanded from the portfolio: the model and
-/// core count of every NIC index, plus the portfolio position used to
-/// build ground-truth simulators.
-pub(crate) struct NicMap {
-    model: Vec<NicModelId>,
-    cores: Vec<u32>,
-    spec_pos: Vec<usize>,
-    /// Model of each portfolio position, so feasibility can be decided
-    /// once per position instead of once per NIC.
-    pos_models: Vec<NicModelId>,
-}
-
-impl NicMap {
-    /// Expands the portfolio through the config's own NIC→model mapping
-    /// ([`crate::trace::FleetConfig::nic_model_pos`]), so the expansion
-    /// order invariant lives in exactly one place.
-    fn new(cfg: &crate::trace::FleetConfig) -> Self {
-        let n = cfg.nics();
-        let mut map = Self {
-            model: Vec::with_capacity(n),
-            cores: Vec::with_capacity(n),
-            spec_pos: Vec::with_capacity(n),
-            pos_models: cfg.portfolio.iter().map(|(s, _)| s.model()).collect(),
-        };
-        for nic in 0..n {
-            let pos = cfg.nic_model_pos(nic);
-            let spec = &cfg.portfolio[pos].0;
-            map.model.push(spec.model());
-            map.cores.push(spec.cores);
-            map.spec_pos.push(pos);
-        }
-        map
-    }
-}
-
-/// Portfolio positions whose hardware model supports `nf`, ascending.
-fn supported_positions(nics_map: &NicMap, nf: &Placed) -> Vec<usize> {
-    (0..nics_map.pos_models.len())
-        .filter(|&p| nf.supported_on(nics_map.pos_models[p]))
-        .collect()
-}
-
-/// Builds a [`PlacementIndex`] mirroring an existing fleet state — the
-/// event loop's bootstrap (everything `Up` and empty) and the parity
-/// tests' entry point for hand-built states.
-fn build_index(
-    profiled: &ProfiledTrace,
-    cursor: &[usize],
-    residents: &[Vec<u32>],
-    state: &[NicState],
-    nics_map: &NicMap,
-) -> PlacementIndex {
-    let mut index = PlacementIndex::new(
-        &nics_map.spec_pos,
-        &nics_map.cores,
-        nics_map.pos_models.len(),
-    );
-    for (nic, res) in residents.iter().enumerate() {
-        for &id in res {
-            index.place(nic, snapshot(profiled, cursor, id).workload.cores);
-        }
-    }
-    for (nic, &s) in state.iter().enumerate() {
-        if s != NicState::Up {
-            index.retire(nic);
-        }
-    }
-    index
-}
 
 /// Runs one policy over a profiled trace and returns its report.
 /// `label` names the run in the report (e.g. `"yala"`); `engine`
@@ -214,61 +115,42 @@ pub enum Processed {
 /// `into_report`, so driving the loop one event at a time — as the
 /// checkpointing daemon does — is bit-identical to the one-shot run.
 ///
-/// Everything a resumed run cannot re-derive lives in named fields; the
-/// absorbed-observation log exists so a restore can replay the online
-/// refinement history through a freshly trained predictor instead of
-/// serializing model internals (`location` and the placement index are
-/// derived from `residents`/`state` and rebuilt on restore).
+/// The machine is a pure function of `(profiled trace, policy, events
+/// consumed)`, which is also its checkpoint format: a restore rebuilds
+/// it with `new` and re-steps (see [`crate::snapshot`]).
 pub struct FleetSim<'a> {
-    pub(crate) profiled: &'a ProfiledTrace,
-    pub(crate) policy: FleetPolicy<'a>,
-    pub(crate) label: String,
-    pub(crate) nics_map: NicMap,
+    state: FleetState<'a>,
+    policy: FleetPolicy<'a>,
+    label: String,
     /// The static event list: (time, class, index). Index is the NF id
     /// for departures/arrivals, the position in the fault schedule for
     /// faults, and the epoch number for audits.
-    pub(crate) events: Vec<(u64, u8, u32)>,
+    events: Vec<(u64, u8, u32)>,
     /// Position of the next unconsumed event.
-    pub(crate) next_event: usize,
-    // Mutable fleet state.
-    pub(crate) residents: Vec<Vec<u32>>,
-    pub(crate) location: Vec<Option<usize>>,
-    pub(crate) cursor: Vec<usize>,
-    pub(crate) state: Vec<NicState>,
-    pub(crate) parked: Vec<Parked>,
-    /// The placement-candidate index, kept in lockstep with `residents`
-    /// and `state` at every mutation so each decision walks a shortlist
-    /// instead of the whole fleet.
-    pub(crate) pidx: PlacementIndex,
+    next_event: usize,
     /// Audit ground truth pending absorption (online-refining policies).
-    pub(crate) pending: ObservationBuffer,
-    /// Every batch already absorbed, in absorb order — the replay script
-    /// that rebuilds a predictor's refined state on restore.
-    pub(crate) absorb_log: Vec<Vec<Observation>>,
+    pending: ObservationBuffer,
     // Per-epoch scratch, hoisted: reused across epochs instead of
-    // reallocated. Never part of a snapshot.
+    // reallocated.
     occupied: Vec<usize>,
     order: Vec<usize>,
     admitted: Vec<u32>,
     margin_buf: Vec<(usize, f64, f64)>,
     // Report accumulators.
-    pub(crate) period_min: f64,
-    pub(crate) samples: Vec<FleetSample>,
-    pub(crate) rejected: u32,
-    pub(crate) migrations_total: u32,
-    pub(crate) violation_minutes: f64,
-    pub(crate) nic_minutes: f64,
-    pub(crate) oracle_lb_nic_minutes: f64,
-    pub(crate) wasted_core_minutes: f64,
-    pub(crate) peak_nics: u32,
-    pub(crate) faults_total: u32,
-    pub(crate) drains_total: u32,
+    period_min: f64,
+    samples: Vec<FleetSample>,
+    rejected: u32,
+    migrations_total: u32,
+    violation_minutes: f64,
+    nic_minutes: f64,
+    oracle_lb_nic_minutes: f64,
+    wasted_core_minutes: f64,
+    peak_nics: u32,
+    faults_total: u32,
+    drains_total: u32,
     // Per-class degradation accounting, indexed by `QosClass as usize`.
-    pub(crate) violation_min: [f64; 2],
-    pub(crate) downtime_min: [f64; 2],
-    pub(crate) evacuations: [u32; 2],
-    pub(crate) shed: [u32; 2],
-    pub(crate) readmitted: [u32; 2],
+    violation_min: [f64; 2],
+    downtime_min: [f64; 2],
     // Per-model packing-bound facts, precomputed in `new`.
     model_cores: Vec<u32>,
     masks: Vec<u32>,
@@ -281,8 +163,6 @@ impl<'a> FleetSim<'a> {
     pub fn new(profiled: &'a ProfiledTrace, policy: FleetPolicy<'a>, label: &str) -> Self {
         let cfg = &profiled.trace.config;
         let records = &profiled.trace.records;
-        let nic_count = cfg.nics();
-        let nics_map = NicMap::new(cfg);
         let horizon_ms = cfg.duration_s * MS_PER_S;
         let period_ms = cfg.audit_period_s * MS_PER_S;
 
@@ -301,12 +181,6 @@ impl<'a> FleetSim<'a> {
             events.push((epoch * period_ms, CLASS_AUDIT, epoch as u32));
         }
         events.sort_unstable();
-
-        let residents: Vec<Vec<u32>> = vec![Vec::new(); nic_count];
-        let location: Vec<Option<usize>> = vec![None; records.len()];
-        let cursor: Vec<usize> = vec![0; records.len()];
-        let state: Vec<NicState> = vec![NicState::Up; nic_count];
-        let pidx = build_index(profiled, &cursor, &residents, &state, &nics_map);
 
         // Per-model packing-bound facts: each NF's capability mask over
         // portfolio positions, and each model's core count.
@@ -331,20 +205,12 @@ impl<'a> FleetSim<'a> {
         };
 
         Self {
-            profiled,
+            state: FleetState::new(profiled),
             policy,
             label: label.to_string(),
-            nics_map,
             events,
             next_event: 0,
-            residents,
-            location,
-            cursor,
-            state,
-            parked: Vec::new(),
-            pidx,
             pending: ObservationBuffer::new(),
-            absorb_log: Vec::new(),
             occupied: Vec::new(),
             order: Vec::new(),
             admitted: Vec::new(),
@@ -362,58 +228,68 @@ impl<'a> FleetSim<'a> {
             drains_total: 0,
             violation_min: [0.0; 2],
             downtime_min: [0.0; 2],
-            evacuations: [0; 2],
-            shed: [0; 2],
-            readmitted: [0; 2],
             model_cores,
             masks,
             cache_hit_rate,
         }
     }
 
-    /// The run's report label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Events consumed so far (the snapshot's resume point).
+    /// Events consumed so far (a checkpoint's resume point).
     pub fn events_consumed(&self) -> usize {
         self.next_event
     }
 
-    /// Rebuilds the derived structures — `location` and the placement
-    /// index — from `residents`, `cursor`, and `state` after a restore
-    /// overwrote the authoritative state.
-    pub(crate) fn rebuild_derived(&mut self) {
-        self.location = vec![None; self.profiled.trace.records.len()];
-        for (nic, res) in self.residents.iter().enumerate() {
-            for &id in res {
-                self.location[id as usize] = Some(nic);
-            }
-        }
-        self.pidx = build_index(
-            self.profiled,
-            &self.cursor,
-            &self.residents,
-            &self.state,
-            &self.nics_map,
-        );
+    /// What makes this run *this* run, as snapshot-header fields: the
+    /// scenario, plus the parts of its identity a `.yala-trace` does not
+    /// carry — how it was profiled and how the policy was configured. A
+    /// restore refuses a snapshot whose fields differ from its own.
+    pub(crate) fn identity(&self) -> Vec<(&'static str, FieldValue)> {
+        let profiled = self.state.profiled;
+        let cfg = &profiled.trace.config;
+        let (min_observations, qos_aware) = match &self.policy {
+            FleetPolicy::ContentionAware {
+                online, qos_aware, ..
+            } => (online.map_or(-1, |o| o.min_observations as i64), *qos_aware),
+            _ => (-1, false),
+        };
+        let int = |n: usize| FieldValue::Int(n as i64);
+        vec![
+            ("label", FieldValue::Str(self.label.clone())),
+            ("seed", FieldValue::Str(cfg.seed.to_string())),
+            ("trace_len", int(profiled.trace.records.len())),
+            ("nics", int(cfg.nics())),
+            ("events", int(self.events.len())),
+            ("profile_snapshots", int(profiled.snapshot_count())),
+            ("min_observations", FieldValue::Int(min_observations)),
+            ("qos_aware", FieldValue::Bool(qos_aware)),
+        ]
     }
 
-    /// Replays the absorbed-observation log through the policy's
-    /// predictor — the restore path's substitute for serializing refined
-    /// model internals. A freshly trained predictor fed the same batches
-    /// in the same order reaches bit-identical refined cells.
-    pub(crate) fn replay_absorbs(&mut self, engine: &Engine) {
-        if let FleetPolicy::ContentionAware { predictor, .. } = &mut self.policy {
-            for batch in &self.absorb_log {
-                let mut buf = ObservationBuffer::new();
-                for o in batch {
-                    buf.push(o.clone());
-                }
-                predictor.absorb(&buf, engine);
-            }
-        }
+    /// A digest of the run so far — the report accumulators, the epoch
+    /// samples, the observation queue depth, and the whole fleet state.
+    /// Two runs that agree here have taken the same decisions; a restore
+    /// compares it to detect a replay that went somewhere else.
+    pub(crate) fn digest(&self) -> u64 {
+        let mut text = format!(
+            "{:?}{:?}",
+            (
+                self.next_event,
+                self.rejected,
+                self.migrations_total,
+                self.violation_minutes,
+                self.nic_minutes,
+                self.oracle_lb_nic_minutes,
+                self.wasted_core_minutes,
+                self.peak_nics,
+                self.faults_total,
+                self.drains_total,
+                self.violation_min,
+                self.downtime_min,
+            ),
+            (&self.samples, self.pending.len())
+        );
+        self.state.digest_into(&mut text);
+        stable_hash64(text.as_bytes())
     }
 
     /// Consumes one event; `None` once the run is complete. The engine
@@ -423,561 +299,397 @@ impl<'a> FleetSim<'a> {
     pub fn step(&mut self, engine: &Engine, tel: &mut Telemetry) -> Option<Processed> {
         let &(t_ms, class, index) = self.events.get(self.next_event)?;
         self.next_event += 1;
-        let profiled = self.profiled;
-        let cfg = &profiled.trace.config;
-        let records = &profiled.trace.records;
-        let period_ms = cfg.audit_period_s * MS_PER_S;
-        let observing = tel.is_enabled();
         tel.wall_tick();
         let processed = match class {
-            CLASS_DEPARTURE => {
-                let id = index as usize;
-                let at = self.location[id].map(|n| n as i64).unwrap_or(-1);
-                if let Some(nic) = self.location[id].take() {
-                    self.residents[nic].retain(|&r| r != index);
-                    self.pidx
-                        .remove(nic, snapshot(profiled, &self.cursor, index).workload.cores);
-                }
-                self.parked.retain(|p| p.id != index);
-                tel.rec(t_ms, || Event::Depart { id: index, nic: at });
-                Some(Processed::Departure(index))
-            }
-            CLASS_FAULT => {
-                let ev = profiled.trace.faults[index as usize];
-                tel.rec(t_ms, || Event::Fault {
-                    nic: ev.nic as u32,
-                    kind: ev.kind.name(),
-                });
-                match ev.kind {
-                    FaultKind::Fail => {
-                        self.faults_total += 1;
-                        tel.inc("fleet.faults", 1);
-                        self.state[ev.nic] = NicState::Down;
-                        self.pidx.retire(ev.nic);
-                        let evicted = std::mem::take(&mut self.residents[ev.nic]);
-                        for &id in &evicted {
-                            self.location[id as usize] = None;
-                        }
-                        self.pidx.clear_retired(ev.nic);
-                        evacuate(
-                            profiled,
-                            &mut self.residents,
-                            &mut self.location,
-                            &self.cursor,
-                            &self.nics_map,
-                            &self.state,
-                            &mut self.pidx,
-                            &mut self.policy,
-                            evicted,
-                            ev.nic,
-                            true,
-                            t_ms,
-                            &mut self.parked,
-                            &mut self.evacuations,
-                            &mut self.shed,
-                            tel,
-                        );
-                    }
-                    FaultKind::DrainStart => {
-                        self.drains_total += 1;
-                        tel.inc("fleet.drains", 1);
-                        self.state[ev.nic] = NicState::Draining;
-                        self.pidx.retire(ev.nic);
-                        let ids = self.residents[ev.nic].clone();
-                        evacuate(
-                            profiled,
-                            &mut self.residents,
-                            &mut self.location,
-                            &self.cursor,
-                            &self.nics_map,
-                            &self.state,
-                            &mut self.pidx,
-                            &mut self.policy,
-                            ids,
-                            ev.nic,
-                            false,
-                            t_ms,
-                            &mut self.parked,
-                            &mut self.evacuations,
-                            &mut self.shed,
-                            tel,
-                        );
-                    }
-                    FaultKind::DrainEnd => {
-                        self.state[ev.nic] = NicState::Down;
-                        self.pidx.retire(ev.nic);
-                        let evicted = std::mem::take(&mut self.residents[ev.nic]);
-                        for &id in &evicted {
-                            self.location[id as usize] = None;
-                        }
-                        self.pidx.clear_retired(ev.nic);
-                        evacuate(
-                            profiled,
-                            &mut self.residents,
-                            &mut self.location,
-                            &self.cursor,
-                            &self.nics_map,
-                            &self.state,
-                            &mut self.pidx,
-                            &mut self.policy,
-                            evicted,
-                            ev.nic,
-                            true,
-                            t_ms,
-                            &mut self.parked,
-                            &mut self.evacuations,
-                            &mut self.shed,
-                            tel,
-                        );
-                    }
-                    FaultKind::Recover => {
-                        self.state[ev.nic] = NicState::Up;
-                        self.pidx.restore(ev.nic);
-                    }
-                }
-                Some(Processed::Fault(index))
-            }
-            CLASS_ARRIVAL => {
-                let id = index as usize;
-                let nf = profiled.timelines[id].snapshots[0].1.clone();
-                tel.inc("fleet.arrivals", 1);
-                tel.rec(t_ms, || Event::Arrival {
-                    id: index,
-                    kind: nf.arrival.kind.name(),
-                    qos: nf.qos().name(),
-                    sla_drop: nf.arrival.sla_drop,
-                });
-                let w0 = tel.wall_start();
-                self.margin_buf.clear();
-                let mut reason = "arrival";
-                let slot = choose_slot(
-                    profiled,
-                    &self.residents,
-                    &self.cursor,
-                    &self.nics_map,
-                    &self.state,
-                    &self.pidx,
-                    &mut self.policy,
-                    &nf,
-                    None,
-                    0.0,
-                    observing.then_some(&mut self.margin_buf),
-                )
-                .or_else(|| {
-                    // A guaranteed arrival that found no safe slot may,
-                    // under a QoS-aware policy, park best-effort
-                    // residents to make room. All-guaranteed fleets (the
-                    // default) never take this path.
-                    if let FleetPolicy::ContentionAware {
-                        predictor,
-                        qos_aware: true,
-                        ..
-                    } = &mut self.policy
-                    {
-                        if nf.qos().is_guaranteed() {
-                            let r = try_preempt_best_effort(
-                                profiled,
-                                &mut self.residents,
-                                &mut self.location,
-                                &self.cursor,
-                                &self.nics_map,
-                                &self.state,
-                                &mut self.pidx,
-                                *predictor,
-                                &nf,
-                                None,
-                                0.0,
-                                t_ms,
-                                &mut self.parked,
-                                &mut self.shed,
-                                tel,
-                            );
-                            if r.is_some() {
-                                reason = "preempt";
-                            }
-                            return r;
-                        }
-                    }
-                    None
-                });
-                tel.wall_decision(w0);
-                match slot {
-                    Some(nic) => {
-                        debug_assert!(nf.supported_on(self.nics_map.model[nic]));
-                        tel.rec(t_ms, || Event::Place {
-                            id: index,
-                            nic: nic as u32,
-                            reason,
-                        });
-                        // The margins refer to the accepted NIC's
-                        // candidate vector: its residents *before* this
-                        // push, then the arriving NF.
-                        for &(slot_idx, predicted, floor) in &self.margin_buf {
-                            let mid = self.residents[nic].get(slot_idx).copied().unwrap_or(index);
-                            tel.rec(t_ms, || Event::Margin {
-                                id: mid,
-                                nic: nic as u32,
-                                predicted,
-                                floor,
-                            });
-                        }
-                        self.residents[nic].push(index);
-                        self.location[id] = Some(nic);
-                        self.cursor[id] = 0;
-                        self.pidx.place(nic, nf.workload.cores);
-                    }
-                    None => {
-                        self.rejected += 1;
-                        tel.inc("fleet.rejected", 1);
-                        tel.rec(t_ms, || Event::Reject {
-                            id: index,
-                            kind: nf.arrival.kind.name(),
-                            qos: nf.qos().name(),
-                        });
-                    }
-                }
-                Some(Processed::Arrival(index))
-            }
-            CLASS_AUDIT => {
-                let epoch = index as u64;
-                let w0 = tel.wall_start();
-                // 1. Drift: bring every placed NF to its snapshot in
-                // force at this epoch (re-profiles are epoch-aligned).
-                for (id, loc) in self.location.iter().enumerate() {
-                    if loc.is_some() {
-                        self.cursor[id] = profiled.timelines[id].index_at(t_ms);
-                    }
-                }
-                // 2. Ground truth: co-run every occupied NIC on a private
-                // deterministically seeded simulator — built from the
-                // hardware of *that* NIC — across the engine. The
-                // occupied list doubles as the index's drift re-pricing
-                // pass: the cursor moves above may have changed resident
-                // core footprints.
-                self.occupied.clear();
-                for (n, res) in self.residents.iter().enumerate() {
-                    if !res.is_empty() {
-                        self.occupied.push(n);
-                        self.pidx
-                            .set_used(n, cores_used(profiled, &self.cursor, res));
-                    }
-                }
-                let audit_base = scenario_seed(cfg.seed ^ AUDIT_SALT, epoch as usize);
-                let occupied = &self.occupied;
-                let residents = &self.residents;
-                let cursor = &self.cursor;
-                let nics_map = &self.nics_map;
-                let reports: Vec<CoRunReport> =
-                    engine.run_chunked(occupied.len(), AUDIT_CHUNK, |j| {
-                        let nic = occupied[j];
-                        let spec = &cfg.portfolio[nics_map.spec_pos[nic]].0;
-                        let mut sim =
-                            simulator_for(spec, cfg.noise_sigma, scenario_seed(audit_base, j));
-                        let workloads: Vec<WorkloadSpec> = residents[nic]
-                            .iter()
-                            .map(|&id| snapshot(profiled, cursor, id).workload.clone())
-                            .collect();
-                        sim.co_run(&workloads)
-                    });
-                let mut violating = 0u32;
-                for (&nic, report) in self.occupied.iter().zip(&reports) {
-                    let model = self.nics_map.model[nic];
-                    if observing {
-                        tel.observe_log2(
-                            "fleet.co_residents",
-                            1.0,
-                            6,
-                            self.residents[nic].len() as f64,
-                        );
-                    }
-                    for (pos, (&id, outcome)) in
-                        self.residents[nic].iter().zip(&report.outcomes).enumerate()
-                    {
-                        let floor = snapshot(profiled, &self.cursor, id).sla_floor(model);
-                        if outcome.throughput_pps < floor {
-                            violating += 1;
-                            let qos = records[id as usize].qos;
-                            self.violation_min[qos as usize] += self.period_min;
-                            tel.inc(&format!("fleet.violations.{}", qos.name()), 1);
-                            if observing {
-                                // Diagnose the measured violation for the
-                                // journal. The diagnoser is pure (&self),
-                                // so the extra call cannot perturb the
-                                // run; solo NFs and diagnoser-free
-                                // policies record "none".
-                                let bottleneck = match (&self.policy, self.residents[nic].len()) {
-                                    (FleetPolicy::ContentionAware { diagnoser, .. }, n)
-                                        if n >= 2 =>
-                                    {
-                                        let placed =
-                                            snapshots(profiled, &self.cursor, &self.residents[nic]);
-                                        let co = diagnoser.contenders(model, &placed, pos);
-                                        diagnoser.bottleneck(model, &placed, pos, &co).to_string()
-                                    }
-                                    _ => "none".to_string(),
-                                };
-                                tel.rec(t_ms, || Event::Violation {
-                                    id,
-                                    nic: nic as u32,
-                                    qos: qos.name(),
-                                    measured: outcome.throughput_pps,
-                                    floor,
-                                    bottleneck,
-                                });
-                            }
-                        }
-                    }
-                }
-                tel.rec(t_ms, || Event::Audit {
-                    epoch: index,
-                    occupied: self.occupied.len() as u32,
-                    violating,
-                });
-                // 3. Learn: online-refining policies feed the audit's
-                // ground truth straight back into the predictor — the
-                // (context, outcome) pairs were measured anyway, so the
-                // refit is free telemetry. Runs *before* migration so the
-                // refreshed models inform this epoch's decisions. The
-                // harvest order (NIC index, resident index) and the
-                // batch-size rate limit are deterministic, so an
-                // online run is still bit-identical across thread counts.
-                if let FleetPolicy::ContentionAware {
-                    predictor,
-                    diagnoser,
-                    online: Some(online),
-                    ..
-                } = &mut self.policy
-                {
-                    harvest_observations(
-                        profiled,
-                        &self.residents,
-                        &self.cursor,
-                        &self.nics_map,
-                        &self.occupied,
-                        &reports,
-                        diagnoser,
-                        &mut self.pending,
-                    );
-                    if self.pending.len() >= online.min_observations.max(1) {
-                        let observations = self.pending.len() as u32;
-                        // Log the batch before draining it: a restored
-                        // run replays these batches through a freshly
-                        // trained predictor to rebuild the refined state.
-                        self.absorb_log.push(self.pending.iter().cloned().collect());
-                        let refined = predictor.absorb(&self.pending, engine) as u64;
-                        tel.inc("fleet.absorb.passes", 1);
-                        tel.inc("fleet.absorb.observations", observations as u64);
-                        tel.inc("fleet.absorb.refined_cells", refined);
-                        tel.rec(t_ms, || Event::Absorb {
-                            epoch: index,
-                            observations,
-                        });
-                        self.pending.clear();
-                    }
-                }
-                // 4. React: predicted-violation migration (contention-
-                // aware policies only).
-                let mut epoch_migrations = 0u32;
-                if let FleetPolicy::ContentionAware {
-                    predictor,
-                    diagnoser,
-                    qos_aware,
-                    ..
-                } = &mut self.policy
-                {
-                    let aware = *qos_aware;
-                    epoch_migrations = migrate(
-                        profiled,
-                        &mut self.residents,
-                        &mut self.location,
-                        &self.cursor,
-                        &self.nics_map,
-                        &self.state,
-                        &mut self.pidx,
-                        *predictor,
-                        diagnoser,
-                        aware,
-                        cfg.max_migrations_per_audit,
-                        t_ms,
-                        tel,
-                    );
-                    self.migrations_total += epoch_migrations;
-                }
-                // 4b. Readmission: parked NFs whose backoff expired
-                // retry admission — guaranteed first under a QoS-aware
-                // policy — against a hysteresis margin
-                // (`READMIT_MARGIN`), so a readmitted NF must clear its
-                // floor with slack rather than re-enter marginally and
-                // bounce on the next audit. Failed retries double their
-                // backoff (capped at `BACKOFF_CAP_EPOCHS`).
-                if !self.parked.is_empty() {
-                    let aware = matches!(
-                        &self.policy,
-                        FleetPolicy::ContentionAware {
-                            qos_aware: true,
-                            ..
-                        }
-                    );
-                    self.order.clear();
-                    self.order.extend(0..self.parked.len());
-                    let parked_now = &self.parked;
-                    self.order.sort_by_key(|&k| {
-                        let q = records[parked_now[k].id as usize].qos as u8;
-                        (if aware { q } else { 0 }, parked_now[k].id)
-                    });
-                    self.admitted.clear();
-                    for &k in &self.order {
-                        if self.parked[k].next_retry_ms > t_ms {
-                            continue;
-                        }
-                        let id = self.parked[k].id;
-                        self.cursor[id as usize] = profiled.timelines[id as usize].index_at(t_ms);
-                        let nf = snapshot(profiled, &self.cursor, id).clone();
-                        let slot = choose_slot(
-                            profiled,
-                            &self.residents,
-                            &self.cursor,
-                            &self.nics_map,
-                            &self.state,
-                            &self.pidx,
-                            &mut self.policy,
-                            &nf,
-                            None,
-                            READMIT_MARGIN,
-                            None,
-                        )
-                        .or_else(|| {
-                            // A parked guaranteed NF re-enters by
-                            // preempting best-effort residents, exactly
-                            // as during evacuation — otherwise one bad
-                            // epoch parks it behind a full fleet for
-                            // the whole backoff ladder.
-                            if let FleetPolicy::ContentionAware {
-                                predictor,
-                                qos_aware: true,
-                                ..
-                            } = &mut self.policy
-                            {
-                                if nf.qos().is_guaranteed() {
-                                    return try_preempt_best_effort(
-                                        profiled,
-                                        &mut self.residents,
-                                        &mut self.location,
-                                        &self.cursor,
-                                        &self.nics_map,
-                                        &self.state,
-                                        &mut self.pidx,
-                                        *predictor,
-                                        &nf,
-                                        None,
-                                        READMIT_MARGIN,
-                                        t_ms,
-                                        &mut self.parked,
-                                        &mut self.shed,
-                                        tel,
-                                    );
-                                }
-                            }
-                            None
-                        });
-                        match slot {
-                            Some(nic) => {
-                                self.residents[nic].push(id);
-                                self.location[id as usize] = Some(nic);
-                                self.pidx.place(nic, nf.workload.cores);
-                                self.readmitted[nf.qos() as usize] += 1;
-                                tel.inc(&format!("fleet.readmitted.{}", nf.qos().name()), 1);
-                                tel.rec(t_ms, || Event::Readmit {
-                                    id,
-                                    nic: nic as u32,
-                                    qos: nf.qos().name(),
-                                });
-                                self.admitted.push(id);
-                            }
-                            None => {
-                                let p = &mut self.parked[k];
-                                p.next_retry_ms = t_ms + p.backoff_epochs * period_ms;
-                                p.backoff_epochs = (p.backoff_epochs * 2).min(BACKOFF_CAP_EPOCHS);
-                            }
-                        }
-                    }
-                    let admitted = &self.admitted;
-                    self.parked.retain(|p| !admitted.contains(&p.id));
-                }
-                // 5. Observe.
-                let active: u32 = self.residents.iter().map(|r| r.len() as u32).sum();
-                let nics_in_use = self.residents.iter().filter(|r| !r.is_empty()).count() as u32;
-                let mut wasted_cores = 0u32;
-                let mut cores_by_mask = vec![0u32; 1 << self.model_cores.len()];
-                for (nic, res) in self.residents.iter().enumerate() {
-                    if res.is_empty() {
-                        continue;
-                    }
-                    let mut used = 0u32;
-                    for &id in res {
-                        let c = snapshot(profiled, &self.cursor, id).workload.cores;
-                        used += c;
-                        cores_by_mask[self.masks[id as usize] as usize] += c;
-                    }
-                    wasted_cores += self.nics_map.cores[nic] - used;
-                }
-                let oracle_lb_nics = oracle_packing_bound(&cores_by_mask, &self.model_cores);
-                // Parked NFs are alive but unserved: every parked epoch
-                // is a downtime period for its class.
-                for p in &self.parked {
-                    self.downtime_min[records[p.id as usize].qos as usize] += self.period_min;
-                }
-                self.peak_nics = self.peak_nics.max(nics_in_use);
-                self.violation_minutes += violating as f64 * self.period_min;
-                self.nic_minutes += nics_in_use as f64 * self.period_min;
-                self.oracle_lb_nic_minutes += oracle_lb_nics as f64 * self.period_min;
-                self.wasted_core_minutes += wasted_cores as f64 * self.period_min;
-                let down_nics = self.state.iter().filter(|&&s| s == NicState::Down).count() as u32;
-                tel.gauge("fleet.active_nfs", active as f64);
-                tel.gauge("fleet.nics_in_use", nics_in_use as f64);
-                tel.gauge("fleet.parked", self.parked.len() as f64);
-                tel.gauge("fleet.down_nics", down_nics as f64);
-                tel.gauge("fleet.obs_queue", self.pending.len() as f64);
-                tel.gauge("fleet.cache_hit_rate", self.cache_hit_rate);
-                tel.rec(t_ms, || Event::Epoch {
-                    t_s: t_ms / MS_PER_S,
-                    active,
-                    nics_in_use,
-                    violating,
-                    migrations: epoch_migrations,
-                    wasted_cores,
-                    oracle_lb: oracle_lb_nics,
-                    parked: self.parked.len() as u32,
-                    down: down_nics,
-                    obs_queue: self.pending.len() as u32,
-                    cache_hit_rate: self.cache_hit_rate,
-                });
-                tel.wall_phase("audit", w0);
-                self.samples.push(FleetSample {
-                    t_s: t_ms / MS_PER_S,
-                    active_nfs: active,
-                    nics_in_use,
-                    violating_nfs: violating,
-                    migrations: epoch_migrations,
-                    wasted_cores,
-                    oracle_lb_nics,
-                    parked: self.parked.len() as u32,
-                    down_nics,
-                });
-                Some(Processed::Audit(index))
-            }
+            CLASS_DEPARTURE => self.on_departure(t_ms, index, tel),
+            CLASS_FAULT => self.on_fault(t_ms, index, tel),
+            CLASS_ARRIVAL => self.on_arrival(t_ms, index, tel),
+            CLASS_AUDIT => self.on_audit(t_ms, index, engine, tel),
             _ => unreachable!("unknown event class"),
         };
-        if observing && self.next_event == self.events.len() {
+        if tel.is_enabled() && self.next_event == self.events.len() {
             self.mirror_memo_stats(tel);
         }
-        processed
+        Some(processed)
+    }
+
+    fn on_departure(&mut self, t_ms: u64, id: u32, tel: &mut Telemetry) -> Processed {
+        let nic = self.state.remove(id).map_or(-1, |n| n as i64);
+        self.state.parked.retain(|p| p.id != id);
+        tel.rec(t_ms, || Event::Depart { id, nic });
+        Processed::Departure(id)
+    }
+
+    fn on_fault(&mut self, t_ms: u64, index: u32, tel: &mut Telemetry) -> Processed {
+        let ev = self.state.profiled.trace.faults[index as usize];
+        tel.rec(t_ms, || Event::Fault {
+            nic: ev.nic as u32,
+            kind: ev.kind.name(),
+        });
+        let (state, policy) = (&mut self.state, &mut self.policy);
+        match ev.kind {
+            // A hard failure and a drain deadline both take the NIC down
+            // and force its residents out; only the first is a fault.
+            FaultKind::Fail | FaultKind::DrainEnd => {
+                if ev.kind == FaultKind::Fail {
+                    self.faults_total += 1;
+                    tel.inc("fleet.faults", 1);
+                }
+                state.set_state(ev.nic, NicState::Down);
+                let evicted = state.take_all(ev.nic);
+                state.evacuate(policy, evicted, ev.nic, true, t_ms, tel);
+            }
+            FaultKind::DrainStart => {
+                self.drains_total += 1;
+                tel.inc("fleet.drains", 1);
+                state.set_state(ev.nic, NicState::Draining);
+                let ids = state.residents()[ev.nic].clone();
+                state.evacuate(policy, ids, ev.nic, false, t_ms, tel);
+            }
+            FaultKind::Recover => state.set_state(ev.nic, NicState::Up),
+        }
+        Processed::Fault(index)
+    }
+
+    fn on_arrival(&mut self, t_ms: u64, id: u32, tel: &mut Telemetry) -> Processed {
+        let nf = &self.state.profiled.timelines[id as usize].snapshots[0].1;
+        tel.inc("fleet.arrivals", 1);
+        tel.rec(t_ms, || Event::Arrival {
+            id,
+            kind: nf.arrival.kind.name(),
+            qos: nf.qos().name(),
+            sla_drop: nf.arrival.sla_drop,
+        });
+        let w0 = tel.wall_start();
+        self.margin_buf.clear();
+        let margins = tel.is_enabled().then_some(&mut self.margin_buf);
+        let mut reason = "arrival";
+        let slot = self
+            .state
+            .choose_slot(&mut self.policy, nf, None, 0.0, margins)
+            .or_else(|| {
+                // A guaranteed arrival that found no safe slot may, under
+                // a QoS-aware policy, park best-effort residents to make
+                // room.
+                let nic = self.state.try_preempt_best_effort(
+                    &mut self.policy,
+                    nf,
+                    None,
+                    0.0,
+                    t_ms,
+                    tel,
+                )?;
+                reason = "preempt";
+                Some(nic)
+            });
+        tel.wall_decision(w0);
+        match slot {
+            Some(nic) => {
+                debug_assert!(nf.supported_on(self.state.nics.model[nic]));
+                tel.rec(t_ms, || Event::Place {
+                    id,
+                    nic: nic as u32,
+                    reason,
+                });
+                // The margins refer to the accepted NIC's candidate
+                // vector: its residents *before* this placement, then
+                // the arriving NF.
+                let residents = &self.state.residents()[nic];
+                for &(slot_idx, predicted, floor) in &self.margin_buf {
+                    let mid = residents.get(slot_idx).copied().unwrap_or(id);
+                    tel.rec(t_ms, || Event::Margin {
+                        id: mid,
+                        nic: nic as u32,
+                        predicted,
+                        floor,
+                    });
+                }
+                self.state.place(nic, id);
+            }
+            None => {
+                self.rejected += 1;
+                tel.inc("fleet.rejected", 1);
+                tel.rec(t_ms, || Event::Reject {
+                    id,
+                    kind: nf.arrival.kind.name(),
+                    qos: nf.qos().name(),
+                });
+            }
+        }
+        Processed::Arrival(id)
+    }
+
+    fn on_audit(
+        &mut self,
+        t_ms: u64,
+        epoch: u32,
+        engine: &Engine,
+        tel: &mut Telemetry,
+    ) -> Processed {
+        let w0 = tel.wall_start();
+        // 1. Drift: bring every placed NF to its snapshot in force at
+        // this epoch and re-price the occupied NICs in the index.
+        self.state.drift(t_ms, &mut self.occupied);
+        // 2. Ground truth.
+        let reports = self.co_run_occupied(epoch, engine);
+        let violating = self.tally_violations(t_ms, &reports, tel);
+        tel.rec(t_ms, || Event::Audit {
+            epoch,
+            occupied: self.occupied.len() as u32,
+            violating,
+        });
+        // 3. Learn, then 4. react: the refit runs *before* migration so
+        // the refreshed models inform this epoch's decisions.
+        self.absorb(t_ms, epoch, &reports, engine, tel);
+        let epoch_migrations = self.state.migrate(&mut self.policy, t_ms, tel);
+        self.migrations_total += epoch_migrations;
+        // 4b. Readmission.
+        if !self.state.parked.is_empty() {
+            self.readmit_parked(t_ms, tel);
+        }
+        // 5. Observe.
+        self.close_epoch(t_ms, violating, epoch_migrations, tel);
+        tel.wall_phase("audit", w0);
+        Processed::Audit(epoch)
+    }
+
+    /// Co-runs every occupied NIC on a private deterministically seeded
+    /// simulator — built from the hardware of *that* NIC — across the
+    /// engine; `reports[j]` belongs to `self.occupied[j]`.
+    fn co_run_occupied(&self, epoch: u32, engine: &Engine) -> Vec<CoRunReport> {
+        let state = &self.state;
+        let occupied = &self.occupied;
+        let cfg = &state.profiled.trace.config;
+        let audit_base = scenario_seed(cfg.seed ^ AUDIT_SALT, epoch as usize);
+        engine.run_chunked(occupied.len(), AUDIT_CHUNK, |j| {
+            let nic = occupied[j];
+            let spec = &cfg.portfolio[state.nics.spec_pos[nic]].0;
+            let mut sim = simulator_for(spec, cfg.noise_sigma, scenario_seed(audit_base, j));
+            let workloads: Vec<WorkloadSpec> = state.residents()[nic]
+                .iter()
+                .map(|&id| state.snapshot(id).workload.clone())
+                .collect();
+            sim.co_run(&workloads)
+        })
+    }
+
+    /// Counts (and journals, with a diagnosed bottleneck) the residents
+    /// the audit measured below their SLA floor.
+    fn tally_violations(&mut self, t_ms: u64, reports: &[CoRunReport], tel: &mut Telemetry) -> u32 {
+        let observing = tel.is_enabled();
+        let state = &self.state;
+        let records = &state.profiled.trace.records;
+        let mut violating = 0u32;
+        for (&nic, report) in self.occupied.iter().zip(reports) {
+            let model = state.nics.model[nic];
+            let residents = &state.residents()[nic];
+            if observing {
+                tel.observe_log2("fleet.co_residents", 1.0, 6, residents.len() as f64);
+            }
+            for (pos, (&id, outcome)) in residents.iter().zip(&report.outcomes).enumerate() {
+                let floor = state.snapshot(id).sla_floor(model);
+                if outcome.throughput_pps < floor {
+                    violating += 1;
+                    let qos = records[id as usize].qos;
+                    self.violation_min[qos as usize] += self.period_min;
+                    tel.inc(&format!("fleet.violations.{}", qos.name()), 1);
+                    if observing {
+                        // Diagnose the measured violation for the journal.
+                        // The diagnoser is pure (&self), so the extra call
+                        // cannot perturb the run; solo NFs and
+                        // diagnoser-free policies record "none".
+                        let bottleneck = match (&self.policy, residents.len()) {
+                            (FleetPolicy::ContentionAware { diagnoser, .. }, n) if n >= 2 => {
+                                let placed = state.snapshots(nic);
+                                let co = diagnoser.contenders(model, &placed, pos);
+                                diagnoser.bottleneck(model, &placed, pos, &co).to_string()
+                            }
+                            _ => "none".to_string(),
+                        };
+                        tel.rec(t_ms, || Event::Violation {
+                            id,
+                            nic: nic as u32,
+                            qos: qos.name(),
+                            measured: outcome.throughput_pps,
+                            floor,
+                            bottleneck,
+                        });
+                    }
+                }
+            }
+        }
+        violating
+    }
+
+    /// Online-refining policies feed the audit's ground truth straight
+    /// back into the predictor — the (context, outcome) pairs were
+    /// measured anyway, so the refit is free telemetry. The harvest
+    /// order (NIC index, resident index) and the batch-size rate limit
+    /// are deterministic, so an online run is still bit-identical across
+    /// thread counts.
+    fn absorb(
+        &mut self,
+        t_ms: u64,
+        epoch: u32,
+        reports: &[CoRunReport],
+        engine: &Engine,
+        tel: &mut Telemetry,
+    ) {
+        let FleetPolicy::ContentionAware {
+            predictor,
+            diagnoser,
+            online: Some(online),
+            ..
+        } = &mut self.policy
+        else {
+            return;
+        };
+        self.state
+            .harvest_observations(&self.occupied, reports, diagnoser, &mut self.pending);
+        if self.pending.len() < online.min_observations.max(1) {
+            return;
+        }
+        let observations = self.pending.len() as u32;
+        let refined = predictor.absorb(&self.pending, engine) as u64;
+        tel.inc("fleet.absorb.passes", 1);
+        tel.inc("fleet.absorb.observations", observations as u64);
+        tel.inc("fleet.absorb.refined_cells", refined);
+        tel.rec(t_ms, || Event::Absorb {
+            epoch,
+            observations,
+        });
+        self.pending.clear();
+    }
+
+    /// Parked NFs whose backoff expired retry admission — guaranteed
+    /// first under a QoS-aware policy — against a hysteresis margin
+    /// (`READMIT_MARGIN`), so a readmitted NF must clear its floor with
+    /// slack rather than re-enter marginally and bounce on the next
+    /// audit. A parked guaranteed NF may re-enter by preempting
+    /// best-effort residents, exactly as during evacuation — otherwise
+    /// one bad epoch parks it behind a full fleet for the whole backoff
+    /// ladder. Failed retries double their backoff (capped at
+    /// `BACKOFF_CAP_EPOCHS`).
+    fn readmit_parked(&mut self, t_ms: u64, tel: &mut Telemetry) {
+        let (state, policy) = (&mut self.state, &mut self.policy);
+        let cfg = &state.profiled.trace.config;
+        let records = &state.profiled.trace.records;
+        let period_ms = cfg.audit_period_s * MS_PER_S;
+        let aware = policy.qos_aware();
+        self.order.clear();
+        self.order.extend(0..state.parked.len());
+        let parked_now = &state.parked;
+        self.order.sort_by_key(|&k| {
+            let q = records[parked_now[k].id as usize].qos as u8;
+            (if aware { q } else { 0 }, parked_now[k].id)
+        });
+        self.admitted.clear();
+        for &k in &self.order {
+            if state.parked[k].next_retry_ms > t_ms {
+                continue;
+            }
+            let id = state.parked[k].id;
+            state.seek(id, t_ms);
+            let nf = state.snapshot(id);
+            let slot = state
+                .choose_slot(policy, nf, None, READMIT_MARGIN, None)
+                .or_else(|| {
+                    state.try_preempt_best_effort(policy, nf, None, READMIT_MARGIN, t_ms, tel)
+                });
+            match slot {
+                Some(nic) => {
+                    state.place(nic, id);
+                    state.readmitted[nf.qos() as usize] += 1;
+                    tel.inc(&format!("fleet.readmitted.{}", nf.qos().name()), 1);
+                    tel.rec(t_ms, || Event::Readmit {
+                        id,
+                        nic: nic as u32,
+                        qos: nf.qos().name(),
+                    });
+                    self.admitted.push(id);
+                }
+                None => {
+                    let p = &mut state.parked[k];
+                    p.next_retry_ms = t_ms + p.backoff_epochs * period_ms;
+                    p.backoff_epochs = (p.backoff_epochs * 2).min(BACKOFF_CAP_EPOCHS);
+                }
+            }
+        }
+        let admitted = &self.admitted;
+        state.parked.retain(|p| !admitted.contains(&p.id));
+    }
+
+    /// Folds the settled epoch into the report accumulators, gauges, and
+    /// the epoch sample.
+    fn close_epoch(&mut self, t_ms: u64, violating: u32, migrations: u32, tel: &mut Telemetry) {
+        let state = &self.state;
+        let records = &state.profiled.trace.records;
+        let mut active = 0u32;
+        let mut nics_in_use = 0u32;
+        let mut wasted_cores = 0u32;
+        let mut cores_by_mask = vec![0u32; 1 << self.model_cores.len()];
+        for (nic, res) in state.residents().iter().enumerate() {
+            if res.is_empty() {
+                continue;
+            }
+            active += res.len() as u32;
+            nics_in_use += 1;
+            let mut used = 0u32;
+            for &id in res {
+                let c = state.snapshot(id).workload.cores;
+                used += c;
+                cores_by_mask[self.masks[id as usize] as usize] += c;
+            }
+            wasted_cores += state.nics.cores[nic] - used;
+        }
+        let oracle_lb_nics = oracle_packing_bound(&cores_by_mask, &self.model_cores);
+        // Parked NFs are alive but unserved: every parked epoch is a
+        // downtime period for its class.
+        for p in &state.parked {
+            self.downtime_min[records[p.id as usize].qos as usize] += self.period_min;
+        }
+        self.peak_nics = self.peak_nics.max(nics_in_use);
+        self.violation_minutes += violating as f64 * self.period_min;
+        self.nic_minutes += nics_in_use as f64 * self.period_min;
+        self.oracle_lb_nic_minutes += oracle_lb_nics as f64 * self.period_min;
+        self.wasted_core_minutes += wasted_cores as f64 * self.period_min;
+        let parked = state.parked.len() as u32;
+        let down_nics = state.down_nics();
+        let obs_queue = self.pending.len() as u32;
+        tel.gauge("fleet.active_nfs", active as f64);
+        tel.gauge("fleet.nics_in_use", nics_in_use as f64);
+        tel.gauge("fleet.parked", parked as f64);
+        tel.gauge("fleet.down_nics", down_nics as f64);
+        tel.gauge("fleet.obs_queue", obs_queue as f64);
+        tel.gauge("fleet.cache_hit_rate", self.cache_hit_rate);
+        tel.rec(t_ms, || Event::Epoch {
+            t_s: t_ms / MS_PER_S,
+            active,
+            nics_in_use,
+            violating,
+            migrations,
+            wasted_cores,
+            oracle_lb: oracle_lb_nics,
+            parked,
+            down: down_nics,
+            obs_queue,
+            cache_hit_rate: self.cache_hit_rate,
+        });
+        self.samples.push(FleetSample {
+            t_s: t_ms / MS_PER_S,
+            active_nfs: active,
+            nics_in_use,
+            violating_nfs: violating,
+            migrations,
+            wasted_cores,
+            oracle_lb_nics,
+            parked,
+            down_nics,
+        });
     }
 
     /// Mirrors the predictor's memo accounting onto the `predict.*`
-    /// counters once the last event is consumed. Registry only: a
-    /// restored run starts with a cold memo, so the numbers may differ
-    /// across a kill/restore where the journal may not.
+    /// counters once the last event is consumed.
     fn mirror_memo_stats(&self, tel: &mut Telemetry) {
         if let FleetPolicy::ContentionAware { predictor, .. } = &self.policy {
             if let Some(stats) = predictor.memo_stats() {
@@ -988,17 +700,17 @@ impl<'a> FleetSim<'a> {
         }
     }
 
-    /// Closes the books: the final [`FleetReport`] of the (possibly
-    /// resumed) run. Call after [`FleetSim::step`] returns `None`.
+    /// Closes the books: the final [`FleetReport`] of the run. Call
+    /// after [`FleetSim::step`] returns `None`.
     pub fn into_report(self) -> FleetReport {
-        let profiled = self.profiled;
+        let profiled = self.state.profiled;
         let cfg = &profiled.trace.config;
         let class_stats = |c: QosClass| ClassStats {
             violation_minutes: self.violation_min[c as usize],
             downtime_minutes: self.downtime_min[c as usize],
-            evacuations: self.evacuations[c as usize],
-            shed: self.shed[c as usize],
-            readmitted: self.readmitted[c as usize],
+            evacuations: self.state.evacuations[c as usize],
+            shed: self.state.shed[c as usize],
+            readmitted: self.state.readmitted[c as usize],
         };
         let guaranteed = class_stats(QosClass::Guaranteed);
         let best_effort = class_stats(QosClass::BestEffort);
@@ -1058,640 +770,11 @@ fn oracle_packing_bound(cores_by_mask: &[u32], model_cores: &[u32]) -> u32 {
     best
 }
 
-/// The policy's placement rule as one function: the NIC the policy
-/// would place `nf` on right now, or `None` if nothing feasible is
-/// admitted. `margin` is the relative SLA slack a contention-aware
-/// prediction must clear (0.0 for normal placements, `READMIT_MARGIN`
-/// for parked readmissions). Only `Up` NICs are considered.
-#[allow(clippy::too_many_arguments)]
-fn choose_slot(
-    profiled: &ProfiledTrace,
-    residents: &[Vec<u32>],
-    cursor: &[usize],
-    nics_map: &NicMap,
-    state: &[NicState],
-    pidx: &PlacementIndex,
-    policy: &mut FleetPolicy<'_>,
-    nf: &Placed,
-    exclude: Option<usize>,
-    margin: f64,
-    mut margins: MarginSink<'_>,
-) -> Option<usize> {
-    match policy {
-        FleetPolicy::Monopolization => choose_empty(residents, nics_map, state, pidx, nf, exclude),
-        FleetPolicy::Greedy => choose_greedy(
-            profiled, residents, cursor, nics_map, state, pidx, nf, exclude,
-        )
-        .or_else(|| choose_empty(residents, nics_map, state, pidx, nf, exclude)),
-        FleetPolicy::ContentionAware { predictor, .. } => {
-            let found = choose_contention_aware(
-                profiled,
-                residents,
-                cursor,
-                nics_map,
-                state,
-                pidx,
-                *predictor,
-                nf,
-                exclude,
-                margin,
-                margins.as_deref_mut(),
-            );
-            if found.is_some() {
-                return found;
-            }
-            // Falling back to an empty NIC: the last candidate's partial
-            // margins describe a NIC that was *not* chosen.
-            if let Some(m) = margins {
-                m.clear();
-            }
-            choose_empty(residents, nics_map, state, pidx, nf, exclude)
-        }
-    }
-}
-
-/// Re-places NFs displaced by a fault on NIC `src`. `forced` means the
-/// ids were already evicted (hard failure or drain deadline): an NF
-/// that finds no slot — and, for a QoS-aware policy, no best-effort
-/// residents a guaranteed NF could preempt — is parked. Graceful mode
-/// (`!forced`, drain notice) moves what it can and leaves the rest
-/// resident until the deadline. A QoS-aware policy evacuates guaranteed
-/// NFs first, spending the scarce re-placement slots on the protected
-/// class.
-#[allow(clippy::too_many_arguments)]
-fn evacuate(
-    profiled: &ProfiledTrace,
-    residents: &mut [Vec<u32>],
-    location: &mut [Option<usize>],
-    cursor: &[usize],
-    nics_map: &NicMap,
-    state: &[NicState],
-    pidx: &mut PlacementIndex,
-    policy: &mut FleetPolicy<'_>,
-    ids: Vec<u32>,
-    src: usize,
-    forced: bool,
-    t_ms: u64,
-    parked: &mut Vec<Parked>,
-    evacuations: &mut [u32; 2],
-    shed: &mut [u32; 2],
-    tel: &mut Telemetry,
-) {
-    let qos_aware = matches!(
-        policy,
-        FleetPolicy::ContentionAware {
-            qos_aware: true,
-            ..
-        }
-    );
-    let mut order = ids;
-    if qos_aware {
-        // Stable sort: guaranteed first, original resident order within
-        // each class.
-        order.sort_by_key(|&id| snapshot(profiled, cursor, id).qos());
-    }
-    for id in order {
-        let nf = snapshot(profiled, cursor, id).clone();
-        let c = nf.qos() as usize;
-        let slot = choose_slot(
-            profiled,
-            residents,
-            cursor,
-            nics_map,
-            state,
-            pidx,
-            policy,
-            &nf,
-            Some(src),
-            0.0,
-            None,
-        )
-        .or_else(|| {
-            if let FleetPolicy::ContentionAware {
-                predictor,
-                qos_aware: true,
-                ..
-            } = policy
-            {
-                if nf.qos().is_guaranteed() {
-                    return try_preempt_best_effort(
-                        profiled,
-                        residents,
-                        location,
-                        cursor,
-                        nics_map,
-                        state,
-                        pidx,
-                        *predictor,
-                        &nf,
-                        Some(src),
-                        0.0,
-                        t_ms,
-                        parked,
-                        shed,
-                        tel,
-                    );
-                }
-            }
-            None
-        });
-        match slot {
-            Some(dst) => {
-                if !forced {
-                    residents[src].retain(|&r| r != id);
-                    pidx.remove(src, nf.workload.cores);
-                }
-                residents[dst].push(id);
-                location[id as usize] = Some(dst);
-                pidx.place(dst, nf.workload.cores);
-                evacuations[c] += 1;
-                tel.inc(&format!("fleet.evacuations.{}", nf.qos().name()), 1);
-                tel.rec(t_ms, || Event::Evacuate {
-                    id,
-                    from: src as u32,
-                    to: dst as u32,
-                    qos: nf.qos().name(),
-                    forced,
-                });
-            }
-            None if forced => {
-                location[id as usize] = None;
-                parked.push(Parked {
-                    id,
-                    next_retry_ms: t_ms,
-                    backoff_epochs: 1,
-                });
-                shed[c] += 1;
-                tel.inc(&format!("fleet.shed.{}", nf.qos().name()), 1);
-                tel.rec(t_ms, || Event::Park {
-                    id,
-                    qos: nf.qos().name(),
-                    reason: "no_slot",
-                });
-            }
-            // Graceful: the NF stays resident until the drain deadline;
-            // later audits (or the deadline itself) will retry.
-            None => {}
-        }
-    }
-}
-
-/// Makes room for a guaranteed NF by parking best-effort residents:
-/// scans `Up` NICs supporting `nf`, and on each tries parking
-/// best-effort residents (latest-placed first) until the remaining set
-/// plus `nf` fits and is predicted SLA-safe. Commits on the first NIC
-/// that works and returns it; guaranteed residents are never touched.
-#[allow(clippy::too_many_arguments)]
-fn try_preempt_best_effort(
-    profiled: &ProfiledTrace,
-    residents: &mut [Vec<u32>],
-    location: &mut [Option<usize>],
-    cursor: &[usize],
-    nics_map: &NicMap,
-    state: &[NicState],
-    pidx: &mut PlacementIndex,
-    predictor: &mut dyn PlacementPredictor,
-    nf: &Placed,
-    exclude: Option<usize>,
-    margin: f64,
-    t_ms: u64,
-    parked: &mut Vec<Parked>,
-    shed: &mut [u32; 2],
-    tel: &mut Telemetry,
-) -> Option<usize> {
-    for i in 0..residents.len() {
-        if Some(i) == exclude || state[i] != NicState::Up || !nf.supported_on(nics_map.model[i]) {
-            continue;
-        }
-        let nic: Vec<u32> = residents[i].clone();
-        let be: Vec<u32> = nic
-            .iter()
-            .copied()
-            .filter(|&id| !snapshot(profiled, cursor, id).qos().is_guaranteed())
-            .collect();
-        if be.is_empty() {
-            continue;
-        }
-        // Even parking every best-effort resident must free the cores.
-        let be_cores: u32 = be
-            .iter()
-            .map(|&id| snapshot(profiled, cursor, id).workload.cores)
-            .sum();
-        if cores_used(profiled, cursor, &nic) - be_cores + nf.workload.cores > nics_map.cores[i] {
-            continue;
-        }
-        let model = nics_map.model[i];
-        let mut parked_here: Vec<u32> = Vec::new();
-        let mut found = false;
-        for &id in be.iter().rev() {
-            parked_here.push(id);
-            let candidate: Vec<&Placed> = nic
-                .iter()
-                .filter(|r| !parked_here.contains(r))
-                .map(|&r| snapshot(profiled, cursor, r))
-                .chain([nf])
-                .collect();
-            let cores: u32 = candidate.iter().map(|p| p.workload.cores).sum();
-            if cores > nics_map.cores[i] {
-                continue;
-            }
-            if (0..candidate.len()).all(|t| {
-                predictor.predict_refs(model, t, &candidate)
-                    >= candidate[t].sla_floor(model) * (1.0 + margin)
-            }) {
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            continue;
-        }
-        for id in parked_here {
-            residents[i].retain(|&r| r != id);
-            pidx.remove(i, snapshot(profiled, cursor, id).workload.cores);
-            location[id as usize] = None;
-            parked.push(Parked {
-                id,
-                next_retry_ms: t_ms,
-                backoff_epochs: 1,
-            });
-            shed[QosClass::BestEffort as usize] += 1;
-            tel.inc("fleet.shed.best_effort", 1);
-            tel.rec(t_ms, || Event::Park {
-                id,
-                qos: QosClass::BestEffort.name(),
-                reason: "preempted",
-            });
-        }
-        return Some(i);
-    }
-    None
-}
-
-/// The profile snapshot currently in force for NF `id`.
-fn snapshot<'a>(profiled: &'a ProfiledTrace, cursor: &[usize], id: u32) -> &'a Placed {
-    &profiled.timelines[id as usize].snapshots[cursor[id as usize]].1
-}
-
-/// The profile snapshots currently in force for a NIC's residents, in
-/// residency order.
-fn snapshots<'a>(profiled: &'a ProfiledTrace, cursor: &[usize], nic: &[u32]) -> Vec<&'a Placed> {
-    nic.iter()
-        .map(|&id| snapshot(profiled, cursor, id))
-        .collect()
-}
-
-/// Harvests one audit epoch's ground truth into `out`: for every resident
-/// of every multi-tenant NIC, the prediction context (NIC model, NF kind,
-/// live traffic, the co-residents' aggregate counters and accelerator
-/// pressure as the diagnoser's worldview describes them, the per-model
-/// solo baseline) paired with the measured co-run outcome. Solo NICs are
-/// skipped — an uncontended outcome carries no contention signal the solo
-/// baseline doesn't already. Iteration order is (NIC index, resident
-/// index): deterministic, so the refinement stream is a pure function of
-/// the scenario.
-#[allow(clippy::too_many_arguments)]
-fn harvest_observations(
-    profiled: &ProfiledTrace,
-    residents: &[Vec<u32>],
-    cursor: &[usize],
-    nics_map: &NicMap,
-    occupied: &[usize],
-    reports: &[CoRunReport],
-    diagnoser: &Diagnoser<'_>,
-    out: &mut ObservationBuffer,
-) {
-    for (&nic, report) in occupied.iter().zip(reports) {
-        if residents[nic].len() < 2 {
-            continue;
-        }
-        let model = nics_map.model[nic];
-        let placed = snapshots(profiled, cursor, &residents[nic]);
-        for (target, outcome) in report.outcomes.iter().enumerate() {
-            let snap = placed[target];
-            let co = diagnoser.contenders(model, &placed, target);
-            let accel_pressure: Vec<(ResourceKind, f64)> =
-                [ResourceKind::Regex, ResourceKind::Compression]
-                    .into_iter()
-                    .filter_map(|k| {
-                        let p = total_pressure(&co, k);
-                        (p > 0.0).then_some((k, p))
-                    })
-                    .collect();
-            out.push(Observation {
-                model,
-                kind: snap.arrival.kind,
-                traffic: snap.arrival.traffic,
-                competitors: aggregate_counters(&co),
-                accel_pressure,
-                solo_tput: snap.solo(model).solo_tput,
-                measured_tput: outcome.throughput_pps,
-            });
-        }
-    }
-}
-
-/// Cores used on a NIC under the current snapshots.
-fn cores_used(profiled: &ProfiledTrace, cursor: &[usize], nic: &[u32]) -> u32 {
-    nic.iter()
-        .map(|&id| snapshot(profiled, cursor, id).workload.cores)
-        .sum()
-}
-
-/// First empty `Up` NIC (lowest index) whose model supports `nf`,
-/// skipping `exclude` — answered from the index; debug builds check the
-/// answer against [`choose_empty_linear`] on every call.
-fn choose_empty(
-    residents: &[Vec<u32>],
-    nics_map: &NicMap,
-    state: &[NicState],
-    pidx: &PlacementIndex,
-    nf: &Placed,
-    exclude: Option<usize>,
-) -> Option<usize> {
-    let sup = supported_positions(nics_map, nf);
-    let found = pidx.first_empty(&sup, exclude);
-    if cfg!(debug_assertions) {
-        assert_eq!(
-            found,
-            choose_empty_linear(residents, nics_map, state, nf, exclude),
-            "indexed empty-NIC choice diverged from the linear scan"
-        );
-    }
-    found
-}
-
-/// The pre-index reference scan for [`choose_empty`]: O(NICs), kept as
-/// the semantics oracle for the debug cross-checks and parity tests.
-fn choose_empty_linear(
-    residents: &[Vec<u32>],
-    nics_map: &NicMap,
-    state: &[NicState],
-    nf: &Placed,
-    exclude: Option<usize>,
-) -> Option<usize> {
-    residents
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| {
-            Some(*i) != exclude && state[*i] == NicState::Up && nf.supported_on(nics_map.model[*i])
-        })
-        .find(|(_, r)| r.is_empty())
-        .map(|(i, _)| i)
-}
-
-/// Greedy: the occupied `Up` NIC with the most available cores among
-/// those where `nf` fits and is feasible (ties break to the lowest
-/// index) — answered from the index's free-core buckets; debug builds
-/// check against [`choose_greedy_linear`] on every call.
-#[allow(clippy::too_many_arguments)]
-fn choose_greedy(
-    profiled: &ProfiledTrace,
-    residents: &[Vec<u32>],
-    cursor: &[usize],
-    nics_map: &NicMap,
-    state: &[NicState],
-    pidx: &PlacementIndex,
-    nf: &Placed,
-    exclude: Option<usize>,
-) -> Option<usize> {
-    let sup = supported_positions(nics_map, nf);
-    let found = pidx.most_free(&sup, nf.workload.cores, exclude);
-    if cfg!(debug_assertions) {
-        assert_eq!(
-            found,
-            choose_greedy_linear(profiled, residents, cursor, nics_map, state, nf, exclude),
-            "indexed greedy choice diverged from the linear scan"
-        );
-    }
-    found
-}
-
-/// The pre-index reference scan for [`choose_greedy`].
-#[allow(clippy::too_many_arguments)]
-fn choose_greedy_linear(
-    profiled: &ProfiledTrace,
-    residents: &[Vec<u32>],
-    cursor: &[usize],
-    nics_map: &NicMap,
-    state: &[NicState],
-    nf: &Placed,
-    exclude: Option<usize>,
-) -> Option<usize> {
-    let mut best: Option<(usize, u32)> = None;
-    for (i, nic) in residents.iter().enumerate() {
-        if Some(i) == exclude
-            || state[i] != NicState::Up
-            || nic.is_empty()
-            || !nf.supported_on(nics_map.model[i])
-        {
-            continue;
-        }
-        let used = cores_used(profiled, cursor, nic);
-        if used + nf.workload.cores > nics_map.cores[i] {
-            continue;
-        }
-        let avail = nics_map.cores[i] - used;
-        if best.is_none_or(|(_, b)| avail > b) {
-            best = Some((i, avail));
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// The structurally eligible candidates of the linear contention-aware
-/// scan — `Up`, occupied, feasible, fitting — in its evaluation order.
-/// The semantics oracle for [`choose_contention_aware`]'s shortlist.
-fn contention_candidates_linear(
-    profiled: &ProfiledTrace,
-    residents: &[Vec<u32>],
-    cursor: &[usize],
-    nics_map: &NicMap,
-    state: &[NicState],
-    nf: &Placed,
-    exclude: Option<usize>,
-) -> Vec<usize> {
-    residents
-        .iter()
-        .enumerate()
-        .filter(|(i, nic)| {
-            Some(*i) != exclude
-                && state[*i] == NicState::Up
-                && !nic.is_empty()
-                && nf.supported_on(nics_map.model[*i])
-                && cores_used(profiled, cursor, nic) + nf.workload.cores <= nics_map.cores[*i]
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
-/// Contention-aware: the first occupied `Up` NIC where `nf` is
-/// feasible, fits, and the predictor — consulted for that NIC's
-/// hardware model — foresees no SLA violation for anyone (the candidate
-/// NIC including `nf`), each floor raised by the relative `margin`
-/// (0.0 for normal placements; readmissions demand hysteresis slack).
-/// The structural filter comes from the index as an ascending shortlist
-/// — the same NICs the linear scan would evaluate, in the same order,
-/// so the predictor sees an identical call sequence; debug builds
-/// assert the shortlist against [`contention_candidates_linear`].
-#[allow(clippy::too_many_arguments)]
-fn choose_contention_aware(
-    profiled: &ProfiledTrace,
-    residents: &[Vec<u32>],
-    cursor: &[usize],
-    nics_map: &NicMap,
-    state: &[NicState],
-    pidx: &PlacementIndex,
-    predictor: &mut dyn PlacementPredictor,
-    nf: &Placed,
-    exclude: Option<usize>,
-    margin: f64,
-    mut margins: MarginSink<'_>,
-) -> Option<usize> {
-    let sup = supported_positions(nics_map, nf);
-    let mut cands: Vec<usize> = Vec::new();
-    pidx.fitting(&sup, nf.workload.cores, exclude, &mut cands);
-    if cfg!(debug_assertions) {
-        assert_eq!(
-            cands,
-            contention_candidates_linear(profiled, residents, cursor, nics_map, state, nf, exclude),
-            "indexed contention-aware shortlist diverged from the linear scan"
-        );
-    }
-    let mut candidate: Vec<&Placed> = Vec::new();
-    for &i in &cands {
-        let model = nics_map.model[i];
-        candidate.clear();
-        candidate.extend(
-            residents[i]
-                .iter()
-                .map(|&id| snapshot(profiled, cursor, id)),
-        );
-        candidate.push(nf);
-        // Explicit loop with the same short-circuit as the original
-        // `all()`, so margin collection sees each prediction the moment
-        // it is made without changing which predictions are made.
-        if let Some(m) = margins.as_deref_mut() {
-            m.clear();
-        }
-        let mut safe = true;
-        for t in 0..candidate.len() {
-            let predicted = predictor.predict_refs(model, t, &candidate);
-            let floor = candidate[t].sla_floor(model) * (1.0 + margin);
-            if let Some(m) = margins.as_deref_mut() {
-                m.push((t, predicted, floor));
-            }
-            // `!(>=)`, not `<`: a NaN prediction must stay unsafe,
-            // exactly as it failed the original `all(>=)`.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(predicted >= floor) {
-                safe = false;
-                break;
-            }
-        }
-        if safe {
-            return Some(i);
-        }
-    }
-    None
-}
-
-/// One audit epoch's reactive migrations: for each NIC with a predicted
-/// violator, drain the diagnosis-selected victim and re-place it under
-/// the predictor (or onto an empty NIC). Every per-NIC judgement — the
-/// re-evaluation, the bottleneck diagnosis, the victim's contender slate
-/// — uses the model of the NIC under audit; the destination may be a NIC
-/// of a *different* model, where the victim's feasibility and SLA floor
-/// are judged against its solo baseline on that hardware. Returns
-/// migrations executed; stops at `budget`.
-#[allow(clippy::too_many_arguments)]
-fn migrate(
-    profiled: &ProfiledTrace,
-    residents: &mut [Vec<u32>],
-    location: &mut [Option<usize>],
-    cursor: &[usize],
-    nics_map: &NicMap,
-    state: &[NicState],
-    pidx: &mut PlacementIndex,
-    predictor: &mut dyn PlacementPredictor,
-    diagnoser: &Diagnoser<'_>,
-    qos_aware: bool,
-    budget: usize,
-    t_ms: u64,
-    tel: &mut Telemetry,
-) -> u32 {
-    let mut moved = 0u32;
-    for nic in 0..residents.len() {
-        if moved as usize >= budget {
-            break;
-        }
-        if residents[nic].len() < 2 {
-            continue;
-        }
-        let model = nics_map.model[nic];
-        let placed = snapshots(profiled, cursor, &residents[nic]);
-        let Some(&violator) = predictor.reevaluate(model, &placed).first() else {
-            continue;
-        };
-        // Diagnose the violator's bottleneck and pick the co-resident
-        // pressing hardest on it — under a QoS-aware policy, only from
-        // the lowest-precedence class present (a guaranteed NF is never
-        // drained while a best-effort co-resident remains).
-        let co = diagnoser.contenders(model, &placed, violator);
-        let bottleneck = diagnoser.bottleneck(model, &placed, violator, &co);
-        let co_positions: Vec<usize> = (0..placed.len()).filter(|&i| i != violator).collect();
-        let selected = if qos_aware {
-            let classes: Vec<QosClass> = co_positions.iter().map(|&i| placed[i].qos()).collect();
-            select_victim_qos(bottleneck, &co, &classes)
-        } else {
-            select_victim(bottleneck, &co)
-        };
-        let sel = selected.expect("≥1 co-resident");
-        let victim_pos = co_positions[sel];
-        let victim_id = residents[nic][victim_pos];
-        let violator_id = residents[nic][violator];
-        let victim = placed[victim_pos];
-        // Drain-and-replace: a safe occupied NIC first, else power on an
-        // empty one; if the fleet is exhausted the victim stays put.
-        let dst = choose_contention_aware(
-            profiled,
-            residents,
-            cursor,
-            nics_map,
-            state,
-            pidx,
-            predictor,
-            victim,
-            Some(nic),
-            0.0,
-            None,
-        )
-        .or_else(|| choose_empty(residents, nics_map, state, pidx, victim, Some(nic)));
-        if let Some(dst) = dst {
-            residents[nic].remove(victim_pos);
-            pidx.remove(nic, victim.workload.cores);
-            residents[dst].push(victim_id);
-            pidx.place(dst, victim.workload.cores);
-            location[victim_id as usize] = Some(dst);
-            moved += 1;
-            tel.inc("fleet.migrations", 1);
-            tel.rec(t_ms, || Event::Migrate {
-                victim: victim_id,
-                from: nic as u32,
-                to: dst as u32,
-                violator: violator_id,
-                bottleneck: bottleneck.to_string(),
-                qos: victim.qos().name(),
-                pressure: victim_pressure(bottleneck, &co[sel]),
-            });
-        }
-    }
-    moved
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Diagnoser;
+    use crate::state::linear;
     use crate::trace::{FaultEvent, FleetConfig, FleetTrace, NfRecord};
     use yala_nf::NfKind;
     use yala_placement::OraclePredictor;
@@ -1727,44 +810,34 @@ mod tests {
             FleetTrace::from_records(cfg, records).expect("valid records"),
             &Engine::sequential(),
         );
-        let cfg = &profiled.trace.config;
-        let nics_map = NicMap::new(cfg);
-        assert_ne!(nics_map.model[0], nics_map.model[1], "two hardware models");
+        let mut state = FleetState::new(&profiled);
+        let (bf2, pen) = (state.nics.model[0], state.nics.model[1]);
+        assert_ne!(bf2, pen, "two hardware models");
         // Hand-place both NFs on the BF-2 NIC (a blind packer would).
-        let mut residents: Vec<Vec<u32>> = vec![vec![0, 1], Vec::new()];
-        let mut location: Vec<Option<usize>> = vec![Some(0), Some(0)];
-        let cursor = vec![0usize, 0];
-        let state = vec![NicState::Up; 2];
-        let mut pidx = build_index(&profiled, &cursor, &residents, &state, &nics_map);
-        let mut oracle = OraclePredictor::for_models(&cfg.specs());
-        let moved = migrate(
-            &profiled,
-            &mut residents,
-            &mut location,
-            &cursor,
-            &nics_map,
-            &state,
-            &mut pidx,
-            &mut oracle,
-            &Diagnoser::MemoryOnly,
-            false,
-            8,
-            600_000,
-            &mut Telemetry::disabled(),
-        );
+        state.place(0, 0);
+        state.place(0, 1);
+        let mut oracle = OraclePredictor::for_models(&profiled.trace.config.specs());
+        let mut policy = FleetPolicy::ContentionAware {
+            predictor: &mut oracle,
+            diagnoser: Diagnoser::MemoryOnly,
+            online: None,
+            qos_aware: false,
+        };
+        let moved = state.migrate(&mut policy, 600_000, &mut Telemetry::disabled());
         assert_eq!(moved, 1, "the predicted violation must drain a victim");
-        assert_eq!(residents[0].len(), 1);
-        assert_eq!(residents[1].len(), 1, "victim landed on the Pensando NIC");
-        let victim = residents[1][0] as usize;
-        assert_eq!(location[victim], Some(1));
+        assert_eq!(state.residents()[0].len(), 1);
+        assert_eq!(
+            state.residents()[1].len(),
+            1,
+            "victim landed on the Pensando NIC"
+        );
+        let victim = state.residents()[1][0];
         // The migrated NF is priced against its *destination-model* solo
         // baseline, which differs from its BF-2 one.
-        let snap = snapshot(&profiled, &cursor, victim as u32);
-        assert!(snap.supported_on(nics_map.model[1]));
-        assert_ne!(
-            snap.solo(nics_map.model[0]).solo_tput,
-            snap.solo(nics_map.model[1]).solo_tput
-        );
+        let snap = state.snapshot(victim);
+        assert!(snap.supported_on(pen));
+        assert_ne!(snap.solo(bf2).solo_tput, snap.solo(pen).solo_tput);
+        assert_eq!(state.remove(victim), Some(1), "location moved with it");
     }
 
     /// A record alive well past any test horizon.
@@ -2002,115 +1075,88 @@ mod tests {
             };
             let profiled =
                 ProfiledTrace::build_cached(FleetTrace::generate(cfg), &Engine::sequential());
-            let cfg = &profiled.trace.config;
             let records = &profiled.trace.records;
-            let nics_map = NicMap::new(cfg);
             assert!(records.len() >= 40, "enough NFs to populate the fleet");
 
             for seed in [11u64, 12, 13] {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let cursor = vec![0usize; records.len()];
-                let mut residents: Vec<Vec<u32>> = vec![Vec::new(); nics];
-                let mut state: Vec<NicState> = (0..nics)
-                    .map(|_| match rng.gen_range(0..10) {
+                let mut st = FleetState::new(&profiled);
+                let mut nic_state = vec![NicState::Up; nics];
+                for (nic, s) in nic_state.iter_mut().enumerate() {
+                    *s = match rng.gen_range(0..10) {
                         0 => NicState::Down,
                         1 => NicState::Draining,
                         _ => NicState::Up,
-                    })
-                    .collect();
+                    };
+                    st.set_state(nic, *s);
+                }
+                let fits = |st: &FleetState<'_>, nic: usize, id: u32| {
+                    let nf = st.snapshot(id);
+                    nf.supported_on(st.nics.model[nic])
+                        && st.cores_used(&st.residents()[nic]) + nf.workload.cores
+                            <= st.nics.cores[nic]
+                };
                 for r in records {
-                    let nf = snapshot(&profiled, &cursor, r.id);
                     let nic = rng.gen_range(0..nics);
-                    if nf.supported_on(nics_map.model[nic])
-                        && cores_used(&profiled, &cursor, &residents[nic]) + nf.workload.cores
-                            <= nics_map.cores[nic]
-                    {
-                        residents[nic].push(r.id);
+                    if fits(&st, nic, r.id) {
+                        st.place(nic, r.id);
                     }
                 }
-                let mut pidx = build_index(&profiled, &cursor, &residents, &state, &nics_map);
 
-                let check = |residents: &[Vec<u32>],
-                             state: &[NicState],
-                             pidx: &PlacementIndex,
-                             rng: &mut StdRng| {
+                let check = |st: &FleetState<'_>, rng: &mut StdRng| {
                     for _ in 0..8 {
-                        let id = records[rng.gen_range(0..records.len())].id;
-                        let nf = snapshot(&profiled, &cursor, id);
+                        let nf = st.snapshot(records[rng.gen_range(0..records.len())].id);
                         let exclude = rng.gen_bool(0.5).then(|| rng.gen_range(0..nics));
-                        let sup = supported_positions(&nics_map, nf);
                         assert_eq!(
-                            pidx.first_empty(&sup, exclude),
-                            choose_empty_linear(residents, &nics_map, state, nf, exclude),
+                            st.choose_empty(nf, exclude),
+                            linear::choose_empty(st, nf, exclude),
                             "empty-NIC parity (nics={nics}, seed={seed})"
                         );
                         assert_eq!(
-                            pidx.most_free(&sup, nf.workload.cores, exclude),
-                            choose_greedy_linear(
-                                &profiled, residents, &cursor, &nics_map, state, nf, exclude
-                            ),
+                            st.choose_greedy(nf, exclude),
+                            linear::choose_greedy(st, nf, exclude),
                             "greedy parity (nics={nics}, seed={seed})"
                         );
-                        let mut got = Vec::new();
-                        pidx.fitting(&sup, nf.workload.cores, exclude, &mut got);
                         assert_eq!(
-                            got,
-                            contention_candidates_linear(
-                                &profiled, residents, &cursor, &nics_map, state, nf, exclude
-                            ),
+                            st.shortlist(nf, exclude),
+                            linear::contention_candidates(st, nf, exclude),
                             "contention-aware shortlist parity (nics={nics}, seed={seed})"
                         );
                     }
                 };
-                check(&residents, &state, &pidx, &mut rng);
+                check(&st, &mut rng);
 
                 // A stream of incremental transitions — the index is
                 // maintained, never rebuilt — then parity again.
                 for _ in 0..60 {
+                    let nic = rng.gen_range(0..nics);
                     match rng.gen_range(0..4) {
                         0 => {
-                            let nic = rng.gen_range(0..nics);
-                            if let Some(&id) = residents[nic].first() {
-                                residents[nic].retain(|&r| r != id);
-                                pidx.remove(nic, snapshot(&profiled, &cursor, id).workload.cores);
+                            if let Some(&id) = st.residents()[nic].first() {
+                                st.remove(id);
                             }
                         }
                         1 => {
                             let id = records[rng.gen_range(0..records.len())].id;
-                            if residents.iter().any(|r| r.contains(&id)) {
-                                continue;
-                            }
-                            let nf = snapshot(&profiled, &cursor, id);
-                            let nic = rng.gen_range(0..nics);
-                            if nf.supported_on(nics_map.model[nic])
-                                && cores_used(&profiled, &cursor, &residents[nic])
-                                    + nf.workload.cores
-                                    <= nics_map.cores[nic]
-                            {
-                                residents[nic].push(id);
-                                pidx.place(nic, nf.workload.cores);
+                            let placed = st.residents().iter().any(|r| r.contains(&id));
+                            if !placed && fits(&st, nic, id) {
+                                st.place(nic, id);
                             }
                         }
-                        2 => {
-                            // Hard failure: retire and bulk-evict.
-                            let nic = rng.gen_range(0..nics);
-                            if state[nic] == NicState::Up {
-                                state[nic] = NicState::Down;
-                                pidx.retire(nic);
-                                residents[nic].clear();
-                                pidx.clear_retired(nic);
-                            }
+                        // Hard failure: retire and bulk-evict.
+                        2 if nic_state[nic] == NicState::Up => {
+                            nic_state[nic] = NicState::Down;
+                            st.set_state(nic, NicState::Down);
+                            st.take_all(nic);
                         }
-                        _ => {
-                            let nic = rng.gen_range(0..nics);
-                            if state[nic] == NicState::Down && residents[nic].is_empty() {
-                                state[nic] = NicState::Up;
-                                pidx.restore(nic);
-                            }
+                        3 if nic_state[nic] == NicState::Down && st.residents()[nic].is_empty() => {
+                            nic_state[nic] = NicState::Up;
+                            st.set_state(nic, NicState::Up);
                         }
+                        _ => {}
                     }
                 }
-                check(&residents, &state, &pidx, &mut rng);
+                check(&st, &mut rng);
             }
         }
     }

@@ -1,61 +1,49 @@
-//! Versioned fleet snapshots: serialize everything a running
-//! [`FleetSim`] cannot re-derive, so kill → [`restore_fleet`] →
-//! continue is bit-identical to the uninterrupted run.
+//! Versioned fleet snapshots: kill → [`restore_fleet`] → continue is
+//! bit-identical to the uninterrupted run, because restoring *is* the
+//! uninterrupted run.
 //!
-//! The determinism surface is the final [`FleetReport`](crate::FleetReport)
-//! and the telemetry event journal. Three kinds of state make that
-//! work:
+//! A [`FleetSim`] is a deterministic function of its profiled trace, its
+//! freshly trained policy, and the number of events it has consumed. A
+//! snapshot therefore stores no state at all: it is one header line
+//! naming the run (scenario, profiling bill, policy knobs), the event count,
+//! and — because that is how a fault is *detected* — the journal
+//! counters and a digest of the state at that point. [`restore_fleet`]
+//! builds a fresh simulation, re-steps it that many events into the
+//! caller's telemetry, and refuses with [`SnapshotError::Diverged`] if
+//! it did not arrive where the snapshot says the original was: a
+//! different binary, an edited trace, a differently profiled or
+//! differently configured run. The same strategy as the serving
+//! daemon's snapshot (header + the inputs that drive the machine);
+//! here the input log is the `.yala-trace` itself.
 //!
-//! * **Authoritative simulation state** — residents, cursors, NIC
-//!   states, the parked set, the event-list position, and every report
-//!   accumulator. Serialized field by field; floats use Rust's
-//!   shortest-exact `Display`, which `str::parse` round-trips
-//!   losslessly.
-//! * **Derived state** — the `location` map and the
-//!   [`PlacementIndex`](crate::sim) mirror. Never serialized; rebuilt
-//!   from the authoritative fields on restore.
-//! * **Refined predictor state** — never serialized either. The
-//!   snapshot instead carries the *absorbed-observation log*: the exact
-//!   batches the run has fed to `PlacementPredictor::absorb`, in order.
-//!   Restoring replays them through a freshly trained predictor, which
-//!   reaches bit-identical refined cells (restore-by-replay). This
-//!   keeps model internals out of the format entirely.
-//!
-//! The journal rides along as a verbatim section: its already-emitted
-//! record lines plus the cursor ([`JournalResume`]) a resumed
-//! [`Journal`] needs to continue the sequence byte-for-byte.
-//!
-//! What is deliberately *not* snapshotted: the metrics registry and
-//! wall-clock reservoirs (operational telemetry, not part of the
-//! determinism surface) and the profile cache (keyed re-computation —
-//! hits only change speed, never results).
+//! Re-stepping is cheap next to what any restore must do first —
+//! profile the trace and train the bank (see DESIGN.md, "Serving
+//! placement", for the arithmetic).
 
-use crate::sim::{FleetSim, NicState, Parked};
-use crate::{FleetPolicy, FleetSample, ProfiledTrace};
+use crate::sim::FleetSim;
+use crate::{FleetPolicy, ProfiledTrace};
 use std::fmt::Write as _;
 use yala_core::engine::Engine;
-use yala_core::Observation;
-use yala_nf::NfKind;
-use yala_sim::{CounterSample, NicModelId, ResourceKind};
-use yala_telemetry::{parse_line, Journal, RawEvent};
-use yala_traffic::TrafficProfile;
+use yala_telemetry::journal::FieldValue;
+use yala_telemetry::{parse_line, Journal, Telemetry};
 
 /// Format version written in the header's `yala_snapshot` field.
-pub const SNAPSHOT_VERSION: i64 = 1;
+/// Version 1 serialized the simulator's state field by field.
+pub const SNAPSHOT_VERSION: i64 = 2;
 
 /// Why a snapshot failed to load.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SnapshotError {
-    /// The first line is missing, unparseable, or not a snapshot header.
+    /// The header line is missing, unparseable, or lacks a field.
     BadHeader(String),
     /// The header announces a version this reader does not speak.
     UnsupportedVersion(i64),
-    /// The snapshot was taken from a different run (label, seed, or
-    /// trace length mismatch) than the one being restored.
+    /// The snapshot was taken from a different run (label, seed, trace,
+    /// profiling mode, or policy configuration) than the one being
+    /// restored.
     WrongRun(String),
-    /// A body line (1-based, counting the header as line 1) is
-    /// malformed.
-    BadLine { line: usize, reason: String },
+    /// The replay did not arrive at the state the snapshot recorded.
+    Diverged(String),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -67,501 +55,127 @@ impl std::fmt::Display for SnapshotError {
                 "unsupported snapshot version {v} (reader speaks {SNAPSHOT_VERSION})"
             ),
             SnapshotError::WrongRun(why) => write!(f, "snapshot is from a different run: {why}"),
-            SnapshotError::BadLine { line, reason } => write!(f, "line {line}: {reason}"),
+            SnapshotError::Diverged(why) => write!(f, "replay diverged from the snapshot: {why}"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-/// The journal cursor carried by a snapshot: everything
-/// [`Journal::resume`] needs, plus the verbatim prefix text for
-/// byte-exact stitching.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalResume {
-    /// Records emitted before the snapshot (the resumed journal's base
-    /// sequence number).
-    pub events: u64,
-    /// Records dropped at the capacity bound before the snapshot.
-    pub dropped: u64,
-    /// The shared capacity bound.
-    pub capacity: usize,
-    /// Timestamp of the last pre-snapshot record (trailer fallback).
-    pub last_t_ms: u64,
-    /// The pre-snapshot record lines, verbatim. Concatenating this with
-    /// the resumed journal's `to_jsonl()` reproduces the uninterrupted
-    /// journal byte-for-byte.
-    pub prefix: String,
+/// `(events, dropped, capacity)` of a journal, as header integers.
+fn journal_counters(j: &Journal) -> [i64; 3] {
+    [j.len() as i64, j.dropped() as i64, j.capacity() as i64]
 }
 
-impl JournalResume {
-    /// A resumed [`Journal`] continuing this cursor's sequence.
-    pub fn resume(&self) -> Journal {
-        Journal::resume(self.capacity, self.events, self.dropped, self.last_t_ms)
+/// A header value as the wire grammar spells it.
+fn render(value: &FieldValue) -> String {
+    match value {
+        FieldValue::Str(s) => format!("\"{s}\""),
+        FieldValue::Int(i) => i.to_string(),
+        FieldValue::Num(x) => x.to_string(),
+        FieldValue::Bool(b) => b.to_string(),
     }
 }
 
-/// Serializes one observation as a flat JSONL line tagged with its
-/// batch: `-1` = still pending, `k ≥ 0` = absorbed in batch `k`. Public
-/// because the serving daemon's `observe` wire message reuses exactly
-/// this field layout.
-pub fn write_observation(out: &mut String, batch: i64, o: &Observation) {
-    let _ = write!(
-        out,
-        "{{\"sn\":\"obs\",\"batch\":{batch},\"model\":\"{}\",\"kind\":\"{}\",\"flows\":{},\"psize\":{},\"mtbr\":{}",
-        o.model.as_str(),
-        o.kind.name(),
-        o.traffic.flow_count,
-        o.traffic.packet_size,
-        o.traffic.mtbr,
-    );
-    let c = &o.competitors;
-    let _ = write!(
-        out,
-        ",\"ipc\":{},\"irt\":{},\"l2crd\":{},\"l2cwr\":{},\"memrd\":{},\"memwr\":{},\"wss\":{}",
-        c.ipc, c.irt, c.l2crd, c.l2cwr, c.memrd, c.memwr, c.wss
-    );
-    // Accelerator pressure flattens to one "kind:value" list (the wire
-    // grammar has no arrays).
-    let press: Vec<String> = o
-        .accel_pressure
-        .iter()
-        .map(|(k, v)| format!("{k}:{v}"))
-        .collect();
-    let _ = writeln!(
-        out,
-        ",\"press\":\"{}\",\"solo\":{},\"measured\":{}}}",
-        press.join(","),
-        o.solo_tput,
-        o.measured_tput
-    );
-}
+const JOURNAL_KEYS: [&str; 3] = ["journal_events", "journal_dropped", "journal_capacity"];
 
-fn parse_resource_kind(name: &str) -> Option<ResourceKind> {
-    match name {
-        "cpu-mem" => Some(ResourceKind::CpuMem),
-        "regex" => Some(ResourceKind::Regex),
-        "compression" => Some(ResourceKind::Compression),
-        "crypto" => Some(ResourceKind::Crypto),
-        _ => None,
-    }
-}
-
-/// Decodes one observation from a parsed flat-JSONL line — the inverse
-/// of [`write_observation`]. `line` is the 1-based line number used in
-/// error messages.
-pub fn read_observation(ev: &RawEvent, line: usize) -> Result<Observation, SnapshotError> {
-    let bad = |reason: String| SnapshotError::BadLine { line, reason };
-    let str_of = |key: &str| {
-        ev.str(key)
-            .ok_or_else(|| bad(format!("missing string field {key}")))
-    };
-    let int_of = |key: &str| {
-        ev.int(key)
-            .ok_or_else(|| bad(format!("missing integer field {key}")))
-    };
-    let num_of = |key: &str| {
-        ev.num(key)
-            .ok_or_else(|| bad(format!("missing numeric field {key}")))
-    };
-    let kind_name = str_of("kind")?;
-    let kind =
-        NfKind::from_name(kind_name).ok_or_else(|| bad(format!("unknown NF kind {kind_name}")))?;
-    let mut accel_pressure = Vec::new();
-    for entry in str_of("press")?.split(',').filter(|s| !s.is_empty()) {
-        let (k, v) = entry
-            .split_once(':')
-            .ok_or_else(|| bad(format!("pressure entry {entry} is not kind:value")))?;
-        let k = parse_resource_kind(k).ok_or_else(|| bad(format!("unknown resource {k}")))?;
-        let v: f64 = v
-            .parse()
-            .map_err(|_| bad(format!("pressure value in {entry} is not a number")))?;
-        accel_pressure.push((k, v));
-    }
-    Ok(Observation {
-        model: NicModelId::intern(str_of("model")?),
-        kind,
-        traffic: TrafficProfile::new(
-            int_of("flows")? as u32,
-            int_of("psize")? as u32,
-            num_of("mtbr")?,
-        ),
-        competitors: CounterSample {
-            ipc: num_of("ipc")?,
-            irt: num_of("irt")?,
-            l2crd: num_of("l2crd")?,
-            l2cwr: num_of("l2cwr")?,
-            memrd: num_of("memrd")?,
-            memwr: num_of("memwr")?,
-            wss: num_of("wss")?,
-        },
-        accel_pressure,
-        solo_tput: num_of("solo")?,
-        measured_tput: num_of("measured")?,
-    })
-}
-
-/// Serializes a running simulation — and, optionally, its telemetry
-/// journal — to versioned snapshot text. Meaningful at any event
-/// boundary; callers wanting epoch-aligned checkpoints stop on
-/// [`Processed::Audit`](crate::Processed).
+/// Serializes a running simulation — and, optionally, the counters of
+/// its telemetry journal — to a one-line versioned snapshot. Meaningful
+/// at any event boundary; callers wanting epoch-aligned checkpoints
+/// stop on [`Processed::Audit`](crate::Processed).
 pub fn snapshot_fleet(sim: &FleetSim<'_>, journal: Option<&Journal>) -> String {
-    let cfg = &sim.profiled.trace.config;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"yala_snapshot\":{SNAPSHOT_VERSION},\"label\":\"{}\",\"seed\":\"{}\",\"trace_len\":{},\"nics\":{},\"next_event\":{}",
-        sim.label,
-        cfg.seed,
-        sim.profiled.trace.records.len(),
-        cfg.nics(),
-        sim.next_event,
-    );
-    let _ = write!(
-        out,
-        ",\"rejected\":{},\"migrations\":{},\"violation_minutes\":{},\"nic_minutes\":{},\"oracle_lb_nic_minutes\":{},\"wasted_core_minutes\":{},\"peak_nics\":{},\"faults\":{},\"drains\":{}",
-        sim.rejected,
-        sim.migrations_total,
-        sim.violation_minutes,
-        sim.nic_minutes,
-        sim.oracle_lb_nic_minutes,
-        sim.wasted_core_minutes,
-        sim.peak_nics,
-        sim.faults_total,
-        sim.drains_total,
-    );
-    let _ = writeln!(
-        out,
-        ",\"violation_min_g\":{},\"violation_min_b\":{},\"downtime_min_g\":{},\"downtime_min_b\":{},\"evac_g\":{},\"evac_b\":{},\"shed_g\":{},\"shed_b\":{},\"readmit_g\":{},\"readmit_b\":{}}}",
-        sim.violation_min[0],
-        sim.violation_min[1],
-        sim.downtime_min[0],
-        sim.downtime_min[1],
-        sim.evacuations[0],
-        sim.evacuations[1],
-        sim.shed[0],
-        sim.shed[1],
-        sim.readmitted[0],
-        sim.readmitted[1],
-    );
-    // NIC states, comma-joined in fleet order.
-    let states: Vec<&str> = sim
-        .state
-        .iter()
-        .map(|s| match s {
-            NicState::Up => "up",
-            NicState::Draining => "draining",
-            NicState::Down => "down",
-        })
-        .collect();
-    let _ = writeln!(
-        out,
-        "{{\"sn\":\"states\",\"list\":\"{}\"}}",
-        states.join(",")
-    );
-    // Residents per occupied NIC (empty NICs are implicit).
-    for (nic, res) in sim.residents.iter().enumerate() {
-        if res.is_empty() {
-            continue;
-        }
-        let ids: Vec<String> = res.iter().map(|id| id.to_string()).collect();
-        let _ = writeln!(
-            out,
-            "{{\"sn\":\"residents\",\"nic\":{nic},\"ids\":\"{}\"}}",
-            ids.join(",")
-        );
+    let mut out = format!("{{\"yala_snapshot\":{SNAPSHOT_VERSION}");
+    for (key, value) in sim.identity() {
+        let _ = write!(out, ",\"{key}\":{}", render(&value));
     }
-    // Drift cursors, sparse (zero is the reset value).
-    let cursors: Vec<String> = sim
-        .cursor
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c != 0)
-        .map(|(id, &c)| format!("{id}:{c}"))
-        .collect();
-    let _ = writeln!(
-        out,
-        "{{\"sn\":\"cursor\",\"list\":\"{}\"}}",
-        cursors.join(",")
-    );
-    for p in &sim.parked {
-        let _ = writeln!(
-            out,
-            "{{\"sn\":\"parked\",\"id\":{},\"retry_ms\":{},\"backoff\":{}}}",
-            p.id, p.next_retry_ms, p.backoff_epochs
-        );
-    }
-    for s in &sim.samples {
-        let _ = writeln!(
-            out,
-            "{{\"sn\":\"sample\",\"t_s\":{},\"active\":{},\"nics\":{},\"violating\":{},\"migrations\":{},\"wasted\":{},\"oracle_lb\":{},\"parked\":{},\"down\":{}}}",
-            s.t_s,
-            s.active_nfs,
-            s.nics_in_use,
-            s.violating_nfs,
-            s.migrations,
-            s.wasted_cores,
-            s.oracle_lb_nics,
-            s.parked,
-            s.down_nics,
-        );
-    }
-    for (k, batch) in sim.absorb_log.iter().enumerate() {
-        for o in batch {
-            write_observation(&mut out, k as i64, o);
-        }
-    }
-    for o in sim.pending.iter() {
-        write_observation(&mut out, -1, o);
-    }
+    let _ = write!(out, ",\"next_event\":{}", sim.events_consumed());
     if let Some(j) = journal {
-        let last_t_ms = j.records().last().map(|r| r.t_ms).unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "{{\"sn\":\"journal\",\"events\":{},\"dropped\":{},\"capacity\":{},\"last_t_ms\":{last_t_ms}}}",
-            j.base() + j.len() as u64,
-            j.dropped(),
-            j.capacity(),
-        );
-        out.push_str(&j.records_jsonl());
+        for (key, n) in JOURNAL_KEYS.iter().zip(journal_counters(j)) {
+            let _ = write!(out, ",\"{key}\":{n}");
+        }
     }
+    // Hex string: a bare u64 above i64::MAX would not round-trip
+    // through the integer parser.
+    let _ = writeln!(out, ",\"digest\":\"{:016x}\"}}", sim.digest());
     out
 }
 
-/// Restores a run from snapshot text: rebuilds a fresh [`FleetSim`]
-/// over the same profiled trace and policy, overwrites its
-/// authoritative state from the snapshot, rebuilds derived structures,
-/// and replays the absorbed-observation log through the policy's
-/// predictor. Returns the simulation, positioned exactly where the
-/// snapshot was taken, plus the journal cursor if one was recorded.
+/// Restores a run from snapshot text by replay: builds a fresh
+/// [`FleetSim`] over `profiled` and `policy`, re-steps it to the
+/// snapshot's event count — journaling into `tel` exactly as the
+/// original did, so the caller's journal and metrics end up those of the
+/// uninterrupted run — and checks it arrived at the recorded state.
 ///
 /// The caller must supply the same `profiled` trace, an equivalently
 /// *freshly trained* `policy`, and the same `label` as the original
-/// run — the snapshot's header fields are cross-checked and a mismatch
-/// is [`SnapshotError::WrongRun`].
+/// run. What can be checked up front is ([`SnapshotError::WrongRun`]);
+/// the rest surfaces as [`SnapshotError::Diverged`].
 pub fn restore_fleet<'a>(
     profiled: &'a ProfiledTrace,
     policy: FleetPolicy<'a>,
     label: &str,
     text: &str,
     engine: &Engine,
-) -> Result<(FleetSim<'a>, Option<JournalResume>), SnapshotError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header_line) = lines
-        .next()
-        .ok_or_else(|| SnapshotError::BadHeader("empty snapshot".to_string()))?;
-    let header = parse_line(header_line)
-        .ok_or_else(|| SnapshotError::BadHeader("unparseable first line".to_string()))?;
+    tel: &mut Telemetry,
+) -> Result<FleetSim<'a>, SnapshotError> {
+    let header =
+        text.lines().next().and_then(parse_line).ok_or_else(|| {
+            SnapshotError::BadHeader("empty or unparseable first line".to_string())
+        })?;
     let version = header
         .int("yala_snapshot")
         .ok_or_else(|| SnapshotError::BadHeader("missing yala_snapshot version".to_string()))?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let cfg = &profiled.trace.config;
-    if header.str("label") != Some(label) {
-        return Err(SnapshotError::WrongRun(format!(
-            "label {:?} != {label:?}",
-            header.str("label").unwrap_or("<missing>")
-        )));
-    }
-    let seed = header.str("seed").and_then(|s| s.parse::<u64>().ok());
-    if seed != Some(cfg.seed) {
-        return Err(SnapshotError::WrongRun(format!(
-            "seed {seed:?} != {}",
-            cfg.seed
-        )));
-    }
-    if header.int("trace_len") != Some(profiled.trace.records.len() as i64) {
-        return Err(SnapshotError::WrongRun("trace length differs".to_string()));
-    }
-    if header.int("nics") != Some(cfg.nics() as i64) {
-        return Err(SnapshotError::WrongRun("fleet size differs".to_string()));
-    }
-    let need_int = |key: &str| {
-        header
-            .int(key)
-            .ok_or_else(|| SnapshotError::BadHeader(format!("missing {key}")))
-    };
-    let need_num = |key: &str| {
-        header
-            .num(key)
-            .ok_or_else(|| SnapshotError::BadHeader(format!("missing {key}")))
-    };
-
     let mut sim = FleetSim::new(profiled, policy, label);
-    sim.next_event = need_int("next_event")? as usize;
-    if sim.next_event > sim.events.len() {
-        return Err(SnapshotError::BadHeader(format!(
-            "next_event {} beyond the {}-event run",
-            sim.next_event,
-            sim.events.len()
+    for (key, ours) in sim.identity() {
+        if header.get(key) != Some(&ours) {
+            return Err(SnapshotError::WrongRun(format!(
+                "{key}: snapshot has {}, this run has {}",
+                header.get(key).map_or("nothing".to_string(), render),
+                render(&ours)
+            )));
+        }
+    }
+    let events = header.int("events").unwrap_or(0); // identity-checked above
+    let next_event = header
+        .int("next_event")
+        .filter(|n| (0..=events).contains(n))
+        .ok_or_else(|| {
+            SnapshotError::BadHeader(format!(
+                "next_event missing or outside the {events}-event run"
+            ))
+        })?;
+    let digest = header
+        .str("digest")
+        .and_then(|d| u64::from_str_radix(d, 16).ok())
+        .ok_or_else(|| SnapshotError::BadHeader("missing digest".to_string()))?;
+    for _ in 0..next_event {
+        sim.step(engine, tel);
+    }
+    let ours = sim.digest();
+    if ours != digest {
+        return Err(SnapshotError::Diverged(format!(
+            "state digest {ours:016x} != snapshot's {digest:016x} after {next_event} events"
         )));
     }
-    sim.rejected = need_int("rejected")? as u32;
-    sim.migrations_total = need_int("migrations")? as u32;
-    sim.violation_minutes = need_num("violation_minutes")?;
-    sim.nic_minutes = need_num("nic_minutes")?;
-    sim.oracle_lb_nic_minutes = need_num("oracle_lb_nic_minutes")?;
-    sim.wasted_core_minutes = need_num("wasted_core_minutes")?;
-    sim.peak_nics = need_int("peak_nics")? as u32;
-    sim.faults_total = need_int("faults")? as u32;
-    sim.drains_total = need_int("drains")? as u32;
-    sim.violation_min = [need_num("violation_min_g")?, need_num("violation_min_b")?];
-    sim.downtime_min = [need_num("downtime_min_g")?, need_num("downtime_min_b")?];
-    sim.evacuations = [need_int("evac_g")? as u32, need_int("evac_b")? as u32];
-    sim.shed = [need_int("shed_g")? as u32, need_int("shed_b")? as u32];
-    sim.readmitted = [need_int("readmit_g")? as u32, need_int("readmit_b")? as u32];
-
-    sim.parked.clear();
-    sim.samples.clear();
-    let mut absorb_log: Vec<Vec<Observation>> = Vec::new();
-    let mut journal: Option<JournalResume> = None;
-    for (i, raw) in lines {
-        let line_no = i + 1;
-        if raw.trim().is_empty() {
-            continue;
-        }
-        if let Some(j) = journal.as_mut() {
-            // Everything after the journal marker is a verbatim record
-            // line of the pre-snapshot journal.
-            j.prefix.push_str(raw);
-            j.prefix.push('\n');
-            continue;
-        }
-        let ev = parse_line(raw).ok_or_else(|| SnapshotError::BadLine {
-            line: line_no,
-            reason: "unparseable line".to_string(),
-        })?;
-        let bad = |reason: String| SnapshotError::BadLine {
-            line: line_no,
-            reason,
-        };
-        let int_of = |key: &str| {
-            ev.int(key)
-                .ok_or_else(|| bad(format!("missing integer field {key}")))
-        };
-        match ev.str("sn") {
-            Some("states") => {
-                let list = ev
-                    .str("list")
-                    .ok_or_else(|| bad("missing list".to_string()))?;
-                let states: Vec<NicState> = list
-                    .split(',')
-                    .map(|s| match s {
-                        "up" => Ok(NicState::Up),
-                        "draining" => Ok(NicState::Draining),
-                        "down" => Ok(NicState::Down),
-                        other => Err(bad(format!("unknown NIC state {other}"))),
-                    })
-                    .collect::<Result<_, _>>()?;
-                if states.len() != sim.state.len() {
-                    return Err(bad(format!(
-                        "{} NIC states for a {}-NIC fleet",
-                        states.len(),
-                        sim.state.len()
-                    )));
-                }
-                sim.state = states;
-            }
-            Some("residents") => {
-                let nic = int_of("nic")? as usize;
-                if nic >= sim.residents.len() {
-                    return Err(bad(format!("NIC {nic} outside the fleet")));
-                }
-                let ids = ev
-                    .str("ids")
-                    .ok_or_else(|| bad("missing ids".to_string()))?;
-                let mut res = Vec::new();
-                for tok in ids.split(',').filter(|s| !s.is_empty()) {
-                    let id: u32 = tok
-                        .parse()
-                        .map_err(|_| bad(format!("resident id {tok} is not a number")))?;
-                    if id as usize >= profiled.trace.records.len() {
-                        return Err(bad(format!("resident {id} outside the trace")));
-                    }
-                    res.push(id);
-                }
-                sim.residents[nic] = res;
-            }
-            Some("cursor") => {
-                let list = ev
-                    .str("list")
-                    .ok_or_else(|| bad("missing list".to_string()))?;
-                for entry in list.split(',').filter(|s| !s.is_empty()) {
-                    let (id, c) = entry
-                        .split_once(':')
-                        .ok_or_else(|| bad(format!("cursor entry {entry} is not id:index")))?;
-                    let id: usize = id
-                        .parse()
-                        .map_err(|_| bad(format!("cursor id in {entry} is not a number")))?;
-                    let c: usize = c
-                        .parse()
-                        .map_err(|_| bad(format!("cursor index in {entry} is not a number")))?;
-                    if id >= sim.cursor.len() {
-                        return Err(bad(format!("cursor id {id} outside the trace")));
-                    }
-                    sim.cursor[id] = c;
-                }
-            }
-            Some("parked") => {
-                sim.parked.push(Parked {
-                    id: int_of("id")? as u32,
-                    next_retry_ms: int_of("retry_ms")? as u64,
-                    backoff_epochs: int_of("backoff")? as u64,
-                });
-            }
-            Some("sample") => {
-                sim.samples.push(FleetSample {
-                    t_s: int_of("t_s")? as u64,
-                    active_nfs: int_of("active")? as u32,
-                    nics_in_use: int_of("nics")? as u32,
-                    violating_nfs: int_of("violating")? as u32,
-                    migrations: int_of("migrations")? as u32,
-                    wasted_cores: int_of("wasted")? as u32,
-                    oracle_lb_nics: int_of("oracle_lb")? as u32,
-                    parked: int_of("parked")? as u32,
-                    down_nics: int_of("down")? as u32,
-                });
-            }
-            Some("obs") => {
-                let batch = int_of("batch")?;
-                let o = read_observation(&ev, line_no)?;
-                if batch < 0 {
-                    sim.pending.push(o);
-                } else {
-                    let k = batch as usize;
-                    if k >= absorb_log.len() {
-                        absorb_log.resize_with(k + 1, Vec::new);
-                    }
-                    absorb_log[k].push(o);
-                }
-            }
-            Some("journal") => {
-                journal = Some(JournalResume {
-                    events: int_of("events")? as u64,
-                    dropped: int_of("dropped")? as u64,
-                    capacity: int_of("capacity")? as usize,
-                    last_t_ms: int_of("last_t_ms")? as u64,
-                    prefix: String::new(),
-                });
-            }
-            other => {
-                return Err(bad(format!("unknown section {other:?}")));
-            }
+    if let (Some(sink), Some(_)) = (tel.sink(), header.get(JOURNAL_KEYS[0])) {
+        let ours = journal_counters(&sink.journal);
+        let theirs = JOURNAL_KEYS.map(|key| header.int(key).unwrap_or(-1));
+        if ours != theirs {
+            return Err(SnapshotError::Diverged(format!(
+                "journal (events, dropped, capacity) {ours:?} != snapshot's {theirs:?}"
+            )));
         }
     }
-    sim.absorb_log = absorb_log;
-    sim.rebuild_derived();
-    sim.replay_absorbs(engine);
-    Ok((sim, journal))
+    Ok(sim)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{FleetConfig, FleetTrace, Processed};
-    use yala_telemetry::Telemetry;
 
     fn profiled(seed: u64) -> ProfiledTrace {
         let mut cfg = FleetConfig::mixed(seed, 8);
@@ -602,25 +216,20 @@ mod tests {
             }
         }
         let text = snapshot_fleet(&sim, Some(&tel1.sink().expect("enabled").journal));
+        assert_eq!(text.lines().count(), 1, "a snapshot is one header line");
         drop(sim);
         drop(tel1);
-        let (mut sim2, resume) =
-            restore_fleet(&p, FleetPolicy::Greedy, "greedy", &text, &engine).expect("restore");
-        let resume = resume.expect("journal section present");
         let mut tel2 = Telemetry::enabled();
-        tel2.sink_mut().expect("enabled").journal = resume.resume();
+        let mut sim2 = restore_fleet(&p, FleetPolicy::Greedy, "greedy", &text, &engine, &mut tel2)
+            .expect("restore");
         while sim2.step(&engine, &mut tel2).is_some() {}
-        let stitched = format!(
-            "{}{}",
-            resume.prefix,
-            tel2.sink().expect("enabled").journal.to_jsonl()
-        );
         let report2 = sim2.into_report();
         assert_eq!(report2, whole, "restored report must be bit-identical");
         assert_eq!(report2.to_json(), whole.to_json());
         assert_eq!(
-            stitched, whole_journal,
-            "stitched journal must be byte-identical"
+            tel2.sink().expect("enabled").journal.to_jsonl(),
+            whole_journal,
+            "restored journal must be byte-identical"
         );
     }
 
@@ -630,49 +239,34 @@ mod tests {
         let p = profiled(52);
         let sim = FleetSim::new(&p, FleetPolicy::Greedy, "greedy");
         let text = snapshot_fleet(&sim, None);
+        let restore = |p: &ProfiledTrace, label: &str, text: &str| {
+            restore_fleet(
+                p,
+                FleetPolicy::Greedy,
+                label,
+                text,
+                &engine,
+                &mut Telemetry::disabled(),
+            )
+            .map(|_| ())
+        };
+        assert_eq!(restore(&p, "greedy", &text), Ok(()));
         assert!(matches!(
-            restore_fleet(&p, FleetPolicy::Greedy, "other-label", &text, &engine),
+            restore(&p, "other-label", &text),
             Err(SnapshotError::WrongRun(_))
         ));
-        let p2 = profiled(53);
         assert!(matches!(
-            restore_fleet(&p2, FleetPolicy::Greedy, "greedy", &text, &engine),
+            restore(&profiled(53), "greedy", &text),
             Err(SnapshotError::WrongRun(_))
         ));
         assert!(matches!(
-            restore_fleet(&p, FleetPolicy::Greedy, "greedy", "", &engine),
+            restore(&p, "greedy", ""),
             Err(SnapshotError::BadHeader(_))
         ));
-        let vandalized = text.replacen("\"yala_snapshot\":1", "\"yala_snapshot\":9", 1);
-        assert!(matches!(
-            restore_fleet(&p, FleetPolicy::Greedy, "greedy", &vandalized, &engine),
+        let vandalized = text.replacen("\"yala_snapshot\":2", "\"yala_snapshot\":9", 1);
+        assert_eq!(
+            restore(&p, "greedy", &vandalized),
             Err(SnapshotError::UnsupportedVersion(9))
-        ));
-    }
-
-    #[test]
-    fn observations_round_trip_through_snapshot_text() {
-        let o = Observation {
-            model: NicModelId::intern("bluefield2"),
-            kind: NfKind::Nids,
-            traffic: TrafficProfile::new(12_345, 512, 733.25),
-            competitors: CounterSample {
-                ipc: 1.25,
-                irt: 9.5e8,
-                l2crd: 1.5e7,
-                l2cwr: 2.5e6,
-                memrd: 3.75e6,
-                memwr: 1.125e6,
-                wss: 6.5e7,
-            },
-            accel_pressure: vec![(ResourceKind::Regex, 0.375)],
-            solo_tput: 1.0e7,
-            measured_tput: 8.25e6,
-        };
-        let mut text = String::new();
-        write_observation(&mut text, 0, &o);
-        let ev = parse_line(text.trim()).expect("parseable");
-        let back = read_observation(&ev, 1).expect("decodable");
-        assert_eq!(back, o, "observation must round-trip exactly");
+        );
     }
 }

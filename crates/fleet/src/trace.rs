@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use yala_core::QosClass;
+use yala_core::{Engine, ModelBank, QosClass, TrainConfig, YalaModel};
 use yala_nf::NfKind;
 use yala_sim::NicSpec;
 use yala_traffic::{TrafficProfile, TrafficQuantizer};
@@ -279,6 +279,19 @@ impl FleetConfig {
     /// The hardware spec of NIC `nic`.
     pub fn nic_spec(&self, nic: usize) -> &NicSpec {
         &self.portfolio[self.nic_model_pos(nic)].0
+    }
+
+    /// The Yala bank of this config: one model per `(portfolio model,
+    /// kind)` cell, trained from the scenario seed. The daemon, `yalad
+    /// replay`, and every restore of either derive their predictor from
+    /// this one call — restore-by-replay is only sound while the
+    /// snapshotting and the restoring process agree on it.
+    pub fn train_bank(&self, engine: &Engine) -> ModelBank<YalaModel> {
+        let train = TrainConfig {
+            seed: self.seed,
+            ..TrainConfig::default()
+        };
+        ModelBank::train_yala(&self.specs(), self.noise_sigma, &self.kinds, &train, engine)
     }
 
     /// Number of audit epochs in the scenario.

@@ -12,9 +12,9 @@
 //!   to completion, and writes the final report and telemetry journal.
 //!   `--checkpoint-at-audit K --snapshot s.snap` stops at the K-th audit,
 //!   snapshots, and exits (a deliberate mid-stream kill); a second
-//!   invocation with `--restore s.snap` finishes the run — report and
-//!   stitched journal byte-identical to the uninterrupted ones (CI's
-//!   `serve-smoke` job asserts exactly this).
+//!   invocation with `--restore s.snap` re-steps to that point and
+//!   finishes the run — report and journal byte-identical to the
+//!   uninterrupted ones (CI's `serve-smoke` job asserts exactly this).
 //! * `yalad serve --config day.yala-trace --policy greedy` answers the
 //!   JSONL request protocol on stdin/stdout (see `yala-serve`); the
 //!   `checkpoint` op writes the serve snapshot to `--snapshot`.
@@ -25,7 +25,7 @@
 use std::io::{BufRead, Write};
 use std::process::exit;
 
-use yala_core::{Engine, ModelBank, TrainConfig};
+use yala_core::{Engine, ModelBank};
 use yala_fleet::{
     read_trace, restore_fleet, snapshot_fleet, write_trace, Diagnoser, FaultPlan, FleetConfig,
     FleetPolicy, FleetSim, FleetTrace, OnlineRefine, Processed, ProfiledTrace,
@@ -203,17 +203,7 @@ impl PolicyKit {
         let (bank, predictor, online) = match name {
             "mono" | "greedy" => (None, None, None),
             "yala" | "yala-online" => {
-                let train = TrainConfig {
-                    seed: cfg.seed,
-                    ..TrainConfig::default()
-                };
-                let bank = ModelBank::train_yala(
-                    &cfg.specs(),
-                    cfg.noise_sigma,
-                    &cfg.kinds,
-                    &train,
-                    engine,
-                );
+                let bank = cfg.train_bank(engine);
                 let predictor = YalaPredictor::new(&bank);
                 let online = (name == "yala-online").then_some(OnlineRefine { min_observations });
                 (Some(bank), Some(predictor), online)
@@ -277,30 +267,17 @@ fn replay(mut f: Flags) {
     };
     // The journal is part of the determinism surface: always on, sim-time.
     let mut tel = Telemetry::enabled();
-    let (mut sim, journal_prefix) = match &restore_path {
-        Some(p) => {
-            let (sim, resume) = restore_fleet(
-                &profiled,
-                kit.policy(),
-                &policy_name,
-                &read_file(p),
-                &engine,
-            )
-            .unwrap_or_else(|e| die(&format!("restoring {p}: {e}")));
-            let prefix = match resume {
-                Some(r) => {
-                    let journal = r.resume();
-                    tel.sink_mut().expect("enabled").journal = journal;
-                    r.prefix
-                }
-                None => String::new(),
-            };
-            (sim, prefix)
-        }
-        None => (
-            FleetSim::new(&profiled, kit.policy(), &policy_name),
-            String::new(),
-        ),
+    let mut sim = match &restore_path {
+        Some(p) => restore_fleet(
+            &profiled,
+            kit.policy(),
+            &policy_name,
+            &read_file(p),
+            &engine,
+            &mut tel,
+        )
+        .unwrap_or_else(|e| die(&format!("restoring {p}: {e}"))),
+        None => FleetSim::new(&profiled, kit.policy(), &policy_name),
     };
     let mut audits = 0u32;
     while let Some(ev) = sim.step(&engine, &mut tel) {
@@ -319,10 +296,7 @@ fn replay(mut f: Flags) {
             }
         }
     }
-    let journal_text = format!(
-        "{journal_prefix}{}",
-        tel.sink().expect("enabled").journal.to_jsonl()
-    );
+    let journal_text = tel.sink().expect("enabled").journal.to_jsonl();
     let report = sim.into_report();
     match &out_report {
         Some(p) => write_file(p, &report.to_json()),

@@ -18,8 +18,9 @@
 //! [`ServeLoop::restore`] re-drives the log through a freshly built loop —
 //! kill → restore → continue is bit-identical to never having stopped
 //! (asserted in this crate's tests and in CI's `serve-smoke` job). The
-//! fleet-simulation replay path (`yalad --replay`) uses the richer
-//! [`yala_fleet::snapshot_fleet`] format instead; both are versioned.
+//! fleet-simulation replay path (`yalad replay`) checkpoints the same
+//! way — [`yala_fleet::snapshot_fleet`] is a header, and its input log is
+//! the `.yala-trace` itself; both headers are versioned.
 //!
 //! ## Wire format (version [`SERVE_WIRE_VERSION`])
 //!
@@ -32,15 +33,15 @@
 use std::collections::BTreeMap;
 
 use yala_core::{
-    Engine, ModelBank, ObservationBuffer, ProfileCache, ProfileEntry, ProfileKey, QosClass,
-    TrafficKey, TrainConfig,
+    Engine, Observation, ObservationBuffer, ProfileCache, ProfileEntry, ProfileKey, QosClass,
+    TrafficKey,
 };
-use yala_fleet::{read_observation, FleetConfig};
+use yala_fleet::FleetConfig;
 use yala_nf::NfKind;
 use yala_placement::{
     measure_entry, placed_from_entry, sims_for, Arrival, Placed, PlacementPredictor, YalaPredictor,
 };
-use yala_sim::NicModelId;
+use yala_sim::{CounterSample, NicModelId, ResourceKind};
 use yala_telemetry::journal::{parse_line, RawEvent};
 use yala_traffic::profile::{MAX_FLOW_COUNT, MAX_MTBR, MAX_PACKET_SIZE, MIN_PACKET_SIZE};
 use yala_traffic::TrafficProfile;
@@ -55,6 +56,10 @@ pub const SERVE_WIRE_VERSION: i64 = 1;
 /// measurement noise byte-for-byte, or cache collisions would silently
 /// alias the two.
 const SERVE_SALT: u64 = 0x5E12_E5A1;
+
+/// The ops that change daemon state — exactly the lines `handle_line`
+/// logs, and the only lines a snapshot body may hold.
+const MUTATING_OPS: [&str; 6] = ["place", "depart", "drift", "fault", "observe", "absorb"];
 
 /// The pseudo-instance id every `query` is profiled under.
 const QUERY_INSTANCE: u32 = u32::MAX;
@@ -136,7 +141,6 @@ impl ServeLoop {
     /// train their bank here, once, from `cfg.kinds` — construction cost,
     /// not request-path cost.
     pub fn new(cfg: &FleetConfig, policy_name: &str, engine: &Engine) -> Result<Self, String> {
-        let specs = cfg.specs();
         let mut nic_model = Vec::new();
         let mut nic_cores = Vec::new();
         for (spec, count) in &cfg.portfolio {
@@ -151,18 +155,10 @@ impl ServeLoop {
         let policy = match policy_name {
             "mono" => ServePolicy::Mono,
             "greedy" => ServePolicy::Greedy,
-            "yala" | "yala-online" => {
-                let train = TrainConfig {
-                    seed: cfg.seed,
-                    ..TrainConfig::default()
-                };
-                let bank =
-                    ModelBank::train_yala(&specs, cfg.noise_sigma, &cfg.kinds, &train, engine);
-                ServePolicy::Yala {
-                    predictor: YalaPredictor::new(&bank),
-                    online: policy_name == "yala-online",
-                }
-            }
+            "yala" | "yala-online" => ServePolicy::Yala {
+                predictor: YalaPredictor::new(&cfg.train_bank(engine)),
+                online: policy_name == "yala-online",
+            },
             other => return Err(format!("unknown policy {other}")),
         };
         let nics = nic_model.len();
@@ -218,24 +214,12 @@ impl ServeLoop {
         };
         let result = match op.as_str() {
             "hello" => Ok(self.hello()),
-            "place" => self
-                .op_place(&ev)
-                .inspect(|_| self.log.push(line.to_string())),
-            "depart" => self
-                .op_depart(&ev)
-                .inspect(|_| self.log.push(line.to_string())),
-            "drift" => self
-                .op_drift(&ev)
-                .inspect(|_| self.log.push(line.to_string())),
-            "fault" => self
-                .op_fault(&ev)
-                .inspect(|_| self.log.push(line.to_string())),
-            "observe" => self
-                .op_observe(&ev)
-                .inspect(|_| self.log.push(line.to_string())),
-            "absorb" => self
-                .op_absorb(engine)
-                .inspect(|_| self.log.push(line.to_string())),
+            "place" => self.op_place(&ev),
+            "depart" => self.op_depart(&ev),
+            "drift" => self.op_drift(&ev),
+            "fault" => self.op_fault(&ev),
+            "observe" => self.op_observe(&ev),
+            "absorb" => self.op_absorb(engine),
             "query" => self.op_query(&ev),
             "stats" => Ok(self.op_stats()),
             "shutdown" => {
@@ -244,6 +228,9 @@ impl ServeLoop {
             }
             other => Err(format!("unknown op {other}")),
         };
+        if result.is_ok() && MUTATING_OPS.contains(&op.as_str()) {
+            self.log.push(line.to_string());
+        }
         result.unwrap_or_else(|e| err_line(&e))
     }
 
@@ -503,7 +490,7 @@ impl ServeLoop {
     }
 
     fn op_observe(&mut self, ev: &RawEvent) -> Result<String, String> {
-        let obs = read_observation(ev, 0).map_err(|e| format!("bad observation: {e}"))?;
+        let obs = read_observation(ev, &self.cfg).map_err(|e| format!("bad observation: {e}"))?;
         self.pending.push(obs);
         self.counters.observations += 1;
         Ok(format!(
@@ -621,9 +608,15 @@ impl ServeLoop {
         if header.int("nics") != Some(loop_.nic_model.len() as i64) {
             return Err("snapshot NIC count does not match config".to_string());
         }
-        let promised = header.int("log").ok_or("missing log length")? as usize;
+        let promised = need_int(&header, "log")? as usize;
         let mut replayed = 0usize;
         for line in lines {
+            // The log holds only what `handle_line` logs; anything else
+            // (a `shutdown`, a `query`) was put there by someone else.
+            let op = parse_line(line).and_then(|ev| ev.str("op").map(str::to_string));
+            if !op.is_some_and(|op| MUTATING_OPS.contains(&op.as_str())) {
+                return Err(format!("snapshot log holds a non-mutating line: {line}"));
+            }
             let resp = loop_.handle_line(line, engine);
             if !resp.starts_with("{\"ok\":true") {
                 return Err(format!("snapshot log replay failed: {resp}"));
@@ -637,12 +630,7 @@ impl ServeLoop {
         }
         // Queries are unlogged; pull every counter from the header so
         // post-restore `stats` is bit-identical to the uninterrupted run.
-        let get = |k: &str| -> Result<u64, String> {
-            header
-                .int(k)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("missing counter {k}"))
-        };
+        let get = |k: &str| need_int(&header, k).map(|v| v as u64);
         loop_.counters = Counters {
             admissions: get("admissions")?,
             rejections: get("rejections")?,
@@ -708,6 +696,100 @@ fn traffic_from(ev: &RawEvent) -> Result<TrafficProfile, String> {
         return Err(format!("field mtbr = {mtbr} outside [0,{MAX_MTBR}]"));
     }
     Ok(TrafficProfile::new(flows, psize, mtbr))
+}
+
+/// Serializes one audit observation as an `observe` request line.
+pub fn write_observation(out: &mut String, o: &Observation) {
+    use std::fmt::Write as _;
+    let (model, kind, t) = (o.model.as_str(), o.kind.name(), &o.traffic);
+    let (flows, psize, mtbr) = (t.flow_count, t.packet_size, t.mtbr);
+    let CounterSample {
+        ipc,
+        irt,
+        l2crd,
+        l2cwr,
+        memrd,
+        memwr,
+        wss,
+    } = o.competitors;
+    // Accelerator pressure flattens to one "resource:value" list (the
+    // wire grammar has no arrays).
+    let press: Vec<String> = o
+        .accel_pressure
+        .iter()
+        .map(|(k, v)| format!("{k}:{v}"))
+        .collect();
+    let (press, solo, measured) = (press.join(","), o.solo_tput, o.measured_tput);
+    let _ = writeln!(
+        out,
+        "{{\"op\":\"observe\",\"model\":\"{model}\",\"kind\":\"{kind}\",\"flows\":{flows},\
+         \"psize\":{psize},\"mtbr\":{mtbr},\"ipc\":{ipc},\"irt\":{irt},\"l2crd\":{l2crd},\
+         \"l2cwr\":{l2cwr},\"memrd\":{memrd},\"memwr\":{memwr},\"wss\":{wss},\
+         \"press\":\"{press}\",\"solo\":{solo},\"measured\":{measured}}}"
+    );
+}
+
+/// Decodes an `observe` line — the inverse of [`write_observation`] —
+/// for a daemon serving `cfg`. The observation lands in the buffer an
+/// online bank refits on, so everything is checked here: the model must
+/// be one of the portfolio's (matched by [`yala_sim::NicSpec::name`]
+/// *before* anything is interned — the intern table is process-wide and
+/// never shrinks), the kind one of `cfg.kinds`, the traffic in range,
+/// and every number finite and of the right sign.
+pub fn read_observation(ev: &RawEvent, cfg: &FleetConfig) -> Result<Observation, String> {
+    let model_name = need_str(ev, "model")?;
+    let (spec, _) = cfg
+        .portfolio
+        .iter()
+        .find(|(s, _)| s.name == model_name)
+        .ok_or_else(|| format!("model {model_name} is not in the portfolio"))?;
+    let kind_name = need_str(ev, "kind")?;
+    let kind = NfKind::from_name(kind_name)
+        .filter(|k| cfg.kinds.contains(k))
+        .ok_or_else(|| format!("NF kind {kind_name} is not served here"))?;
+    let mut accel_pressure = Vec::new();
+    for entry in need_str(ev, "press")?.split(',').filter(|s| !s.is_empty()) {
+        let parsed = entry.split_once(':').and_then(|(k, v)| {
+            let k = ResourceKind::ACCELERATORS
+                .into_iter()
+                .find(|r| r.to_string() == k)?;
+            let v: f64 = v
+                .parse()
+                .ok()
+                .filter(|v: &f64| v.is_finite() && *v >= 0.0)?;
+            Some((k, v))
+        });
+        let parsed =
+            parsed.ok_or_else(|| format!("pressure entry {entry} is not accelerator:value"));
+        accel_pressure.push(parsed?);
+    }
+    let nonneg = |key: &str| {
+        need_num(ev, key)
+            .ok()
+            .filter(|v| v.is_finite() && *v >= 0.0)
+            .ok_or_else(|| format!("field {key} must be a finite non-negative number"))
+    };
+    let solo_tput = nonneg("solo")?;
+    if solo_tput == 0.0 {
+        return Err("field solo must be positive".to_string());
+    }
+    Ok(Observation {
+        model: spec.model(),
+        kind,
+        traffic: traffic_from(ev)?,
+        competitors: CounterSample {
+            ipc: nonneg("ipc")?,
+            irt: nonneg("irt")?,
+            l2crd: nonneg("l2crd")?,
+            l2cwr: nonneg("l2cwr")?,
+            memrd: nonneg("memrd")?,
+            memwr: nonneg("memwr")?,
+            wss: nonneg("wss")?,
+        },
+        accel_pressure,
+        solo_tput,
+        measured_tput: nonneg("measured")?,
+    })
 }
 
 #[cfg(test)]
@@ -938,6 +1020,94 @@ mod tests {
         let truncated: String = snap.lines().take(1).map(|l| format!("{l}\n")).collect();
         assert!(ServeLoop::restore(&c, "greedy", &engine, &truncated).is_err());
         assert!(ServeLoop::restore(&c, "greedy", &engine, &snap).is_ok());
+        // The body may hold only the ops `handle_line` logs: a smuggled
+        // `shutdown` would restore a daemon that is already down.
+        for smuggled in ["shutdown", "stats", "hello"] {
+            let body =
+                format!("{snap}{{\"op\":\"{smuggled}\"}}\n").replacen("\"log\":1", "\"log\":2", 1);
+            let err = ServeLoop::restore(&c, "greedy", &engine, &body).err();
+            assert!(
+                err.is_some_and(|e| e.contains("non-mutating")),
+                "{smuggled}"
+            );
+        }
+        let negative = snap.replacen("\"admissions\":1", "\"admissions\":-1", 1);
+        assert_ne!(negative, snap);
+        assert!(ServeLoop::restore(&c, "greedy", &engine, &negative).is_err());
+    }
+
+    fn sample_observation() -> Observation {
+        Observation {
+            model: yala_sim::NicSpec::bluefield2().model(),
+            kind: NfKind::Nat,
+            traffic: TrafficProfile::new(12_345, 512, 733.25),
+            competitors: CounterSample {
+                ipc: 1.25,
+                irt: 9.5e8,
+                l2crd: 1.5e7,
+                l2cwr: 2.5e6,
+                memrd: 3.75e6,
+                memwr: 1.125e6,
+                wss: 6.5e7,
+            },
+            accel_pressure: vec![(ResourceKind::Regex, 0.375)],
+            solo_tput: 1.0e7,
+            measured_tput: 8.25e6,
+        }
+    }
+
+    #[test]
+    fn observations_round_trip_through_the_observe_codec() {
+        let o = sample_observation();
+        let mut line = String::new();
+        write_observation(&mut line, &o);
+        let ev = parse_line(&line).expect("parseable");
+        assert_eq!(read_observation(&ev, &cfg(1)), Ok(o));
+    }
+
+    #[test]
+    fn observe_refuses_what_the_bank_must_not_refit_on() {
+        let engine = Engine::sequential();
+        let mut s = ServeLoop::new(&cfg(23), "greedy", &engine).expect("build");
+        let mut good = String::new();
+        write_observation(&mut good, &sample_observation());
+        let good = good.trim_end();
+        let r = s.handle_line(good, &engine);
+        assert!(r.contains("\"pending\":1"), "{r}");
+        for (key, sent, bad) in [
+            ("model", "\"bluefield2\"", "\"never-seen-nic\""),
+            ("kind", "\"nat\"", "\"nids\""),
+            ("kind", "\"nat\"", "\"timetravel\""),
+            ("flows", "12345", "-7"),
+            ("flows", "12345", "0"),
+            ("psize", "512", "9000"),
+            ("mtbr", "733.25", "-1.0"),
+            ("ipc", "1.25", "-1.25"),
+            ("wss", "65000000", "1e999"),
+            ("press", "\"regex:0.375\"", "\"regex:inf\""),
+            ("press", "\"regex:0.375\"", "\"warp:1\""),
+            ("solo", "10000000", "0"),
+            ("solo", "10000000", "1e999"),
+            ("measured", "8250000", "-1"),
+        ] {
+            let line = good.replacen(&format!("\"{key}\":{sent}"), &format!("\"{key}\":{bad}"), 1);
+            assert_ne!(line, good, "{key}:{sent} not found in {good}");
+            let r = s.handle_line(&line, &engine);
+            assert!(
+                r.starts_with("{\"ok\":false") && r.contains(key),
+                "{line} => {r}"
+            );
+        }
+        let r = s.handle_line("{\"op\":\"stats\"}", &engine);
+        assert!(
+            r.contains("\"pending\":1") && r.contains("\"observations\":1"),
+            "{r}"
+        );
+        assert_eq!(
+            s.snapshot().lines().count(),
+            2,
+            "refused lines are not logged"
+        );
     }
 
     #[test]
@@ -948,21 +1118,8 @@ mod tests {
         let r = s.handle_line(&place(1, "nat", 20_000), &engine);
         assert!(r.contains("\"nic\":0"), "{r}");
         // Feed synthetic audit observations through the wire format.
-        let mut obs_text = String::new();
-        let model = yala_sim::NicSpec::bluefield2().model();
-        let o = yala_core::Observation {
-            model,
-            kind: NfKind::Nat,
-            traffic: TrafficProfile::new(20_000, 512, 0.0),
-            competitors: yala_sim::CounterSample::default(),
-            accel_pressure: Vec::new(),
-            solo_tput: 1.0e7,
-            measured_tput: 9.0e6,
-        };
-        yala_fleet::write_observation(&mut obs_text, 0, &o);
-        let obs_line = obs_text
-            .trim()
-            .replacen("\"sn\":\"obs\"", "\"op\":\"observe\"", 1);
+        let mut obs_line = String::new();
+        write_observation(&mut obs_line, &sample_observation());
         for _ in 0..3 {
             let r = s.handle_line(&obs_line, &engine);
             assert!(r.starts_with("{\"ok\":true"), "{r}");

@@ -175,13 +175,6 @@ pub struct Journal {
     records: Vec<JournalRecord>,
     capacity: usize,
     dropped: u64,
-    /// Sequence number of the first record this journal will assign —
-    /// nonzero only for a journal resumed from a checkpoint, whose
-    /// retained prefix lives in the snapshot rather than in `records`.
-    base: u64,
-    /// Logical time of the checkpointed prefix's last record — the
-    /// truncation trailer's timestamp when nothing lands after resume.
-    resume_t_ms: u64,
 }
 
 impl Default for Journal {
@@ -202,36 +195,16 @@ impl Journal {
             records: Vec::new(),
             capacity,
             dropped: 0,
-            base: 0,
-            resume_t_ms: 0,
-        }
-    }
-
-    /// A journal continuing a checkpointed run: the first `base_seq`
-    /// records were already journaled (and serialized) before the
-    /// checkpoint, so new pushes start at `base_seq` and the capacity
-    /// bound counts the checkpointed prefix. `last_t_ms` is the logical
-    /// time of the prefix's last record (0 if the prefix is empty).
-    /// Concatenating the stored prefix text with this journal's
-    /// [`Journal::to_jsonl`] reproduces the uninterrupted journal byte
-    /// for byte.
-    pub fn resume(capacity: usize, base_seq: u64, dropped: u64, last_t_ms: u64) -> Self {
-        Self {
-            records: Vec::new(),
-            capacity,
-            dropped,
-            base: base_seq,
-            resume_t_ms: last_t_ms,
         }
     }
 
     /// Appends one event at logical time `t_ms`.
     pub fn push(&mut self, t_ms: u64, event: Event) {
-        if self.base as usize + self.records.len() >= self.capacity {
+        if self.records.len() >= self.capacity {
             self.dropped += 1;
             return;
         }
-        let seq = self.base + self.records.len() as u64;
+        let seq = self.records.len() as u64;
         self.records.push(JournalRecord { t_ms, seq, event });
     }
 
@@ -260,12 +233,6 @@ impl Journal {
         self.capacity
     }
 
-    /// The sequence number of this journal's first record (nonzero only
-    /// for a resumed journal).
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
     /// Serializes the journal as JSONL: one flat object per line, fixed
     /// field order, floats at fixed precision — identical journals
     /// produce identical bytes. A journal that hit its capacity bound
@@ -275,30 +242,19 @@ impl Journal {
     /// before.
     pub fn to_jsonl(&self) -> String {
         use std::fmt::Write;
-        let mut out = self.records_jsonl();
-        if self.dropped > 0 {
-            let t_ms = self
-                .records
-                .last()
-                .map(|r| r.t_ms)
-                .unwrap_or(self.resume_t_ms);
-            let _ = writeln!(
-                out,
-                "{{\"seq\":{},\"t_ms\":{},\"ev\":\"truncated\",\"dropped\":{}}}",
-                self.base + self.records.len() as u64,
-                t_ms,
-                self.dropped
-            );
-        }
-        out
-    }
-
-    /// Serializes only the retained records — no truncation trailer —
-    /// for checkpoint prefixes that a resumed journal will continue.
-    pub fn records_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.records.len() * 96);
         for r in &self.records {
             render_line(&mut out, r);
+        }
+        if self.dropped > 0 {
+            let t_ms = self.records.last().map(|r| r.t_ms).unwrap_or(0);
+            let _ = writeln!(
+                out,
+                "{{\"seq\":{},\"t_ms\":{},\"ev\":\"truncated\",\"dropped\":{}}}",
+                self.records.len(),
+                t_ms,
+                self.dropped
+            );
         }
         out
     }
@@ -458,12 +414,14 @@ impl RawEvent {
         }
     }
 
-    /// Integer field accessor (accepts numeric floats with zero
-    /// fraction, which the writer never emits for integer fields).
+    /// Integer field accessor. Accepts a float only if it is integral
+    /// and within ±2^53 (where every integer is exactly representable);
+    /// the writer never emits a float for an integer field.
     pub fn int(&self, key: &str) -> Option<i64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self.get(key)? {
             FieldValue::Int(i) => Some(*i),
-            FieldValue::Num(f) => Some(*f as i64),
+            FieldValue::Num(f) if f.fract() == 0.0 && f.abs() <= EXACT => Some(*f as i64),
             _ => None,
         }
     }
@@ -636,74 +594,20 @@ mod tests {
     }
 
     #[test]
-    fn resumed_journal_continues_the_sequence_byte_for_byte() {
-        // Uninterrupted run: all five events in one journal.
-        let whole = sample_journal();
-        // Interrupted run: checkpoint after three events, then resume.
-        let mut prefix = Journal::new();
-        let mut cont = None;
-        for (i, r) in whole.records().iter().enumerate() {
-            if i == 3 {
-                cont = Some(Journal::resume(
-                    prefix.capacity(),
-                    prefix.len() as u64,
-                    prefix.dropped(),
-                    prefix.records().last().map(|r| r.t_ms).unwrap_or(0),
-                ));
-            }
-            let j = cont.as_mut().unwrap_or(&mut prefix);
-            j.push(r.t_ms, r.event.clone());
+    fn int_accepts_only_exactly_integral_floats() {
+        let ev = parse_line(
+            "{\"a\":7,\"b\":7.0,\"c\":-3e2,\"d\":1.9,\"e\":1e300,\"f\":-0.5,\"g\":1e999}",
+        )
+        .expect("parseable");
+        assert_eq!(ev.int("a"), Some(7));
+        assert_eq!(ev.int("b"), Some(7));
+        assert_eq!(ev.int("c"), Some(-300));
+        // Not integers: truncating 1.9 to 1 or saturating 1e300 would
+        // quietly act on a value nobody sent.
+        for key in ["d", "e", "f", "g"] {
+            assert_eq!(ev.int(key), None, "{key}");
+            assert!(ev.num(key).is_some(), "{key} is still a number");
         }
-        let cont = cont.unwrap();
-        assert_eq!(cont.base(), 3);
-        assert_eq!(cont.records()[0].seq, 3, "sequence continues past base");
-        let stitched = format!("{}{}", prefix.records_jsonl(), cont.to_jsonl());
-        assert_eq!(stitched, whole.to_jsonl(), "prefix + continuation bytes");
-    }
-
-    #[test]
-    fn resumed_journal_honors_the_shared_capacity_bound() {
-        // Uninterrupted capped run.
-        let mut whole = Journal::with_capacity(2);
-        for i in 0..5u64 {
-            whole.push(
-                i * 10,
-                Event::Depart {
-                    id: i as u32,
-                    nic: -1,
-                },
-            );
-        }
-        // Same stream split after the third push (already past capacity).
-        let mut prefix = Journal::with_capacity(2);
-        for i in 0..3u64 {
-            prefix.push(
-                i * 10,
-                Event::Depart {
-                    id: i as u32,
-                    nic: -1,
-                },
-            );
-        }
-        let mut cont = Journal::resume(
-            prefix.capacity(),
-            prefix.len() as u64,
-            prefix.dropped(),
-            prefix.records().last().map(|r| r.t_ms).unwrap_or(0),
-        );
-        for i in 3..5u64 {
-            cont.push(
-                i * 10,
-                Event::Depart {
-                    id: i as u32,
-                    nic: -1,
-                },
-            );
-        }
-        assert_eq!(cont.len(), 0, "prefix consumed the whole capacity");
-        assert_eq!(cont.dropped(), 3);
-        let stitched = format!("{}{}", prefix.records_jsonl(), cont.to_jsonl());
-        assert_eq!(stitched, whole.to_jsonl(), "trailer seq and t_ms match");
     }
 
     #[test]
