@@ -9,102 +9,69 @@
 //! The headline metric is the *computed-snapshot reduction*: exact-mode
 //! measurements divided by quantized-mode cache misses. It is a pure
 //! count ratio — deterministic in the seed, identical across thread
-//! counts and machines — so the committed record stays byte-stable while
-//! wall-clock speedups (which track the reduction closely, since
-//! measurement dominates the build) are printed to stdout only.
+//! counts and machines — so the committed record stays byte-stable; what
+//! the reduction buys in wall time is `benchmark/`'s
+//! `fleet.timeline_build_s`.
 
-use std::time::Instant;
-use yala_bench::{json_f64, read_record, BenchArgs, RegressionCheck};
+use yala_bench::record::{fleet_day, Record, RecordRun};
 use yala_core::profile_cache::ProfileCache;
-use yala_fleet::{run_fleet, FleetConfig, FleetPolicy, FleetTrace, ProfiledTrace, TrafficModel};
+use yala_fleet::{
+    run_fleet, BuildOpts, FleetConfig, FleetPolicy, FleetTrace, ProfiledTrace, TrafficModel,
+};
 use yala_nf::NfKind;
-
-/// The committed record this binary regenerates (and `--check`s against).
-const RECORD: &str = "BENCH_cache.json";
 
 /// Canonical traffic templates in the fleet (a realistic configuration
 /// catalog: small, not a continuum).
 const TEMPLATES: u32 = 6;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let quick = args.quick;
-    let engine = args.engine();
-    let kinds = vec![NfKind::FlowStats, NfKind::Acl, NfKind::Nat, NfKind::Nids];
+    let mut run = RecordRun::start("BENCH_cache.json", 5150);
+    let quick = run.args.quick;
+    let kinds = [NfKind::FlowStats, NfKind::Acl, NfKind::Nat, NfKind::Nids];
 
-    let mut cfg = FleetConfig::small(5150);
+    let mut cfg = fleet_day(FleetConfig::small(5150), quick, &kinds);
     cfg.portfolio = vec![(yala_sim::NicSpec::bluefield2(), 200)];
-    cfg.duration_s = 24 * 3_600;
     cfg.mean_interarrival_s = 144.0; // ~600 arrivals over the day
     cfg.mean_lifetime_s = 9_000.0;
-    cfg.audit_period_s = if quick { 1_800 } else { 600 };
-    cfg.reprofile_threshold = if quick { 0.20 } else { 0.10 };
-    cfg.kinds = kinds.clone();
-    cfg.max_flows = 200_000;
-    cfg.sla_drop_range = (0.05, 0.15);
     // Jitter at a quarter of the re-profile threshold: tenants spread
     // around their template but stay inside its quantization bucket.
+    let jitter = cfg.reprofile_threshold / 4.0;
     cfg.traffic_model = TrafficModel::Templates {
         count: TEMPLATES,
-        jitter: cfg.reprofile_threshold / 4.0,
+        jitter,
     };
-
-    println!(
-        "bench_cache: {} NICs, {} h, audit every {} s, {} NF kinds, {} templates{}",
-        cfg.nics(),
-        cfg.duration_s / 3_600,
-        cfg.audit_period_s,
-        kinds.len(),
-        TEMPLATES,
-        if quick { " [quick]" } else { "" }
-    );
-
-    let trace = FleetTrace::generate(cfg);
-    let arrivals = trace.records.len();
+    run.banner("bench_cache", &cfg, &format!(", {TEMPLATES} templates"));
 
     // The pre-cache bill: every snapshot is measured.
-    let t0 = Instant::now();
-    let exact = ProfiledTrace::build(trace.clone(), &engine);
-    let exact_s = t0.elapsed().as_secs_f64();
+    let trace = FleetTrace::generate(cfg.clone());
+    let arrivals = trace.records.len();
+    let exact = ProfiledTrace::build(trace.clone(), &run.engine, BuildOpts::default());
 
     // The cached bill: one measurement per distinct quantized key. With
     // `--telemetry` this build is the observed one — its journal shows
     // tenants landing on shared keys (delta/full triggers, hit tagging).
-    let mut tel = args.telemetry_handle(5150);
     let cache = ProfileCache::new();
-    let t0 = Instant::now();
-    let cached =
-        ProfiledTrace::build_cached_with_observed(trace.clone(), &engine, &cache, &mut tel);
-    let cached_s = t0.elapsed().as_secs_f64();
+    let cached = run.profile(cfg, BuildOpts::quantized(Some(&cache)));
+    run.args.write_telemetry(&run.tel);
 
     // A warm rebuild of the same scenario: pure cache hits, no simulator
     // runs at all — the steady-state cost of re-deriving timelines.
-    let t0 = Instant::now();
-    let rebuilt = ProfiledTrace::build_cached_with(trace, &engine, &cache);
-    let rebuild_s = t0.elapsed().as_secs_f64();
-    args.write_telemetry(&tel);
+    let rebuilt = ProfiledTrace::build(trace, &run.engine, BuildOpts::quantized(Some(&cache)));
 
     let reduction = exact.stats.misses as f64 / cached.stats.misses.max(1) as f64;
+    println!("  exact:   {} measurements", exact.stats.misses);
     println!(
-        "  exact:   {} measurements in {exact_s:.1} s",
-        exact.stats.misses
-    );
-    println!(
-        "  cached:  {} measurements ({} hits, {} delta / {} full re-keys) in {cached_s:.1} s",
+        "  cached:  {} measurements ({} hits, {} delta / {} full re-keys)",
         cached.stats.misses,
         cached.stats.hits,
         cached.stats.delta_reprofiles,
         cached.stats.full_reprofiles
     );
     println!(
-        "  rebuild: {} measurements ({} hits) in {rebuild_s:.1} s",
+        "  rebuild: {} measurements ({} hits)",
         rebuilt.stats.misses, rebuilt.stats.hits
     );
-    println!(
-        "  computed-snapshot reduction: {reduction:.2}x (wall: {:.1}x build, {:.1}x rebuild)",
-        exact_s / cached_s.max(1e-9),
-        exact_s / rebuild_s.max(1e-9)
-    );
+    println!("  computed-snapshot reduction: {reduction:.2}x");
 
     assert!(
         reduction >= 5.0,
@@ -114,63 +81,35 @@ fn main() {
 
     // The cached timelines drive policy runs exactly like exact ones; the
     // greedy report documents the scenario's scale either way.
-    let greedy_exact = run_fleet(&exact, FleetPolicy::Greedy, "greedy-exact", &engine);
-    let greedy_cached = run_fleet(&cached, FleetPolicy::Greedy, "greedy-cached", &engine);
+    let greedy_exact = run_fleet(&exact, FleetPolicy::Greedy, "greedy-exact", &run.engine);
+    let greedy_cached = run_fleet(&cached, FleetPolicy::Greedy, "greedy-cached", &run.engine);
 
-    let kinds_json: Vec<String> = kinds.iter().map(|k| format!("\"{k}\"")).collect();
-    let jitter_str = format!("{:.3}", cfg_jitter(quick));
-    let json = format!(
-        "{{\n\"bench\": \"cache\",\n\"quick\": {quick},\n\"nics\": {},\n\"arrivals\": {arrivals},\n\
-         \"duration_s\": {},\n\"audit_period_s\": {},\n\"seed\": {},\n\"kinds\": [{}],\n\
-         \"templates\": {TEMPLATES},\n\"jitter\": {},\n\
-         \"exact_snapshots\": {},\n\"exact_cache\": {},\n\
-         \"cached_snapshots\": {},\n\"cached_cache\": {},\n\
-         \"rebuild_cache\": {},\n\"computed_reduction\": {reduction:.2},\n\
-         \"policies\": [\n{},\n{}\n]\n}}\n",
-        greedy_exact.nics,
-        greedy_exact.duration_s,
-        greedy_exact.audit_period_s,
-        greedy_exact.seed,
-        kinds_json.join(", "),
-        jitter_str,
-        exact.snapshot_count(),
-        exact.stats.to_json(),
-        cached.snapshot_count(),
-        cached.stats.to_json(),
-        rebuilt.stats.to_json(),
-        greedy_exact.to_json(),
-        greedy_cached.to_json()
-    );
-    if let Some(path) = args.record_path(RECORD) {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(e) => eprintln!("  could not write {path}: {e}"),
-        }
-    }
-
-    // Regression gate: the scenario must not shrink and the reduction
-    // must stay at or above both the 5x floor and the committed record.
-    if args.check {
-        let committed = read_record(RECORD);
-        let mut check = RegressionCheck::new();
-        check.exact(
-            "arrivals",
-            arrivals as f64,
-            json_f64(&committed, "", "arrivals").unwrap_or(-1.0),
-        );
-        check.at_least("computed_reduction", reduction, 5.0);
+    let record = Record::new("cache", quick)
+        .field("nics", greedy_exact.nics)
+        .field("arrivals", arrivals)
+        .scenario(&greedy_exact)
+        .kinds(&kinds)
+        .field("templates", TEMPLATES)
+        .field("jitter", format!("{jitter:.3}"))
+        .field("exact_snapshots", exact.snapshot_count())
+        .field("exact_cache", exact.stats.to_json())
+        .field("cached_snapshots", cached.snapshot_count())
+        .field("cached_cache", cached.stats.to_json())
+        .field("rebuild_cache", rebuilt.stats.to_json())
+        .field("computed_reduction", format!("{reduction:.2}"))
+        .policies(&[&greedy_exact, &greedy_cached]);
+    // The scenario must not shrink and the measurement bill must stay at
+    // or under the committed one (the 5x floor is asserted above).
+    run.finish(&record, |check| {
+        check.exact("arrivals", arrivals as f64, "", "arrivals");
+        let misses = cached.stats.misses as f64;
         check.no_worse(
             "cached_cache.misses",
-            cached.stats.misses as f64,
-            json_f64(&committed, "\"cached_cache\"", "misses").unwrap_or(-1.0),
+            misses,
+            "\"cached_cache\"",
+            "misses",
             0.05,
             0.0,
         );
-        check.finish(RECORD);
-    }
-}
-
-/// The jitter knob as configured above, for the record.
-fn cfg_jitter(quick: bool) -> f64 {
-    (if quick { 0.20 } else { 0.10 }) / 4.0
+    });
 }

@@ -11,48 +11,29 @@
 //! while parked) divided by the aware policy's. The acceptance bar is
 //! ≥ 5×: under identical fault schedules, tiered degradation must
 //! concentrate at least that much of the damage on the best-effort
-//! class. The scenario is deterministic: same seed ⇒ bit-identical
-//! `FleetReport`s, so the committed JSON is reproducible. Pass `--quick`
-//! (CI) for fewer trained NF kinds and a coarser audit cadence; the
-//! scenario scale (48 NICs, ~24 simulated hours, every NIC failing
-//! about twice) is the same in both modes.
+//! class. The scenario scale (48 NICs, ~24 simulated hours, every NIC
+//! failing about twice) is the same with and without `--quick`.
 
-use std::time::Instant;
-use yala_bench::{json_f64, read_record, BenchArgs, RegressionCheck, Zoo};
+use yala_bench::record::{fleet_day, table2_kinds, yala_policy, Record, RecordRun};
+use yala_bench::Zoo;
 use yala_fleet::{
-    run_fleet, run_fleet_observed, verify_against, Diagnoser, FaultKind, FaultPlan, FleetConfig,
-    FleetPolicy, FleetReport, FleetTrace, ProfiledTrace,
+    run_fleet, BuildOpts, FaultKind, FaultPlan, FleetConfig, FleetPolicy, FleetReport,
 };
-use yala_nf::NfKind;
 use yala_placement::YalaPredictor;
-
-/// The committed record this binary regenerates (and `--check`s against).
-const RECORD: &str = "BENCH_faults.json";
 
 /// The acceptance bar on the QoS shield ratio (blind / aware guaranteed
 /// bad minutes).
 const SHIELD_BAR: f64 = 5.0;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let quick = args.quick;
-    let engine = args.engine();
-    let kinds: Vec<NfKind> = if quick {
-        vec![NfKind::FlowStats, NfKind::Acl, NfKind::Nat, NfKind::Nids]
-    } else {
-        NfKind::TABLE2_NINE.to_vec()
-    };
+    let mut run = RecordRun::start("BENCH_faults.json", 97);
+    let quick = run.args.quick;
+    let kinds = table2_kinds(quick);
 
-    let mut cfg = FleetConfig::small(97);
+    let mut cfg = fleet_day(FleetConfig::small(97), quick, &kinds);
     cfg.portfolio = vec![(yala_sim::NicSpec::bluefield2(), 20)];
-    cfg.duration_s = 24 * 3_600;
     cfg.mean_interarrival_s = 240.0; // ~360 arrivals over the day
     cfg.mean_lifetime_s = 7_200.0; // ~30 NFs active at steady state
-    cfg.audit_period_s = if quick { 1_800 } else { 600 };
-    cfg.reprofile_threshold = if quick { 0.20 } else { 0.10 };
-    cfg.kinds = kinds.clone();
-    cfg.max_flows = 200_000;
-    cfg.sla_drop_range = (0.05, 0.15);
     cfg.guaranteed_fraction = 0.5;
     // A deliberately undersized fleet under a rough day: every NIC fails
     // about three times, repairs take about an hour and a half, and six
@@ -66,107 +47,34 @@ fn main() {
         drain_notice_s: 1_800,
         drain_offline_s: 3_600,
     };
+    let mix = format!(", guaranteed fraction {:.2}", cfg.guaranteed_fraction);
+    run.banner("bench_faults", &cfg, &mix);
 
-    println!(
-        "bench_faults: {} NICs, {} h, audit every {} s, {} NF kinds, \
-         guaranteed fraction {:.2}{}",
-        cfg.nics(),
-        cfg.duration_s / 3_600,
-        cfg.audit_period_s,
-        kinds.len(),
-        cfg.guaranteed_fraction,
-        if quick { " [quick]" } else { "" }
-    );
-
-    let t0 = Instant::now();
-    let zoo = Zoo::train(&kinds, 6);
-    let train_s = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let trace = FleetTrace::generate(cfg);
+    let zoo = Zoo::train(&kinds, 6, &run.engine);
+    // With `--telemetry` the fault-injected journal is the richest one
+    // the bench suite produces (faults, evacuations, parks, readmissions).
+    let profiled = run.profile(cfg, BuildOpts::default());
+    let trace = &profiled.trace;
     let arrivals = trace.records.len();
     let guaranteed_nfs = trace
         .records
         .iter()
         .filter(|r| r.qos.is_guaranteed())
         .count();
-    let fail_events = trace
-        .faults
-        .iter()
-        .filter(|f| f.kind == FaultKind::Fail)
-        .count();
-    let drain_events = trace
-        .faults
-        .iter()
-        .filter(|f| f.kind == FaultKind::DrainStart)
-        .count();
-    // With `--telemetry` the build and the flagship (yala-qos) run are
-    // observed; the fault-injected journal is the richest one the bench
-    // suite produces (faults, evacuations, parks, readmissions).
-    let mut tel = args.telemetry_handle(97);
-    let profiled = ProfiledTrace::build_observed(trace, &engine, &mut tel);
-    let profile_s = t0.elapsed().as_secs_f64();
-    println!(
-        "  scenario: {arrivals} arrivals ({guaranteed_nfs} guaranteed), \
-         {fail_events} failures + {drain_events} drains, {} profile snapshots \
-         (train {train_s:.1} s, profile {profile_s:.1} s)",
-        profiled.snapshot_count()
-    );
+    let count_faults = |kind| trace.faults.iter().filter(|f| f.kind == kind).count();
+    let fail_events = count_faults(FaultKind::Fail);
+    let drain_events = count_faults(FaultKind::DrainStart);
+    println!("  {guaranteed_nfs} guaranteed NFs, {fail_events} failures + {drain_events} drains");
 
-    let t0 = Instant::now();
-    let run_aware =
-        |aware: bool, label: &str, tel: &mut yala_telemetry::Telemetry| -> FleetReport {
-            let mut predictor = YalaPredictor::new(zoo.yala_bank());
-            run_fleet_observed(
-                &profiled,
-                FleetPolicy::ContentionAware {
-                    predictor: &mut predictor,
-                    diagnoser: Diagnoser::Yala(zoo.yala_bank()),
-                    online: None,
-                    qos_aware: aware,
-                },
-                label,
-                &engine,
-                tel,
-            )
-        };
-    let aware = run_aware(true, "yala-qos", &mut tel);
-    let blind = run_aware(
-        false,
-        "yala-blind",
-        &mut yala_telemetry::Telemetry::disabled(),
-    );
-    let greedy = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &engine);
-    println!("  policy runs: {:.1} s", t0.elapsed().as_secs_f64());
+    let mut predictor = YalaPredictor::new(zoo.yala_bank());
+    let policy = yala_policy(&mut predictor, zoo.yala_bank(), None, true);
+    let aware = run.flagship(&profiled, policy, "yala-qos");
+    let mut predictor = YalaPredictor::new(zoo.yala_bank());
+    let policy = yala_policy(&mut predictor, zoo.yala_bank(), None, false);
+    let blind = run_fleet(&profiled, policy, "yala-blind", &run.engine);
+    let greedy = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &run.engine);
 
-    // Observability self-test on the fault-heavy journal: every park,
-    // readmit, and evacuation must replay to the report's class stats.
-    if let Some(sink) = tel.sink() {
-        let replayed = verify_against(&aware, &sink.journal)
-            .unwrap_or_else(|e| panic!("journal replay diverged from the yala-qos report: {e}"));
-        println!(
-            "  journal: {} events replay to the yala-qos report ({} faults) — OK",
-            sink.journal.len(),
-            replayed.faults
-        );
-    }
-    args.write_telemetry(&tel);
-
-    println!(
-        "  {:<12} {:>6} {:>6} | {:>9} {:>9} {:>5} {:>5} {:>6} | {:>9} {:>9} {:>5} {:>5}",
-        "policy",
-        "faults",
-        "drains",
-        "G bad-min",
-        "G down",
-        "Gshed",
-        "Gevac",
-        "Gredo",
-        "B bad-min",
-        "B down",
-        "Bshed",
-        "Bredo"
-    );
+    println!("  policy       faults drains | G bad-min    G down Gshed Gevac  Gredo | B bad-min    B down Bshed Bredo");
     let reports = [&aware, &blind, &greedy];
     for r in reports {
         println!(
@@ -220,58 +128,34 @@ fn main() {
         shield_ratio
     );
 
-    let kinds_json: Vec<String> = kinds.iter().map(|k| format!("\"{k}\"")).collect();
-    let policies_json: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-    let json = format!(
-        "{{\n\"bench\": \"faults\",\n\"quick\": {quick},\n\"nics\": {},\n\"arrivals\": {arrivals},\n\
-         \"guaranteed_nfs\": {guaranteed_nfs},\n\"fail_events\": {fail_events},\n\
-         \"drain_events\": {drain_events},\n\"duration_s\": {},\n\"audit_period_s\": {},\n\
-         \"seed\": {},\n\"kinds\": [{}],\n\"shield_ratio\": {:.3},\n\"policies\": [\n{}\n]\n}}\n",
-        aware.nics,
-        aware.duration_s,
-        aware.audit_period_s,
-        aware.seed,
-        kinds_json.join(", "),
-        shield_ratio,
-        policies_json.join(",\n")
-    );
-    if let Some(path) = args.record_path(RECORD) {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(e) => eprintln!("  could not write {path}: {e}"),
-        }
-    }
-
-    // Regression gate: the recomputed quick-mode headline metrics must
-    // not be worse than the committed record's.
-    if args.check {
-        let committed = read_record(RECORD);
-        let mut check = RegressionCheck::new();
-        let key = |anchor: &str, k: &str| json_f64(&committed, anchor, k).unwrap_or(-1.0);
-        check.exact("arrivals", arrivals as f64, key("", "arrivals"));
-        check.exact("fail_events", fail_events as f64, key("", "fail_events"));
-        check.at_least("shield_ratio", shield_ratio, SHIELD_BAR);
-        check.at_least(
-            "shield_ratio_vs_committed",
-            shield_ratio,
-            key("", "shield_ratio") * 0.95,
-        );
+    let record = Record::new("faults", quick)
+        .field("nics", aware.nics)
+        .field("arrivals", arrivals)
+        .field("guaranteed_nfs", guaranteed_nfs)
+        .field("fail_events", fail_events)
+        .field("drain_events", drain_events)
+        .scenario(&aware)
+        .kinds(&kinds)
+        .field("shield_ratio", format!("{shield_ratio:.3}"))
+        .policies(&reports);
+    // The recomputed quick-mode headline metrics must not be worse than
+    // the committed record's (the absolute bar is asserted above).
+    run.finish(&record, |check| {
+        let qos = "\"policy\": \"yala-qos\"";
+        check.exact("arrivals", arrivals as f64, "", "arrivals");
+        check.exact("fail_events", fail_events as f64, "", "fail_events");
+        check.at_least("shield_ratio", shield_ratio, "", "shield_ratio", 0.95);
         check.no_worse(
             "yala-qos.guaranteed.bad_minutes",
             aware.guaranteed.bad_minutes(),
-            key("\"policy\": \"yala-qos\"", "bad_minutes"),
+            qos,
+            "bad_minutes",
             0.05,
             1.0,
         );
-        check.no_worse(
-            "yala-qos.rejected",
-            aware.rejected as f64,
-            key("\"policy\": \"yala-qos\"", "rejected"),
-            0.0,
-            0.0,
-        );
-        check.finish(RECORD);
-    }
+        let rejected = aware.rejected as f64;
+        check.no_worse("yala-qos.rejected", rejected, qos, "rejected", 0.0, 0.0);
+    });
 }
 
 /// Blind-over-aware guaranteed bad minutes; an aware policy that keeps

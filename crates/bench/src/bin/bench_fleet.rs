@@ -2,236 +2,69 @@
 //! §7.5.1 strategies re-fought on a *live* fleet — hundreds of NICs over
 //! a simulated day with Poisson NF arrivals/departures, per-NF traffic
 //! drift, periodic SLA audits, and reactive (diagnosis-guided) migration
-//! for the contention-aware policies.
-//!
-//! The scenario is deterministic: same seed ⇒ bit-identical
-//! `FleetReport`s, so the committed JSON is reproducible. Pass `--quick`
-//! (CI) for fewer trained NF kinds and a coarser audit cadence; the
-//! scenario scale (200 NICs, ~600 arrivals, 24 simulated hours) is the
-//! same in both modes.
+//! for the contention-aware policies. The scenario scale (200 NICs, ~600
+//! arrivals, 24 simulated hours) is the same with and without `--quick`.
 
-use std::time::Instant;
-use yala_bench::{json_f64, read_record, BenchArgs, RegressionCheck, Zoo};
-use yala_fleet::{
-    run_fleet, run_fleet_observed, verify_against, Diagnoser, FleetConfig, FleetPolicy,
-    FleetReport, FleetTrace, ProfiledTrace,
+use yala_bench::record::{
+    assert_dominates, check_policy, fleet_day, print_policies, table2_kinds, yala_policy, Record,
+    RecordRun,
 };
-use yala_nf::NfKind;
+use yala_bench::Zoo;
+use yala_fleet::{run_fleet, BuildOpts, Diagnoser, FleetConfig, FleetPolicy};
 use yala_placement::{SlomoPredictor, YalaPredictor};
 
-/// The committed record this binary regenerates (and `--check`s against).
-const RECORD: &str = "BENCH_fleet.json";
-
 fn main() {
-    let args = BenchArgs::parse();
-    let quick = args.quick;
-    let engine = args.engine();
-    let kinds: Vec<NfKind> = if quick {
-        vec![NfKind::FlowStats, NfKind::Acl, NfKind::Nat, NfKind::Nids]
-    } else {
-        NfKind::TABLE2_NINE.to_vec()
-    };
+    let mut run = RecordRun::start("BENCH_fleet.json", 42);
+    let quick = run.args.quick;
+    let kinds = table2_kinds(quick);
 
-    let mut cfg = FleetConfig::small(42);
+    let mut cfg = fleet_day(FleetConfig::small(42), quick, &kinds);
     cfg.portfolio = vec![(yala_sim::NicSpec::bluefield2(), 200)];
-    cfg.duration_s = 24 * 3_600;
     cfg.mean_interarrival_s = 144.0; // ~600 arrivals over the day
     cfg.mean_lifetime_s = 9_000.0; // ~60 NFs active at steady state
-    cfg.audit_period_s = if quick { 1_800 } else { 600 };
-    cfg.reprofile_threshold = if quick { 0.20 } else { 0.10 };
-    cfg.kinds = kinds.clone();
-    cfg.max_flows = 200_000;
-    cfg.sla_drop_range = (0.05, 0.15);
+    run.banner("bench_fleet", &cfg, "");
 
-    println!(
-        "bench_fleet: {} NICs, {} h, audit every {} s, {} NF kinds{}",
-        cfg.nics(),
-        cfg.duration_s / 3_600,
-        cfg.audit_period_s,
-        kinds.len(),
-        if quick { " [quick]" } else { "" }
-    );
+    let zoo = Zoo::train(&kinds, 6, &run.engine);
+    let profiled = run.profile(cfg, BuildOpts::default());
+    let arrivals = profiled.trace.records.len();
 
-    let t0 = Instant::now();
-    let zoo = Zoo::train(&kinds, 6);
-    let train_s = t0.elapsed().as_secs_f64();
-
-    // With `--telemetry` the build and the flagship (yala) run below are
-    // observed: profile measurements, placements, audits, and migrations
-    // land in one sim-time journal. Disabled, the handle is a no-op and
-    // the record bytes are exactly the unobserved ones.
-    let mut tel = args.telemetry_handle(42);
-
-    let t0 = Instant::now();
-    let trace = FleetTrace::generate(cfg);
-    let arrivals = trace.records.len();
-    let profiled = ProfiledTrace::build_observed(trace, &engine, &mut tel);
-    let profile_s = t0.elapsed().as_secs_f64();
-    println!(
-        "  scenario: {arrivals} arrivals, {} profile snapshots \
-         (train {train_s:.1} s, profile {profile_s:.1} s)",
-        profiled.snapshot_count()
-    );
-
-    let t0 = Instant::now();
     let mono = run_fleet(
         &profiled,
         FleetPolicy::Monopolization,
         "monopolization",
-        &engine,
+        &run.engine,
     );
-    let greedy = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &engine);
-    let slomo = {
-        let mut predictor = SlomoPredictor::new(zoo.slomo_bank());
-        run_fleet(
-            &profiled,
-            FleetPolicy::ContentionAware {
-                predictor: &mut predictor,
-                diagnoser: Diagnoser::MemoryOnly,
-                online: None,
-                qos_aware: true,
-            },
-            "slomo",
-            &engine,
-        )
-    };
-    let yala = {
-        let mut predictor = YalaPredictor::new(zoo.yala_bank());
-        run_fleet_observed(
-            &profiled,
-            FleetPolicy::ContentionAware {
-                predictor: &mut predictor,
-                diagnoser: Diagnoser::Yala(zoo.yala_bank()),
-                online: None,
-                qos_aware: true,
-            },
-            "yala",
-            &engine,
-            &mut tel,
-        )
-    };
-    println!("  policy runs: {:.1} s", t0.elapsed().as_secs_f64());
-
-    // Observability self-test: the journal must replay to the exact
-    // headline counters of the report it narrates.
-    if let Some(sink) = tel.sink() {
-        let replayed = verify_against(&yala, &sink.journal)
-            .unwrap_or_else(|e| panic!("journal replay diverged from the yala report: {e}"));
-        println!(
-            "  journal: {} events replay to the yala report ({} arrivals) — OK",
-            sink.journal.len(),
-            replayed.arrivals
-        );
-    }
-    args.write_telemetry(&tel);
-
-    println!(
-        "  {:<16} {:>10} {:>10} {:>10} {:>9} {:>6} {:>9} {:>9}",
-        "policy", "mean NICs", "peak", "NIC-min", "viol-min", "migr", "rejected", "waste-vs-LB"
+    let greedy = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &run.engine);
+    let mut slomo_predictor = SlomoPredictor::new(zoo.slomo_bank());
+    let slomo = run_fleet(
+        &profiled,
+        FleetPolicy::ContentionAware {
+            predictor: &mut slomo_predictor,
+            diagnoser: Diagnoser::MemoryOnly,
+            online: None,
+            qos_aware: true,
+        },
+        "slomo",
+        &run.engine,
     );
+    let mut predictor = YalaPredictor::new(zoo.yala_bank());
+    let policy = yala_policy(&mut predictor, zoo.yala_bank(), None, true);
+    let yala = run.flagship(&profiled, policy, "yala");
     let reports = [&mono, &greedy, &slomo, &yala];
-    for r in reports {
-        println!(
-            "  {:<16} {:>10.1} {:>10} {:>10.0} {:>9.0} {:>6} {:>9} {:>8.0}%",
-            r.policy,
-            r.mean_nics(),
-            r.peak_nics,
-            r.nic_minutes,
-            r.violation_minutes,
-            r.migrations,
-            r.rejected,
-            r.wastage_vs_oracle() * 100.0
-        );
-    }
+    print_policies(&reports);
 
-    // The acceptance bar for the dynamic scenario: the contention-aware
-    // predictor strictly dominates greedy on SLA-violation minutes while
-    // using fewer NICs than monopolization. Deterministic scenario, so
-    // this either always holds or never does.
-    assert!(
-        greedy.violation_minutes > 0.0,
-        "blind packing should violate somewhere in a full day"
-    );
-    assert!(
-        yala.violation_minutes < greedy.violation_minutes,
-        "yala must strictly beat greedy on violation minutes"
-    );
-    assert!(
-        yala.nic_minutes < mono.nic_minutes,
-        "yala must use fewer NIC-minutes than monopolization"
-    );
-    println!(
-        "  dominance: yala {:.0} viol-min vs greedy {:.0}; {:.0} NIC-min vs mono {:.0} — OK",
-        yala.violation_minutes, greedy.violation_minutes, yala.nic_minutes, mono.nic_minutes
-    );
+    assert_dominates(&yala, &greedy, &mono);
 
-    let kinds_json: Vec<String> = kinds.iter().map(|k| format!("\"{k}\"")).collect();
-    let policies_json: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-    let json = format!(
-        "{{\n\"bench\": \"fleet\",\n\"quick\": {quick},\n\"nics\": {},\n\"arrivals\": {arrivals},\n\
-         \"duration_s\": {},\n\"audit_period_s\": {},\n\"seed\": {},\n\"kinds\": [{}],\n\
-         \"profile_snapshots\": {},\n\"profile_cache\": {},\n\"policies\": [\n{}\n]\n}}\n",
-        mono.nics,
-        mono.duration_s,
-        mono.audit_period_s,
-        mono.seed,
-        kinds_json.join(", "),
-        profiled.snapshot_count(),
-        profiled.stats.to_json(),
-        policies_json.join(",\n")
-    );
-    if let Some(path) = args.record_path(RECORD) {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(e) => eprintln!("  could not write {path}: {e}"),
-        }
-    }
-    let _ = report_sanity(&mono);
-
-    // Regression gate: the recomputed quick-mode headline metrics must
-    // not be worse than the committed record's (small tolerance so an
-    // intentional scenario change fails loudly and prompts regeneration).
-    if args.check {
-        let committed = read_record(RECORD);
-        let mut check = RegressionCheck::new();
-        check.exact(
-            "arrivals",
-            arrivals as f64,
-            json_f64(&committed, "", "arrivals").unwrap_or(-1.0),
-        );
-        for r in [&slomo, &yala] {
-            let anchor = format!("\"policy\": \"{}\"", r.policy);
-            let key = |k: &str| json_f64(&committed, &anchor, k).unwrap_or(-1.0);
-            check.no_worse(
-                &format!("{}.violation_minutes", r.policy),
-                r.violation_minutes,
-                key("violation_minutes"),
-                0.05,
-                1.0,
-            );
-            check.no_worse(
-                &format!("{}.nic_minutes", r.policy),
-                r.nic_minutes,
-                key("nic_minutes"),
-                0.05,
-                0.0,
-            );
-            check.no_worse(
-                &format!("{}.rejected", r.policy),
-                r.rejected as f64,
-                key("rejected"),
-                0.0,
-                0.0,
-            );
-        }
-        check.finish(RECORD);
-    }
-}
-
-/// Cheap structural sanity on the serialized report (keeps the JSON
-/// writer honest without a JSON parser in the workspace).
-fn report_sanity(r: &FleetReport) -> bool {
-    let j = r.to_json();
-    j.matches('{').count() == j.matches('}').count()
-        && j.matches('[').count() == j.matches(']').count()
+    let record = Record::new("fleet", quick)
+        .field("nics", mono.nics)
+        .field("arrivals", arrivals)
+        .scenario(&mono)
+        .kinds(&kinds)
+        .profile(&profiled)
+        .policies(&reports);
+    run.finish(&record, |check| {
+        check.exact("arrivals", arrivals as f64, "", "arrivals");
+        check_policy(check, &slomo);
+        check_policy(check, &yala);
+    });
 }

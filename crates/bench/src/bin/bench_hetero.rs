@@ -10,27 +10,18 @@
 //! contention-blind), and per-model Yala (a `ModelBank` keyed by
 //! `(NicModelId, NfKind)` behind the contention-aware policy, with
 //! Yala-diagnosed migration that may cross hardware models).
-//!
-//! The scenario is deterministic: same seed ⇒ bit-identical
-//! `FleetReport`s, so the committed JSON is reproducible. Pass `--quick`
-//! (CI) for fewer trained NF kinds and a coarser audit cadence.
 
-use std::time::Instant;
-use yala_bench::{json_f64, read_record, BenchArgs, RegressionCheck, Zoo};
-use yala_fleet::{
-    run_fleet, run_fleet_observed, verify_against, Diagnoser, FleetConfig, FleetPolicy, FleetTrace,
-    ProfiledTrace,
+use yala_bench::record::{
+    assert_dominates, check_policy, fleet_day, print_policies, yala_policy, Record, RecordRun,
 };
+use yala_bench::Zoo;
+use yala_fleet::{run_fleet, BuildOpts, FleetConfig, FleetPolicy};
 use yala_nf::NfKind;
 use yala_placement::YalaPredictor;
 
-/// The committed record this binary regenerates (and `--check`s against).
-const RECORD: &str = "BENCH_hetero.json";
-
 fn main() {
-    let args = BenchArgs::parse();
-    let quick = args.quick;
-    let engine = args.engine();
+    let mut run = RecordRun::start("BENCH_hetero.json", 73);
+    let quick = run.args.quick;
     let kinds: Vec<NfKind> = if quick {
         vec![
             NfKind::FlowStats,
@@ -51,49 +42,23 @@ fn main() {
         ]
     };
 
-    let mut cfg = FleetConfig::mixed(73, 120);
-    cfg.duration_s = 24 * 3_600;
+    let mut cfg = fleet_day(FleetConfig::mixed(73, 120), quick, &kinds);
     cfg.mean_interarrival_s = 240.0; // ~360 arrivals over the day
     cfg.mean_lifetime_s = 9_000.0;
-    cfg.audit_period_s = if quick { 1_800 } else { 600 };
-    cfg.reprofile_threshold = if quick { 0.20 } else { 0.10 };
-    cfg.kinds = kinds.clone();
-    cfg.max_flows = 200_000;
-    cfg.sla_drop_range = (0.05, 0.15);
     let specs = cfg.specs();
+    let models: Vec<String> = cfg
+        .portfolio
+        .iter()
+        .map(|(s, n)| format!("{n} x {}", s.name))
+        .collect();
+    run.banner("bench_hetero", &cfg, &format!(" ({})", models.join(" + ")));
 
-    println!(
-        "bench_hetero: {} NICs ({}), {} h, audit every {} s, {} NF kinds{}",
-        cfg.nics(),
-        cfg.portfolio
-            .iter()
-            .map(|(s, n)| format!("{} x {}", n, s.name))
-            .collect::<Vec<_>>()
-            .join(" + "),
-        cfg.duration_s / 3_600,
-        cfg.audit_period_s,
-        kinds.len(),
-        if quick { " [quick]" } else { "" }
-    );
-
-    let t0 = Instant::now();
-    let zoo = Zoo::train_portfolio(&specs, &kinds, 6, &engine);
-    let train_s = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    // With `--telemetry` the build and the flagship (yala) run are
-    // observed; migrations in this journal may cross hardware models.
-    let mut tel = args.telemetry_handle(73);
-    let trace = FleetTrace::generate(cfg);
-    let arrivals = trace.records.len();
-    let profiled = ProfiledTrace::build_observed(trace, &engine, &mut tel);
-    let profile_s = t0.elapsed().as_secs_f64();
-    println!(
-        "  scenario: {arrivals} arrivals, {} profile snapshots, {} trained cells \
-         (train {train_s:.1} s, profile {profile_s:.1} s)",
-        profiled.snapshot_count(),
-        zoo.yala_bank().len(),
-    );
+    let zoo = Zoo::train_portfolio(&specs, &kinds, 6, &run.engine);
+    // With `--telemetry`, migrations in this journal may cross hardware
+    // models.
+    let profiled = run.profile(cfg, BuildOpts::default());
+    let arrivals = profiled.trace.records.len();
+    println!("  {} trained cells", zoo.yala_bank().len());
 
     // Structural capability check: no snapshot carries a baseline on
     // hardware that cannot serve its workload, so placement has nothing
@@ -112,90 +77,27 @@ fn main() {
         }
     }
 
-    let t0 = Instant::now();
     let mono = run_fleet(
         &profiled,
         FleetPolicy::Monopolization,
         "monopolization",
-        &engine,
+        &run.engine,
     );
-    let greedy = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &engine);
-    let yala = {
-        let mut predictor = YalaPredictor::new(zoo.yala_bank());
-        run_fleet_observed(
-            &profiled,
-            FleetPolicy::ContentionAware {
-                predictor: &mut predictor,
-                diagnoser: Diagnoser::Yala(zoo.yala_bank()),
-                online: None,
-                qos_aware: true,
-            },
-            "yala",
-            &engine,
-            &mut tel,
-        )
-    };
-    println!("  policy runs: {:.1} s", t0.elapsed().as_secs_f64());
-
-    // Observability self-test on the mixed-portfolio journal.
-    if let Some(sink) = tel.sink() {
-        let replayed = verify_against(&yala, &sink.journal)
-            .unwrap_or_else(|e| panic!("journal replay diverged from the yala report: {e}"));
-        println!(
-            "  journal: {} events replay to the yala report ({} migrations) — OK",
-            sink.journal.len(),
-            replayed.migrations
-        );
-    }
-    args.write_telemetry(&tel);
-
-    println!(
-        "  {:<16} {:>10} {:>10} {:>10} {:>9} {:>6} {:>9} {:>9}",
-        "policy", "mean NICs", "peak", "NIC-min", "viol-min", "migr", "rejected", "waste-vs-LB"
-    );
+    let greedy = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &run.engine);
+    let mut predictor = YalaPredictor::new(zoo.yala_bank());
+    let policy = yala_policy(&mut predictor, zoo.yala_bank(), None, true);
+    let yala = run.flagship(&profiled, policy, "yala");
     let reports = [&mono, &greedy, &yala];
-    for r in reports {
-        println!(
-            "  {:<16} {:>10.1} {:>10} {:>10.0} {:>9.0} {:>6} {:>9} {:>8.0}%",
-            r.policy,
-            r.mean_nics(),
-            r.peak_nics,
-            r.nic_minutes,
-            r.violation_minutes,
-            r.migrations,
-            r.rejected,
-            r.wastage_vs_oracle() * 100.0
-        );
-    }
+    print_policies(&reports);
 
-    // The acceptance bar for the heterogeneous scenario: the per-model
-    // contention-aware predictor strictly dominates greedy on
-    // SLA-violation minutes while using fewer NICs than monopolization,
-    // with zero arrivals lost to capability mismatches (the mixed fleet
-    // always has feasible capacity somewhere). Deterministic scenario, so
-    // this either always holds or never does.
-    assert!(
-        greedy.violation_minutes > 0.0,
-        "blind packing should violate somewhere in a full day"
-    );
-    assert!(
-        yala.violation_minutes < greedy.violation_minutes,
-        "per-model yala must strictly beat greedy on violation minutes"
-    );
-    assert!(
-        yala.nic_minutes < mono.nic_minutes,
-        "yala must use fewer NIC-minutes than monopolization"
-    );
+    // On top of the shared bar: zero arrivals lost to capability
+    // mismatches (the mixed fleet always has feasible capacity somewhere).
+    assert_dominates(&yala, &greedy, &mono);
     assert_eq!(
         yala.rejected, 0,
         "no arrival should find the fleet exhausted"
     );
-    println!(
-        "  dominance: yala {:.0} viol-min vs greedy {:.0}; {:.0} NIC-min vs mono {:.0} — OK",
-        yala.violation_minutes, greedy.violation_minutes, yala.nic_minutes, mono.nic_minutes
-    );
 
-    let kinds_json: Vec<String> = kinds.iter().map(|k| format!("\"{k}\"")).collect();
     let portfolio_json: Vec<String> = profiled
         .trace
         .config
@@ -203,63 +105,17 @@ fn main() {
         .iter()
         .map(|(s, n)| format!("{{\"model\": \"{}\", \"nics\": {n}}}", s.name))
         .collect();
-    let policies_json: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-    let json = format!(
-        "{{\n\"bench\": \"hetero\",\n\"quick\": {quick},\n\"portfolio\": [{}],\n\
-         \"nics\": {},\n\"arrivals\": {arrivals},\n\"duration_s\": {},\n\
-         \"audit_period_s\": {},\n\"seed\": {},\n\"kinds\": [{}],\n\
-         \"trained_cells\": {},\n\"profile_snapshots\": {},\n\"profile_cache\": {},\n\
-         \"policies\": [\n{}\n]\n}}\n",
-        portfolio_json.join(", "),
-        mono.nics,
-        mono.duration_s,
-        mono.audit_period_s,
-        mono.seed,
-        kinds_json.join(", "),
-        zoo.yala_bank().len(),
-        profiled.snapshot_count(),
-        profiled.stats.to_json(),
-        policies_json.join(",\n")
-    );
-    if let Some(path) = args.record_path(RECORD) {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(e) => eprintln!("  could not write {path}: {e}"),
-        }
-    }
-
-    // Regression gate against the committed record (see bench_fleet).
-    if args.check {
-        let committed = read_record(RECORD);
-        let mut check = RegressionCheck::new();
-        check.exact(
-            "arrivals",
-            arrivals as f64,
-            json_f64(&committed, "", "arrivals").unwrap_or(-1.0),
-        );
-        let anchor = "\"policy\": \"yala\"";
-        let key = |k: &str| json_f64(&committed, anchor, k).unwrap_or(-1.0);
-        check.no_worse(
-            "yala.violation_minutes",
-            yala.violation_minutes,
-            key("violation_minutes"),
-            0.05,
-            1.0,
-        );
-        check.no_worse(
-            "yala.nic_minutes",
-            yala.nic_minutes,
-            key("nic_minutes"),
-            0.05,
-            0.0,
-        );
-        check.no_worse(
-            "yala.rejected",
-            yala.rejected as f64,
-            key("rejected"),
-            0.0,
-            0.0,
-        );
-        check.finish(RECORD);
-    }
+    let record = Record::new("hetero", quick)
+        .field("portfolio", format!("[{}]", portfolio_json.join(", ")))
+        .field("nics", mono.nics)
+        .field("arrivals", arrivals)
+        .scenario(&mono)
+        .kinds(&kinds)
+        .field("trained_cells", zoo.yala_bank().len())
+        .profile(&profiled)
+        .policies(&reports);
+    run.finish(&record, |check| {
+        check.exact("arrivals", arrivals as f64, "", "arrivals");
+        check_policy(check, &yala);
+    });
 }

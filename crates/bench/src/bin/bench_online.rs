@@ -13,29 +13,19 @@
 //! packs (and fails to migrate) its way into SLA violations. The online
 //! policy absorbs the audited outcomes at the drifted operating points
 //! and re-fits the affected cells, so its predictions — and therefore its
-//! placements and migrations — recover mid-episode.
-//!
-//! The scenario is deterministic: same seed ⇒ bit-identical
-//! `FleetReport`s *and* refinement stream, so the committed JSON is
-//! byte-reproducible across runs and engine thread counts (the CI
-//! determinism gate diffs a default-engine run against a `--threads`-
-//! pinned one). Pass `--quick` (CI) for fewer trained NF kinds and a
-//! coarser audit cadence.
+//! placements and migrations — recover mid-episode. The refinement
+//! stream is as deterministic as the reports, so the record stays
+//! byte-reproducible across runs and engine thread counts.
 
-use std::time::Instant;
-use yala_bench::{json_f64, read_record, BenchArgs, RegressionCheck, NOISE_SIGMA};
+use yala_bench::record::{
+    check_policy, fleet_day, print_policies, table2_kinds, yala_policy, Record, RecordRun,
+};
+use yala_bench::NOISE_SIGMA;
 use yala_core::adaptive::TrafficRanges;
 use yala_core::{ModelBank, TrainConfig};
-use yala_fleet::{
-    run_fleet, run_fleet_observed, verify_against, Diagnoser, FleetConfig, FleetPolicy, FleetTrace,
-    OnlineRefine, ProfiledTrace,
-};
-use yala_nf::NfKind;
+use yala_fleet::{run_fleet, BuildOpts, FleetConfig, FleetPolicy, OnlineRefine};
 use yala_placement::YalaPredictor;
 use yala_sim::NicSpec;
-
-/// The committed record this binary regenerates (and `--check`s against).
-const RECORD: &str = "BENCH_online.json";
 
 /// Largest flow count seen while the offline bank was trained; the live
 /// fleet drifts to [`DRIFTED_FLOW_CEILING`].
@@ -45,44 +35,27 @@ const STALE_FLOW_CEILING: u32 = 48_000;
 const DRIFTED_FLOW_CEILING: u32 = 300_000;
 
 fn main() {
-    let args = BenchArgs::parse();
-    let quick = args.quick;
-    let engine = args.engine();
-    let kinds: Vec<NfKind> = if quick {
-        vec![NfKind::FlowStats, NfKind::Acl, NfKind::Nat, NfKind::Nids]
-    } else {
-        NfKind::TABLE2_NINE.to_vec()
-    };
+    let mut run = RecordRun::start("BENCH_online.json", 97);
+    let quick = run.args.quick;
+    let kinds = table2_kinds(quick);
 
-    let mut cfg = FleetConfig::small(97);
+    let mut cfg = fleet_day(FleetConfig::small(97), quick, &kinds);
     cfg.portfolio = vec![(NicSpec::bluefield2(), 200)];
-    cfg.duration_s = 24 * 3_600;
     cfg.mean_interarrival_s = 144.0; // ~600 arrivals over the day
     cfg.mean_lifetime_s = 12_000.0; // long lives: drift has room to bite
-    cfg.audit_period_s = if quick { 1_800 } else { 600 };
-    cfg.reprofile_threshold = if quick { 0.20 } else { 0.10 };
-    cfg.kinds = kinds.clone();
     cfg.max_flows = DRIFTED_FLOW_CEILING;
-    cfg.sla_drop_range = (0.05, 0.15);
     let online_knobs = OnlineRefine {
         min_observations: 96,
     };
-
-    println!(
-        "bench_online: {} NICs, {} h, audit every {} s, {} NF kinds, \
-         trained at ≤{}k flows / drifting to ≤{}k{}",
-        cfg.nics(),
-        cfg.duration_s / 3_600,
-        cfg.audit_period_s,
-        kinds.len(),
+    let drift = format!(
+        ", trained at ≤{}k flows / drifting to ≤{}k",
         STALE_FLOW_CEILING / 1_000,
-        DRIFTED_FLOW_CEILING / 1_000,
-        if quick { " [quick]" } else { "" }
+        DRIFTED_FLOW_CEILING / 1_000
     );
+    run.banner("bench_online", &cfg, &drift);
 
     // The stale offline bank: adaptive profiling confined to the
     // pre-drift flow regime.
-    let t0 = Instant::now();
     let train_cfg = TrainConfig {
         ranges: TrafficRanges {
             flows: (1_000, STALE_FLOW_CEILING),
@@ -96,90 +69,23 @@ fn main() {
         NOISE_SIGMA,
         &kinds,
         &train_cfg,
-        &engine,
+        &run.engine,
     );
-    let train_s = t0.elapsed().as_secs_f64();
+    let profiled = run.profile(cfg, BuildOpts::default());
+    let arrivals = profiled.trace.records.len();
 
-    // With `--telemetry` the build and the flagship (yala-online) run
-    // are observed; this journal is the one with absorb passes in it.
-    let mut tel = args.telemetry_handle(97);
-
-    let t0 = Instant::now();
-    let trace = FleetTrace::generate(cfg);
-    let arrivals = trace.records.len();
-    let profiled = ProfiledTrace::build_observed(trace, &engine, &mut tel);
-    let profile_s = t0.elapsed().as_secs_f64();
-    println!(
-        "  scenario: {arrivals} arrivals, {} profile snapshots \
-         (train {train_s:.1} s, profile {profile_s:.1} s)",
-        profiled.snapshot_count()
-    );
-
-    let t0 = Instant::now();
-    let greedy = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &engine);
-    let frozen = {
-        let mut predictor = YalaPredictor::new(&bank);
-        run_fleet(
-            &profiled,
-            FleetPolicy::ContentionAware {
-                predictor: &mut predictor,
-                diagnoser: Diagnoser::Yala(&bank),
-                online: None,
-                qos_aware: true,
-            },
-            "yala-frozen",
-            &engine,
-        )
-    };
-    let mut online_predictor = YalaPredictor::new(&bank);
-    let online = run_fleet_observed(
-        &profiled,
-        FleetPolicy::ContentionAware {
-            predictor: &mut online_predictor,
-            diagnoser: Diagnoser::Yala(&bank),
-            online: Some(online_knobs),
-            qos_aware: true,
-        },
-        "yala-online",
-        &engine,
-        &mut tel,
-    );
-    println!("  policy runs: {:.1} s", t0.elapsed().as_secs_f64());
-
-    // Observability self-test on the refinement-heavy journal.
-    if let Some(sink) = tel.sink() {
-        let replayed = verify_against(&online, &sink.journal)
-            .unwrap_or_else(|e| panic!("journal replay diverged from the yala-online report: {e}"));
-        println!(
-            "  journal: {} events replay to the yala-online report ({} migrations) — OK",
-            sink.journal.len(),
-            replayed.migrations
-        );
-    }
-    args.write_telemetry(&tel);
-
-    println!(
-        "  {:<16} {:>10} {:>10} {:>10} {:>9} {:>6} {:>9}",
-        "policy", "mean NICs", "peak", "NIC-min", "viol-min", "migr", "rejected"
-    );
+    let greedy = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &run.engine);
+    let mut frozen_predictor = YalaPredictor::new(&bank);
+    let policy = yala_policy(&mut frozen_predictor, &bank, None, true);
+    let frozen = run_fleet(&profiled, policy, "yala-frozen", &run.engine);
+    // The flagship journal is the one with absorb passes in it.
+    let mut predictor = YalaPredictor::new(&bank);
+    let policy = yala_policy(&mut predictor, &bank, Some(online_knobs), true);
+    let online = run.flagship(&profiled, policy, "yala-online");
     let reports = [&greedy, &frozen, &online];
-    for r in reports {
-        println!(
-            "  {:<16} {:>10.1} {:>10} {:>10.0} {:>9.0} {:>6} {:>9}",
-            r.policy,
-            r.mean_nics(),
-            r.peak_nics,
-            r.nic_minutes,
-            r.violation_minutes,
-            r.migrations,
-            r.rejected,
-        );
-    }
-    println!(
-        "  refinement: {} absorb passes, {} observations absorbed",
-        online_predictor.refine_passes(),
-        online_predictor.absorbed()
-    );
+    print_policies(&reports);
+    let (passes, absorbed) = (predictor.refine_passes(), predictor.absorbed());
+    println!("  refinement: {passes} absorb passes, {absorbed} observations absorbed");
 
     // The acceptance bar: the stale frozen model must actually decay
     // (violations appear), refinement must actually run, and online-Yala
@@ -190,7 +96,7 @@ fn main() {
         "the stale frozen bank should decay under drift"
     );
     assert!(
-        online_predictor.refine_passes() > 0 && online_predictor.absorbed() > 0,
+        passes > 0 && absorbed > 0,
         "the online policy must absorb audit observations"
     );
     assert!(
@@ -206,65 +112,20 @@ fn main() {
         (frozen.violation_minutes / online.violation_minutes).round()
     );
 
-    let kinds_json: Vec<String> = kinds.iter().map(|k| format!("\"{k}\"")).collect();
-    let policies_json: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-    let json = format!(
-        "{{\n\"bench\": \"online\",\n\"quick\": {quick},\n\"nics\": {},\n\"arrivals\": {arrivals},\n\
-         \"duration_s\": {},\n\"audit_period_s\": {},\n\"seed\": {},\n\"kinds\": [{}],\n\
-         \"trained_flow_ceiling\": {STALE_FLOW_CEILING},\n\"drifted_flow_ceiling\": {DRIFTED_FLOW_CEILING},\n\
-         \"min_observations\": {},\n\"refine_passes\": {},\n\"absorbed_observations\": {},\n\
-         \"profile_snapshots\": {},\n\"profile_cache\": {},\n\"policies\": [\n{}\n]\n}}\n",
-        frozen.nics,
-        frozen.duration_s,
-        frozen.audit_period_s,
-        frozen.seed,
-        kinds_json.join(", "),
-        online_knobs.min_observations,
-        online_predictor.refine_passes(),
-        online_predictor.absorbed(),
-        profiled.snapshot_count(),
-        profiled.stats.to_json(),
-        policies_json.join(",\n")
-    );
-    if let Some(path) = args.record_path(RECORD) {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(e) => eprintln!("  could not write {path}: {e}"),
-        }
-    }
-
-    // Regression gate against the committed record (see bench_fleet).
-    if args.check {
-        let committed = read_record(RECORD);
-        let mut check = RegressionCheck::new();
-        check.exact(
-            "arrivals",
-            arrivals as f64,
-            json_f64(&committed, "", "arrivals").unwrap_or(-1.0),
-        );
-        let anchor = "\"policy\": \"yala-online\"";
-        let key = |k: &str| json_f64(&committed, anchor, k).unwrap_or(-1.0);
-        check.no_worse(
-            "yala-online.violation_minutes",
-            online.violation_minutes,
-            key("violation_minutes"),
-            0.05,
-            1.0,
-        );
-        check.no_worse(
-            "yala-online.nic_minutes",
-            online.nic_minutes,
-            key("nic_minutes"),
-            0.05,
-            0.0,
-        );
-        check.no_worse(
-            "yala-online.rejected",
-            online.rejected as f64,
-            key("rejected"),
-            0.0,
-            0.0,
-        );
-        check.finish(RECORD);
-    }
+    let record = Record::new("online", quick)
+        .field("nics", frozen.nics)
+        .field("arrivals", arrivals)
+        .scenario(&frozen)
+        .kinds(&kinds)
+        .field("trained_flow_ceiling", STALE_FLOW_CEILING)
+        .field("drifted_flow_ceiling", DRIFTED_FLOW_CEILING)
+        .field("min_observations", online_knobs.min_observations)
+        .field("refine_passes", passes)
+        .field("absorbed_observations", absorbed)
+        .profile(&profiled)
+        .policies(&reports);
+    run.finish(&record, |check| {
+        check.exact("arrivals", arrivals as f64, "", "arrivals");
+        check_policy(check, &online);
+    });
 }

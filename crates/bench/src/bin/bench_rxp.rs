@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-use yala_bench::{json_f64, read_record, BenchArgs, RegressionCheck};
+use yala_bench::{write_artifact, BenchArgs, RegressionCheck};
 use yala_rxp::{l7_default_ruleset, Ruleset, ScanReport};
 use yala_traffic::PayloadSynthesizer;
 
@@ -138,10 +138,7 @@ fn main() {
         row_json.join(",\n")
     );
     if let Some(path) = args.record_path(RECORD) {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(e) => eprintln!("  could not write {path}: {e}"),
-        }
+        write_artifact(path, &json);
     }
 
     // Regression gate. Unlike the fleet records this one is wall-clock
@@ -150,23 +147,17 @@ fn main() {
     // the *relative* win (fused vs per-rule speedup). A broken fused path
     // (silent per-rule fallback) collapses the speedup to ~1x and fails.
     if args.check {
-        let committed = read_record(RECORD);
-        let mut check = RegressionCheck::new();
-        check.exact(
-            "rules",
-            rules.len() as f64,
-            json_f64(&committed, "", "rules").unwrap_or(-1.0),
-        );
-        check.at_least(
-            "fused_rules",
-            rules.fused_rule_count() as f64,
-            json_f64(&committed, "", "fused_rules").unwrap_or(f64::INFINITY),
-        );
+        let mut check = RegressionCheck::against(RECORD);
+        check.exact("rules", rules.len() as f64, "", "rules");
+        let fused = rules.fused_rule_count() as f64;
+        check.at_least("fused_rules", fused, "", "fused_rules", 1.0);
         check.at_least(
             "geomean_speedup",
             geomean_speedup,
-            json_f64(&committed, "", "geomean_speedup").unwrap_or(f64::INFINITY) * 0.5,
+            "",
+            "geomean_speedup",
+            0.5,
         );
-        check.finish(RECORD);
+        check.finish();
     }
 }

@@ -2,35 +2,35 @@
 //! [`yala_serve::ServeLoop`] daemon driven in-process at production
 //! request rates with the message stream a diurnal fleet day generates —
 //! placements, departures, drift re-profiles, NIC failovers, audit
-//! observations, and online absorb passes — measuring what an operator
-//! cares about: queries per second and p99 admission latency.
+//! observations, and online absorb passes.
 //!
-//! The committed record separates the two worlds, like `bench_scale`: a
-//! `"deterministic"` block (request and decision counters; exact `--check`
-//! gates — the daemon is a pure function of seed + message order, so
-//! these either match bit-for-bit or the serving path changed) and a
-//! `"wall"` block (machine-dependent latency/throughput; never diffed).
+//! The committed record holds the request and decision counters — exact
+//! `--check` gates: the daemon is a pure function of seed + message order,
+//! so these either match bit-for-bit or the serving path changed. What
+//! the operator pays in wall time (requests per second, placement
+//! latency) is `benchmark/`'s `serve-unique` / `serve-catalog` workloads.
 
-use std::time::Instant;
-use yala_bench::{json_f64, read_record, BenchArgs, RegressionCheck};
+use yala_bench::json_f64;
+use yala_bench::record::{Record, RecordRun};
 use yala_fleet::{FleetConfig, FleetTrace, MS_PER_S};
 use yala_nf::NfKind;
 use yala_serve::ServeLoop;
+use yala_traffic::TrafficProfile;
 
-/// The committed record this binary regenerates (and `--check`s against).
-const RECORD: &str = "BENCH_serve.json";
-
-/// One wire request, schedule-ordered.
-struct Msg {
-    t_ms: u64,
-    line: String,
-    is_place: bool,
-}
+/// The counters of the record's `deterministic` block, all exact-gated.
+const COUNTERS: [&str; 6] = [
+    "admissions",
+    "rejections",
+    "departures",
+    "queries",
+    "observations",
+    "absorb_passes",
+];
 
 fn main() {
-    let args = BenchArgs::parse();
-    let quick = args.quick;
-    let engine = args.engine();
+    let run = RecordRun::start("BENCH_serve.json", 42);
+    let quick = run.args.quick;
+    let engine = &run.engine;
 
     // The scenario: a diurnal day of arrivals on a small fleet, replayed
     // as wire messages. Quick mode trims the horizon, not the shape.
@@ -44,81 +44,51 @@ fn main() {
 
     // Arrival/departure messages from the recorded trace, plus one
     // placement query per record (the "would this fit" operator probe)
-    // and an absorb sweep each simulated hour.
-    let mut msgs: Vec<Msg> = Vec::new();
+    // and an absorb sweep each simulated hour: `(due time, wire line)`.
+    let mut msgs: Vec<(u64, String)> = Vec::new();
+    let traffic = |t: TrafficProfile| {
+        let (flows, psize, mtbr) = (t.flow_count, t.packet_size, t.mtbr);
+        format!("\"flows\":{flows},\"psize\":{psize},\"mtbr\":{mtbr}")
+    };
     for r in &trace.records {
-        let t = r.start;
-        msgs.push(Msg {
-            t_ms: r.arrival_ms,
-            line: format!(
-                "{{\"op\":\"place\",\"id\":{},\"kind\":\"{}\",\"qos\":\"{}\",\
-                 \"flows\":{},\"psize\":{},\"mtbr\":{},\"sla_drop\":{}}}",
-                r.id,
-                r.kind.name(),
-                r.qos.name(),
-                t.flow_count,
-                t.packet_size,
-                t.mtbr,
-                r.sla_drop
+        let (id, kind, qos, sla) = (r.id, r.kind.name(), r.qos.name(), r.sla_drop);
+        let at = traffic(r.start);
+        msgs.push((
+            r.arrival_ms,
+            format!(
+                "{{\"op\":\"place\",\"id\":{id},\"kind\":\"{kind}\",\"qos\":\"{qos}\",{at},\
+                 \"sla_drop\":{sla}}}"
             ),
-            is_place: true,
-        });
-        msgs.push(Msg {
-            t_ms: r.arrival_ms,
-            line: format!(
-                "{{\"op\":\"query\",\"kind\":\"{}\",\"flows\":{},\"psize\":{},\
-                 \"mtbr\":{},\"sla_drop\":{}}}",
-                r.kind.name(),
-                t.flow_count,
-                t.packet_size,
-                t.mtbr,
-                r.sla_drop
-            ),
-            is_place: false,
-        });
-        msgs.push(Msg {
-            t_ms: r.departure_ms,
-            line: format!("{{\"op\":\"depart\",\"id\":{}}}", r.id),
-            is_place: false,
-        });
-    }
-    // Synthetic audit observations: one per record an hour into its
-    // life (if it lives that long), echoing its own traffic with a
-    // deterministic measured-throughput dent — enough signal for the
-    // online bank to absorb, all a pure function of the trace.
-    for r in &trace.records {
+        ));
+        let query = format!("{{\"op\":\"query\",\"kind\":\"{kind}\",{at},\"sla_drop\":{sla}}}");
+        msgs.push((r.arrival_ms, query));
+        msgs.push((r.departure_ms, format!("{{\"op\":\"depart\",\"id\":{id}}}")));
+        // A synthetic audit observation an hour into the record's life
+        // (if it lives that long), echoing its own traffic with a
+        // deterministic measured-throughput dent — enough signal for the
+        // online bank to absorb, all a pure function of the trace.
         let t_ms = r.arrival_ms + 3_600 * MS_PER_S;
-        if t_ms >= r.departure_ms {
-            continue;
+        if t_ms < r.departure_ms {
+            let solo = 1.0e7;
+            let measured = solo * (1.0 - 0.3 * (id % 4) as f64 / 4.0);
+            let at = traffic(r.traffic_at(t_ms));
+            msgs.push((
+                t_ms,
+                format!(
+                    "{{\"op\":\"observe\",\"model\":\"bluefield2\",\"kind\":\"{kind}\",{at},\
+                     \"ipc\":1.1,\"irt\":9.0e8,\"l2crd\":1.0e7,\"l2cwr\":2.0e6,\"memrd\":3.0e6,\
+                     \"memwr\":1.0e6,\"wss\":5.0e7,\"press\":\"\",\"solo\":{solo},\
+                     \"measured\":{measured}}}"
+                ),
+            ));
         }
-        let t = r.traffic_at(t_ms);
-        let solo = 1.0e7;
-        let measured = solo * (1.0 - 0.3 * (r.id % 4) as f64 / 4.0);
-        msgs.push(Msg {
-            t_ms,
-            line: format!(
-                "{{\"op\":\"observe\",\"model\":\"bluefield2\",\"kind\":\"{}\",\
-                 \"flows\":{},\"psize\":{},\"mtbr\":{},\"ipc\":1.1,\"irt\":9.0e8,\
-                 \"l2crd\":1.0e7,\"l2cwr\":2.0e6,\"memrd\":3.0e6,\"memwr\":1.0e6,\
-                 \"wss\":5.0e7,\"press\":\"\",\"solo\":{solo},\"measured\":{measured}}}",
-                r.kind.name(),
-                t.flow_count,
-                t.packet_size,
-                t.mtbr,
-            ),
-            is_place: false,
-        });
     }
     for hour in 1..cfg.duration_s / 3_600 {
-        msgs.push(Msg {
-            t_ms: hour * 3_600 * MS_PER_S,
-            line: "{\"op\":\"absorb\"}".to_string(),
-            is_place: false,
-        });
+        msgs.push((hour * 3_600 * MS_PER_S, "{\"op\":\"absorb\"}".to_string()));
     }
-    // Stable schedule order: time, then place < query < absorb < depart
-    // by construction of the per-record push order (stable sort).
-    msgs.sort_by_key(|m| m.t_ms);
+    // Stable schedule order: time, then each record's place < query <
+    // depart < observe by push order (stable sort).
+    msgs.sort_by_key(|(t_ms, _)| *t_ms);
 
     println!(
         "bench_serve: {} NICs, {} records -> {} requests, {} h diurnal day{}",
@@ -129,24 +99,15 @@ fn main() {
         if quick { " [quick]" } else { "" }
     );
 
-    let t0 = Instant::now();
-    let mut daemon = ServeLoop::new(&cfg, "yala-online", &engine).expect("serve loop builds");
-    let build_s = t0.elapsed().as_secs_f64();
+    let mut daemon = ServeLoop::new(&cfg, "yala-online", engine).expect("serve loop builds");
 
     // The drive loop. Departures for never-admitted (rejected) instances
     // come back `ok:false` — that is the protocol working, not a bench
     // failure; everything else must succeed.
-    let mut place_us: Vec<f64> = Vec::new();
-    let mut admissions = 0u64;
-    let mut rejections = 0u64;
-    let mut errors = 0u64;
-    let t0 = Instant::now();
-    for m in &msgs {
-        let t1 = Instant::now();
-        let resp = daemon.handle_line(&m.line, &engine);
-        let us = t1.elapsed().as_secs_f64() * 1e6;
-        if m.is_place {
-            place_us.push(us);
+    let (mut admissions, mut rejections, mut errors) = (0u64, 0u64, 0u64);
+    for (_, line) in &msgs {
+        let resp = daemon.handle_line(line, engine);
+        if line.starts_with("{\"op\":\"place\"") {
             if resp.contains("\"nic\":-1") {
                 rejections += 1;
             } else if resp.starts_with("{\"ok\":true") {
@@ -155,92 +116,39 @@ fn main() {
         }
         if resp.starts_with("{\"ok\":false") {
             assert!(
-                m.line.contains("\"op\":\"depart\""),
-                "unexpected error for {}: {resp}",
-                m.line
+                line.starts_with("{\"op\":\"depart\""),
+                "unexpected error for {line}: {resp}"
             );
             errors += 1;
         }
     }
-    let drive_s = t0.elapsed().as_secs_f64();
-    let stats = daemon.handle_line("{\"op\":\"stats\"}", &engine);
+    let stats = daemon.handle_line("{\"op\":\"stats\"}", engine);
     println!("  final {stats}");
-    println!(
-        "  drive: {} requests in {drive_s:.2} s (build {build_s:.2} s)",
-        msgs.len()
-    );
 
     let stat = |key: &str| {
-        json_f64(&stats, "", key).unwrap_or_else(|| panic!("stats response lacks {key}"))
+        json_f64(&stats, "", key).unwrap_or_else(|| panic!("stats response lacks {key}")) as u64
     };
-    assert_eq!(stat("admissions") as u64, admissions, "counter drift");
-    assert_eq!(stat("rejections") as u64, rejections, "counter drift");
+    assert_eq!(stat("admissions"), admissions, "counter drift");
+    assert_eq!(stat("rejections"), rejections, "counter drift");
 
-    place_us.sort_by(|a, b| a.total_cmp(b));
-    let p = |q: f64| place_us[((place_us.len() - 1) as f64 * q) as usize];
-    let requests_per_s = msgs.len() as f64 / drive_s;
-    println!(
-        "  wall: {requests_per_s:.0} req/s, place p50 {:.1} us, p99 {:.1} us",
-        p(0.50),
-        p(0.99)
-    );
-
-    let json = format!(
-        "{{\n\"bench\": \"serve\",\n\"quick\": {quick},\n\"seed\": {},\n\"nics\": {},\n\
-         \"policy\": \"yala-online\",\n\"duration_s\": {},\n\"records\": {},\n\
-         \"deterministic\": {{\"requests\": {}, \"admissions\": {}, \"rejections\": {}, \
-         \"departures\": {}, \"queries\": {}, \"observations\": {}, \
-         \"absorb_passes\": {}, \"unadmitted_departs\": {}}},\n\
-         \"wall\": {{\"requests_per_s\": {requests_per_s:.0}, \"place_p50_us\": {:.1}, \
-         \"place_p99_us\": {:.1}, \"build_s\": {build_s:.2}, \"drive_s\": {drive_s:.2}}}\n}}\n",
-        cfg.seed,
-        cfg.nics(),
-        cfg.duration_s,
-        trace.records.len(),
-        msgs.len(),
-        stat("admissions") as u64,
-        stat("rejections") as u64,
-        stat("departures") as u64,
-        stat("queries") as u64,
-        stat("observations") as u64,
-        stat("absorb_passes") as u64,
-        errors,
-        p(0.50),
-        p(0.99),
-    );
-    if let Some(path) = args.record_path(RECORD) {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(e) => eprintln!("  could not write {path}: {e}"),
+    let mut counters = vec![("requests", msgs.len() as u64)];
+    counters.extend(COUNTERS.map(|key| (key, stat(key))));
+    counters.push(("unadmitted_departs", errors));
+    let block: Vec<String> = counters
+        .iter()
+        .map(|(key, n)| format!("\"{key}\": {n}"))
+        .collect();
+    let record = Record::new("serve", quick)
+        .field("seed", cfg.seed)
+        .field("nics", cfg.nics())
+        .field("policy", "\"yala-online\"")
+        .field("duration_s", cfg.duration_s)
+        .field("records", trace.records.len())
+        .field("deterministic", format!("{{{}}}", block.join(", ")));
+    run.finish(&record, |check| {
+        for (key, n) in counters {
+            check.exact(key, n as f64, "\"deterministic\"", key);
         }
-    }
-
-    // Regression gate: every deterministic counter is exact. The wall
-    // block is deliberately never compared.
-    if args.check {
-        let committed = read_record(RECORD);
-        let mut check = RegressionCheck::new();
-        for key in [
-            "requests",
-            "admissions",
-            "rejections",
-            "departures",
-            "queries",
-            "observations",
-            "absorb_passes",
-            "unadmitted_departs",
-        ] {
-            check.exact(
-                key,
-                json_f64(&json, "\"deterministic\"", key).unwrap_or(-1.0),
-                json_f64(&committed, "\"deterministic\"", key).unwrap_or(-2.0),
-            );
-        }
-        check.exact(
-            "records",
-            trace.records.len() as f64,
-            json_f64(&committed, "", "records").unwrap_or(-1.0),
-        );
-        check.finish(RECORD);
-    }
+        check.exact("records", trace.records.len() as f64, "", "records");
+    });
 }

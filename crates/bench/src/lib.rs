@@ -1,13 +1,18 @@
 //! # yala-bench — the experiment harness
 //!
-//! Shared infrastructure for the binaries under `src/bin/`, each of which
-//! regenerates one table or figure of the paper (see `DESIGN.md` for the
-//! per-experiment index and `EXPERIMENTS.md` for paper-vs-measured notes).
+//! Shared infrastructure for the binaries under `src/bin/`: `repro`
+//! regenerates the paper's tables and figures ([`experiments`], indexed in
+//! `DESIGN.md`) and gates its accuracy claims against
+//! `BENCH_accuracy.json`; the `bench_*` bins maintain the other committed
+//! `BENCH_*.json` records over one spine ([`record`]).
 //!
 //! The central type is [`Zoo`]: it trains Yala and SLOMO models for a set
 //! of NFs against one simulated SmartNIC, caches per-(NF, profile)
 //! contentiousness profiles, and evaluates prediction scenarios against
 //! ground-truth co-runs.
+
+pub mod experiments;
+pub mod record;
 
 use std::collections::HashMap;
 use yala_core::profiler::cached_workload;
@@ -20,23 +25,6 @@ use yala_traffic::TrafficProfile;
 
 /// Measurement noise used across experiments (≈ real counter jitter).
 pub const NOISE_SIGMA: f64 = 0.005;
-
-/// Scale knob for experiment sizes: `YALA_SCALE=full` runs paper-sized
-/// sweeps; anything else (default) runs reduced-but-representative ones.
-pub fn full_scale() -> bool {
-    std::env::var("YALA_SCALE")
-        .map(|v| v == "full")
-        .unwrap_or(false)
-}
-
-/// Picks `n` if quick, `n_full` under `YALA_SCALE=full`.
-pub fn scaled(n: usize, n_full: usize) -> usize {
-    if full_scale() {
-        n_full
-    } else {
-        n
-    }
-}
 
 /// A prediction scenario's outcome.
 #[derive(Debug, Clone, Copy)]
@@ -87,21 +75,9 @@ pub struct Zoo {
 }
 
 impl Zoo {
-    /// Trains Yala + SLOMO models for `kinds` on a noisy BlueField-2,
-    /// dispatching per-NF training across all cores.
-    pub fn train(kinds: &[NfKind], seed: u64) -> Self {
-        Self::train_on(NicSpec::bluefield2(), kinds, seed)
-    }
-
-    /// Trains on an explicit NIC spec (e.g. Pensando for Table 9) with the
-    /// auto-sized parallel engine.
-    pub fn train_on(spec: NicSpec, kinds: &[NfKind], seed: u64) -> Self {
-        Self::train_portfolio(&[spec], kinds, seed, &Engine::auto())
-    }
-
-    /// Trains with an explicit scenario engine on a single NIC model.
-    pub fn train_on_with(spec: NicSpec, kinds: &[NfKind], seed: u64, engine: &Engine) -> Self {
-        Self::train_portfolio(&[spec], kinds, seed, engine)
+    /// Trains Yala + SLOMO models for `kinds` on a noisy BlueField-2.
+    pub fn train(kinds: &[NfKind], seed: u64, engine: &Engine) -> Self {
+        Self::train_portfolio(&[NicSpec::bluefield2()], kinds, seed, engine)
     }
 
     /// Trains per-model Yala and SLOMO banks for a NIC-model portfolio.
@@ -139,11 +115,6 @@ impl Zoo {
             slomo,
             solo_cache: HashMap::new(),
         }
-    }
-
-    /// The first portfolio model's identity.
-    pub fn model(&self) -> NicModelId {
-        self.model
     }
 
     /// The trained Yala model for `kind` on the first portfolio model.
@@ -213,27 +184,79 @@ impl Zoo {
     }
 }
 
-/// Formats a paper-style accuracy row.
-pub fn fmt_row(name: &str, slomo: Accuracy, yala: Accuracy) -> String {
-    format!(
-        "{name:<16} | {:>6.1} {:>6.1} {:>6.1} | {:>6.1} {:>6.1} {:>6.1}",
-        slomo.mape, slomo.acc5, slomo.acc10, yala.mape, yala.acc5, yala.acc10
-    )
+/// Ground truths with both frameworks' predictions — one accuracy-table
+/// row in the making.
+#[derive(Debug, Clone, Default)]
+pub struct Scores {
+    truth: Vec<f64>,
+    slomo: Vec<f64>,
+    yala: Vec<f64>,
 }
 
-/// Header matching [`fmt_row`].
-pub fn row_header() -> String {
-    format!(
-        "{:<16} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>6}\n{}",
-        "NF",
-        "S-MAPE",
-        "S-5%",
-        "S-10%",
-        "Y-MAPE",
-        "Y-5%",
-        "Y-10%",
-        "-".repeat(64)
-    )
+impl Scores {
+    /// Adds one evaluated scenario.
+    pub fn push(&mut self, e: Eval) {
+        self.truth.push(e.truth);
+        self.slomo.push(e.slomo);
+        self.yala.push(e.yala);
+    }
+
+    /// Pools another row's scenarios into this one.
+    pub fn extend(&mut self, other: &Scores) {
+        self.truth.extend_from_slice(&other.truth);
+        self.slomo.extend_from_slice(&other.slomo);
+        self.yala.extend_from_slice(&other.yala);
+    }
+
+    /// Summarises the scenarios as the row `name`.
+    pub fn row(&self, name: &str) -> AccRow {
+        AccRow {
+            name: name.to_string(),
+            slomo: accuracy(&self.truth, &self.slomo),
+            yala: accuracy(&self.truth, &self.yala),
+        }
+    }
+}
+
+/// One SLOMO-vs-Yala row of a paper accuracy table.
+#[derive(Debug, Clone)]
+pub struct AccRow {
+    /// Row label (an NF name, `AVERAGE`, `pooled`).
+    pub name: String,
+    /// SLOMO's accuracy on the row's scenarios.
+    pub slomo: Accuracy,
+    /// Yala's accuracy on the same scenarios.
+    pub yala: Accuracy,
+}
+
+impl AccRow {
+    /// CSV header matching [`Self::csv`].
+    pub const CSV_HEADER: &'static str =
+        "nf,slomo_mape,slomo_acc5,slomo_acc10,yala_mape,yala_acc5,yala_acc10";
+
+    /// Column header matching [`Self::line`], with its rule.
+    pub fn header() -> String {
+        let columns = "NF               | S-MAPE   S-5%  S-10% | Y-MAPE   Y-5%  Y-10%";
+        format!("{columns}\n{}", "-".repeat(64))
+    }
+
+    /// The paper-style table line.
+    pub fn line(&self) -> String {
+        let (s, y) = (self.slomo, self.yala);
+        format!(
+            "{:<16} | {:>6.1} {:>6.1} {:>6.1} | {:>6.1} {:>6.1} {:>6.1}",
+            self.name, s.mape, s.acc5, s.acc10, y.mape, y.acc5, y.acc10
+        )
+    }
+
+    /// The CSV row, labelled `name` (tables lower-case their aggregate).
+    pub fn csv(&self, name: &str) -> String {
+        let (s, y) = (self.slomo, self.yala);
+        format!(
+            "{name},{:.2},{:.1},{:.1},{:.2},{:.1},{:.1}",
+            s.mape, s.acc5, s.acc10, y.mape, y.acc5, y.acc10
+        )
+    }
 }
 
 /// Writes a CSV file under `results/` (best effort; ignores IO errors so
@@ -244,42 +267,46 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     let _ = std::fs::write(format!("results/{name}.csv"), body);
 }
 
-/// Common CLI flags of the `bench_*` record binaries:
-///
-/// * `--quick` — CI-sized run (fewer kinds / coarser cadence).
-/// * `--threads N` — pin the scenario engine to `N` workers instead of
-///   auto-sizing; the records are bit-identical either way, which the CI
-///   determinism gate enforces by diffing a default-engine run against a
-///   pinned-engine one.
-/// * `--out PATH` — write the record to `PATH` instead of the committed
-///   default (used by CI to compare runs in temp files).
-/// * `--check` — regression gate: recompute quick-mode results, diff the
-///   headline metrics against the *committed* record within tolerance,
-///   and exit nonzero on regression instead of overwriting anything.
-/// * `--telemetry BASE` — observe the flagship run and write its
-///   deterministic artifacts: `BASE.jsonl` (the sim-time event journal),
-///   `BASE.metrics.json` and `BASE.prom` (the metrics registry). The
-///   artifacts are bit-identical across runs and `--threads` values;
-///   the wall-clock latency summary goes to stdout only. Without the
-///   flag every instrumented path runs with the no-op handle and the
-///   record bytes are unchanged.
-/// * `--journal-cap N` — size the telemetry journal's event bound to
-///   `N` (default [`yala_telemetry::Journal`]'s 1Mi). A capped journal
-///   drops newest-first and `fleet_inspect` flags the truncation; raise
-///   the cap for million-arrival days where every event matters.
+/// Writes a run artifact, reporting the outcome either way: a read-only
+/// checkout loses the file, not the run.
+pub fn write_artifact(path: &str, body: &str) {
+    match std::fs::write(path, body) {
+        Ok(()) => eprintln!("  wrote {path}"),
+        Err(e) => eprintln!("  could not write {path}: {e}"),
+    }
+}
+
+/// Common CLI flags of the `bench_*` record binaries (and `repro`).
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
-    /// CI-sized run (implied by `--check`).
+    /// `--quick` — CI-sized run (fewer kinds / coarser cadence); implied
+    /// by `--check`.
     pub quick: bool,
-    /// Regression-gate mode.
+    /// `--check` — regression gate: recompute quick-mode results, diff
+    /// the headline metrics against the *committed* record within
+    /// tolerance, and exit nonzero on regression instead of overwriting
+    /// anything.
     pub check: bool,
-    /// Explicit engine worker count.
+    /// `--threads N` — pin the scenario engine to `N` workers instead of
+    /// auto-sizing; the records are bit-identical either way, which the
+    /// CI determinism gate enforces by diffing a default-engine run
+    /// against a pinned-engine one.
     pub threads: Option<usize>,
-    /// Alternative record path.
+    /// `--out PATH` — write the record to `PATH` instead of the committed
+    /// default (used by CI to compare runs in temp files).
     pub out: Option<String>,
-    /// Base path for telemetry artifacts (`None` = telemetry disabled).
+    /// `--telemetry BASE` — observe the flagship run and write its
+    /// deterministic artifacts: `BASE.jsonl` (the sim-time event journal),
+    /// `BASE.metrics.json` and `BASE.prom` (the metrics registry),
+    /// bit-identical across runs and `--threads` values; the wall-clock
+    /// latency summary goes to stdout only. Without the flag every
+    /// instrumented path runs with the no-op handle and the record bytes
+    /// are unchanged.
     pub telemetry: Option<String>,
-    /// Explicit journal capacity (`None` = the journal's default).
+    /// `--journal-cap N` — size the telemetry journal's event bound to
+    /// `N` (default [`yala_telemetry::Journal`]'s 1Mi). A capped journal
+    /// drops newest-first and `fleet_inspect` flags the truncation; raise
+    /// the cap for million-arrival days where every event matters.
     pub journal_cap: Option<usize>,
 }
 
@@ -305,38 +332,28 @@ impl BenchArgs {
         let mut out = Self::default();
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
-            let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
-            match a.as_str() {
+            let flag = a.as_str();
+            let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+            // A positive count: `--journal-cap 0` would drop every event,
+            // `--threads 0` has no engine.
+            let mut count = || -> Result<Option<usize>, String> {
+                let v = value()?;
+                match v.parse() {
+                    Ok(0) => Err(format!("{flag} must be at least 1")),
+                    Ok(n) => Ok(Some(n)),
+                    Err(_) => Err(format!("{flag} got {v:?}, expected an integer")),
+                }
+            };
+            match flag {
                 "--quick" => out.quick = true,
                 "--check" => {
                     out.check = true;
                     out.quick = true;
                 }
-                "--threads" => {
-                    let v = value("--threads")?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("--threads got {v:?}, expected an integer"))?;
-                    if n == 0 {
-                        return Err("--threads must be at least 1".to_string());
-                    }
-                    out.threads = Some(n);
-                }
-                "--out" => out.out = Some(value("--out")?),
-                "--telemetry" => out.telemetry = Some(value("--telemetry")?),
-                "--journal-cap" => {
-                    let v = value("--journal-cap")?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("--journal-cap got {v:?}, expected an integer"))?;
-                    if n == 0 {
-                        return Err(
-                            "--journal-cap must be at least 1 (0 would drop every event)"
-                                .to_string(),
-                        );
-                    }
-                    out.journal_cap = Some(n);
-                }
+                "--threads" => out.threads = count()?,
+                "--out" => out.out = Some(value()?),
+                "--telemetry" => out.telemetry = Some(value()?),
+                "--journal-cap" => out.journal_cap = count()?,
                 other => {
                     return Err(format!(
                         "unknown flag {other} (known: --quick --check --threads \
@@ -357,10 +374,8 @@ impl BenchArgs {
     }
 
     /// The observability handle the flags select: a live sink with the
-    /// wall-clock layer when `--telemetry` was given, the no-op handle
-    /// otherwise. The disabled handle makes every observed code path
-    /// byte-identical to its unobserved twin, so records produced
-    /// without the flag never move.
+    /// wall-clock layer when `--telemetry` was given, else the no-op
+    /// handle.
     pub fn telemetry_handle(&self, seed: u64) -> yala_telemetry::Telemetry {
         match &self.telemetry {
             Some(_) => {
@@ -376,22 +391,17 @@ impl BenchArgs {
         }
     }
 
-    /// Writes the observed run's deterministic artifacts next to the
-    /// `--telemetry` base path — `BASE.jsonl` (event journal),
-    /// `BASE.metrics.json`, `BASE.prom` — and prints the wall-clock
-    /// summary to stdout (deliberately *not* written to a file: it is
-    /// the one non-deterministic layer). No-op without the flag.
+    /// Writes the observed run's `--telemetry` artifacts and prints the
+    /// wall-clock summary to stdout (deliberately *not* written to a
+    /// file: it is the one non-deterministic layer). No-op without the
+    /// flag.
     pub fn write_telemetry(&self, tel: &yala_telemetry::Telemetry) {
         let (Some(base), Some(sink)) = (&self.telemetry, tel.sink()) else {
             return;
         };
-        let write = |path: String, body: String| match std::fs::write(&path, body) {
-            Ok(()) => println!("  wrote {path}"),
-            Err(e) => eprintln!("  could not write {path}: {e}"),
-        };
-        write(format!("{base}.jsonl"), sink.journal.to_jsonl());
-        write(format!("{base}.metrics.json"), sink.metrics.to_json());
-        write(format!("{base}.prom"), sink.metrics.to_prometheus());
+        write_artifact(&format!("{base}.jsonl"), &sink.journal.to_jsonl());
+        write_artifact(&format!("{base}.metrics.json"), &sink.metrics.to_json());
+        write_artifact(&format!("{base}.prom"), &sink.metrics.to_prometheus());
         if let Some(w) = &sink.wall {
             println!("  wall clock: {}", w.summary());
         }
@@ -424,17 +434,64 @@ pub fn json_f64(text: &str, anchor: &str, key: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
-/// Collects `--check` regression verdicts: each probe prints its
-/// comparison and failures accumulate for one final exit decision.
-#[derive(Debug, Default)]
+/// Collects `--check` verdicts against one committed record: each probe
+/// looks its committed value up itself — a record that lacks the key is a
+/// named failure, never a sentinel that happens to pass — prints the
+/// comparison, and failures accumulate for one final exit decision.
+#[derive(Debug)]
 pub struct RegressionCheck {
+    record: String,
+    committed: String,
     failures: Vec<String>,
 }
 
 impl RegressionCheck {
-    /// An empty check.
-    pub fn new() -> Self {
-        Self::default()
+    /// A check against the committed record at `path`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record cannot be read: `--check` without a committed
+    /// record is a broken checkout, not a regression.
+    pub fn against(path: &str) -> Self {
+        let committed = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| panic!("--check needs the committed {path}: {e}"));
+        Self::from_text(path, committed)
+    }
+
+    /// A check against record text already in memory.
+    pub fn from_text(record: &str, committed: String) -> Self {
+        Self {
+            record: record.to_string(),
+            committed,
+            failures: Vec::new(),
+        }
+    }
+
+    /// The committed record's text.
+    pub fn committed(&self) -> &str {
+        &self.committed
+    }
+
+    fn verdict(&mut self, ok: bool, line: String) {
+        println!("  check {line} {}", if ok { "OK" } else { "REGRESSED" });
+        if !ok {
+            self.failures.push(line);
+        }
+    }
+
+    /// The committed number for `key` after `anchor` (see [`json_f64`]);
+    /// a missing key fails the check under `label`.
+    fn lookup(&mut self, label: &str, anchor: &str, key: &str) -> Option<f64> {
+        let found = json_f64(&self.committed, anchor, key);
+        if found.is_none() {
+            self.fail(format!("{label}: record lacks \"{key}\" after {anchor:?}"));
+        }
+        found
+    }
+
+    /// Records a failure found outside the numeric probes.
+    pub fn fail(&mut self, failure: String) {
+        self.verdict(false, failure);
     }
 
     /// Asserts a lower-is-better metric did not regress past the
@@ -443,52 +500,52 @@ impl RegressionCheck {
         &mut self,
         label: &str,
         got: f64,
-        committed: f64,
+        anchor: &str,
+        key: &str,
         rel_tol: f64,
         abs_slack: f64,
     ) {
-        let bound = committed * (1.0 + rel_tol) + abs_slack;
-        let ok = got <= bound;
-        println!(
-            "  check {label}: {got:.3} vs committed {committed:.3} (bound {bound:.3}) {}",
-            if ok { "OK" } else { "REGRESSED" }
-        );
-        if !ok {
-            self.failures
-                .push(format!("{label}: {got:.3} > bound {bound:.3}"));
+        if let Some(committed) = self.lookup(label, anchor, key) {
+            let bound = committed * (1.0 + rel_tol) + abs_slack;
+            self.verdict(
+                got <= bound,
+                format!("{label}: {got:.3} vs committed {committed:.3} (bound {bound:.3})"),
+            );
         }
     }
 
-    /// Asserts a higher-is-better metric stayed at or above `floor`.
-    pub fn at_least(&mut self, label: &str, got: f64, floor: f64) {
-        let ok = got >= floor;
-        println!(
-            "  check {label}: {got:.3} vs floor {floor:.3} {}",
-            if ok { "OK" } else { "REGRESSED" }
-        );
-        if !ok {
-            self.failures
-                .push(format!("{label}: {got:.3} < floor {floor:.3}"));
+    /// Asserts a higher-is-better metric stayed at or above `factor` of
+    /// its committed value.
+    pub fn at_least(&mut self, label: &str, got: f64, anchor: &str, key: &str, factor: f64) {
+        if let Some(committed) = self.lookup(label, anchor, key) {
+            let floor = committed * factor;
+            self.verdict(
+                got >= floor,
+                format!("{label}: {got:.3} vs floor {floor:.3}"),
+            );
         }
     }
 
     /// Asserts an exact scenario invariant (e.g. arrival counts): a
     /// mismatch means the committed record describes a *different*
     /// scenario and must be regenerated, not tolerated.
-    pub fn exact(&mut self, label: &str, got: f64, committed: f64) {
-        let ok = got == committed;
-        println!(
-            "  check {label}: {got} vs committed {committed} {}",
-            if ok { "OK" } else { "MISMATCH" }
-        );
-        if !ok {
-            self.failures
-                .push(format!("{label}: {got} != committed {committed}"));
+    pub fn exact(&mut self, label: &str, got: f64, anchor: &str, key: &str) {
+        if let Some(committed) = self.lookup(label, anchor, key) {
+            self.verdict(
+                got == committed,
+                format!("{label}: {got} vs committed {committed}"),
+            );
         }
     }
 
+    /// The failures so far, one line each.
+    pub fn failures(&self) -> &[String] {
+        &self.failures
+    }
+
     /// Exits nonzero (after printing the verdict) if any probe failed.
-    pub fn finish(self, record: &str) {
+    pub fn finish(self) {
+        let record = &self.record;
         if self.failures.is_empty() {
             println!("  --check: no regressions vs {record}");
         } else {
@@ -499,12 +556,6 @@ impl RegressionCheck {
             std::process::exit(1);
         }
     }
-}
-
-/// Reads a committed record for `--check`, failing loudly if missing.
-pub fn read_record(path: &str) -> String {
-    std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("--check needs the committed {path}: {e}"))
 }
 
 #[cfg(test)]
@@ -519,11 +570,6 @@ mod tests {
         assert!((a.mape - 12.0).abs() < 1e-9);
         assert_eq!(a.acc5, 50.0);
         assert_eq!(a.acc10, 50.0);
-    }
-
-    #[test]
-    fn scaled_respects_env_default() {
-        assert_eq!(scaled(3, 10), if full_scale() { 10 } else { 3 });
     }
 
     #[test]
@@ -610,15 +656,40 @@ mod tests {
 
     #[test]
     fn regression_check_accumulates_failures() {
-        let mut ok = RegressionCheck::new();
-        ok.no_worse("viol", 100.0, 100.0, 0.05, 1.0);
-        ok.at_least("speedup", 9.9, 5.0);
-        ok.exact("arrivals", 579.0, 579.0);
-        assert!(ok.failures.is_empty());
-        let mut bad = RegressionCheck::new();
-        bad.no_worse("viol", 200.0, 100.0, 0.05, 1.0);
-        bad.at_least("speedup", 2.0, 5.0);
-        bad.exact("arrivals", 579.0, 600.0);
-        assert_eq!(bad.failures.len(), 3);
+        let record = r#"{"viol": 100.0, "speedup": 5.0, "arrivals": 579}"#;
+        let mut ok = RegressionCheck::from_text("BENCH_x.json", record.to_string());
+        ok.no_worse("viol", 100.0, "", "viol", 0.05, 1.0);
+        ok.at_least("speedup", 9.9, "", "speedup", 1.0);
+        ok.exact("arrivals", 579.0, "", "arrivals");
+        assert!(ok.failures().is_empty());
+        let mut bad = RegressionCheck::from_text("BENCH_x.json", record.to_string());
+        bad.no_worse("viol", 200.0, "", "viol", 0.05, 1.0);
+        bad.at_least("speedup", 2.0, "", "speedup", 1.0);
+        bad.exact("arrivals", 600.0, "", "arrivals");
+        assert_eq!(bad.failures().len(), 3);
+    }
+
+    #[test]
+    fn regression_check_names_a_missing_key() {
+        // A record that lost (or renamed) a gated key must fail every
+        // kind of probe by name — `at_least` against a -1 sentinel used
+        // to pass silently.
+        let mut check = RegressionCheck::from_text("BENCH_x.json", r#"{"arrivals": 579}"#.into());
+        check.at_least("shield_ratio_vs_committed", 10.0, "", "shield_ratio", 0.95);
+        check.no_worse(
+            "viol",
+            0.0,
+            "\"policy\": \"yala\"",
+            "violation_minutes",
+            0.05,
+            1.0,
+        );
+        check.exact("fail_events", 74.0, "", "fail_events");
+        check.exact("arrivals", 579.0, "", "arrivals");
+        let failures = check.failures();
+        assert_eq!(failures.len(), 3, "{failures:?}");
+        assert!(failures[0].starts_with("shield_ratio_vs_committed: record lacks \"shield_ratio\""));
+        assert!(failures[1].starts_with("viol: record lacks \"violation_minutes\""));
+        assert!(failures[2].starts_with("fail_events: record lacks \"fail_events\""));
     }
 }

@@ -37,14 +37,15 @@
 //!
 //! ```
 //! use yala_core::Engine;
-//! use yala_fleet::{run_fleet, FleetConfig, FleetPolicy, FleetTrace, ProfiledTrace};
+//! use yala_fleet::{run_fleet, BuildOpts, FleetConfig, FleetPolicy, FleetTrace, ProfiledTrace};
 //!
 //! let mut cfg = FleetConfig::small(7);
 //! cfg.duration_s = 1_200; // keep the doctest cheap: two audit epochs
 //! cfg.mean_interarrival_s = 240.0;
 //! cfg.audit_period_s = 600;
-//! let profiled = ProfiledTrace::build(FleetTrace::generate(cfg), &Engine::sequential());
-//! let report = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &Engine::sequential());
+//! let engine = Engine::sequential();
+//! let profiled = ProfiledTrace::build(FleetTrace::generate(cfg), &engine, BuildOpts::default());
+//! let report = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &engine);
 //! assert_eq!(report.samples.len(), 2);
 //! ```
 
@@ -65,7 +66,7 @@ pub use replay::{replay_journal, verify_against, ReplaySummary};
 pub use report::{ClassStats, FleetReport, FleetSample};
 pub use sim::{run_fleet, run_fleet_observed, FleetSim, Processed};
 pub use snapshot::{restore_fleet, snapshot_fleet, SnapshotError, SNAPSHOT_VERSION};
-pub use timeline::{NfTimeline, ProfileStats, ProfiledTrace};
+pub use timeline::{BuildOpts, CacheMode, NfTimeline, ProfileStats, ProfiledTrace};
 pub use trace::{
     FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetTrace, NfRecord, TraceError, TrafficModel,
     MS_PER_S,
@@ -82,7 +83,11 @@ mod tests {
         cfg.mean_interarrival_s = 200.0;
         cfg.mean_lifetime_s = 900.0;
         cfg.audit_period_s = 600;
-        ProfiledTrace::build(FleetTrace::generate(cfg), &Engine::sequential())
+        ProfiledTrace::build(
+            FleetTrace::generate(cfg),
+            &Engine::sequential(),
+            BuildOpts::default(),
+        )
     }
 
     #[test]
@@ -135,7 +140,11 @@ mod tests {
         cfg.audit_period_s = 600;
         // A regex NF in the mix: feasible on BlueField-2 only.
         cfg.kinds = vec![NfKind::FlowStats, NfKind::Nids];
-        let p = ProfiledTrace::build(FleetTrace::generate(cfg), &Engine::sequential());
+        let p = ProfiledTrace::build(
+            FleetTrace::generate(cfg),
+            &Engine::sequential(),
+            BuildOpts::default(),
+        );
         // Regex NFs carry a BF-2 baseline but no Pensando baseline.
         let (bf2, pen) = (NicSpec::bluefield2().model(), NicSpec::pensando().model());
         for (rec, tl) in p.trace.records.iter().zip(&p.timelines) {
@@ -219,6 +228,7 @@ mod tests {
             ProfiledTrace::build(
                 FleetTrace::from_records(cfg.clone(), records.clone()).expect("valid records"),
                 &Engine::sequential(),
+                BuildOpts::default(),
             )
         };
         let a = run_fleet(

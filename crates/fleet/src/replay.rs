@@ -166,7 +166,7 @@ mod tests {
     use super::*;
     use crate::policy::FleetPolicy;
     use crate::sim::run_fleet_observed;
-    use crate::timeline::ProfiledTrace;
+    use crate::timeline::{BuildOpts, ProfiledTrace};
     use crate::trace::{FleetConfig, FleetTrace};
     use yala_core::Engine;
     use yala_telemetry::Telemetry;
@@ -179,7 +179,11 @@ mod tests {
         cfg.audit_period_s = 600;
         let engine = Engine::sequential();
         let mut tel = Telemetry::enabled();
-        let profiled = ProfiledTrace::build_observed(FleetTrace::generate(cfg), &engine, &mut tel);
+        let profiled = ProfiledTrace::build(
+            FleetTrace::generate(cfg),
+            &engine,
+            BuildOpts::default().observed(&mut tel),
+        );
         let report =
             run_fleet_observed(&profiled, FleetPolicy::Greedy, "greedy", &engine, &mut tel);
         let journal = tel

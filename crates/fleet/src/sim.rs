@@ -775,6 +775,7 @@ mod tests {
     use super::*;
     use crate::policy::Diagnoser;
     use crate::state::linear;
+    use crate::timeline::BuildOpts;
     use crate::trace::{FaultEvent, FleetConfig, FleetTrace, NfRecord};
     use yala_nf::NfKind;
     use yala_placement::OraclePredictor;
@@ -806,9 +807,10 @@ mod tests {
                 qos: QosClass::Guaranteed,
             })
             .collect();
-        let profiled = crate::timeline::ProfiledTrace::build(
+        let profiled = ProfiledTrace::build(
             FleetTrace::from_records(cfg, records).expect("valid records"),
             &Engine::sequential(),
+            BuildOpts::default(),
         );
         let mut state = FleetState::new(&profiled);
         let (bf2, pen) = (state.nics.model[0], state.nics.model[1]);
@@ -863,7 +865,7 @@ mod tests {
     ) -> ProfiledTrace {
         let mut trace = FleetTrace::from_records(cfg, records).expect("valid records");
         trace.faults = faults;
-        ProfiledTrace::build(trace, &Engine::sequential())
+        ProfiledTrace::build(trace, &Engine::sequential(), BuildOpts::default())
     }
 
     fn two_nic_cfg() -> FleetConfig {

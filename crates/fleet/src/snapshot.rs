@@ -191,7 +191,11 @@ mod tests {
             drain_notice_s: 300,
             drain_offline_s: 300,
         };
-        ProfiledTrace::build(FleetTrace::generate(cfg), &Engine::sequential())
+        ProfiledTrace::build(
+            FleetTrace::generate(cfg),
+            &Engine::sequential(),
+            crate::BuildOpts::default(),
+        )
     }
 
     #[test]

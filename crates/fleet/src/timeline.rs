@@ -12,15 +12,14 @@
 //! two policies' reports is then attributable to their decisions alone.
 //!
 //! Every measurement routes through a [`ProfileCache`] in one of two
-//! modes:
+//! [`CacheMode`]s:
 //!
-//! * **Exact** ([`ProfiledTrace::build`]): keys carry the exact traffic
-//!   attributes and the per-instance workload seed, so within one trace
-//!   every measurement is a distinct key and the build is a pure
-//!   pass-through — bit-identical to the pre-cache profiler. Rebuilding
-//!   the same trace against a shared cache ([`build_with_cache`]) hits
-//!   on every key and returns the same bytes without touching a
-//!   simulator.
+//! * **Exact**: keys carry the exact traffic attributes and the
+//!   per-instance workload seed, so within one trace every measurement
+//!   is a distinct key and the build is a pure pass-through —
+//!   bit-identical to the pre-cache profiler. Rebuilding the same trace
+//!   against a shared cache hits on every key and returns the same bytes
+//!   without touching a simulator.
 //! * **Quantized** ([`ProfiledTrace::build_cached`]): traffic is
 //!   quantized to drift-threshold-sized buckets and the key's seed is
 //!   derived from the key itself, so near-identical tenants — and the
@@ -28,15 +27,13 @@
 //!   measurement. A drift trigger delta-re-keys only the attributes
 //!   that moved, so a one-attribute drift lands on a neighboring key
 //!   that is often already measured.
-//!
-//! [`build_with_cache`]: ProfiledTrace::build_with_cache
 
 use crate::trace::{FleetTrace, MS_PER_S};
 use yala_core::engine::Engine;
 use yala_core::profile_cache::{profile_seed, ProfileCache, ProfileKey, TrafficKey};
 use yala_placement::{measure_entry, placed_from_entry, sims_for, sims_for_key, Arrival, Placed};
 use yala_telemetry::{stable_hash64, Event, MetricsRegistry, Telemetry};
-use yala_traffic::TrafficQuantizer;
+use yala_traffic::{QuantizedTraffic, TrafficProfile, TrafficQuantizer};
 
 /// One measurement consumed during an observed build, for the journal:
 /// `(logical time, trigger, stable key hash)`.
@@ -139,203 +136,90 @@ pub struct ProfiledTrace {
     pub stats: ProfileStats,
 }
 
-impl ProfiledTrace {
-    /// Profiles the whole trace in **exact mode**: one independent
-    /// scenario per NF (its arrival profile plus its drift re-profiles,
-    /// sequentially on private per-NIC-model simulators), dispatched
-    /// across `engine`'s workers. Each NF holds one simulator per
-    /// portfolio model that admits its kind
-    /// ([`yala_nf::NfKind::profiled_on`]), so every snapshot carries the
-    /// per-model solo baselines placement needs; the first portfolio
-    /// model's seed stream is the old homogeneous stream, so a
-    /// single-model portfolio profiles bit-identically.
-    ///
-    /// Equivalent to [`build_with_cache`] against a fresh private cache:
-    /// every key is distinct, every lookup misses, and the byte stream
-    /// is exactly the uncached profiler's.
-    ///
-    /// [`build_with_cache`]: ProfiledTrace::build_with_cache
-    pub fn build(trace: FleetTrace, engine: &Engine) -> Self {
-        Self::build_with_cache(trace, engine, &ProfileCache::new())
-    }
+/// How [`ProfiledTrace::build`] keys its measurements (see the module
+/// docs), and the cache the keys resolve against (`None`: a fresh one).
+#[derive(Debug, Clone, Copy)]
+pub enum CacheMode<'a> {
+    /// `(kind, exact traffic, per-instance workload seed)` keys, measured
+    /// on the NF's own per-NIC-model simulators ([`sims_for`]; the first
+    /// portfolio model's seed stream is the old homogeneous one). The
+    /// per-instance seed keeps unrelated traces sharing a cache from
+    /// colliding.
+    Exact(Option<&'a ProfileCache>),
+    /// [`TrafficQuantizer`] bucket keys, measured at the bucket's
+    /// representative profile on fresh simulators seeded from the key
+    /// ([`profile_seed`], [`sims_for_key`]) — a pure function of the key,
+    /// so any two lookups of it, from any tenant, epoch, build, or
+    /// thread, return bitwise-identical measurements and the cache may
+    /// be shared process-wide ([`ProfileCache::global`]). Drift is
+    /// compared per attribute against the last *measured* profile and
+    /// only attributes past the threshold re-bucket
+    /// ([`TrafficQuantizer::delta_rekey`]); snapshots carry the
+    /// representative traffic, so SLA floors track what was measured.
+    Quantized(Option<&'a ProfileCache>),
+}
 
-    /// [`build`](Self::build) with an observability sink: every
-    /// measurement is journaled as an [`Event::Profile`] (with a stable
-    /// key hash and a deterministic hit/miss attribution), per-scenario
-    /// metric shards are merged into the registry in scenario order, and
-    /// the build's [`ProfileStats`] are mirrored onto `profile.*`
-    /// counters. A disabled handle makes this exactly `build`.
-    pub fn build_observed(trace: FleetTrace, engine: &Engine, tel: &mut Telemetry) -> Self {
-        Self::build_with_cache_observed(trace, engine, &ProfileCache::new(), tel)
+impl Default for CacheMode<'_> {
+    fn default() -> Self {
+        Self::Exact(None)
     }
+}
 
-    /// Exact-mode build against a caller-owned cache. Keys are
-    /// `(kind, exact traffic, per-instance workload seed)`, so within
-    /// one trace every measurement is a fresh key and the build is a
-    /// pass-through; rebuilding the *same* trace against the same cache
-    /// hits on every key and reproduces the identical bytes without
-    /// running a single measurement. Sharing one cache across
-    /// *different* traces is only useful when they overlap in
-    /// `(seed, kind, traffic)` — the per-instance seed in the key keeps
-    /// unrelated traces from colliding.
-    pub fn build_with_cache(trace: FleetTrace, engine: &Engine, cache: &ProfileCache) -> Self {
-        Self::build_with_cache_observed(trace, engine, cache, &mut Telemetry::disabled())
-    }
+/// Options of [`ProfiledTrace::build`]. The default is an unobserved
+/// exact-mode build against a fresh cache.
+#[derive(Debug, Default)]
+pub struct BuildOpts<'a> {
+    /// Key derivation and the cache behind it.
+    pub cache: CacheMode<'a>,
+    /// Observability sink: every measurement is journaled as an
+    /// [`Event::Profile`] (stable key hash, deterministic hit/miss
+    /// attribution; triggers `arrival`/`drift` exact, `arrival`/`delta`/
+    /// `full` quantized), per-scenario metric shards are merged in
+    /// scenario order, and the build's [`ProfileStats`] are mirrored onto
+    /// `profile.*` counters. `None` — or a disabled handle — observes
+    /// nothing and changes no byte of the result.
+    pub telemetry: Option<&'a mut Telemetry>,
+}
 
-    /// Exact-mode observed build; see [`build_observed`](Self::build_observed)
-    /// for the telemetry contract.
-    pub fn build_with_cache_observed(
-        trace: FleetTrace,
-        engine: &Engine,
-        cache: &ProfileCache,
-        tel: &mut Telemetry,
-    ) -> Self {
-        let cfg = trace.config.clone();
-        let specs = cfg.specs();
-        let horizon_ms = cfg.duration_s * MS_PER_S;
-        let period_ms = cfg.audit_period_s * MS_PER_S;
-        let observe = tel.is_enabled();
-        let before = cache.stats();
-        let built: Vec<(NfTimeline, u64, ProfileTap, Option<MetricsRegistry>)> =
-            engine.run(trace.records.len(), |i| {
-                let rec = &trace.records[i];
-                let mut sims = sims_for(
-                    &specs,
-                    rec.kind,
-                    cfg.noise_sigma,
-                    cfg.seed ^ TIMELINE_SALT,
-                    i,
-                );
-                let workload_seed = cfg.seed.wrapping_add(rec.id as u64);
-                let mut tap: ProfileTap = Vec::new();
-                let mut shard = observe.then(MetricsRegistry::new);
-                // The measurement closure threads the record's own simulators
-                // through the cache: on a miss the simulators advance exactly
-                // as the uncached profiler's would; on a hit they stay put and
-                // the cached bytes stand in for the measurement they replay.
-                let mut measure = |traffic, t_ms: u64, trigger: &'static str| {
-                    let key = ProfileKey {
-                        kind: rec.kind,
-                        traffic: TrafficKey::exact(&traffic),
-                        seed: workload_seed,
-                    };
-                    if observe {
-                        tap.push((t_ms, trigger, key_hash(&key)));
-                    }
-                    cache.get_or_measure(&key, || {
-                        measure_entry(&mut sims, rec.kind, traffic, workload_seed)
-                    })
-                };
-                let arrival = Arrival {
-                    kind: rec.kind,
-                    traffic: rec.traffic_at(rec.arrival_ms),
-                    sla_drop: rec.sla_drop,
-                    qos: rec.qos,
-                };
-                let first = placed_from_entry(
-                    &measure(arrival.traffic, rec.arrival_ms, "arrival"),
-                    arrival,
-                    None,
-                );
-                let name = first.workload.name.clone();
-                let mut snapshots = vec![(rec.arrival_ms, first)];
-                let mut last_traffic = rec.start;
-                let mut reprofiles = 0u64;
-                // Walk the audit epochs inside the NF's on-trace lifetime.
-                let mut epoch_ms = (rec.arrival_ms / period_ms + 1) * period_ms;
-                while epoch_ms < rec.departure_ms && epoch_ms <= horizon_ms {
-                    let now = rec.traffic_at(epoch_ms);
-                    if last_traffic.relative_change(&now) > cfg.reprofile_threshold {
-                        let prev = &snapshots.last().expect("arrival snapshot").1;
-                        let mut arr = prev.arrival.clone();
-                        arr.traffic = now;
-                        snapshots.push((
-                            epoch_ms,
-                            placed_from_entry(&measure(now, epoch_ms, "drift"), arr, Some(&name)),
-                        ));
-                        reprofiles += 1;
-                        last_traffic = now;
-                    }
-                    epoch_ms += period_ms;
-                }
-                if let Some(s) = shard.as_mut() {
-                    for &(_, trigger, _) in &tap {
-                        s.inc(&format!("profile.measurements.{trigger}"), 1);
-                    }
-                    s.observe_log2("profile.snapshots_per_nf", 1.0, 6, snapshots.len() as f64);
-                }
-                (NfTimeline { snapshots }, reprofiles, tap, shard)
-            });
-        let mut timelines = Vec::with_capacity(built.len());
-        let mut full_reprofiles = 0u64;
-        let mut seen_keys = std::collections::HashSet::new();
-        for (i, (tl, n, tap, shard)) in built.into_iter().enumerate() {
-            timelines.push(tl);
-            full_reprofiles += n;
-            if let Some(shard) = shard {
-                tel.merge_shard(&shard);
-            }
-            journal_tap(tel, &trace, i, tap, &mut seen_keys);
-        }
-        let stats = Self::stats_from(before, cache.stats(), 0, full_reprofiles);
-        mirror_stats(tel, &stats);
+impl<'a> BuildOpts<'a> {
+    /// Quantized keys resolved against `cache` (`None`: a fresh one).
+    pub fn quantized(cache: Option<&'a ProfileCache>) -> Self {
         Self {
-            trace,
-            timelines,
-            stats,
+            cache: CacheMode::Quantized(cache),
+            telemetry: None,
         }
     }
 
-    /// Profiles the whole trace in **quantized mode** against a fresh
-    /// private cache. See [`build_cached_with`] for the sharing
-    /// semantics; a fresh cache still pays one measurement per distinct
-    /// quantized key, which is already far fewer than one per snapshot
-    /// whenever tenants cluster around common traffic shapes.
-    ///
-    /// [`build_cached_with`]: ProfiledTrace::build_cached_with
-    pub fn build_cached(trace: FleetTrace, engine: &Engine) -> Self {
-        Self::build_cached_with(trace, engine, &ProfileCache::new())
+    /// The same build, observed by `tel`.
+    pub fn observed(self, tel: &'a mut Telemetry) -> Self {
+        Self {
+            telemetry: Some(tel),
+            ..self
+        }
     }
+}
 
-    /// [`build_cached`](Self::build_cached) with an observability sink;
-    /// same telemetry contract as [`build_observed`](Self::build_observed),
-    /// with triggers `arrival`/`delta`/`full` instead of
-    /// `arrival`/`drift`.
-    pub fn build_cached_observed(trace: FleetTrace, engine: &Engine, tel: &mut Telemetry) -> Self {
-        Self::build_cached_with_observed(trace, engine, &ProfileCache::new(), tel)
-    }
+/// What the walk's last measurement was keyed on.
+#[derive(Clone, Copy)]
+enum Keying {
+    Exact,
+    Bucket(QuantizedTraffic),
+}
 
-    /// Quantized-mode build against a caller-owned cache — the
-    /// fleet-scale profile-sharing path. Traffic is quantized with
-    /// bucket widths sized under the config's `reprofile_threshold`
-    /// ([`TrafficQuantizer`]), each key's measurement seed is derived
-    /// from the key itself ([`profile_seed`]), and the measurement runs
-    /// on fresh per-key simulators ([`sims_for_key`]) at the bucket's
-    /// representative profile — a pure function of the key. Any two
-    /// lookups of the same key, from any tenant, epoch, build, or
-    /// thread, therefore return bitwise-identical measurements, and the
-    /// cache may be shared process-wide ([`ProfileCache::global`]).
-    ///
-    /// Drift handling is **delta re-keying**: at each audit epoch the
-    /// per-attribute drift relative to the last *measured*
-    /// (representative) profile is compared against the threshold, and
-    /// only attributes past it re-bucket ([`TrafficQuantizer::delta_rekey`]) —
-    /// single-attribute drift moves to an adjacent key that is often
-    /// already measured. Snapshots carry the representative traffic, so
-    /// SLA floors track the profile that was actually measured.
-    pub fn build_cached_with(trace: FleetTrace, engine: &Engine, cache: &ProfileCache) -> Self {
-        Self::build_cached_with_observed(trace, engine, cache, &mut Telemetry::disabled())
-    }
-
-    /// Quantized-mode observed build; see
-    /// [`build_cached_observed`](Self::build_cached_observed) for the
-    /// telemetry contract.
-    pub fn build_cached_with_observed(
-        trace: FleetTrace,
-        engine: &Engine,
-        cache: &ProfileCache,
-        tel: &mut Telemetry,
-    ) -> Self {
+impl ProfiledTrace {
+    /// Profiles the whole trace: one independent scenario per NF (its
+    /// arrival profile plus a re-profile at every audit epoch where
+    /// drift crossed the threshold), dispatched across `engine`'s
+    /// workers. Every snapshot carries a solo baseline per portfolio
+    /// model that admits the NF's kind ([`yala_nf::NfKind::profiled_on`]).
+    pub fn build(trace: FleetTrace, engine: &Engine, opts: BuildOpts<'_>) -> Self {
+        let (quantized, shared) = match opts.cache {
+            CacheMode::Exact(cache) => (false, cache),
+            CacheMode::Quantized(cache) => (true, cache),
+        };
+        let (fresh, mut unobserved) = (ProfileCache::new(), Telemetry::disabled());
+        let cache = shared.unwrap_or(&fresh);
+        let tel = opts.telemetry.unwrap_or(&mut unobserved);
         let cfg = trace.config.clone();
         let specs = cfg.specs();
         let horizon_ms = cfg.duration_s * MS_PER_S;
@@ -343,111 +227,180 @@ impl ProfiledTrace {
         let quantizer = TrafficQuantizer::new(cfg.reprofile_threshold);
         let observe = tel.is_enabled();
         let before = cache.stats();
-        type QuantBuilt = (NfTimeline, u64, u64, ProfileTap, Option<MetricsRegistry>);
-        let built: Vec<QuantBuilt> = engine.run(trace.records.len(), |i| {
+        type Built = (NfTimeline, u64, u64, ProfileTap, Option<MetricsRegistry>);
+        let built: Vec<Built> = engine.run(trace.records.len(), |i| {
             let rec = &trace.records[i];
+            let workload_seed = cfg.seed.wrapping_add(rec.id as u64);
+            let base_seed = cfg.seed ^ TIMELINE_SALT;
+            // An exact key is measured on the record's own simulators: on
+            // a miss they advance exactly as the uncached profiler's
+            // would, on a hit they stay put. A bucket key is measured on
+            // fresh simulators seeded from the key.
+            let mut own_sims =
+                (!quantized).then(|| sims_for(&specs, rec.kind, cfg.noise_sigma, base_seed, i));
             let mut tap: ProfileTap = Vec::new();
-            let mut shard = observe.then(MetricsRegistry::new);
-            // A keyed measurement is a pure function of the key: fresh
-            // simulators seeded from the key, measuring the bucket's
-            // representative profile with the key-derived seed.
-            let measure = |key: ProfileKey, rep| {
-                cache.get_or_measure(&key, || {
-                    let mut sims = sims_for_key(&specs, rec.kind, cfg.noise_sigma, key.seed);
-                    measure_entry(&mut sims, rec.kind, rep, key.seed)
+            let mut measure = |keying, traffic: TrafficProfile, t_ms, trigger| {
+                let (traffic_key, seed) = match keying {
+                    Keying::Exact => (TrafficKey::exact(&traffic), workload_seed),
+                    Keying::Bucket(bucket) => {
+                        let key = TrafficKey::Bucketed(bucket);
+                        (key, profile_seed(base_seed, rec.kind, &key))
+                    }
+                };
+                let key = ProfileKey {
+                    kind: rec.kind,
+                    traffic: traffic_key,
+                    seed,
+                };
+                if observe {
+                    tap.push((t_ms, trigger, key_hash(&key)));
+                }
+                cache.get_or_measure(&key, || match own_sims.as_mut() {
+                    Some(sims) => measure_entry(sims, rec.kind, traffic, seed),
+                    None => {
+                        let mut sims = sims_for_key(&specs, rec.kind, cfg.noise_sigma, seed);
+                        measure_entry(&mut sims, rec.kind, traffic, seed)
+                    }
                 })
             };
-            let keyed = |qkey| {
-                let traffic = TrafficKey::Bucketed(qkey);
-                let seed = profile_seed(cfg.seed ^ TIMELINE_SALT, rec.kind, &traffic);
-                ProfileKey {
-                    kind: rec.kind,
-                    traffic,
-                    seed,
-                }
+            // `last` is the traffic drift is measured against: the last
+            // exact profile, or the last bucket's representative.
+            let arrival_traffic = rec.traffic_at(rec.arrival_ms);
+            let (mut keying, mut last, measured) = if quantized {
+                let (bucket, rep) = quantizer.canonicalize(&arrival_traffic);
+                (Keying::Bucket(bucket), rep, rep)
+            } else {
+                (Keying::Exact, rec.start, arrival_traffic)
             };
-            // Instances keep the exact path's naming convention
-            // (`<kind>-<workload seed>`), unique per record.
-            let name = format!(
-                "{}-{}",
-                rec.kind.name(),
-                cfg.seed.wrapping_add(rec.id as u64)
-            );
-            let (mut last_key, mut last_rep) =
-                quantizer.canonicalize(&rec.traffic_at(rec.arrival_ms));
+            let first = measure(keying, measured, rec.arrival_ms, "arrival");
+            // Instance identity `<kind>-<workload seed>`, unique per
+            // record and stable across re-profiles.
+            let name = match keying {
+                Keying::Exact => first.workload.name.clone(),
+                Keying::Bucket(_) => format!("{}-{workload_seed}", rec.kind.name()),
+            };
             let arrival = Arrival {
                 kind: rec.kind,
-                traffic: last_rep,
+                traffic: measured,
                 sla_drop: rec.sla_drop,
                 qos: rec.qos,
             };
-            let k0 = keyed(last_key);
-            if observe {
-                tap.push((rec.arrival_ms, "arrival", key_hash(&k0)));
-            }
-            let first = placed_from_entry(&measure(k0, last_rep), arrival, Some(&name));
-            let mut snapshots = vec![(rec.arrival_ms, first)];
+            let mut snapshots = vec![(
+                rec.arrival_ms,
+                placed_from_entry(&first, arrival, Some(&name)),
+            )];
             let (mut delta, mut full) = (0u64, 0u64);
+            // Walk the audit epochs inside the NF's on-trace lifetime.
             let mut epoch_ms = (rec.arrival_ms / period_ms + 1) * period_ms;
             while epoch_ms < rec.departure_ms && epoch_ms <= horizon_ms {
                 let now = rec.traffic_at(epoch_ms);
-                let rk = quantizer.delta_rekey(&last_key, &last_rep, &now);
-                // Re-profile only when drift past threshold actually
-                // lands in a different bucket; at clamped range edges a
-                // nominal trigger can re-quantize to the same key, and
-                // re-measuring it would be pure waste.
-                if rk.moved_count() > 0 && rk.key != last_key {
-                    let trigger = if rk.is_full() {
-                        full += 1;
-                        "full"
-                    } else {
-                        delta += 1;
-                        "delta"
-                    };
-                    let rep = quantizer.representative(&rk.key);
-                    let prev = &snapshots.last().expect("arrival snapshot").1;
-                    let mut arr = prev.arrival.clone();
-                    arr.traffic = rep;
-                    let k = keyed(rk.key);
-                    if observe {
-                        tap.push((epoch_ms, trigger, key_hash(&k)));
+                let moved = match keying {
+                    Keying::Exact => (last.relative_change(&now) > cfg.reprofile_threshold)
+                        .then_some((Keying::Exact, now, "drift")),
+                    // Re-profile only when drift past threshold actually
+                    // lands in a different bucket; at clamped range edges
+                    // a nominal trigger can re-quantize to the same key.
+                    Keying::Bucket(bucket) => {
+                        let rk = quantizer.delta_rekey(&bucket, &last, &now);
+                        (rk.moved_count() > 0 && rk.key != bucket).then(|| {
+                            let trigger = if rk.is_full() { "full" } else { "delta" };
+                            (
+                                Keying::Bucket(rk.key),
+                                quantizer.representative(&rk.key),
+                                trigger,
+                            )
+                        })
                     }
-                    snapshots.push((
-                        epoch_ms,
-                        placed_from_entry(&measure(k, rep), arr, Some(&name)),
-                    ));
-                    last_key = rk.key;
-                    last_rep = rep;
+                };
+                if let Some((next, traffic, trigger)) = moved {
+                    // Exact keys share nothing, so every exact re-profile
+                    // counts as full.
+                    if trigger == "delta" {
+                        delta += 1;
+                    } else {
+                        full += 1;
+                    }
+                    let mut arr = snapshots
+                        .last()
+                        .expect("arrival snapshot")
+                        .1
+                        .arrival
+                        .clone();
+                    arr.traffic = traffic;
+                    let entry = measure(next, traffic, epoch_ms, trigger);
+                    snapshots.push((epoch_ms, placed_from_entry(&entry, arr, Some(&name))));
+                    (keying, last) = (next, traffic);
                 }
                 epoch_ms += period_ms;
             }
-            if let Some(s) = shard.as_mut() {
+            let shard = observe.then(|| {
+                let mut s = MetricsRegistry::new();
                 for &(_, trigger, _) in &tap {
                     s.inc(&format!("profile.measurements.{trigger}"), 1);
                 }
                 s.observe_log2("profile.snapshots_per_nf", 1.0, 6, snapshots.len() as f64);
-            }
+                s
+            });
             (NfTimeline { snapshots }, delta, full, tap, shard)
         });
+        // Merge sequentially, in record order: journal lines tag a
+        // measurement `miss` on the first occurrence of its key hash and
+        // `hit` after, whichever thread actually paid for it.
         let mut timelines = Vec::with_capacity(built.len());
         let (mut delta_reprofiles, mut full_reprofiles) = (0u64, 0u64);
         let mut seen_keys = std::collections::HashSet::new();
-        for (i, (tl, d, f, tap, shard)) in built.into_iter().enumerate() {
+        for (rec, (tl, d, f, tap, shard)) in trace.records.iter().zip(built) {
             timelines.push(tl);
             delta_reprofiles += d;
             full_reprofiles += f;
             if let Some(shard) = shard {
                 tel.merge_shard(&shard);
             }
-            journal_tap(tel, &trace, i, tap, &mut seen_keys);
+            for (t_ms, trigger, key) in tap {
+                let cache = if seen_keys.insert(key) { "miss" } else { "hit" };
+                tel.rec(t_ms, || Event::Profile {
+                    id: rec.id,
+                    kind: rec.kind.name(),
+                    trigger,
+                    key,
+                    cache,
+                });
+            }
         }
-        let stats = Self::stats_from(before, cache.stats(), delta_reprofiles, full_reprofiles);
-        mirror_stats(tel, &stats);
+        // The cache-counter delta is thread-count invariant: the key set
+        // is trace-determined, misses count stub creations (one per
+        // distinct new key, whichever thread gets there), and hits are
+        // the remaining lookups.
+        let after = cache.stats();
+        let stats = ProfileStats {
+            lookups: after.lookups - before.lookups,
+            hits: after.hits - before.hits,
+            misses: after.misses - before.misses,
+            inserts: after.entries - before.entries,
+            delta_reprofiles,
+            full_reprofiles,
+        };
+        // Mirrored onto the registry, so it carries the same accounting
+        // the bench records print.
+        if observe {
+            tel.inc("profile.lookups", stats.lookups);
+            tel.inc("profile.hits", stats.hits);
+            tel.inc("profile.misses", stats.misses);
+            tel.inc("profile.inserts", stats.inserts);
+            tel.inc("profile.delta_reprofiles", stats.delta_reprofiles);
+            tel.inc("profile.full_reprofiles", stats.full_reprofiles);
+        }
         Self {
             trace,
             timelines,
             stats,
         }
+    }
+
+    /// [`build`](Self::build) in quantized mode against a fresh cache:
+    /// one measurement per distinct bucket key, not per snapshot.
+    pub fn build_cached(trace: FleetTrace, engine: &Engine) -> Self {
+        Self::build(trace, engine, BuildOpts::quantized(None))
     }
 
     /// Total profile snapshots across all NFs (arrivals + re-profiles):
@@ -456,69 +409,6 @@ impl ProfiledTrace {
     pub fn snapshot_count(&self) -> usize {
         self.timelines.iter().map(|t| t.snapshots.len()).sum()
     }
-
-    /// Assembles build stats from the cache-counter delta plus the
-    /// trace-determined re-profile split. The delta is thread-count
-    /// invariant: the key set is trace-determined, misses count stub
-    /// creations (one per distinct new key, whichever thread gets
-    /// there), and hits are the remaining lookups.
-    fn stats_from(
-        before: yala_core::profile_cache::CacheStats,
-        after: yala_core::profile_cache::CacheStats,
-        delta_reprofiles: u64,
-        full_reprofiles: u64,
-    ) -> ProfileStats {
-        ProfileStats {
-            lookups: after.lookups - before.lookups,
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-            inserts: after.entries - before.entries,
-            delta_reprofiles,
-            full_reprofiles,
-        }
-    }
-}
-
-/// Journals one record's profile tap, tagging each measurement `miss`
-/// on the first post-merge occurrence of its key hash and `hit` after.
-/// Runs sequentially in record order after the parallel build, so the
-/// attribution is deterministic regardless of which thread actually
-/// paid for the measurement.
-fn journal_tap(
-    tel: &mut Telemetry,
-    trace: &FleetTrace,
-    i: usize,
-    tap: ProfileTap,
-    seen: &mut std::collections::HashSet<u64>,
-) {
-    if tap.is_empty() {
-        return;
-    }
-    let rec = &trace.records[i];
-    for (t_ms, trigger, key) in tap {
-        let cache = if seen.insert(key) { "miss" } else { "hit" };
-        tel.rec(t_ms, || Event::Profile {
-            id: rec.id,
-            kind: rec.kind.name(),
-            trigger,
-            key,
-            cache,
-        });
-    }
-}
-
-/// Mirrors a build's [`ProfileStats`] onto the `profile.*` counters, so
-/// the registry carries the same accounting the bench records print.
-fn mirror_stats(tel: &mut Telemetry, stats: &ProfileStats) {
-    if !tel.is_enabled() {
-        return;
-    }
-    tel.inc("profile.lookups", stats.lookups);
-    tel.inc("profile.hits", stats.hits);
-    tel.inc("profile.misses", stats.misses);
-    tel.inc("profile.inserts", stats.inserts);
-    tel.inc("profile.delta_reprofiles", stats.delta_reprofiles);
-    tel.inc("profile.full_reprofiles", stats.full_reprofiles);
 }
 
 #[cfg(test)]
@@ -533,7 +423,11 @@ mod tests {
         cfg.mean_interarrival_s = 120.0;
         cfg.mean_lifetime_s = 900.0;
         cfg.audit_period_s = 300;
-        ProfiledTrace::build(FleetTrace::generate(cfg), &Engine::sequential())
+        ProfiledTrace::build(
+            FleetTrace::generate(cfg),
+            &Engine::sequential(),
+            BuildOpts::default(),
+        )
     }
 
     #[test]
@@ -588,8 +482,16 @@ mod tests {
             c.audit_period_s = 300;
             c
         };
-        let seq = ProfiledTrace::build(FleetTrace::generate(cfg.clone()), &Engine::sequential());
-        let par = ProfiledTrace::build(FleetTrace::generate(cfg), &Engine::with_threads(4));
+        let seq = ProfiledTrace::build(
+            FleetTrace::generate(cfg.clone()),
+            &Engine::sequential(),
+            BuildOpts::default(),
+        );
+        let par = ProfiledTrace::build(
+            FleetTrace::generate(cfg),
+            &Engine::with_threads(4),
+            BuildOpts::default(),
+        );
         assert_eq!(seq.snapshot_count(), par.snapshot_count());
         assert_eq!(seq.stats, par.stats);
         for (a, b) in seq.timelines.iter().zip(&par.timelines) {
@@ -610,13 +512,17 @@ mod tests {
         cfg.audit_period_s = 300;
         let cache = ProfileCache::new();
         let engine = Engine::sequential();
-        let a = ProfiledTrace::build_with_cache(FleetTrace::generate(cfg.clone()), &engine, &cache);
+        let exact_in = || BuildOpts {
+            cache: CacheMode::Exact(Some(&cache)),
+            telemetry: None,
+        };
+        let a = ProfiledTrace::build(FleetTrace::generate(cfg.clone()), &engine, exact_in());
         // Fresh cache: every snapshot was a distinct key, nothing hit.
         assert_eq!(a.stats.hits, 0);
         assert_eq!(a.stats.misses, a.snapshot_count() as u64);
         assert_eq!(a.stats.inserts, a.stats.misses);
         // Same trace, same cache: everything hits, bytes are identical.
-        let b = ProfiledTrace::build_with_cache(FleetTrace::generate(cfg), &engine, &cache);
+        let b = ProfiledTrace::build(FleetTrace::generate(cfg), &engine, exact_in());
         assert_eq!(b.stats.misses, 0);
         assert_eq!(b.stats.hits, b.stats.lookups);
         for (ta, tb) in a.timelines.iter().zip(&b.timelines) {

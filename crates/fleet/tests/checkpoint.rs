@@ -16,8 +16,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use yala_core::{Engine, ModelBank, YalaModel};
 use yala_fleet::{
-    restore_fleet, snapshot_fleet, Diagnoser, FaultPlan, FleetConfig, FleetPolicy, FleetReport,
-    FleetSim, FleetTrace, OnlineRefine, Processed, ProfiledTrace, SnapshotError, TrafficModel,
+    restore_fleet, snapshot_fleet, BuildOpts, Diagnoser, FaultPlan, FleetConfig, FleetPolicy,
+    FleetReport, FleetSim, FleetTrace, OnlineRefine, Processed, ProfiledTrace, SnapshotError,
+    TrafficModel,
 };
 use yala_nf::NfKind;
 use yala_placement::YalaPredictor;
@@ -184,7 +185,7 @@ fn a_snapshot_restored_into_a_different_run_is_refused() {
     let cfg = scenario(64);
     let bank = cfg.train_bank(&engine);
     let cached = ProfiledTrace::build_cached(FleetTrace::generate(cfg.clone()), &engine);
-    let exact = ProfiledTrace::build(FleetTrace::generate(cfg), &engine);
+    let exact = ProfiledTrace::build(FleetTrace::generate(cfg), &engine, BuildOpts::default());
     // Early — the two runs may not have taken a different decision yet,
     // so only the header's identity fields tell them apart — and late.
     for epoch in [1, AUDITS - 1] {

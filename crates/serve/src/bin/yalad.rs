@@ -27,8 +27,8 @@ use std::process::exit;
 
 use yala_core::{Engine, ModelBank};
 use yala_fleet::{
-    read_trace, restore_fleet, snapshot_fleet, write_trace, Diagnoser, FaultPlan, FleetConfig,
-    FleetPolicy, FleetSim, FleetTrace, OnlineRefine, Processed, ProfiledTrace,
+    read_trace, restore_fleet, snapshot_fleet, write_trace, BuildOpts, Diagnoser, FaultPlan,
+    FleetConfig, FleetPolicy, FleetSim, FleetTrace, OnlineRefine, Processed, ProfiledTrace,
 };
 use yala_placement::YalaPredictor;
 use yala_serve::ServeLoop;
@@ -263,7 +263,7 @@ fn replay(mut f: Flags) {
     let profiled = if cached {
         ProfiledTrace::build_cached(trace, &engine)
     } else {
-        ProfiledTrace::build(trace, &engine)
+        ProfiledTrace::build(trace, &engine, BuildOpts::default())
     };
     // The journal is part of the determinism surface: always on, sim-time.
     let mut tel = Telemetry::enabled();

@@ -8,7 +8,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use yala::core::{Engine, ProfileCache};
-use yala::fleet::{run_fleet, FleetConfig, FleetPolicy, FleetTrace, ProfiledTrace, TrafficModel};
+use yala::fleet::{
+    run_fleet, BuildOpts, FleetConfig, FleetPolicy, FleetTrace, ProfiledTrace, TrafficModel,
+};
 use yala::nf::NfKind;
 use yala::sim::NicSpec;
 use yala::traffic::{TrafficProfile, TrafficQuantizer};
@@ -96,15 +98,15 @@ fn cached_profiles_are_bitwise_identical_to_fresh_ones_across_seeds() {
         // A warm build against a pre-populated cache: every lookup hits,
         // nothing is measured, and the bytes still match the fresh runs.
         let cache = ProfileCache::new();
-        let _warmup = ProfiledTrace::build_cached_with(
+        let _warmup = ProfiledTrace::build(
             FleetTrace::generate(cached_config(seed)),
             &engine,
-            &cache,
+            BuildOpts::quantized(Some(&cache)),
         );
-        let warm = ProfiledTrace::build_cached_with(
+        let warm = ProfiledTrace::build(
             FleetTrace::generate(cached_config(seed)),
             &engine,
-            &cache,
+            BuildOpts::quantized(Some(&cache)),
         );
         assert_eq!(warm.stats.misses, 0, "warm build must be all hits");
         assert_eq!(warm.stats.hits, warm.stats.lookups);
@@ -155,7 +157,11 @@ fn quantized_build_and_report_are_byte_identical_across_thread_counts() {
 fn exact_mode_counts_every_snapshot_as_a_miss() {
     let mut cfg = cached_config(7);
     cfg.traffic_model = TrafficModel::Uniform;
-    let p = ProfiledTrace::build(FleetTrace::generate(cfg), &Engine::sequential());
+    let p = ProfiledTrace::build(
+        FleetTrace::generate(cfg),
+        &Engine::sequential(),
+        BuildOpts::default(),
+    );
     // A fresh exact-mode build shares nothing: the cache is a pure
     // pass-through and the stats say so.
     assert_eq!(p.stats.hits, 0);

@@ -12,8 +12,8 @@ use std::sync::OnceLock;
 use yala::core::adaptive::AdaptiveConfig;
 use yala::core::{Engine, ModelBank, TrainConfig, YalaModel};
 use yala::fleet::{
-    run_fleet, Diagnoser, FaultKind, FaultPlan, FleetConfig, FleetPolicy, FleetReport, FleetTrace,
-    ProfiledTrace,
+    run_fleet, BuildOpts, Diagnoser, FaultKind, FaultPlan, FleetConfig, FleetPolicy, FleetReport,
+    FleetTrace, ProfiledTrace,
 };
 use yala::ml::GbrParams;
 use yala::nf::NfKind;
@@ -82,7 +82,11 @@ fn fixture() -> &'static Fixture {
             &train_cfg(),
             &engine,
         );
-        let profiled = ProfiledTrace::build(FleetTrace::generate(config(53)), &engine);
+        let profiled = ProfiledTrace::build(
+            FleetTrace::generate(config(53)),
+            &engine,
+            BuildOpts::default(),
+        );
         Fixture { profiled, bank }
     })
 }
@@ -141,7 +145,11 @@ fn fault_injected_reports_are_bit_identical_across_thread_counts() {
     // From-scratch rebuild (trace generation + profiling) on a parallel
     // engine, replayed sequentially: the fault schedule and QoS draws
     // are pure functions of the config, not of the engine.
-    let rebuilt = ProfiledTrace::build(FleetTrace::generate(config(53)), &Engine::with_threads(4));
+    let rebuilt = ProfiledTrace::build(
+        FleetTrace::generate(config(53)),
+        &Engine::with_threads(4),
+        BuildOpts::default(),
+    );
     let c = run_policy(&rebuilt, true, &Engine::sequential());
     assert_eq!(a, c, "trace/profiling fan-out must not affect the report");
     assert_eq!(a.to_json(), c.to_json());

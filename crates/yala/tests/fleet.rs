@@ -11,7 +11,8 @@
 use std::sync::OnceLock;
 use yala::core::{Engine, ModelBank, TrainConfig, YalaModel};
 use yala::fleet::{
-    run_fleet, Diagnoser, FleetConfig, FleetPolicy, FleetReport, FleetTrace, ProfiledTrace,
+    run_fleet, BuildOpts, Diagnoser, FleetConfig, FleetPolicy, FleetReport, FleetTrace,
+    ProfiledTrace,
 };
 use yala::nf::NfKind;
 use yala::placement::YalaPredictor;
@@ -47,7 +48,11 @@ fn fixture() -> &'static Fixture {
             &TrainConfig::default(),
             &engine,
         );
-        let profiled = ProfiledTrace::build(FleetTrace::generate(config(31)), &engine);
+        let profiled = ProfiledTrace::build(
+            FleetTrace::generate(config(31)),
+            &engine,
+            BuildOpts::default(),
+        );
         Fixture { profiled, bank }
     })
 }
@@ -79,7 +84,8 @@ fn reports_are_bit_identical_across_runs_and_thread_counts() {
     assert_eq!(a, b, "audit fan-out must not affect the report");
     // A from-scratch rebuild (trace + profiling) with a parallel engine
     // reproduces the same report bit for bit.
-    let rebuilt = ProfiledTrace::build(FleetTrace::generate(config(31)), &par);
+    let rebuilt =
+        ProfiledTrace::build(FleetTrace::generate(config(31)), &par, BuildOpts::default());
     let c = run_yala(&rebuilt, &seq);
     assert_eq!(a, c, "profiling fan-out must not affect the report");
     assert_eq!(a.to_json(), c.to_json());

@@ -11,7 +11,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use yala::core::{Engine, QosClass};
-use yala::fleet::{run_fleet, Diagnoser, FleetConfig, FleetPolicy, FleetTrace, ProfiledTrace};
+use yala::fleet::{
+    run_fleet, BuildOpts, Diagnoser, FleetConfig, FleetPolicy, FleetTrace, ProfiledTrace,
+};
 use yala::nf::NfKind;
 use yala::placement::{place_sequence, prepare_all, Arrival, OraclePredictor, Strategy};
 use yala::sim::{NicSpec, Simulator};
@@ -44,7 +46,8 @@ fn fleet_strategies_never_place_accelerator_nfs_on_incapable_nics() {
     for seed in [3u64, 11, 29] {
         let cfg = mixed_cfg(seed);
         let specs = cfg.specs();
-        let profiled = ProfiledTrace::build(FleetTrace::generate(cfg), &engine);
+        let profiled =
+            ProfiledTrace::build(FleetTrace::generate(cfg), &engine, BuildOpts::default());
         // Structural: the profiling matrix never hands placement a solo
         // baseline on hardware that cannot serve the workload — on every
         // snapshot, every per-model baseline's hardware supports every

@@ -16,8 +16,8 @@ use std::sync::OnceLock;
 use yala::core::adaptive::{AdaptiveConfig, TrafficRanges};
 use yala::core::{Engine, ModelBank, Observation, ObservationBuffer, TrainConfig, YalaModel};
 use yala::fleet::{
-    run_fleet, Diagnoser, FleetConfig, FleetPolicy, FleetReport, FleetTrace, OnlineRefine,
-    ProfiledTrace,
+    run_fleet, BuildOpts, Diagnoser, FleetConfig, FleetPolicy, FleetReport, FleetTrace,
+    OnlineRefine, ProfiledTrace,
 };
 use yala::ml::GbrParams;
 use yala::nf::NfKind;
@@ -85,7 +85,11 @@ fn fixture() -> &'static Fixture {
             &train_cfg(),
             &engine,
         );
-        let profiled = ProfiledTrace::build(FleetTrace::generate(config(41)), &engine);
+        let profiled = ProfiledTrace::build(
+            FleetTrace::generate(config(41)),
+            &engine,
+            BuildOpts::default(),
+        );
         Fixture { profiled, bank }
     })
 }

@@ -12,8 +12,8 @@
 
 use yala::core::Engine;
 use yala::fleet::{
-    run_fleet, run_fleet_observed, verify_against, FleetConfig, FleetPolicy, FleetReport,
-    FleetTrace, ProfiledTrace,
+    run_fleet, run_fleet_observed, verify_against, BuildOpts, FleetConfig, FleetPolicy,
+    FleetReport, FleetTrace, ProfiledTrace,
 };
 use yala::telemetry::Telemetry;
 
@@ -32,8 +32,11 @@ fn config(seed: u64) -> FleetConfig {
 /// Runs the full observed pipeline (profile build + greedy fleet run)
 /// and returns the report plus every exported byte stream.
 fn observed_exports(seed: u64, engine: &Engine, mut tel: Telemetry) -> (FleetReport, [String; 3]) {
-    let profiled =
-        ProfiledTrace::build_observed(FleetTrace::generate(config(seed)), engine, &mut tel);
+    let profiled = ProfiledTrace::build(
+        FleetTrace::generate(config(seed)),
+        engine,
+        BuildOpts::default().observed(&mut tel),
+    );
     let report = run_fleet_observed(&profiled, FleetPolicy::Greedy, "greedy", engine, &mut tel);
     let sink = tel.sink().expect("enabled telemetry has a sink");
     verify_against(&report, &sink.journal).expect("journal replays to the report");
@@ -79,7 +82,11 @@ fn instrumentation_does_not_perturb_the_simulation() {
     let engine = Engine::sequential();
 
     // Unobserved pipeline: disabled telemetry end to end.
-    let profiled = ProfiledTrace::build(FleetTrace::generate(config(41)), &engine);
+    let profiled = ProfiledTrace::build(
+        FleetTrace::generate(config(41)),
+        &engine,
+        BuildOpts::default(),
+    );
     let baseline = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &engine);
 
     // Observed pipeline on a freshly generated (identical) trace.
@@ -93,8 +100,11 @@ fn instrumentation_does_not_perturb_the_simulation() {
     // And a disabled handle through the observed entry points is inert:
     // no sink, same report.
     let mut off = Telemetry::disabled();
-    let profiled2 =
-        ProfiledTrace::build_observed(FleetTrace::generate(config(41)), &engine, &mut off);
+    let profiled2 = ProfiledTrace::build(
+        FleetTrace::generate(config(41)),
+        &engine,
+        BuildOpts::default().observed(&mut off),
+    );
     let report2 = run_fleet_observed(&profiled2, FleetPolicy::Greedy, "greedy", &engine, &mut off);
     assert!(off.sink().is_none());
     assert_eq!(baseline.to_json(), report2.to_json());
