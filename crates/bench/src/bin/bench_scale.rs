@@ -18,8 +18,8 @@
 //! under the prediction-driven (`yala`) policy through the same sweep: a
 //! greedy decision is an index lookup, a contention-aware one scores
 //! every fitting NIC with the trained bank. Its block also pins how many
-//! predictions the day asked for and how many the predictor's memo
-//! answered.
+//! predictions the day asked for, how many the predictor's memo
+//! answered, and how many forest walks the rest cost.
 
 use yala_bench::record::{fleet_day, verify_journal, yala_policy, Record, RecordRun};
 use yala_bench::write_artifact;
@@ -198,10 +198,12 @@ fn main() {
     });
     let memo = memo.expect("sweep ran at least once");
     println!(
-        "  yala: {} predictions, {} answered from the memo ({:.1}%), memo emptied {} time(s)",
+        "  yala: {} predictions, {} answered from the memo ({:.1}%), {} forest walks, memo emptied \
+         {} time(s)",
         memo.lookups,
         memo.hits,
         100.0 * memo.hits as f64 / memo.lookups.max(1) as f64,
+        memo.forest_walks,
         memo.clears
     );
 
@@ -221,6 +223,7 @@ fn main() {
         ("violation_minutes", yala.report.violation_minutes, 3),
         ("predictions", memo.lookups as f64, 0),
         ("memo_hits", memo.hits as f64, 0),
+        ("forest_walks", memo.forest_walks as f64, 0),
     ];
     let render = |block: &[(&str, f64, usize)]| -> String {
         let fields: Vec<String> = block

@@ -65,10 +65,7 @@ impl<M> ModelBank<M> {
     /// The trained model for `kind` on NICs of `model`, if that cell was
     /// trained.
     pub fn get(&self, model: NicModelId, kind: NfKind) -> Option<&M> {
-        self.entries
-            .iter()
-            .find(|(m, k, _)| *m == model && *k == kind)
-            .map(|(_, _, v)| v)
+        self.position(model, kind).map(|at| self.at(at))
     }
 
     /// Like [`Self::get`] but panics with a diagnostic when the cell is
@@ -77,6 +74,24 @@ impl<M> ModelBank<M> {
     pub fn expect(&self, model: NicModelId, kind: NfKind) -> &M {
         self.get(model, kind)
             .unwrap_or_else(|| panic!("no model trained for {kind} on NIC model {model}"))
+    }
+
+    /// Where the `(model, kind)` cell sits in training order — an index
+    /// for [`Self::at`] that stays valid for the life of the bank
+    /// ([`Self::refine`] replaces cells in place).
+    pub fn position(&self, model: NicModelId, kind: NfKind) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|(m, k, _)| *m == model && *k == kind)
+    }
+
+    /// The model of the cell at `position`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position` is not below [`Self::len`].
+    pub fn at(&self, position: usize) -> &M {
+        &self.entries[position].2
     }
 
     /// Whether the `(model, kind)` cell exists.

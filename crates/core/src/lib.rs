@@ -79,3 +79,4 @@ pub use profile_cache::{
     profile_seed, CacheStats, ProfileCache, ProfileEntry, ProfileKey, SoloProfile, TrafficKey,
 };
 pub use qos::QosClass;
+pub use yala_ml::{CellMemo, WordMemo};

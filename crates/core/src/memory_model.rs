@@ -3,7 +3,7 @@
 //! with the target's traffic-attribute vector (§5.1.2).
 
 use serde::{Deserialize, Serialize};
-use yala_ml::{Dataset, GbrParams, GradientBoostingRegressor};
+use yala_ml::{CellMemo, Dataset, GbrParams, GradientBoostingRegressor};
 use yala_sim::CounterSample;
 use yala_traffic::TrafficProfile;
 
@@ -92,14 +92,34 @@ impl MemoryModel {
     ///
     /// Panics if the model is traffic-aware and `traffic` is `None`.
     pub fn predict(&self, competitors: &CounterSample, traffic: Option<&TrafficProfile>) -> f64 {
+        self.predict_via(competitors, traffic, |x| self.gbr.predict(x))
+    }
+
+    /// [`Self::predict`] through a caller-owned memo of this model's
+    /// answers by forest cell: the same bits, without the walk when the
+    /// cell was answered before. Whoever calls [`Self::absorb_rows`] must
+    /// clear `memo` — a refit grows another forest.
+    pub fn predict_memo(
+        &self,
+        competitors: &CounterSample,
+        traffic: Option<&TrafficProfile>,
+        memo: &mut CellMemo,
+    ) -> f64 {
+        self.predict_via(competitors, traffic, |x| self.gbr.predict_memo(x, memo))
+    }
+
+    /// Assembles the feature row and clamps what `gbr` makes of it.
+    fn predict_via(
+        &self,
+        competitors: &CounterSample,
+        traffic: Option<&TrafficProfile>,
+        gbr: impl FnOnce(&[f64]) -> f64,
+    ) -> f64 {
         let pred = if self.traffic_aware {
             let t = traffic.expect("traffic-aware model needs a traffic profile");
-            let mut x = [0.0; N_COUNTER_FEATURES + N_TRAFFIC_FEATURES];
-            x[..N_COUNTER_FEATURES].copy_from_slice(&competitors.as_features());
-            x[N_COUNTER_FEATURES..].copy_from_slice(&t.as_vector());
-            self.gbr.predict(&x)
+            gbr(&traffic_aware_features(competitors, t))
         } else {
-            self.gbr.predict(&competitors.as_features())
+            gbr(&competitors.as_features())
         };
         pred.max(0.0)
     }

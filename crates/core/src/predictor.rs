@@ -11,7 +11,7 @@ use crate::memory_model::{
 use crate::observe::{Observation, Refinable};
 use crate::profiler::{memory_dataset_fixed, MemLevel};
 use std::borrow::Cow;
-use yala_ml::{Dataset, GbrParams};
+use yala_ml::{CellMemo, Dataset, GbrParams};
 use yala_nf::NfKind;
 use yala_sim::{CounterSample, ExecutionPattern, ResourceKind, Simulator};
 use yala_traffic::TrafficProfile;
@@ -222,18 +222,20 @@ impl YalaModel {
         traffic: &TrafficProfile,
         contenders: &[Contender],
     ) -> Vec<(ResourceKind, f64)> {
-        let (per, n) = self.per_resource_tputs(solo_tput, traffic, contenders);
+        let (per, n) = self.per_resource_tputs(solo_tput, traffic, contenders, None);
         let kinds = std::iter::once(ResourceKind::CpuMem).chain(self.accels.iter().map(|a| a.kind));
         kinds.zip(per[..n].iter().copied()).collect()
     }
 
     /// The `T_k` of [`Self::per_resource`] in the same order, on the
-    /// stack: the values and how many of them are set.
+    /// stack: the values and how many of them are set. With `memo`, the
+    /// memory model answers through it.
     fn per_resource_tputs(
         &self,
         solo_tput: f64,
         traffic: &TrafficProfile,
         contenders: &[Contender],
+        memo: Option<&mut CellMemo>,
     ) -> ([f64; MAX_RESOURCES], usize) {
         assert!(solo_tput > 0.0, "solo throughput must be positive");
         assert!(
@@ -241,11 +243,13 @@ impl YalaModel {
             "more accelerator models than accelerator kinds"
         );
         let traffic_arg = self.memory.is_traffic_aware().then_some(traffic);
+        let competitors = aggregate_counters(contenders);
         let mut per = [0.0; MAX_RESOURCES];
-        per[0] = self
-            .memory
-            .predict(&aggregate_counters(contenders), traffic_arg)
-            .min(solo_tput);
+        per[0] = match memo {
+            Some(memo) => self.memory.predict_memo(&competitors, traffic_arg, memo),
+            None => self.memory.predict(&competitors, traffic_arg),
+        }
+        .min(solo_tput);
         for (t_k, am) in per[1..].iter_mut().zip(&self.accels) {
             *t_k = match self.pattern {
                 ExecutionPattern::Pipeline => {
@@ -276,6 +280,27 @@ impl YalaModel {
         )
     }
 
+    /// [`Self::predict`] with the memory model answering through a
+    /// caller-owned memo ([`MemoryModel::predict_memo`]): the same bits,
+    /// cheaper when the forest was asked about the same cell before. A
+    /// placement loop keeps one memo per model and clears it when the
+    /// model is refined.
+    pub fn predict_memo(
+        &self,
+        memo: &mut CellMemo,
+        solo_tput: f64,
+        traffic: &TrafficProfile,
+        contenders: &[Contender],
+    ) -> f64 {
+        self.composed(
+            Composition::ExecutionPattern,
+            solo_tput,
+            traffic,
+            contenders,
+            Some(memo),
+        )
+    }
+
     /// Prediction with an explicit composition variant (for ablations).
     pub fn predict_with(
         &self,
@@ -284,7 +309,18 @@ impl YalaModel {
         traffic: &TrafficProfile,
         contenders: &[Contender],
     ) -> f64 {
-        let (per, n) = self.per_resource_tputs(solo_tput, traffic, contenders);
+        self.composed(composition, solo_tput, traffic, contenders, None)
+    }
+
+    fn composed(
+        &self,
+        composition: Composition,
+        solo_tput: f64,
+        traffic: &TrafficProfile,
+        contenders: &[Contender],
+        memo: Option<&mut CellMemo>,
+    ) -> f64 {
+        let (per, n) = self.per_resource_tputs(solo_tput, traffic, contenders, memo);
         let per = &per[..n];
         match composition {
             Composition::ExecutionPattern => compose(self.pattern, solo_tput, per),

@@ -145,7 +145,15 @@ pub enum FleetPolicy<'a> {
     },
 }
 
-impl FleetPolicy<'_> {
+impl<'a> FleetPolicy<'a> {
+    /// The predictor behind a contention-aware policy.
+    pub(crate) fn predictor(&mut self) -> Option<&mut (dyn PlacementPredictor + 'a)> {
+        match self {
+            FleetPolicy::ContentionAware { predictor, .. } => Some(&mut **predictor),
+            _ => None,
+        }
+    }
+
     /// Whether this is a contention-aware policy honoring QoS tiers.
     pub(crate) fn qos_aware(&self) -> bool {
         matches!(

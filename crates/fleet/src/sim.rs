@@ -404,7 +404,7 @@ impl<'a> FleetSim<'a> {
                         floor,
                     });
                 }
-                self.state.place(nic, id);
+                self.state.place(self.policy.predictor(), nic, id);
             }
             None => {
                 self.rejected += 1;
@@ -429,7 +429,8 @@ impl<'a> FleetSim<'a> {
         let w0 = tel.wall_start();
         // 1. Drift: bring every placed NF to its snapshot in force at
         // this epoch and re-price the occupied NICs in the index.
-        self.state.drift(t_ms, &mut self.occupied);
+        self.state
+            .drift(self.policy.predictor(), t_ms, &mut self.occupied);
         // 2. Ground truth.
         let reports = self.co_run_occupied(epoch, engine);
         let violating = self.tally_violations(t_ms, &reports, tel);
@@ -465,9 +466,9 @@ impl<'a> FleetSim<'a> {
             let nic = occupied[j];
             let spec = &cfg.portfolio[state.nics.spec_pos[nic]].0;
             let mut sim = simulator_for(spec, cfg.noise_sigma, scenario_seed(audit_base, j));
-            let workloads: Vec<WorkloadSpec> = state.residents()[nic]
+            let workloads: Vec<&WorkloadSpec> = state.residents()[nic]
                 .iter()
-                .map(|&id| state.snapshot(id).workload.clone())
+                .map(|&id| &state.snapshot(id).workload)
                 .collect();
             sim.co_run(&workloads)
         })
@@ -598,7 +599,7 @@ impl<'a> FleetSim<'a> {
                 });
             match slot {
                 Some(nic) => {
-                    state.place(nic, id);
+                    state.place(policy.predictor(), nic, id);
                     state.readmitted[nf.qos() as usize] += 1;
                     tel.inc(&format!("fleet.readmitted.{}", nf.qos().name()), 1);
                     tel.rec(t_ms, || Event::Readmit {
@@ -696,6 +697,8 @@ impl<'a> FleetSim<'a> {
                 tel.inc("predict.calls", stats.lookups);
                 tel.inc("predict.memo_hits", stats.hits);
                 tel.inc("predict.memo_clears", stats.clears);
+                tel.inc("predict.cell_hits", stats.cell_hits);
+                tel.inc("predict.forest_walks", stats.forest_walks);
             }
         }
     }
@@ -816,8 +819,8 @@ mod tests {
         let (bf2, pen) = (state.nics.model[0], state.nics.model[1]);
         assert_ne!(bf2, pen, "two hardware models");
         // Hand-place both NFs on the BF-2 NIC (a blind packer would).
-        state.place(0, 0);
-        state.place(0, 1);
+        state.place(None, 0, 0);
+        state.place(None, 0, 1);
         let mut oracle = OraclePredictor::for_models(&profiled.trace.config.specs());
         let mut policy = FleetPolicy::ContentionAware {
             predictor: &mut oracle,
@@ -1101,7 +1104,7 @@ mod tests {
                 for r in records {
                     let nic = rng.gen_range(0..nics);
                     if fits(&st, nic, r.id) {
-                        st.place(nic, r.id);
+                        st.place(None, nic, r.id);
                     }
                 }
 
@@ -1142,7 +1145,7 @@ mod tests {
                             let id = records[rng.gen_range(0..records.len())].id;
                             let placed = st.residents().iter().any(|r| r.contains(&id));
                             if !placed && fits(&st, nic, id) {
-                                st.place(nic, id);
+                                st.place(None, nic, id);
                             }
                         }
                         // Hard failure: retire and bulk-evict.

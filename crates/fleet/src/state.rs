@@ -1,14 +1,15 @@
 //! The one owner of a fleet run's mutable state: who lives where
-//! (`residents` / `location`), the candidate index mirroring that
-//! (`pidx`), drift cursors, NIC up/down state, the parked set, and the
-//! per-class displacement counters.
+//! (`residents` / `location`), the candidate index (`pidx`) and the
+//! predictor's view (`rows`) mirroring that, drift cursors, NIC up/down
+//! state, the parked set, and the per-class displacement counters.
 //!
-//! `residents`, `location`, and `pidx` must move together; the only
-//! code that moves them is [`FleetState::place`], [`FleetState::remove`],
-//! and [`FleetState::take_all`]. Everything else — the choosers,
-//! evacuation, preemption, migration — decides *what* to move and calls
-//! those three. The event loop (`sim.rs`) sees the fields it may not
-//! touch only through read accessors.
+//! `residents`, `location`, `pidx`, and `rows` must move together; the
+//! only code that moves them is [`FleetState::place`],
+//! [`FleetState::remove`], [`FleetState::take_all`], and — when a
+//! resident's profile changes under it — [`FleetState::drift`].
+//! Everything else — the choosers, evacuation, preemption, migration —
+//! decides *what* to move and calls those. The event loop (`sim.rs`)
+//! sees the fields it may not touch only through read accessors.
 
 use crate::index::PlacementIndex;
 use crate::policy::{Diagnoser, FleetPolicy};
@@ -25,6 +26,11 @@ use yala_telemetry::{Event, Telemetry};
 /// gathered on the NIC it accepted: `(slot, predicted, floor_with_margin)`.
 /// `None` disables collection entirely (the telemetry-off path).
 pub(crate) type MarginSink<'m> = Option<&'m mut Vec<(usize, f64, f64)>>;
+
+/// The policy's predictor ([`FleetPolicy::predictor`]), lent to the code
+/// that names residents for the NIC rows. The object's own lifetime is
+/// spelled out so a reborrow can be handed on.
+pub(crate) type Namer<'r, 'p> = Option<&'r mut (dyn PlacementPredictor + 'p)>;
 
 /// Operational state of a NIC under the fault machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,12 +107,35 @@ impl NicMap {
     }
 }
 
+/// What a contention-aware decision reads of one NIC's residents, in
+/// residency order, so that scoring a candidate NIC touches no profile:
+/// each resident's [`PlacementPredictor::class_of`] id on this NIC's
+/// model (0 under a policy without a predictor) and its SLA floor there.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct NicRow {
+    classes: Vec<u32>,
+    floors: Vec<f64>,
+}
+
+/// The NF a placement decision is about, as its candidate NICs'
+/// questions need it: its class id per portfolio position (0 where the
+/// model does not support it), named once per decision, and the class
+/// ids of the candidate being judged, kept for their capacity.
+struct Newcomer<'a> {
+    nf: &'a Placed,
+    class_at: Vec<u32>,
+    candidate: Vec<u32>,
+}
+
 /// The fleet itself. See the module docs for who may touch what.
 pub(crate) struct FleetState<'a> {
     pub(crate) profiled: &'a ProfiledTrace,
     pub(crate) nics: NicMap,
     residents: Vec<Vec<u32>>,
     location: Vec<Option<usize>>,
+    /// One row per NIC, in lockstep with `residents` and — through
+    /// [`FleetState::drift`] — `cursor`.
+    rows: Vec<NicRow>,
     /// The placement-candidate index, in lockstep with `residents`,
     /// `state`, and (through [`FleetState::drift`]) `cursor`, so each
     /// decision walks a shortlist instead of the whole fleet.
@@ -132,6 +161,7 @@ impl<'a> FleetState<'a> {
             nics,
             residents: vec![Vec::new(); nic_count],
             location: vec![None; nfs],
+            rows: vec![NicRow::default(); nic_count],
             cursor: vec![0; nfs],
             state: vec![NicState::Up; nic_count],
             parked: Vec::new(),
@@ -197,19 +227,75 @@ impl<'a> FleetState<'a> {
         }
     }
 
-    /// Puts NF `id` on `nic` under its snapshot in force.
-    pub(crate) fn place(&mut self, nic: usize, id: u32) {
+    /// What `rows[nic]` holds for NF `id` under its snapshot in force.
+    fn row_entry(&self, predictor: Namer<'_, '_>, nic: usize, id: u32) -> (u32, f64) {
+        let (model, nf) = (self.nics.model[nic], self.snapshot(id));
+        let class = predictor.map_or(0, |p| p.class_of(model, nf));
+        (class, nf.sla_floor(model))
+    }
+
+    /// Debug builds recompute `rows[nic]` from `residents` and the
+    /// snapshots in force after every change to either — the oracle
+    /// pattern [`linear`] gives the indexed choosers. Without a predictor
+    /// at hand only the floors are checked; a floor is a tenant's own
+    /// continuous draw, so it alone tells residents apart.
+    #[cfg(debug_assertions)]
+    fn assert_row(&self, mut predictor: Namer<'_, '_>, nic: usize) {
+        let row = &self.rows[nic];
+        let ids = &self.residents[nic];
+        assert_eq!(
+            (row.classes.len(), row.floors.len()),
+            (ids.len(), ids.len()),
+            "NIC {nic}: row and residents differ in length"
+        );
+        for (k, &id) in ids.iter().enumerate() {
+            let (class, floor) = self.row_entry(predictor.as_deref_mut(), nic, id);
+            assert_eq!(
+                row.floors[k].to_bits(),
+                floor.to_bits(),
+                "NIC {nic} slot {k}: stale SLA floor for NF {id}"
+            );
+            if let Some(p) = predictor.as_deref() {
+                // A predictor whose table of descriptions was emptied
+                // names a description it sees again with a newer id.
+                let renamed = p.memo_stats().is_some_and(|s| s.clears > 0);
+                assert!(
+                    row.classes[k] == class || (renamed && row.classes[k] < class),
+                    "NIC {nic} slot {k}: NF {id} is class {class}, row says {}",
+                    row.classes[k]
+                );
+            }
+        }
+    }
+
+    /// Puts NF `id` on `nic` under its snapshot in force; `predictor` is
+    /// the policy's ([`FleetPolicy::predictor`]), which names the
+    /// newcomer for the NIC's row.
+    pub(crate) fn place(&mut self, mut predictor: Namer<'_, '_>, nic: usize, id: u32) {
+        let (class, floor) = self.row_entry(predictor.as_deref_mut(), nic, id);
         self.residents[nic].push(id);
+        self.rows[nic].classes.push(class);
+        self.rows[nic].floors.push(floor);
         self.location[id as usize] = Some(nic);
         self.pidx.place(nic, self.snapshot(id).workload.cores);
+        #[cfg(debug_assertions)]
+        self.assert_row(predictor, nic);
     }
 
     /// Takes NF `id` off its NIC, returning where it was (`None` if it
     /// was parked or never placed).
     pub(crate) fn remove(&mut self, id: u32) -> Option<usize> {
         let nic = self.location[id as usize].take()?;
-        self.residents[nic].retain(|&r| r != id);
+        let slot = self.residents[nic]
+            .iter()
+            .position(|&r| r == id)
+            .expect("a located NF is among its NIC's residents");
+        self.residents[nic].remove(slot);
+        self.rows[nic].classes.remove(slot);
+        self.rows[nic].floors.remove(slot);
         self.pidx.remove(nic, self.snapshot(id).workload.cores);
+        #[cfg(debug_assertions)]
+        self.assert_row(None, nic);
         Some(nic)
     }
 
@@ -220,7 +306,10 @@ impl<'a> FleetState<'a> {
         for &id in &evicted {
             self.location[id as usize] = None;
         }
+        self.rows[nic] = NicRow::default();
         self.pidx.clear_retired(nic);
+        #[cfg(debug_assertions)]
+        self.assert_row(None, nic);
         evicted
     }
 
@@ -243,20 +332,41 @@ impl<'a> FleetState<'a> {
     }
 
     /// Audit-epoch drift: brings every placed NF to its snapshot in
-    /// force at `t_ms` (re-profiles are epoch-aligned), lists the
-    /// occupied NICs into `occupied`, and re-prices each in the index —
-    /// the cursor moves may have changed resident core footprints.
-    pub(crate) fn drift(&mut self, t_ms: u64, occupied: &mut Vec<usize>) {
-        for (id, loc) in self.location.iter().enumerate() {
-            if loc.is_some() {
-                self.cursor[id] = self.profiled.timelines[id].index_at(t_ms);
+    /// force at `t_ms` (re-profiles are epoch-aligned) — renaming it in
+    /// its NIC's row when that is another one — lists the occupied NICs
+    /// into `occupied`, and re-prices each in the index: the cursor moves
+    /// may have changed resident core footprints.
+    pub(crate) fn drift(
+        &mut self,
+        mut predictor: Namer<'_, '_>,
+        t_ms: u64,
+        occupied: &mut Vec<usize>,
+    ) {
+        for id in 0..self.location.len() {
+            let Some(nic) = self.location[id] else {
+                continue;
+            };
+            let at = self.profiled.timelines[id].index_at(t_ms);
+            if at == self.cursor[id] {
+                continue;
             }
+            self.cursor[id] = at;
+            let id = id as u32;
+            let slot = self.residents[nic]
+                .iter()
+                .position(|&r| r == id)
+                .expect("a located NF is among its NIC's residents");
+            let (class, floor) = self.row_entry(predictor.as_deref_mut(), nic, id);
+            self.rows[nic].classes[slot] = class;
+            self.rows[nic].floors[slot] = floor;
         }
         occupied.clear();
         for n in 0..self.residents.len() {
             if !self.residents[n].is_empty() {
                 occupied.push(n);
                 self.pidx.set_used(n, self.cores_used(&self.residents[n]));
+                #[cfg(debug_assertions)]
+                self.assert_row(predictor.as_deref_mut(), n);
             }
         }
     }
@@ -350,51 +460,83 @@ impl<'a> FleetState<'a> {
         cands
     }
 
-    /// Contention-aware: the first shortlisted NIC where the predictor —
-    /// consulted for that NIC's hardware model — foresees no SLA
-    /// violation for anyone (the candidate NIC including `nf`), each
-    /// floor raised by the relative `margin`.
+    /// Names `nf` for one placement decision.
+    fn newcomer(&self, predictor: &mut dyn PlacementPredictor, nf: &'a Placed) -> Newcomer<'a> {
+        let class = |&m| match nf.supported_on(m) {
+            true => predictor.class_of(m, nf),
+            false => 0,
+        };
+        Newcomer {
+            nf,
+            class_at: self.nics.pos_models.iter().map(class).collect(),
+            candidate: Vec::new(),
+        }
+    }
+
+    /// Whether the predictor — consulted for `nic`'s hardware model —
+    /// foresees no SLA violation for anyone when `who` joins the
+    /// residents of `nic` other than `left_out`, each floor raised by the
+    /// relative `margin`. Scored from the NIC's row: a profile is read
+    /// only when the predictor asks for it. Residents are asked about in
+    /// residency order, the newcomer last, stopping at the first
+    /// violation; `margins` collects `(candidate slot, predicted, floor)`
+    /// per question asked.
+    fn admits(
+        &self,
+        predictor: &mut dyn PlacementPredictor,
+        who: &mut Newcomer<'a>,
+        nic: usize,
+        left_out: &[u32],
+        margin: f64,
+        mut margins: MarginSink<'_>,
+    ) -> bool {
+        let nf = who.nf;
+        let model = self.nics.model[nic];
+        let (row, ids) = (&self.rows[nic], &self.residents[nic]);
+        let stay = || (0..ids.len()).filter(|&k| !left_out.contains(&ids[k]));
+        let classes = &mut who.candidate;
+        classes.clear();
+        classes.extend(stay().map(|k| row.classes[k]));
+        classes.push(who.class_at[self.nics.spec_pos[nic]]);
+        // The row slot of the candidate's `t`-th member; `None` for `nf`.
+        let slot = |t: usize| stay().nth(t);
+        let resident = |t: usize| slot(t).map_or(nf, |k| self.snapshot(ids[k]));
+        for t in 0..classes.len() {
+            let predicted = predictor.predict_classes(model, t, classes, &resident);
+            let floor =
+                slot(t).map_or_else(|| nf.sla_floor(model), |k| row.floors[k]) * (1.0 + margin);
+            if let Some(m) = margins.as_deref_mut() {
+                m.push((t, predicted, floor));
+            }
+            // `!(>=)`, not `<`: a NaN prediction must stay unsafe.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            if !(predicted >= floor) {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Contention-aware: the first shortlisted NIC where the predictor
+    /// foresees no SLA violation for anyone (the candidate NIC including
+    /// `nf`, see [`Self::admits`]).
     fn choose_contention_aware(
         &self,
         predictor: &mut dyn PlacementPredictor,
-        nf: &Placed,
+        nf: &'a Placed,
         exclude: Option<usize>,
         margin: f64,
         mut margins: MarginSink<'_>,
     ) -> Option<usize> {
-        let mut candidate: Vec<&Placed> = Vec::new();
-        for i in self.shortlist(nf, exclude) {
-            let model = self.nics.model[i];
-            candidate.clear();
-            candidate.extend(self.residents[i].iter().map(|&id| self.snapshot(id)));
-            candidate.push(nf);
-            // Explicit loop with the same short-circuit as the original
-            // `all()`, so margin collection sees each prediction the
-            // moment it is made without changing which predictions are
-            // made.
+        let mut who = self.newcomer(predictor, nf);
+        self.shortlist(nf, exclude).into_iter().find(|&i| {
+            // Margins describe one candidate NIC: the one accepted, or
+            // the last one tried.
             if let Some(m) = margins.as_deref_mut() {
                 m.clear();
             }
-            let mut safe = true;
-            for t in 0..candidate.len() {
-                let predicted = predictor.predict_refs(model, t, &candidate);
-                let floor = candidate[t].sla_floor(model) * (1.0 + margin);
-                if let Some(m) = margins.as_deref_mut() {
-                    m.push((t, predicted, floor));
-                }
-                // `!(>=)`, not `<`: a NaN prediction must stay unsafe,
-                // exactly as it failed the original `all(>=)`.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(predicted >= floor) {
-                    safe = false;
-                    break;
-                }
-            }
-            if safe {
-                return Some(i);
-            }
-        }
-        None
+            self.admits(predictor, &mut who, i, &[], margin, margins.as_deref_mut())
+        })
     }
 
     /// Re-places NFs displaced by a fault on NIC `src`. `forced` means
@@ -430,7 +572,7 @@ impl<'a> FleetState<'a> {
                     if !forced {
                         self.remove(id);
                     }
-                    self.place(dst, id);
+                    self.place(policy.predictor(), dst, id);
                     self.evacuations[qos as usize] += 1;
                     tel.inc(&format!("fleet.evacuations.{}", qos.name()), 1);
                     tel.rec(t_ms, || Event::Evacuate {
@@ -497,6 +639,7 @@ impl<'a> FleetState<'a> {
         if !nf.qos().is_guaranteed() {
             return None;
         }
+        let mut who = self.newcomer(*predictor, nf);
         for i in 0..self.residents.len() {
             let model = self.nics.model[i];
             if Some(i) == exclude || self.state[i] != NicState::Up || !nf.supported_on(model) {
@@ -512,28 +655,18 @@ impl<'a> FleetState<'a> {
                 continue;
             }
             // Even parking every best-effort resident must free the cores.
-            if self.cores_used(nic) - self.cores_used(&be) + nf.workload.cores > self.nics.cores[i]
-            {
+            let used = self.cores_used(nic);
+            if used - self.cores_used(&be) + nf.workload.cores > self.nics.cores[i] {
                 continue;
             }
             let mut parked_here: Vec<u32> = Vec::new();
             let mut found = false;
             for &id in be.iter().rev() {
                 parked_here.push(id);
-                let candidate: Vec<&Placed> = nic
-                    .iter()
-                    .filter(|r| !parked_here.contains(r))
-                    .map(|&r| self.snapshot(r))
-                    .chain([nf])
-                    .collect();
-                let cores: u32 = candidate.iter().map(|p| p.workload.cores).sum();
-                if cores > self.nics.cores[i] {
+                if used - self.cores_used(&parked_here) + nf.workload.cores > self.nics.cores[i] {
                     continue;
                 }
-                if (0..candidate.len()).all(|t| {
-                    predictor.predict_refs(model, t, &candidate)
-                        >= candidate[t].sla_floor(model) * (1.0 + margin)
-                }) {
+                if self.admits(*predictor, &mut who, i, &parked_here, margin, None) {
                     found = true;
                     break;
                 }
@@ -631,7 +764,8 @@ impl<'a> FleetState<'a> {
             }
             let model = self.nics.model[nic];
             let placed = self.snapshots(nic);
-            let Some(&violator) = predictor.reevaluate(model, &placed).first() else {
+            let classes = &self.rows[nic].classes;
+            let Some(&violator) = predictor.reevaluate(model, classes, &placed).first() else {
                 continue;
             };
             // Diagnose the violator's bottleneck and pick the co-resident
@@ -661,7 +795,7 @@ impl<'a> FleetState<'a> {
                 .or_else(|| self.choose_empty(victim, Some(nic)));
             if let Some(dst) = dst {
                 self.remove(victim_id);
-                self.place(dst, victim_id);
+                self.place(Some(&mut **predictor), dst, victim_id);
                 moved += 1;
                 tel.inc("fleet.migrations", 1);
                 tel.rec(t_ms, || Event::Migrate {

@@ -11,6 +11,17 @@
 //! pipeline; the only chain that crosses trees is the accumulator, which
 //! adds the stages in fit order so every prediction keeps the bits of the
 //! recursive walk.
+//!
+//! The forest is piecewise constant on the grid its own thresholds cut.
+//! Per feature it keeps the sorted distinct thresholds of its real splits
+//! (pads excluded); the *cell* of an input is, per feature, how many of
+//! them the input goes right of. Going right is `!(x <= t)`, which for
+//! ascending `t` holds on a prefix of the list, so a split `(f, t)` sends
+//! `x` right exactly when `t`'s position is below `x`'s rank on `f`: two
+//! inputs in one cell take the same branch at every split of every stage,
+//! reach the same leaves, and add them in the same order — the same bits.
+//! `x == t` goes left and NaN goes right just as in [`Forest::step`];
+//! `0.0` and `-0.0` compare equal there and so rank the same.
 
 use crate::tree::{Node as TreeNode, RegressionTree};
 use std::collections::VecDeque;
@@ -38,6 +49,12 @@ pub(crate) struct Forest {
     roots: Vec<u32>,
     /// Steps from every root to every leaf below it.
     depth: u32,
+    /// Every feature's distinct split thresholds, ascending, feature
+    /// after feature.
+    cuts: Vec<f64>,
+    /// Where each feature's thresholds start in `cuts`, plus the end:
+    /// one more entry than there are features.
+    cut_starts: Vec<u32>,
 }
 
 fn index(i: usize) -> u32 {
@@ -59,8 +76,9 @@ fn tree_depth(tree: &RegressionTree) -> u32 {
 }
 
 impl Forest {
-    /// Flattens `stages`, scaling every leaf by `learning_rate`.
-    pub(crate) fn new(stages: &[RegressionTree], learning_rate: f64) -> Self {
+    /// Flattens `stages` — trees over `n_features` features — scaling
+    /// every leaf by `learning_rate`.
+    pub(crate) fn new(stages: &[RegressionTree], learning_rate: f64, n_features: usize) -> Self {
         let mut forest = Self {
             depth: stages.iter().map(tree_depth).max().unwrap_or(0),
             ..Self::default()
@@ -68,7 +86,51 @@ impl Forest {
         for tree in stages {
             forest.push_tree(tree, learning_rate);
         }
+        forest.cut_grid(stages, n_features);
         forest
+    }
+
+    /// Collects the thresholds of every split of `stages` per feature.
+    fn cut_grid(&mut self, stages: &[RegressionTree], n_features: usize) {
+        let mut per_feature = vec![Vec::new(); n_features];
+        for node in stages.iter().flat_map(|tree| tree.nodes()) {
+            match *node {
+                // A NaN threshold (the midpoint of -inf and +inf) sends
+                // every input right: it tells no two inputs apart, and
+                // would break the order the ranks rely on.
+                TreeNode::Split {
+                    feature, threshold, ..
+                } if !threshold.is_nan() => per_feature[feature].push(threshold),
+                _ => {}
+            }
+        }
+        self.cut_starts.push(0);
+        for mut cuts in per_feature {
+            cuts.sort_unstable_by(f64::total_cmp);
+            cuts.dedup();
+            self.cuts.extend(cuts);
+            self.cut_starts.push(index(self.cuts.len()));
+        }
+    }
+
+    /// Writes the cell of `x` to `out`: per feature, one more than the
+    /// number of thresholds `x` goes right of (so no word is zero, which
+    /// [`crate::memo::WordMemo`] reserves).
+    pub(crate) fn cell(&self, x: &[f64], out: &mut Vec<u32>) {
+        out.extend(self.cut_starts.windows(2).zip(x).map(|(span, &v)| {
+            let cuts = &self.cuts[span[0] as usize..span[1] as usize];
+            // The predicate of `step`, true on a prefix of the ascending
+            // thresholds (on all of them for NaN).
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            let rank = cuts.partition_point(|&t| !(v <= t));
+            index(rank) + 1
+        }));
+    }
+
+    /// The thresholds `feature` is ranked against.
+    #[cfg(test)]
+    pub(crate) fn cuts_of(&self, feature: usize) -> &[f64] {
+        &self.cuts[self.cut_starts[feature] as usize..self.cut_starts[feature + 1] as usize]
     }
 
     /// Appends two blank sibling nodes and returns the first's index.

@@ -6,6 +6,7 @@
 //! subsampling. Deterministic for a fixed seed.
 
 use crate::forest::Forest;
+use crate::memo::CellMemo;
 use crate::tree::{RegressionTree, TreeParams};
 use crate::Dataset;
 use rand::rngs::StdRng;
@@ -70,7 +71,7 @@ impl GradientBoostingRegressor {
         let (base, stages) = fit_stages(ds, params, seed);
         Self {
             base,
-            forest: Forest::new(&stages, params.learning_rate),
+            forest: Forest::new(&stages, params.learning_rate, ds.n_features()),
             n_features: ds.n_features(),
         }
     }
@@ -83,6 +84,23 @@ impl GradientBoostingRegressor {
     pub fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.n_features, "feature width mismatch");
         self.forest.predict(self.base, x)
+    }
+
+    /// [`Self::predict`] through a caller-owned memo: the bits of the
+    /// walk, which is skipped when `memo` already holds the answer of
+    /// `x`'s cell of the threshold grid. `memo` must have been filled by
+    /// this fit only (see [`CellMemo`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the training feature count.
+    pub fn predict_memo(&self, x: &[f64], memo: &mut CellMemo) -> f64 {
+        assert_eq!(x.len(), self.n_features, "feature width mismatch");
+        memo.answer(
+            self.n_features,
+            |cell| self.forest.cell(x, cell),
+            || self.forest.predict(self.base, x),
+        )
     }
 
     /// Predictions for every row of `ds`.
@@ -154,6 +172,7 @@ fn sample_without_replacement(rng: &mut StdRng, n: usize, k: usize) -> Vec<usize
 mod tests {
     use super::*;
     use crate::metrics;
+    use std::collections::HashMap;
 
     fn grid_ds(f: impl Fn(f64, f64) -> f64) -> Dataset {
         let mut ds = Dataset::new(2);
@@ -304,14 +323,50 @@ mod tests {
                 }
                 probes.push(x);
             }
-            for x in &probes {
-                let want = recursive_walk(base, params.learning_rate, &stages, x);
-                assert_eq!(
-                    model.predict(x).to_bits(),
-                    want.to_bits(),
-                    "case {case} depth {} at {x:?}",
-                    params.tree.max_depth
-                );
+            // Probes exactly on thresholds: `x == t` must rank (and walk)
+            // left.
+            for f in 0..width {
+                for &t in model.forest.cuts_of(f).iter().take(4) {
+                    let mut x: Vec<f64> = (0..width).map(|_| rng.gen_range(-2.0..8.0)).collect();
+                    x[f] = t;
+                    probes.push(x);
+                }
+            }
+            // A memo too small for the probes, so answers are also lost
+            // and walked again.
+            let mut memo = CellMemo::new(32);
+            let mut bits_of_cell: HashMap<Vec<u32>, u64> = HashMap::new();
+            for round in 0..2 {
+                for x in &probes {
+                    let want = recursive_walk(base, params.learning_rate, &stages, x);
+                    assert_eq!(
+                        model.predict(x).to_bits(),
+                        want.to_bits(),
+                        "case {case} depth {} at {x:?}",
+                        params.tree.max_depth
+                    );
+                    for ask in 0..2 {
+                        assert_eq!(
+                            model.predict_memo(x, &mut memo).to_bits(),
+                            want.to_bits(),
+                            "case {case} round {round} ask {ask} at {x:?}"
+                        );
+                    }
+                    let mut cell = Vec::new();
+                    model.forest.cell(x, &mut cell);
+                    assert_eq!(
+                        *bits_of_cell.entry(cell).or_insert(want.to_bits()),
+                        want.to_bits(),
+                        "case {case}: two probes of one cell differ at {x:?}"
+                    );
+                }
+            }
+            let asked = 4 * probes.len() as u64;
+            assert_eq!(memo.hits() + memo.walks(), asked);
+            assert!(memo.hits() >= asked / 2, "the second ask always hits");
+            if stages.iter().all(|tree| tree.node_count() == 1) {
+                assert_eq!(bits_of_cell.len(), 1, "case {case}: no split, one cell");
+                assert_eq!(memo.walks(), 1);
             }
         }
     }

@@ -10,6 +10,8 @@
 //! * [`RegressionTree`] — CART least-squares regression tree.
 //! * [`GradientBoostingRegressor`] — boosted trees with shrinkage and
 //!   subsampling, deterministic given a seed.
+//! * [`memo`] — bounded exact memos: [`WordMemo`], and [`CellMemo`] for
+//!   repeated predictions of one fitted ensemble.
 //! * [`metrics`] — MAPE and the paper's ±5% / ±10% bounded accuracies.
 //! * [`split`] — seeded train/test splitting and k-fold cross validation.
 //!
@@ -35,6 +37,7 @@ pub mod dataset;
 mod forest;
 pub mod gbr;
 pub mod linear;
+pub mod memo;
 pub mod metrics;
 pub mod split;
 pub mod tree;
@@ -42,4 +45,5 @@ pub mod tree;
 pub use dataset::Dataset;
 pub use gbr::{GbrParams, GradientBoostingRegressor};
 pub use linear::LinearRegression;
+pub use memo::{CellMemo, WordMemo};
 pub use tree::{RegressionTree, TreeParams};

@@ -33,7 +33,7 @@ pub use memo::MemoStats;
 
 use yala_core::engine::{model_seed_base, scenario_seed, simulator_for, Engine};
 use yala_core::profile_cache::{ProfileEntry, SoloProfile};
-use yala_core::{Contender, ModelBank, ObservationBuffer, QosClass, YalaModel};
+use yala_core::{CellMemo, Contender, ModelBank, ObservationBuffer, QosClass, YalaModel};
 use yala_nf::NfKind;
 use yala_sim::{CounterSample, NicModelId, NicSpec, Simulator, WorkloadSpec};
 use yala_slomo::SlomoModel;
@@ -149,17 +149,52 @@ pub trait PlacementPredictor {
         self.predict_refs(model, target, &refs)
     }
 
+    /// A name for everything this predictor reads from `p` as a resident
+    /// of a NIC of `model`, for [`Self::predict_classes`]: two residents
+    /// get the same non-zero id exactly when no prediction can tell them
+    /// apart, and an id keeps its meaning for the life of the predictor.
+    /// Whoever holds residents asks once per profile that comes into
+    /// force and keeps the answer. 0 — the default, for a predictor that
+    /// names nothing — means "unnamed".
+    fn class_of(&mut self, _model: NicModelId, _p: &Placed) -> u32 {
+        0
+    }
+
+    /// [`Self::predict_refs`] for a caller that keeps its residents'
+    /// [`Self::class_of`] ids: `classes[k]` is the id of `resident(k)`,
+    /// which is only called when the ids do not settle the question. The
+    /// default ignores the ids.
+    fn predict_classes<'p>(
+        &mut self,
+        model: NicModelId,
+        target: usize,
+        classes: &[u32],
+        resident: &dyn Fn(usize) -> &'p Placed,
+    ) -> f64 {
+        let residents: Vec<&Placed> = (0..classes.len()).map(resident).collect();
+        self.predict_refs(model, target, &residents)
+    }
+
     /// Re-evaluates an already-populated NIC of hardware `model` — e.g.
     /// after traffic drift has shifted some residents' profiles — and
     /// returns the indices of residents predicted to violate their SLA
-    /// floor, in ascending order. A fleet orchestrator calls this each
+    /// floor, in ascending order; `classes` are the residents'
+    /// [`Self::class_of`] ids. A fleet orchestrator calls this each
     /// audit epoch to decide whether to migrate. The default issues one
-    /// [`Self::predict_refs`] per resident; implementations that can
+    /// [`Self::predict_classes`] per resident; implementations that can
     /// evaluate a whole NIC at once (the oracle's single co-run) may
     /// override it.
-    fn reevaluate(&mut self, model: NicModelId, residents: &[&Placed]) -> Vec<usize> {
+    fn reevaluate(
+        &mut self,
+        model: NicModelId,
+        classes: &[u32],
+        residents: &[&Placed],
+    ) -> Vec<usize> {
         (0..residents.len())
-            .filter(|&i| self.predict_refs(model, i, residents) < residents[i].sla_floor(model))
+            .filter(|&i| {
+                self.predict_classes(model, i, classes, &|k| residents[k])
+                    < residents[i].sla_floor(model)
+            })
             .collect()
     }
 
@@ -175,9 +210,9 @@ pub trait PlacementPredictor {
     }
 
     /// Predictions requested so far, how many were answered from a memo
-    /// of earlier answers, and how often that memo was emptied — `None`
-    /// for a predictor that keeps no memo. A fleet run exports it as the
-    /// `predict.*` counters.
+    /// of earlier answers, how many forest walks the rest cost, and how
+    /// often the memo was emptied — `None` for a predictor that keeps no
+    /// memo. A fleet run exports it as the `predict.*` counters.
     fn memo_stats(&self) -> Option<MemoStats> {
         None
     }
@@ -529,21 +564,33 @@ fn fits(nic: &[Placed], nf: &Placed, max_cores: u32) -> bool {
     nic.iter().map(|p| p.workload.cores).sum::<u32>() + nf.workload.cores <= max_cores
 }
 
+/// Forest cells a predictor remembers, split evenly over its bank
+/// cells' [`CellMemo`]s: 1.5 MiB at the memory model's ten features,
+/// which with the 2.35 MiB of answers bounds a predictor's memos below
+/// 4 MiB whatever the bank and the fleet.
+const CELL_MEMO_CAP: usize = 1 << 15;
+
 /// Yala as a placement predictor: per-NIC-model trained models from a
 /// [`ModelBank`]. The predictor *owns* its bank (cloned from the trained
 /// reference at construction) so it can refine cells mid-episode from
 /// audit observations ([`PlacementPredictor::absorb`]) without mutating
 /// the caller's frozen copy — and, since nothing else can change that
-/// bank, so it can remember the answers it has already worked out
-/// ([`PlacementPredictor::memo_stats`]).
+/// bank, so it can remember what it has already worked out
+/// ([`PlacementPredictor::memo_stats`]): the answers to whole questions
+/// (see the `memo` module), and under them, per bank cell, the memory
+/// model's answers by forest cell.
 pub struct YalaPredictor {
     bank: ModelBank<YalaModel>,
     absorbed: usize,
     refine_passes: usize,
     memo: memo::Memo,
-    /// The contender slate of the evaluation in progress, kept for its
+    /// One memo per bank cell, in bank order.
+    cells: Vec<CellMemo>,
+    /// The contender slate of the evaluation in progress, and the class
+    /// ids of the by-content question in progress, kept for their
     /// capacity.
     slate: Vec<Contender>,
+    named: Vec<u32>,
 }
 
 impl YalaPredictor {
@@ -552,17 +599,20 @@ impl YalaPredictor {
         Self::with_memo_cap(bank, memo::DEFAULT_CAP)
     }
 
-    /// [`Self::new`] with a memo of `cap` answer slots and `cap` interned
-    /// resident descriptions instead of the default size. Every
-    /// prediction is the same at any cap; the tests of that claim need a
-    /// memo small enough to overflow.
+    /// [`Self::new`] with every memo — answers, tabled resident
+    /// descriptions, forest cells per bank cell — sized for `cap` entries
+    /// (rounded up to whole sets) instead of its default. Every
+    /// prediction is the same at any cap; the tests of that claim need
+    /// memos small enough to overflow.
     pub fn with_memo_cap(bank: &ModelBank<YalaModel>, cap: usize) -> Self {
         Self {
             bank: bank.clone(),
             absorbed: 0,
             refine_passes: 0,
             memo: memo::Memo::new(cap),
+            cells: vec![CellMemo::new(cap.min(CELL_MEMO_CAP / bank.len().max(1))); bank.len()],
             slate: Vec::new(),
+            named: Vec::new(),
         }
     }
 
@@ -581,28 +631,54 @@ impl YalaPredictor {
     pub fn refine_passes(&self) -> usize {
         self.refine_passes
     }
+
+    /// Resident descriptions tabled right now: bounded by the memo cap
+    /// however many [`PlacementPredictor::class_of`] calls were served.
+    pub fn classes_tabled(&self) -> usize {
+        self.memo.classes_tabled()
+    }
 }
 
 impl PlacementPredictor for YalaPredictor {
+    /// Names the residents, then asks by name: one memo, one path.
     fn predict_refs(&mut self, model: NicModelId, target: usize, residents: &[&Placed]) -> f64 {
-        let key = self.memo.key(model, target, residents);
+        let mut classes = std::mem::take(&mut self.named);
+        classes.clear();
+        classes.extend(residents.iter().map(|p| self.memo.class_of(model, p)));
+        let predicted = self.predict_classes(model, target, &classes, &|k| residents[k]);
+        self.named = classes;
+        predicted
+    }
+
+    fn class_of(&mut self, model: NicModelId, p: &Placed) -> u32 {
+        self.memo.class_of(model, p)
+    }
+
+    fn predict_classes<'p>(
+        &mut self,
+        model: NicModelId,
+        target: usize,
+        classes: &[u32],
+        resident: &dyn Fn(usize) -> &'p Placed,
+    ) -> f64 {
+        let key = self.memo.key(target, classes);
         if let Some(known) = self.memo.get(key) {
             return known;
         }
         let bank = &self.bank;
         self.slate.clear();
-        self.slate.extend(
-            residents
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != target)
-                .map(|(_, p)| {
-                    bank.expect(model, p.arrival.kind)
-                        .as_contender(p.solo(model).counters, p.arrival.traffic.mtbr)
-                }),
-        );
-        let t = residents[target];
-        let predicted = bank.expect(model, t.arrival.kind).predict(
+        self.slate
+            .extend((0..classes.len()).filter(|&k| k != target).map(|k| {
+                let p = resident(k);
+                bank.expect(model, p.arrival.kind)
+                    .as_contender(p.solo(model).counters, p.arrival.traffic.mtbr)
+            }));
+        let t = resident(target);
+        let cell = bank
+            .position(model, t.arrival.kind)
+            .unwrap_or_else(|| panic!("no model trained for {} on {model}", t.arrival.kind));
+        let predicted = bank.at(cell).predict_memo(
+            &mut self.cells[cell],
             t.solo(model).solo_tput,
             &t.arrival.traffic,
             &self.slate,
@@ -612,18 +688,32 @@ impl PlacementPredictor for YalaPredictor {
     }
 
     fn absorb(&mut self, buffer: &ObservationBuffer, engine: &Engine) -> usize {
+        let refits = |bank: &ModelBank<YalaModel>| -> Vec<u32> {
+            bank.iter().map(|(_, _, m)| m.refits()).collect()
+        };
+        let before = refits(&self.bank);
         let n = self.bank.refine(buffer, engine);
         if n > 0 {
             self.absorbed += n;
             self.refine_passes += 1;
-            // The refit cells answer differently from now on.
-            self.memo.clear();
+            // The refit cells answer differently from now on, and grew
+            // other forests.
+            self.memo.clear_answers();
+            for (cell, (was, is)) in before.iter().zip(refits(&self.bank)).enumerate() {
+                if *was != is {
+                    self.cells[cell].clear();
+                }
+            }
         }
         n
     }
 
     fn memo_stats(&self) -> Option<MemoStats> {
-        Some(self.memo.stats())
+        Some(MemoStats {
+            cell_hits: self.cells.iter().map(CellMemo::hits).sum(),
+            forest_walks: self.cells.iter().map(CellMemo::walks).sum(),
+            ..self.memo.stats
+        })
     }
 }
 
@@ -732,7 +822,12 @@ impl PlacementPredictor for OraclePredictor {
     /// One co-run yields every resident's ground-truth throughput, so the
     /// oracle audits a whole NIC with a single fixed-point solve instead
     /// of `residents.len()` of them.
-    fn reevaluate(&mut self, model: NicModelId, residents: &[&Placed]) -> Vec<usize> {
+    fn reevaluate(
+        &mut self,
+        model: NicModelId,
+        _classes: &[u32],
+        residents: &[&Placed],
+    ) -> Vec<usize> {
         if residents.is_empty() {
             return Vec::new();
         }
@@ -958,12 +1053,14 @@ mod tests {
         let mut default_oracle = DefaultOracle(Simulator::new(NicSpec::bluefield2()));
         for chunk in a.chunks(3) {
             let chunk: Vec<&Placed> = chunk.iter().collect();
+            // Neither predictor names residents: the ids are all 0.
+            let unnamed = vec![0; chunk.len()];
             assert_eq!(
-                oracle.reevaluate(bf2(), &chunk),
-                default_oracle.reevaluate(bf2(), &chunk)
+                oracle.reevaluate(bf2(), &unnamed, &chunk),
+                default_oracle.reevaluate(bf2(), &unnamed, &chunk)
             );
         }
-        assert!(oracle.reevaluate(bf2(), &[]).is_empty());
+        assert!(oracle.reevaluate(bf2(), &[], &[]).is_empty());
     }
 
     #[test]

@@ -7,46 +7,47 @@
 //! the traffic profile, and the solo throughput and counters on that
 //! model — so a repeated question can be answered from a table.
 //!
-//! Each distinct resident description is interned to a `u32` by comparing
-//! every bit it holds; a question is then the target's id followed by
-//! the contenders' ids in order, 32 bytes. Answers live in a fixed array
-//! of slots: a question owns the slot its ids fold to, a new answer
-//! overwrites whatever was there, and a lookup is a hit only when the
-//! slot holds the same 32 bytes. Equal keys mean equal inputs bit for
-//! bit, so a hit returns exactly what the evaluation would; losing an
-//! entry — to a newer question in its slot, to a refit of the bank, to
-//! the id table filling up — can change how long an answer takes and
-//! nothing else.
+//! Each distinct resident description is given a *class id*, a `u32`, by
+//! comparing every bit it holds. Ids are handed out in increasing order
+//! and never reused, so an id names one description for the life of the
+//! predictor: whoever holds a resident (a fleet's NIC rows, a daemon's
+//! instances) asks for its id once, when the profile comes into force,
+//! and keeps it. A question is then the target's id followed by the
+//! contenders' ids in order — at most 32 bytes copied, nothing hashed —
+//! and its answer lives in a [`WordMemo`]. Equal keys mean equal inputs
+//! bit for bit, so a hit returns exactly what the evaluation would;
+//! losing an entry — to newer questions in its set, to a refit of the
+//! bank — can change how long an answer takes and nothing else. When the
+//! table of descriptions fills up it is emptied (the ids already handed
+//! out stay valid; a description seen again gets a new one and its old
+//! answers are simply not found).
 
 use crate::Placed;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use yala_core::WordMemo;
 use yala_nf::NfKind;
 use yala_sim::NicModelId;
 
-/// Answer slots, and the most resident descriptions interned at once:
-/// 2.5 MiB of answers whatever the fleet size.
+/// The most resident descriptions tabled at once, and the unit the
+/// answer tables are sized in ([`ANSWER_TABLES`]).
 pub(crate) const DEFAULT_CAP: usize = 1 << 16;
 
 /// Ids in a key: the target and up to seven contenders. A NIC with more
 /// residents is evaluated every time.
 const KEY_IDS: usize = 8;
 
-/// A question: interned resident ids (from 1), target first, zero-padded.
-type Key = [u32; KEY_IDS];
+/// The answer tables as `(ids per key, answers kept per 16 of cap)`. A
+/// question is kept in the narrowest table that fits it, so that the
+/// pairs a busy fleet mostly asks about (one resident and the newcomer:
+/// 85 % of `fleet-yala-day`'s questions) cost 16 bytes each rather than
+/// a full key's 40. At the default cap: 81 920 + 40 960 + 4 096 answers
+/// in 1.25 + 0.94 + 0.16 = 2.35 MiB, whatever the fleet size.
+const ANSWER_TABLES: [(usize, usize); 3] = [(2, 20), (4, 10), (KEY_IDS, 1)];
 
-/// The slot of `key` among `slots`. A fixed multiply-and-rotate fold
-/// rather than the standard library's hasher: which questions share a
-/// slot decides the hit count, and the hit count is a committed,
-/// exactly-gated number (`BENCH_scale.json`), so it must not move with
-/// the toolchain. The ids are this module's own, not outside input.
-fn slot_of(key: &Key, slots: usize) -> usize {
-    let folded = key.iter().fold(0u64, |h, &id| {
-        (h.rotate_left(5) ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    });
-    // The high half is the well-mixed one.
-    (folded >> 32) as usize % slots
-}
+/// A question: how many class ids it holds, and the ids, target first,
+/// zero-padded.
+pub(crate) type Key = (usize, [u32; KEY_IDS]);
 
 /// Everything a Yala prediction reads from one resident on one NIC model,
 /// floats as their bits.
@@ -93,97 +94,117 @@ impl Hash for ResidentBits {
     }
 }
 
-/// How often the memo was asked, answered, and emptied. Deterministic
-/// for a given call sequence.
+/// How often the predictor was asked, what answered, and how often it
+/// forgot. Deterministic for a given call sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoStats {
     /// Predictions requested.
     pub lookups: u64,
-    /// Of those, answered from the memo.
+    /// Of those, answered from the memo of answers.
     pub hits: u64,
-    /// Times the memo was emptied (the bank refitted, or the id table
-    /// full).
+    /// Times the answers (the bank refitted) or the table of resident
+    /// descriptions (full) were emptied.
     pub clears: u64,
+    /// Of the predictions evaluated, those whose memory model found its
+    /// forest cell already answered.
+    pub cell_hits: u64,
+    /// Evaluations that walked a memory model's forest.
+    pub forest_walks: u64,
 }
 
 pub(crate) struct Memo {
     cap: usize,
-    ids: HashMap<ResidentBits, u32>,
-    /// `cap` slots once the first answer is stored; an empty slot holds
-    /// the all-zero key, which no question has.
-    answers: Vec<(Key, f64)>,
-    stats: MemoStats,
+    classes: HashMap<ResidentBits, u32>,
+    /// The next class id; `u32::MAX` once they are used up.
+    next_class: u32,
+    /// One table per entry of [`ANSWER_TABLES`].
+    answers: [WordMemo; 3],
+    pub(crate) stats: MemoStats,
 }
 
 impl Memo {
     pub(crate) fn new(cap: usize) -> Self {
         Self {
             cap: cap.max(1),
-            ids: HashMap::new(),
-            answers: Vec::new(),
+            classes: HashMap::new(),
+            next_class: 1,
+            answers: ANSWER_TABLES.map(|(ids, share)| WordMemo::new(ids, cap * share / 16)),
             stats: MemoStats::default(),
         }
     }
 
-    pub(crate) fn stats(&self) -> MemoStats {
-        self.stats
+    /// Resident descriptions tabled right now.
+    pub(crate) fn classes_tabled(&self) -> usize {
+        self.classes.len()
     }
 
-    /// Forgets everything: ids and answers go together, since answers are
-    /// keyed by ids.
-    pub(crate) fn clear(&mut self) {
-        if !self.ids.is_empty() {
-            self.ids.clear();
-            self.answers = Vec::new();
+    /// The class id of `p` as a resident of a NIC of `model`; 0, which
+    /// names nothing, once all ids are used up.
+    pub(crate) fn class_of(&mut self, model: NicModelId, p: &Placed) -> u32 {
+        let bits = ResidentBits::of(model, p);
+        if let Some(&class) = self.classes.get(&bits) {
+            return class;
+        }
+        if self.next_class == u32::MAX {
+            return 0;
+        }
+        if self.classes.len() >= self.cap {
+            self.classes.clear();
+            self.stats.clears += 1;
+        }
+        let class = self.next_class;
+        self.next_class += 1;
+        self.classes.insert(bits, class);
+        class
+    }
+
+    /// Forgets every answer: the bank they were computed from changed.
+    pub(crate) fn clear_answers(&mut self) {
+        if self.answers.iter().any(|table| !table.is_empty()) {
+            self.answers.iter_mut().for_each(WordMemo::clear);
             self.stats.clears += 1;
         }
     }
 
-    /// Counts one requested prediction and names its question, or `None`
-    /// when the NIC holds too many residents for a key.
-    pub(crate) fn key(
-        &mut self,
-        model: NicModelId,
-        target: usize,
-        residents: &[&Placed],
-    ) -> Option<Key> {
+    /// Counts one requested prediction and names its question — `target`
+    /// among the residents of `classes` — or `None` when the NIC holds
+    /// too many residents for a key or one of them has no class.
+    pub(crate) fn key(&mut self, target: usize, classes: &[u32]) -> Option<Key> {
         self.stats.lookups += 1;
-        if residents.len() > KEY_IDS {
+        if classes.len() > KEY_IDS || classes.contains(&0) {
             return None;
         }
-        // Make room before interning, so no id of this key is dropped
-        // while the key is being built.
-        if self.ids.len() + residents.len() > self.cap {
-            self.clear();
-        }
         let mut key = [0; KEY_IDS];
-        let order = std::iter::once(target).chain((0..residents.len()).filter(|&i| i != target));
-        for (slot, i) in key.iter_mut().zip(order) {
-            let next = self.ids.len() as u32 + 1;
-            *slot = *self
-                .ids
-                .entry(ResidentBits::of(model, residents[i]))
-                .or_insert(next);
+        key[0] = classes[target];
+        let others = classes[..target].iter().chain(&classes[target + 1..]);
+        for (slot, &class) in key[1..].iter_mut().zip(others) {
+            *slot = class;
         }
-        Some(key)
+        Some((classes.len(), key))
     }
 
-    /// The remembered answer to `key`, if it still holds its slot.
+    /// The table that keeps questions of `ids` class ids.
+    fn table_for(&mut self, ids: usize) -> &mut WordMemo {
+        self.answers
+            .iter_mut()
+            .find(|table| ids <= table.width())
+            .expect("the last table holds a full key")
+    }
+
+    /// The remembered answer to `key`.
     pub(crate) fn get(&mut self, key: Option<Key>) -> Option<f64> {
-        let key = key?;
-        let (held, answer) = *self.answers.get(slot_of(&key, self.cap))?;
-        (held == key).then(|| {
-            self.stats.hits += 1;
-            answer
-        })
+        let (ids, words) = key?;
+        let table = self.table_for(ids);
+        let answer = table.get(&words[..table.width()])?;
+        self.stats.hits += 1;
+        Some(answer)
     }
 
-    /// Remembers the answer to `key`, in place of its slot's last one.
+    /// Remembers the answer to `key`.
     pub(crate) fn put(&mut self, key: Option<Key>, answer: f64) {
-        let Some(key) = key else { return };
-        if self.answers.is_empty() {
-            self.answers = vec![([0; KEY_IDS], 0.0); self.cap];
+        if let Some((ids, words)) = key {
+            let table = self.table_for(ids);
+            table.put(&words[..table.width()], answer);
         }
-        self.answers[slot_of(&key, self.cap)] = (key, answer);
     }
 }

@@ -76,7 +76,7 @@ enum ServePolicy {
     /// its SLA floor. With `online`, absorbed audit observations refine
     /// the predictor's bank between requests.
     Yala {
-        predictor: YalaPredictor,
+        predictor: Box<YalaPredictor>,
         online: bool,
     },
 }
@@ -115,6 +115,16 @@ struct Instance {
     placed: Placed,
 }
 
+/// What the predictor is asked about one NIC's residents, in residency
+/// order: each one's [`PlacementPredictor::class_of`] id on the NIC's
+/// model (0 under a prediction-free policy) and its SLA floor there.
+/// Scoring a candidate NIC reads these, not the residents' profiles.
+#[derive(Default, Clone)]
+struct NicRow {
+    classes: Vec<u32>,
+    floors: Vec<f64>,
+}
+
 /// The daemon state machine. See the crate docs for the contract; see
 /// [`ServeLoop::handle_line`] for the dispatch table.
 pub struct ServeLoop {
@@ -124,6 +134,10 @@ pub struct ServeLoop {
     up: Vec<bool>,
     used: Vec<u32>,
     residents: Vec<Vec<u32>>,
+    /// One row per NIC, in lockstep with `residents` and the residents'
+    /// profiles: [`Self::settle`], [`Self::evict`] and `drift` move them
+    /// together.
+    rows: Vec<NicRow>,
     instances: BTreeMap<u32, Instance>,
     policy: ServePolicy,
     cache: ProfileCache,
@@ -156,7 +170,7 @@ impl ServeLoop {
             "mono" => ServePolicy::Mono,
             "greedy" => ServePolicy::Greedy,
             "yala" | "yala-online" => ServePolicy::Yala {
-                predictor: YalaPredictor::new(&cfg.train_bank(engine)),
+                predictor: Box::new(YalaPredictor::new(&cfg.train_bank(engine))),
                 online: policy_name == "yala-online",
             },
             other => return Err(format!("unknown policy {other}")),
@@ -169,6 +183,7 @@ impl ServeLoop {
             up: vec![true; nics],
             used: vec![0; nics],
             residents: vec![Vec::new(); nics],
+            rows: vec![NicRow::default(); nics],
             instances: BTreeMap::new(),
             policy,
             cache: ProfileCache::new(),
@@ -183,6 +198,16 @@ impl ServeLoop {
     /// distinct `(kind, traffic)` queried so far.
     pub fn cached_profiles(&self) -> usize {
         self.cache.len()
+    }
+
+    /// Resident descriptions the predictor has tabled right now (0 under
+    /// a prediction-free policy): bounded however many requests were
+    /// served.
+    pub fn classes_tabled(&self) -> usize {
+        match &self.policy {
+            ServePolicy::Yala { predictor, .. } => predictor.classes_tabled(),
+            _ => 0,
+        }
     }
 
     /// Whether a `shutdown` request has been served. The driving loop
@@ -312,24 +337,56 @@ impl ServeLoop {
             ServePolicy::Mono => order.into_iter().find(|&n| self.residents[n].is_empty()),
             ServePolicy::Greedy => order.first().copied(),
             ServePolicy::Yala { predictor, .. } => {
-                let residents = &self.residents;
+                let (residents, rows) = (&self.residents, &self.rows);
                 let instances = &self.instances;
                 let models = &self.nic_model;
+                // The newcomer's class on each NIC model it can run on.
+                let named: Vec<(NicModelId, u32)> = placed
+                    .solos
+                    .iter()
+                    .map(|&(model, _)| (model, predictor.class_of(model, placed)))
+                    .collect();
+                let mut classes = Vec::new();
                 order.into_iter().find(|&n| {
-                    if residents[n].is_empty() {
+                    let (ids, row, model) = (&residents[n], &rows[n], models[n]);
+                    if ids.is_empty() {
                         return true;
                     }
-                    let cand: Vec<&Placed> = residents[n]
+                    let class = named
                         .iter()
-                        .map(|id| &instances[id].placed)
-                        .chain([placed])
-                        .collect();
-                    (0..cand.len()).all(|i| {
-                        predictor.predict_refs(models[n], i, &cand) >= cand[i].sla_floor(models[n])
+                        .find(|(m, _)| *m == model)
+                        .map_or(0, |&(_, class)| class);
+                    classes.clear();
+                    classes.extend_from_slice(&row.classes);
+                    classes.push(class);
+                    let resident = |t: usize| ids.get(t).map_or(placed, |id| &instances[id].placed);
+                    (0..classes.len()).all(|t| {
+                        let floor = row.floors.get(t).copied();
+                        predictor.predict_classes(model, t, &classes, &resident)
+                            >= floor.unwrap_or_else(|| placed.sla_floor(model))
                     })
                 })
             }
         }
+    }
+
+    /// What `rows[n]` holds for `placed` as a resident of NIC `n`.
+    fn row_entry(&mut self, n: usize, placed: &Placed) -> (u32, f64) {
+        let model = self.nic_model[n];
+        let class = match &mut self.policy {
+            ServePolicy::Yala { predictor, .. } => predictor.class_of(model, placed),
+            _ => 0,
+        };
+        (class, placed.sla_floor(model))
+    }
+
+    /// Makes instance `id`, profiled as `placed`, a resident of NIC `n`.
+    fn settle(&mut self, n: usize, id: u32, placed: &Placed) {
+        let (class, floor) = self.row_entry(n, placed);
+        self.used[n] += placed.workload.cores;
+        self.residents[n].push(id);
+        self.rows[n].classes.push(class);
+        self.rows[n].floors.push(floor);
     }
 
     fn op_place(&mut self, ev: &RawEvent) -> Result<String, String> {
@@ -342,8 +399,7 @@ impl ServeLoop {
         let nic = self.choose_nic(&placed);
         match nic {
             Some(n) => {
-                self.used[n] += placed.workload.cores;
-                self.residents[n].push(id);
+                self.settle(n, id, &placed);
                 self.counters.admissions += 1;
                 self.instances.insert(
                     id,
@@ -391,7 +447,13 @@ impl ServeLoop {
         let inst = self.instances.get_mut(&id)?;
         let nic = inst.nic.take()?;
         self.used[nic] -= inst.placed.workload.cores;
-        self.residents[nic].retain(|&r| r != id);
+        let slot = self.residents[nic]
+            .iter()
+            .position(|&r| r == id)
+            .expect("a placed instance is among its NIC's residents");
+        self.residents[nic].remove(slot);
+        self.rows[nic].classes.remove(slot);
+        self.rows[nic].floors.remove(slot);
         Some(nic)
     }
 
@@ -424,13 +486,17 @@ impl ServeLoop {
         // serve loop has no migration budget of its own — an operator
         // departs and re-places to move one), only the accounting moves.
         if let Some(n) = nic {
-            let inst = self.instances.get_mut(&id).expect("checked above");
-            self.used[n] -= inst.placed.workload.cores;
-            self.used[n] += fresh.workload.cores;
-            inst.placed = fresh;
-        } else {
-            self.instances.get_mut(&id).expect("checked above").placed = fresh;
+            let (class, floor) = self.row_entry(n, &fresh);
+            let slot = self.residents[n]
+                .iter()
+                .position(|&r| r == id)
+                .expect("a placed instance is among its NIC's residents");
+            self.rows[n].classes[slot] = class;
+            self.rows[n].floors[slot] = floor;
+            let old = &self.instances[&id].placed;
+            self.used[n] = self.used[n] - old.workload.cores + fresh.workload.cores;
         }
+        self.instances.get_mut(&id).expect("checked above").placed = fresh;
         let n = nic.map(|n| n as i64).unwrap_or(-1);
         Ok(format!(
             "{{\"ok\":true,\"op\":\"drift\",\"id\":{id},\"nic\":{n}}}"
@@ -467,8 +533,7 @@ impl ServeLoop {
                     let placed = self.instances[&id].placed.clone();
                     match self.choose_nic(&placed) {
                         Some(n) => {
-                            self.used[n] += placed.workload.cores;
-                            self.residents[n].push(id);
+                            self.settle(n, id, &placed);
                             self.instances.get_mut(&id).expect("resident").nic = Some(n);
                             replaced += 1;
                         }
@@ -850,32 +915,73 @@ mod tests {
         // cache entry keyed by its instance id, which nothing could hit
         // again and nothing evicted — ~300 B per request, forever.
         let engine = Engine::sequential();
-        let mut s = ServeLoop::new(&cfg(5), "greedy", &engine).expect("build");
         let query = |flows: u32| {
             format!(
                 "{{\"op\":\"query\",\"kind\":\"flowstats\",\"flows\":{flows},\
                  \"psize\":256,\"mtbr\":0.0,\"sla_drop\":0.1}}"
             )
         };
-        let mut replies = Vec::new();
-        for id in 0..4_000u32 {
-            replies.push(s.handle_line(&place(id, "flowstats", 40 + id % 7), &engine));
-            if id % 100 == 0 {
-                replies.push(s.handle_line(&query(50 + id % 300), &engine));
-                let drift = format!(
-                    "{{\"op\":\"drift\",\"id\":{id},\"flows\":90,\"psize\":512,\"mtbr\":0.0}}"
-                );
-                replies.push(s.handle_line(&drift, &engine));
+        // 4 000 instances come, some drift, and go, six alive at a time
+        // on the four NICs so a predicting policy has residents to ask
+        // about.
+        let drive = |s: &mut ServeLoop| -> Vec<String> {
+            let mut replies = Vec::new();
+            let depart = |id: u32| format!("{{\"op\":\"depart\",\"id\":{id}}}");
+            for id in 0..4_000u32 {
+                replies.push(s.handle_line(&place(id, "flowstats", 40 + id % 7), &engine));
+                if id % 100 == 0 {
+                    replies.push(s.handle_line(&query(50 + id % 300), &engine));
+                    let drift = format!(
+                        "{{\"op\":\"drift\",\"id\":{id},\"flows\":90,\"psize\":512,\"mtbr\":0.0}}"
+                    );
+                    replies.push(s.handle_line(&drift, &engine));
+                }
+                if id >= 6 {
+                    replies.push(s.handle_line(&depart(id - 6), &engine));
+                }
             }
-            replies.push(s.handle_line(&format!("{{\"op\":\"depart\",\"id\":{id}}}"), &engine));
-        }
+            for id in 3_994..4_000 {
+                replies.push(s.handle_line(&depart(id), &engine));
+            }
+            replies
+        };
+        let mut s = ServeLoop::new(&cfg(5), "greedy", &engine).expect("build");
+        let replies = drive(&mut s);
         assert!(replies.iter().all(|r| r.starts_with("{\"ok\":true")));
         // Three distinct queries were asked (flows 50, 150, 250); no
         // instance is live.
         assert_eq!(s.cached_profiles(), 3);
+        assert_eq!(s.classes_tabled(), 0, "greedy names nothing");
         // A repeated query still hits.
         s.handle_line(&query(150), &engine);
         assert_eq!(s.cached_profiles(), 3);
+
+        // Under the predicting policy every instance that comes or drifts
+        // is a description the predictor has never seen. Its table of
+        // them must not grow with the requests served: a daemon whose
+        // predictor keeps 64 of anything answers exactly like the default
+        // one, and ends the day with at most 64 tabled.
+        let mut roomy = ServeLoop::new(&cfg(5), "yala", &engine).expect("build");
+        let mut tight = ServeLoop::new(&cfg(5), "yala", &engine).expect("build");
+        let ServePolicy::Yala { predictor, .. } = &mut tight.policy else {
+            unreachable!("built as yala");
+        };
+        **predictor = YalaPredictor::with_memo_cap(predictor.bank(), 64);
+        // (A refused instance's `depart` is an error; the replies need
+        // not all be ok, they need to be the same.)
+        assert_eq!(drive(&mut roomy), drive(&mut tight));
+        assert!(
+            roomy.classes_tabled() > 4_000,
+            "each instance was named: {}",
+            roomy.classes_tabled()
+        );
+        assert!(tight.classes_tabled() <= 64, "{}", tight.classes_tabled());
+        let asked = |s: &ServeLoop| match &s.policy {
+            ServePolicy::Yala { predictor, .. } => predictor.memo_stats().expect("memo").lookups,
+            _ => 0,
+        };
+        assert!(asked(&roomy) > 4_000, "{}", asked(&roomy));
+        assert_eq!(asked(&roomy), asked(&tight));
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::spec::{NicSpec, ResourceKind};
 use crate::workload::{ExecutionPattern, StageDemand, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Borrow;
 
 /// Maximum fixed-point iterations.
 const MAX_ITERS: usize = 600;
@@ -141,13 +142,19 @@ impl Simulator {
         report.outcomes.remove(0)
     }
 
-    /// Simulates the co-located `workloads` to equilibrium.
+    /// Simulates the co-located `workloads` — owned or borrowed specs —
+    /// to equilibrium.
     ///
     /// # Panics
     ///
     /// Panics if a workload uses an accelerator the NIC doesn't have, or if
     /// two workloads share a name.
-    pub fn co_run(&mut self, workloads: &[WorkloadSpec]) -> CoRunReport {
+    pub fn co_run<W: Borrow<WorkloadSpec>>(&mut self, workloads: &[W]) -> CoRunReport {
+        let workloads: Vec<&WorkloadSpec> = workloads.iter().map(Borrow::borrow).collect();
+        self.co_run_refs(&workloads)
+    }
+
+    fn co_run_refs(&mut self, workloads: &[&WorkloadSpec]) -> CoRunReport {
         self.validate(workloads);
         let n = workloads.len();
         if n == 0 {
@@ -182,7 +189,7 @@ impl Simulator {
         // Assemble outcomes (with optional measurement noise).
         let outcomes = (0..n)
             .map(|i| {
-                let w = &workloads[i];
+                let w = workloads[i];
                 let t = tput[i].max(MIN_PPS);
                 let mem = equil.mem.outcomes[i];
                 let counters = self.counters(w, t, mem.miss_ratio, mem.stall_per_ref_s);
@@ -204,7 +211,7 @@ impl Simulator {
         }
     }
 
-    fn validate(&self, workloads: &[WorkloadSpec]) {
+    fn validate(&self, workloads: &[&WorkloadSpec]) {
         let mut names = std::collections::HashSet::new();
         let mut total_cores = 0u32;
         for w in workloads {
@@ -274,7 +281,7 @@ impl Simulator {
     }
 
     /// One sweep of the contention models at the current throughput iterate.
-    fn evaluate(&self, workloads: &[WorkloadSpec], tput: &[f64]) -> Equilibrium {
+    fn evaluate(&self, workloads: &[&WorkloadSpec], tput: &[f64]) -> Equilibrium {
         let n = workloads.len();
         // Memory subsystem.
         let mem_inputs: Vec<MemInput> = workloads

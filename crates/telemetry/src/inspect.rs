@@ -128,11 +128,13 @@ impl Inspector {
 
     /// The predictor line of `fleet_inspect summary`, from the run's
     /// Prometheus export (`BASE.prom`, written next to the journal): how
-    /// many predictions the placement loop asked for and how many its
-    /// predictor answered from memory. The journal cannot carry this — a
-    /// restored run's memo starts cold, and the journal must not differ
-    /// across a kill/restore — so it comes from the metrics registry.
-    /// `None` when the run exported no `predict.*` counters.
+    /// many predictions the placement loop asked for, how many its
+    /// predictor answered from memory, and how many forest walks the
+    /// rest cost — in all and per arrival decided. The journal cannot
+    /// carry this — a restored run's memo starts cold, and the journal
+    /// must not differ across a kill/restore — so it comes from the
+    /// metrics registry. `None` when the run exported no `predict.*`
+    /// counters.
     pub fn predictor_summary(prom: &str) -> Option<String> {
         let counter = |name: &str| -> Option<u64> {
             prom.lines()
@@ -141,9 +143,13 @@ impl Inspector {
         let calls = counter("predict_calls")?;
         let hits = counter("predict_memo_hits").unwrap_or(0);
         let clears = counter("predict_memo_clears").unwrap_or(0);
+        let walks = counter("predict_forest_walks").unwrap_or(0);
+        let decisions = counter("fleet_arrivals").unwrap_or(0);
         Some(format!(
-            "  predictions {calls} (memo hits {hits} = {:.1}%, memo emptied {clears} time(s))\n",
-            100.0 * hits as f64 / calls.max(1) as f64
+            "  predictions {calls} (memo hits {hits} = {:.1}%, forest walks {walks} = {:.2} per \
+             decision, memo emptied {clears} time(s))\n",
+            100.0 * hits as f64 / calls.max(1) as f64,
+            walks as f64 / decisions.max(1) as f64
         ))
     }
 
@@ -560,11 +566,14 @@ mod tests {
         m.inc("predict.calls", 400);
         m.inc("predict.memo_hits", 300);
         m.inc("predict.memo_clears", 2);
+        m.inc("predict.forest_walks", 30);
         m.inc("predict.calls_elsewhere", 9);
+        m.inc("fleet.arrivals", 20);
         let line = Inspector::predictor_summary(&m.to_prometheus()).expect("counters present");
         assert_eq!(
             line,
-            "  predictions 400 (memo hits 300 = 75.0%, memo emptied 2 time(s))\n"
+            "  predictions 400 (memo hits 300 = 75.0%, forest walks 30 = 1.50 per decision, \
+             memo emptied 2 time(s))\n"
         );
         assert_eq!(
             Inspector::predictor_summary("# TYPE x counter\nx 1\n"),

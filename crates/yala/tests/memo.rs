@@ -1,9 +1,12 @@
-//! The prediction memo in `YalaPredictor` may change how long an answer
-//! takes and nothing else. Three angles: every prediction of a fleet day
-//! (online refinement on, so the bank changes mid-run) equals the bank
-//! evaluated by hand; after an absorb a warm predictor answers like a
-//! fresh one built on the refined bank; and a memo of six slots leaves
-//! the report and the journal of the day byte-identical.
+//! The memos in `YalaPredictor` — answers by question, forest cells by
+//! bank cell — may change how long an answer takes and nothing else.
+//! Four angles: every prediction of a fleet day (online refinement on, so
+//! the bank changes mid-run), asked by class id as the fleet asks,
+//! equals the bank evaluated by hand; after an absorb a warm predictor
+//! answers like a fresh one built on the refined bank; memos of six
+//! entries leave the report and the journal of the day byte-identical;
+//! and two profiles share a class id exactly when every bit a prediction
+//! reads from them is equal.
 
 use std::sync::OnceLock;
 use yala::core::adaptive::{AdaptiveConfig, TrafficRanges};
@@ -17,7 +20,7 @@ use yala::fleet::{
 use yala::ml::GbrParams;
 use yala::nf::NfKind;
 use yala::placement::{Placed, PlacementPredictor, YalaPredictor};
-use yala::sim::{NicModelId, NicSpec};
+use yala::sim::{CounterSample, NicModelId, NicSpec};
 use yala::telemetry::Telemetry;
 
 const KINDS: [NfKind; 2] = [NfKind::FlowStats, NfKind::Nat];
@@ -100,15 +103,16 @@ fn by_hand(
     )
 }
 
-/// A `YalaPredictor` that checks each of its answers against [`by_hand`].
+/// A `YalaPredictor` that checks each of its answers against [`by_hand`],
+/// whichever entrance the question came through.
 struct Checked {
     inner: YalaPredictor,
     checked: u64,
+    by_class: u64,
 }
 
-impl PlacementPredictor for Checked {
-    fn predict_refs(&mut self, model: NicModelId, target: usize, residents: &[&Placed]) -> f64 {
-        let got = self.inner.predict_refs(model, target, residents);
+impl Checked {
+    fn check(&mut self, got: f64, model: NicModelId, target: usize, residents: &[&Placed]) {
         let want = by_hand(self.inner.bank(), model, target, residents);
         assert_eq!(
             got.to_bits(),
@@ -117,6 +121,36 @@ impl PlacementPredictor for Checked {
             self.checked
         );
         self.checked += 1;
+    }
+}
+
+impl PlacementPredictor for Checked {
+    fn predict_refs(&mut self, model: NicModelId, target: usize, residents: &[&Placed]) -> f64 {
+        let got = self.inner.predict_refs(model, target, residents);
+        self.check(got, model, target, residents);
+        got
+    }
+
+    fn class_of(&mut self, model: NicModelId, p: &Placed) -> u32 {
+        self.inner.class_of(model, p)
+    }
+
+    fn predict_classes<'p>(
+        &mut self,
+        model: NicModelId,
+        target: usize,
+        classes: &[u32],
+        resident: &dyn Fn(usize) -> &'p Placed,
+    ) -> f64 {
+        let got = self.inner.predict_classes(model, target, classes, resident);
+        // The ids must name exactly the residents the caller would hand
+        // over: an id kept past its profile would show here.
+        let residents: Vec<&Placed> = (0..classes.len()).map(resident).collect();
+        for (class, p) in classes.iter().zip(&residents) {
+            assert_eq!(*class, self.inner.class_of(model, p), "stale class id");
+        }
+        self.check(got, model, target, &residents);
+        self.by_class += 1;
         got
     }
 
@@ -131,6 +165,7 @@ fn every_prediction_of_a_fleet_day_equals_direct_evaluation() {
     let mut predictor = Checked {
         inner: YalaPredictor::new(&fx.bank),
         checked: 0,
+        by_class: 0,
     };
     run_fleet_observed(
         &fx.profiled,
@@ -148,10 +183,23 @@ fn every_prediction_of_a_fleet_day_equals_direct_evaluation() {
     );
     let stats = predictor.inner.memo_stats().expect("yala keeps a memo");
     assert_eq!(stats.lookups, predictor.checked);
+    assert_eq!(
+        predictor.by_class, predictor.checked,
+        "the fleet asks by class id only"
+    );
     assert!(predictor.checked > 1_000, "the day must exercise the loop");
     assert!(
         stats.hits > 100,
         "catalog traffic on a full fleet repeats its questions: {stats:?}"
+    );
+    assert_eq!(
+        stats.cell_hits + stats.forest_walks,
+        stats.lookups - stats.hits,
+        "every evaluation asks the memory model once: {stats:?}"
+    );
+    assert!(
+        stats.cell_hits > 100,
+        "new questions land in forest cells already answered: {stats:?}"
     );
     let refits = predictor.inner.refine_passes();
     assert!(
@@ -218,9 +266,7 @@ fn after_an_absorb_a_warm_predictor_answers_like_a_fresh_one() {
             model,
             kind: target.arrival.kind,
             traffic: target.arrival.traffic,
-            competitors: yala::sim::CounterSample::aggregate(
-                co.iter().map(|p| &p.solo(model).counters),
-            ),
+            competitors: CounterSample::aggregate(co.iter().map(|p| &p.solo(model).counters)),
             accel_pressure: Vec::new(),
             solo_tput: target.solo(model).solo_tput,
             measured_tput: target.solo(model).solo_tput * 0.4,
@@ -269,6 +315,8 @@ fn observed_day(mut predictor: YalaPredictor) -> (String, String, yala::placemen
     let metrics = &tel.sink().expect("enabled").metrics;
     assert_eq!(metrics.counter("predict.calls"), stats.lookups);
     assert_eq!(metrics.counter("predict.memo_hits"), stats.hits);
+    assert_eq!(metrics.counter("predict.cell_hits"), stats.cell_hits);
+    assert_eq!(metrics.counter("predict.forest_walks"), stats.forest_walks);
     (report.to_json(), journal, stats)
 }
 
@@ -280,8 +328,79 @@ fn a_tiny_memo_cap_changes_no_output() {
     assert_eq!(report, tiny_report);
     assert_eq!(journal, tiny_journal);
     assert_eq!(stats.lookups, tiny.lookups);
+    // Every memo must actually overflow: the table of descriptions is
+    // emptied, answers are lost, and so are forest cells.
     assert!(
-        tiny.clears > stats.clears + 10 && tiny.hits < stats.hits,
+        tiny.clears > stats.clears + 10
+            && tiny.hits < stats.hits
+            && tiny.forest_walks > stats.forest_walks,
         "the tiny cap must actually be reached: default {stats:?}, tiny {tiny:?}"
     );
+}
+
+#[test]
+fn two_profiles_share_a_class_exactly_when_no_prediction_can_tell_them_apart() {
+    let fx = fixture();
+    let model = bf2();
+    let mut predictor = YalaPredictor::new(&fx.bank);
+    let base = fx.profiled.timelines[0].snapshots[0].1.clone();
+    let class = predictor.class_of(model, &base);
+    assert_ne!(class, 0, "a named description");
+    assert_eq!(predictor.class_of(model, &base), class, "names are stable");
+
+    // What no prediction reads: who the tenant is, what it was promised.
+    let mut same = base.clone();
+    same.workload.name = "someone-else".to_string();
+    same.arrival.sla_drop = 0.5 * base.arrival.sla_drop;
+    same.arrival.qos = yala::core::QosClass::BestEffort;
+    assert_eq!(predictor.class_of(model, &same), class);
+
+    // Every bit a prediction does read, flipped one field at a time.
+    let mut others: Vec<Placed> = Vec::new();
+    let mut vary = |edit: &dyn Fn(&mut Placed)| {
+        let mut p = base.clone();
+        edit(&mut p);
+        others.push(p);
+    };
+    vary(&|p| {
+        p.arrival.kind = *KINDS
+            .iter()
+            .find(|k| **k != p.arrival.kind)
+            .expect("another kind");
+    });
+    vary(&|p| p.arrival.traffic.flow_count += 1);
+    vary(&|p| p.arrival.traffic.packet_size += 1);
+    vary(&|p| p.arrival.traffic.mtbr = f64::from_bits(p.arrival.traffic.mtbr.to_bits() + 1));
+    vary(&|p| p.solos[0].1.solo_tput = f64::from_bits(p.solos[0].1.solo_tput.to_bits() + 1));
+    let counters: [fn(&mut CounterSample) -> &mut f64; 7] = [
+        |c| &mut c.ipc,
+        |c| &mut c.irt,
+        |c| &mut c.l2crd,
+        |c| &mut c.l2cwr,
+        |c| &mut c.memrd,
+        |c| &mut c.memwr,
+        |c| &mut c.wss,
+    ];
+    for counter in counters {
+        vary(&|p| {
+            let v = counter(&mut p.solos[0].1.counters);
+            *v = f64::from_bits(v.to_bits() + 1);
+        });
+    }
+    let mut seen = vec![class];
+    for p in &others {
+        let c = predictor.class_of(model, p);
+        assert!(
+            !seen.contains(&c),
+            "a description differing in a bit shares class {c}"
+        );
+        seen.push(c);
+    }
+    // Asking by class and asking by content are the same question.
+    let pair = [&base, &others[1]];
+    let by_content = predictor.predict_refs(model, 0, &pair);
+    let by_class = predictor.predict_classes(model, 0, &[class, seen[2]], &|k| pair[k]);
+    assert_eq!(by_content.to_bits(), by_class.to_bits());
+    let stats = predictor.memo_stats().expect("yala keeps a memo");
+    assert_eq!((stats.lookups, stats.hits), (2, 1), "one memo behind both");
 }
