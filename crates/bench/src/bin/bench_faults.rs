@@ -138,24 +138,7 @@ fn main() {
         .kinds(&kinds)
         .field("shield_ratio", format!("{shield_ratio:.3}"))
         .policies(&reports);
-    // The recomputed quick-mode headline metrics must not be worse than
-    // the committed record's (the absolute bar is asserted above).
-    run.finish(&record, |check| {
-        let qos = "\"policy\": \"yala-qos\"";
-        check.exact("arrivals", arrivals as f64, "", "arrivals");
-        check.exact("fail_events", fail_events as f64, "", "fail_events");
-        check.at_least("shield_ratio", shield_ratio, "", "shield_ratio", 0.95);
-        check.no_worse(
-            "yala-qos.guaranteed.bad_minutes",
-            aware.guaranteed.bad_minutes(),
-            qos,
-            "bad_minutes",
-            0.05,
-            1.0,
-        );
-        let rejected = aware.rejected as f64;
-        check.no_worse("yala-qos.rejected", rejected, qos, "rejected", 0.0, 0.0);
-    });
+    run.finish(&record);
 }
 
 /// Blind-over-aware guaranteed bad minutes; an aware policy that keeps

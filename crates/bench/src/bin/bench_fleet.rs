@@ -6,8 +6,7 @@
 //! arrivals, 24 simulated hours) is the same with and without `--quick`.
 
 use yala_bench::record::{
-    assert_dominates, check_policy, fleet_day, print_policies, table2_kinds, yala_policy, Record,
-    RecordRun,
+    assert_dominates, fleet_day, print_policies, table2_kinds, yala_policy, Record, RecordRun,
 };
 use yala_bench::Zoo;
 use yala_fleet::{run_fleet, BuildOpts, Diagnoser, FleetConfig, FleetPolicy};
@@ -62,9 +61,5 @@ fn main() {
         .kinds(&kinds)
         .profile(&profiled)
         .policies(&reports);
-    run.finish(&record, |check| {
-        check.exact("arrivals", arrivals as f64, "", "arrivals");
-        check_policy(check, &slomo);
-        check_policy(check, &yala);
-    });
+    run.finish(&record);
 }

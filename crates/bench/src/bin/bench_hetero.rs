@@ -12,7 +12,7 @@
 //! Yala-diagnosed migration that may cross hardware models).
 
 use yala_bench::record::{
-    assert_dominates, check_policy, fleet_day, print_policies, yala_policy, Record, RecordRun,
+    assert_dominates, fleet_day, print_policies, yala_policy, Record, RecordRun,
 };
 use yala_bench::Zoo;
 use yala_fleet::{run_fleet, BuildOpts, FleetConfig, FleetPolicy};
@@ -114,8 +114,5 @@ fn main() {
         .field("trained_cells", zoo.yala_bank().len())
         .profile(&profiled)
         .policies(&reports);
-    run.finish(&record, |check| {
-        check.exact("arrivals", arrivals as f64, "", "arrivals");
-        check_policy(check, &yala);
-    });
+    run.finish(&record);
 }

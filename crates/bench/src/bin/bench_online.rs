@@ -17,9 +17,7 @@
 //! stream is as deterministic as the reports, so the record stays
 //! byte-reproducible across runs and engine thread counts.
 
-use yala_bench::record::{
-    check_policy, fleet_day, print_policies, table2_kinds, yala_policy, Record, RecordRun,
-};
+use yala_bench::record::{fleet_day, print_policies, table2_kinds, yala_policy, Record, RecordRun};
 use yala_bench::NOISE_SIGMA;
 use yala_core::adaptive::TrafficRanges;
 use yala_core::{ModelBank, TrainConfig};
@@ -124,8 +122,5 @@ fn main() {
         .field("absorbed_observations", absorbed)
         .profile(&profiled)
         .policies(&reports);
-    run.finish(&record, |check| {
-        check.exact("arrivals", arrivals as f64, "", "arrivals");
-        check_policy(check, &online);
-    });
+    run.finish(&record);
 }

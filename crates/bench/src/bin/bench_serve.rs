@@ -145,10 +145,5 @@ fn main() {
         .field("duration_s", cfg.duration_s)
         .field("records", trace.records.len())
         .field("deterministic", format!("{{{}}}", block.join(", ")));
-    run.finish(&record, |check| {
-        for (key, n) in counters {
-            check.exact(key, n as f64, "\"deterministic\"", key);
-        }
-        check.exact("records", trace.records.len() as f64, "", "records");
-    });
+    run.finish(&record);
 }

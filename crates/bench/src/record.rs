@@ -1,8 +1,8 @@
 //! The spine the `bench_*` record binaries share: parse args → engine →
 //! (train) → generate + profile, observed → run policies → journal-replay
 //! self-test → write telemetry → print table → write the record envelope
-//! → `--check`. Each binary keeps only its scenario, its dominance
-//! asserts and the fields it gates.
+//! → `--check` (regenerate, compare with the committed bytes). Each
+//! binary keeps only its scenario and its dominance asserts.
 //!
 //! Every scenario is deterministic — same seed ⇒ bit-identical
 //! `FleetReport`s — and records hold counts and reports only (wall time
@@ -150,15 +150,25 @@ impl RecordRun {
         report
     }
 
-    /// Writes `record` where the flags say, then — under `--check` — runs
-    /// `gate` against the committed copy and exits nonzero on regression.
-    pub fn finish(self, record: &Record, gate: impl FnOnce(&mut RegressionCheck)) {
+    /// Writes `record` where the flags say, then — under `--check` —
+    /// compares it with the committed copy byte for byte (the records are
+    /// deterministic) and exits nonzero naming the first line that differs.
+    pub fn finish(self, record: &Record) {
+        let json = record.to_json();
         if let Some(path) = self.args.record_path(self.record) {
-            write_artifact(path, &record.to_json());
+            write_artifact(path, &json);
         }
         if self.args.check {
             let mut check = RegressionCheck::against(self.record);
-            gate(&mut check);
+            let committed = check.committed();
+            if committed != json {
+                let same = |(c, g): &(&str, &str)| c == g;
+                let n = committed.lines().zip(json.lines()).take_while(same).count();
+                let line = |text: &str| text.lines().nth(n).unwrap_or("<end>").to_string();
+                let (was, is, n) = (line(committed), line(&json), n + 1);
+                let sides = format!("committed:   {was}\n    regenerated: {is}");
+                check.fail(format!("line {n} differs\n    {sides}"));
+            }
             check.finish();
         }
     }
@@ -262,32 +272,6 @@ pub fn assert_dominates(yala: &FleetReport, greedy: &FleetReport, mono: &FleetRe
         "  dominance: yala {:.0} viol-min vs greedy {:.0}; {:.0} NIC-min vs mono {:.0} — OK",
         yala.violation_minutes, greedy.violation_minutes, yala.nic_minutes, mono.nic_minutes
     );
-}
-
-/// Gates a policy's headline metrics against its committed report: the
-/// recomputed quick-mode numbers must not be worse (small tolerance, so
-/// an intentional scenario change fails loudly and prompts regeneration).
-pub fn check_policy(check: &mut RegressionCheck, r: &FleetReport) {
-    let anchor = format!("\"policy\": \"{}\"", r.policy);
-    let label = |metric: &str| format!("{}.{metric}", r.policy);
-    check.no_worse(
-        &label("violation_minutes"),
-        r.violation_minutes,
-        &anchor,
-        "violation_minutes",
-        0.05,
-        1.0,
-    );
-    check.no_worse(
-        &label("nic_minutes"),
-        r.nic_minutes,
-        &anchor,
-        "nic_minutes",
-        0.05,
-        0.0,
-    );
-    let rejected = r.rejected as f64;
-    check.no_worse(&label("rejected"), rejected, &anchor, "rejected", 0.0, 0.0);
 }
 
 #[cfg(test)]

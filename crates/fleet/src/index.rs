@@ -21,7 +21,8 @@
 //! - All sets iterate in ascending NIC index, which is the tie-break
 //!   order of the pre-index linear scans; every query below reproduces
 //!   the corresponding linear scan's answer byte-for-byte (the debug
-//!   builds of the choosers in `sim.rs` assert this on every decision).
+//!   builds of the choosers in `residency.rs` assert this on every
+//!   decision).
 
 use std::collections::BTreeSet;
 
@@ -69,6 +70,26 @@ impl PlacementIndex {
             empty,
             buckets,
         }
+    }
+
+    /// Portfolio position of `nic`.
+    pub(crate) fn pos(&self, nic: usize) -> usize {
+        self.pos[nic]
+    }
+
+    /// Total cores of `nic`.
+    pub(crate) fn cores(&self, nic: usize) -> u32 {
+        self.cores[nic]
+    }
+
+    /// Cores `nic`'s residents use under the snapshots in force.
+    pub(crate) fn used(&self, nic: usize) -> u32 {
+        self.used[nic]
+    }
+
+    /// Residents on `nic`.
+    pub(crate) fn occupants(&self, nic: usize) -> u32 {
+        self.occupants[nic]
     }
 
     /// Free cores, saturating so a transiently overfull NIC (snapshot

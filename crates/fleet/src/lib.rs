@@ -54,6 +54,7 @@ pub mod policy;
 pub mod record_io;
 pub mod replay;
 pub mod report;
+mod residency;
 pub mod sim;
 pub mod snapshot;
 mod state;
@@ -64,6 +65,7 @@ pub use policy::{Diagnoser, FleetPolicy, OnlineRefine};
 pub use record_io::{read_trace, write_trace, TraceIoError, TRACE_VERSION};
 pub use replay::{replay_journal, verify_against, ReplaySummary};
 pub use report::{ClassStats, FleetReport, FleetSample};
+pub use residency::Residency;
 pub use sim::{run_fleet, run_fleet_observed, FleetSim, Processed};
 pub use snapshot::{restore_fleet, snapshot_fleet, SnapshotError, SNAPSHOT_VERSION};
 pub use timeline::{BuildOpts, CacheMode, NfTimeline, ProfileStats, ProfiledTrace};

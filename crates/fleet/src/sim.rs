@@ -18,7 +18,8 @@
 
 use crate::policy::FleetPolicy;
 use crate::report::{ClassStats, FleetReport, FleetSample};
-use crate::state::{FleetState, NicState};
+use crate::residency::NicState;
+use crate::state::FleetState;
 use crate::timeline::ProfiledTrace;
 use crate::trace::{FaultKind, MS_PER_S};
 use yala_core::engine::{scenario_seed, simulator_for, Engine};
@@ -335,18 +336,18 @@ impl<'a> FleetSim<'a> {
                     self.faults_total += 1;
                     tel.inc("fleet.faults", 1);
                 }
-                state.set_state(ev.nic, NicState::Down);
+                state.nics.set_state(ev.nic, NicState::Down);
                 let evicted = state.take_all(ev.nic);
                 state.evacuate(policy, evicted, ev.nic, true, t_ms, tel);
             }
             FaultKind::DrainStart => {
                 self.drains_total += 1;
                 tel.inc("fleet.drains", 1);
-                state.set_state(ev.nic, NicState::Draining);
+                state.nics.set_state(ev.nic, NicState::Draining);
                 let ids = state.residents()[ev.nic].clone();
                 state.evacuate(policy, ids, ev.nic, false, t_ms, tel);
             }
-            FaultKind::Recover => state.set_state(ev.nic, NicState::Up),
+            FaultKind::Recover => state.nics.set_state(ev.nic, NicState::Up),
         }
         Processed::Fault(index)
     }
@@ -385,7 +386,7 @@ impl<'a> FleetSim<'a> {
         tel.wall_decision(w0);
         match slot {
             Some(nic) => {
-                debug_assert!(nf.supported_on(self.state.nics.model[nic]));
+                debug_assert!(nf.supported_on(self.state.nics.model(nic)));
                 tel.rec(t_ms, || Event::Place {
                     id,
                     nic: nic as u32,
@@ -464,7 +465,7 @@ impl<'a> FleetSim<'a> {
         let audit_base = scenario_seed(cfg.seed ^ AUDIT_SALT, epoch as usize);
         engine.run_chunked(occupied.len(), AUDIT_CHUNK, |j| {
             let nic = occupied[j];
-            let spec = &cfg.portfolio[state.nics.spec_pos[nic]].0;
+            let spec = cfg.nic_spec(nic);
             let mut sim = simulator_for(spec, cfg.noise_sigma, scenario_seed(audit_base, j));
             let workloads: Vec<&WorkloadSpec> = state.residents()[nic]
                 .iter()
@@ -482,7 +483,7 @@ impl<'a> FleetSim<'a> {
         let records = &state.profiled.trace.records;
         let mut violating = 0u32;
         for (&nic, report) in self.occupied.iter().zip(reports) {
-            let model = state.nics.model[nic];
+            let model = state.nics.model(nic);
             let residents = &state.residents()[nic];
             if observing {
                 tel.observe_log2("fleet.co_residents", 1.0, 6, residents.len() as f64);
@@ -641,7 +642,7 @@ impl<'a> FleetSim<'a> {
                 used += c;
                 cores_by_mask[self.masks[id as usize] as usize] += c;
             }
-            wasted_cores += state.nics.cores[nic] - used;
+            wasted_cores += state.nics.cores(nic) - used;
         }
         let oracle_lb_nics = oracle_packing_bound(&cores_by_mask, &self.model_cores);
         // Parked NFs are alive but unserved: every parked epoch is a
@@ -655,7 +656,8 @@ impl<'a> FleetSim<'a> {
         self.oracle_lb_nic_minutes += oracle_lb_nics as f64 * self.period_min;
         self.wasted_core_minutes += wasted_cores as f64 * self.period_min;
         let parked = state.parked.len() as u32;
-        let down_nics = state.down_nics();
+        let down = |&&s: &&NicState| s == NicState::Down;
+        let down_nics = state.nics.states().iter().filter(down).count() as u32;
         let obs_queue = self.pending.len() as u32;
         tel.gauge("fleet.active_nfs", active as f64);
         tel.gauge("fleet.nics_in_use", nics_in_use as f64);
@@ -777,7 +779,6 @@ fn oracle_packing_bound(cores_by_mask: &[u32], model_cores: &[u32]) -> u32 {
 mod tests {
     use super::*;
     use crate::policy::Diagnoser;
-    use crate::state::linear;
     use crate::timeline::BuildOpts;
     use crate::trace::{FaultEvent, FleetConfig, FleetTrace, NfRecord};
     use yala_nf::NfKind;
@@ -816,7 +817,7 @@ mod tests {
             BuildOpts::default(),
         );
         let mut state = FleetState::new(&profiled);
-        let (bf2, pen) = (state.nics.model[0], state.nics.model[1]);
+        let (bf2, pen) = (state.nics.model(0), state.nics.model(1));
         assert_ne!(bf2, pen, "two hardware models");
         // Hand-place both NFs on the BF-2 NIC (a blind packer would).
         state.place(None, 0, 0);
@@ -1045,125 +1046,6 @@ mod tests {
             blind.guaranteed.bad_minutes() > aware.guaranteed.bad_minutes(),
             "QoS-aware degradation must protect the guaranteed class"
         );
-    }
-
-    /// The tentpole's safety net: at 50–200 NICs across seeds, mixed
-    /// portfolios, random occupancy, fault states, and exclusions,
-    /// every indexed query must answer byte-identically to its
-    /// pre-index linear scan — both on a freshly built index and after
-    /// a stream of incremental mutations (depart / place / fail /
-    /// recover) maintained in lockstep. Debug builds of the live event
-    /// loop additionally assert the same parity on every decision it
-    /// takes, so the whole test suite doubles as a fleet-shaped
-    /// property test.
-    #[test]
-    fn indexed_placement_matches_linear_scan_across_seeds_and_sizes() {
-        use crate::trace::TrafficModel;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        for &nics in &[50usize, 100, 200] {
-            // One profiled trace per fleet size (template traffic keeps
-            // the profiling bill at ~a dozen measurements); three
-            // placement-RNG streams exercise it.
-            let mut cfg = FleetConfig::mixed(7 + nics as u64, nics);
-            cfg.duration_s = 600;
-            cfg.audit_period_s = 600;
-            cfg.mean_interarrival_s = 8.0;
-            cfg.mean_lifetime_s = 2_000.0;
-            cfg.noise_sigma = 0.0;
-            cfg.drift = false;
-            cfg.guaranteed_fraction = 0.5;
-            cfg.traffic_model = TrafficModel::Templates {
-                count: 8,
-                jitter: 0.02,
-            };
-            let profiled =
-                ProfiledTrace::build_cached(FleetTrace::generate(cfg), &Engine::sequential());
-            let records = &profiled.trace.records;
-            assert!(records.len() >= 40, "enough NFs to populate the fleet");
-
-            for seed in [11u64, 12, 13] {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut st = FleetState::new(&profiled);
-                let mut nic_state = vec![NicState::Up; nics];
-                for (nic, s) in nic_state.iter_mut().enumerate() {
-                    *s = match rng.gen_range(0..10) {
-                        0 => NicState::Down,
-                        1 => NicState::Draining,
-                        _ => NicState::Up,
-                    };
-                    st.set_state(nic, *s);
-                }
-                let fits = |st: &FleetState<'_>, nic: usize, id: u32| {
-                    let nf = st.snapshot(id);
-                    nf.supported_on(st.nics.model[nic])
-                        && st.cores_used(&st.residents()[nic]) + nf.workload.cores
-                            <= st.nics.cores[nic]
-                };
-                for r in records {
-                    let nic = rng.gen_range(0..nics);
-                    if fits(&st, nic, r.id) {
-                        st.place(None, nic, r.id);
-                    }
-                }
-
-                let check = |st: &FleetState<'_>, rng: &mut StdRng| {
-                    for _ in 0..8 {
-                        let nf = st.snapshot(records[rng.gen_range(0..records.len())].id);
-                        let exclude = rng.gen_bool(0.5).then(|| rng.gen_range(0..nics));
-                        assert_eq!(
-                            st.choose_empty(nf, exclude),
-                            linear::choose_empty(st, nf, exclude),
-                            "empty-NIC parity (nics={nics}, seed={seed})"
-                        );
-                        assert_eq!(
-                            st.choose_greedy(nf, exclude),
-                            linear::choose_greedy(st, nf, exclude),
-                            "greedy parity (nics={nics}, seed={seed})"
-                        );
-                        assert_eq!(
-                            st.shortlist(nf, exclude),
-                            linear::contention_candidates(st, nf, exclude),
-                            "contention-aware shortlist parity (nics={nics}, seed={seed})"
-                        );
-                    }
-                };
-                check(&st, &mut rng);
-
-                // A stream of incremental transitions — the index is
-                // maintained, never rebuilt — then parity again.
-                for _ in 0..60 {
-                    let nic = rng.gen_range(0..nics);
-                    match rng.gen_range(0..4) {
-                        0 => {
-                            if let Some(&id) = st.residents()[nic].first() {
-                                st.remove(id);
-                            }
-                        }
-                        1 => {
-                            let id = records[rng.gen_range(0..records.len())].id;
-                            let placed = st.residents().iter().any(|r| r.contains(&id));
-                            if !placed && fits(&st, nic, id) {
-                                st.place(None, nic, id);
-                            }
-                        }
-                        // Hard failure: retire and bulk-evict.
-                        2 if nic_state[nic] == NicState::Up => {
-                            nic_state[nic] = NicState::Down;
-                            st.set_state(nic, NicState::Down);
-                            st.take_all(nic);
-                        }
-                        3 if nic_state[nic] == NicState::Down && st.residents()[nic].is_empty() => {
-                            nic_state[nic] = NicState::Up;
-                            st.set_state(nic, NicState::Up);
-                        }
-                        _ => {}
-                    }
-                }
-                check(&st, &mut rng);
-            }
-        }
     }
 
     #[test]

@@ -1,48 +1,25 @@
-//! The one owner of a fleet run's mutable state: who lives where
-//! (`residents` / `location`), the candidate index (`pidx`) and the
-//! predictor's view (`rows`) mirroring that, drift cursors, NIC up/down
-//! state, the parked set, and the per-class displacement counters.
+//! The tenant side of a fleet run: the trace's profiles and the drift
+//! cursor that says which is in force per NF, where each NF lives
+//! (`location`), the parked set, and the per-class displacement
+//! counters — over the NIC side, a [`Residency`].
 //!
-//! `residents`, `location`, `pidx`, and `rows` must move together; the
-//! only code that moves them is [`FleetState::place`],
-//! [`FleetState::remove`], [`FleetState::take_all`], and — when a
-//! resident's profile changes under it — [`FleetState::drift`].
-//! Everything else — the choosers, evacuation, preemption, migration —
-//! decides *what* to move and calls those. The event loop (`sim.rs`)
-//! sees the fields it may not touch only through read accessors.
+//! `location` and the cursors must move with the residency; the only
+//! code that moves them is [`FleetState::place`], [`FleetState::remove`],
+//! [`FleetState::take_all`], and — when a resident's profile changes
+//! under it — [`FleetState::drift`]. Everything else — the policy's
+//! choosers, evacuation, preemption, migration — decides *what* to move
+//! and calls those. The event loop (`sim.rs`) sees the fields it may not
+//! touch only through read accessors.
 
-use crate::index::PlacementIndex;
 use crate::policy::{Diagnoser, FleetPolicy};
+use crate::residency::{MarginSink, Namer, Residency};
 use crate::timeline::ProfiledTrace;
-use crate::trace::FleetConfig;
 use yala_core::contender::{aggregate_counters, total_pressure};
 use yala_core::{Observation, ObservationBuffer, QosClass};
 use yala_diagnosis::{select_victim, select_victim_qos, victim_pressure};
 use yala_placement::{Placed, PlacementPredictor};
-use yala_sim::{CoRunReport, NicModelId, ResourceKind};
+use yala_sim::{CoRunReport, ResourceKind};
 use yala_telemetry::{Event, Telemetry};
-
-/// Per-resident predicted-vs-floor margins a contention-aware placement
-/// gathered on the NIC it accepted: `(slot, predicted, floor_with_margin)`.
-/// `None` disables collection entirely (the telemetry-off path).
-pub(crate) type MarginSink<'m> = Option<&'m mut Vec<(usize, f64, f64)>>;
-
-/// The policy's predictor ([`FleetPolicy::predictor`]), lent to the code
-/// that names residents for the NIC rows. The object's own lifetime is
-/// spelled out so a reborrow can be handed on.
-pub(crate) type Namer<'r, 'p> = Option<&'r mut (dyn PlacementPredictor + 'p)>;
-
-/// Operational state of a NIC under the fault machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum NicState {
-    /// In service: admits placements.
-    Up,
-    /// Maintenance announced: residents keep running until the deadline
-    /// but no new placements are admitted.
-    Draining,
-    /// Failed or offline for maintenance: empty, admits nothing.
-    Down,
-}
 
 /// A shed NF waiting to re-enter the fleet: retried at audit epochs
 /// with exponential backoff.
@@ -65,83 +42,22 @@ impl Parked {
     }
 }
 
-/// Per-NIC hardware facts expanded from the portfolio: the model and
-/// core count of every NIC index, plus the portfolio position used to
-/// build ground-truth simulators.
-pub(crate) struct NicMap {
-    pub(crate) model: Vec<NicModelId>,
-    pub(crate) cores: Vec<u32>,
-    pub(crate) spec_pos: Vec<usize>,
-    /// Model of each portfolio position, so feasibility can be decided
-    /// once per position instead of once per NIC.
-    pos_models: Vec<NicModelId>,
-}
-
-impl NicMap {
-    /// Expands the portfolio through the config's own NIC→model mapping
-    /// ([`FleetConfig::nic_model_pos`]), so the expansion order
-    /// invariant lives in exactly one place.
-    fn new(cfg: &FleetConfig) -> Self {
-        let n = cfg.nics();
-        let mut map = Self {
-            model: Vec::with_capacity(n),
-            cores: Vec::with_capacity(n),
-            spec_pos: Vec::with_capacity(n),
-            pos_models: cfg.portfolio.iter().map(|(s, _)| s.model()).collect(),
-        };
-        for nic in 0..n {
-            let pos = cfg.nic_model_pos(nic);
-            let spec = &cfg.portfolio[pos].0;
-            map.model.push(spec.model());
-            map.cores.push(spec.cores);
-            map.spec_pos.push(pos);
-        }
-        map
-    }
-
-    /// Portfolio positions whose hardware model supports `nf`, ascending.
-    fn supported_positions(&self, nf: &Placed) -> Vec<usize> {
-        (0..self.pos_models.len())
-            .filter(|&p| nf.supported_on(self.pos_models[p]))
-            .collect()
-    }
-}
-
-/// What a contention-aware decision reads of one NIC's residents, in
-/// residency order, so that scoring a candidate NIC touches no profile:
-/// each resident's [`PlacementPredictor::class_of`] id on this NIC's
-/// model (0 under a policy without a predictor) and its SLA floor there.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct NicRow {
-    classes: Vec<u32>,
-    floors: Vec<f64>,
-}
-
-/// The NF a placement decision is about, as its candidate NICs'
-/// questions need it: its class id per portfolio position (0 where the
-/// model does not support it), named once per decision, and the class
-/// ids of the candidate being judged, kept for their capacity.
-struct Newcomer<'a> {
-    nf: &'a Placed,
-    class_at: Vec<u32>,
-    candidate: Vec<u32>,
+/// The `id -> profile in force` lookup a [`Residency`] is handed, over
+/// the two fields it reads so the residency itself can be borrowed
+/// mutably beside it.
+fn in_force<'a: 's, 's>(
+    profiled: &'a ProfiledTrace,
+    cursor: &'s [usize],
+) -> impl Fn(u32) -> &'a Placed + 's {
+    move |id| &profiled.timelines[id as usize].snapshots[cursor[id as usize]].1
 }
 
 /// The fleet itself. See the module docs for who may touch what.
 pub(crate) struct FleetState<'a> {
     pub(crate) profiled: &'a ProfiledTrace,
-    pub(crate) nics: NicMap,
-    residents: Vec<Vec<u32>>,
+    pub(crate) nics: Residency,
     location: Vec<Option<usize>>,
-    /// One row per NIC, in lockstep with `residents` and — through
-    /// [`FleetState::drift`] — `cursor`.
-    rows: Vec<NicRow>,
-    /// The placement-candidate index, in lockstep with `residents`,
-    /// `state`, and (through [`FleetState::drift`]) `cursor`, so each
-    /// decision walks a shortlist instead of the whole fleet.
-    pidx: PlacementIndex,
     cursor: Vec<usize>,
-    state: Vec<NicState>,
     pub(crate) parked: Vec<Parked>,
     // Per-class displacement accounting, indexed by `QosClass as usize`.
     pub(crate) evacuations: [u32; 2],
@@ -152,18 +68,12 @@ pub(crate) struct FleetState<'a> {
 impl<'a> FleetState<'a> {
     /// The empty fleet: every NIC `Up`, nobody placed.
     pub(crate) fn new(profiled: &'a ProfiledTrace) -> Self {
-        let nics = NicMap::new(&profiled.trace.config);
-        let nic_count = nics.model.len();
         let nfs = profiled.trace.records.len();
         Self {
             profiled,
-            pidx: PlacementIndex::new(&nics.spec_pos, &nics.cores, nics.pos_models.len()),
-            nics,
-            residents: vec![Vec::new(); nic_count],
+            nics: Residency::new(&profiled.trace.config),
             location: vec![None; nfs],
-            rows: vec![NicRow::default(); nic_count],
             cursor: vec![0; nfs],
-            state: vec![NicState::Up; nic_count],
             parked: Vec::new(),
             evacuations: [0; 2],
             shed: [0; 2],
@@ -173,23 +83,18 @@ impl<'a> FleetState<'a> {
 
     /// Every NIC's residents, in residency order.
     pub(crate) fn residents(&self) -> &[Vec<u32>] {
-        &self.residents
-    }
-
-    /// NICs currently `Down`.
-    pub(crate) fn down_nics(&self) -> u32 {
-        self.state.iter().filter(|&&s| s == NicState::Down).count() as u32
+        self.nics.residents()
     }
 
     /// The profile snapshot currently in force for NF `id`.
     pub(crate) fn snapshot(&self, id: u32) -> &'a Placed {
-        &self.profiled.timelines[id as usize].snapshots[self.cursor[id as usize]].1
+        in_force(self.profiled, &self.cursor)(id)
     }
 
     /// The profile snapshots currently in force for `nic`'s residents,
     /// in residency order.
     pub(crate) fn snapshots(&self, nic: usize) -> Vec<&'a Placed> {
-        self.residents[nic]
+        self.residents()[nic]
             .iter()
             .map(|&id| self.snapshot(id))
             .collect()
@@ -211,59 +116,18 @@ impl<'a> FleetState<'a> {
             out,
             "{:?}",
             (
-                &self.residents,
-                &self.state,
+                self.residents(),
+                self.nics.states(),
                 &self.parked,
                 self.evacuations,
                 self.shed,
                 self.readmitted
             )
         );
-        for (nic, res) in self.residents.iter().enumerate() {
+        for (nic, res) in self.residents().iter().enumerate() {
             for &id in res {
-                let solo = self.snapshot(id).solo(self.nics.model[nic]).solo_tput;
+                let solo = self.snapshot(id).solo(self.nics.model(nic)).solo_tput;
                 let _ = write!(out, "{}:{:x};", self.cursor[id as usize], solo.to_bits());
-            }
-        }
-    }
-
-    /// What `rows[nic]` holds for NF `id` under its snapshot in force.
-    fn row_entry(&self, predictor: Namer<'_, '_>, nic: usize, id: u32) -> (u32, f64) {
-        let (model, nf) = (self.nics.model[nic], self.snapshot(id));
-        let class = predictor.map_or(0, |p| p.class_of(model, nf));
-        (class, nf.sla_floor(model))
-    }
-
-    /// Debug builds recompute `rows[nic]` from `residents` and the
-    /// snapshots in force after every change to either — the oracle
-    /// pattern [`linear`] gives the indexed choosers. Without a predictor
-    /// at hand only the floors are checked; a floor is a tenant's own
-    /// continuous draw, so it alone tells residents apart.
-    #[cfg(debug_assertions)]
-    fn assert_row(&self, mut predictor: Namer<'_, '_>, nic: usize) {
-        let row = &self.rows[nic];
-        let ids = &self.residents[nic];
-        assert_eq!(
-            (row.classes.len(), row.floors.len()),
-            (ids.len(), ids.len()),
-            "NIC {nic}: row and residents differ in length"
-        );
-        for (k, &id) in ids.iter().enumerate() {
-            let (class, floor) = self.row_entry(predictor.as_deref_mut(), nic, id);
-            assert_eq!(
-                row.floors[k].to_bits(),
-                floor.to_bits(),
-                "NIC {nic} slot {k}: stale SLA floor for NF {id}"
-            );
-            if let Some(p) = predictor.as_deref() {
-                // A predictor whose table of descriptions was emptied
-                // names a description it sees again with a newer id.
-                let renamed = p.memo_stats().is_some_and(|s| s.clears > 0);
-                assert!(
-                    row.classes[k] == class || (renamed && row.classes[k] < class),
-                    "NIC {nic} slot {k}: NF {id} is class {class}, row says {}",
-                    row.classes[k]
-                );
             }
         }
     }
@@ -271,57 +135,29 @@ impl<'a> FleetState<'a> {
     /// Puts NF `id` on `nic` under its snapshot in force; `predictor` is
     /// the policy's ([`FleetPolicy::predictor`]), which names the
     /// newcomer for the NIC's row.
-    pub(crate) fn place(&mut self, mut predictor: Namer<'_, '_>, nic: usize, id: u32) {
-        let (class, floor) = self.row_entry(predictor.as_deref_mut(), nic, id);
-        self.residents[nic].push(id);
-        self.rows[nic].classes.push(class);
-        self.rows[nic].floors.push(floor);
+    pub(crate) fn place(&mut self, predictor: Namer<'_, '_>, nic: usize, id: u32) {
+        let profile = in_force(self.profiled, &self.cursor);
+        self.nics.place(predictor, nic, id, profile);
         self.location[id as usize] = Some(nic);
-        self.pidx.place(nic, self.snapshot(id).workload.cores);
-        #[cfg(debug_assertions)]
-        self.assert_row(predictor, nic);
     }
 
     /// Takes NF `id` off its NIC, returning where it was (`None` if it
     /// was parked or never placed).
     pub(crate) fn remove(&mut self, id: u32) -> Option<usize> {
         let nic = self.location[id as usize].take()?;
-        let slot = self.residents[nic]
-            .iter()
-            .position(|&r| r == id)
-            .expect("a located NF is among its NIC's residents");
-        self.residents[nic].remove(slot);
-        self.rows[nic].classes.remove(slot);
-        self.rows[nic].floors.remove(slot);
-        self.pidx.remove(nic, self.snapshot(id).workload.cores);
-        #[cfg(debug_assertions)]
-        self.assert_row(None, nic);
+        let profile = in_force(self.profiled, &self.cursor);
+        self.nics.remove(nic, id, profile);
         Some(nic)
     }
 
     /// Bulk-evicts a retired NIC (hard failure or drain deadline),
     /// returning its former residents in residency order.
     pub(crate) fn take_all(&mut self, nic: usize) -> Vec<u32> {
-        let evicted = std::mem::take(&mut self.residents[nic]);
+        let evicted = self.nics.take_all(nic);
         for &id in &evicted {
             self.location[id as usize] = None;
         }
-        self.rows[nic] = NicRow::default();
-        self.pidx.clear_retired(nic);
-        #[cfg(debug_assertions)]
-        self.assert_row(None, nic);
         evicted
-    }
-
-    /// Moves `nic` through the fault machine; only `Up` NICs stay in the
-    /// candidate index.
-    pub(crate) fn set_state(&mut self, nic: usize, state: NicState) {
-        self.state[nic] = state;
-        if state == NicState::Up {
-            self.pidx.restore(nic);
-        } else {
-            self.pidx.retire(nic);
-        }
     }
 
     /// Points a parked NF at its snapshot in force at `t_ms` (placed NFs
@@ -332,10 +168,10 @@ impl<'a> FleetState<'a> {
     }
 
     /// Audit-epoch drift: brings every placed NF to its snapshot in
-    /// force at `t_ms` (re-profiles are epoch-aligned) — renaming it in
-    /// its NIC's row when that is another one — lists the occupied NICs
-    /// into `occupied`, and re-prices each in the index: the cursor moves
-    /// may have changed resident core footprints.
+    /// force at `t_ms` (re-profiles are epoch-aligned) — renaming and
+    /// re-pricing it on its NIC when that is another one, since the move
+    /// may have changed its core footprint — and lists the occupied NICs
+    /// into `occupied`.
     pub(crate) fn drift(
         &mut self,
         mut predictor: Namer<'_, '_>,
@@ -350,25 +186,14 @@ impl<'a> FleetState<'a> {
             if at == self.cursor[id] {
                 continue;
             }
+            let old_cores = self.snapshot(id as u32).workload.cores;
             self.cursor[id] = at;
-            let id = id as u32;
-            let slot = self.residents[nic]
-                .iter()
-                .position(|&r| r == id)
-                .expect("a located NF is among its NIC's residents");
-            let (class, floor) = self.row_entry(predictor.as_deref_mut(), nic, id);
-            self.rows[nic].classes[slot] = class;
-            self.rows[nic].floors[slot] = floor;
+            let profile = in_force(self.profiled, &self.cursor);
+            self.nics
+                .reprofiled(predictor.as_deref_mut(), nic, id as u32, old_cores, profile);
         }
         occupied.clear();
-        for n in 0..self.residents.len() {
-            if !self.residents[n].is_empty() {
-                occupied.push(n);
-                self.pidx.set_used(n, self.cores_used(&self.residents[n]));
-                #[cfg(debug_assertions)]
-                self.assert_row(predictor.as_deref_mut(), n);
-            }
-        }
+        occupied.extend((0..self.nics.nics()).filter(|&n| !self.residents()[n].is_empty()));
     }
 
     /// The policy's placement rule as one function: the NIC the policy
@@ -385,10 +210,11 @@ impl<'a> FleetState<'a> {
         mut margins: MarginSink<'_>,
     ) -> Option<usize> {
         match policy {
-            FleetPolicy::Monopolization => self.choose_empty(nf, exclude),
+            FleetPolicy::Monopolization => self.nics.choose_empty(nf, exclude),
             FleetPolicy::Greedy => self
+                .nics
                 .choose_greedy(nf, exclude)
-                .or_else(|| self.choose_empty(nf, exclude)),
+                .or_else(|| self.nics.choose_empty(nf, exclude)),
             FleetPolicy::ContentionAware { predictor, .. } => {
                 let found = self.choose_contention_aware(
                     *predictor,
@@ -405,137 +231,33 @@ impl<'a> FleetState<'a> {
                 if let Some(m) = margins {
                     m.clear();
                 }
-                self.choose_empty(nf, exclude)
+                self.nics.choose_empty(nf, exclude)
             }
         }
-    }
-
-    /// First empty `Up` NIC (lowest index) whose model supports `nf`,
-    /// skipping `exclude` — answered from the index; debug builds check
-    /// the answer against [`linear::choose_empty`] on every call.
-    pub(crate) fn choose_empty(&self, nf: &Placed, exclude: Option<usize>) -> Option<usize> {
-        let sup = self.nics.supported_positions(nf);
-        let found = self.pidx.first_empty(&sup, exclude);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            found,
-            linear::choose_empty(self, nf, exclude),
-            "indexed empty-NIC choice diverged from the linear scan"
-        );
-        found
-    }
-
-    /// Greedy: the occupied `Up` NIC with the most available cores among
-    /// those where `nf` fits and is feasible (ties break to the lowest
-    /// index) — answered from the index's free-core buckets; debug
-    /// builds check against [`linear::choose_greedy`] on every call.
-    pub(crate) fn choose_greedy(&self, nf: &Placed, exclude: Option<usize>) -> Option<usize> {
-        let sup = self.nics.supported_positions(nf);
-        let found = self.pidx.most_free(&sup, nf.workload.cores, exclude);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            found,
-            linear::choose_greedy(self, nf, exclude),
-            "indexed greedy choice diverged from the linear scan"
-        );
-        found
-    }
-
-    /// The structural shortlist of the contention-aware chooser: `Up`,
-    /// occupied, feasible, fitting NICs, ascending — the same NICs the
-    /// linear scan would evaluate, in the same order, so the predictor
-    /// sees an identical call sequence; debug builds assert it against
-    /// [`linear::contention_candidates`].
-    pub(crate) fn shortlist(&self, nf: &Placed, exclude: Option<usize>) -> Vec<usize> {
-        let sup = self.nics.supported_positions(nf);
-        let mut cands = Vec::new();
-        self.pidx
-            .fitting(&sup, nf.workload.cores, exclude, &mut cands);
-        #[cfg(debug_assertions)]
-        assert_eq!(
-            cands,
-            linear::contention_candidates(self, nf, exclude),
-            "indexed contention-aware shortlist diverged from the linear scan"
-        );
-        cands
-    }
-
-    /// Names `nf` for one placement decision.
-    fn newcomer(&self, predictor: &mut dyn PlacementPredictor, nf: &'a Placed) -> Newcomer<'a> {
-        let class = |&m| match nf.supported_on(m) {
-            true => predictor.class_of(m, nf),
-            false => 0,
-        };
-        Newcomer {
-            nf,
-            class_at: self.nics.pos_models.iter().map(class).collect(),
-            candidate: Vec::new(),
-        }
-    }
-
-    /// Whether the predictor — consulted for `nic`'s hardware model —
-    /// foresees no SLA violation for anyone when `who` joins the
-    /// residents of `nic` other than `left_out`, each floor raised by the
-    /// relative `margin`. Scored from the NIC's row: a profile is read
-    /// only when the predictor asks for it. Residents are asked about in
-    /// residency order, the newcomer last, stopping at the first
-    /// violation; `margins` collects `(candidate slot, predicted, floor)`
-    /// per question asked.
-    fn admits(
-        &self,
-        predictor: &mut dyn PlacementPredictor,
-        who: &mut Newcomer<'a>,
-        nic: usize,
-        left_out: &[u32],
-        margin: f64,
-        mut margins: MarginSink<'_>,
-    ) -> bool {
-        let nf = who.nf;
-        let model = self.nics.model[nic];
-        let (row, ids) = (&self.rows[nic], &self.residents[nic]);
-        let stay = || (0..ids.len()).filter(|&k| !left_out.contains(&ids[k]));
-        let classes = &mut who.candidate;
-        classes.clear();
-        classes.extend(stay().map(|k| row.classes[k]));
-        classes.push(who.class_at[self.nics.spec_pos[nic]]);
-        // The row slot of the candidate's `t`-th member; `None` for `nf`.
-        let slot = |t: usize| stay().nth(t);
-        let resident = |t: usize| slot(t).map_or(nf, |k| self.snapshot(ids[k]));
-        for t in 0..classes.len() {
-            let predicted = predictor.predict_classes(model, t, classes, &resident);
-            let floor =
-                slot(t).map_or_else(|| nf.sla_floor(model), |k| row.floors[k]) * (1.0 + margin);
-            if let Some(m) = margins.as_deref_mut() {
-                m.push((t, predicted, floor));
-            }
-            // `!(>=)`, not `<`: a NaN prediction must stay unsafe.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if !(predicted >= floor) {
-                return false;
-            }
-        }
-        true
     }
 
     /// Contention-aware: the first shortlisted NIC where the predictor
     /// foresees no SLA violation for anyone (the candidate NIC including
-    /// `nf`, see [`Self::admits`]).
+    /// `nf`, see [`Residency::admits`]).
     fn choose_contention_aware(
         &self,
         predictor: &mut dyn PlacementPredictor,
-        nf: &'a Placed,
+        nf: &Placed,
         exclude: Option<usize>,
         margin: f64,
         mut margins: MarginSink<'_>,
     ) -> Option<usize> {
-        let mut who = self.newcomer(predictor, nf);
-        self.shortlist(nf, exclude).into_iter().find(|&i| {
+        let profile = in_force(self.profiled, &self.cursor);
+        let mut who = self.nics.newcomer(predictor, nf, margin);
+        self.nics.shortlist(nf, exclude).into_iter().find(|&i| {
             // Margins describe one candidate NIC: the one accepted, or
             // the last one tried.
-            if let Some(m) = margins.as_deref_mut() {
+            let mut sink = margins.as_deref_mut();
+            if let Some(m) = sink.as_deref_mut() {
                 m.clear();
             }
-            self.admits(predictor, &mut who, i, &[], margin, margins.as_deref_mut())
+            self.nics
+                .admits(predictor, &mut who, i, &[], sink, &profile)
         })
     }
 
@@ -639,13 +361,12 @@ impl<'a> FleetState<'a> {
         if !nf.qos().is_guaranteed() {
             return None;
         }
-        let mut who = self.newcomer(*predictor, nf);
-        for i in 0..self.residents.len() {
-            let model = self.nics.model[i];
-            if Some(i) == exclude || self.state[i] != NicState::Up || !nf.supported_on(model) {
+        let mut who = self.nics.newcomer(*predictor, nf, margin);
+        for i in 0..self.nics.nics() {
+            if Some(i) == exclude || !self.nics.is_up(i) || !nf.supported_on(self.nics.model(i)) {
                 continue;
             }
-            let nic = &self.residents[i];
+            let nic = &self.residents()[i];
             let be: Vec<u32> = nic
                 .iter()
                 .copied()
@@ -656,18 +377,21 @@ impl<'a> FleetState<'a> {
             }
             // Even parking every best-effort resident must free the cores.
             let used = self.cores_used(nic);
-            if used - self.cores_used(&be) + nf.workload.cores > self.nics.cores[i] {
+            if used - self.cores_used(&be) + nf.workload.cores > self.nics.cores(i) {
                 continue;
             }
             let mut parked_here: Vec<u32> = Vec::new();
             let mut found = false;
             for &id in be.iter().rev() {
                 parked_here.push(id);
-                if used - self.cores_used(&parked_here) + nf.workload.cores > self.nics.cores[i] {
+                if used - self.cores_used(&parked_here) + nf.workload.cores > self.nics.cores(i) {
                     continue;
                 }
-                if self.admits(*predictor, &mut who, i, &parked_here, margin, None) {
-                    found = true;
+                let profile = in_force(self.profiled, &self.cursor);
+                found = self
+                    .nics
+                    .admits(*predictor, &mut who, i, &parked_here, None, profile);
+                if found {
                     break;
                 }
             }
@@ -700,10 +424,10 @@ impl<'a> FleetState<'a> {
         out: &mut ObservationBuffer,
     ) {
         for (&nic, report) in occupied.iter().zip(reports) {
-            if self.residents[nic].len() < 2 {
+            if self.residents()[nic].len() < 2 {
                 continue;
             }
-            let model = self.nics.model[nic];
+            let model = self.nics.model(nic);
             let placed = self.snapshots(nic);
             for (target, outcome) in report.outcomes.iter().enumerate() {
                 let snap = placed[target];
@@ -755,16 +479,16 @@ impl<'a> FleetState<'a> {
         };
         let budget = self.profiled.trace.config.max_migrations_per_audit;
         let mut moved = 0u32;
-        for nic in 0..self.residents.len() {
+        for nic in 0..self.nics.nics() {
             if moved as usize >= budget {
                 break;
             }
-            if self.residents[nic].len() < 2 {
+            if self.residents()[nic].len() < 2 {
                 continue;
             }
-            let model = self.nics.model[nic];
+            let model = self.nics.model(nic);
             let placed = self.snapshots(nic);
-            let classes = &self.rows[nic].classes;
+            let classes = self.nics.classes(nic);
             let Some(&violator) = predictor.reevaluate(model, classes, &placed).first() else {
                 continue;
             };
@@ -784,15 +508,15 @@ impl<'a> FleetState<'a> {
             };
             let sel = selected.expect("≥1 co-resident");
             let victim_pos = co_positions[sel];
-            let victim_id = self.residents[nic][victim_pos];
-            let violator_id = self.residents[nic][violator];
+            let victim_id = self.residents()[nic][victim_pos];
+            let violator_id = self.residents()[nic][violator];
             let victim = placed[victim_pos];
             // Drain-and-replace: a safe occupied NIC first, else power on
             // an empty one; if the fleet is exhausted the victim stays
             // put.
             let dst = self
                 .choose_contention_aware(*predictor, victim, Some(nic), 0.0, None)
-                .or_else(|| self.choose_empty(victim, Some(nic)));
+                .or_else(|| self.nics.choose_empty(victim, Some(nic)));
             if let Some(dst) = dst {
                 self.remove(victim_id);
                 self.place(Some(&mut **predictor), dst, victim_id);
@@ -810,72 +534,5 @@ impl<'a> FleetState<'a> {
             }
         }
         moved
-    }
-}
-
-/// The pre-index O(NICs) scans, kept as the semantics oracle: debug
-/// builds check every indexed decision against them, and the parity test
-/// does so explicitly in any profile.
-#[cfg(any(test, debug_assertions))]
-pub(crate) mod linear {
-    use super::{FleetState, NicState, Placed};
-
-    /// `Up` NICs other than `exclude` whose model supports `nf`.
-    fn admitting<'s>(
-        st: &'s FleetState<'_>,
-        nf: &'s Placed,
-        exclude: Option<usize>,
-    ) -> impl Iterator<Item = (usize, &'s Vec<u32>)> {
-        st.residents.iter().enumerate().filter(move |(i, _)| {
-            Some(*i) != exclude
-                && st.state[*i] == NicState::Up
-                && nf.supported_on(st.nics.model[*i])
-        })
-    }
-
-    /// Occupied admitting NICs where `nf` fits, with their free cores.
-    fn fitting<'s>(
-        st: &'s FleetState<'_>,
-        nf: &'s Placed,
-        exclude: Option<usize>,
-    ) -> impl Iterator<Item = (usize, u32)> + 's {
-        admitting(st, nf, exclude)
-            .filter(|(_, res)| !res.is_empty())
-            .filter_map(move |(i, res)| {
-                let used = st.cores_used(res);
-                (used + nf.workload.cores <= st.nics.cores[i]).then(|| (i, st.nics.cores[i] - used))
-            })
-    }
-
-    pub(crate) fn choose_empty(
-        st: &FleetState<'_>,
-        nf: &Placed,
-        exclude: Option<usize>,
-    ) -> Option<usize> {
-        admitting(st, nf, exclude)
-            .find(|(_, res)| res.is_empty())
-            .map(|(i, _)| i)
-    }
-
-    pub(crate) fn choose_greedy(
-        st: &FleetState<'_>,
-        nf: &Placed,
-        exclude: Option<usize>,
-    ) -> Option<usize> {
-        let mut best: Option<(usize, u32)> = None;
-        for (i, avail) in fitting(st, nf, exclude) {
-            if best.is_none_or(|(_, b)| avail > b) {
-                best = Some((i, avail));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    pub(crate) fn contention_candidates(
-        st: &FleetState<'_>,
-        nf: &Placed,
-        exclude: Option<usize>,
-    ) -> Vec<usize> {
-        fitting(st, nf, exclude).map(|(i, _)| i).collect()
     }
 }

@@ -265,27 +265,30 @@ impl PlacementOutcome {
     }
 }
 
-/// The one profile-measurement body, generic over how the per-model
-/// simulators are held (a portfolio slice or a single borrowed sim).
-fn measure_entry_iter<'a, I>(
-    sims: I,
+/// THE single-sourced profile measurement: profiles `kind` at `traffic`
+/// (packet replay through the real NF, seeded by `seed`) and
+/// solo-measures the workload on every `(model, simulator)` pair, in
+/// order. Every profiling entry point — arrival preparation
+/// ([`prepare_all`]), the fleet timelines, the daemon, and profile-cache
+/// misses ([`yala_core::profile_cache::ProfileCache::get_or_measure`]) —
+/// runs this one body, so a cache hit is provably the same bytes as the
+/// fresh measurement it replaced.
+pub fn measure_entry(
+    sims: &mut [(NicModelId, Simulator)],
     kind: NfKind,
     traffic: TrafficProfile,
     seed: u64,
-) -> ProfileEntry
-where
-    I: IntoIterator<Item = (NicModelId, &'a mut Simulator)>,
-{
+) -> ProfileEntry {
     let mut workload = kind.workload(traffic, seed);
     // Co-runs require unique names; instances of the same NF type must not
     // collide. Callers rebrand per instance where one entry is shared.
     workload.name = format!("{}-{seed}", workload.name);
     let solos = sims
-        .into_iter()
+        .iter_mut()
         .map(|(model, sim)| {
             let outcome = sim.solo(&workload);
             (
-                model,
+                *model,
                 SoloProfile {
                     solo_tput: outcome.throughput_pps,
                     counters: outcome.counters,
@@ -298,24 +301,6 @@ where
         workload,
         solos,
     }
-}
-
-/// THE single-sourced profile measurement: profiles `kind` at `traffic`
-/// (packet replay through the real NF, seeded by `seed`) and
-/// solo-measures the workload on every `(model, simulator)` pair, in
-/// order. Every profiling entry point — direct preparation
-/// ([`prepare_on`]), drift re-profiling ([`reprofile_on`]), the
-/// single-model conveniences, and profile-cache misses
-/// ([`yala_core::profile_cache::ProfileCache::get_or_measure`]) — runs
-/// this one body, so a cache hit is provably the same bytes as the
-/// fresh measurement it replaced.
-pub fn measure_entry(
-    sims: &mut [(NicModelId, Simulator)],
-    kind: NfKind,
-    traffic: TrafficProfile,
-    seed: u64,
-) -> ProfileEntry {
-    measure_entry_iter(sims.iter_mut().map(|(m, s)| (*m, s)), kind, traffic, seed)
 }
 
 /// Materializes a [`Placed`] record from a (possibly cached)
@@ -346,35 +331,12 @@ pub fn placed_from_entry(entry: &ProfileEntry, arrival: Arrival, name: Option<&s
     }
 }
 
-/// Prepares a [`Placed`] record for an arrival against a set of per-model
-/// simulators: the workload is profiled once (packet replay is
-/// hardware-independent) and then solo-measured on each simulator in
-/// order, producing one baseline per NIC model. Callers pass one
-/// simulator per model the NF is admitted on
-/// ([`NfKind::profiled_on`]); the resulting `solos` order follows `sims`.
-pub fn prepare_on(sims: &mut [(NicModelId, Simulator)], arrival: Arrival, seed: u64) -> Placed {
-    let entry = measure_entry(sims, arrival.kind, arrival.traffic, seed);
-    placed_from_entry(&entry, arrival, None)
-}
-
-/// Single-model convenience: prepares a [`Placed`] record with one solo
-/// baseline — the model of `sim`'s spec. Identical measurements to the
-/// homogeneous pre-portfolio path.
-pub fn prepare(sim: &mut Simulator, arrival: Arrival, seed: u64) -> Placed {
-    let model = sim.spec().model();
-    let entry = measure_entry_iter(
-        std::iter::once((model, sim)),
-        arrival.kind,
-        arrival.traffic,
-        seed,
-    );
-    placed_from_entry(&entry, arrival, None)
-}
-
 /// Prepares a whole arrival sequence against a NIC-model portfolio, one
 /// independent scenario per arrival, dispatched across `engine`'s worker
-/// pool. Arrival `i` is profiled (packet replay through the real NF) and
-/// solo-measured per admitted model on private simulators seeded
+/// pool. Arrival `i` is profiled once (packet replay through the real NF
+/// is hardware-independent) and solo-measured per admitted model
+/// ([`NfKind::profiled_on`], so `solos` follows `specs`) on private
+/// simulators seeded
 /// `scenario_seed(model_seed_base(base_seed, m), i)` — model 0's stream
 /// is exactly the old single-spec stream, so a one-spec portfolio
 /// reproduces the homogeneous preparation bit for bit. The returned
@@ -388,12 +350,11 @@ pub fn prepare_all(
     engine: &Engine,
 ) -> Vec<Placed> {
     engine.run(arrivals.len(), |i| {
-        let mut sims = sims_for(specs, arrivals[i].kind, noise_sigma, base_seed, i);
-        prepare_on(
-            &mut sims,
-            arrivals[i].clone(),
-            base_seed.wrapping_add(i as u64),
-        )
+        let arrival = arrivals[i].clone();
+        let mut sims = sims_for(specs, arrival.kind, noise_sigma, base_seed, i);
+        let seed = base_seed.wrapping_add(i as u64);
+        let entry = measure_entry(&mut sims, arrival.kind, arrival.traffic, seed);
+        placed_from_entry(&entry, arrival, None)
     })
 }
 
@@ -451,48 +412,6 @@ pub fn sims_for_key(
             )
         })
         .collect()
-}
-
-/// Re-profiles a placed NF after its traffic has drifted to `traffic`
-/// against the same per-model simulators used at preparation: re-derives
-/// the workload (packet replay at the new profile) and every model's solo
-/// baseline, keeping the instance's identity (its workload name) and SLA
-/// contract. The SLA floors therefore track the drifted traffic — a drop
-/// tolerance is relative to solo performance *at current traffic*,
-/// matching how operators express NF SLAs. The returned record carries
-/// baselines exactly for the models in `sims`.
-pub fn reprofile_on(
-    sims: &mut [(NicModelId, Simulator)],
-    placed: &Placed,
-    traffic: TrafficProfile,
-    seed: u64,
-) -> Placed {
-    let entry = measure_entry(sims, placed.arrival.kind, traffic, seed);
-    let mut arrival = placed.arrival.clone();
-    arrival.traffic = traffic;
-    // Rebranding after the measurement is byte-safe: the solver is
-    // numerically independent of workload names (they only key lookups
-    // and reports).
-    placed_from_entry(&entry, arrival, Some(&placed.workload.name))
-}
-
-/// Single-model convenience around [`reprofile_on`].
-pub fn reprofile(
-    sim: &mut Simulator,
-    placed: &Placed,
-    traffic: TrafficProfile,
-    seed: u64,
-) -> Placed {
-    let model = sim.spec().model();
-    let entry = measure_entry_iter(
-        std::iter::once((model, sim)),
-        placed.arrival.kind,
-        traffic,
-        seed,
-    );
-    let mut arrival = placed.arrival.clone();
-    arrival.traffic = traffic;
-    placed_from_entry(&entry, arrival, Some(&placed.workload.name))
 }
 
 /// Runs one online placement episode on a homogeneous bank of NICs of
@@ -857,7 +776,14 @@ mod tests {
         NicSpec::bluefield2().model()
     }
 
-    fn arrivals(sim: &mut Simulator, n: usize) -> Vec<Placed> {
+    /// Profiles `arrival` on a fresh noise-free BlueField-2.
+    fn prepare(arrival: Arrival, seed: u64) -> Placed {
+        let mut sims = [(bf2(), sim())];
+        let entry = measure_entry(&mut sims, arrival.kind, arrival.traffic, seed);
+        placed_from_entry(&entry, arrival, None)
+    }
+
+    fn arrivals(n: usize) -> Vec<Placed> {
         let kinds = [
             NfKind::FlowStats,
             NfKind::Acl,
@@ -873,7 +799,7 @@ mod tests {
                     sla_drop: rng.gen_range(0.05..0.20),
                     qos: QosClass::Guaranteed,
                 };
-                prepare(sim, arrival, i as u64)
+                prepare(arrival, i as u64)
             })
             .collect()
     }
@@ -881,7 +807,7 @@ mod tests {
     #[test]
     fn monopolization_never_violates() {
         let mut s = sim();
-        let a = arrivals(&mut s, 8);
+        let a = arrivals(8);
         let out = place_sequence(&mut s, &a, Strategy::Monopolization);
         assert_eq!(out.nics.len(), 8);
         assert_eq!(out.violations, 0);
@@ -891,7 +817,7 @@ mod tests {
     #[test]
     fn greedy_uses_fewer_nics_but_may_violate() {
         let mut s = sim();
-        let a = arrivals(&mut s, 12);
+        let a = arrivals(12);
         let mono = place_sequence(&mut s, &a, Strategy::Monopolization);
         let greedy = place_sequence(&mut s, &a, Strategy::Greedy);
         assert!(greedy.nics.len() < mono.nics.len());
@@ -902,7 +828,7 @@ mod tests {
     #[test]
     fn oracle_respects_slas_with_fewer_nics_than_monopolization() {
         let mut s = sim();
-        let a = arrivals(&mut s, 12);
+        let a = arrivals(12);
         let mut oracle = OraclePredictor::new(NicSpec::bluefield2());
         let out = place_sequence(&mut s, &a, Strategy::ContentionAware(&mut oracle));
         assert_eq!(out.violations, 0, "oracle must not violate");
@@ -1002,41 +928,11 @@ mod tests {
     }
 
     #[test]
-    fn reprofile_keeps_identity_and_tracks_traffic() {
-        let mut s = sim();
-        let placed = prepare(
-            &mut s,
-            Arrival {
-                kind: NfKind::FlowStats,
-                traffic: TrafficProfile::new(4_000, 512, 0.0),
-                sla_drop: 0.1,
-                qos: QosClass::Guaranteed,
-            },
-            7,
-        );
-        let model = bf2();
-        let drifted = TrafficProfile::new(200_000, 1500, 0.0);
-        let re = reprofile(&mut s, &placed, drifted, 7);
-        assert_eq!(re.workload.name, placed.workload.name, "identity kept");
-        assert_eq!(re.arrival.traffic, drifted);
-        assert_eq!(re.arrival.sla_drop, placed.arrival.sla_drop);
-        // 50x the flows at triple the packet size: the workload and its
-        // solo reference must actually change.
-        assert_ne!(re.solo(model).solo_tput, placed.solo(model).solo_tput);
-        assert_ne!(re.solo(model).counters, placed.solo(model).counters);
-        // Re-profiling back at the original traffic restores the solo
-        // reference (noise-free simulator, same workload seed).
-        let back = reprofile(&mut s, &re, placed.arrival.traffic, 7);
-        assert_eq!(back.solo(model).solo_tput, placed.solo(model).solo_tput);
-    }
-
-    #[test]
     fn oracle_reevaluate_matches_default_hook() {
         // The oracle's single-co-run override must agree with the default
         // per-resident predict() loop (both are ground truth on a
         // noise-free simulator).
-        let mut s = sim();
-        let a = arrivals(&mut s, 6);
+        let a = arrivals(6);
         struct DefaultOracle(Simulator);
         impl PlacementPredictor for DefaultOracle {
             fn predict_refs(
@@ -1072,7 +968,6 @@ mod tests {
             .map(|i| {
                 let _ = rng.gen::<f64>();
                 prepare(
-                    &mut s,
                     Arrival {
                         kind: NfKind::FlowStats,
                         traffic: TrafficProfile::new(200_000, 1500, 0.0),

@@ -10,14 +10,18 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use yala_core::QosClass;
 use yala_nf::NfKind;
-use yala_placement::{place_sequence, prepare, Arrival, OraclePredictor, Placed, Strategy};
+use yala_placement::{
+    measure_entry, place_sequence, placed_from_entry, Arrival, OraclePredictor, Placed, Strategy,
+};
 use yala_sim::{NicSpec, Simulator};
 use yala_traffic::TrafficProfile;
 
 /// Draws one random arrival sequence: mixed NF kinds (memory-bound,
 /// accelerator-bound, and traffic-sensitive), random traffic within the
 /// evaluation ranges, and SLAs between tight (5%) and loose (25%).
-fn random_arrivals(sim: &mut Simulator, seed: u64, n: usize) -> Vec<Placed> {
+fn random_arrivals(seed: u64, n: usize) -> Vec<Placed> {
+    let spec = NicSpec::bluefield2();
+    let mut sims = [(spec.model(), Simulator::new(spec))];
     let kinds = [
         NfKind::FlowStats,
         NfKind::Acl,
@@ -34,7 +38,9 @@ fn random_arrivals(sim: &mut Simulator, seed: u64, n: usize) -> Vec<Placed> {
                 sla_drop: rng.gen_range(0.05..0.25),
                 qos: QosClass::Guaranteed,
             };
-            prepare(sim, arrival, seed * 1_000 + i as u64)
+            let seed = seed * 1_000 + i as u64;
+            let entry = measure_entry(&mut sims, arrival.kind, arrival.traffic, seed);
+            placed_from_entry(&entry, arrival, None)
         })
         .collect()
 }
@@ -45,7 +51,7 @@ fn contention_aware_oracle_never_violates() {
         // Noise-free ground truth: the oracle predictor and the episode's
         // final evaluation must agree exactly.
         let mut sim = Simulator::new(NicSpec::bluefield2());
-        let arrivals = random_arrivals(&mut sim, seed, 12);
+        let arrivals = random_arrivals(seed, 12);
         let mut oracle = OraclePredictor::new(NicSpec::bluefield2());
         let out = place_sequence(&mut sim, &arrivals, Strategy::ContentionAware(&mut oracle));
         assert_eq!(
@@ -60,7 +66,7 @@ fn contention_aware_oracle_never_violates() {
 fn monopolization_nic_count_bounds_every_strategy() {
     for seed in [2u64, 13, 40] {
         let mut sim = Simulator::new(NicSpec::bluefield2());
-        let arrivals = random_arrivals(&mut sim, seed, 10);
+        let arrivals = random_arrivals(seed, 10);
         let mono = place_sequence(&mut sim, &arrivals, Strategy::Monopolization);
         assert_eq!(mono.violations, 0, "monopolization never violates");
         assert_eq!(mono.nics.len(), arrivals.len());

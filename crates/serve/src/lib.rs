@@ -30,18 +30,19 @@
 //! `hello`, `shutdown`). Responses always carry `"ok"` and echo `"op"`.
 //! See DESIGN.md, "Serving placement", for the full field tables.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use yala_core::{
     Engine, Observation, ObservationBuffer, ProfileCache, ProfileEntry, ProfileKey, QosClass,
     TrafficKey,
 };
-use yala_fleet::FleetConfig;
+use yala_fleet::{FleetConfig, Residency};
 use yala_nf::NfKind;
 use yala_placement::{
     measure_entry, placed_from_entry, sims_for, Arrival, Placed, PlacementPredictor, YalaPredictor,
 };
-use yala_sim::{CounterSample, NicModelId, ResourceKind};
+use yala_sim::{CounterSample, ResourceKind};
 use yala_telemetry::journal::{parse_line, RawEvent};
 use yala_traffic::profile::{MAX_FLOW_COUNT, MAX_MTBR, MAX_PACKET_SIZE, MIN_PACKET_SIZE};
 use yala_traffic::TrafficProfile;
@@ -82,6 +83,14 @@ enum ServePolicy {
 }
 
 impl ServePolicy {
+    /// The predictor that names residents for the NIC rows, if any.
+    fn predictor(&mut self) -> Option<&mut (dyn PlacementPredictor + 'static)> {
+        match self {
+            ServePolicy::Yala { predictor, .. } => Some(&mut **predictor),
+            _ => None,
+        }
+    }
+
     fn name(&self) -> &'static str {
         match self {
             ServePolicy::Mono => "mono",
@@ -108,36 +117,24 @@ struct Counters {
     sheds: u64,
 }
 
-/// A placed NF instance: where it lives (if admitted) and its profiled
-/// placement record.
+/// A placed NF instance: its NIC and its profiled placement record.
 struct Instance {
-    nic: Option<usize>,
+    nic: usize,
     placed: Placed,
 }
 
-/// What the predictor is asked about one NIC's residents, in residency
-/// order: each one's [`PlacementPredictor::class_of`] id on the NIC's
-/// model (0 under a prediction-free policy) and its SLA floor there.
-/// Scoring a candidate NIC reads these, not the residents' profiles.
-#[derive(Default, Clone)]
-struct NicRow {
-    classes: Vec<u32>,
-    floors: Vec<f64>,
+/// The `id -> profile in force` lookup the daemon hands its [`Residency`].
+fn profiles<'a>(instances: &'a BTreeMap<u32, Instance>) -> impl Fn(u32) -> &'a Placed {
+    move |id| &instances[&id].placed
 }
 
 /// The daemon state machine. See the crate docs for the contract; see
 /// [`ServeLoop::handle_line`] for the dispatch table.
 pub struct ServeLoop {
     cfg: FleetConfig,
-    nic_model: Vec<NicModelId>,
-    nic_cores: Vec<u32>,
-    up: Vec<bool>,
-    used: Vec<u32>,
-    residents: Vec<Vec<u32>>,
-    /// One row per NIC, in lockstep with `residents` and the residents'
-    /// profiles: [`Self::settle`], [`Self::evict`] and `drift` move them
-    /// together.
-    rows: Vec<NicRow>,
+    /// Who shares which NIC, under the profiles `instances` holds: the
+    /// same table, lockstep rules and admission test as the simulator's.
+    nics: Residency,
     instances: BTreeMap<u32, Instance>,
     policy: ServePolicy,
     cache: ProfileCache,
@@ -155,15 +152,7 @@ impl ServeLoop {
     /// train their bank here, once, from `cfg.kinds` — construction cost,
     /// not request-path cost.
     pub fn new(cfg: &FleetConfig, policy_name: &str, engine: &Engine) -> Result<Self, String> {
-        let mut nic_model = Vec::new();
-        let mut nic_cores = Vec::new();
-        for (spec, count) in &cfg.portfolio {
-            for _ in 0..*count {
-                nic_model.push(spec.model());
-                nic_cores.push(spec.cores);
-            }
-        }
-        if nic_model.is_empty() {
+        if cfg.nics() == 0 {
             return Err("empty NIC portfolio".to_string());
         }
         let policy = match policy_name {
@@ -175,15 +164,9 @@ impl ServeLoop {
             },
             other => return Err(format!("unknown policy {other}")),
         };
-        let nics = nic_model.len();
         Ok(Self {
             cfg: cfg.clone(),
-            nic_model,
-            nic_cores,
-            up: vec![true; nics],
-            used: vec![0; nics],
-            residents: vec![Vec::new(); nics],
-            rows: vec![NicRow::default(); nics],
+            nics: Residency::new(cfg),
             instances: BTreeMap::new(),
             policy,
             cache: ProfileCache::new(),
@@ -223,7 +206,7 @@ impl ServeLoop {
             "{{\"ok\":true,\"op\":\"hello\",\"yala_serve\":{SERVE_WIRE_VERSION},\
              \"policy\":\"{}\",\"nics\":{},\"seed\":\"{}\"}}",
             self.policy.name(),
-            self.nic_model.len(),
+            self.nics.nics(),
             self.cfg.seed
         )
     }
@@ -316,77 +299,38 @@ impl ServeLoop {
         placed_from_entry(&self.measure(id, &arrival), arrival, Some(&name))
     }
 
-    /// The placement decision: candidate NICs that fit, ordered
-    /// most-free-cores-first (ties to the lowest index), filtered by the
-    /// policy. Deterministic by construction.
+    /// The placement decision: up NICs that support `placed` and fit it,
+    /// most-free-cores-first (ties to the lowest index), the first the
+    /// policy accepts — an empty one without a question, an occupied one
+    /// if [`Residency::admits`]. Deterministic by construction.
     fn choose_nic(&mut self, placed: &Placed) -> Option<usize> {
-        let cores = placed.workload.cores;
-        let mut order: Vec<usize> = (0..self.nic_model.len())
-            .filter(|&n| {
-                self.up[n]
-                    && placed.supported_on(self.nic_model[n])
-                    && self.used[n] + cores <= self.nic_cores[n]
-            })
+        let (nics, profile) = (&self.nics, profiles(&self.instances));
+        let need = placed.workload.cores;
+        let spare = |n: usize| nics.cores(n).checked_sub(nics.used(n) + need);
+        // Sorted as `(cores to spare, descending; index)`: the order above.
+        let mut order: Vec<(Reverse<u32>, usize)> = (0..nics.nics())
+            .filter(|&n| nics.is_up(n) && placed.supported_on(nics.model(n)))
+            .filter_map(|n| Some((Reverse(spare(n)?), n)))
             .collect();
-        order.sort_by(|&a, &b| {
-            let fa = self.nic_cores[a] - self.used[a];
-            let fb = self.nic_cores[b] - self.used[b];
-            fb.cmp(&fa).then(a.cmp(&b))
-        });
+        order.sort_unstable();
+        let mut order = order.into_iter().map(|(_, n)| n);
+        let empty = |n: usize| nics.residents()[n].is_empty();
         match &mut self.policy {
-            ServePolicy::Mono => order.into_iter().find(|&n| self.residents[n].is_empty()),
-            ServePolicy::Greedy => order.first().copied(),
+            ServePolicy::Mono => order.find(|&n| empty(n)),
+            ServePolicy::Greedy => order.next(),
             ServePolicy::Yala { predictor, .. } => {
-                let (residents, rows) = (&self.residents, &self.rows);
-                let instances = &self.instances;
-                let models = &self.nic_model;
-                // The newcomer's class on each NIC model it can run on.
-                let named: Vec<(NicModelId, u32)> = placed
-                    .solos
-                    .iter()
-                    .map(|&(model, _)| (model, predictor.class_of(model, placed)))
-                    .collect();
-                let mut classes = Vec::new();
-                order.into_iter().find(|&n| {
-                    let (ids, row, model) = (&residents[n], &rows[n], models[n]);
-                    if ids.is_empty() {
-                        return true;
-                    }
-                    let class = named
-                        .iter()
-                        .find(|(m, _)| *m == model)
-                        .map_or(0, |&(_, class)| class);
-                    classes.clear();
-                    classes.extend_from_slice(&row.classes);
-                    classes.push(class);
-                    let resident = |t: usize| ids.get(t).map_or(placed, |id| &instances[id].placed);
-                    (0..classes.len()).all(|t| {
-                        let floor = row.floors.get(t).copied();
-                        predictor.predict_classes(model, t, &classes, &resident)
-                            >= floor.unwrap_or_else(|| placed.sla_floor(model))
-                    })
-                })
+                let predictor: &mut dyn PlacementPredictor = &mut **predictor;
+                let mut who = nics.newcomer(predictor, placed, 0.0);
+                order
+                    .find(|&n| empty(n) || nics.admits(predictor, &mut who, n, &[], None, &profile))
             }
         }
     }
 
-    /// What `rows[n]` holds for `placed` as a resident of NIC `n`.
-    fn row_entry(&mut self, n: usize, placed: &Placed) -> (u32, f64) {
-        let model = self.nic_model[n];
-        let class = match &mut self.policy {
-            ServePolicy::Yala { predictor, .. } => predictor.class_of(model, placed),
-            _ => 0,
-        };
-        (class, placed.sla_floor(model))
-    }
-
-    /// Makes instance `id`, profiled as `placed`, a resident of NIC `n`.
-    fn settle(&mut self, n: usize, id: u32, placed: &Placed) {
-        let (class, floor) = self.row_entry(n, placed);
-        self.used[n] += placed.workload.cores;
-        self.residents[n].push(id);
-        self.rows[n].classes.push(class);
-        self.rows[n].floors.push(floor);
+    /// Makes instance `id`, already among `instances`, a resident of `n`.
+    fn settle(&mut self, n: usize, id: u32) {
+        let profile = profiles(&self.instances);
+        self.nics.place(self.policy.predictor(), n, id, profile);
     }
 
     fn op_place(&mut self, ev: &RawEvent) -> Result<String, String> {
@@ -399,26 +343,16 @@ impl ServeLoop {
         let nic = self.choose_nic(&placed);
         match nic {
             Some(n) => {
-                self.settle(n, id, &placed);
+                self.instances.insert(id, Instance { nic: n, placed });
+                self.settle(n, id);
                 self.counters.admissions += 1;
-                self.instances.insert(
-                    id,
-                    Instance {
-                        nic: Some(n),
-                        placed,
-                    },
-                );
-                Ok(format!(
-                    "{{\"ok\":true,\"op\":\"place\",\"id\":{id},\"nic\":{n}}}"
-                ))
             }
-            None => {
-                self.counters.rejections += 1;
-                Ok(format!(
-                    "{{\"ok\":true,\"op\":\"place\",\"id\":{id},\"nic\":-1}}"
-                ))
-            }
+            None => self.counters.rejections += 1,
         }
+        let n = nic.map_or(-1, |n| n as i64);
+        Ok(format!(
+            "{{\"ok\":true,\"op\":\"place\",\"id\":{id},\"nic\":{n}}}"
+        ))
     }
 
     fn op_query(&mut self, ev: &RawEvent) -> Result<String, String> {
@@ -439,30 +373,16 @@ impl ServeLoop {
         let placed = placed_from_entry(&entry, arrival, Some(&name));
         let nic = self.choose_nic(&placed);
         self.counters.queries += 1;
-        let n = nic.map(|n| n as i64).unwrap_or(-1);
+        let n = nic.map_or(-1, |n| n as i64);
         Ok(format!("{{\"ok\":true,\"op\":\"query\",\"nic\":{n}}}"))
-    }
-
-    fn evict(&mut self, id: u32) -> Option<usize> {
-        let inst = self.instances.get_mut(&id)?;
-        let nic = inst.nic.take()?;
-        self.used[nic] -= inst.placed.workload.cores;
-        let slot = self.residents[nic]
-            .iter()
-            .position(|&r| r == id)
-            .expect("a placed instance is among its NIC's residents");
-        self.residents[nic].remove(slot);
-        self.rows[nic].classes.remove(slot);
-        self.rows[nic].floors.remove(slot);
-        Some(nic)
     }
 
     fn op_depart(&mut self, ev: &RawEvent) -> Result<String, String> {
         let id = need_id(ev)?;
-        if !self.instances.contains_key(&id) {
+        let Some(nic) = self.instances.get(&id).map(|inst| inst.nic) else {
             return Err(format!("no instance {id}"));
-        }
-        let nic = self.evict(id).map(|n| n as i64).unwrap_or(-1);
+        };
+        self.nics.remove(nic, id, profiles(&self.instances));
         self.instances.remove(&id);
         self.counters.departures += 1;
         Ok(format!(
@@ -480,70 +400,57 @@ impl ServeLoop {
             traffic: traffic_from(ev)?,
             ..old.placed.arrival
         };
-        let nic = old.nic;
-        let fresh = self.profile(id, arrival);
+        let (nic, old_cores) = (old.nic, old.placed.workload.cores);
         // Drift re-profiles in place: the instance keeps its NIC (the
         // serve loop has no migration budget of its own — an operator
         // departs and re-places to move one), only the accounting moves.
-        if let Some(n) = nic {
-            let (class, floor) = self.row_entry(n, &fresh);
-            let slot = self.residents[n]
-                .iter()
-                .position(|&r| r == id)
-                .expect("a placed instance is among its NIC's residents");
-            self.rows[n].classes[slot] = class;
-            self.rows[n].floors[slot] = floor;
-            let old = &self.instances[&id].placed;
-            self.used[n] = self.used[n] - old.workload.cores + fresh.workload.cores;
-        }
+        let fresh = self.profile(id, arrival);
         self.instances.get_mut(&id).expect("checked above").placed = fresh;
-        let n = nic.map(|n| n as i64).unwrap_or(-1);
+        let profile = profiles(&self.instances);
+        self.nics
+            .reprofiled(self.policy.predictor(), nic, id, old_cores, profile);
         Ok(format!(
-            "{{\"ok\":true,\"op\":\"drift\",\"id\":{id},\"nic\":{n}}}"
+            "{{\"ok\":true,\"op\":\"drift\",\"id\":{id},\"nic\":{nic}}}"
         ))
     }
 
     fn op_fault(&mut self, ev: &RawEvent) -> Result<String, String> {
         let nic = need_int(ev, "nic")? as usize;
-        if nic >= self.nic_model.len() {
+        if nic >= self.nics.nics() {
             return Err(format!("nic {nic} out of range"));
         }
         match need_str(ev, "kind")? {
             "recover" => {
-                self.up[nic] = true;
+                self.nics.set_up(nic, true);
                 Ok(format!(
                     "{{\"ok\":true,\"op\":\"fault\",\"nic\":{nic},\"kind\":\"recover\"}}"
                 ))
             }
             "fail" => {
-                self.up[nic] = false;
+                self.nics.set_up(nic, false);
                 // Evacuate in ascending instance id — deterministic, and
                 // guaranteed tenants (lower contention floors aside) get
                 // no special order here: the serve loop is a placement
                 // service, not the fleet simulator's QoS machinery.
-                let ids: Vec<u32> = self.residents[nic].clone();
-                let mut evicted = 0u64;
+                let mut ids = self.nics.take_all(nic);
+                ids.sort_unstable();
+                let evicted = ids.len() as u64;
                 let mut replaced = 0u64;
-                let mut shed = 0u64;
-                let mut sorted = ids;
-                sorted.sort_unstable();
-                for id in sorted {
-                    self.evict(id);
-                    evicted += 1;
+                for id in ids {
                     let placed = self.instances[&id].placed.clone();
                     match self.choose_nic(&placed) {
                         Some(n) => {
-                            self.settle(n, id, &placed);
-                            self.instances.get_mut(&id).expect("resident").nic = Some(n);
+                            self.instances.get_mut(&id).expect("resident").nic = n;
+                            self.settle(n, id);
                             replaced += 1;
                         }
                         None => {
                             self.instances.remove(&id);
                             self.counters.sheds += 1;
-                            shed += 1;
                         }
                     }
                 }
+                let shed = evicted - replaced;
                 self.counters.evictions += evicted;
                 Ok(format!(
                     "{{\"ok\":true,\"op\":\"fault\",\"nic\":{nic},\"kind\":\"fail\",\
@@ -589,7 +496,8 @@ impl ServeLoop {
     fn op_stats(&mut self) -> String {
         let c = &self.counters;
         let active = self.instances.len();
-        let nics_up = self.up.iter().filter(|&&u| u).count();
+        let in_service = |&n: &usize| self.nics.is_up(n);
+        let nics_up = (0..self.nics.nics()).filter(in_service).count();
         format!(
             "{{\"ok\":true,\"op\":\"stats\",\"admissions\":{},\"rejections\":{},\
              \"departures\":{},\"queries\":{},\"observations\":{},\"absorb_passes\":{},\
@@ -623,7 +531,7 @@ impl ServeLoop {
              \"absorbed\":{},\"evictions\":{},\"sheds\":{},\"log\":{}}}\n",
             self.cfg.seed,
             self.policy.name(),
-            self.nic_model.len(),
+            self.nics.nics(),
             c.admissions,
             c.rejections,
             c.departures,
@@ -670,7 +578,7 @@ impl ServeLoop {
             ));
         }
         let mut loop_ = ServeLoop::new(cfg, policy_name, engine)?;
-        if header.int("nics") != Some(loop_.nic_model.len() as i64) {
+        if header.int("nics") != Some(loop_.nics.nics() as i64) {
             return Err("snapshot NIC count does not match config".to_string());
         }
         let promised = need_int(&header, "log")? as usize;
@@ -1214,6 +1122,94 @@ mod tests {
             2,
             "refused lines are not logged"
         );
+    }
+
+    /// One seeded stream — every mutating op plus `query`, on a mixed
+    /// two-model portfolio with a regex NF only one model runs — hashed
+    /// as the daemon answered it before it shared `Residency`: every
+    /// reply, the final `stats`, the snapshot. The daemon's bytes are
+    /// committed nowhere else; a constant that moves is a changed decision.
+    #[test]
+    fn pinned_stream_is_answered_as_before_the_shared_residency() {
+        let engine = Engine::sequential();
+        let mut c = FleetConfig::mixed(29, 6);
+        c.kinds = vec![NfKind::FlowStats, NfKind::Nat, NfKind::Nids];
+        // splitmix64: the stream is a pure function of this seed.
+        let mut x = 29u64;
+        let mut rnd = move |n: u64| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let mut observe = String::new();
+        write_observation(&mut observe, &sample_observation());
+        let mut lines: Vec<String> = Vec::new();
+        for id in 0..260u64 {
+            let kind = ["flowstats", "nat", "nids"][rnd(3) as usize];
+            let qos = ["guaranteed", "best_effort"][rnd(2) as usize];
+            let mtbr = if kind == "nids" { 600.0 } else { 0.0 };
+            let traffic = |rnd: &mut dyn FnMut(u64) -> u64| {
+                let flows = [300, 3_000, 20_000, 90_000][rnd(4) as usize];
+                let psize = [64, 512, 1_500][rnd(3) as usize];
+                format!("\"flows\":{flows},\"psize\":{psize},\"mtbr\":{mtbr}")
+            };
+            let sla = [0.02, 0.05, 0.1, 0.2][rnd(4) as usize];
+            let at = traffic(&mut rnd);
+            lines.push(format!(
+                "{{\"op\":\"place\",\"id\":{id},\"kind\":\"{kind}\",\"qos\":\"{qos}\",{at},\
+                 \"sla_drop\":{sla}}}"
+            ));
+            let earlier = rnd(id + 1);
+            match rnd(8) {
+                0 | 1 => lines.push(format!("{{\"op\":\"depart\",\"id\":{earlier}}}")),
+                2 => {
+                    let at = traffic(&mut rnd);
+                    lines.push(format!("{{\"op\":\"drift\",\"id\":{earlier},{at}}}"));
+                }
+                3 => lines.push(format!(
+                    "{{\"op\":\"query\",\"kind\":\"{kind}\",{at},\"sla_drop\":{sla}}}"
+                )),
+                4 => {
+                    let (kind, nic) = (["fail", "recover", "recover"][rnd(3) as usize], rnd(6));
+                    lines.push(format!(
+                        "{{\"op\":\"fault\",\"nic\":{nic},\"kind\":\"{kind}\"}}"
+                    ));
+                }
+                5 => lines.push(observe.trim_end().to_string()),
+                _ => {}
+            }
+            // Old tenants leave, so the six NICs stay contended, not full.
+            if id >= 14 {
+                lines.push(format!("{{\"op\":\"depart\",\"id\":{}}}", id - 14));
+            }
+            if id % 85 == 84 {
+                lines.push("{\"op\":\"absorb\"}".to_string());
+            }
+        }
+        lines.push("{\"op\":\"stats\"}".to_string());
+        assert!(lines.len() >= 600, "{}", lines.len());
+        for op in MUTATING_OPS.iter().chain(&["query"]) {
+            let tag = format!("{{\"op\":\"{op}\"");
+            assert!(lines.iter().any(|l| l.starts_with(&tag)), "no {op}");
+        }
+        for (policy, pinned) in [
+            ("mono", 0xb984_59d6_fe99_5a5a_u64),
+            ("greedy", 0x5ccf_6582_1298_3f38),
+            ("yala", 0xd9c0_0256_abb2_d4fb),
+            ("yala-online", 0x92b8_15ec_0239_007c),
+        ] {
+            let mut s = ServeLoop::new(&c, policy, &engine).expect("build");
+            let mut bytes = String::new();
+            for line in &lines {
+                bytes.push_str(&s.handle_line(line, &engine));
+                bytes.push('\n');
+            }
+            assert!(bytes.contains("\"nic\":-1") && bytes.contains("\"replaced\":"));
+            bytes.push_str(&s.snapshot());
+            let digest = yala_telemetry::stable_hash64(bytes.as_bytes());
+            assert_eq!(digest, pinned, "{policy}: {digest:#018x}");
+        }
     }
 
     #[test]
