@@ -7,7 +7,7 @@
 
 use crate::forest::Forest;
 use crate::memo::CellMemo;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{Presorted, RegressionTree, TreeParams};
 use crate::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,20 +133,27 @@ fn fit_stages(ds: &Dataset, params: &GbrParams, seed: u64) -> (f64, Vec<Regressi
     let mut current: Vec<f64> = vec![base; ds.len()];
     let mut stages = Vec::with_capacity(params.n_estimators);
     let sample_size = ((ds.len() as f64) * params.subsample).ceil() as usize;
-    let residual_ds_rows: Vec<usize> = (0..ds.len()).collect();
+    // Without subsampling every stage trains on the same rows, so their
+    // sort is paid once per fit.
+    let full = (params.subsample == 1.0).then(|| Presorted::new(ds, (0..ds.len()).collect()));
+    let mut residuals = Vec::with_capacity(ds.len());
 
     for _ in 0..params.n_estimators {
-        // Residuals of the squared loss are just y - F(x).
-        let rows: Vec<usize> = if params.subsample < 1.0 {
-            sample_without_replacement(&mut rng, ds.len(), sample_size)
-        } else {
-            residual_ds_rows.clone()
+        let data = match &full {
+            Some(full) => full,
+            None => &Presorted::new(
+                ds,
+                sample_without_replacement(&mut rng, ds.len(), sample_size),
+            ),
         };
-        let mut stage_ds = Dataset::new(ds.n_features());
-        for &i in &rows {
-            stage_ds.push(ds.row(i), ds.target(i) - current[i]);
-        }
-        let tree = RegressionTree::fit(&stage_ds, &params.tree);
+        // Residuals of the squared loss are just y - F(x).
+        residuals.clear();
+        residuals.extend(data.rows.iter().map(|&i| ds.target(i) - current[i]));
+        assert!(
+            residuals.iter().all(|r| r.is_finite()),
+            "non-finite residual"
+        );
+        let tree = RegressionTree::fit_presorted(data, &residuals, &params.tree);
         // Update F on *all* rows (not just the subsample).
         for (i, cur) in current.iter_mut().enumerate() {
             *cur += params.learning_rate * tree.predict(ds.row(i));
@@ -172,6 +179,7 @@ fn sample_without_replacement(rng: &mut StdRng, n: usize, k: usize) -> Vec<usize
 mod tests {
     use super::*;
     use crate::metrics;
+    use crate::tree::oracle;
     use std::collections::HashMap;
 
     fn grid_ds(f: impl Fn(f64, f64) -> f64) -> Dataset {
@@ -368,6 +376,61 @@ mod tests {
                 assert_eq!(bits_of_cell.len(), 1, "case {case}: no split, one cell");
                 assert_eq!(memo.walks(), 1);
             }
+        }
+    }
+
+    /// The stage loop before the presort: a fresh stage dataset per stage,
+    /// fitted by the sort-per-node oracle.
+    fn oracle_stages(ds: &Dataset, params: &GbrParams, seed: u64) -> (f64, Vec<RegressionTree>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = ds.target_mean();
+        let mut current: Vec<f64> = vec![base; ds.len()];
+        let mut stages = Vec::new();
+        let sample_size = ((ds.len() as f64) * params.subsample).ceil() as usize;
+        for _ in 0..params.n_estimators {
+            let rows: Vec<usize> = if params.subsample < 1.0 {
+                sample_without_replacement(&mut rng, ds.len(), sample_size)
+            } else {
+                (0..ds.len()).collect()
+            };
+            let mut stage_ds = Dataset::new(ds.n_features());
+            for &i in &rows {
+                stage_ds.push(ds.row(i), ds.target(i) - current[i]);
+            }
+            let tree = oracle::fit(&stage_ds, &params.tree);
+            for (i, cur) in current.iter_mut().enumerate() {
+                *cur += params.learning_rate * tree.predict(ds.row(i));
+            }
+            stages.push(tree);
+        }
+        (base, stages)
+    }
+
+    #[test]
+    fn stages_match_the_oracle_stage_loop_bitwise() {
+        let mut rng = StdRng::seed_from_u64(0x0057_A6E5);
+        for case in 0..64usize {
+            let n = rng.gen_range(1..=160usize);
+            let width = rng.gen_range(1..=10usize);
+            let ds = oracle::seeded_dataset(&mut rng, n, width);
+            let params = GbrParams {
+                n_estimators: rng.gen_range(0..=16usize),
+                learning_rate: rng.gen_range(0.01..0.6),
+                subsample: [1.0, 0.6][case % 2],
+                tree: TreeParams {
+                    max_depth: rng.gen_range(0..=6usize),
+                    min_samples_leaf: rng.gen_range(1..=5usize),
+                    ..TreeParams::default()
+                },
+            };
+            let seed = case as u64;
+            let (base, stages) = fit_stages(&ds, &params, seed);
+            let (want_base, want) = oracle_stages(&ds, &params, seed);
+            assert_eq!(base.to_bits(), want_base.to_bits(), "case {case}");
+            let bits = |trees: &[RegressionTree]| -> Vec<_> {
+                trees.iter().map(oracle::node_bits).collect()
+            };
+            assert_eq!(bits(&stages), bits(&want), "case {case}: {params:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The bits of fixed GBR fits, pinned.
 //!
 //! Every fit below is hashed through the bits of its predictions on its
-//! own rows and on off-grid probes. The constant was captured before the
+//! own rows and on probes mixed from their coordinates. The constant was captured before the
 //! tree builder was rewritten and must never move: a change to how a
 //! fit is computed fails here in seconds, long before the records that
 //! embed a Yala or SLOMO prediction are regenerated.
@@ -18,7 +18,7 @@ fn fold(hash: u64, word: u64) -> u64 {
 }
 
 /// The fit's predictions on every row of `ds` and on `probes` random
-/// points spanning the same box, folded into `hash`.
+/// points, folded into `hash`.
 fn fold_fit(hash: u64, ds: &Dataset, params: &GbrParams, seed: u64, probes: usize) -> u64 {
     let model = GradientBoostingRegressor::fit(ds, params, seed);
     let mut hash = fold(hash, model.n_stages() as u64);

@@ -708,7 +708,7 @@ pub fn write_observation(out: &mut String, o: &Observation) {
 /// be one of the portfolio's (matched by [`yala_sim::NicSpec::name`]
 /// *before* anything is interned — the intern table is process-wide and
 /// never shrinks), the kind one of `cfg.kinds`, the traffic in range,
-/// and every number finite and of the right sign.
+/// and every number of the right sign and below a physical cap.
 pub fn read_observation(ev: &RawEvent, cfg: &FleetConfig) -> Result<Observation, String> {
     let model_name = need_str(ev, "model")?;
     let (spec, _) = cfg
@@ -736,13 +736,14 @@ pub fn read_observation(ev: &RawEvent, cfg: &FleetConfig) -> Result<Observation,
             parsed.ok_or_else(|| format!("pressure entry {entry} is not accelerator:value"));
         accel_pressure.push(parsed?);
     }
-    let nonneg = |key: &str| {
+    let bounded = |key: &str, cap: f64| {
         need_num(ev, key)
             .ok()
-            .filter(|v| v.is_finite() && *v >= 0.0)
-            .ok_or_else(|| format!("field {key} must be a finite non-negative number"))
+            .filter(|v| (0.0..=cap).contains(v))
+            .ok_or_else(|| format!("field {key} must be a number in [0, {cap:e}]"))
     };
-    let solo_tput = nonneg("solo")?;
+    let counter = |key: &str| bounded(key, MAX_OBSERVED_COUNTER);
+    let solo_tput = bounded("solo", MAX_OBSERVED_PPS)?;
     if solo_tput == 0.0 {
         return Err("field solo must be positive".to_string());
     }
@@ -751,19 +752,30 @@ pub fn read_observation(ev: &RawEvent, cfg: &FleetConfig) -> Result<Observation,
         kind,
         traffic: traffic_from(ev)?,
         competitors: CounterSample {
-            ipc: nonneg("ipc")?,
-            irt: nonneg("irt")?,
-            l2crd: nonneg("l2crd")?,
-            l2cwr: nonneg("l2cwr")?,
-            memrd: nonneg("memrd")?,
-            memwr: nonneg("memwr")?,
-            wss: nonneg("wss")?,
+            ipc: counter("ipc")?,
+            irt: counter("irt")?,
+            l2crd: counter("l2crd")?,
+            l2cwr: counter("l2cwr")?,
+            memrd: counter("memrd")?,
+            memwr: counter("memwr")?,
+            wss: counter("wss")?,
         },
         accel_pressure,
         solo_tput,
-        measured_tput: nonneg("measured")?,
+        measured_tput: bounded("measured", MAX_OBSERVED_PPS)?,
     })
 }
+
+/// The largest throughput an `observe` line may report, in packets/s:
+/// some fifteen times a 400 Gb/s port's 64-byte line rate. The bank
+/// refits on these numbers, and a larger one — however finite — can
+/// overflow the sums of a fit.
+const MAX_OBSERVED_PPS: f64 = 1e10;
+
+/// The largest competitor counter an `observe` line may report: far
+/// above any rate (per second) or working set (bytes) a NIC's
+/// co-residents can sum to.
+const MAX_OBSERVED_COUNTER: f64 = 1e15;
 
 #[cfg(test)]
 mod tests {
@@ -1098,11 +1110,14 @@ mod tests {
             ("mtbr", "733.25", "-1.0"),
             ("ipc", "1.25", "-1.25"),
             ("wss", "65000000", "1e999"),
+            ("wss", "65000000", "1.7e308"),
             ("press", "\"regex:0.375\"", "\"regex:inf\""),
             ("press", "\"regex:0.375\"", "\"warp:1\""),
             ("solo", "10000000", "0"),
             ("solo", "10000000", "1e999"),
+            ("solo", "10000000", "1.7e308"),
             ("measured", "8250000", "-1"),
+            ("measured", "8250000", "1.7e308"),
         ] {
             let line = good.replacen(&format!("\"{key}\":{sent}"), &format!("\"{key}\":{bad}"), 1);
             assert_ne!(line, good, "{key}:{sent} not found in {good}");
@@ -1234,5 +1249,34 @@ mod tests {
         frozen.handle_line(&obs_line, &engine);
         let r = frozen.handle_line("{\"op\":\"absorb\"}", &engine);
         assert!(r.contains("\"absorbed\":0"), "{r}");
+    }
+
+    /// Finite but absurd throughputs once reached the refit, whose target
+    /// mean overflowed and killed the daemon; now the lines are refused
+    /// and the daemon keeps answering.
+    #[test]
+    fn absurd_throughputs_never_reach_a_refit() {
+        let engine = Engine::sequential();
+        let mut s = ServeLoop::new(&cfg(19), "yala-online", &engine).expect("build");
+        let mut line = String::new();
+        write_observation(&mut line, &sample_observation());
+        let line = line
+            .replacen("\"solo\":10000000", "\"solo\":1.7e308", 1)
+            .replacen("\"measured\":8250000", "\"measured\":1.7e308", 1);
+        assert!(
+            line.contains("\"solo\":1.7e308,\"measured\":1.7e308"),
+            "{line}"
+        );
+        for _ in 0..3 {
+            let r = s.handle_line(line.trim_end(), &engine);
+            assert!(r.starts_with("{\"ok\":false") && r.contains("solo"), "{r}");
+        }
+        let r = s.handle_line("{\"op\":\"absorb\"}", &engine);
+        assert!(r.contains("\"absorbed\":0"), "{r}");
+        let r = s.handle_line("{\"op\":\"stats\"}", &engine);
+        assert!(
+            r.starts_with("{\"ok\":true") && r.contains("\"observations\":0"),
+            "{r}"
+        );
     }
 }
