@@ -1,8 +1,8 @@
 //! `fleet_inspect` — the explainability CLI over a fleet event journal.
 //!
-//! Takes a `.jsonl` journal written by any bench bin's `--telemetry BASE`
-//! flag (`BASE.jsonl`) and answers questions a `FleetReport`'s end-of-day
-//! aggregates cannot:
+//! Takes a `.jsonl` journal — `DIR/<name>.jsonl`, written by
+//! `repro <record> --telemetry DIR`, or a `yalad replay --out-journal` —
+//! and answers questions a `FleetReport`'s end-of-day aggregates cannot:
 //!
 //! ```text
 //! fleet_inspect <journal.jsonl> summary            # headline tallies
@@ -18,7 +18,8 @@
 //! one produced on another machine. One line of `summary` is the
 //! exception: the predictor's memo accounting lives in the metrics
 //! registry (see [`Inspector::predictor_summary`]), so it is printed when
-//! the run's `BASE.prom` sits next to `BASE.jsonl`.
+//! the run's `<name>.prom` sits next to `<name>.jsonl`. An unreadable
+//! journal exits 1 with one line; a malformed command line exits 2.
 
 use yala_telemetry::Inspector;
 
@@ -42,8 +43,10 @@ fn main() {
         (Some(p), Some(c)) => (p.clone(), c.clone()),
         _ => usage(),
     };
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("could not read journal {path}: {e}"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        eprintln!("fleet_inspect: could not read journal {path}: {e}");
+        std::process::exit(1);
+    });
     let inspector = Inspector::from_jsonl(&text);
     if inspector.is_empty() {
         eprintln!("warning: {path} parsed to zero events");

@@ -1,8 +1,10 @@
-//! The paper's experiments, one function each: `repro <name>` prints the
-//! function's lines and writes its CSV rows to `results/<name>.csv`.
-//! Every experiment owns its seeds, so its output is a pure function of
-//! the scale ([`Ctx::full`]) — byte-identical across runs, machines and
-//! engine widths.
+//! Everything `repro` runs, one function each: the paper's experiments
+//! (this module), which print their tables and write their CSV rows to
+//! `results/<name>.csv`, and the fleet-family record experiments
+//! ([`crate::record`]), which return a committed record. Every experiment
+//! owns its seeds, so its output is a pure function of the scale
+//! ([`BenchArgs::full`]) — byte-identical across runs, machines and engine
+//! widths.
 //!
 //! The accuracy tables (2, 3, 5, 9) and the scheduling table (6) also
 //! return [`Output::gated`] rows — the lines of `BENCH_accuracy.json`
@@ -11,7 +13,7 @@
 //! rule would be red on `iptunnel` in table 5, and that row's numbers are
 //! already exact-gated).
 
-use crate::{AccRow, Eval, RegressionCheck, Scores, Zoo, NOISE_SIGMA};
+use crate::{record, AccRow, BenchArgs, Eval, RegressionCheck, Scores, Zoo, NOISE_SIGMA};
 use rand::rngs::StdRng;
 use rand::{seq::SliceRandom, Rng, SeedableRng};
 use yala_core::adaptive::{
@@ -22,7 +24,7 @@ use yala_core::memory_model::MemoryModel;
 use yala_core::profiler::{
     bench_counters, cached_workload, mem_bench_contender, regex_bench_contender, MemLevel,
 };
-use yala_core::{Contender, Engine, QosClass, TrainConfig, YalaModel};
+use yala_core::{Contender, QosClass, TrainConfig, YalaModel};
 use yala_diagnosis::{correctness, diagnose_slomo, diagnose_yala};
 use yala_ml::metrics;
 use yala_nf::bench::{
@@ -35,28 +37,8 @@ use yala_placement::{
 };
 use yala_sim::{CounterSample, ExecutionPattern, NicSpec, ResourceKind, Simulator, WorkloadSpec};
 use yala_slomo::{default_mem_grid, SlomoModel};
+use yala_telemetry::Telemetry;
 use yala_traffic::TrafficProfile;
-
-/// What an experiment runs with.
-#[derive(Debug)]
-pub struct Ctx {
-    /// Paper-sized sweeps (`repro --full`, very slow) instead of the
-    /// reduced-but-representative default.
-    pub full: bool,
-    /// The engine model zoos train and arrivals are profiled on.
-    pub engine: Engine,
-}
-
-impl Ctx {
-    /// `n` at the default scale, `n_full` under `--full`.
-    pub fn pick(&self, n: usize, n_full: usize) -> usize {
-        if self.full {
-            n_full
-        } else {
-            n
-        }
-    }
-}
 
 /// One of the paper's claims, evaluated on an experiment's aggregates.
 #[derive(Debug, Clone)]
@@ -70,7 +52,8 @@ pub struct Claim {
 /// What one experiment produced.
 #[derive(Debug, Default)]
 pub struct Output {
-    /// The lines `repro` prints.
+    /// The lines `repro` prints. (A record experiment prints as it runs,
+    /// so its table shows even if an acceptance assert fails.)
     pub lines: Vec<String>,
     /// Header of `results/<name>.csv`.
     pub csv_header: &'static str,
@@ -80,6 +63,15 @@ pub struct Output {
     pub gated: Vec<String>,
     /// Inequalities this experiment's aggregates must satisfy.
     pub claims: Vec<Claim>,
+    /// A record experiment's record: the bytes of the file its
+    /// [`EXPERIMENTS`] entry names.
+    pub record: Option<String>,
+    /// The flagship run's observability handle; `repro --telemetry DIR`
+    /// writes it as `DIR/<name>.{jsonl,metrics.json,prom}`.
+    pub telemetry: Telemetry,
+    /// Further deterministic artifacts, written beside the telemetry as
+    /// `DIR/<name>.<suffix>`: `(suffix, body)`.
+    pub artifacts: Vec<(&'static str, String)>,
 }
 
 /// Appends a formatted line to an [`Output`]'s printout.
@@ -134,25 +126,36 @@ impl Output {
 }
 
 /// An experiment: a pure function of the scale and its own seeds.
-pub type Experiment = fn(&Ctx) -> Output;
+pub type Experiment = fn(&BenchArgs) -> Output;
 
-/// The experiments `repro` runs, in `all` order: name → function.
-pub const EXPERIMENTS: [(&str, Experiment); 15] = [
-    ("fig1", fig1),
-    ("fig2", fig2),
-    ("fig3", fig3),
-    ("fig4", fig4),
-    ("fig5", fig5),
-    ("fig6", fig6),
-    ("fig7", fig7),
-    ("table2", table2),
-    ("table3", table3),
-    ("table4", table4),
-    ("table5", table5),
-    ("table6", table6),
-    ("table7", table7),
-    ("table8", table8),
-    ("table9", table9),
+/// The record `repro all` writes from the gated rows and the claims.
+pub const ACCURACY_RECORD: &str = "BENCH_accuracy.json";
+
+/// The experiments `repro` runs, in `all` order: name → function → the
+/// committed record it regenerates, if it is a record experiment.
+pub const EXPERIMENTS: [(&str, Experiment, Option<&str>); 22] = [
+    ("fig1", fig1, None),
+    ("fig2", fig2, None),
+    ("fig3", fig3, None),
+    ("fig4", fig4, None),
+    ("fig5", fig5, None),
+    ("fig6", fig6, None),
+    ("fig7", fig7, None),
+    ("table2", table2, None),
+    ("table3", table3, None),
+    ("table4", table4, None),
+    ("table5", table5, None),
+    ("table6", table6, None),
+    ("table7", table7, None),
+    ("table8", table8, None),
+    ("table9", table9, None),
+    ("fleet", record::fleet, Some("BENCH_fleet.json")),
+    ("hetero", record::hetero, Some("BENCH_hetero.json")),
+    ("online", record::online, Some("BENCH_online.json")),
+    ("cache", record::cache, Some("BENCH_cache.json")),
+    ("faults", record::faults, Some("BENCH_faults.json")),
+    ("scale", record::scale, Some("BENCH_scale.json")),
+    ("serve", record::serve, Some("BENCH_serve.json")),
 ];
 
 /// The claims `outputs` violate, by name.
@@ -173,9 +176,9 @@ fn row_id(line: &str) -> Option<&str> {
 }
 
 /// Gates `outputs` against the committed record behind `check`: every
-/// gated row must match its committed line exactly, every claim must
-/// hold, and — when `complete` — the record may hold no other row.
-pub fn check_accuracy(check: &mut RegressionCheck, outputs: &[Output], complete: bool) {
+/// gated row must match its committed line exactly and every claim must
+/// hold. (`repro all --check` compares the whole record byte for byte.)
+pub fn check_accuracy(check: &mut RegressionCheck, outputs: &[Output]) {
     let committed: Vec<String> = check
         .committed()
         .lines()
@@ -190,10 +193,6 @@ pub fn check_accuracy(check: &mut RegressionCheck, outputs: &[Output], complete:
             Some(c) => check.fail(format!("{id}: got {line}, committed {c}")),
             None => check.fail(format!("{id}: the record has no such row")),
         }
-    }
-    if complete && committed.len() != gated.len() {
-        let (c, g) = (committed.len(), gated.len());
-        check.fail(format!("the record holds {c} rows, this build gates {g}"));
     }
     for claim in failed_claims(outputs) {
         check.fail(format!("claim violated: {claim}"));
@@ -252,7 +251,7 @@ fn others_of(target: NfKind) -> Vec<NfKind> {
 
 /// Figure 1: throughput drop ratios (median / 95%ile / 99%ile) of the nine
 /// Table 2 NFs when co-located with up to three other random NFs.
-fn fig1(ctx: &Ctx) -> Output {
+fn fig1(ctx: &BenchArgs) -> Output {
     let mut out = Output::new("nf,median,p95,p99");
     let mut sim = Simulator::with_noise(NicSpec::bluefield2(), NOISE_SIGMA, 1);
     let mut rng = StdRng::seed_from_u64(11);
@@ -280,12 +279,9 @@ fn fig1(ctx: &Ctx) -> Output {
             metrics::percentile(&drops, 95.0),
             metrics::percentile(&drops, 99.0),
         );
-        say!(
-            out,
-            "{:<16} {p50:>8.1} {p95:>8.1} {p99:>8.1}",
-            target.name()
-        );
-        csv!(out, "{},{p50:.2},{p95:.2},{p99:.2}", target.name());
+        let name = target.name();
+        say!(out, "{name:<16} {p50:>8.1} {p95:>8.1} {p99:>8.1}");
+        csv!(out, "{name},{p50:.2},{p95:.2},{p99:.2}");
     }
     out
 }
@@ -294,7 +290,7 @@ fn fig1(ctx: &Ctx) -> Output {
 /// (memory-only SLOMO, regex-only queueing model) mispredict FlowMonitor
 /// under joint memory+regex contention; (b) naive sum/min composition vs
 /// pattern-aware composition for synthetic NF1 (RTC) and NF2 (pipeline).
-fn fig2(ctx: &Ctx) -> Output {
+fn fig2(ctx: &BenchArgs) -> Output {
     let mut out = Output::new("panel,series,v1,v2,v3");
     let mut sim = Simulator::with_noise(NicSpec::bluefield2(), NOISE_SIGMA, 21);
     let kind = NfKind::FlowMonitor;
@@ -390,7 +386,7 @@ fn composition_errors(
 /// competing CAR across three flow-count profiles; (b) SLOMO's prediction
 /// error on its default training profile vs 100 random profiles, for three
 /// flow-table NFs.
-fn fig3(ctx: &Ctx) -> Output {
+fn fig3(ctx: &BenchArgs) -> Output {
     let mut out = Output::new("panel,x1,x2,value");
     let mut sim = Simulator::with_noise(NicSpec::bluefield2(), NOISE_SIGMA, 31);
     let flow_counts = [4_000u32, 8_000, 16_000];
@@ -444,7 +440,7 @@ fn fig3(ctx: &Ctx) -> Output {
 /// function of regex-bench's request arrival rate, for four MTBRs of
 /// regex-NF. Shows the linear decline to a shared equilibrium (the
 /// round-robin signature behind Eq. 1).
-fn fig4(_: &Ctx) -> Output {
+fn fig4(_: &BenchArgs) -> Output {
     let mut out = Output::new("mtbr,arrival_rps,nf_mpps,bench_mpps");
     let mut sim = Simulator::new(NicSpec::bluefield2());
     out.say("Figure 4: regex-NF vs regex-bench equilibrium (64B requests)");
@@ -470,7 +466,7 @@ fn fig4(_: &Ctx) -> Output {
 /// (bottom) NFs under a grid of memory (competing CAR) × regex (competing
 /// match rate) contention. Pipelines pin at the slowest stage; RTC NFs
 /// compound both drops.
-fn fig5(_: &Ctx) -> Output {
+fn fig5(_: &BenchArgs) -> Output {
     let mut out = Output::new("pattern,car,kmatches_per_s,tput_pps");
     let mut sim = Simulator::new(NicSpec::bluefield2());
     out.say("Figure 5: execution-pattern contention response (Kpps cells)");
@@ -508,7 +504,7 @@ fn fig5(_: &Ctx) -> Output {
 /// (a) vs flow count for three competing working-set sizes (the LLC
 /// saturation plateau); (b) normalised throughput vs competing WSS for
 /// several packet sizes (header-only NFs are size-insensitive).
-fn fig6(_: &Ctx) -> Output {
+fn fig6(_: &BenchArgs) -> Output {
     let mut out = Output::new("panel,x1,x2,value");
     let mut sim = Simulator::new(NicSpec::bluefield2());
     let wss_mbs = [0.5f64, 5.0, 10.0];
@@ -550,7 +546,7 @@ fn fig6(_: &Ctx) -> Output {
 /// (b) FlowStats under memory-only contention with low (≤20%) vs high
 /// (>20%) flow-count deviation from training, with and without SLOMO's
 /// sensitivity extrapolation.
-fn fig7(ctx: &Ctx) -> Output {
+fn fig7(ctx: &BenchArgs) -> Output {
     let mut out = Output::new("panel,range,yala,slomo,slomo_noext");
     let mut sim = Simulator::with_noise(NicSpec::bluefield2(), NOISE_SIGMA, 71);
     let profile = TrafficProfile::default();
@@ -626,9 +622,9 @@ fn accuracy_table(title: &str) -> Output {
 /// under joint multi-resource contention and varying traffic attributes
 /// (each target co-located with up to three random NFs across the nine
 /// evaluation traffic profiles).
-fn table2(ctx: &Ctx) -> Output {
+fn table2(ctx: &BenchArgs) -> Output {
     eprintln!("training model zoo (9 NFs x 2 frameworks)...");
-    let mut zoo = Zoo::train(&NfKind::TABLE2_NINE, 2, &ctx.engine);
+    let mut zoo = Zoo::train(&NfKind::TABLE2_NINE, 2, &ctx.engine());
     let mut rng = StdRng::seed_from_u64(77);
     let mut out =
         accuracy_table("Table 2: overall accuracy (multi-resource contention + varying traffic)");
@@ -662,7 +658,7 @@ fn table2(ctx: &Ctx) -> Output {
 /// Table 3: accuracy under multi-resource contention only (traffic fixed at
 /// the default profile). NIDS and FlowMonitor co-run with mem-bench and
 /// regex-bench at varying contention levels.
-fn table3(ctx: &Ctx) -> Output {
+fn table3(ctx: &BenchArgs) -> Output {
     let mut sim = Simulator::with_noise(NicSpec::bluefield2(), NOISE_SIGMA, 3);
     let profile = TrafficProfile::default();
     let mut out =
@@ -700,7 +696,7 @@ fn table3(ctx: &Ctx) -> Output {
 /// Table 4: composition ablation — sum / min / Yala's pattern-based
 /// composition for synthetic NF1 (memory+regex) and NF2 (+compression) in
 /// both execution patterns.
-fn table4(ctx: &Ctx) -> Output {
+fn table4(ctx: &BenchArgs) -> Output {
     let mut out = Output::new("nf,pattern,sum,min,yala");
     let mut sim = Simulator::with_noise(NicSpec::bluefield2(), NOISE_SIGMA, 41);
     out.say("Table 4: composition MAPE (%) by execution pattern");
@@ -713,11 +709,8 @@ fn table4(ctx: &Ctx) -> Output {
             ExecutionPattern::RunToCompletion,
         ] {
             let (s, m, p) = composition_errors(&mut sim, &build(pattern), ctx.pick(15, 50), 13);
-            say!(
-                out,
-                "{name:<6} {:<18} {s:>8.1} {m:>8.1} {p:>8.1}",
-                pattern.to_string()
-            );
+            let shape = pattern.to_string();
+            say!(out, "{name:<6} {shape:<18} {s:>8.1} {m:>8.1} {p:>8.1}");
             csv!(out, "{name},{pattern},{s:.2},{m:.2},{p:.2}");
         }
     }
@@ -727,10 +720,10 @@ fn table4(ctx: &Ctx) -> Output {
 /// Table 5: accuracy under memory-only contention with dynamic traffic
 /// profiles — the traffic-awareness deep dive. Each traffic-sensitive NF is
 /// co-run with mem-bench across random traffic profiles.
-fn table5(ctx: &Ctx) -> Output {
+fn table5(ctx: &BenchArgs) -> Output {
     let kinds = NfKind::TRAFFIC_SENSITIVE;
     eprintln!("training model zoo (7 traffic-sensitive NFs)...");
-    let mut zoo = Zoo::train(&kinds, 4, &ctx.engine);
+    let mut zoo = Zoo::train(&kinds, 4, &ctx.engine());
     table5_scored(&mut zoo, &kinds, ctx.pick(25, 100), |p| p)
 }
 
@@ -778,10 +771,10 @@ fn table5_scored(
 /// (default traffic, SLAs of 5–20% allowed drop) are placed with four
 /// strategies; we report resource wastage vs the oracle plan and
 /// ground-truth SLA violations.
-fn table6(ctx: &Ctx) -> Output {
+fn table6(ctx: &BenchArgs) -> Output {
     let mut out = Output::new("strategy,wastage_pct,violations_pct");
     eprintln!("training model zoo for scheduling...");
-    let mut zoo = Zoo::train(&NfKind::TABLE2_NINE, 6, &ctx.engine);
+    let mut zoo = Zoo::train(&NfKind::TABLE2_NINE, 6, &ctx.engine());
     let (n_sequences, n_arrivals) = (ctx.pick(5, 100), ctx.pick(60, 500));
     let mut rng = StdRng::seed_from_u64(123);
     // Summed (wastage %, violation %) of mono, greedy, SLOMO, Yala.
@@ -803,7 +796,7 @@ fn table6(ctx: &Ctx) -> Output {
             NOISE_SIGMA,
             &specs,
             (seq * n_arrivals) as u64,
-            &ctx.engine,
+            &ctx.engine(),
         );
         let mut oracle = OraclePredictor::new(NicSpec::bluefield2());
         let aware = Strategy::ContentionAware;
@@ -862,7 +855,7 @@ fn table6(ctx: &Ctx) -> Output {
 /// target MTBR sweeps 0→1100 matches/MB; the bottleneck may shift across
 /// resources. Ground truth is the simulator's per-resource accounting
 /// (standing in for perf hotspot analysis).
-fn table7(ctx: &Ctx) -> Output {
+fn table7(ctx: &BenchArgs) -> Output {
     let mut out = Output::new("nf,slomo_correct,yala_correct,shifts");
     let mut sim = Simulator::with_noise(NicSpec::bluefield2(), NOISE_SIGMA, 8);
     let steps = ctx.pick(8, 23);
@@ -913,7 +906,7 @@ fn table7(ctx: &Ctx) -> Output {
 /// and adaptive profiling. For Fig. 8 the quota scales 0.5×/1×/1.5× on
 /// FlowClassifier; full profiling uses a dense grid (scaled down from the
 /// paper's 3200× so it terminates, but still ~20× the adaptive quota).
-fn table8(ctx: &Ctx) -> Output {
+fn table8(ctx: &BenchArgs) -> Output {
     let mut out =
         Output::new("nf,full_cost,full_mape,full_acc10,rand_mape,rand_acc10,adp_mape,adp_acc10");
     let mut sim = Simulator::with_noise(NicSpec::bluefield2(), NOISE_SIGMA, 9);
@@ -938,32 +931,20 @@ fn table8(ctx: &Ctx) -> Output {
         let rand_model = MemoryModel::fit(&rand_run.dataset, &gbr, 1);
         let adaptive = adaptive_profile(&mut sim, kind, ranges, &AdaptiveConfig::default());
         let adp_model = MemoryModel::fit(&adaptive.dataset, &gbr, 1);
-        let f = test_model(&mut sim, kind, &full_model, n_test, 100);
-        let r = test_model(&mut sim, kind, &rand_model, n_test, 100);
-        let a = test_model(&mut sim, kind, &adp_model, n_test, 100);
+        let (f_mape, f_acc) = test_model(&mut sim, kind, &full_model, n_test, 100);
+        let (r_mape, r_acc) = test_model(&mut sim, kind, &rand_model, n_test, 100);
+        let (a_mape, a_acc) = test_model(&mut sim, kind, &adp_model, n_test, 100);
         say!(
             out,
-            "{:<16} {:>7} | {:>6.1}/{:<6.1} {:>6.1}/{:<6.1} {:>6.1}/{:<6.1}",
-            kind.name(),
-            quota,
-            f.0,
-            f.1,
-            r.0,
-            r.1,
-            a.0,
-            a.1
+            "{:<16} {quota:>7} | {f_mape:>6.1}/{f_acc:<6.1} {r_mape:>6.1}/{r_acc:<6.1} \
+             {a_mape:>6.1}/{a_acc:<6.1}",
+            kind.name()
         );
+        let cost = full.measurements;
         csv!(
             out,
-            "{},{},{:.2},{:.1},{:.2},{:.1},{:.2},{:.1}",
-            kind.name(),
-            full.measurements,
-            f.0,
-            f.1,
-            r.0,
-            r.1,
-            a.0,
-            a.1
+            "{},{cost},{f_mape:.2},{f_acc:.1},{r_mape:.2},{r_acc:.1},{a_mape:.2},{a_acc:.1}",
+            kind.name()
         );
     }
 
@@ -1016,7 +997,7 @@ fn test_model(
 /// Table 9: generalisation to another SoC SmartNIC. The Firewall NF runs on
 /// the AMD Pensando preset under memory-only contention with dynamic
 /// traffic; SLOMO (fixed-profile + extrapolation) vs Yala (traffic-aware).
-fn table9(ctx: &Ctx) -> Output {
+fn table9(ctx: &BenchArgs) -> Output {
     let mut sim = Simulator::with_noise(NicSpec::pensando(), NOISE_SIGMA, 12);
     let kind = NfKind::Firewall;
     eprintln!("training on Pensando...");
@@ -1052,11 +1033,11 @@ mod tests {
     #[test]
     fn withholding_traffic_attributes_turns_the_gate_red() {
         let kinds = [NfKind::FlowStats, NfKind::Nat];
-        let mut zoo = Zoo::train(&kinds, 4, &Engine::auto());
+        let mut zoo = Zoo::train(&kinds, 4, &yala_core::Engine::auto());
         let honest = [table5_scored(&mut zoo, &kinds, 12, |p| p)];
         let record = honest[0].gated.join(",\n");
         let mut green = RegressionCheck::from_text("BENCH_accuracy.json", record.clone());
-        check_accuracy(&mut green, &honest, true);
+        check_accuracy(&mut green, &honest);
         assert_eq!(green.failures(), [] as [String; 0]);
 
         // The broken feature: Yala predicts every scenario as if it ran
@@ -1067,7 +1048,7 @@ mod tests {
         let claim = "Yala MAPE < SLOMO MAPE under traffic shift";
         assert_eq!(failed_claims(&broken), [claim]);
         let mut red = RegressionCheck::from_text("BENCH_accuracy.json", record);
-        check_accuracy(&mut red, &broken, true);
+        check_accuracy(&mut red, &broken);
         let failures = red.failures();
         assert!(failures.contains(&format!("claim violated: {claim}")));
         // ... and every moved number is named by row.

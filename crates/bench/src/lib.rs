@@ -1,10 +1,11 @@
 //! # yala-bench — the experiment harness
 //!
-//! Shared infrastructure for the binaries under `src/bin/`: `repro`
-//! regenerates the paper's tables and figures ([`experiments`], indexed in
-//! `DESIGN.md`) and gates its accuracy claims against
-//! `BENCH_accuracy.json`; the `bench_*` bins maintain the other committed
-//! `BENCH_*.json` records over one spine ([`record`]).
+//! Shared infrastructure for the binaries under `src/bin/`. `repro` is
+//! the one harness: the paper's tables and figures ([`experiments`],
+//! indexed in `DESIGN.md`) with their claims gated by
+//! `BENCH_accuracy.json`, and the fleet-family records ([`record`]), so
+//! `repro all --check` gates every deterministic record. `bench_rxp`
+//! keeps the wall-clock scan record; `fleet_inspect` reads journals.
 //!
 //! The central type is [`Zoo`]: it trains Yala and SLOMO models for a set
 //! of NFs against one simulated SmartNIC, caches per-(NF, profile)
@@ -267,41 +268,41 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     let _ = std::fs::write(format!("results/{name}.csv"), body);
 }
 
-/// Writes a run artifact, reporting the outcome either way: a read-only
-/// checkout loses the file, not the run.
+/// Writes a run artifact (creating its directory), reporting the
+/// outcome either way: a read-only checkout loses the file, not the run.
 pub fn write_artifact(path: &str, body: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
     match std::fs::write(path, body) {
         Ok(()) => eprintln!("  wrote {path}"),
         Err(e) => eprintln!("  could not write {path}: {e}"),
     }
 }
 
-/// Common CLI flags of the `bench_*` record binaries (and `repro`).
+/// The flags of `repro` after its experiment name: what every experiment
+/// runs with.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
-    /// `--quick` — CI-sized run (fewer kinds / coarser cadence); implied
-    /// by `--check`.
-    pub quick: bool,
-    /// `--check` — regression gate: recompute quick-mode results, compare
-    /// them with the *committed* record (the deterministic records byte
-    /// for byte), and exit nonzero on a difference instead of overwriting
-    /// anything.
+    /// `--full` — paper-sized sweeps and the records' full-scale days
+    /// instead of the default scale the committed records hold.
+    pub full: bool,
+    /// `--check` — regression gate: compare what the run produced with
+    /// the *committed* records and exit nonzero on a difference instead
+    /// of overwriting anything.
     pub check: bool,
     /// `--threads N` — pin the scenario engine to `N` workers instead of
-    /// auto-sizing; the records are bit-identical either way, which the
+    /// auto-sizing; every output is bit-identical either way, which the
     /// CI determinism gate enforces by diffing a default-engine run
     /// against a pinned-engine one.
     pub threads: Option<usize>,
-    /// `--out PATH` — write the record to `PATH` instead of the committed
-    /// default (used by CI to compare runs in temp files).
+    /// `--out DIR` — write the records into `DIR` instead of the working
+    /// directory (used by CI to compare runs in temp directories).
     pub out: Option<String>,
-    /// `--telemetry BASE` — observe the flagship run and write its
-    /// deterministic artifacts: `BASE.jsonl` (the sim-time event journal),
-    /// `BASE.metrics.json` and `BASE.prom` (the metrics registry),
-    /// bit-identical across runs and `--threads` values; the wall-clock
-    /// latency summary goes to stdout only. Without the flag every
-    /// instrumented path runs with the no-op handle and the record bytes
-    /// are unchanged.
+    /// `--telemetry DIR` — observe each record experiment's flagship run
+    /// and write its journal and metrics as `DIR/<name>.{jsonl,
+    /// metrics.json,prom}`, bit-identical across runs and `--threads`.
+    /// Without it every instrumented path runs with the no-op handle.
     pub telemetry: Option<String>,
     /// `--journal-cap N` — size the telemetry journal's event bound to
     /// `N` (default [`yala_telemetry::Journal`]'s 1Mi). A capped journal
@@ -311,23 +312,10 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the common flags from `std::env::args`. On a malformed
-    /// invocation (unknown flag, missing or invalid value) it prints the
-    /// error and exits with status 2, so a typo in a CI step fails loudly
-    /// instead of silently running the default configuration — and fails
-    /// with a usable message instead of a panic backtrace.
-    pub fn parse() -> Self {
-        match Self::try_parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(e) => {
-                eprintln!("bench: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// The fallible core of [`Self::parse`], testable without touching
-    /// process state. Every rejection names the flag and the offense.
+    /// Parses the flags. Every rejection (unknown flag, missing or
+    /// invalid value) names the flag and the offense, so a typo in a CI
+    /// step fails loudly instead of silently running the default
+    /// configuration — and fails with a usable message, not a panic.
     pub fn try_parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         let mut args = args.into_iter();
@@ -345,24 +333,30 @@ impl BenchArgs {
                 }
             };
             match flag {
-                "--quick" => out.quick = true,
-                "--check" => {
-                    out.check = true;
-                    out.quick = true;
-                }
+                "--full" => out.full = true,
+                "--check" => out.check = true,
                 "--threads" => out.threads = count()?,
                 "--out" => out.out = Some(value()?),
                 "--telemetry" => out.telemetry = Some(value()?),
                 "--journal-cap" => out.journal_cap = count()?,
                 other => {
                     return Err(format!(
-                        "unknown flag {other} (known: --quick --check --threads \
+                        "unknown flag {other} (known: --full --check --threads \
                          --out --telemetry --journal-cap)"
                     ))
                 }
             }
         }
         Ok(out)
+    }
+
+    /// `n` at the default scale, `n_full` under `--full`.
+    pub fn pick(&self, n: usize, n_full: usize) -> usize {
+        if self.full {
+            n_full
+        } else {
+            n
+        }
     }
 
     /// The scenario engine the flags select.
@@ -373,48 +367,14 @@ impl BenchArgs {
         }
     }
 
-    /// The observability handle the flags select: a live sink with the
-    /// wall-clock layer when `--telemetry` was given, else the no-op
-    /// handle.
-    pub fn telemetry_handle(&self, seed: u64) -> yala_telemetry::Telemetry {
-        match &self.telemetry {
-            Some(_) => {
-                let mut tel = yala_telemetry::Telemetry::with_wallclock(seed);
-                if let Some(cap) = self.journal_cap {
-                    if let Some(sink) = tel.sink_mut() {
-                        sink.journal = yala_telemetry::Journal::with_capacity(cap);
-                    }
-                }
-                tel
-            }
-            None => yala_telemetry::Telemetry::disabled(),
-        }
-    }
-
-    /// Writes the observed run's `--telemetry` artifacts and prints the
-    /// wall-clock summary to stdout (deliberately *not* written to a
-    /// file: it is the one non-deterministic layer). No-op without the
-    /// flag.
-    pub fn write_telemetry(&self, tel: &yala_telemetry::Telemetry) {
-        let (Some(base), Some(sink)) = (&self.telemetry, tel.sink()) else {
-            return;
-        };
-        write_artifact(&format!("{base}.jsonl"), &sink.journal.to_jsonl());
-        write_artifact(&format!("{base}.metrics.json"), &sink.metrics.to_json());
-        write_artifact(&format!("{base}.prom"), &sink.metrics.to_prometheus());
-        if let Some(w) = &sink.wall {
-            println!("  wall clock: {}", w.summary());
-        }
-    }
-
-    /// Where this run's record goes: `--out` if given, else the committed
-    /// default. In `--check` mode the committed default is never
+    /// Where the record `file` goes: into `--out DIR` if given, else the
+    /// working directory. In `--check` mode the committed copy is never
     /// overwritten — the record is written only when `--out` is explicit.
-    pub fn record_path<'a>(&'a self, default: &'a str) -> Option<&'a str> {
+    pub fn record_path(&self, file: &str) -> Option<String> {
         match (&self.out, self.check) {
-            (Some(p), _) => Some(p),
+            (Some(dir), _) => Some(format!("{dir}/{file}")),
             (None, true) => None,
-            (None, false) => Some(default),
+            (None, false) => Some(file.to_string()),
         }
     }
 }
@@ -487,6 +447,22 @@ impl RegressionCheck {
             self.fail(format!("{label}: record lacks \"{key}\" after {anchor:?}"));
         }
         found
+    }
+
+    /// Fails unless `regenerated` is the committed text byte for byte (a
+    /// deterministic record), naming the first line that differs.
+    pub fn identical(&mut self, regenerated: &str) {
+        if self.committed == regenerated {
+            return;
+        }
+        let same = |(c, g): &(&str, &str)| c == g;
+        let lines = self.committed.lines().zip(regenerated.lines());
+        let n = lines.take_while(same).count();
+        let line = |text: &str| text.lines().nth(n).unwrap_or("<end>").to_string();
+        let (was, is, n) = (line(&self.committed), line(regenerated), n + 1);
+        self.fail(format!(
+            "line {n} differs\n    committed:   {was}\n    regenerated: {is}"
+        ));
     }
 
     /// Records a failure found outside the numeric probes.
@@ -577,10 +553,10 @@ mod tests {
     #[test]
     fn record_path_respects_check_and_out() {
         let plain = BenchArgs::default();
-        assert_eq!(plain.record_path("BENCH_x.json"), Some("BENCH_x.json"));
+        let path = plain.record_path("BENCH_x.json");
+        assert_eq!(path.as_deref(), Some("BENCH_x.json"));
         let check = BenchArgs {
             check: true,
-            quick: true,
             ..BenchArgs::default()
         };
         assert_eq!(
@@ -590,11 +566,11 @@ mod tests {
         );
         let out = BenchArgs {
             check: true,
-            quick: true,
-            out: Some("/tmp/r.json".into()),
+            out: Some("/tmp/a".into()),
             ..BenchArgs::default()
         };
-        assert_eq!(out.record_path("BENCH_x.json"), Some("/tmp/r.json"));
+        let path = out.record_path("BENCH_x.json");
+        assert_eq!(path.as_deref(), Some("/tmp/a/BENCH_x.json"));
     }
 
     #[test]
@@ -602,17 +578,17 @@ mod tests {
         let to_args =
             |s: &str| -> Vec<String> { s.split_whitespace().map(str::to_string).collect() };
         let a = BenchArgs::try_parse_from(to_args(
-            "--check --threads 4 --out /tmp/r.json --telemetry /tmp/t --journal-cap 1024",
+            "--full --check --threads 4 --out /tmp/a --telemetry /tmp/t --journal-cap 1024",
         ))
         .expect("valid flags");
-        assert!(a.check && a.quick);
+        assert!(a.full && a.check);
         assert_eq!(a.threads, Some(4));
-        assert_eq!(a.out.as_deref(), Some("/tmp/r.json"));
+        assert_eq!(a.out.as_deref(), Some("/tmp/a"));
         assert_eq!(a.telemetry.as_deref(), Some("/tmp/t"));
         assert_eq!(a.journal_cap, Some(1024));
         let none = BenchArgs::try_parse_from(std::iter::empty()).expect("no flags");
         assert_eq!(none.threads, None);
-        assert!(!none.quick);
+        assert!(!none.full && !none.check);
     }
 
     #[test]
@@ -627,11 +603,30 @@ mod tests {
             ("--threads", "needs a value"),
             ("--out", "needs a value"),
             ("--frobnicate", "unknown flag --frobnicate"),
+            // The default scale is the committed one; there is no quick mode.
+            ("--quick", "unknown flag --quick"),
         ] {
             let err = BenchArgs::try_parse_from(to_args(argv))
                 .expect_err(&format!("{argv:?} must be rejected"));
             assert!(err.contains(expect), "{argv:?} => {err:?}");
         }
+    }
+
+    #[test]
+    fn identical_names_the_first_differing_line() {
+        let diff = |committed: &str, regenerated: &str| {
+            let mut check = RegressionCheck::from_text("BENCH_x.json", committed.into());
+            check.identical(regenerated);
+            check.failures().join("\n")
+        };
+        let text = "{\n\"a\": 1,\n\"b\": 2\n}\n";
+        assert_eq!(diff(text, text), "");
+        let mid = "line 3 differs\n    committed:   \"b\": 2\n    regenerated: \"b\": 3";
+        assert_eq!(diff(text, &text.replace('2', "3")), mid);
+        // Either side ending early shows `<end>` on that side.
+        let short = "{\n\"a\": 1,\n";
+        assert!(diff(short, text).ends_with("committed:   <end>\n    regenerated: \"b\": 2"));
+        assert!(diff(text, short).ends_with("committed:   \"b\": 2\n    regenerated: <end>"));
     }
 
     #[test]

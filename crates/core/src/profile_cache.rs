@@ -1,4 +1,4 @@
-//! The process-wide profile cache: deterministic, concurrency-safe
+//! The profile cache: deterministic, concurrency-safe
 //! memoization of profile measurements keyed by
 //! `(NfKind, traffic key, seed)` — with the NIC model folded into each
 //! entry's per-model solo list, this is the
@@ -127,8 +127,7 @@ pub struct CacheStats {
 type Slot = Arc<OnceLock<Arc<ProfileEntry>>>;
 
 /// The cache. Cheap to construct; share one per scope you want
-/// accounted together (a bench run, a fleet build), or use
-/// [`ProfileCache::global`] for true process-wide sharing.
+/// accounted together (a record run, a fleet build, a daemon).
 #[derive(Debug, Default)]
 pub struct ProfileCache {
     map: Mutex<HashMap<ProfileKey, Slot>>,
@@ -141,12 +140,6 @@ impl ProfileCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The process-wide shared cache.
-    pub fn global() -> &'static ProfileCache {
-        static GLOBAL: OnceLock<ProfileCache> = OnceLock::new();
-        GLOBAL.get_or_init(ProfileCache::new)
     }
 
     /// Looks `key` up, running `measure` only if this is the first
@@ -406,12 +399,5 @@ mod tests {
             profile_seed(5, NfKind::Nat, &t),
             profile_seed(5, NfKind::Nat, &u)
         );
-    }
-
-    #[test]
-    fn global_cache_is_shared() {
-        let a = ProfileCache::global();
-        let b = ProfileCache::global();
-        assert!(std::ptr::eq(a, b));
     }
 }

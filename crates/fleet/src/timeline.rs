@@ -150,8 +150,8 @@ pub enum CacheMode<'a> {
     /// representative profile on fresh simulators seeded from the key
     /// ([`profile_seed`], [`sims_for_key`]) — a pure function of the key,
     /// so any two lookups of it, from any tenant, epoch, build, or
-    /// thread, return bitwise-identical measurements and the cache may
-    /// be shared process-wide ([`ProfileCache::global`]). Drift is
+    /// thread, return bitwise-identical measurements and one cache may
+    /// serve any number of builds. Drift is
     /// compared per attribute against the last *measured* profile and
     /// only attributes past the threshold re-bucket
     /// ([`TrafficQuantizer::delta_rekey`]); snapshots carry the
