@@ -223,6 +223,38 @@ fn fresh_profiler_per_point_matches_golden() {
     assert_lines_match(&got, &golden()[skip..], "fresh profiler");
 }
 
+/// `indices` reordered to alternate the largest remaining flow count with
+/// the smallest (shuffled with `shuffle_seed` within a size first).
+fn big_small_big(points: &[Point], mut indices: Vec<usize>, shuffle_seed: u64) -> Vec<usize> {
+    indices.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
+    indices.sort_by_key(|&i| points[i].profile.flow_count);
+    let mut order = Vec::with_capacity(indices.len());
+    let (mut lo, mut hi) = (0, indices.len());
+    while lo < hi {
+        hi -= 1;
+        order.push(indices[hi]);
+        if lo < hi {
+            order.push(indices[lo]);
+            lo += 1;
+        }
+    }
+    order
+}
+
+/// Runs `order` through one profiler and checks every line against the
+/// fixture.
+fn replay_through_one_profiler(points: &[Point], order: &[usize], what: &str) {
+    let mut profiler = Profiler::new();
+    let mut got = vec![String::new(); points.len()];
+    for &i in order {
+        let p = &points[i];
+        let w = p.kind.workload_with(&mut profiler, p.profile, p.seed);
+        got[i] = workload_line(p, &w);
+    }
+    let skip = FLOWS.len() * SHAPES.len() * SEEDS.len();
+    assert_lines_match(&got, &golden()[skip..], what);
+}
+
 #[test]
 fn long_lived_profiler_in_big_small_big_order_matches_golden() {
     // One profiler visits every point, alternating the largest remaining
@@ -230,26 +262,25 @@ fn long_lived_profiler_in_big_small_big_order_matches_golden() {
     // size), so every reused buffer is handed from a big measurement to
     // a small one and back.
     let points = points();
-    let mut by_size: Vec<usize> = (0..points.len()).collect();
-    by_size.shuffle(&mut StdRng::seed_from_u64(14));
-    by_size.sort_by_key(|&i| points[i].profile.flow_count);
+    let order = big_small_big(&points, (0..points.len()).collect(), 14);
+    replay_through_one_profiler(&points, &order, "long-lived profiler");
+}
+
+#[test]
+fn long_lived_profiler_seed_by_seed_matches_golden() {
+    // One profiler visits every point of one seed before moving to the
+    // next, each seed's points (every kind, size and shape) in
+    // big-small-big order: consecutive measurements share a seed, as a
+    // profiling cell's do, across kinds, across table doublings, and
+    // from large flow counts to small ones and back.
+    let points = points();
     let mut order = Vec::with_capacity(points.len());
-    let (mut lo, mut hi) = (0, by_size.len());
-    while lo < hi {
-        hi -= 1;
-        order.push(by_size[hi]);
-        if lo < hi {
-            order.push(by_size[lo]);
-            lo += 1;
-        }
+    for (s, seed) in SEEDS.into_iter().enumerate() {
+        let of_seed = (0..points.len())
+            .filter(|&i| points[i].seed == seed)
+            .collect();
+        order.extend(big_small_big(&points, of_seed, 31 + s as u64));
     }
-    let mut profiler = Profiler::new();
-    let mut got = vec![String::new(); points.len()];
-    for i in order {
-        let p = &points[i];
-        let w = p.kind.workload_with(&mut profiler, p.profile, p.seed);
-        got[i] = workload_line(p, &w);
-    }
-    let skip = FLOWS.len() * SHAPES.len() * SEEDS.len();
-    assert_lines_match(&got, &golden()[skip..], "long-lived profiler");
+    assert_eq!(order.len(), points.len());
+    replay_through_one_profiler(&points, &order, "seed-by-seed profiler");
 }
