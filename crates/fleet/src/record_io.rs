@@ -22,6 +22,7 @@ use yala_core::QosClass;
 use yala_nf::NfKind;
 use yala_sim::NicSpec;
 use yala_telemetry::{parse_line, RawEvent};
+use yala_traffic::profile::{MAX_FLOW_COUNT, MAX_PACKET_SIZE, MIN_PACKET_SIZE};
 use yala_traffic::TrafficProfile;
 
 /// Format version written in the header's `yala_trace` field. Bump on
@@ -192,6 +193,35 @@ fn need_int(ev: &RawEvent, key: &str, line: usize) -> Result<i64, TraceIoError> 
     })
 }
 
+/// Required integer field as a `T`, refused when `T` cannot hold it (an
+/// `as` cast would wrap it into some other, valid-looking value).
+fn need_int_as<T: TryFrom<i64>>(ev: &RawEvent, key: &str, line: usize) -> Result<T, TraceIoError> {
+    let v = need_int(ev, key, line)?;
+    T::try_from(v).map_err(|_| TraceIoError::BadLine {
+        line,
+        reason: format!("field {key} = {v} out of range"),
+    })
+}
+
+/// Required integer field inside `lo..=hi`: a flow count or packet size
+/// outside what a [`TrafficProfile`] holds is refused, not clamped.
+fn need_u32_in(
+    ev: &RawEvent,
+    key: &str,
+    line: usize,
+    lo: u32,
+    hi: u32,
+) -> Result<u32, TraceIoError> {
+    let v = need_int(ev, key, line)?;
+    if !(lo as i64..=hi as i64).contains(&v) {
+        return Err(TraceIoError::BadLine {
+            line,
+            reason: format!("field {key} = {v} outside [{lo},{hi}]"),
+        });
+    }
+    Ok(v as u32)
+}
+
 fn need_num(ev: &RawEvent, key: &str, line: usize) -> Result<f64, TraceIoError> {
     ev.num(key).ok_or_else(|| TraceIoError::BadLine {
         line,
@@ -289,7 +319,8 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
         traffic_model,
         max_flows: header
             .int("max_flows")
-            .ok_or_else(|| bad_header("missing max_flows"))? as u32,
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| bad_header("missing or out-of-range max_flows"))?,
         reprofile_threshold: header
             .num("reprofile_threshold")
             .ok_or_else(|| bad_header("missing reprofile_threshold"))?,
@@ -339,19 +370,21 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
                     line: line_no,
                     reason: format!("unknown QoS class {qos_name}"),
                 })?;
+                let flows = |key| need_u32_in(&ev, key, line_no, 1, MAX_FLOW_COUNT);
+                let psize = |key| need_u32_in(&ev, key, line_no, MIN_PACKET_SIZE, MAX_PACKET_SIZE);
                 records.push(NfRecord {
-                    id: need_int(&ev, "id", line_no)? as u32,
+                    id: need_int_as(&ev, "id", line_no)?,
                     kind,
-                    arrival_ms: need_int(&ev, "arrival_ms", line_no)? as u64,
-                    departure_ms: need_int(&ev, "departure_ms", line_no)? as u64,
+                    arrival_ms: need_int_as(&ev, "arrival_ms", line_no)?,
+                    departure_ms: need_int_as(&ev, "departure_ms", line_no)?,
                     start: TrafficProfile::new(
-                        need_int(&ev, "flows0", line_no)? as u32,
-                        need_int(&ev, "psize0", line_no)? as u32,
+                        flows("flows0")?,
+                        psize("psize0")?,
                         need_num(&ev, "mtbr0", line_no)?,
                     ),
                     end: TrafficProfile::new(
-                        need_int(&ev, "flows1", line_no)? as u32,
-                        need_int(&ev, "psize1", line_no)? as u32,
+                        flows("flows1")?,
+                        psize("psize1")?,
                         need_num(&ev, "mtbr1", line_no)?,
                     ),
                     sla_drop: need_num(&ev, "sla_drop", line_no)?,
@@ -364,7 +397,7 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
                     line: line_no,
                     reason: format!("unknown fault kind {kind_name}"),
                 })?;
-                let nic = need_int(&ev, "nic", line_no)? as usize;
+                let nic: usize = need_int_as(&ev, "nic", line_no)?;
                 if nic >= nics {
                     return Err(TraceIoError::BadLine {
                         line: line_no,
@@ -372,7 +405,7 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
                     });
                 }
                 faults.push(FaultEvent {
-                    t_ms: need_int(&ev, "t_ms", line_no)? as u64,
+                    t_ms: need_int_as(&ev, "t_ms", line_no)?,
                     nic,
                     kind,
                 });
@@ -466,6 +499,66 @@ mod tests {
             read_trace(&bad),
             Err(TraceIoError::BadLine { .. })
         ));
+        // Integers a field's type cannot hold, and traffic outside what a
+        // profile holds, are refused rather than wrapped or clamped.
+        let first_record = text.lines().nth(1).expect("a record");
+        let with = |field: &str, value: &str| {
+            let start =
+                first_record.find(&format!("\"{field}\":")).expect("field") + field.len() + 3;
+            let end = start + first_record[start..].find([',', '}']).expect("end");
+            let line = format!("{}{value}{}", &first_record[..start], &first_record[end..]);
+            text.replacen(first_record, &line, 1)
+        };
+        for (field, value) in [
+            ("flows0", "4294968296"),
+            ("flows0", "-1"),
+            ("flows0", "0"),
+            ("flows1", "500001"),
+            ("psize0", "63"),
+            ("psize1", "1501"),
+            ("psize0", "4294967360"),
+            ("id", "4294967296"),
+            ("id", "-1"),
+            ("arrival_ms", "-1"),
+            ("departure_ms", "-3600000"),
+        ] {
+            assert!(
+                matches!(
+                    read_trace(&with(field, value)),
+                    Err(TraceIoError::BadLine { .. })
+                ),
+                "{field} = {value} accepted"
+            );
+        }
+        // The bounds themselves are fine.
+        for (field, value) in [("flows0", "500000"), ("flows1", "1"), ("psize0", "64")] {
+            assert!(read_trace(&with(field, value)).is_ok(), "{field} = {value}");
+        }
+        let faulty = write_trace(&FleetTrace::diurnal(faulty_config(43)));
+        let fault_line = faulty
+            .lines()
+            .find(|l| l.contains("\"ev\":\"fault\""))
+            .expect("a fault");
+        for (from, to) in [("\"nic\":", "\"nic\":-1"), ("\"t_ms\":", "\"t_ms\":-1")] {
+            let (head, tail) = fault_line.split_once(from).expect("field");
+            let tail = &tail[tail.find(',').expect("more fields")..];
+            let bad = faulty.replacen(fault_line, &format!("{head}{to}{tail}"), 1);
+            assert!(
+                matches!(read_trace(&bad), Err(TraceIoError::BadLine { .. })),
+                "{to} accepted"
+            );
+        }
+        for max_flows in ["-1", "4294967296"] {
+            let bad = text.replacen(
+                &format!("\"max_flows\":{}", trace.config.max_flows),
+                &format!("\"max_flows\":{max_flows}"),
+                1,
+            );
+            assert!(
+                matches!(read_trace(&bad), Err(TraceIoError::BadHeader(_))),
+                "max_flows {max_flows} accepted"
+            );
+        }
         // Drop a record so the header count no longer matches.
         let mut lines: Vec<&str> = text.lines().collect();
         lines.remove(1);

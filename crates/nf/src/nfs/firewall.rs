@@ -7,10 +7,16 @@
 use crate::cost::{CostTracker, HASH_CYCLES, PARSE_CYCLES, PROBE_CYCLES, UPDATE_CYCLES};
 use crate::nfs::acl::{Acl, AclRule};
 use crate::runtime::{NetworkFunction, Verdict};
-use crate::table::FlowTable;
+use crate::table::{FlowTable, Keys, Prefix, TableSpec};
 use yala_sim::ExecutionPattern;
-use yala_traffic::FiveTuple;
 use yala_traffic::PacketView;
+
+/// The hardware flow table: one insert per flow.
+const TABLE: TableSpec = TableSpec {
+    capacity: 1024,
+    entry_bytes: 128.0,
+    keys: Keys::EveryFlow,
+};
 
 /// Per-flow firewall record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +39,7 @@ impl Firewall {
     /// Creates a firewall with `n_policy_rules` random deny rules.
     pub fn new(n_policy_rules: usize, seed: u64) -> Self {
         Self {
-            flow_table: FlowTable::with_entry_bytes(1024, 128.0),
+            flow_table: FlowTable::with_entry_bytes(TABLE.capacity, TABLE.entry_bytes),
             policy: Acl::new(n_policy_rules, seed),
             denied: 0,
         }
@@ -42,7 +48,7 @@ impl Firewall {
     /// Creates a firewall with an explicit policy.
     pub fn with_policy(rules: Vec<AclRule>) -> Self {
         Self {
-            flow_table: FlowTable::with_entry_bytes(1024, 128.0),
+            flow_table: FlowTable::with_entry_bytes(TABLE.capacity, TABLE.entry_bytes),
             policy: Acl::from_rules(rules),
             denied: 0,
         }
@@ -114,23 +120,20 @@ impl NetworkFunction for Firewall {
         self.flow_table.wss_bytes() + self.policy.wss_bytes()
     }
 
-    fn warm(&mut self, flows: &[FiveTuple]) {
-        for f in flows {
-            let (permit, _) = self.policy.evaluate(f);
-            self.flow_table.insert(
-                f.hash64(),
-                FwEntry {
-                    permitted: permit,
-                    hits: 0,
-                },
-            );
-        }
+    fn warm(&mut self, prefix: &mut Prefix<'_>) {
+        let flows = prefix.flows();
+        self.flow_table = prefix.table(TABLE, |pos, _| FwEntry {
+            permitted: self.policy.evaluate(&flows[pos]).0,
+            hits: 0,
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TableFamily;
+    use yala_traffic::FiveTuple;
     use yala_traffic::Packet;
 
     #[test]
@@ -173,7 +176,7 @@ mod tests {
         let flows: Vec<FiveTuple> = (0..50_000u32)
             .map(|i| FiveTuple::new(i, 2, 3, 80, 6))
             .collect();
-        fw.warm(&flows);
+        fw.warm(&mut TableFamily::new().prefix(&flows));
         // 50K × 128 B ≈ 6.4 MB ≥ Pensando LLC pressure territory.
         assert!(fw.wss_bytes() > 6e6);
         let mut cost = CostTracker::new();

@@ -4,10 +4,17 @@
 
 use crate::cost::{CostTracker, HASH_CYCLES, PARSE_CYCLES, PROBE_CYCLES, UPDATE_CYCLES};
 use crate::runtime::{NetworkFunction, Verdict};
-use crate::table::FlowTable;
+use crate::table::{FlowTable, Keys, Prefix, TableSpec};
 use yala_sim::ExecutionPattern;
 use yala_traffic::FiveTuple;
 use yala_traffic::PacketView;
+
+/// The per-flow class cache: one insert per flow.
+const CACHE: TableSpec = TableSpec {
+    capacity: 1024,
+    entry_bytes: 80.0,
+    keys: Keys::EveryFlow,
+};
 
 /// Number of traffic classes.
 pub const N_CLASSES: u8 = 8;
@@ -23,7 +30,7 @@ impl FlowClassifier {
     /// Creates an empty classifier.
     pub fn new() -> Self {
         Self {
-            cache: FlowTable::with_entry_bytes(1024, 80.0),
+            cache: FlowTable::with_entry_bytes(CACHE.capacity, CACHE.entry_bytes),
             class_counts: [0; 8],
         }
     }
@@ -96,16 +103,16 @@ impl NetworkFunction for FlowClassifier {
         self.cache.wss_bytes()
     }
 
-    fn warm(&mut self, flows: &[FiveTuple]) {
-        for f in flows {
-            self.cache.insert(f.hash64(), Self::classify(f));
-        }
+    fn warm(&mut self, prefix: &mut Prefix<'_>) {
+        let flows = prefix.flows();
+        self.cache = prefix.table(CACHE, |pos, _| Self::classify(&flows[pos]));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TableFamily;
     use yala_traffic::Packet;
 
     #[test]
@@ -136,7 +143,7 @@ mod tests {
         let flows: Vec<FiveTuple> = (0..5000u32)
             .map(|i| FiveTuple::new(i, 2, 3, 80, 6))
             .collect();
-        fc.warm(&flows);
+        fc.warm(&mut TableFamily::new().prefix(&flows));
         assert_eq!(fc.cached_flows(), 5000);
         assert!(fc.wss_bytes() > 5000.0 * 70.0);
     }

@@ -6,11 +6,18 @@
 
 use crate::cost::{CostTracker, HASH_CYCLES, PARSE_CYCLES, PROBE_CYCLES, UPDATE_CYCLES};
 use crate::runtime::{NetworkFunction, Verdict};
-use crate::table::FlowTable;
+use crate::table::{FlowTable, Keys, Prefix, TableSpec};
 use yala_rxp::{l7_default_ruleset, Ruleset, ScanReport};
 use yala_sim::{ExecutionPattern, ResourceKind};
 use yala_traffic::FiveTuple;
 use yala_traffic::PacketView;
+
+/// The per-flow match table: one insert per flow.
+const TABLE: TableSpec = TableSpec {
+    capacity: 1024,
+    entry_bytes: 64.0,
+    keys: Keys::EveryFlow,
+};
 
 /// Per-flow monitoring record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -39,7 +46,7 @@ impl FlowMonitor {
     /// Creates a FlowMonitor with a custom ruleset.
     pub fn with_ruleset(rules: Ruleset) -> Self {
         Self {
-            table: FlowTable::with_entry_bytes(1024, 64.0),
+            table: FlowTable::with_entry_bytes(TABLE.capacity, TABLE.entry_bytes),
             scratch: ScanReport::with_rules(rules.len()),
             rules,
         }
@@ -114,10 +121,8 @@ impl NetworkFunction for FlowMonitor {
         self.table.wss_bytes()
     }
 
-    fn warm(&mut self, flows: &[FiveTuple]) {
-        for f in flows {
-            self.table.insert(f.hash64(), MonitorEntry::default());
-        }
+    fn warm(&mut self, prefix: &mut Prefix<'_>) {
+        self.table = prefix.table(TABLE, |_, _| MonitorEntry::default());
     }
 }
 

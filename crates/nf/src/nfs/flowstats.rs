@@ -6,9 +6,16 @@
 
 use crate::cost::{CostTracker, HASH_CYCLES, PARSE_CYCLES, PROBE_CYCLES, UPDATE_CYCLES};
 use crate::runtime::{NetworkFunction, Verdict};
-use crate::table::FlowTable;
+use crate::table::{FlowTable, Keys, Prefix, TableSpec};
 use yala_sim::ExecutionPattern;
 use yala_traffic::{FiveTuple, PacketView};
+
+/// The per-flow counter table: one insert per flow.
+const TABLE: TableSpec = TableSpec {
+    capacity: 1024,
+    entry_bytes: 64.0,
+    keys: Keys::EveryFlow,
+};
 
 /// Per-flow statistics record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,7 +51,7 @@ impl FlowStats {
     /// Creates an empty FlowStats instance.
     pub fn new() -> Self {
         Self {
-            table: FlowTable::with_entry_bytes(1024, 64.0),
+            table: FlowTable::with_entry_bytes(TABLE.capacity, TABLE.entry_bytes),
         }
     }
 
@@ -108,16 +115,15 @@ impl NetworkFunction for FlowStats {
         self.table.wss_bytes()
     }
 
-    fn warm(&mut self, flows: &[FiveTuple]) {
-        for f in flows {
-            self.table.insert(f.hash64(), FlowStatsEntry::default());
-        }
+    fn warm(&mut self, prefix: &mut Prefix<'_>) {
+        self.table = prefix.table(TABLE, |_, _| FlowStatsEntry::default());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TableFamily;
     use yala_traffic::Packet;
 
     fn pkt(port: u16, len: usize) -> Packet {
@@ -156,7 +162,7 @@ mod tests {
         let flows: Vec<FiveTuple> = (0..10_000u32)
             .map(|i| FiveTuple::new(i, 2, 3, 4, 6))
             .collect();
-        nf.warm(&flows);
+        nf.warm(&mut TableFamily::new().prefix(&flows));
         assert_eq!(nf.flow_count(), 10_000);
         // 10K flows at 64 B/entry → at least 640 KB footprint.
         assert!(nf.wss_bytes() > 640_000.0);
@@ -167,7 +173,7 @@ mod tests {
         let footprint = |n: u32| -> f64 {
             let mut nf = FlowStats::new();
             let flows: Vec<FiveTuple> = (0..n).map(|i| FiveTuple::new(i, 2, 3, 4, 6)).collect();
-            nf.warm(&flows);
+            nf.warm(&mut TableFamily::new().prefix(&flows));
             nf.wss_bytes()
         };
         assert!(footprint(64_000) > footprint(4_000) * 4.0);

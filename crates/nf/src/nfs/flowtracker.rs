@@ -4,10 +4,17 @@
 
 use crate::cost::{CostTracker, HASH_CYCLES, PARSE_CYCLES, PROBE_CYCLES, UPDATE_CYCLES};
 use crate::runtime::{NetworkFunction, Verdict};
-use crate::table::FlowTable;
+use crate::table::{FlowTable, Keys, Prefix, TableSpec};
 use yala_sim::ExecutionPattern;
 use yala_traffic::FiveTuple;
 use yala_traffic::PacketView;
+
+/// The connection-state table: one insert per flow.
+const TABLE: TableSpec = TableSpec {
+    capacity: 1024,
+    entry_bytes: 96.0,
+    keys: Keys::EveryFlow,
+};
 
 /// Connection lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +55,7 @@ impl FlowTracker {
     /// Creates an empty tracker.
     pub fn new() -> Self {
         Self {
-            table: FlowTable::with_entry_bytes(1024, 96.0),
+            table: FlowTable::with_entry_bytes(TABLE.capacity, TABLE.entry_bytes),
             clock: 0,
             established_total: 0,
         }
@@ -124,17 +131,12 @@ impl NetworkFunction for FlowTracker {
         self.table.wss_bytes()
     }
 
-    fn warm(&mut self, flows: &[FiveTuple]) {
-        for f in flows {
-            self.table.insert(
-                f.hash64(),
-                TrackEntry {
-                    state: TrackState::New,
-                    packets: 1,
-                    last_seen: 0,
-                },
-            );
-        }
+    fn warm(&mut self, prefix: &mut Prefix<'_>) {
+        self.table = prefix.table(TABLE, |_, _| TrackEntry {
+            state: TrackState::New,
+            packets: 1,
+            last_seen: 0,
+        });
     }
 }
 

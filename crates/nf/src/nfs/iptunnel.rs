@@ -5,10 +5,18 @@
 
 use crate::cost::{CostTracker, LINE_BYTES, PARSE_CYCLES, PER_BYTE_CYCLES};
 use crate::runtime::{NetworkFunction, Verdict};
-use crate::table::FlowTable;
+use crate::table::{FlowTable, Keys, Prefix, TableSpec};
 use yala_sim::ExecutionPattern;
 use yala_traffic::FiveTuple;
 use yala_traffic::PacketView;
+
+/// The per-flow endpoint cache (a small start): a flow already cached is
+/// not inserted again.
+const ENDPOINTS: TableSpec = TableSpec {
+    capacity: 256,
+    entry_bytes: 48.0,
+    keys: Keys::NewFlows,
+};
 
 /// The IPTunnel NF: wraps packets toward a tunnel endpoint chosen per flow.
 #[derive(Debug, Clone)]
@@ -30,7 +38,7 @@ impl IpTunnel {
     pub fn new(n_endpoints: u32) -> Self {
         assert!(n_endpoints > 0, "need at least one tunnel endpoint");
         Self {
-            endpoints: FlowTable::with_entry_bytes(256, 48.0),
+            endpoints: FlowTable::with_entry_bytes(ENDPOINTS.capacity, ENDPOINTS.entry_bytes),
             n_endpoints,
             encapsulated: 0,
         }
@@ -91,10 +99,10 @@ impl NetworkFunction for IpTunnel {
         self.endpoints.wss_bytes() + 128.0 * 1024.0
     }
 
-    fn warm(&mut self, flows: &[FiveTuple]) {
-        for f in flows {
-            self.endpoint_for(f);
-        }
+    fn warm(&mut self, prefix: &mut Prefix<'_>) {
+        let flows = prefix.flows();
+        let n = self.n_endpoints as u64;
+        self.endpoints = prefix.table(ENDPOINTS, |pos, _| (flows[pos].hash64() % n) as u32);
     }
 }
 

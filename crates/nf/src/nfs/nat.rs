@@ -5,10 +5,27 @@
 
 use crate::cost::{CostTracker, HASH_CYCLES, PARSE_CYCLES, PROBE_CYCLES, UPDATE_CYCLES};
 use crate::runtime::{NetworkFunction, Verdict};
-use crate::table::FlowTable;
+use crate::table::{FlowTable, Keys, Prefix, TableSpec};
 use yala_sim::ExecutionPattern;
 use yala_traffic::FiveTuple;
 use yala_traffic::PacketView;
+
+/// The outbound mapping table, keyed by flow: a flow already bound is not
+/// bound again. The return table has the same shape, keyed by port.
+const OUT: TableSpec = TableSpec {
+    capacity: 1024,
+    entry_bytes: 64.0,
+    keys: Keys::NewFlows,
+};
+/// The first external port; the allocator wraps from `u16::MAX` back here.
+const FIRST_PORT: u16 = 10_000;
+/// External ports before the allocator wraps.
+const PORTS: usize = u16::MAX as usize + 1 - FIRST_PORT as usize;
+
+/// The external port of the `i`-th binding.
+fn port(i: usize) -> u16 {
+    FIRST_PORT + (i % PORTS) as u16
+}
 
 /// External address the NAT translates to.
 const NAT_IP: u32 = 0xc0a8_0101;
@@ -36,9 +53,9 @@ impl Nat {
     /// Creates an empty NAT.
     pub fn new() -> Self {
         Self {
-            out_table: FlowTable::with_entry_bytes(1024, 64.0),
-            in_table: FlowTable::with_entry_bytes(1024, 64.0),
-            next_port: 10_000,
+            out_table: FlowTable::with_entry_bytes(OUT.capacity, OUT.entry_bytes),
+            in_table: FlowTable::with_entry_bytes(OUT.capacity, OUT.entry_bytes),
+            next_port: FIRST_PORT,
         }
     }
 
@@ -55,7 +72,7 @@ impl Nat {
     /// Binds `flow`, whose hash the caller already holds as `key`.
     fn allocate(&mut self, flow: FiveTuple, key: u64) -> (NatBinding, usize) {
         let port = self.next_port;
-        self.next_port = self.next_port.wrapping_add(1).max(10_000);
+        self.next_port = self.next_port.wrapping_add(1).max(FIRST_PORT);
         let binding = NatBinding {
             external_port: port,
             inner: flow,
@@ -108,19 +125,32 @@ impl NetworkFunction for Nat {
         self.out_table.wss_bytes() + self.in_table.wss_bytes()
     }
 
-    fn warm(&mut self, flows: &[FiveTuple]) {
-        for f in flows {
-            let key = f.hash64();
-            if self.out_table.get_mut(key).0.is_none() {
-                self.allocate(*f, key);
-            }
-        }
+    fn warm(&mut self, prefix: &mut Prefix<'_>) {
+        // What `process` would do for each flow's first packet: a flow
+        // whose key is bound already is skipped, every other one gets the
+        // next port, bound in both directions.
+        let flows = prefix.flows();
+        let out = prefix.table(OUT, |pos, binding| NatBinding {
+            external_port: port(binding),
+            inner: flows[pos],
+        });
+        let bindings = out.len();
+        let ports = Keys::Cyclic {
+            start: FIRST_PORT as u64,
+            period: PORTS as u64,
+            count: bindings,
+        };
+        let ports = TableSpec { keys: ports, ..OUT };
+        self.in_table = prefix.table(ports, |binding, _| out.values()[binding]);
+        self.out_table = out;
+        self.next_port = port(bindings);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TableFamily;
     use yala_traffic::Packet;
 
     fn flow(p: u16) -> FiveTuple {
@@ -160,7 +190,7 @@ mod tests {
     fn two_tables_double_footprint() {
         let mut nat = Nat::new();
         let flows: Vec<FiveTuple> = (0..1000u16).map(flow).collect();
-        nat.warm(&flows);
+        nat.warm(&mut TableFamily::new().prefix(&flows));
         // Two tables, each ≥ 64 KB of entries.
         assert!(nat.wss_bytes() > 2.0 * 1000.0 * 60.0);
     }

@@ -5,11 +5,18 @@
 
 use crate::cost::{CostTracker, HASH_CYCLES, PARSE_CYCLES, PROBE_CYCLES, UPDATE_CYCLES};
 use crate::runtime::{NetworkFunction, Verdict};
-use crate::table::FlowTable;
+use crate::table::{FlowTable, Keys, Prefix, TableSpec};
 use yala_rxp::{l7_default_ruleset, Ruleset, ScanReport};
 use yala_sim::{ExecutionPattern, ResourceKind};
 use yala_traffic::FiveTuple;
 use yala_traffic::PacketView;
+
+/// The connection table: one insert per flow.
+const TABLE: TableSpec = TableSpec {
+    capacity: 1024,
+    entry_bytes: 96.0,
+    keys: Keys::EveryFlow,
+};
 
 /// Per-flow connection record.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,7 +42,7 @@ impl Nids {
     pub fn new() -> Self {
         let rules = l7_default_ruleset();
         Self {
-            table: FlowTable::with_entry_bytes(1024, 96.0),
+            table: FlowTable::with_entry_bytes(TABLE.capacity, TABLE.entry_bytes),
             scratch: ScanReport::with_rules(rules.len()),
             rules,
             alerts: 0,
@@ -113,10 +120,8 @@ impl NetworkFunction for Nids {
         self.table.wss_bytes()
     }
 
-    fn warm(&mut self, flows: &[FiveTuple]) {
-        for f in flows {
-            self.table.insert(f.hash64(), ConnState::default());
-        }
+    fn warm(&mut self, prefix: &mut Prefix<'_>) {
+        self.table = prefix.table(TABLE, |_, _| ConnState::default());
     }
 }
 

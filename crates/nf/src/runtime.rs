@@ -22,8 +22,9 @@
 use crate::cost::{
     safe_div, CostAggregate, CostTracker, FRAMEWORK_CYCLES, FRAMEWORK_READS, FRAMEWORK_WRITES,
 };
+use crate::table::{Prefix, TableFamily};
 use yala_sim::{ExecutionPattern, StageDemand, WorkloadSpec};
-use yala_traffic::{FiveTuple, PacketBatch, PacketGenerator, PacketView, TrafficProfile};
+use yala_traffic::{PacketBatch, PacketGenerator, PacketView, TrafficProfile};
 
 /// Default cores per NF (the paper gives every NF two dedicated cores).
 pub const DEFAULT_CORES: u32 = 2;
@@ -71,19 +72,29 @@ pub trait NetworkFunction {
     fn wss_bytes(&self) -> f64;
 
     /// Pre-populates per-flow state so steady-state demand is measured
-    /// (tables warmed) rather than cold-start insert storms.
-    fn warm(&mut self, flows: &[FiveTuple]) {
-        let _ = flows;
+    /// (tables warmed) rather than cold-start insert storms: every table
+    /// is asked of `prefix` ([`Prefix::table`]) by its initial capacity,
+    /// entry bytes, key rule and per-flow value, and holds what inserting
+    /// the measurement's flows one by one would leave.
+    fn warm(&mut self, prefix: &mut Prefix<'_>) {
+        let _ = prefix;
     }
 }
 
 /// The streaming measurement harness. A measurement is O(flows) set-up
 /// (synthesise the flow set, warm the NF's tables with it) for a
 /// 600-packet sample, so what a long-lived `Profiler` keeps between
-/// calls is what set-up would otherwise allocate and page-fault in:
+/// calls is what set-up would otherwise redo or allocate:
 ///
-/// * **reused** — the [`PacketGenerator`] with its flow `Vec` and dedupe
-///   scratch (re-targeted by [`PacketGenerator::reset`]), the
+/// * **the last seed's family** — the [`PacketGenerator`] keeps the
+///   seed's flow sequence and the [`TableFamily`] its tables' growth
+///   chains, so a measurement of `n` flows under the seed the profiler
+///   measured last is cut from state built for a larger count (the flow
+///   set of `n` flows is a prefix of every larger one; see
+///   [`crate::table`]), and only flows or inserts past the largest count
+///   seen are new work. A new seed starts a new family. A seed measured
+///   once keeps no chain;
+/// * **reused** — the generator's flow `Vec` and dedupe scratch, the
 ///   [`PacketBatch`] arena, the [`CostTracker`] and the
 ///   [`CostAggregate`]; the flow tables' probe arrays come from and go
 ///   back to [`crate::table`]'s process-wide pool;
@@ -92,12 +103,15 @@ pub trait NetworkFunction {
 ///   warmed NF per kind costs more resident memory than it saves time).
 ///
 /// Nothing kept reaches a result: every buffer is overwritten before it
-/// is read (`tests/workload_golden.rs` replays 576 points through one
-/// profiler in a big-small-big order against bits captured before any
-/// reuse existed).
+/// is read, and a cut table equals the inserted one bit for bit
+/// (`tests/workload_golden.rs` replays 576 points through one profiler in
+/// a big-small-big order, and seed by seed, against bits captured before
+/// any reuse existed).
 #[derive(Debug, Clone)]
 pub struct Profiler {
     gen: Option<PacketGenerator>,
+    /// The growth chains of `gen`'s seed.
+    tables: TableFamily,
     batch: PacketBatch,
     cost: CostTracker,
     agg: CostAggregate,
@@ -116,6 +130,7 @@ impl Profiler {
     pub fn new() -> Self {
         Self {
             gen: None,
+            tables: TableFamily::new(),
             batch: PacketBatch::new(),
             cost: CostTracker::new(),
             agg: CostAggregate::new(),
@@ -165,12 +180,15 @@ impl Profiler {
         assert!(sample_packets > 0, "need at least one sample packet");
         let gen = match &mut self.gen {
             Some(gen) => {
+                if gen.seed() != seed {
+                    self.tables.clear();
+                }
                 gen.reset(profile, seed);
                 gen
             }
             empty => empty.insert(PacketGenerator::new(profile, seed)),
         };
-        nf.warm(gen.flows());
+        nf.warm(&mut self.tables.prefix(gen.flows()));
         self.agg.reset();
         let mut remaining = sample_packets;
         while remaining > 0 {
@@ -250,7 +268,7 @@ pub fn build_workload_per_packet(
 ) -> WorkloadSpec {
     assert!(sample_packets > 0, "need at least one sample packet");
     let mut gen = PacketGenerator::new(profile, seed);
-    nf.warm(gen.flows());
+    nf.warm(&mut TableFamily::new().prefix(gen.flows()));
     let mut agg = CostAggregate::new();
     let mut batch = PacketBatch::new();
     let mut remaining = sample_packets;

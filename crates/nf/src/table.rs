@@ -19,8 +19,27 @@
 //! and the order entries are re-placed in (old-slot order) are those of
 //! the textbook one-array table — `tests/table_oracle.rs` holds the two
 //! to equal probe counts, step for step.
+//!
+//! # Warming: cut from a growth chain
+//!
+//! An NF's warm-up inserts one key per flow of the measurement, and a
+//! profiling sweep measures many flow counts of one seed — every flow set
+//! a prefix of the seed's one flow stream (`yala_traffic::FlowSequence`).
+//! Within one capacity epoch linear probing never moves a placed key, and
+//! the growth points depend only on the insert count; so the table after
+//! `n` inserts is the final layout of `n`'s epoch with the slots of later
+//! inserts freed. A [`TableFamily`] keeps, per (key rule, initial
+//! capacity), one growth chain: each epoch's final layout as one `u32`
+//! dense index per slot, replayed once up to the largest flow count asked
+//! for. [`Prefix::table`] cuts a table from it in one sequential pass
+//! into a pooled probe array (the key of a slot is recomputed from the
+//! flow that inserted it). A family's first measurement keeps nothing
+//! and hands its inserts' final array over as the table, so a seed
+//! measured once pays only the inserts. `tests/table_oracle.rs` holds cut
+//! tables to the one-array table after the same inserts, at every count.
 
 use std::sync::Mutex;
+use yala_traffic::FiveTuple;
 
 /// One probe-array slot. `index == FREE` marks an empty slot; any key,
 /// including 0 and `u64::MAX`, is a valid key.
@@ -61,6 +80,14 @@ impl ProbePool {
     /// array held before is overwritten here, so pool history cannot
     /// reach a table.
     fn take(&self, slots: usize) -> Vec<Slot> {
+        let mut array = self.take_cleared(slots);
+        array.resize(slots, EMPTY_SLOT);
+        array
+    }
+
+    /// An empty array with room for `slots` slots, for a caller that
+    /// pushes every slot itself.
+    fn take_cleared(&self, slots: usize) -> Vec<Slot> {
         let recycled = {
             let mut arrays = self.lock();
             let best = (0..arrays.len())
@@ -70,7 +97,6 @@ impl ProbePool {
         };
         let mut array = recycled.unwrap_or_else(|| Vec::with_capacity(slots));
         array.clear();
-        array.resize(slots, EMPTY_SLOT);
         array
     }
 
@@ -182,28 +208,15 @@ impl<V> FlowTable<V> {
         self.len() as f64 * self.entry_bytes + self.slots.len() as f64 * 8.0
     }
 
-    /// Probes for `key` from its home slot: the slot holding it or the
-    /// free slot ending its chain, and the slots touched getting there.
-    #[inline]
-    fn probe(&self, key: u64) -> (usize, usize) {
-        let mask = self.slots.len() - 1;
-        let mut at = (key as usize) & mask;
-        let mut probes = 1usize;
-        loop {
-            let slot = self.slots[at];
-            if slot.index == FREE || slot.key == key {
-                return (at, probes);
-            }
-            at = (at + 1) & mask;
-            probes += 1;
-            debug_assert!(probes <= self.slots.len(), "table full during probe");
-        }
+    /// The values, in insertion order.
+    pub fn values(&self) -> &[V] {
+        &self.values
     }
 
     /// Looks up `key`, returning the value (if present) and the number of
     /// slots probed — each probe is one cache-line touch.
     pub fn get_mut(&mut self, key: u64) -> (Option<&mut V>, usize) {
-        let (at, probes) = self.probe(key);
+        let (at, probes) = probe(&self.slots, key);
         match self.slots[at].index {
             FREE => (None, probes),
             index => (Some(&mut self.values[index as usize]), probes),
@@ -217,10 +230,10 @@ impl<V> FlowTable<V> {
     ///
     /// Panics if the table would hold `u32::MAX` entries.
     pub fn insert(&mut self, key: u64, value: V) -> usize {
-        if (self.len() + 1) * 4 > self.slots.len() * 3 {
+        if must_grow(self.len(), self.slots.len()) {
             self.grow();
         }
-        let (at, probes) = self.probe(key);
+        let (at, probes) = probe(&self.slots, key);
         match self.slots[at].index {
             FREE => {
                 assert!(self.len() < FREE as usize, "flow table is full");
@@ -235,17 +248,445 @@ impl<V> FlowTable<V> {
 
     /// Doubles the probe array, re-placing entries in old-slot order.
     fn grow(&mut self) {
-        let bigger = POOL.take(self.slots.len() * 2);
-        let old = std::mem::replace(&mut self.slots, bigger);
-        let mask = self.slots.len() - 1;
-        for slot in old.iter().filter(|s| s.index != FREE) {
-            let mut at = (slot.key as usize) & mask;
-            while self.slots[at].index != FREE {
-                at = (at + 1) & mask;
-            }
-            self.slots[at] = *slot;
-        }
+        let old = std::mem::take(&mut self.slots);
+        self.slots = doubled(&old);
         POOL.give(old);
+    }
+}
+
+/// Whether inserting one more entry into a table of `len` entries and
+/// `slots` slots first doubles it: past 75 % load. Checked before every
+/// insert, an overwrite included.
+#[inline]
+fn must_grow(len: usize, slots: usize) -> bool {
+    (len + 1) * 4 > slots * 3
+}
+
+/// Probes for `key` from its home slot: the slot holding it or the free
+/// slot ending its chain, and the slots touched getting there.
+#[inline]
+fn probe(slots: &[Slot], key: u64) -> (usize, usize) {
+    let mask = slots.len() - 1;
+    let mut at = (key as usize) & mask;
+    let mut probes = 1usize;
+    loop {
+        let slot = slots[at];
+        if slot.index == FREE || slot.key == key {
+            return (at, probes);
+        }
+        at = (at + 1) & mask;
+        probes += 1;
+        debug_assert!(probes <= slots.len(), "table full during probe");
+    }
+}
+
+/// A pooled probe array twice the size of `old` holding its entries,
+/// re-placed in old-slot order (the order decides which key ends up
+/// displaced, hence every later probe count).
+fn doubled(old: &[Slot]) -> Vec<Slot> {
+    let mut slots = POOL.take(old.len() * 2);
+    let mask = slots.len() - 1;
+    for slot in old.iter().filter(|s| s.index != FREE) {
+        let mut at = (slot.key as usize) & mask;
+        while slots[at].index != FREE {
+            at = (at + 1) & mask;
+        }
+        slots[at] = *slot;
+    }
+    slots
+}
+
+/// How a warmed table's insert calls are keyed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Keys {
+    /// One insert per flow, keyed `flow.hash64()`: a repeated key
+    /// overwrites its value (the growth check still runs first).
+    EveryFlow,
+    /// One insert per flow whose `hash64` is not in the table yet: a
+    /// repeat is skipped — no insert, no growth check.
+    NewFlows,
+    /// `count` inserts, the `i`-th keyed `start + i % period`: a wrapping
+    /// sequential allocator's ids. A repeat overwrites.
+    Cyclic {
+        /// The first key.
+        start: u64,
+        /// Keys before the allocator wraps back to `start`.
+        period: u64,
+        /// Inserts made.
+        count: usize,
+    },
+}
+
+impl Keys {
+    /// Whether a repeated key skips its insert.
+    fn skips_repeats(self) -> bool {
+        self == Keys::NewFlows
+    }
+
+    /// The same key rule, whatever the insert count: what a growth chain
+    /// is shared under.
+    fn rule(self) -> Keys {
+        match self {
+            Keys::Cyclic { start, period, .. } => Keys::Cyclic {
+                start,
+                period,
+                count: 0,
+            },
+            rule => rule,
+        }
+    }
+}
+
+/// A table to warm: its initial capacity, the modelled bytes of an entry,
+/// and how the measurement's flows become insert calls.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TableSpec {
+    /// Initial capacity, as passed to [`FlowTable::with_entry_bytes`].
+    pub capacity: usize,
+    /// Modelled bytes per entry.
+    pub entry_bytes: f64,
+    /// The insert calls.
+    pub keys: Keys,
+}
+
+/// One growth chain: the insert calls of one key rule from one initial
+/// capacity, replayed once and kept as layouts.
+///
+/// Inside one capacity epoch linear probing never moves a placed key, and
+/// a slot once taken stays taken; the growth points depend only on the
+/// insert count. So the table after `n` calls is the final layout of the
+/// epoch call `n` falls in, with the slots of later calls' keys freed —
+/// and since dense indices are handed out in first-insert order, those
+/// are exactly the slots whose index is `len(n)` or more.
+#[derive(Debug, Clone)]
+struct Chain {
+    /// Initial slot count (a power of two).
+    capacity: usize,
+    /// The key rule ([`Keys::rule`]).
+    rule: Keys,
+    /// Key positions (flows, or cyclic ids) replayed so far.
+    positions: usize,
+    /// Positions whose key was already present: an overwrite, or a
+    /// skipped insert under [`Keys::NewFlows`].
+    repeats: Repeats,
+    /// Per epoch: the position whose insert grew the table into it (0 for
+    /// the first), and its layout — the dense index in each slot, `FREE`
+    /// if empty — as of `positions`.
+    epochs: Vec<(usize, Vec<u32>)>,
+}
+
+impl Chain {
+    fn new(capacity: usize, rule: Keys) -> Self {
+        Self {
+            capacity,
+            rule,
+            positions: 0,
+            repeats: Repeats::default(),
+            epochs: vec![(0, Vec::new())],
+        }
+    }
+
+    /// Entries after `n` positions.
+    fn len_at(&self, n: usize) -> usize {
+        n - self.repeats.before(n)
+    }
+
+    /// The probe array after `n ≤ positions` positions (`key(pos)` keys
+    /// position `pos`), in one sequential pass over the layout of the
+    /// epoch `n` falls in.
+    fn restrict(&self, n: usize, key: impl Fn(usize) -> u64) -> Vec<Slot> {
+        debug_assert!(n <= self.positions);
+        let epoch = self.epochs.partition_point(|e| e.0 < n).max(1) - 1;
+        let layout = &self.epochs[epoch].1;
+        let len = self.len_at(n);
+        let mut slots = POOL.take_cleared(layout.len());
+        slots.extend(layout.iter().map(|&index| {
+            if (index as usize) < len {
+                Slot {
+                    key: key(self.repeats.new_position(index as usize)),
+                    index,
+                }
+            } else {
+                EMPTY_SLOT
+            }
+        }));
+        debug_assert_eq!(
+            slots.iter().filter(|s| s.index != FREE).count(),
+            len,
+            "kept slots are the entries at {n}"
+        );
+        debug_assert_eq!(slots.len(), self.capacity << epoch, "the chain's capacity");
+        slots
+    }
+
+    /// Replays positions up to `n` (`key(pos)` keys position `pos`) and
+    /// returns the probe array after `n`. With `keep`, every epoch's
+    /// final layout is recorded (the last one as of `n`); without, only
+    /// the repeats are, and the chain cannot be cut or extended again.
+    fn extend(&mut self, n: usize, key: impl Fn(usize) -> u64, keep: bool) -> Vec<Slot> {
+        let mut slots = if self.positions == 0 {
+            POOL.take(self.capacity)
+        } else {
+            self.restrict(self.positions, &key)
+        };
+        let skip_repeats = self.rule.skips_repeats();
+        let mut len = self.len_at(self.positions);
+        for pos in self.positions..n {
+            let key = key(pos);
+            if skip_repeats {
+                if let Some(at) = slot_of(&slots, key) {
+                    self.repeats.push(pos, slots[at].index);
+                    continue;
+                }
+            }
+            if must_grow(len, slots.len()) {
+                if keep {
+                    snapshot(&slots, &mut self.epochs.last_mut().expect("an epoch").1);
+                    self.epochs.push((pos, Vec::new()));
+                }
+                let bigger = doubled(&slots);
+                POOL.give(std::mem::replace(&mut slots, bigger));
+            }
+            let (at, _) = probe(&slots, key);
+            match slots[at].index {
+                FREE => {
+                    assert!(len < FREE as usize, "flow table is full");
+                    slots[at] = Slot {
+                        key,
+                        index: len as u32,
+                    };
+                    len += 1;
+                }
+                index => self.repeats.push(pos, index),
+            }
+        }
+        self.positions = n;
+        if keep {
+            snapshot(&slots, &mut self.epochs.last_mut().expect("an epoch").1);
+        }
+        slots
+    }
+
+    /// The dense value store after `n` positions: `value(pos, dense)` for
+    /// every insert, in position order, an overwrite replacing the value
+    /// at its key's dense index.
+    fn values<V>(&self, n: usize, mut value: impl FnMut(usize, usize) -> V) -> Vec<V> {
+        let skip_repeats = self.rule.skips_repeats();
+        let mut values = Vec::with_capacity(self.len_at(n));
+        let mut pos = 0;
+        for run in &self.repeats.runs {
+            let start = (run.pos as usize).min(n);
+            for pos in pos..start {
+                let dense = values.len();
+                values.push(value(pos, dense));
+            }
+            let end = (run.pos as usize + run.len as usize).min(n);
+            if !skip_repeats {
+                for pos in start..end {
+                    let dense = run.dense as usize + (pos - run.pos as usize);
+                    values[dense] = value(pos, dense);
+                }
+            }
+            pos = end;
+        }
+        for pos in pos..n {
+            let dense = values.len();
+            values.push(value(pos, dense));
+        }
+        values
+    }
+}
+
+/// A chain's repeated positions, run-length encoded: a run is `len`
+/// consecutive positions from `pos` whose keys hold the consecutive
+/// dense indices from `dense`. A repeated flow is a run of one; a
+/// wrapped cyclic allocator repeats in one run per lap.
+#[derive(Debug, Clone, Default)]
+struct Repeats {
+    runs: Vec<Run>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    pos: u32,
+    dense: u32,
+    len: u32,
+    /// Repeats in earlier runs.
+    before: u32,
+}
+
+impl Repeats {
+    /// Records that position `pos` (past every recorded one) repeats the
+    /// key of dense index `dense`.
+    fn push(&mut self, pos: usize, dense: u32) {
+        let pos = pos as u32;
+        if let Some(last) = self.runs.last_mut() {
+            if last.pos + last.len == pos && last.dense + last.len == dense {
+                last.len += 1;
+                return;
+            }
+        }
+        let before = self.runs.last().map_or(0, |r| r.before + r.len);
+        self.runs.push(Run {
+            pos,
+            dense,
+            len: 1,
+            before,
+        });
+    }
+
+    /// Repeats among positions `0..n`.
+    fn before(&self, n: usize) -> usize {
+        let i = self.runs.partition_point(|r| (r.pos as usize) < n);
+        match i.checked_sub(1).map(|i| self.runs[i]) {
+            Some(r) => (r.before + r.len.min(n as u32 - r.pos)) as usize,
+            None => 0,
+        }
+    }
+
+    /// The `dense`-th position that is not a repeat: the one that first
+    /// inserted the key of dense index `dense`. A run has `pos - before`
+    /// new positions ahead of it; every run with at most `dense` of them
+    /// lies wholly before that position.
+    #[inline]
+    fn new_position(&self, dense: usize) -> usize {
+        let i = self
+            .runs
+            .partition_point(|r| (r.pos - r.before) as usize <= dense);
+        match i.checked_sub(1).map(|i| self.runs[i]) {
+            Some(r) => dense + (r.before + r.len) as usize,
+            None => dense,
+        }
+    }
+}
+
+/// The slot holding `key`, if any.
+fn slot_of(slots: &[Slot], key: u64) -> Option<usize> {
+    let (at, _) = probe(slots, key);
+    (slots[at].index != FREE).then_some(at)
+}
+
+/// Writes the layout of `slots` (the dense index in each) into `layout`.
+fn snapshot(slots: &[Slot], layout: &mut Vec<u32>) {
+    layout.clear();
+    layout.extend(slots.iter().map(|s| s.index));
+}
+
+/// The growth chains of one flow sequence (one seed): what the warmed
+/// tables of every measurement cut from that sequence share.
+///
+/// A family's first measurement keeps nothing: its tables are built by
+/// plain inserts and handed over as they are. From the second on, each
+/// table asked for is cut from its growth chain, which is replayed —
+/// once — as far as the largest flow count asked for.
+/// [`Self::clear`] starts the next family (a new seed: new keys).
+#[derive(Debug, Clone, Default)]
+pub struct TableFamily {
+    chains: Vec<Chain>,
+    /// Whether a measurement has drawn on the family yet.
+    measured: bool,
+}
+
+impl TableFamily {
+    /// An empty family.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forgets every chain: the next measurement belongs to a new flow
+    /// sequence.
+    pub fn clear(&mut self) {
+        self.chains.clear();
+        self.measured = false;
+    }
+
+    /// The warm-up of one measurement whose flows are `flows` — a prefix
+    /// of this family's flow sequence.
+    pub fn prefix<'a>(&'a mut self, flows: &'a [FiveTuple]) -> Prefix<'a> {
+        let keep = std::mem::replace(&mut self.measured, true);
+        Prefix {
+            flows,
+            family: self,
+            keep,
+        }
+    }
+}
+
+/// What [`crate::NetworkFunction::warm`] is given: the measurement's
+/// flows and the tables they warm.
+#[derive(Debug)]
+pub struct Prefix<'a> {
+    flows: &'a [FiveTuple],
+    family: &'a mut TableFamily,
+    keep: bool,
+}
+
+impl<'a> Prefix<'a> {
+    /// The measurement's flow set.
+    pub fn flows(&self) -> &'a [FiveTuple] {
+        self.flows
+    }
+
+    /// The table `spec`'s insert calls leave, the value of each insert
+    /// being `value(position, dense index)` — the position of its flow
+    /// (or its id under [`Keys::Cyclic`]). Equal, probe for probe, to a
+    /// [`FlowTable::with_entry_bytes`] given those inserts one by one.
+    pub fn table<V>(
+        &mut self,
+        spec: TableSpec,
+        value: impl FnMut(usize, usize) -> V,
+    ) -> FlowTable<V> {
+        let flows = self.flows;
+        match spec.keys {
+            Keys::EveryFlow | Keys::NewFlows => {
+                self.build(spec, flows.len(), |pos| flows[pos].hash64(), value)
+            }
+            Keys::Cyclic {
+                start,
+                period,
+                count,
+            } => self.build(spec, count, |i| start + i as u64 % period, value),
+        }
+    }
+
+    /// [`Self::table`] for `n` key positions, position `pos` keyed
+    /// `key(pos)`.
+    fn build<V>(
+        &mut self,
+        spec: TableSpec,
+        n: usize,
+        key: impl Fn(usize) -> u64,
+        value: impl FnMut(usize, usize) -> V,
+    ) -> FlowTable<V> {
+        assert!(spec.entry_bytes > 0.0, "entry bytes must be positive");
+        let capacity = spec.capacity.max(8).next_power_of_two();
+        let rule = spec.keys.rule();
+        let (slots, values) = if self.keep {
+            let chains = &mut self.family.chains;
+            let at = chains
+                .iter()
+                .position(|c| c.capacity == capacity && c.rule == rule)
+                .unwrap_or_else(|| {
+                    chains.push(Chain::new(capacity, rule));
+                    chains.len() - 1
+                });
+            let chain = &mut chains[at];
+            let slots = if n <= chain.positions && chain.positions > 0 {
+                chain.restrict(n, key)
+            } else {
+                chain.extend(n, key, true)
+            };
+            (slots, chain.values(n, value))
+        } else {
+            let mut chain = Chain::new(capacity, rule);
+            let slots = chain.extend(n, key, false);
+            (slots, chain.values(n, value))
+        };
+        FlowTable {
+            slots,
+            values,
+            entry_bytes: spec.entry_bytes,
+        }
     }
 }
 

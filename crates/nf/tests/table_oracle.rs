@@ -6,7 +6,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use yala_nf::table::FlowTable;
+use yala_nf::table::{FlowTable, Keys, TableFamily, TableSpec};
+use yala_traffic::FiveTuple;
 
 /// The reference model (linear probing, power-of-two capacity, growth
 /// at 75 % load re-placing entries in old-slot order).
@@ -191,5 +192,154 @@ fn a_clone_is_independent_and_equal() {
     for k in 0..500u64 {
         let key = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         assert_eq!(a.get_mut(key), b.get_mut(key));
+    }
+}
+
+/// The value an insert writes: its position and its key, so an overwrite
+/// is visible in the value read back.
+fn value_of(pos: usize, key: u64) -> (u64, u32) {
+    (pos as u64, key as u32)
+}
+
+/// How a chain's key rule replays through the oracle, one insert call
+/// at a time.
+fn oracle_step(oracle: &mut OracleTable<(u64, u32)>, keys: Keys, pos: usize, key: u64) {
+    if keys == Keys::NewFlows && oracle.get_mut(key).0.is_some() {
+        return;
+    }
+    oracle.insert(key, value_of(pos, key));
+}
+
+/// `table` and `oracle` agree on every observable: len, capacity,
+/// `wss_bytes` bits, and for every key given the probes and value of a
+/// lookup (present or not).
+fn assert_same(
+    table: &mut FlowTable<(u64, u32)>,
+    oracle: &mut OracleTable<(u64, u32)>,
+    keys: &[u64],
+    what: &str,
+) {
+    assert_eq!(table.len(), oracle.len, "{what}: len");
+    assert_eq!(table.capacity(), oracle.capacity(), "{what}: capacity");
+    assert_eq!(
+        table.wss_bytes().to_bits(),
+        oracle.wss_bytes().to_bits(),
+        "{what}: wss"
+    );
+    for &k in keys {
+        let (got, got_probes) = table.get_mut(k);
+        let (want, want_probes) = oracle.get_mut(k);
+        assert_eq!(got_probes, want_probes, "{what}: probes of {k:#x}");
+        assert_eq!(got.as_deref(), want.as_deref(), "{what}: value of {k:#x}");
+    }
+}
+
+/// A flow sequence in which about one flow in eight repeats an earlier
+/// one, so its `hash64` repeats.
+fn flows_with_repeats(rng: &mut StdRng, count: usize) -> Vec<FiveTuple> {
+    let mut flows: Vec<FiveTuple> = Vec::with_capacity(count);
+    for _ in 0..count {
+        if !flows.is_empty() && rng.gen_bool(0.125) {
+            flows.push(flows[rng.gen_range(0..flows.len())]);
+        } else {
+            let ports = rng.gen::<u32>();
+            flows.push(FiveTuple::new(
+                rng.gen(),
+                rng.gen(),
+                ports as u16,
+                (ports >> 16) as u16,
+                6,
+            ));
+        }
+    }
+    flows
+}
+
+/// The counts to cut a chain of `total` positions at: every one for
+/// small chains; for large ones, every count within three of a growth
+/// (where the capacity changes) and about a hundred more, evenly spread.
+fn cut_points(total: usize, initial: usize) -> Vec<usize> {
+    if total <= 2_000 {
+        return (0..=total).collect();
+    }
+    let stride = total / 100;
+    let mut slots = initial;
+    let mut growths = Vec::new();
+    for n in 0..total {
+        if (n + 1) * 4 > slots * 3 {
+            growths.push(n);
+            slots *= 2;
+        }
+    }
+    (0..=total)
+        .filter(|&n| n % stride == 0 || n == total || growths.iter().any(|&g| n.abs_diff(g) <= 3))
+        .collect()
+}
+
+#[test]
+fn tables_cut_from_a_growth_chain_equal_the_one_array_table_at_every_count() {
+    for (case, initial) in [8usize, 256, 1_024, 4_096].into_iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(77 + case as u64);
+        // Enough positions for four doublings (past 12 initial tables'
+        // worth of entries) with one in eight repeated.
+        let total = initial * 16 + 5;
+        let flows = flows_with_repeats(&mut rng, total);
+        // Sequential ids wrapping after 14 initial tables' worth: the
+        // shape of `Nat`'s port-keyed return table, repeats overwriting.
+        let cyclic = |count| Keys::Cyclic {
+            start: 10_000,
+            period: (initial * 14) as u64,
+            count,
+        };
+        for rule in [Keys::EveryFlow, Keys::NewFlows, cyclic(0)] {
+            let key = |pos: usize| match rule {
+                Keys::Cyclic { start, period, .. } => start + pos as u64 % period,
+                _ => flows[pos].hash64(),
+            };
+            let spec = |n| TableSpec {
+                capacity: initial,
+                entry_bytes: 96.0,
+                keys: match rule {
+                    Keys::Cyclic { .. } => cyclic(n),
+                    other => other,
+                },
+            };
+            let cut = |family: &mut TableFamily, n: usize| {
+                family
+                    .prefix(&flows[..n])
+                    .table(spec(n), |pos, _| value_of(pos, key(pos)))
+            };
+            // Big first: the family's first measurement keeps nothing,
+            // the second replays the whole chain, every cut after that
+            // restricts it. Ascending: every cut extends the chain.
+            let mut big_first = TableFamily::new();
+            cut(&mut big_first, total);
+            cut(&mut big_first, total);
+            let mut ascending = TableFamily::new();
+            cut(&mut ascending, 0);
+            let lookups: Vec<u64> = (0..total).map(key).chain([0, u64::MAX, 7]).collect();
+            let full_every = (total / 20).max(13);
+            let mut oracle = OracleTable::with_entry_bytes(initial, 96.0);
+            let mut done = 0;
+            for n in cut_points(total, initial) {
+                while done < n {
+                    oracle_step(&mut oracle, rule, done, key(done));
+                    done += 1;
+                }
+                // Every key's lookup now and then (the whole layout, free
+                // slots included); otherwise the keys around the cut.
+                let sample: Vec<u64> = if n % full_every == 0 || n == total {
+                    lookups.clone()
+                } else {
+                    let around = lookups.iter().skip(n.saturating_sub(4)).take(8);
+                    around.chain(&lookups[total..]).copied().collect()
+                };
+                let what = format!("initial {initial}, {rule:?}, cut at {n}");
+                for family in [&mut big_first, &mut ascending] {
+                    assert_same(&mut cut(family, n), &mut oracle, &sample, &what);
+                }
+            }
+            assert!(oracle.capacity() >= initial << 4, "four doublings");
+        }
     }
 }

@@ -102,75 +102,236 @@ const _: () = {
 /// No packed key reaches bit 52, so all-ones marks a free scratch slot.
 const FREE: u64 = u64::MAX;
 
+/// Distinct flows between two kept RNG states of a [`FlowSequence`]: a
+/// positioned generator replays at most this many flows' attempts (plus
+/// one block).
+const CHECKPOINT_FLOWS: usize = 512;
+
 /// Generates `count` *distinct* flows with randomised endpoints.
 ///
 /// Traffic is drawn uniformly over these flows, matching the paper's
 /// "flow sizes following the uniform distribution" setup (§2.1).
 pub fn generate_flows<R: Rng>(rng: &mut R, count: u32) -> Vec<FiveTuple> {
     let mut flows = Vec::new();
-    generate_flows_into(rng, count, &mut flows, &mut Vec::new());
+    extend_flows(rng, count as usize, &mut flows, &mut Vec::new(), |_, _| {});
     flows
 }
 
-/// [`generate_flows`] into caller-kept buffers: `flows` is overwritten
-/// with the flow set, `seen` is the dedupe scratch (contents irrelevant
-/// on entry). Five draws per attempt, stopping at `count` distinct
-/// flows, whatever the buffers held — so the flow set and the RNG
-/// position afterwards are functions of `(rng, count)` alone.
+/// One attempt's five draws: its packed dedupe key and its flow.
+#[inline]
+fn attempt<R: Rng>(rng: &mut R) -> (u64, FiveTuple) {
+    let client = rng.gen_range(0u32..1 << CLIENT_BITS);
+    let server = rng.gen_range(0u32..1 << SERVER_BITS);
+    let src_port = rng.gen_range(1024..u16::MAX);
+    let server_port = rng.gen_range(0..SERVER_PORTS.len());
+    let tcp = rng.gen_bool(0.8);
+    let key = client as u64
+        | (server as u64) << SERVER_SHIFT
+        | (src_port as u64) << PORT_SHIFT
+        | (server_port as u64) << SERVER_PORT_SHIFT
+        | (tcp as u64) << PROTO_SHIFT;
+    let flow = FiveTuple::new(
+        CLIENT_NET | client,
+        SERVER_NET | server,
+        src_port,
+        SERVER_PORTS[server_port],
+        if tcp { 6 } else { 17 },
+    );
+    debug_assert_eq!(pack(&flow), key);
+    (key, flow)
+}
+
+/// The packed dedupe key of a synthesised flow, recovered from the
+/// tuple: the inverse of the field mapping in [`attempt`].
+fn pack(flow: &FiveTuple) -> u64 {
+    let server_port = SERVER_PORTS
+        .iter()
+        .position(|&p| p == flow.dst_port)
+        .expect("a synthesised flow targets a server port");
+    (flow.src_ip & ((1 << CLIENT_BITS) - 1)) as u64
+        | ((flow.dst_ip & ((1 << SERVER_BITS) - 1)) as u64) << SERVER_SHIFT
+        | (flow.src_port as u64) << PORT_SHIFT
+        | (server_port as u64) << SERVER_PORT_SHIFT
+        | ((flow.proto == 6) as u64) << PROTO_SHIFT
+}
+
+/// Where `key` sits in the dedupe set `seen` (a power-of-two slot count):
+/// its slot, or the free slot ending its probe chain.
+#[inline]
+fn seen_slot(seen: &[u64], key: u64) -> usize {
+    let shift = 64 - seen.len().trailing_zeros();
+    let mask = seen.len() - 1;
+    let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+    while seen[at] != FREE && seen[at] != key {
+        at = (at + 1) & mask;
+    }
+    at
+}
+
+/// Draws attempts from `rng` until `flows` holds `count` distinct flows,
+/// five draws per attempt.
 ///
 /// Distinctness is exact: each attempt's draws are packed injectively
 /// into 52 bits (every tuple field is a one-to-one function of its own
 /// draw) and deduplicated in an open-addressing `u64` set at ≤ 50 % load.
-pub(crate) fn generate_flows_into<R: Rng>(
+/// On entry `seen` is either empty or the dedupe set of exactly `flows`
+/// (it is rebuilt from `flows` when too small for `count` at ≤ 50 %
+/// load), and `rng` sits just after the attempt that produced the last
+/// flow. `at_block(k, rng)` sees the RNG at every block start, with `k`
+/// flows found so far — an attempt boundary.
+fn extend_flows<R: Rng>(
     rng: &mut R,
-    count: u32,
+    count: usize,
     flows: &mut Vec<FiveTuple>,
     seen: &mut Vec<u64>,
+    mut at_block: impl FnMut(usize, &R),
 ) {
-    let count = count as usize;
-    flows.clear();
-    flows.reserve(count);
+    if flows.len() >= count {
+        return;
+    }
+    flows.reserve(count - flows.len());
     let slots = (count * 2).next_power_of_two().max(8);
-    seen.clear();
-    seen.resize(slots, FREE);
-    let shift = 64 - slots.trailing_zeros();
+    if seen.len() < slots {
+        seen.clear();
+        seen.resize(slots, FREE);
+        for flow in flows.iter() {
+            let key = pack(flow);
+            let at = seen_slot(seen, key);
+            seen[at] = key;
+        }
+    }
     let mut attempts = [(0u64, FiveTuple::new(0, 0, 0, 0, 0)); BLOCK];
     while flows.len() < count {
+        at_block(flows.len(), rng);
         // Draw a block of attempts, then probe them: the probes of a
         // block are independent loads the core can overlap. A block of at
         // most `count - flows.len()` attempts cannot overshoot — only its
         // last attempt can complete the set — so the draws consumed are
         // those of the one-attempt-at-a-time loop.
         let block = &mut attempts[..(count - flows.len()).min(BLOCK)];
-        for (key, flow) in block.iter_mut() {
-            let client = rng.gen_range(0u32..1 << CLIENT_BITS);
-            let server = rng.gen_range(0u32..1 << SERVER_BITS);
-            let src_port = rng.gen_range(1024..u16::MAX);
-            let server_port = rng.gen_range(0..SERVER_PORTS.len());
-            let tcp = rng.gen_bool(0.8);
-            *key = client as u64
-                | (server as u64) << SERVER_SHIFT
-                | (src_port as u64) << PORT_SHIFT
-                | (server_port as u64) << SERVER_PORT_SHIFT
-                | (tcp as u64) << PROTO_SHIFT;
-            *flow = FiveTuple::new(
-                CLIENT_NET | client,
-                SERVER_NET | server,
-                src_port,
-                SERVER_PORTS[server_port],
-                if tcp { 6 } else { 17 },
-            );
+        for drawn in block.iter_mut() {
+            *drawn = attempt(rng);
         }
         for &(key, flow) in block.iter() {
-            let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-            while seen[at] != FREE && seen[at] != key {
-                at = (at + 1) & (slots - 1);
-            }
+            let at = seen_slot(seen, key);
             if seen[at] == FREE {
                 seen[at] = key;
                 flows.push(flow);
             }
         }
+    }
+}
+
+/// One seed's stream of distinct flows, synthesised lazily up to the
+/// largest count asked for. The first `n` flows of the stream are the
+/// flow set `generate_flows(rng, n)` returns — a later flow never
+/// displaces an earlier one — so a sequence built to `N` answers every
+/// `n ≤ N` with a prefix, and [`Self::rng_at`] recovers the RNG exactly
+/// where synthesis of `n` flows leaves it.
+///
+/// The RNG is recovered without storing one per flow: the sequence keeps
+/// a copy every 512 flows (taken at an attempt boundary) and replays
+/// attempts from the last copy that had found fewer than `n` flows. Replay needs no dedupe set: the next attempt
+/// either repeats an earlier flow or *is* the next flow of the known
+/// stream, so an attempt is new exactly when it equals that flow.
+///
+/// # Example
+///
+/// ```
+/// use rand::rngs::StdRng;
+/// use rand::{RngCore, SeedableRng};
+/// use yala_traffic::flow::{generate_flows, FlowSequence};
+///
+/// let mut seq = FlowSequence::new(StdRng::seed_from_u64(3));
+/// seq.extend_to(5_000);
+/// let mut fresh = StdRng::seed_from_u64(3);
+/// assert_eq!(&seq.flows()[..700], &generate_flows(&mut fresh, 700)[..]);
+/// assert_eq!(seq.rng_at(700).next_u64(), fresh.next_u64());
+/// ```
+#[derive(Debug, Clone)]
+pub struct FlowSequence<R> {
+    flows: Vec<FiveTuple>,
+    /// Dedupe set of `flows`; empty until the sequence is extended from a
+    /// kept state (rebuilt on demand).
+    seen: Vec<u64>,
+    /// The RNG just after the attempt that produced the last flow.
+    frontier: R,
+    /// `(flows found, RNG)` at attempt boundaries, ascending, starting
+    /// with the seed state at 0.
+    checkpoints: Vec<(usize, R)>,
+}
+
+impl<R: Rng + Clone> FlowSequence<R> {
+    /// An empty sequence drawing from `rng`.
+    pub fn new(rng: R) -> Self {
+        Self {
+            flows: Vec::new(),
+            seen: Vec::new(),
+            frontier: rng.clone(),
+            checkpoints: vec![(0, rng)],
+        }
+    }
+
+    /// Starts over from `rng`, keeping the buffers' allocations.
+    pub fn restart(&mut self, rng: R) {
+        self.flows.clear();
+        self.seen.clear();
+        self.frontier = rng.clone();
+        self.checkpoints.clear();
+        self.checkpoints.push((0, rng));
+    }
+
+    /// The flows synthesised so far, in stream order.
+    pub fn flows(&self) -> &[FiveTuple] {
+        &self.flows
+    }
+
+    /// Synthesises the stream up to at least `count` flows.
+    pub fn extend_to(&mut self, count: usize) {
+        let Self {
+            flows,
+            seen,
+            frontier,
+            checkpoints,
+        } = self;
+        extend_flows(frontier, count, flows, seen, |found, rng| {
+            let last = checkpoints.last().map_or(0, |c| c.0);
+            if found >= last + CHECKPOINT_FLOWS {
+                checkpoints.push((found, rng.clone()));
+            }
+        });
+    }
+
+    /// Drops the dedupe set (a sequence that is never extended again
+    /// need not hold it); [`Self::extend_to`] rebuilds it if needed.
+    pub fn release_scratch(&mut self) {
+        self.seen = Vec::new();
+    }
+
+    /// The RNG exactly where synthesising `n` flows from the start leaves
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the flows synthesised so far.
+    pub fn rng_at(&self, n: usize) -> R {
+        assert!(n <= self.flows.len(), "flow {n} not synthesised yet");
+        if n == self.flows.len() {
+            return self.frontier.clone();
+        }
+        if n == 0 {
+            return self.checkpoints[0].1.clone();
+        }
+        // The last copy that had found fewer than `n` flows: a copy taken
+        // with exactly `n` found may already be past trailing duplicates.
+        let at = self.checkpoints.partition_point(|c| c.0 < n) - 1;
+        let (mut found, mut rng) = self.checkpoints[at].clone();
+        while found < n {
+            if attempt(&mut rng).1 == self.flows[found] {
+                found += 1;
+            }
+        }
+        rng
     }
 }
 
@@ -213,6 +374,7 @@ mod tests {
 
     /// A generator whose every draw takes one of `1 << bits` values (in
     /// the top bits, which is where `gen_range` looks), counting draws.
+    #[derive(Clone)]
     struct LowEntropy {
         inner: StdRng,
         bits: u32,
@@ -259,13 +421,65 @@ mod tests {
         }
     }
 
+    /// Counts on both sides of checkpoint boundaries, big-small-big.
+    fn straddling(top: usize) -> Vec<usize> {
+        let c = CHECKPOINT_FLOWS;
+        let mut counts = vec![top, 1, top - 1, 2, c + 1, c, c - 1, 3 * c + 63, 3 * c + 64];
+        counts.extend([2 * c + 1, top / 2, 7, top, 0, 5 * c, top / 3 + 1]);
+        counts.retain(|&n| n <= top);
+        counts
+    }
+
+    #[test]
+    fn sequence_prefix_and_rng_equal_fresh_synthesis_under_forced_duplicates() {
+        // The scripted generators of the dedupe test: most attempts are
+        // duplicates, so replay from a checkpoint must skip many repeats
+        // (and trailing repeats after a copy must not be counted twice).
+        for (bits, top) in [(2, 256), (3, 6_100), (64, 9_000)] {
+            for seed in 0..3 {
+                let script = || LowEntropy {
+                    inner: StdRng::seed_from_u64(seed),
+                    bits,
+                    draws: 0,
+                };
+                let mut seq = FlowSequence::new(script());
+                let mut grown = 0;
+                let mut counts = straddling(top);
+                // Then the counts the kept copies were taken at, and
+                // either side: a copy taken with exactly `n` found may
+                // sit past repeats drawn after flow `n`.
+                let mut full = FlowSequence::new(script());
+                full.extend_to(top);
+                for &(found, _) in &full.checkpoints[1..] {
+                    counts.extend([found, found - 1, found + 1]);
+                }
+                counts.retain(|&n| n <= top);
+                for n in counts {
+                    if n > grown {
+                        seq.extend_to(n);
+                        grown = n;
+                    }
+                    let mut fresh = script();
+                    let want = generate_flows(&mut fresh, n as u32);
+                    assert_eq!(&seq.flows()[..n], &want[..], "bits {bits} n {n}");
+                    let mut got = seq.rng_at(n);
+                    assert_eq!(got.draws, fresh.draws, "bits {bits} n {n}: draws consumed");
+                    assert_eq!(got.next_u64(), fresh.next_u64());
+                }
+            }
+        }
+    }
+
     #[test]
     fn reused_buffers_do_not_reach_the_flow_set() {
-        let mut flows = vec![FiveTuple::new(9, 9, 9, 9, 9); 77];
-        let mut seen = vec![0x1234u64; 100_003];
+        let mut seq = FlowSequence::new(StdRng::seed_from_u64(1));
         for count in [5_000, 3, 40_000, 1] {
-            generate_flows_into(&mut StdRng::seed_from_u64(6), count, &mut flows, &mut seen);
-            assert_eq!(flows, generate_flows(&mut StdRng::seed_from_u64(6), count));
+            seq.flows = vec![FiveTuple::new(9, 9, 9, 9, 9); 77];
+            seq.seen = vec![0x1234u64; 100_003];
+            seq.restart(StdRng::seed_from_u64(6));
+            seq.extend_to(count);
+            let want = generate_flows(&mut StdRng::seed_from_u64(6), count as u32);
+            assert_eq!(seq.flows(), &want[..]);
         }
     }
 

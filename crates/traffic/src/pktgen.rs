@@ -11,16 +11,19 @@
 //!   scalar path producing owned [`Packet`]s, kept as the reference
 //!   implementation.
 //!
-//! A generator is re-targeted in place with [`PacketGenerator::reset`]:
-//! the flow set and the dedupe scratch keep their allocations, so a
-//! harness that measures one traffic point after another synthesises
-//! flows without touching the allocator.
+//! A generator is re-targeted in place with [`PacketGenerator::reset`].
+//! It keeps its seed's [`FlowSequence`]: re-targeted to the same seed, it
+//! reuses the flows already synthesised (the flow set of `n` flows is a
+//! prefix of every larger one) and only synthesises past the largest
+//! count seen; re-targeted to another seed, it starts a new sequence in
+//! the old buffers, so a harness that measures one traffic point after
+//! another synthesises flows without touching the allocator.
 
 use crate::batch::PacketBatch;
-use crate::flow::{generate_flows_into, FiveTuple};
+use crate::flow::{FiveTuple, FlowSequence};
 use crate::packet::Packet;
 use crate::payload::PayloadSynthesizer;
-use crate::profile::TrafficProfile;
+use crate::profile::{TrafficProfile, MAX_FLOW_COUNT};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,9 +41,10 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct PacketGenerator {
     profile: TrafficProfile,
-    flows: Vec<FiveTuple>,
-    /// Dedupe scratch of flow synthesis, kept for the next [`Self::reset`].
-    seen: Vec<u64>,
+    seed: u64,
+    /// The seed's flow stream, synthesised to at least
+    /// `profile.flow_count` flows; the flow set is its prefix.
+    sequence: FlowSequence<StdRng>,
     synth: PayloadSynthesizer,
     rng: StdRng,
 }
@@ -48,33 +52,41 @@ pub struct PacketGenerator {
 impl PacketGenerator {
     /// Creates a generator for `profile`, deterministic in `seed`.
     pub fn new(profile: TrafficProfile, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut flows = Vec::new();
+        let mut sequence = FlowSequence::new(StdRng::seed_from_u64(seed));
+        let n = profile.flow_count as usize;
+        sequence.extend_to(n);
         // A generator that is never re-targeted keeps no scratch: the
         // dedupe set is twice the flow set's size.
-        generate_flows_into(&mut rng, profile.flow_count, &mut flows, &mut Vec::new());
+        sequence.release_scratch();
         Self {
             profile,
-            flows,
-            seen: Vec::new(),
+            seed,
+            rng: sequence.rng_at(n),
+            sequence,
             synth: PayloadSynthesizer::new(),
-            rng,
         }
     }
 
     /// Re-targets the generator: afterwards it is indistinguishable from
     /// `PacketGenerator::new(profile, seed)` — same flow set, same packet
-    /// stream — but the flow buffer is reused, and so is the dedupe
-    /// scratch, which the generator holds from its first `reset` on.
+    /// stream. Under the same seed the flow set is cut from the kept
+    /// sequence (extended if `profile` asks for more flows than any
+    /// earlier target); under a new seed the sequence restarts in the
+    /// kept buffers, dedupe scratch included.
     pub fn reset(&mut self, profile: TrafficProfile, seed: u64) {
+        if seed != self.seed {
+            self.seed = seed;
+            self.sequence.restart(StdRng::seed_from_u64(seed));
+        }
+        let n = profile.flow_count as usize;
+        self.sequence.extend_to(n);
+        if n == MAX_FLOW_COUNT as usize {
+            // No profile asks for more flows: this sequence is never
+            // extended again, and its dedupe set is 16 bytes a flow.
+            self.sequence.release_scratch();
+        }
+        self.rng = self.sequence.rng_at(n);
         self.profile = profile;
-        self.rng = StdRng::seed_from_u64(seed);
-        generate_flows_into(
-            &mut self.rng,
-            profile.flow_count,
-            &mut self.flows,
-            &mut self.seen,
-        );
     }
 
     /// The profile being generated.
@@ -82,15 +94,21 @@ impl PacketGenerator {
         self.profile
     }
 
+    /// The seed the flow set and packet stream derive from.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
     /// The synthesised flow set.
     pub fn flows(&self) -> &[FiveTuple] {
-        &self.flows
+        &self.sequence.flows()[..self.profile.flow_count as usize]
     }
 
     /// Generates the next packet: uniform flow choice, profile-sized
     /// payload with planted matches.
     pub fn next_packet(&mut self) -> Packet {
-        let flow = self.flows[self.rng.gen_range(0..self.flows.len())];
+        let flows = &self.sequence.flows()[..self.profile.flow_count as usize];
+        let flow = flows[self.rng.gen_range(0..flows.len())];
         let payload = self.synth.generate(
             &mut self.rng,
             self.profile.payload_size() as usize,
@@ -112,11 +130,12 @@ impl PacketGenerator {
         batch.clear();
         let Self {
             profile,
-            flows,
+            sequence,
             synth,
             rng,
             ..
         } = self;
+        let flows = &sequence.flows()[..profile.flow_count as usize];
         let len = profile.payload_size() as usize;
         for _ in 0..n {
             let flow = flows[rng.gen_range(0..flows.len())];
@@ -179,6 +198,44 @@ mod tests {
             assert_eq!(reused.profile(), profile);
             assert_eq!(reused.flows(), fresh.flows());
             assert_eq!(reused.batch(40), fresh.batch(40));
+        }
+    }
+
+    #[test]
+    fn positioned_generator_equals_a_fresh_one() {
+        // One generator re-targeted big-small-big across two seeds, with
+        // counts on both sides of the flow sequence's kept RNG states
+        // (every 512 flows): same flows, same next 64 packets.
+        let mut reused = PacketGenerator::new(TrafficProfile::new(4_000, 64, 0.0), 8);
+        let mut batch_a = PacketBatch::new();
+        let mut batch_b = PacketBatch::new();
+        for (flows, seed) in [
+            (20_000, 8),
+            (1, 8),
+            (513, 8),
+            (512, 8),
+            (511, 8),
+            (1_600, 9),
+            (1_537, 9),
+            (30_000, 9),
+            (1_025, 9),
+            (30_000, 9),
+            (4_000, 8),
+            (25_000, 8),
+            (2, 8),
+        ] {
+            let profile = TrafficProfile::new(flows, 900, 400.0);
+            reused.reset(profile, seed);
+            let mut fresh = PacketGenerator::new(profile, seed);
+            assert_eq!(reused.flows(), fresh.flows(), "{flows} flows, seed {seed}");
+            reused.fill_batch(&mut batch_a, 64);
+            fresh.fill_batch(&mut batch_b, 64);
+            let collect = |x: &PacketBatch| {
+                x.iter()
+                    .map(|p| (p.five_tuple, p.payload.to_vec()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(collect(&batch_a), collect(&batch_b), "{flows} flows");
         }
     }
 
