@@ -24,19 +24,21 @@
 //!
 //! An NF's warm-up inserts one key per flow of the measurement, and a
 //! profiling sweep measures many flow counts of one seed — every flow set
-//! a prefix of the seed's one flow stream (`yala_traffic::FlowSequence`).
-//! Within one capacity epoch linear probing never moves a placed key, and
-//! the growth points depend only on the insert count; so the table after
-//! `n` inserts is the final layout of `n`'s epoch with the slots of later
-//! inserts freed. A [`TableFamily`] keeps, per (key rule, initial
-//! capacity), one growth chain: each epoch's final layout as one `u32`
-//! dense index per slot, replayed once up to the largest flow count asked
-//! for. [`Prefix::table`] cuts a table from it in one sequential pass
-//! into a pooled probe array (the key of a slot is recomputed from the
-//! flow that inserted it). A family's first measurement keeps nothing
-//! and hands its inserts' final array over as the table, so a seed
-//! measured once pays only the inserts. `tests/table_oracle.rs` holds cut
-//! tables to the one-array table after the same inserts, at every count.
+//! a prefix of the seed's one flow stream (see `yala_traffic`'s
+//! `PacketGenerator::reset`). Within one capacity epoch linear probing
+//! never moves a placed key, and the growth points depend only on the
+//! insert count; so the table after `n` inserts is the final layout of
+//! `n`'s epoch with the slots of later inserts freed. A [`TableFamily`]
+//! keeps, per (key rule, initial capacity), one growth chain: each
+//! epoch's final layout as one `u32` dense index per slot, replayed once
+//! up to the largest flow count asked for. [`Prefix::table`] cuts a table
+//! from it in one sequential pass into a pooled probe array (the key of a
+//! slot is recomputed from the flow that inserted it). A family's first
+//! measurement keeps nothing and hands its inserts' final array over as
+//! the table, so a seed measured once pays only the inserts.
+//! `tests/table_oracle.rs` holds cut tables to the one-array table after
+//! the same inserts: at every count of a small chain, around every growth
+//! of the larger ones.
 
 use std::sync::Mutex;
 use yala_traffic::FiveTuple;
@@ -209,7 +211,7 @@ impl<V> FlowTable<V> {
     }
 
     /// The values, in insertion order.
-    pub fn values(&self) -> &[V] {
+    pub(crate) fn values(&self) -> &[V] {
         &self.values
     }
 
@@ -420,10 +422,17 @@ impl Chain {
     }
 
     /// Replays positions up to `n` (`key(pos)` keys position `pos`) and
-    /// returns the probe array after `n`. With `keep`, every epoch's
-    /// final layout is recorded (the last one as of `n`); without, only
-    /// the repeats are, and the chain cannot be cut or extended again.
-    fn extend(&mut self, n: usize, key: impl Fn(usize) -> u64, keep: bool) -> Vec<Slot> {
+    /// returns the probe array after `n`; `inserted(pos, repeat)` sees
+    /// every insert made, `repeat` the dense index an overwrite hits.
+    /// With `keep`, every epoch's final layout is recorded (the last one
+    /// as of `n`); without, the chain cannot be cut or extended again.
+    fn extend(
+        &mut self,
+        n: usize,
+        key: impl Fn(usize) -> u64,
+        keep: bool,
+        mut inserted: impl FnMut(usize, Option<u32>),
+    ) -> Vec<Slot> {
         let mut slots = if self.positions == 0 {
             POOL.take(self.capacity)
         } else {
@@ -456,8 +465,12 @@ impl Chain {
                         index: len as u32,
                     };
                     len += 1;
+                    inserted(pos, None);
                 }
-                index => self.repeats.push(pos, index),
+                index => {
+                    self.repeats.push(pos, index);
+                    inserted(pos, Some(index));
+                }
             }
         }
         self.positions = n;
@@ -674,13 +687,22 @@ impl<'a> Prefix<'a> {
             let slots = if n <= chain.positions && chain.positions > 0 {
                 chain.restrict(n, key)
             } else {
-                chain.extend(n, key, true)
+                chain.extend(n, key, true, |_, _| {})
             };
             (slots, chain.values(n, value))
         } else {
-            let mut chain = Chain::new(capacity, rule);
-            let slots = chain.extend(n, key, false);
-            (slots, chain.values(n, value))
+            // Nothing kept: the values are written as the inserts go.
+            let mut value = value;
+            let mut values = Vec::with_capacity(n);
+            let chain = &mut Chain::new(capacity, rule);
+            let slots = chain.extend(n, key, false, |pos, repeat| match repeat {
+                None => {
+                    let dense = values.len();
+                    values.push(value(pos, dense));
+                }
+                Some(dense) => values[dense as usize] = value(pos, dense as usize),
+            });
+            (slots, values)
         };
         FlowTable {
             slots,

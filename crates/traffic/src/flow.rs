@@ -155,12 +155,11 @@ fn pack(flow: &FiveTuple) -> u64 {
         | ((flow.proto == 6) as u64) << PROTO_SHIFT
 }
 
-/// Where `key` sits in the dedupe set `seen` (a power-of-two slot count):
-/// its slot, or the free slot ending its probe chain.
+/// Where `key` sits in a dedupe set of `mask + 1` slots (a power of two,
+/// `shift` = 64 − log2 of it): its slot, or the free slot ending its
+/// probe chain.
 #[inline]
-fn seen_slot(seen: &[u64], key: u64) -> usize {
-    let shift = 64 - seen.len().trailing_zeros();
-    let mask = seen.len() - 1;
+fn seen_slot(seen: &[u64], shift: u32, mask: usize, key: u64) -> usize {
     let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
     while seen[at] != FREE && seen[at] != key {
         at = (at + 1) & mask;
@@ -175,7 +174,7 @@ fn seen_slot(seen: &[u64], key: u64) -> usize {
 /// into 52 bits (every tuple field is a one-to-one function of its own
 /// draw) and deduplicated in an open-addressing `u64` set at ≤ 50 % load.
 /// On entry `seen` is either empty or the dedupe set of exactly `flows`
-/// (it is rebuilt from `flows` when too small for `count` at ≤ 50 %
+/// (it is rebuilt from `flows` unless already sized for `count`: ≤ 50 %
 /// load), and `rng` sits just after the attempt that produced the last
 /// flow. `at_block(k, rng)` sees the RNG at every block start, with `k`
 /// flows found so far — an attempt boundary.
@@ -191,12 +190,13 @@ fn extend_flows<R: Rng>(
     }
     flows.reserve(count - flows.len());
     let slots = (count * 2).next_power_of_two().max(8);
-    if seen.len() < slots {
+    let (shift, mask) = (64 - slots.trailing_zeros(), slots - 1);
+    if seen.len() != slots {
         seen.clear();
         seen.resize(slots, FREE);
         for flow in flows.iter() {
             let key = pack(flow);
-            let at = seen_slot(seen, key);
+            let at = seen_slot(seen, shift, mask, key);
             seen[at] = key;
         }
     }
@@ -213,7 +213,7 @@ fn extend_flows<R: Rng>(
             *drawn = attempt(rng);
         }
         for &(key, flow) in block.iter() {
-            let at = seen_slot(seen, key);
+            let at = seen_slot(seen, shift, mask, key);
             if seen[at] == FREE {
                 seen[at] = key;
                 flows.push(flow);
@@ -235,19 +235,6 @@ fn extend_flows<R: Rng>(
 /// either repeats an earlier flow or *is* the next flow of the known
 /// stream, so an attempt is new exactly when it equals that flow.
 ///
-/// # Example
-///
-/// ```
-/// use rand::rngs::StdRng;
-/// use rand::{RngCore, SeedableRng};
-/// use yala_traffic::flow::{generate_flows, FlowSequence};
-///
-/// let mut seq = FlowSequence::new(StdRng::seed_from_u64(3));
-/// seq.extend_to(5_000);
-/// let mut fresh = StdRng::seed_from_u64(3);
-/// assert_eq!(&seq.flows()[..700], &generate_flows(&mut fresh, 700)[..]);
-/// assert_eq!(seq.rng_at(700).next_u64(), fresh.next_u64());
-/// ```
 #[derive(Debug, Clone)]
 pub struct FlowSequence<R> {
     flows: Vec<FiveTuple>,

@@ -14,10 +14,10 @@
 //! consume as borrowed [`PacketView`]s. The owned-[`Packet`] scalar path
 //! remains as the reference implementation.
 //!
-//! A seed's flows form one stream ([`FlowSequence`]): the flow set of `n`
-//! flows is the first `n` of the flow set of any larger count, so a
-//! generator re-targeted under the same seed cuts its flow set (and
-//! recovers the RNG) instead of synthesising it again.
+//! A seed's flows form one stream: the flow set of `n` flows is the first
+//! `n` of the flow set of any larger count, so a generator re-targeted
+//! under the same seed ([`PacketGenerator::reset`]) cuts its flow set
+//! (and recovers the RNG) instead of synthesising it again.
 //!
 //! # Example
 //!
@@ -39,7 +39,7 @@ pub mod profile;
 pub mod quantize;
 
 pub use batch::{PacketBatch, PacketView};
-pub use flow::{FiveTuple, FlowSequence};
+pub use flow::FiveTuple;
 pub use packet::Packet;
 pub use payload::PayloadSynthesizer;
 pub use pktgen::PacketGenerator;
