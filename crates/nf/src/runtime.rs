@@ -72,9 +72,10 @@ pub trait NetworkFunction {
     fn wss_bytes(&self) -> f64;
 
     /// Pre-populates per-flow state so steady-state demand is measured
-    /// (tables warmed) rather than cold-start insert storms: every table
-    /// is asked of `prefix` ([`Prefix::table`]) by its initial capacity,
-    /// entry bytes, key rule and per-flow value, and holds what inserting
+    /// (tables warmed) rather than cold-start insert storms. Called once,
+    /// on a freshly built NF: every table is asked of `prefix`
+    /// ([`Prefix::table`]) by its initial capacity, entry bytes, key rule
+    /// and per-flow value, and replaces the empty one with what inserting
     /// the measurement's flows one by one would leave.
     fn warm(&mut self, prefix: &mut Prefix<'_>) {
         let _ = prefix;

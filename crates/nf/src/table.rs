@@ -443,7 +443,8 @@ impl Chain {
         for pos in self.positions..n {
             let key = key(pos);
             if skip_repeats {
-                if let Some(at) = slot_of(&slots, key) {
+                let (at, _) = probe(&slots, key);
+                if slots[at].index != FREE {
                     self.repeats.push(pos, slots[at].index);
                     continue;
                 }
@@ -571,12 +572,6 @@ impl Repeats {
             None => dense,
         }
     }
-}
-
-/// The slot holding `key`, if any.
-fn slot_of(slots: &[Slot], key: u64) -> Option<usize> {
-    let (at, _) = probe(slots, key);
-    (slots[at].index != FREE).then_some(at)
 }
 
 /// Writes the layout of `slots` (the dense index in each) into `layout`.

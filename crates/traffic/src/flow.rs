@@ -230,13 +230,13 @@ fn extend_flows<R: Rng>(
 /// where synthesis of `n` flows leaves it.
 ///
 /// The RNG is recovered without storing one per flow: the sequence keeps
-/// a copy every 512 flows (taken at an attempt boundary) and replays
-/// attempts from the last copy that had found fewer than `n` flows. Replay needs no dedupe set: the next attempt
-/// either repeats an earlier flow or *is* the next flow of the known
-/// stream, so an attempt is new exactly when it equals that flow.
-///
+/// a copy every [`CHECKPOINT_FLOWS`] flows (taken at an attempt boundary)
+/// and replays attempts from the last copy that had found fewer than `n`
+/// flows. Replay needs no dedupe set: the next attempt either repeats an
+/// earlier flow or *is* the next flow of the known stream, so an attempt
+/// is new exactly when it equals that flow.
 #[derive(Debug, Clone)]
-pub struct FlowSequence<R> {
+pub(crate) struct FlowSequence<R> {
     flows: Vec<FiveTuple>,
     /// Dedupe set of `flows`; empty until the sequence is extended from a
     /// kept state (rebuilt on demand).

@@ -12,7 +12,7 @@
 //!   implementation.
 //!
 //! A generator is re-targeted in place with [`PacketGenerator::reset`].
-//! It keeps its seed's [`FlowSequence`]: re-targeted to the same seed, it
+//! It keeps its seed's flow sequence: re-targeted to the same seed, it
 //! reuses the flows already synthesised (the flow set of `n` flows is a
 //! prefix of every larger one) and only synthesises past the largest
 //! count seen; re-targeted to another seed, it starts a new sequence in
