@@ -16,7 +16,7 @@
 //! reuses the flows already synthesised (the flow set of `n` flows is a
 //! prefix of every larger one) and only synthesises past the largest
 //! count seen; re-targeted to another seed, it starts a new sequence in
-//! the old buffers, so a harness that measures one traffic point after
+//! the kept buffers, so a harness that measures one traffic point after
 //! another synthesises flows without touching the allocator.
 
 use crate::batch::PacketBatch;
