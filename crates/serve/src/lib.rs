@@ -1227,6 +1227,104 @@ mod tests {
         }
     }
 
+    /// Queries interleaved with the places, drifts and departs that
+    /// measure under per-instance seeds, on a mixed portfolio, every
+    /// served kind, flow counts big-small-big (Nat's past its port wrap):
+    /// the replies are pinned, and every entry a query measured equals
+    /// `measure_entry` on a fresh thread — through a fresh profiler —
+    /// bit for bit.
+    #[test]
+    fn interleaved_queries_measure_as_a_fresh_profiler_would() {
+        let engine = Engine::sequential();
+        let mut c = FleetConfig::mixed(31, 6);
+        c.kinds = vec![
+            NfKind::FlowStats,
+            NfKind::Nat,
+            NfKind::Nids,
+            NfKind::IpTunnel,
+        ];
+        let flows = [60_000u32, 2_000, 30_000, 300, 90_000];
+        let traffic = |kind: NfKind, at: usize| {
+            let mtbr = if kind.uses_regex() { 600.0 } else { 0.0 };
+            let (flows, psize) = (flows[at % flows.len()], [64, 512, 1_500][at % 3]);
+            format!("\"flows\":{flows},\"psize\":{psize},\"mtbr\":{mtbr}")
+        };
+        let mut lines: Vec<(Option<NfKind>, String)> = Vec::new();
+        let mut id = 0u32;
+        for step in 0..flows.len() {
+            for &kind in &c.kinds {
+                let query = |at| {
+                    let line = format!(
+                        "{{\"op\":\"query\",\"kind\":\"{kind}\",{},\"sla_drop\":0.1}}",
+                        traffic(kind, at)
+                    );
+                    (Some(kind), line)
+                };
+                lines.push((
+                    None,
+                    format!(
+                        "{{\"op\":\"place\",\"id\":{id},\"kind\":\"{kind}\",\
+                         \"qos\":\"guaranteed\",{},\"sla_drop\":0.1}}",
+                        traffic(kind, step + 1)
+                    ),
+                ));
+                lines.push(query(step));
+                if id >= 2 {
+                    let at = traffic(c.kinds[(id as usize - 2) % c.kinds.len()], step + 3);
+                    let drift = format!("{{\"op\":\"drift\",\"id\":{},{at}}}", id - 2);
+                    lines.push((None, drift));
+                }
+                // A repeat of an earlier query (a hit) or a new one.
+                lines.push(query(step + 2));
+                if id >= 5 {
+                    lines.push((None, format!("{{\"op\":\"depart\",\"id\":{}}}", id - 5)));
+                }
+                id += 1;
+            }
+        }
+        lines.push((None, "{\"op\":\"stats\"}".to_string()));
+        let mut s = ServeLoop::new(&c, "yala", &engine).expect("build");
+        let mut bytes = String::new();
+        let mut measured = 0;
+        for (query_kind, line) in &lines {
+            let before = s.cached_profiles();
+            let reply = s.handle_line(line, &engine);
+            bytes.push_str(&reply);
+            bytes.push('\n');
+            let Some(kind) = *query_kind else { continue };
+            assert!(reply.starts_with("{\"ok\":true"), "{line} => {reply}");
+            if s.cached_profiles() == before {
+                continue;
+            }
+            let ev = parse_line(line).expect("a request");
+            let traffic = traffic_from(&ev).expect("traffic");
+            let key = ProfileKey {
+                kind,
+                traffic: TrafficKey::exact(&traffic),
+                seed: s.workload_seed(QUERY_INSTANCE),
+            };
+            let cached = s.cache.get(&key).expect("the query measured its key");
+            let (specs, sigma, seed) = (c.specs(), c.noise_sigma, key.seed);
+            let base = c.seed ^ SERVE_SALT;
+            let fresh = std::thread::spawn(move || {
+                let mut sims = sims_for(&specs, kind, sigma, base, QUERY_INSTANCE as usize);
+                measure_entry(&mut sims, kind, traffic, seed)
+            })
+            .join()
+            .expect("fresh measurement");
+            assert_eq!(format!("{cached:?}"), format!("{fresh:?}"), "{line}");
+            measured += 1;
+        }
+        assert!(measured >= 15, "{measured} query misses");
+        assert!(
+            bytes.contains("\"op\":\"drift\",\"id\""),
+            "a drift was served"
+        );
+        bytes.push_str(&s.snapshot());
+        let digest = yala_telemetry::stable_hash64(bytes.as_bytes());
+        assert_eq!(digest, 0x6884_7095_3c2a_58fa, "{digest:#018x}");
+    }
+
     #[test]
     fn yala_online_absorbs_observations() {
         let engine = Engine::sequential();
