@@ -29,7 +29,7 @@
 //! never moves a placed key, and the growth points depend only on the
 //! insert count; so the table after `n` inserts is the final layout of
 //! `n`'s epoch with the slots of later inserts freed. A [`TableFamily`]
-//! keeps, per (key rule, initial capacity), one growth chain: each
+//! keeps, per flow-keyed rule and initial capacity, one growth chain: each
 //! epoch's final layout as one `u32` dense index per slot, replayed once
 //! up to the largest flow count asked for. [`Prefix::table`] cuts a table
 //! from it in one sequential pass into a pooled probe array (the key of a
@@ -39,6 +39,21 @@
 //! `tests/table_oracle.rs` holds cut tables to the one-array table after
 //! the same inserts: at every count of a small chain, around every growth
 //! of the larger ones.
+//!
+//! # Cyclic keys: laid out in closed form
+//!
+//! A [`Keys::Cyclic`] table (`Nat`'s port-keyed return table) needs no
+//! chain. Its keys are consecutive integers, `start + i % period`, and a
+//! table never holds more keys than slots; so the live keys' home slots
+//! (`key & (capacity - 1)`) are distinct in every epoch, every insert
+//! lands at its key's home, and a growth re-places each key at its new
+//! home — whatever the growth history, each key sits at its home and one
+//! probe finds it. The table after `count` inserts is built directly: the
+//! capacity the growth checks reach at the peak entry count, one pass
+//! writing each key at its home, and each key's value that of its last
+//! insert (later laps overwrite). `tests/table_oracle.rs` holds it to the
+//! one-array table at `Nat`'s real shape, around every growth up to
+//! 200 k inserts and around the 55 536-port wrap.
 
 use std::sync::Mutex;
 use yala_traffic::FiveTuple;
@@ -308,7 +323,8 @@ pub enum Keys {
     /// repeat is skipped — no insert, no growth check.
     NewFlows,
     /// `count` inserts, the `i`-th keyed `start + i % period`: a wrapping
-    /// sequential allocator's ids. A repeat overwrites.
+    /// sequential allocator's ids. A repeat overwrites. Laid out in closed
+    /// form, not replayed (see the module docs).
     Cyclic {
         /// The first key.
         start: u64,
@@ -323,19 +339,6 @@ impl Keys {
     /// Whether a repeated key skips its insert.
     fn skips_repeats(self) -> bool {
         self == Keys::NewFlows
-    }
-
-    /// The same key rule, whatever the insert count: what a growth chain
-    /// is shared under.
-    fn rule(self) -> Keys {
-        match self {
-            Keys::Cyclic { start, period, .. } => Keys::Cyclic {
-                start,
-                period,
-                count: 0,
-            },
-            rule => rule,
-        }
     }
 }
 
@@ -364,9 +367,9 @@ pub struct TableSpec {
 struct Chain {
     /// Initial slot count (a power of two).
     capacity: usize,
-    /// The key rule ([`Keys::rule`]).
+    /// The key rule: [`Keys::EveryFlow`] or [`Keys::NewFlows`].
     rule: Keys,
-    /// Key positions (flows, or cyclic ids) replayed so far.
+    /// Flows replayed so far.
     positions: usize,
     /// Positions whose key was already present: an overwrite, or a
     /// skipped insert under [`Keys::NewFlows`].
@@ -513,8 +516,8 @@ impl Chain {
 
 /// A chain's repeated positions, run-length encoded: a run is `len`
 /// consecutive positions from `pos` whose keys hold the consecutive
-/// dense indices from `dense`. A repeated flow is a run of one; a
-/// wrapped cyclic allocator repeats in one run per lap.
+/// dense indices from `dense` (a flow sequence that repeats a run of
+/// earlier flows in order).
 #[derive(Debug, Clone, Default)]
 struct Repeats {
     runs: Vec<Run>,
@@ -583,10 +586,12 @@ fn snapshot(slots: &[Slot], layout: &mut Vec<u32>) {
 /// The growth chains of one flow sequence (one seed): what the warmed
 /// tables of every measurement cut from that sequence share.
 ///
-/// A family's first measurement keeps nothing: its tables are built by
-/// plain inserts and handed over as they are. From the second on, each
-/// table asked for is cut from its growth chain, which is replayed —
-/// once — as far as the largest flow count asked for.
+/// A family's first measurement keeps nothing: its flow-keyed tables are
+/// built by plain inserts and handed over as they are. From the second
+/// on, each one asked for is cut from its growth chain, which is
+/// replayed — once — as far as the largest flow count asked for. A
+/// [`Keys::Cyclic`] table has no chain: it is laid out in closed form
+/// every time.
 /// [`Self::clear`] starts the next family (a new seed: new keys).
 #[derive(Debug, Clone, Default)]
 pub struct TableFamily {
@@ -644,31 +649,24 @@ impl<'a> Prefix<'a> {
         spec: TableSpec,
         value: impl FnMut(usize, usize) -> V,
     ) -> FlowTable<V> {
-        let flows = self.flows;
+        assert!(spec.entry_bytes > 0.0, "entry bytes must be positive");
         match spec.keys {
-            Keys::EveryFlow | Keys::NewFlows => {
-                self.build(spec, flows.len(), |pos| flows[pos].hash64(), value)
-            }
+            Keys::EveryFlow | Keys::NewFlows => self.build(spec, value),
             Keys::Cyclic {
                 start,
                 period,
                 count,
-            } => self.build(spec, count, |i| start + i as u64 % period, value),
+            } => cyclic(spec, start, period, count, value),
         }
     }
 
-    /// [`Self::table`] for `n` key positions, position `pos` keyed
-    /// `key(pos)`.
-    fn build<V>(
-        &mut self,
-        spec: TableSpec,
-        n: usize,
-        key: impl Fn(usize) -> u64,
-        value: impl FnMut(usize, usize) -> V,
-    ) -> FlowTable<V> {
-        assert!(spec.entry_bytes > 0.0, "entry bytes must be positive");
+    /// [`Self::table`] for a flow-keyed rule: one insert call per flow,
+    /// keyed by its `hash64`.
+    fn build<V>(&mut self, spec: TableSpec, value: impl FnMut(usize, usize) -> V) -> FlowTable<V> {
+        let flows = self.flows;
+        let (n, key) = (flows.len(), |pos: usize| flows[pos].hash64());
         let capacity = spec.capacity.max(8).next_power_of_two();
-        let rule = spec.keys.rule();
+        let rule = spec.keys;
         let (slots, values) = if self.keep {
             let chains = &mut self.family.chains;
             let at = chains
@@ -704,6 +702,54 @@ impl<'a> Prefix<'a> {
             values,
             entry_bytes: spec.entry_bytes,
         }
+    }
+}
+
+/// The table [`Keys::Cyclic`]'s `count` inserts leave, laid out in closed
+/// form (see the module docs): the capacity the growth checks reach, each
+/// live id at its home slot, and each id's value that of its last insert.
+///
+/// # Panics
+///
+/// Panics if `period` is zero.
+fn cyclic<V>(
+    spec: TableSpec,
+    start: u64,
+    period: u64,
+    count: usize,
+    mut value: impl FnMut(usize, usize) -> V,
+) -> FlowTable<V> {
+    assert!(period > 0, "a cyclic allocator has at least one id");
+    let period = usize::try_from(period).unwrap_or(usize::MAX);
+    let len = count.min(period);
+    assert!(len < FREE as usize, "flow table is full");
+    // The growth check runs before every insert, an overwrite included,
+    // and the entry count never falls: the last insert's check sees the
+    // peak, and each check doubles at most once.
+    let mut capacity = spec.capacity.max(8).next_power_of_two();
+    if let Some(last) = count.checked_sub(1) {
+        while must_grow(last.min(period), capacity) {
+            capacity *= 2;
+        }
+    }
+    let mut slots = POOL.take(capacity);
+    let mask = capacity - 1;
+    for dense in 0..len {
+        let key = start + dense as u64;
+        let home = &mut slots[key as usize & mask];
+        debug_assert_eq!(home.index, FREE, "id {key}'s home slot is taken");
+        *home = Slot {
+            key,
+            index: dense as u32,
+        };
+    }
+    // Id `dense` was last inserted whole laps after its first insert.
+    let last = |dense: usize| dense + (count - 1 - dense) / period * period;
+    let values = (0..len).map(|dense| value(last(dense), dense)).collect();
+    FlowTable {
+        slots,
+        values,
+        entry_bytes: spec.entry_bytes,
     }
 }
 

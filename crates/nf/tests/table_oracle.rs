@@ -343,3 +343,75 @@ fn tables_cut_from_a_growth_chain_equal_the_one_array_table_at_every_count() {
         }
     }
 }
+
+/// Nat's port-keyed return table as it really is — ids from 10 000,
+/// wrapping after 55 536 — laid out in closed form, against the one-array
+/// table after the same inserts: at every count within three of each
+/// growth up to 200 k inserts and of the wrap. (Under debug assertions
+/// the closed form also checks that every home slot it writes was free.)
+#[test]
+fn nat_port_tables_equal_the_one_array_table_around_every_growth_and_the_wrap() {
+    const START: u64 = 10_000;
+    const PERIOD: u64 = 55_536;
+    const TOTAL: usize = 200_000;
+    let key = |i: usize| START + i as u64 % PERIOD;
+    let spec = |count| TableSpec {
+        capacity: 1_024,
+        entry_bytes: 64.0,
+        keys: Keys::Cyclic {
+            start: START,
+            period: PERIOD,
+            count,
+        },
+    };
+    // The growths: the inserts that find the table past 75 % load.
+    let mut oracle = OracleTable::with_entry_bytes(1_024, 64.0);
+    let mut marks = vec![0, TOTAL, PERIOD as usize];
+    for i in 0..TOTAL {
+        let slots = oracle.capacity();
+        oracle.insert(key(i), value_of(i, key(i)));
+        if oracle.capacity() != slots {
+            marks.push(i);
+        }
+    }
+    assert!(marks.len() >= 10, "seven growths: {marks:?}");
+    let mut counts: Vec<usize> = marks
+        .iter()
+        .flat_map(|&m| m.saturating_sub(3)..=m + 3)
+        .filter(|&n| n <= TOTAL)
+        .collect();
+    counts.sort_unstable();
+    counts.dedup();
+    // Every id and the keys on either side of them at the wrap and at
+    // the end; elsewhere the ids around the cut, both ends, and every
+    // 97th.
+    let all: Vec<u64> = (START - 2..START + PERIOD + 2)
+        .chain([0, u64::MAX])
+        .collect();
+    let sample = |n: usize| -> Vec<u64> {
+        let around = (n.saturating_sub(4)..n + 4).map(key);
+        let ends = all[..4].iter().chain(&all[all.len() - 6..]).copied();
+        around
+            .chain(ends)
+            .chain(all.iter().step_by(97).copied())
+            .collect()
+    };
+    let mut oracle = OracleTable::with_entry_bytes(1_024, 64.0);
+    let mut done = 0;
+    for n in counts {
+        while done < n {
+            oracle.insert(key(done), value_of(done, key(done)));
+            done += 1;
+        }
+        let mut table = TableFamily::new()
+            .prefix(&[])
+            .table(spec(n), |pos, _| value_of(pos, key(pos)));
+        let what = format!("{n} ports");
+        let lookups = if n == TOTAL || n == PERIOD as usize {
+            all.clone()
+        } else {
+            sample(n)
+        };
+        assert_same(&mut table, &mut oracle, &lookups, &what);
+    }
+}
