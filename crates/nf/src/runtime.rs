@@ -94,7 +94,10 @@ pub trait NetworkFunction {
 ///   set of `n` flows is a prefix of every larger one; see
 ///   [`crate::table`]), and only flows or inserts past the largest count
 ///   seen are new work. A new seed starts a new family. A seed measured
-///   once keeps no chain;
+///   once keeps no chain. A caller that comes back to one seed between
+///   other seeds' measurements keeps that seed's family in a profiler of
+///   its own (the daemon's `query` profiler), since the thread's
+///   [`crate::NfKind::workload`] profiler keeps only the last seed's;
 /// * **reused** — the generator's flow `Vec` and dedupe scratch, the
 ///   [`PacketBatch`] arena, the [`CostTracker`] and the
 ///   [`CostAggregate`]; the flow tables' probe arrays come from and go

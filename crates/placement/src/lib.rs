@@ -34,7 +34,7 @@ pub use memo::MemoStats;
 use yala_core::engine::{model_seed_base, scenario_seed, simulator_for, Engine};
 use yala_core::profile_cache::{ProfileEntry, SoloProfile};
 use yala_core::{CellMemo, Contender, ModelBank, ObservationBuffer, QosClass, YalaModel};
-use yala_nf::NfKind;
+use yala_nf::{NfKind, Profiler};
 use yala_sim::{CounterSample, NicModelId, NicSpec, Simulator, WorkloadSpec};
 use yala_slomo::SlomoModel;
 use yala_traffic::TrafficProfile;
@@ -272,14 +272,41 @@ impl PlacementOutcome {
 /// ([`prepare_all`]), the fleet timelines, the daemon, and profile-cache
 /// misses ([`yala_core::profile_cache::ProfileCache::get_or_measure`]) —
 /// runs this one body, so a cache hit is provably the same bytes as the
-/// fresh measurement it replaced.
+/// fresh measurement it replaced. The packet replay goes through the
+/// calling thread's profiler ([`NfKind::workload`]).
 pub fn measure_entry(
     sims: &mut [(NicModelId, Simulator)],
     kind: NfKind,
     traffic: TrafficProfile,
     seed: u64,
 ) -> ProfileEntry {
-    let mut workload = kind.workload(traffic, seed);
+    solo_entry(sims, traffic, seed, kind.workload(traffic, seed))
+}
+
+/// [`measure_entry`] with the packet replay through `profiler` instead of
+/// the calling thread's: the same bytes, but a caller that measures one
+/// seed again and again between other seeds' measurements keeps that
+/// seed's prefix family in its own profiler (see [`Profiler`]).
+pub fn measure_entry_with(
+    profiler: &mut Profiler,
+    sims: &mut [(NicModelId, Simulator)],
+    kind: NfKind,
+    traffic: TrafficProfile,
+    seed: u64,
+) -> ProfileEntry {
+    let workload = kind.workload_with(profiler, traffic, seed);
+    solo_entry(sims, traffic, seed, workload)
+}
+
+/// The body [`measure_entry`] and [`measure_entry_with`] share: names the
+/// profiled `workload` after `seed` and solo-measures it on every
+/// simulator.
+fn solo_entry(
+    sims: &mut [(NicModelId, Simulator)],
+    traffic: TrafficProfile,
+    seed: u64,
+    mut workload: WorkloadSpec,
+) -> ProfileEntry {
     // Co-runs require unique names; instances of the same NF type must not
     // collide. Callers rebrand per instance where one entry is shared.
     workload.name = format!("{}-{seed}", workload.name);

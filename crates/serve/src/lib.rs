@@ -22,6 +22,16 @@
 //! way — [`yala_fleet::snapshot_fleet`] is a header, and its input log is
 //! the `.yala-trace` itself; both headers are versioned.
 //!
+//! Beyond its state the loop keeps two caches, and neither reaches a
+//! reply or a snapshot: the profile cache of `query` measurements, and
+//! the [`yala_nf::Profiler`] those measurements go through. Every query
+//! measures under one seed, so that profiler's prefix family — the
+//! seed's flow sequence and table growth chains — outlives the `place`s
+//! and `drift`s in between (which measure under their instances' seeds
+//! through the thread's profiler), and a query at a new flow count is
+//! cut from it. A restored daemon starts both cold and answers byte for
+//! byte as the uninterrupted one.
+//!
 //! ## Wire format (version [`SERVE_WIRE_VERSION`])
 //!
 //! Requests: `{"op":"place","id":7,"kind":"nat","qos":"guaranteed",`
@@ -38,11 +48,12 @@ use yala_core::{
     TrafficKey,
 };
 use yala_fleet::{FleetConfig, Residency};
-use yala_nf::NfKind;
+use yala_nf::{NfKind, Profiler};
 use yala_placement::{
-    measure_entry, placed_from_entry, sims_for, Arrival, Placed, PlacementPredictor, YalaPredictor,
+    measure_entry, measure_entry_with, placed_from_entry, sims_for, Arrival, Placed,
+    PlacementPredictor, YalaPredictor,
 };
-use yala_sim::{CounterSample, ResourceKind};
+use yala_sim::{CounterSample, NicModelId, ResourceKind, Simulator};
 use yala_telemetry::journal::{parse_line, RawEvent};
 use yala_traffic::profile::{MAX_FLOW_COUNT, MAX_MTBR, MAX_PACKET_SIZE, MIN_PACKET_SIZE};
 use yala_traffic::TrafficProfile;
@@ -138,6 +149,15 @@ pub struct ServeLoop {
     instances: BTreeMap<u32, Instance>,
     policy: ServePolicy,
     cache: ProfileCache,
+    /// The profiler `query` measures through, and nothing else. Every
+    /// query measures under one seed, so the prefix family this keeps
+    /// (that seed's flow sequence and table growth chains) lives as long
+    /// as the daemon; `place` and `drift`, each under its instance's
+    /// seed, measure through the thread's profiler and never evict it.
+    /// A cache, not state: a measurement cut from it equals a fresh one
+    /// bit for bit, it stays out of the snapshot, and a restored daemon
+    /// starts it cold.
+    query_profiler: Profiler,
     pending: ObservationBuffer,
     counters: Counters,
     /// Verbatim mutating request lines, in arrival order — the replay
@@ -170,6 +190,7 @@ impl ServeLoop {
             instances: BTreeMap::new(),
             policy,
             cache: ProfileCache::new(),
+            query_profiler: Profiler::new(),
             pending: ObservationBuffer::new(),
             counters: Counters::default(),
             log: Vec::new(),
@@ -274,19 +295,9 @@ impl ServeLoop {
     /// salted simulator stream. A pure function of its arguments and the
     /// configuration.
     fn measure(&self, id: u32, arrival: &Arrival) -> ProfileEntry {
-        let mut sims = sims_for(
-            &self.cfg.specs(),
-            arrival.kind,
-            self.cfg.noise_sigma,
-            self.cfg.seed ^ SERVE_SALT,
-            id as usize,
-        );
-        measure_entry(
-            &mut sims,
-            arrival.kind,
-            arrival.traffic,
-            self.workload_seed(id),
-        )
+        let sims = &mut sims(&self.cfg, arrival.kind, id);
+        let seed = self.workload_seed(id);
+        measure_entry(sims, arrival.kind, arrival.traffic, seed)
     }
 
     /// Measures and materializes the placement record of a real
@@ -360,15 +371,18 @@ impl ServeLoop {
         // Queries share the cache under a reserved pseudo-instance id so
         // repeated queries are cheap and, crucially, never perturb any
         // real instance's measurement stream. A hit is the bytes a fresh
-        // measurement of the key would be.
+        // measurement of the key would be; a miss is measured as
+        // `measure` would, through the query profiler.
         let key = ProfileKey {
             kind: arrival.kind,
             traffic: TrafficKey::exact(&arrival.traffic),
             seed: self.workload_seed(QUERY_INSTANCE),
         };
-        let entry = self
-            .cache
-            .get_or_measure(&key, || self.measure(QUERY_INSTANCE, &arrival));
+        let (cfg, profiler) = (&self.cfg, &mut self.query_profiler);
+        let entry = self.cache.get_or_measure(&key, || {
+            let sims = &mut sims(cfg, arrival.kind, QUERY_INSTANCE);
+            measure_entry_with(profiler, sims, arrival.kind, arrival.traffic, key.seed)
+        });
         let name = format!("nf{QUERY_INSTANCE}");
         let placed = placed_from_entry(&entry, arrival, Some(&name));
         let nic = self.choose_nic(&placed);
@@ -617,6 +631,13 @@ impl ServeLoop {
         };
         Ok(loop_)
     }
+}
+
+/// The simulators instance `id`'s measurement solo-runs on: one per
+/// portfolio model that profiles `kind`, on the salted serve stream.
+fn sims(cfg: &FleetConfig, kind: NfKind, id: u32) -> Vec<(NicModelId, Simulator)> {
+    let base = cfg.seed ^ SERVE_SALT;
+    sims_for(&cfg.specs(), kind, cfg.noise_sigma, base, id as usize)
 }
 
 fn err_line(msg: &str) -> String {
@@ -994,7 +1015,19 @@ mod tests {
             place(3, "nat", 60_000),
             "{\"op\":\"fault\",\"nic\":0,\"kind\":\"fail\"}".to_string(),
         ];
+        // After the restore, queries: a traffic larger than any queried
+        // before, then one repeating the pre-checkpoint query. The
+        // restored daemon's query profiler starts cold; the uninterrupted
+        // one's holds the query seed's family (and its cache the repeat).
+        let query = |flows: u32, psize: u32| {
+            format!(
+                "{{\"op\":\"query\",\"kind\":\"nat\",\"flows\":{flows},\"psize\":{psize},\
+                 \"mtbr\":0.0,\"sla_drop\":0.1}}"
+            )
+        };
         let second: Vec<String> = vec![
+            query(120_000, 512),
+            query(8_000, 256),
             "{\"op\":\"fault\",\"nic\":0,\"kind\":\"recover\"}".to_string(),
             place(4, "flowstats", 90_000),
             "{\"op\":\"depart\",\"id\":1}".to_string(),
@@ -1029,6 +1062,16 @@ mod tests {
             whole.snapshot(),
             "final snapshots must be byte-identical"
         );
+        // Cold or warm, each query measured the same bytes.
+        for (flows, psize) in [(120_000, 512), (8_000, 256)] {
+            let key = ProfileKey {
+                kind: NfKind::Nat,
+                traffic: TrafficKey::exact(&TrafficProfile::new(flows, psize, 0.0)),
+                seed: whole.workload_seed(QUERY_INSTANCE),
+            };
+            let entry = |s: &ServeLoop| format!("{:?}", s.cache.get(&key).expect("measured"));
+            assert_eq!(entry(&restored), entry(&whole), "{flows} flows");
+        }
     }
 
     #[test]
