@@ -15,7 +15,7 @@
 //! strings.
 
 use crate::trace::{
-    FaultEvent, FaultKind, FleetConfig, FleetTrace, NfRecord, TraceError, TrafficModel,
+    FaultEvent, FaultKind, FleetConfig, FleetTrace, NfRecord, TraceError, TrafficModel, MS_PER_S,
 };
 use std::fmt::Write as _;
 use yala_core::QosClass;
@@ -222,6 +222,28 @@ fn need_u32_in(
     Ok(v as u32)
 }
 
+/// The most seconds a header duration may hold: the sum of two of them,
+/// in milliseconds, still fits a `u64` (as does a time inside the
+/// horizon plus one of them).
+const MAX_HEADER_S: i64 = i64::MAX / MS_PER_S as i64;
+
+/// Header integer `key` as a `T`, `None` if absent. Anything outside
+/// `0..=max`, or that `T` cannot hold, is refused naming the field (an
+/// `as` cast would wrap it into some other, valid-looking value).
+fn header_int<T: TryFrom<i64>>(
+    header: &RawEvent,
+    key: &str,
+    max: i64,
+) -> Result<Option<T>, TraceIoError> {
+    let Some(v) = header.int(key) else {
+        return Ok(None);
+    };
+    let held = (0..=max).contains(&v).then(|| T::try_from(v).ok());
+    held.flatten()
+        .map(Some)
+        .ok_or_else(|| TraceIoError::BadHeader(format!("field {key} = {v} outside [0,{max}]")))
+}
+
 fn need_num(ev: &RawEvent, key: &str, line: usize) -> Result<f64, TraceIoError> {
     ev.num(key).ok_or_else(|| TraceIoError::BadLine {
         line,
@@ -279,10 +301,8 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
     let traffic_model = match header.str("traffic") {
         Some("uniform") | None => TrafficModel::Uniform,
         Some("templates") => TrafficModel::Templates {
-            count: header
-                .int("templates")
-                .ok_or_else(|| bad_header("templates traffic without a template count"))?
-                as u32,
+            count: header_int(&header, "templates", u32::MAX.into())?
+                .ok_or_else(|| bad_header("templates traffic without a template count"))?,
             jitter: header
                 .num("jitter")
                 .ok_or_else(|| bad_header("templates traffic without a jitter"))?,
@@ -291,18 +311,16 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
     };
     let config = FleetConfig {
         portfolio,
-        duration_s: header
-            .int("duration_s")
-            .ok_or_else(|| bad_header("missing duration_s"))? as u64,
+        duration_s: header_int(&header, "duration_s", MAX_HEADER_S)?
+            .ok_or_else(|| bad_header("missing duration_s"))?,
         mean_interarrival_s: header
             .num("mean_interarrival_s")
             .ok_or_else(|| bad_header("missing mean_interarrival_s"))?,
         mean_lifetime_s: header
             .num("mean_lifetime_s")
             .ok_or_else(|| bad_header("missing mean_lifetime_s"))?,
-        audit_period_s: header
-            .int("audit_period_s")
-            .ok_or_else(|| bad_header("missing audit_period_s"))? as u64,
+        audit_period_s: header_int(&header, "audit_period_s", MAX_HEADER_S)?
+            .ok_or_else(|| bad_header("missing audit_period_s"))?,
         kinds,
         sla_drop_range: (
             header
@@ -324,10 +342,8 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
         reprofile_threshold: header
             .num("reprofile_threshold")
             .ok_or_else(|| bad_header("missing reprofile_threshold"))?,
-        max_migrations_per_audit: header
-            .int("max_migrations")
-            .ok_or_else(|| bad_header("missing max_migrations"))?
-            as usize,
+        max_migrations_per_audit: header_int(&header, "max_migrations", i64::MAX)?
+            .ok_or_else(|| bad_header("missing max_migrations"))?,
         noise_sigma: header
             .num("noise_sigma")
             .ok_or_else(|| bad_header("missing noise_sigma"))?,
@@ -337,9 +353,9 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
         faults: crate::trace::FaultPlan {
             mtbf_s: header.num("mtbf_s").unwrap_or(0.0),
             mean_repair_s: header.num("mean_repair_s").unwrap_or(0.0),
-            drains: header.int("drains").unwrap_or(0) as u32,
-            drain_notice_s: header.int("drain_notice_s").unwrap_or(0) as u64,
-            drain_offline_s: header.int("drain_offline_s").unwrap_or(0) as u64,
+            drains: header_int(&header, "drains", u32::MAX.into())?.unwrap_or(0),
+            drain_notice_s: header_int(&header, "drain_notice_s", MAX_HEADER_S)?.unwrap_or(0),
+            drain_offline_s: header_int(&header, "drain_offline_s", MAX_HEADER_S)?.unwrap_or(0),
         },
         seed,
     };
@@ -547,6 +563,55 @@ mod tests {
                 matches!(read_trace(&bad), Err(TraceIoError::BadLine { .. })),
                 "{to} accepted"
             );
+        }
+        // So are header integers: negative, too large for the field, or
+        // a duration whose milliseconds would overflow — each named.
+        let header = text.lines().next().expect("a header");
+        let templates = text.replacen(
+            "\"traffic\":\"uniform\"",
+            "\"traffic\":\"templates\",\"templates\":48,\"jitter\":0.1",
+            1,
+        );
+        assert!(read_trace(&templates).is_ok());
+        let with_header = |field: &str, value: &str| {
+            let start = header.find(&format!("\"{field}\":")).expect("field") + field.len() + 3;
+            let end = start + header[start..].find([',', '}']).expect("end");
+            let line = format!("{}{value}{}", &header[..start], &header[end..]);
+            text.replacen(header, &line, 1)
+        };
+        let ceiling = (i64::MAX / 1_000).to_string();
+        let over = (i64::MAX / 1_000 + 1).to_string();
+        for (field, value) in [
+            ("audit_period_s", "-1"),
+            ("audit_period_s", over.as_str()),
+            ("duration_s", "-1"),
+            ("duration_s", over.as_str()),
+            ("drain_notice_s", "-1"),
+            ("drain_offline_s", "-1"),
+            ("drain_offline_s", over.as_str()),
+            ("drains", "-1"),
+            ("drains", "4294967296"),
+            ("max_migrations", "-1"),
+        ] {
+            match read_trace(&with_header(field, value)) {
+                Err(TraceIoError::BadHeader(why)) => assert!(why.contains(field), "{why}"),
+                other => panic!("{field} = {value} read as {other:?}"),
+            }
+        }
+        for value in ["-1", "4294967296"] {
+            match read_trace(&templates.replacen(
+                "\"templates\":48",
+                &format!("\"templates\":{value}"),
+                1,
+            )) {
+                Err(TraceIoError::BadHeader(why)) => assert!(why.contains("templates"), "{why}"),
+                other => panic!("templates = {value} read as {other:?}"),
+            }
+        }
+        // The ceiling itself is accepted.
+        for field in ["drain_notice_s", "drain_offline_s"] {
+            let at_ceiling = read_trace(&with_header(field, &ceiling));
+            assert!(at_ceiling.is_ok(), "{field} = {ceiling}: {at_ceiling:?}");
         }
         for max_flows in ["-1", "4294967296"] {
             let bad = text.replacen(
