@@ -32,10 +32,9 @@ fn usage(problem: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Writes `out`'s deterministic telemetry as `DIR/<name>.{jsonl,
-/// metrics.json,prom}` plus its further artifacts, and the wall-clock
-/// summary — the one non-deterministic layer — to stderr. Takes the
-/// journal out of `out`, so `all` does not hold every one to the end.
+/// Writes `out`'s telemetry as `DIR/<name>.{jsonl,metrics.json,prom}`
+/// plus its further artifacts. Takes the journal out of `out`, so `all`
+/// does not hold every one to the end.
 fn write_telemetry(dir: &str, name: &str, out: &mut Output) {
     let telemetry = std::mem::take(&mut out.telemetry);
     let Some(sink) = telemetry.sink() else {
@@ -47,9 +46,6 @@ fn write_telemetry(dir: &str, name: &str, out: &mut Output) {
     write_artifact(&format!("{base}.prom"), &sink.metrics.to_prometheus());
     for (suffix, body) in &out.artifacts {
         write_artifact(&format!("{base}.{suffix}"), body);
-    }
-    if let Some(w) = &sink.wall {
-        eprintln!("  {name} {}", w.summary());
     }
 }
 

@@ -89,12 +89,11 @@ impl Record {
 
 impl Output {
     /// A record experiment's output. Under `--telemetry` it holds a live
-    /// sink with the wall-clock layer (reservoirs seeded from `seed`) and a
-    /// journal of `--journal-cap`, else `default_cap`, events.
-    fn observed(ctx: &BenchArgs, seed: u64, default_cap: usize) -> Self {
+    /// sink with a journal of `--journal-cap`, else `default_cap`, events.
+    fn observed(ctx: &BenchArgs, default_cap: usize) -> Self {
         let mut out = Self::default();
         if ctx.telemetry.is_some() {
-            out.telemetry = Telemetry::with_wallclock(seed);
+            out.telemetry = Telemetry::enabled();
             let cap = ctx.journal_cap.unwrap_or(default_cap);
             out.telemetry.sink_mut().expect("live sink").journal = Journal::with_capacity(cap);
         }
@@ -261,7 +260,7 @@ fn assert_dominates(yala: &FleetReport, greedy: &FleetReport, mono: &FleetReport
 /// for the contention-aware policies. The scenario scale (200 NICs, ~600
 /// arrivals, 24 simulated hours) is the same at both scales.
 pub fn fleet(ctx: &BenchArgs) -> Output {
-    let mut out = Output::observed(ctx, 42, DEFAULT_CAPACITY);
+    let mut out = Output::observed(ctx, DEFAULT_CAPACITY);
     let kinds = table2_kinds(ctx.full);
 
     let mut cfg = fleet_day(FleetConfig::small(42), ctx.full, &kinds);
@@ -324,7 +323,7 @@ pub fn fleet(ctx: &BenchArgs) -> Output {
 /// `(NicModelId, NfKind)` behind the contention-aware policy, with
 /// Yala-diagnosed migration that may cross hardware models).
 pub fn hetero(ctx: &BenchArgs) -> Output {
-    let mut out = Output::observed(ctx, 73, DEFAULT_CAPACITY);
+    let mut out = Output::observed(ctx, DEFAULT_CAPACITY);
     use NfKind::*;
     let kinds = if ctx.full {
         vec![
@@ -442,7 +441,7 @@ const DRIFTED_FLOW_CEILING: u32 = 300_000;
 /// stream is as deterministic as the reports, so the record stays
 /// byte-reproducible across runs and engine thread counts.
 pub fn online(ctx: &BenchArgs) -> Output {
-    let mut out = Output::observed(ctx, 97, DEFAULT_CAPACITY);
+    let mut out = Output::observed(ctx, DEFAULT_CAPACITY);
     let kinds = table2_kinds(ctx.full);
 
     let mut cfg = fleet_day(FleetConfig::small(97), ctx.full, &kinds);
@@ -546,7 +545,7 @@ const CACHE_TEMPLATES: u32 = 6;
 /// the reduction buys in wall time is `benchmark/`'s
 /// `fleet.timeline_build_s`.
 pub fn cache(ctx: &BenchArgs) -> Output {
-    let mut out = Output::observed(ctx, 5150, DEFAULT_CAPACITY);
+    let mut out = Output::observed(ctx, DEFAULT_CAPACITY);
     let kinds = [NfKind::FlowStats, NfKind::Acl, NfKind::Nat, NfKind::Nids];
 
     let mut cfg = fleet_day(FleetConfig::small(5150), ctx.full, &kinds);
@@ -640,7 +639,7 @@ const SHIELD_BAR: f64 = 5.0;
 /// class. The scenario scale (20 NICs, ~24 simulated hours, every NIC
 /// failing about three times) is the same at both scales.
 pub fn faults(ctx: &BenchArgs) -> Output {
-    let mut out = Output::observed(ctx, 97, DEFAULT_CAPACITY);
+    let mut out = Output::observed(ctx, DEFAULT_CAPACITY);
     let kinds = table2_kinds(ctx.full);
 
     let mut cfg = fleet_day(FleetConfig::small(97), ctx.full, &kinds);
@@ -810,8 +809,8 @@ fn day_config(nics: usize, interarrival: f64) -> FleetConfig {
 
 /// Runs `run` once per engine width over the same day and asserts the
 /// determinism contract in-process: report bytes, journal and decision
-/// count equal across every thread count. Each width's wall-clock
-/// summary goes to stderr, so stdout stays deterministic.
+/// count equal across every thread count. The decision count is the
+/// sink's `fleet.arrivals` counter: one per arrival decided.
 fn sweep(
     label: &str,
     journal_cap: usize,
@@ -819,17 +818,15 @@ fn sweep(
 ) -> Sweep {
     let mut baseline: Option<Sweep> = None;
     for threads in SWEEP_THREADS {
-        // A fresh wall clock per run (same seed: the reservoir's slot
-        // schedule is identical) and a fresh journal at the same cap, so
+        // A fresh sink per run with a journal at the same cap, so
         // journals from different thread counts are comparable values.
-        let mut run_tel = Telemetry::with_wallclock(77);
+        let mut run_tel = Telemetry::enabled();
         if let Some(sink) = run_tel.sink_mut() {
             sink.journal = Journal::with_capacity(journal_cap);
         }
         let report = run(&Engine::with_threads(threads), &mut run_tel);
         let sink = run_tel.sink().expect("sweep telemetry is live");
-        let wall = sink.wall.as_ref().expect("sweep wall clock is live");
-        eprintln!("  {label} threads {threads:>2}: {}", wall.summary());
+        let decisions = sink.metrics.counter("fleet.arrivals");
 
         // Only the sequential baseline is kept alive — later journals
         // drop immediately, so peak memory stays ~2 journals however
@@ -839,7 +836,7 @@ fn sweep(
             baseline = Some(Sweep {
                 report,
                 journal: sink.journal.clone(),
-                decisions: wall.decisions_seen(),
+                decisions,
             });
             continue;
         };
@@ -853,8 +850,7 @@ fn sweep(
             "{label}: event journal must be identical at {threads} threads"
         );
         assert_eq!(
-            wall.decisions_seen(),
-            base.decisions,
+            decisions, base.decisions,
             "{label}: decision count must be identical at {threads} threads"
         );
     }
@@ -871,12 +867,10 @@ fn sweep(
 /// *same* profiled trace and asserts the scale-out determinism contract
 /// in-process: every sweep run's `FleetReport` serializes to
 /// byte-identical JSON and its event journal compares equal, whatever the
-/// thread count. Each run reports its events/sec and decision-latency
-/// quantiles from the wall-clock telemetry layer on stderr, but the
-/// committed record holds only what `--check` gates exactly —
-/// arrival/rejection/violation counts and the journal size; throughput is
-/// measured by `benchmark/`'s `fleet-yala-day` workload, not recorded
-/// here.
+/// thread count. The committed record holds only what `--check` gates
+/// exactly — arrival/rejection/violation counts and the journal size;
+/// throughput is measured by `benchmark/`'s `fleet-yala-day` workload,
+/// not recorded here.
 ///
 /// A second, smaller day — 400 NICs at the same load per NIC — runs
 /// under the prediction-driven (`yala`) policy through the same sweep: a
@@ -890,7 +884,7 @@ pub fn scale(ctx: &BenchArgs) -> Output {
     // lossless; an explicit `--journal-cap` still wins.
     let default_cap = ctx.pick(DEFAULT_CAPACITY, 1 << 22);
     let journal_cap = ctx.journal_cap.unwrap_or(default_cap);
-    let mut out = Output::observed(ctx, 77, default_cap);
+    let mut out = Output::observed(ctx, default_cap);
 
     // ~115k default / ~576k full arrivals.
     let nics = ctx.pick(2_000, 10_000);

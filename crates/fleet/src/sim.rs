@@ -300,7 +300,6 @@ impl<'a> FleetSim<'a> {
     pub fn step(&mut self, engine: &Engine, tel: &mut Telemetry) -> Option<Processed> {
         let &(t_ms, class, index) = self.events.get(self.next_event)?;
         self.next_event += 1;
-        tel.wall_tick();
         let processed = match class {
             CLASS_DEPARTURE => self.on_departure(t_ms, index, tel),
             CLASS_FAULT => self.on_fault(t_ms, index, tel),
@@ -361,7 +360,6 @@ impl<'a> FleetSim<'a> {
             qos: nf.qos().name(),
             sla_drop: nf.arrival.sla_drop,
         });
-        let w0 = tel.wall_start();
         self.margin_buf.clear();
         let margins = tel.is_enabled().then_some(&mut self.margin_buf);
         let mut reason = "arrival";
@@ -383,7 +381,6 @@ impl<'a> FleetSim<'a> {
                 reason = "preempt";
                 Some(nic)
             });
-        tel.wall_decision(w0);
         match slot {
             Some(nic) => {
                 debug_assert!(nf.supported_on(self.state.nics.model(nic)));
@@ -427,7 +424,6 @@ impl<'a> FleetSim<'a> {
         engine: &Engine,
         tel: &mut Telemetry,
     ) -> Processed {
-        let w0 = tel.wall_start();
         // 1. Drift: bring every placed NF to its snapshot in force at
         // this epoch and re-price the occupied NICs in the index.
         self.state
@@ -451,7 +447,6 @@ impl<'a> FleetSim<'a> {
         }
         // 5. Observe.
         self.close_epoch(t_ms, violating, epoch_migrations, tel);
-        tel.wall_phase("audit", w0);
         Processed::Audit(epoch)
     }
 

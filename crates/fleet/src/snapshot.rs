@@ -79,25 +79,36 @@ fn render(value: &FieldValue) -> String {
 
 const JOURNAL_KEYS: [&str; 3] = ["journal_events", "journal_dropped", "journal_capacity"];
 
+/// A snapshot's header line (without its newline): the version, the
+/// run's identity, the event count, the journal counters if any, and the
+/// state digest, in that order.
+fn header_line(
+    identity: &[(&str, FieldValue)],
+    next_event: i64,
+    journal: Option<[i64; 3]>,
+    digest: u64,
+) -> String {
+    let mut out = format!("{{\"yala_snapshot\":{SNAPSHOT_VERSION}");
+    for (key, value) in identity {
+        let _ = write!(out, ",\"{key}\":{}", render(value));
+    }
+    let _ = write!(out, ",\"next_event\":{next_event}");
+    for (key, n) in journal.iter().flat_map(|j| JOURNAL_KEYS.iter().zip(*j)) {
+        let _ = write!(out, ",\"{key}\":{n}");
+    }
+    // Hex string: a bare u64 above i64::MAX would not round-trip
+    // through the integer parser.
+    let _ = write!(out, ",\"digest\":\"{digest:016x}\"}}");
+    out
+}
+
 /// Serializes a running simulation — and, optionally, the counters of
 /// its telemetry journal — to a one-line versioned snapshot. Meaningful
 /// at any event boundary; callers wanting epoch-aligned checkpoints
 /// stop on [`Processed::Audit`](crate::Processed).
 pub fn snapshot_fleet(sim: &FleetSim<'_>, journal: Option<&Journal>) -> String {
-    let mut out = format!("{{\"yala_snapshot\":{SNAPSHOT_VERSION}");
-    for (key, value) in sim.identity() {
-        let _ = write!(out, ",\"{key}\":{}", render(&value));
-    }
-    let _ = write!(out, ",\"next_event\":{}", sim.events_consumed());
-    if let Some(j) = journal {
-        for (key, n) in JOURNAL_KEYS.iter().zip(journal_counters(j)) {
-            let _ = write!(out, ",\"{key}\":{n}");
-        }
-    }
-    // Hex string: a bare u64 above i64::MAX would not round-trip
-    // through the integer parser.
-    let _ = writeln!(out, ",\"digest\":\"{:016x}\"}}", sim.digest());
-    out
+    let (next_event, journal) = (sim.events_consumed() as i64, journal.map(journal_counters));
+    header_line(&sim.identity(), next_event, journal, sim.digest()) + "\n"
 }
 
 /// Restores a run from snapshot text by replay: builds a fresh
@@ -118,10 +129,9 @@ pub fn restore_fleet<'a>(
     engine: &Engine,
     tel: &mut Telemetry,
 ) -> Result<FleetSim<'a>, SnapshotError> {
-    let header =
-        text.lines().next().and_then(parse_line).ok_or_else(|| {
-            SnapshotError::BadHeader("empty or unparseable first line".to_string())
-        })?;
+    let line = text.lines().next().unwrap_or_default();
+    let header = parse_line(line)
+        .ok_or_else(|| SnapshotError::BadHeader("empty or unparseable first line".to_string()))?;
     let version = header
         .int("yala_snapshot")
         .ok_or_else(|| SnapshotError::BadHeader("missing yala_snapshot version".to_string()))?;
@@ -129,12 +139,13 @@ pub fn restore_fleet<'a>(
         return Err(SnapshotError::UnsupportedVersion(version));
     }
     let mut sim = FleetSim::new(profiled, policy, label);
-    for (key, ours) in sim.identity() {
-        if header.get(key) != Some(&ours) {
+    let identity = sim.identity();
+    for (key, ours) in &identity {
+        if header.get(key) != Some(ours) {
             return Err(SnapshotError::WrongRun(format!(
                 "{key}: snapshot has {}, this run has {}",
                 header.get(key).map_or("nothing".to_string(), render),
-                render(&ours)
+                render(ours)
             )));
         }
     }
@@ -151,6 +162,16 @@ pub fn restore_fleet<'a>(
         .str("digest")
         .and_then(|d| u64::from_str_radix(d, 16).ok())
         .ok_or_else(|| SnapshotError::BadHeader("missing digest".to_string()))?;
+    let journal = header
+        .get(JOURNAL_KEYS[0])
+        .map(|_| JOURNAL_KEYS.map(|key| header.int(key).unwrap_or(-1)));
+    // Only the writer's bytes load: a header whose fields are reordered,
+    // repeated or spelled differently (`-0`, `5.0`) is refused.
+    if header_line(&identity, next_event, journal, digest) != line {
+        return Err(SnapshotError::BadHeader(
+            "fields reordered, repeated or respelled".to_string(),
+        ));
+    }
     for _ in 0..next_event {
         sim.step(engine, tel);
     }
@@ -160,9 +181,8 @@ pub fn restore_fleet<'a>(
             "state digest {ours:016x} != snapshot's {digest:016x} after {next_event} events"
         )));
     }
-    if let (Some(sink), Some(_)) = (tel.sink(), header.get(JOURNAL_KEYS[0])) {
+    if let (Some(sink), Some(theirs)) = (tel.sink(), journal) {
         let ours = journal_counters(&sink.journal);
-        let theirs = JOURNAL_KEYS.map(|key| header.int(key).unwrap_or(-1));
         if ours != theirs {
             return Err(SnapshotError::Diverged(format!(
                 "journal (events, dropped, capacity) {ours:?} != snapshot's {theirs:?}"

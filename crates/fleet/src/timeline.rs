@@ -31,7 +31,7 @@
 use crate::trace::{FleetTrace, MS_PER_S};
 use yala_core::engine::Engine;
 use yala_core::profile_cache::{profile_seed, ProfileCache, ProfileKey, TrafficKey};
-use yala_placement::{measure_entry, placed_from_entry, sims_for, sims_for_key, Arrival, Placed};
+use yala_placement::{measure_entry, placed_from_entry, sims_for, Arrival, Placed};
 use yala_telemetry::{stable_hash64, Event, MetricsRegistry, Telemetry};
 use yala_traffic::{QuantizedTraffic, TrafficProfile, TrafficQuantizer};
 
@@ -107,11 +107,6 @@ pub struct ProfileStats {
 }
 
 impl ProfileStats {
-    /// Total re-profiles (drift triggers that produced a snapshot).
-    pub fn reprofiles(&self) -> u64 {
-        self.delta_reprofiles + self.full_reprofiles
-    }
-
     /// Renders the stats as a flat JSON object, for bench records.
     pub fn to_json(&self) -> String {
         format!(
@@ -148,12 +143,12 @@ pub enum CacheMode<'a> {
     Exact(Option<&'a ProfileCache>),
     /// [`TrafficQuantizer`] bucket keys, measured at the bucket's
     /// representative profile on fresh simulators seeded from the key
-    /// ([`profile_seed`], [`sims_for_key`]) — a pure function of the key,
-    /// so any two lookups of it, from any tenant, epoch, build, or
+    /// ([`profile_seed`], [`sims_for`] at scenario 0) — a pure function of
+    /// the key, so any two lookups of it, from any tenant, epoch, build, or
     /// thread, return bitwise-identical measurements and one cache may
-    /// serve any number of builds. Drift is
-    /// compared per attribute against the last *measured* profile and
-    /// only attributes past the threshold re-bucket
+    /// serve any number of builds. Drift is compared per attribute against
+    /// the last *measured* profile and only attributes past the threshold
+    /// re-bucket
     /// ([`TrafficQuantizer::delta_rekey`]); snapshots carry the
     /// representative traffic, so SLA floors track what was measured.
     Quantized(Option<&'a ProfileCache>),
@@ -258,7 +253,7 @@ impl ProfiledTrace {
                 cache.get_or_measure(&key, || match own_sims.as_mut() {
                     Some(sims) => measure_entry(sims, rec.kind, traffic, seed),
                     None => {
-                        let mut sims = sims_for_key(&specs, rec.kind, cfg.noise_sigma, seed);
+                        let mut sims = sims_for(&specs, rec.kind, cfg.noise_sigma, seed, 0);
                         measure_entry(&mut sims, rec.kind, traffic, seed)
                     }
                 })

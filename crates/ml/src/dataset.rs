@@ -41,24 +41,6 @@ impl Dataset {
         }
     }
 
-    /// Builds a dataset from parallel slices of rows and targets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have inconsistent widths or `rows.len() != targets.len()`.
-    pub fn from_rows(rows: &[Vec<f64>], targets: &[f64]) -> Self {
-        assert_eq!(rows.len(), targets.len(), "rows/targets length mismatch");
-        assert!(
-            !rows.is_empty(),
-            "cannot infer feature count from zero rows"
-        );
-        let mut ds = Dataset::new(rows[0].len());
-        for (row, &t) in rows.iter().zip(targets) {
-            ds.push(row, t);
-        }
-        ds
-    }
-
     /// Appends one row.
     ///
     /// # Panics

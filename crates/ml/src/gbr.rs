@@ -112,11 +112,6 @@ impl GradientBoostingRegressor {
     pub fn n_stages(&self) -> usize {
         self.forest.len()
     }
-
-    /// The constant (mean) prediction the ensemble starts from.
-    pub fn base_prediction(&self) -> f64 {
-        self.base
-    }
 }
 
 /// The boosting loop: the constant base prediction and one residual tree

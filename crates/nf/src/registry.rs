@@ -120,11 +120,6 @@ impl NfKind {
         matches!(self, NfKind::IpCompGateway)
     }
 
-    /// Whether the paper marks the NF as traffic-sensitive (Table 1's "T").
-    pub fn traffic_sensitive(self) -> bool {
-        !matches!(self, NfKind::IpRouter | NfKind::Acl)
-    }
-
     /// Capability feasibility: whether every accelerator this NF submits
     /// work to exists on `spec`. An NF whose workload issues Regex
     /// requests is infeasible on a regex-less NIC (e.g. the Pensando
@@ -177,7 +172,7 @@ impl NfKind {
         }
     }
 
-    /// Instantiates the NF with default configuration (deterministic).
+    /// Builds the NF with its default configuration (deterministic).
     pub fn build(self) -> Box<dyn NetworkFunction> {
         match self {
             NfKind::FlowStats => Box::new(FlowStats::new()),

@@ -387,7 +387,8 @@ pub fn prepare_all(
 
 /// The per-model simulators for scenario `i` of an arrival of `kind`:
 /// one per portfolio spec that admits the kind, seeded per
-/// `(model position, scenario index)`.
+/// `(model position, scenario index)`. A keyed (cache-shared) miss passes
+/// its key's seed at scenario 0, so misses on one key measure alike.
 pub fn sims_for(
     specs: &[NicSpec],
     kind: NfKind,
@@ -406,35 +407,6 @@ pub fn sims_for(
                     spec,
                     noise_sigma,
                     scenario_seed(model_seed_base(base_seed, m), scenario),
-                ),
-            )
-        })
-        .collect()
-}
-
-/// The per-model simulators for a *keyed* (cache-shared) measurement:
-/// one per portfolio spec that admits `kind`, seeded purely from
-/// `key_seed` — no scenario index, no trace position. Two cache misses
-/// on the same key therefore measure on bit-identical simulator state,
-/// which is what makes a cached entry indistinguishable from a fresh
-/// one.
-pub fn sims_for_key(
-    specs: &[NicSpec],
-    kind: NfKind,
-    noise_sigma: f64,
-    key_seed: u64,
-) -> Vec<(NicModelId, Simulator)> {
-    specs
-        .iter()
-        .enumerate()
-        .filter(|(_, spec)| kind.profiled_on(spec))
-        .map(|(m, spec)| {
-            (
-                spec.model(),
-                simulator_for(
-                    spec,
-                    noise_sigma,
-                    scenario_seed(model_seed_base(key_seed, m), 0),
                 ),
             )
         })

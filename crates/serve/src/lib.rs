@@ -128,6 +128,31 @@ struct Counters {
     sheds: u64,
 }
 
+impl Counters {
+    /// Every counter by its wire name, in the order `stats` replies and
+    /// snapshot headers carry them.
+    fn named(&mut self) -> [(&'static str, &mut u64); 9] {
+        [
+            ("admissions", &mut self.admissions),
+            ("rejections", &mut self.rejections),
+            ("departures", &mut self.departures),
+            ("queries", &mut self.queries),
+            ("observations", &mut self.observations),
+            ("absorb_passes", &mut self.absorb_passes),
+            ("absorbed", &mut self.absorbed),
+            ("evictions", &mut self.evictions),
+            ("sheds", &mut self.sheds),
+        ]
+    }
+
+    /// The counters as comma-separated `"name":value` fields.
+    fn fields(mut self) -> String {
+        self.named()
+            .map(|(key, n)| format!("\"{key}\":{n}"))
+            .join(",")
+    }
+}
+
 /// A placed NF instance: its NIC and its profiled placement record.
 struct Instance {
     nic: usize,
@@ -508,25 +533,27 @@ impl ServeLoop {
     }
 
     fn op_stats(&mut self) -> String {
-        let c = &self.counters;
         let active = self.instances.len();
         let in_service = |&n: &usize| self.nics.is_up(n);
         let nics_up = (0..self.nics.nics()).filter(in_service).count();
         format!(
-            "{{\"ok\":true,\"op\":\"stats\",\"admissions\":{},\"rejections\":{},\
-             \"departures\":{},\"queries\":{},\"observations\":{},\"absorb_passes\":{},\
-             \"absorbed\":{},\"evictions\":{},\"sheds\":{},\"active\":{active},\
-             \"nics_up\":{nics_up},\"pending\":{}}}",
-            c.admissions,
-            c.rejections,
-            c.departures,
-            c.queries,
-            c.observations,
-            c.absorb_passes,
-            c.absorbed,
-            c.evictions,
-            c.sheds,
+            "{{\"ok\":true,\"op\":\"stats\",{},\"active\":{active},\"nics_up\":{nics_up},\
+             \"pending\":{}}}",
+            self.counters.fields(),
             self.pending.len()
+        )
+    }
+
+    /// The snapshot header line (without its newline) of this daemon
+    /// holding `counters` and a log of `log` lines.
+    fn snapshot_header(&self, counters: Counters, log: usize) -> String {
+        format!(
+            "{{\"yala_serve_snapshot\":{SERVE_WIRE_VERSION},\"seed\":\"{}\",\
+             \"policy\":\"{}\",\"nics\":{},{},\"log\":{log}}}",
+            self.cfg.seed,
+            self.policy.name(),
+            self.nics.nics(),
+            counters.fields()
         )
     }
 
@@ -537,26 +564,7 @@ impl ServeLoop {
     /// snapshot uses for refined predictor state, applied to the whole
     /// daemon.
     pub fn snapshot(&self) -> String {
-        let c = &self.counters;
-        let mut out = format!(
-            "{{\"yala_serve_snapshot\":{SERVE_WIRE_VERSION},\"seed\":\"{}\",\
-             \"policy\":\"{}\",\"nics\":{},\"admissions\":{},\"rejections\":{},\
-             \"departures\":{},\"queries\":{},\"observations\":{},\"absorb_passes\":{},\
-             \"absorbed\":{},\"evictions\":{},\"sheds\":{},\"log\":{}}}\n",
-            self.cfg.seed,
-            self.policy.name(),
-            self.nics.nics(),
-            c.admissions,
-            c.rejections,
-            c.departures,
-            c.queries,
-            c.observations,
-            c.absorb_passes,
-            c.absorbed,
-            c.evictions,
-            c.sheds,
-            self.log.len()
-        );
+        let mut out = self.snapshot_header(self.counters, self.log.len()) + "\n";
         for line in &self.log {
             out.push_str(line);
             out.push('\n');
@@ -595,7 +603,18 @@ impl ServeLoop {
         if header.int("nics") != Some(loop_.nics.nics() as i64) {
             return Err("snapshot NIC count does not match config".to_string());
         }
+        // Queries are unlogged; every counter comes from the header, so
+        // post-restore `stats` is bit-identical to the uninterrupted run.
+        let mut counters = Counters::default();
+        for (key, n) in counters.named() {
+            *n = need_int(&header, key)? as u64;
+        }
         let promised = need_int(&header, "log")? as usize;
+        // Only the writer's bytes load: fields reordered, repeated or
+        // respelled (`-0`, `5.0`) are refused before anything replays.
+        if loop_.snapshot_header(counters, promised) != header_line {
+            return Err("snapshot header is not in the form this daemon writes".to_string());
+        }
         let mut replayed = 0usize;
         for line in lines {
             // The log holds only what `handle_line` logs; anything else
@@ -615,20 +634,7 @@ impl ServeLoop {
                 "snapshot log promised {promised} lines, found {replayed}"
             ));
         }
-        // Queries are unlogged; pull every counter from the header so
-        // post-restore `stats` is bit-identical to the uninterrupted run.
-        let get = |k: &str| need_int(&header, k).map(|v| v as u64);
-        loop_.counters = Counters {
-            admissions: get("admissions")?,
-            rejections: get("rejections")?,
-            departures: get("departures")?,
-            queries: get("queries")?,
-            observations: get("observations")?,
-            absorb_passes: get("absorb_passes")?,
-            absorbed: get("absorbed")?,
-            evictions: get("evictions")?,
-            sheds: get("sheds")?,
-        };
+        loop_.counters = counters;
         Ok(loop_)
     }
 }

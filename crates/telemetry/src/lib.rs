@@ -1,6 +1,6 @@
 //! # yala-telemetry — the deterministic observability plane
 //!
-//! Three layers, cleanly split by determinism contract:
+//! Two layers, both deterministic:
 //!
 //! * [`metrics`] — a registry of counters/gauges/log-bucketed histograms
 //!   whose exports (Prometheus text, JSON) are bit-identical across runs
@@ -11,9 +11,6 @@
 //!   evacuations, park/readmit, cache hits/misses, absorb passes),
 //!   stamped at logical event time so it is replay-deterministic, and
 //!   serialized as JSONL.
-//! * [`wallclock`] — the *optional* real-time layer (decision-latency
-//!   quantiles via a seeded reservoir, phase timings, events/sec),
-//!   excluded from every determinism comparison.
 //!
 //! The [`Telemetry`] handle ties them together and is **zero-cost when
 //! disabled**: a disabled handle is a `None` behind one branch, no
@@ -29,14 +26,10 @@
 pub mod inspect;
 pub mod journal;
 pub mod metrics;
-pub mod wallclock;
 
 pub use inspect::Inspector;
 pub use journal::{parse_jsonl, parse_line, Event, Journal, JournalRecord, RawEvent};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use wallclock::{Reservoir, WallClock};
-
-use std::time::Instant;
 
 /// The enabled half of a [`Telemetry`] handle.
 #[derive(Debug)]
@@ -45,8 +38,6 @@ pub struct TelemetrySink {
     pub metrics: MetricsRegistry,
     /// The deterministic sim-time journal.
     pub journal: Journal,
-    /// The non-deterministic wall-clock layer, if requested.
-    pub wall: Option<WallClock>,
 }
 
 /// The observability handle instrumented code threads along: either a
@@ -64,24 +55,14 @@ impl Telemetry {
         Self { inner: None }
     }
 
-    /// A live sink recording metrics and the sim-time journal (no
-    /// wall-clock layer: exports stay fully deterministic).
+    /// A live sink recording metrics and the sim-time journal.
     pub fn enabled() -> Self {
         Self {
             inner: Some(Box::new(TelemetrySink {
                 metrics: MetricsRegistry::new(),
                 journal: Journal::new(),
-                wall: None,
             })),
         }
-    }
-
-    /// A live sink that additionally samples wall-clock latencies with a
-    /// reservoir seeded from `seed`.
-    pub fn with_wallclock(seed: u64) -> Self {
-        let mut t = Self::enabled();
-        t.inner.as_mut().expect("just enabled").wall = Some(WallClock::new(seed));
-        t
     }
 
     /// Whether this handle records anything.
@@ -133,41 +114,7 @@ impl Telemetry {
         }
     }
 
-    /// Counts one simulation event on the wall clock.
-    #[inline]
-    pub fn wall_tick(&mut self) {
-        if let Some(w) = self.wall_mut() {
-            w.tick();
-        }
-    }
-
-    /// Starts a wall-clock span; `None` when no wall clock is attached,
-    /// so the disabled path never reads the clock.
-    #[inline]
-    pub fn wall_start(&self) -> Option<Instant> {
-        match &self.inner {
-            Some(s) if s.wall.is_some() => Some(Instant::now()),
-            _ => None,
-        }
-    }
-
-    /// Ends a decision-latency span started with [`Self::wall_start`].
-    #[inline]
-    pub fn wall_decision(&mut self, t0: Option<Instant>) {
-        if let (Some(w), Some(t0)) = (self.wall_mut(), t0) {
-            w.decision(t0);
-        }
-    }
-
-    /// Ends a phase span started with [`Self::wall_start`].
-    #[inline]
-    pub fn wall_phase(&mut self, name: &'static str, t0: Option<Instant>) {
-        if let (Some(w), Some(t0)) = (self.wall_mut(), t0) {
-            w.phase(name, t0);
-        }
-    }
-
-    /// The live sink, if enabled (read access to metrics/journal/wall).
+    /// The live sink, if enabled (read access to metrics/journal).
     pub fn sink(&self) -> Option<&TelemetrySink> {
         self.inner.as_deref()
     }
@@ -175,10 +122,6 @@ impl Telemetry {
     /// Mutable access to the live sink, if enabled.
     pub fn sink_mut(&mut self) -> Option<&mut TelemetrySink> {
         self.inner.as_deref_mut()
-    }
-
-    fn wall_mut(&mut self) -> Option<&mut WallClock> {
-        self.inner.as_deref_mut().and_then(|s| s.wall.as_mut())
     }
 }
 
@@ -206,8 +149,6 @@ mod tests {
         t.inc("x", 1);
         t.gauge("g", 1.0);
         t.observe_log2("h", 1.0, 4, 1.0);
-        t.wall_tick();
-        assert!(t.wall_start().is_none());
         assert!(t.sink().is_none());
     }
 
@@ -216,26 +157,9 @@ mod tests {
         let mut t = Telemetry::enabled();
         t.rec(5, || Event::Depart { id: 1, nic: -1 });
         t.inc("fleet.arrivals", 2);
-        assert!(t.wall_start().is_none(), "no wall clock unless requested");
         let s = t.sink().unwrap();
         assert_eq!(s.journal.len(), 1);
         assert_eq!(s.metrics.counter("fleet.arrivals"), 2);
-        assert!(s.wall.is_none());
-    }
-
-    #[test]
-    fn wallclock_layer_is_opt_in_and_separate() {
-        let mut t = Telemetry::with_wallclock(9);
-        let t0 = t.wall_start();
-        assert!(t0.is_some());
-        t.wall_decision(t0);
-        t.wall_tick();
-        let s = t.sink().unwrap();
-        let w = s.wall.as_ref().unwrap();
-        assert!(w.summary().contains("events"));
-        // The deterministic exports know nothing about the wall layer.
-        assert!(s.metrics.is_empty());
-        assert!(s.journal.is_empty());
     }
 
     #[test]

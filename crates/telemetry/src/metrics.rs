@@ -176,11 +176,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// True if nothing was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Prometheus text exposition: `# TYPE` lines plus samples, names
     /// sanitized (`.` → `_`), histograms in cumulative `le` form.
     /// Deterministic: canonical name order, fixed float formatting.

@@ -18,8 +18,8 @@
 //! * [`fleet`] — the live-cluster orchestrator: traffic drift, periodic
 //!   SLA audits, and reactive migration over simulated hours.
 //! * [`telemetry`] — the deterministic observability plane: metrics
-//!   registry, sim-time event journal, wall-clock layer, and the
-//!   journal inspector behind the `fleet_inspect` bin.
+//!   registry, sim-time event journal, and the journal inspector behind
+//!   the `fleet_inspect` bin.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system inventory
 //! and hardware-substitution notes.

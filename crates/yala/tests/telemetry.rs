@@ -3,9 +3,6 @@
 //! * telemetry-enabled fleet runs are byte-identical between a sequential
 //!   engine and `Engine::with_threads(4)` — journal JSONL, metrics JSON,
 //!   and the Prometheus rendering all compare equal as strings;
-//! * the wall-clock layer is excluded from the deterministic surface —
-//!   a `with_wallclock` run exports the same bytes as a plain `enabled`
-//!   run;
 //! * instrumentation never perturbs the simulation: the observed
 //!   pipeline's `FleetReport` serializes byte-identically to the
 //!   unobserved pipeline's.
@@ -31,7 +28,8 @@ fn config(seed: u64) -> FleetConfig {
 
 /// Runs the full observed pipeline (profile build + greedy fleet run)
 /// and returns the report plus every exported byte stream.
-fn observed_exports(seed: u64, engine: &Engine, mut tel: Telemetry) -> (FleetReport, [String; 3]) {
+fn observed_exports(seed: u64, engine: &Engine) -> (FleetReport, [String; 3]) {
+    let mut tel = Telemetry::enabled();
     let profiled = ProfiledTrace::build(
         FleetTrace::generate(config(seed)),
         engine,
@@ -50,8 +48,8 @@ fn observed_exports(seed: u64, engine: &Engine, mut tel: Telemetry) -> (FleetRep
 
 #[test]
 fn telemetry_is_byte_identical_across_thread_counts() {
-    let (seq_report, seq) = observed_exports(41, &Engine::sequential(), Telemetry::enabled());
-    let (par_report, par) = observed_exports(41, &Engine::with_threads(4), Telemetry::enabled());
+    let (seq_report, seq) = observed_exports(41, &Engine::sequential());
+    let (par_report, par) = observed_exports(41, &Engine::with_threads(4));
     assert_eq!(seq_report.to_json(), par_report.to_json());
     assert_eq!(
         seq[0], par[0],
@@ -69,15 +67,6 @@ fn telemetry_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn wall_clock_layer_is_outside_the_deterministic_surface() {
-    // Same seed, same engine; one handle carries the wall-clock layer.
-    // Journal and metrics must not know the difference.
-    let (_, plain) = observed_exports(41, &Engine::sequential(), Telemetry::enabled());
-    let (_, walled) = observed_exports(41, &Engine::sequential(), Telemetry::with_wallclock(41));
-    assert_eq!(plain, walled);
-}
-
-#[test]
 fn instrumentation_does_not_perturb_the_simulation() {
     let engine = Engine::sequential();
 
@@ -90,7 +79,7 @@ fn instrumentation_does_not_perturb_the_simulation() {
     let baseline = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &engine);
 
     // Observed pipeline on a freshly generated (identical) trace.
-    let (observed, _) = observed_exports(41, &engine, Telemetry::enabled());
+    let (observed, _) = observed_exports(41, &engine);
     assert_eq!(
         baseline.to_json(),
         observed.to_json(),
