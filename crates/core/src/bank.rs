@@ -134,14 +134,6 @@ impl<M> ModelBank<M> {
         self.entries.is_empty()
     }
 
-    /// Wraps a legacy homogeneous `(kind, model)` list as a single-model
-    /// bank.
-    pub fn from_single(model: NicModelId, entries: Vec<(NfKind, M)>) -> Self {
-        Self {
-            entries: entries.into_iter().map(|(k, v)| (model, k, v)).collect(),
-        }
-    }
-
     /// Builds a bank by training every admitted `(spec, kind)` cell of the
     /// profiling matrix, dispatched across `engine`'s workers. Cells are
     /// enumerated model-major (`specs[0]`'s kinds first, in `kinds`
@@ -329,14 +321,6 @@ mod tests {
     fn duplicate_models_rejected() {
         let specs = [NicSpec::bluefield2(), NicSpec::bluefield2()];
         ModelBank::train_matrix(&specs, &[NfKind::Acl], &Engine::sequential(), |_, _, i| i);
-    }
-
-    #[test]
-    fn from_single_wraps_legacy_lists() {
-        let bf2 = NicSpec::bluefield2().model();
-        let bank = ModelBank::from_single(bf2, vec![(NfKind::Acl, 7u8), (NfKind::Nat, 8)]);
-        assert_eq!(bank.get(bf2, NfKind::Nat), Some(&8));
-        assert_eq!(bank.models(), vec![bf2]);
     }
 
     /// Toy refinable cell: counts absorbed observations and folds their

@@ -31,6 +31,13 @@ impl QosClass {
         }
     }
 
+    /// The inverse of [`QosClass::name`]; `None` for unknown names.
+    pub fn from_name(name: &str) -> Option<QosClass> {
+        [QosClass::Guaranteed, QosClass::BestEffort]
+            .into_iter()
+            .find(|q| q.name() == name)
+    }
+
     /// Whether this is the guaranteed class.
     pub fn is_guaranteed(self) -> bool {
         matches!(self, QosClass::Guaranteed)
@@ -59,5 +66,9 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(QosClass::Guaranteed.name(), "guaranteed");
         assert_eq!(QosClass::BestEffort.to_string(), "best_effort");
+        for q in [QosClass::Guaranteed, QosClass::BestEffort] {
+            assert_eq!(QosClass::from_name(q.name()), Some(q));
+        }
+        assert_eq!(QosClass::from_name("platinum"), None);
     }
 }

@@ -62,7 +62,7 @@ pub mod timeline;
 pub mod trace;
 
 pub use policy::{Diagnoser, FleetPolicy, OnlineRefine};
-pub use record_io::{read_trace, write_trace, TraceIoError, TRACE_VERSION};
+pub use record_io::{read_trace, read_traffic, write_trace, TraceIoError, TRACE_VERSION};
 pub use replay::{replay_journal, verify_against, ReplaySummary};
 pub use report::{ClassStats, FleetReport, FleetSample};
 pub use residency::Residency;

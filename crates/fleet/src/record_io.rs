@@ -22,7 +22,7 @@ use yala_core::QosClass;
 use yala_nf::NfKind;
 use yala_sim::NicSpec;
 use yala_telemetry::{parse_line, RawEvent};
-use yala_traffic::profile::{MAX_FLOW_COUNT, MAX_PACKET_SIZE, MIN_PACKET_SIZE};
+use yala_traffic::profile::{MAX_FLOW_COUNT, MAX_MTBR, MAX_PACKET_SIZE, MIN_PACKET_SIZE};
 use yala_traffic::TrafficProfile;
 
 /// Format version written in the header's `yala_trace` field. Bump on
@@ -149,112 +149,104 @@ pub fn write_trace(trace: &FleetTrace) -> String {
     out
 }
 
-/// Resolves a portfolio model name back to its hardware spec. The spec
-/// table is code, not data, so only models the simulator implements can
-/// appear in a trace file.
-fn spec_by_name(name: &str) -> Option<NicSpec> {
-    match name {
-        "bluefield2" => Some(NicSpec::bluefield2()),
-        "pensando" => Some(NicSpec::pensando()),
-        _ => None,
-    }
-}
+/// The keys of a record's start and end traffic triples.
+const TRAFFIC_KEYS: [[&str; 3]; 2] = [["flows0", "psize0", "mtbr0"], ["flows1", "psize1", "mtbr1"]];
 
-fn parse_fault_kind(name: &str) -> Option<FaultKind> {
-    match name {
-        "fail" => Some(FaultKind::Fail),
-        "recover" => Some(FaultKind::Recover),
-        "drain_start" => Some(FaultKind::DrainStart),
-        "drain_end" => Some(FaultKind::DrainEnd),
-        _ => None,
-    }
-}
-
-fn parse_qos(name: &str) -> Option<QosClass> {
-    match name {
-        "guaranteed" => Some(QosClass::Guaranteed),
-        "best_effort" => Some(QosClass::BestEffort),
-        _ => None,
-    }
-}
-
-/// Required string field, with a line-anchored error.
-fn need_str<'e>(ev: &'e RawEvent, key: &str, line: usize) -> Result<&'e str, TraceIoError> {
-    ev.str(key).ok_or_else(|| TraceIoError::BadLine {
-        line,
-        reason: format!("missing string field {key}"),
-    })
-}
-
-fn need_int(ev: &RawEvent, key: &str, line: usize) -> Result<i64, TraceIoError> {
-    ev.int(key).ok_or_else(|| TraceIoError::BadLine {
-        line,
-        reason: format!("missing integer field {key}"),
-    })
-}
-
-/// Required integer field as a `T`, refused when `T` cannot hold it (an
-/// `as` cast would wrap it into some other, valid-looking value).
-fn need_int_as<T: TryFrom<i64>>(ev: &RawEvent, key: &str, line: usize) -> Result<T, TraceIoError> {
-    let v = need_int(ev, key, line)?;
-    T::try_from(v).map_err(|_| TraceIoError::BadLine {
-        line,
-        reason: format!("field {key} = {v} out of range"),
-    })
-}
-
-/// Required integer field inside `lo..=hi`: a flow count or packet size
-/// outside what a [`TrafficProfile`] holds is refused, not clamped.
-fn need_u32_in(
+/// The traffic profile a line's `[flows, psize, mtbr]` fields hold: the
+/// one rule for traffic from outside, on every daemon op that carries
+/// traffic and on both triples of a trace record. A value outside the
+/// ranges a [`TrafficProfile`] holds is refused naming its key, never
+/// clamped: past this point a zero flow count or packet size panics the
+/// packet generator, and a flow count is an allocation size.
+pub fn read_traffic(
     ev: &RawEvent,
-    key: &str,
-    line: usize,
-    lo: u32,
-    hi: u32,
-) -> Result<u32, TraceIoError> {
-    let v = need_int(ev, key, line)?;
-    if !(lo as i64..=hi as i64).contains(&v) {
-        return Err(TraceIoError::BadLine {
-            line,
-            reason: format!("field {key} = {v} outside [{lo},{hi}]"),
-        });
-    }
-    Ok(v as u32)
+    [flows, psize, mtbr]: [&str; 3],
+) -> Result<TrafficProfile, String> {
+    Ok(TrafficProfile::new(
+        ev.need_in(flows, 1, MAX_FLOW_COUNT)?,
+        ev.need_in(psize, MIN_PACKET_SIZE, MAX_PACKET_SIZE)?,
+        ev.need_in(mtbr, 0.0, MAX_MTBR)?,
+    ))
 }
 
 /// The most seconds a header duration may hold: the sum of two of them,
 /// in milliseconds, still fits a `u64` (as does a time inside the
 /// horizon plus one of them).
-const MAX_HEADER_S: i64 = i64::MAX / MS_PER_S as i64;
+const MAX_HEADER_S: u64 = i64::MAX as u64 / MS_PER_S;
 
-/// Header integer `key` as a `T`, `None` if absent. Anything outside
-/// `0..=max`, or that `T` cannot hold, is refused naming the field (an
-/// `as` cast would wrap it into some other, valid-looking value).
-fn header_int<T: TryFrom<i64>>(
-    header: &RawEvent,
-    key: &str,
-    max: i64,
-) -> Result<Option<T>, TraceIoError> {
-    let Some(v) = header.int(key) else {
-        return Ok(None);
+/// The [`FleetConfig`] a trace header holds. An optional field that is
+/// absent takes its default; a field that is present is read as its type
+/// or refused naming it.
+fn read_config(h: &RawEvent) -> Result<FleetConfig, String> {
+    let seed = h.need_str("seed")?;
+    let seed = seed
+        .parse()
+        .map_err(|_| format!("field seed = {seed} is not a u64"))?;
+    let kinds = h.need_str("kinds")?.split(',').filter(|s| !s.is_empty());
+    let kinds = kinds
+        .map(|name| NfKind::from_name(name).ok_or_else(|| format!("unknown NF kind {name}")))
+        .collect::<Result<_, _>>()?;
+    let portfolio = h
+        .need_str("portfolio")?
+        .split(',')
+        .filter(|s| !s.is_empty());
+    let portfolio = portfolio
+        .map(|entry| {
+            let (name, count) = entry
+                .split_once(':')
+                .ok_or_else(|| format!("portfolio entry {entry} is not model:count"))?;
+            let count = count
+                .parse()
+                .map_err(|_| format!("portfolio count in {entry} is not a number"))?;
+            let spec =
+                NicSpec::from_name(name).ok_or_else(|| format!("unknown NIC model {name}"))?;
+            Ok((spec, count))
+        })
+        .collect::<Result<_, String>>()?;
+    let traffic_model = match h.optional("traffic", RawEvent::need_str)? {
+        Some("uniform") | None => TrafficModel::Uniform,
+        Some("templates") => TrafficModel::Templates {
+            count: h.need_int("templates")?,
+            jitter: h.need_num("jitter")?,
+        },
+        Some(other) => return Err(format!("unknown traffic model {other}")),
     };
-    let held = (0..=max).contains(&v).then(|| T::try_from(v).ok());
-    held.flatten()
-        .map(Some)
-        .ok_or_else(|| TraceIoError::BadHeader(format!("field {key} = {v} outside [0,{max}]")))
-}
-
-fn need_num(ev: &RawEvent, key: &str, line: usize) -> Result<f64, TraceIoError> {
-    ev.num(key).ok_or_else(|| TraceIoError::BadLine {
-        line,
-        reason: format!("missing numeric field {key}"),
+    let seconds = |h: &RawEvent, key: &str| h.need_in(key, 0, MAX_HEADER_S);
+    Ok(FleetConfig {
+        portfolio,
+        duration_s: seconds(h, "duration_s")?,
+        mean_interarrival_s: h.need_num("mean_interarrival_s")?,
+        mean_lifetime_s: h.need_num("mean_lifetime_s")?,
+        audit_period_s: seconds(h, "audit_period_s")?,
+        kinds,
+        sla_drop_range: (h.need_num("sla_lo")?, h.need_num("sla_hi")?),
+        drift: h.optional("drift", RawEvent::need_bool)?.unwrap_or(false),
+        traffic_model,
+        max_flows: h.need_int("max_flows")?,
+        reprofile_threshold: h.need_num("reprofile_threshold")?,
+        max_migrations_per_audit: h.need_int("max_migrations")?,
+        noise_sigma: h.need_num("noise_sigma")?,
+        guaranteed_fraction: h.need_num("guaranteed_fraction")?,
+        faults: crate::trace::FaultPlan {
+            mtbf_s: h.optional("mtbf_s", RawEvent::need_num)?.unwrap_or(0.0),
+            mean_repair_s: h
+                .optional("mean_repair_s", RawEvent::need_num)?
+                .unwrap_or(0.0),
+            drains: h.optional("drains", RawEvent::need_int)?.unwrap_or(0),
+            drain_notice_s: h.optional("drain_notice_s", seconds)?.unwrap_or(0),
+            drain_offline_s: h.optional("drain_offline_s", seconds)?.unwrap_or(0),
+        },
+        seed,
     })
 }
 
 /// Parses `.yala-trace` JSONL text back into a [`FleetTrace`]. The
 /// recorded fault lines are authoritative: they overwrite the schedule
 /// recomputed from the config (for generated traces the two are
-/// identical, but the file must stand alone).
+/// identical, but the file must stand alone). Every field is read through
+/// [`RawEvent`]'s required-field accessors, so a value a field cannot
+/// hold is refused naming the field and the line, never wrapped, clamped
+/// or defaulted.
 pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
     let mut lines = text.lines();
     let header_line = lines
@@ -263,188 +255,72 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
     let header = parse_line(header_line)
         .ok_or_else(|| TraceIoError::BadHeader("unparseable first line".to_string()))?;
     let version = header
-        .int("yala_trace")
-        .ok_or_else(|| TraceIoError::BadHeader("missing yala_trace version".to_string()))?;
+        .need_int("yala_trace")
+        .map_err(TraceIoError::BadHeader)?;
     if version != TRACE_VERSION {
         return Err(TraceIoError::UnsupportedVersion(version));
     }
-    let bad_header = |why: &str| TraceIoError::BadHeader(why.to_string());
-    let seed: u64 = header
-        .str("seed")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad_header("missing or non-numeric seed"))?;
-    let kinds_raw = header
-        .str("kinds")
-        .ok_or_else(|| bad_header("missing kinds"))?;
-    let mut kinds = Vec::new();
-    for name in kinds_raw.split(',').filter(|s| !s.is_empty()) {
-        kinds.push(
-            NfKind::from_name(name)
-                .ok_or_else(|| bad_header(&format!("unknown NF kind {name}")))?,
-        );
-    }
-    let portfolio_raw = header
-        .str("portfolio")
-        .ok_or_else(|| bad_header("missing portfolio"))?;
-    let mut portfolio = Vec::new();
-    for entry in portfolio_raw.split(',').filter(|s| !s.is_empty()) {
-        let (name, count) = entry
-            .split_once(':')
-            .ok_or_else(|| bad_header(&format!("portfolio entry {entry} is not model:count")))?;
-        let count: usize = count
-            .parse()
-            .map_err(|_| bad_header(&format!("portfolio count in {entry} is not a number")))?;
-        let spec =
-            spec_by_name(name).ok_or_else(|| bad_header(&format!("unknown NIC model {name}")))?;
-        portfolio.push((spec, count));
-    }
-    let traffic_model = match header.str("traffic") {
-        Some("uniform") | None => TrafficModel::Uniform,
-        Some("templates") => TrafficModel::Templates {
-            count: header_int(&header, "templates", u32::MAX.into())?
-                .ok_or_else(|| bad_header("templates traffic without a template count"))?,
-            jitter: header
-                .num("jitter")
-                .ok_or_else(|| bad_header("templates traffic without a jitter"))?,
-        },
-        Some(other) => return Err(bad_header(&format!("unknown traffic model {other}"))),
+    let config = read_config(&header).map_err(TraceIoError::BadHeader)?;
+    // An absent count is not checked; a present one must be a count.
+    let count = |key| {
+        let n = header.optional(key, RawEvent::need_int::<usize>);
+        n.map_err(TraceIoError::BadHeader)
     };
-    let config = FleetConfig {
-        portfolio,
-        duration_s: header_int(&header, "duration_s", MAX_HEADER_S)?
-            .ok_or_else(|| bad_header("missing duration_s"))?,
-        mean_interarrival_s: header
-            .num("mean_interarrival_s")
-            .ok_or_else(|| bad_header("missing mean_interarrival_s"))?,
-        mean_lifetime_s: header
-            .num("mean_lifetime_s")
-            .ok_or_else(|| bad_header("missing mean_lifetime_s"))?,
-        audit_period_s: header_int(&header, "audit_period_s", MAX_HEADER_S)?
-            .ok_or_else(|| bad_header("missing audit_period_s"))?,
-        kinds,
-        sla_drop_range: (
-            header
-                .num("sla_lo")
-                .ok_or_else(|| bad_header("missing sla_lo"))?,
-            header
-                .num("sla_hi")
-                .ok_or_else(|| bad_header("missing sla_hi"))?,
-        ),
-        drift: matches!(
-            header.get("drift"),
-            Some(yala_telemetry::journal::FieldValue::Bool(true))
-        ),
-        traffic_model,
-        max_flows: header
-            .int("max_flows")
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| bad_header("missing or out-of-range max_flows"))?,
-        reprofile_threshold: header
-            .num("reprofile_threshold")
-            .ok_or_else(|| bad_header("missing reprofile_threshold"))?,
-        max_migrations_per_audit: header_int(&header, "max_migrations", i64::MAX)?
-            .ok_or_else(|| bad_header("missing max_migrations"))?,
-        noise_sigma: header
-            .num("noise_sigma")
-            .ok_or_else(|| bad_header("missing noise_sigma"))?,
-        guaranteed_fraction: header
-            .num("guaranteed_fraction")
-            .ok_or_else(|| bad_header("missing guaranteed_fraction"))?,
-        faults: crate::trace::FaultPlan {
-            mtbf_s: header.num("mtbf_s").unwrap_or(0.0),
-            mean_repair_s: header.num("mean_repair_s").unwrap_or(0.0),
-            drains: header_int(&header, "drains", u32::MAX.into())?.unwrap_or(0),
-            drain_notice_s: header_int(&header, "drain_notice_s", MAX_HEADER_S)?.unwrap_or(0),
-            drain_offline_s: header_int(&header, "drain_offline_s", MAX_HEADER_S)?.unwrap_or(0),
-        },
-        seed,
-    };
-    let expect_records = header.int("records").unwrap_or(-1);
-    let expect_faults = header.int("faults").unwrap_or(-1);
+    let (expect_records, expect_faults) = (count("records")?, count("faults")?);
 
     let nics = config.nics();
     let mut records = Vec::new();
     let mut faults = Vec::new();
     for (i, raw) in lines.enumerate() {
-        let line_no = i + 2;
+        let line = i + 2;
         if raw.trim().is_empty() {
             continue;
         }
-        let ev = parse_line(raw).ok_or_else(|| TraceIoError::BadLine {
-            line: line_no,
-            reason: "unparseable line".to_string(),
-        })?;
-        match need_str(&ev, "ev", line_no)? {
+        let bad = |reason| TraceIoError::BadLine { line, reason };
+        let ev = parse_line(raw).ok_or_else(|| bad("unparseable line".to_string()))?;
+        let tag = ev.need_str("ev").map_err(bad)?;
+        let kind_name = ev.need_str("kind").map_err(bad)?;
+        match tag {
             "nf" => {
-                let kind_name = need_str(&ev, "kind", line_no)?;
-                let kind = NfKind::from_name(kind_name).ok_or_else(|| TraceIoError::BadLine {
-                    line: line_no,
-                    reason: format!("unknown NF kind {kind_name}"),
-                })?;
-                let qos_name = need_str(&ev, "qos", line_no)?;
-                let qos = parse_qos(qos_name).ok_or_else(|| TraceIoError::BadLine {
-                    line: line_no,
-                    reason: format!("unknown QoS class {qos_name}"),
-                })?;
-                let flows = |key| need_u32_in(&ev, key, line_no, 1, MAX_FLOW_COUNT);
-                let psize = |key| need_u32_in(&ev, key, line_no, MIN_PACKET_SIZE, MAX_PACKET_SIZE);
+                let unknown = || bad(format!("unknown NF kind {kind_name}"));
+                let qos = ev.need_str("qos").map_err(bad)?;
+                let traffic = |keys| read_traffic(&ev, keys).map_err(bad);
                 records.push(NfRecord {
-                    id: need_int_as(&ev, "id", line_no)?,
-                    kind,
-                    arrival_ms: need_int_as(&ev, "arrival_ms", line_no)?,
-                    departure_ms: need_int_as(&ev, "departure_ms", line_no)?,
-                    start: TrafficProfile::new(
-                        flows("flows0")?,
-                        psize("psize0")?,
-                        need_num(&ev, "mtbr0", line_no)?,
-                    ),
-                    end: TrafficProfile::new(
-                        flows("flows1")?,
-                        psize("psize1")?,
-                        need_num(&ev, "mtbr1", line_no)?,
-                    ),
-                    sla_drop: need_num(&ev, "sla_drop", line_no)?,
-                    qos,
+                    id: ev.need_int("id").map_err(bad)?,
+                    kind: NfKind::from_name(kind_name).ok_or_else(unknown)?,
+                    arrival_ms: ev.need_int("arrival_ms").map_err(bad)?,
+                    departure_ms: ev.need_int("departure_ms").map_err(bad)?,
+                    start: traffic(TRAFFIC_KEYS[0])?,
+                    end: traffic(TRAFFIC_KEYS[1])?,
+                    sla_drop: ev.need_num("sla_drop").map_err(bad)?,
+                    qos: QosClass::from_name(qos)
+                        .ok_or_else(|| bad(format!("unknown QoS class {qos}")))?,
                 });
             }
             "fault" => {
-                let kind_name = need_str(&ev, "kind", line_no)?;
-                let kind = parse_fault_kind(kind_name).ok_or_else(|| TraceIoError::BadLine {
-                    line: line_no,
-                    reason: format!("unknown fault kind {kind_name}"),
-                })?;
-                let nic: usize = need_int_as(&ev, "nic", line_no)?;
+                let unknown = || bad(format!("unknown fault kind {kind_name}"));
+                let nic = ev.need_int("nic").map_err(bad)?;
                 if nic >= nics {
-                    return Err(TraceIoError::BadLine {
-                        line: line_no,
-                        reason: format!("fault NIC {nic} outside a {nics}-NIC fleet"),
-                    });
+                    return Err(bad(format!("fault NIC {nic} outside a {nics}-NIC fleet")));
                 }
                 faults.push(FaultEvent {
-                    t_ms: need_int_as(&ev, "t_ms", line_no)?,
+                    t_ms: ev.need_int("t_ms").map_err(bad)?,
                     nic,
-                    kind,
+                    kind: FaultKind::from_name(kind_name).ok_or_else(unknown)?,
                 });
             }
-            other => {
-                return Err(TraceIoError::BadLine {
-                    line: line_no,
-                    reason: format!("unknown event type {other}"),
-                })
-            }
+            other => return Err(bad(format!("unknown event type {other}"))),
         }
     }
-    if expect_records >= 0 && records.len() as i64 != expect_records {
-        return Err(TraceIoError::BadHeader(format!(
-            "header promises {expect_records} records, file has {}",
-            records.len()
-        )));
-    }
-    if expect_faults >= 0 && faults.len() as i64 != expect_faults {
-        return Err(TraceIoError::BadHeader(format!(
-            "header promises {expect_faults} faults, file has {}",
-            faults.len()
-        )));
+    for (what, promised, found) in [
+        ("records", expect_records, records.len()),
+        ("faults", expect_faults, faults.len()),
+    ] {
+        if let Some(n) = promised.filter(|&n| n != found) {
+            return Err(TraceIoError::BadHeader(format!(
+                "header promises {n} {what}, file has {found}"
+            )));
+        }
     }
     let mut trace = FleetTrace::from_records(config, records)?;
     // The file is authoritative for faults: a recorded production
@@ -537,17 +413,27 @@ mod tests {
             ("id", "-1"),
             ("arrival_ms", "-1"),
             ("departure_ms", "-3600000"),
+            ("mtbr0", "-5"),
+            ("mtbr0", "1e999"),
+            ("mtbr1", "1200.5"),
+            ("flows1", "1.5"),
+            ("psize1", "\"512\""),
         ] {
-            assert!(
-                matches!(
-                    read_trace(&with(field, value)),
-                    Err(TraceIoError::BadLine { .. })
-                ),
-                "{field} = {value} accepted"
-            );
+            match read_trace(&with(field, value)) {
+                Err(TraceIoError::BadLine { line: 2, reason }) => {
+                    assert!(reason.contains(&format!("field {field} ")), "{reason}")
+                }
+                other => panic!("{field} = {value} read as {other:?}"),
+            }
         }
         // The bounds themselves are fine.
-        for (field, value) in [("flows0", "500000"), ("flows1", "1"), ("psize0", "64")] {
+        for (field, value) in [
+            ("flows0", "500000"),
+            ("flows1", "1"),
+            ("psize0", "64"),
+            ("mtbr0", "0"),
+            ("mtbr1", "1200"),
+        ] {
             assert!(read_trace(&with(field, value)).is_ok(), "{field} = {value}");
         }
         let faulty = write_trace(&FleetTrace::diurnal(faulty_config(43)));
@@ -592,6 +478,15 @@ mod tests {
             ("drains", "-1"),
             ("drains", "4294967296"),
             ("max_migrations", "-1"),
+            // A negative count used to turn the count check off.
+            ("records", "-1"),
+            ("faults", "-1"),
+            // Present with the wrong type used to read as the default.
+            ("drift", "\"yes\""),
+            ("traffic", "7"),
+            ("mtbf_s", "\"0\""),
+            ("mean_repair_s", "\"900\""),
+            ("drains", "1.5"),
         ] {
             match read_trace(&with_header(field, value)) {
                 Err(TraceIoError::BadHeader(why)) => assert!(why.contains(field), "{why}"),
@@ -624,13 +519,18 @@ mod tests {
                 "max_flows {max_flows} accepted"
             );
         }
-        // Drop a record so the header count no longer matches.
+        // Drop the last record so the header count no longer matches;
+        // without the count there is nothing to check.
         let mut lines: Vec<&str> = text.lines().collect();
-        lines.remove(1);
+        lines.remove(trace.records.len());
         let truncated = lines.join("\n");
         assert!(matches!(
             read_trace(&truncated),
             Err(TraceIoError::BadHeader(_))
         ));
+        let records = format!(",\"records\":{}", trace.records.len());
+        let uncounted = truncated.replacen(&records, "", 1);
+        assert_ne!(uncounted, truncated);
+        assert!(read_trace(&uncounted).is_ok());
     }
 }

@@ -133,8 +133,8 @@ pub fn restore_fleet<'a>(
     let header = parse_line(line)
         .ok_or_else(|| SnapshotError::BadHeader("empty or unparseable first line".to_string()))?;
     let version = header
-        .int("yala_snapshot")
-        .ok_or_else(|| SnapshotError::BadHeader("missing yala_snapshot version".to_string()))?;
+        .need_int("yala_snapshot")
+        .map_err(SnapshotError::BadHeader)?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
@@ -149,22 +149,21 @@ pub fn restore_fleet<'a>(
             )));
         }
     }
-    let events = header.int("events").unwrap_or(0); // identity-checked above
-    let next_event = header
-        .int("next_event")
-        .filter(|n| (0..=events).contains(n))
-        .ok_or_else(|| {
-            SnapshotError::BadHeader(format!(
-                "next_event missing or outside the {events}-event run"
-            ))
-        })?;
-    let digest = header
-        .str("digest")
-        .and_then(|d| u64::from_str_radix(d, 16).ok())
-        .ok_or_else(|| SnapshotError::BadHeader("missing digest".to_string()))?;
-    let journal = header
-        .get(JOURNAL_KEYS[0])
-        .map(|_| JOURNAL_KEYS.map(|key| header.int(key).unwrap_or(-1)));
+    let bad = SnapshotError::BadHeader;
+    // `events` is part of the identity checked above.
+    let events = header.need_int("events").map_err(bad)?;
+    let next_event = header.need_in("next_event", 0, events).map_err(bad)?;
+    let digest = header.need_str("digest").map_err(bad)?;
+    let digest = u64::from_str_radix(digest, 16)
+        .map_err(|_| bad(format!("field digest = {digest} is not hex")))?;
+    let mut journal = None;
+    if header.get(JOURNAL_KEYS[0]).is_some() {
+        let mut counters = [0; 3];
+        for (n, key) in counters.iter_mut().zip(JOURNAL_KEYS) {
+            *n = header.need_int(key).map_err(bad)?;
+        }
+        journal = Some(counters);
+    }
     // Only the writer's bytes load: a header whose fields are reordered,
     // repeated or spelled differently (`-0`, `5.0`) is refused.
     if header_line(&identity, next_event, journal, digest) != line {

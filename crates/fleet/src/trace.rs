@@ -99,6 +99,14 @@ impl FaultKind {
             FaultKind::DrainEnd => "drain_end",
         }
     }
+
+    /// The inverse of [`FaultKind::name`]; `None` for unknown names.
+    pub fn from_name(name: &str) -> Option<FaultKind> {
+        use FaultKind::*;
+        [Fail, Recover, DrainStart, DrainEnd]
+            .into_iter()
+            .find(|k| k.name() == name)
+    }
 }
 
 /// One scheduled fault event. The whole schedule is a pure function of

@@ -112,21 +112,6 @@ impl Dataset {
         out
     }
 
-    /// Returns a copy with an extra constant column appended to every row —
-    /// used to splice fixed traffic attributes into counter features.
-    pub fn with_appended_column(&self, values: &[f64]) -> Dataset {
-        assert_eq!(values.len(), self.len(), "column length mismatch");
-        let mut out = Dataset::new(self.n_features + 1);
-        let mut row = Vec::with_capacity(self.n_features + 1);
-        for (i, &v) in values.iter().enumerate() {
-            row.clear();
-            row.extend_from_slice(self.row(i));
-            row.push(v);
-            out.push(&row, self.target(i));
-        }
-        out
-    }
-
     /// Merges another dataset with identical width into this one.
     ///
     /// # Panics
@@ -207,17 +192,6 @@ mod tests {
         assert_eq!(boot.len(), 3);
         assert_eq!(boot.target(0), 2.0);
         assert_eq!(boot.target(2), 1.0);
-    }
-
-    #[test]
-    fn appended_column_widens() {
-        let mut ds = Dataset::new(2);
-        ds.push(&[1.0, 2.0], 1.0);
-        ds.push(&[3.0, 4.0], 2.0);
-        let wide = ds.with_appended_column(&[9.0, 8.0]);
-        assert_eq!(wide.n_features(), 3);
-        assert_eq!(wide.row(0), &[1.0, 2.0, 9.0]);
-        assert_eq!(wide.row(1), &[3.0, 4.0, 8.0]);
     }
 
     #[test]

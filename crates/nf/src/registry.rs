@@ -203,8 +203,8 @@ impl NfKind {
     }
 
     /// Like [`Self::workload`], but through a caller-held [`Profiler`]
-    /// (a non-default batch size, framework overhead off, or a seed's
-    /// prefix family kept apart from the thread's).
+    /// (a non-default batch size, or a seed's prefix family kept apart
+    /// from the thread's).
     pub fn workload_with(
         self,
         profiler: &mut Profiler,

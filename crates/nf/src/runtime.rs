@@ -120,7 +120,6 @@ pub struct Profiler {
     cost: CostTracker,
     agg: CostAggregate,
     batch_packets: usize,
-    framework_overhead: bool,
 }
 
 impl Default for Profiler {
@@ -130,7 +129,7 @@ impl Default for Profiler {
 }
 
 impl Profiler {
-    /// A profiler with the default batch size and framework overhead on.
+    /// A profiler with the default batch size.
     pub fn new() -> Self {
         Self {
             gen: None,
@@ -139,7 +138,6 @@ impl Profiler {
             cost: CostTracker::new(),
             agg: CostAggregate::new(),
             batch_packets: DEFAULT_BATCH_PACKETS,
-            framework_overhead: true,
         }
     }
 
@@ -151,15 +149,6 @@ impl Profiler {
     pub fn with_batch_packets(mut self, n: usize) -> Self {
         assert!(n > 0, "batch size must be positive");
         self.batch_packets = n;
-        self
-    }
-
-    /// Disables the per-packet framework (RX/TX path) overhead, measuring
-    /// the NF's raw demand only. With the overhead off, an NF that charges
-    /// nothing yields an all-zero CpuMem stage — the guarded aggregation
-    /// keeps `write_frac` at 0 instead of NaN.
-    pub fn without_framework_overhead(mut self) -> Self {
-        self.framework_overhead = false;
         self
     }
 
@@ -203,32 +192,26 @@ impl Profiler {
             self.agg.absorb(&self.cost, n);
             remaining -= n;
         }
-        finish_workload(nf, profile, &self.agg, self.framework_overhead)
+        finish_workload(nf, profile, &self.agg)
     }
 }
 
-/// Turns a cost aggregate into the simulator workload for `nf`. Every
-/// per-packet / per-request average is computed with a guarded division:
-/// an NF that reports zero cache references (possible with framework
-/// overhead disabled) or zero-byte accelerator requests must produce
-/// finite zeros, not NaN.
+/// Turns a cost aggregate into the simulator workload for `nf`, the
+/// per-packet framework (RX/TX path) overhead included. Every
+/// per-request average is computed with a guarded division: an NF that
+/// issues zero-byte accelerator requests must produce finite zeros, not
+/// NaN.
 fn finish_workload(
     nf: &dyn NetworkFunction,
     profile: TrafficProfile,
     agg: &CostAggregate,
-    framework_overhead: bool,
 ) -> WorkloadSpec {
     let n = agg.packets;
     debug_assert!(n > 0.0, "aggregate must cover at least one packet");
-    let (fw_cycles, fw_reads, fw_writes) = if framework_overhead {
-        (FRAMEWORK_CYCLES, FRAMEWORK_READS, FRAMEWORK_WRITES)
-    } else {
-        (0.0, 0.0, 0.0)
-    };
-    let refs_per_pkt = (agg.reads + agg.writes) / n + fw_reads + fw_writes;
-    let writes_per_pkt = agg.writes / n + fw_writes;
+    let refs_per_pkt = (agg.reads + agg.writes) / n + FRAMEWORK_READS + FRAMEWORK_WRITES;
+    let writes_per_pkt = agg.writes / n + FRAMEWORK_WRITES;
     let mut stages = vec![StageDemand::CpuMem {
-        cycles_per_pkt: agg.cycles / n + fw_cycles,
+        cycles_per_pkt: agg.cycles / n + FRAMEWORK_CYCLES,
         cache_refs_per_pkt: refs_per_pkt,
         write_frac: safe_div(writes_per_pkt, refs_per_pkt),
         wss_bytes: nf.wss_bytes(),
@@ -286,7 +269,7 @@ pub fn build_workload_per_packet(
         }
         remaining -= n;
     }
-    finish_workload(nf, profile, &agg, true)
+    finish_workload(nf, profile, &agg)
 }
 
 #[cfg(test)]
@@ -317,24 +300,6 @@ mod tests {
         }
         fn wss_bytes(&self) -> f64 {
             12_345.0
-        }
-    }
-
-    /// An NF that charges nothing at all — the zero-denominator case.
-    struct Silent;
-
-    impl NetworkFunction for Silent {
-        fn name(&self) -> &'static str {
-            "silent"
-        }
-        fn pattern(&self) -> ExecutionPattern {
-            ExecutionPattern::RunToCompletion
-        }
-        fn process(&mut self, _pkt: PacketView<'_>, _cost: &mut CostTracker) -> Verdict {
-            Verdict::Forward
-        }
-        fn wss_bytes(&self) -> f64 {
-            0.0
         }
     }
 
@@ -462,23 +427,6 @@ mod tests {
         let mut cost = CostTracker::new();
         assert_eq!(Toy { scan: false }.process_batch(&batch, &mut cost), 25);
         assert_eq!(cost.cycles, 25.0 * 100.0);
-    }
-
-    #[test]
-    fn silent_nf_yields_finite_zero_write_frac() {
-        // Regression: with framework overhead disabled the write-fraction
-        // denominator is zero; the old aggregation produced NaN here.
-        let w = Profiler::new().without_framework_overhead().profile(
-            &mut Silent,
-            TrafficProfile::new(100, 256, 0.0),
-            40,
-            1,
-        );
-        let (cycles, refs, write_frac, _) = cpu_stage(&w);
-        assert_eq!(cycles, 0.0);
-        assert_eq!(refs, 0.0);
-        assert_eq!(write_frac, 0.0, "guarded division must yield 0, not NaN");
-        assert!(write_frac.is_finite());
     }
 
     #[test]

@@ -47,7 +47,7 @@ use yala_core::{
     Engine, Observation, ObservationBuffer, ProfileCache, ProfileEntry, ProfileKey, QosClass,
     TrafficKey,
 };
-use yala_fleet::{FleetConfig, Residency};
+use yala_fleet::{read_traffic, FleetConfig, Residency};
 use yala_nf::{NfKind, Profiler};
 use yala_placement::{
     measure_entry, measure_entry_with, placed_from_entry, sims_for, Arrival, Placed,
@@ -55,8 +55,6 @@ use yala_placement::{
 };
 use yala_sim::{CounterSample, NicModelId, ResourceKind, Simulator};
 use yala_telemetry::journal::{parse_line, RawEvent};
-use yala_traffic::profile::{MAX_FLOW_COUNT, MAX_MTBR, MAX_PACKET_SIZE, MIN_PACKET_SIZE};
-use yala_traffic::TrafficProfile;
 
 /// Version stamp of the request/response line protocol and of the serve
 /// snapshot header. Bumped on any incompatible change.
@@ -75,6 +73,12 @@ const MUTATING_OPS: [&str; 6] = ["place", "depart", "drift", "fault", "observe",
 
 /// The pseudo-instance id every `query` is profiled under.
 const QUERY_INSTANCE: u32 = u32::MAX;
+
+/// The largest id a request may name: every other is free for instances.
+const MAX_ID: u32 = QUERY_INSTANCE - 1;
+
+/// The keys of the traffic triple on every op that carries one.
+const TRAFFIC_KEYS: [&str; 3] = ["flows", "psize", "mtbr"];
 
 /// Placement rule the daemon serves with. The names double as the wire
 /// and CLI spelling (`--policy greedy`).
@@ -289,22 +293,22 @@ impl ServeLoop {
     }
 
     fn arrival_from(&self, ev: &RawEvent) -> Result<Arrival, String> {
-        let kind_name = need_str(ev, "kind")?;
+        let kind_name = ev.need_str("kind")?;
         let kind =
             NfKind::from_name(kind_name).ok_or_else(|| format!("unknown NF kind {kind_name}"))?;
-        let qos = match ev.str("qos") {
+        let qos = match ev.optional("qos", RawEvent::need_str)? {
             None => QosClass::Guaranteed,
-            Some("guaranteed") => QosClass::Guaranteed,
-            Some("best_effort") => QosClass::BestEffort,
-            Some(other) => return Err(format!("unknown qos class {other}")),
+            Some(name) => {
+                QosClass::from_name(name).ok_or_else(|| format!("unknown qos class {name}"))?
+            }
         };
-        let sla_drop = need_num(ev, "sla_drop")?;
+        let sla_drop = ev.need_num("sla_drop")?;
         if !(0.0..1.0).contains(&sla_drop) {
             return Err(format!("sla_drop {sla_drop} outside [0,1)"));
         }
         Ok(Arrival {
             kind,
-            traffic: traffic_from(ev)?,
+            traffic: read_traffic(ev, TRAFFIC_KEYS)?,
             sla_drop,
             qos,
         })
@@ -370,7 +374,7 @@ impl ServeLoop {
     }
 
     fn op_place(&mut self, ev: &RawEvent) -> Result<String, String> {
-        let id = need_id(ev)?;
+        let id = ev.need_in("id", 0, MAX_ID)?;
         if self.instances.contains_key(&id) {
             return Err(format!("instance {id} already exists"));
         }
@@ -417,7 +421,7 @@ impl ServeLoop {
     }
 
     fn op_depart(&mut self, ev: &RawEvent) -> Result<String, String> {
-        let id = need_id(ev)?;
+        let id = ev.need_in("id", 0, MAX_ID)?;
         let Some(nic) = self.instances.get(&id).map(|inst| inst.nic) else {
             return Err(format!("no instance {id}"));
         };
@@ -430,13 +434,13 @@ impl ServeLoop {
     }
 
     fn op_drift(&mut self, ev: &RawEvent) -> Result<String, String> {
-        let id = need_id(ev)?;
+        let id = ev.need_in("id", 0, MAX_ID)?;
         let old = self
             .instances
             .get(&id)
             .ok_or_else(|| format!("no instance {id}"))?;
         let arrival = Arrival {
-            traffic: traffic_from(ev)?,
+            traffic: read_traffic(ev, TRAFFIC_KEYS)?,
             ..old.placed.arrival
         };
         let (nic, old_cores) = (old.nic, old.placed.workload.cores);
@@ -454,11 +458,11 @@ impl ServeLoop {
     }
 
     fn op_fault(&mut self, ev: &RawEvent) -> Result<String, String> {
-        let nic = need_int(ev, "nic")? as usize;
+        let nic: usize = ev.need_int("nic")?;
         if nic >= self.nics.nics() {
             return Err(format!("nic {nic} out of range"));
         }
-        match need_str(ev, "kind")? {
+        match ev.need_str("kind")? {
             "recover" => {
                 self.nics.set_up(nic, true);
                 Ok(format!(
@@ -584,9 +588,7 @@ impl ServeLoop {
         let mut lines = text.lines();
         let header_line = lines.next().ok_or("empty snapshot")?;
         let header = parse_line(header_line).ok_or("unparseable snapshot header")?;
-        let version = header
-            .int("yala_serve_snapshot")
-            .ok_or("missing yala_serve_snapshot version")?;
+        let version = header.need_int::<i64>("yala_serve_snapshot")?;
         if version != SERVE_WIRE_VERSION {
             return Err(format!("unsupported snapshot version {version}"));
         }
@@ -607,9 +609,9 @@ impl ServeLoop {
         // post-restore `stats` is bit-identical to the uninterrupted run.
         let mut counters = Counters::default();
         for (key, n) in counters.named() {
-            *n = need_int(&header, key)? as u64;
+            *n = header.need_int(key)?;
         }
-        let promised = need_int(&header, "log")? as usize;
+        let promised = header.need_int("log")?;
         // Only the writer's bytes load: fields reordered, repeated or
         // respelled (`-0`, `5.0`) are refused before anything replays.
         if loop_.snapshot_header(counters, promised) != header_line {
@@ -652,52 +654,6 @@ fn err_line(msg: &str) -> String {
     format!("{{\"ok\":false,\"error\":\"{clean}\"}}")
 }
 
-fn need_str<'a>(ev: &'a RawEvent, key: &str) -> Result<&'a str, String> {
-    ev.str(key).ok_or_else(|| format!("missing field {key}"))
-}
-
-fn need_int(ev: &RawEvent, key: &str) -> Result<i64, String> {
-    let v = ev.int(key).ok_or_else(|| format!("missing field {key}"))?;
-    if v < 0 {
-        return Err(format!("field {key} must be non-negative"));
-    }
-    Ok(v)
-}
-
-fn need_num(ev: &RawEvent, key: &str) -> Result<f64, String> {
-    ev.num(key).ok_or_else(|| format!("missing field {key}"))
-}
-
-fn need_id(ev: &RawEvent) -> Result<u32, String> {
-    let id = need_int(ev, "id")?;
-    u32::try_from(id)
-        .ok()
-        .filter(|&v| v != u32::MAX)
-        .ok_or_else(|| format!("id {id} out of range"))
-}
-
-fn need_u32_in(ev: &RawEvent, key: &str, lo: u32, hi: u32) -> Result<u32, String> {
-    let v = need_int(ev, key)?;
-    u32::try_from(v)
-        .ok()
-        .filter(|v| (lo..=hi).contains(v))
-        .ok_or_else(|| format!("field {key} = {v} outside [{lo},{hi}]"))
-}
-
-/// The traffic profile of a `place` / `query` / `drift` line. A value
-/// outside the ranges [`TrafficProfile`] supports is refused here: past
-/// this point a zero flow count or packet size panics the packet
-/// generator, and a flow count is an allocation size.
-fn traffic_from(ev: &RawEvent) -> Result<TrafficProfile, String> {
-    let flows = need_u32_in(ev, "flows", 1, MAX_FLOW_COUNT)?;
-    let psize = need_u32_in(ev, "psize", MIN_PACKET_SIZE, MAX_PACKET_SIZE)?;
-    let mtbr = need_num(ev, "mtbr")?;
-    if !(0.0..=MAX_MTBR).contains(&mtbr) {
-        return Err(format!("field mtbr = {mtbr} outside [0,{MAX_MTBR}]"));
-    }
-    Ok(TrafficProfile::new(flows, psize, mtbr))
-}
-
 /// Serializes one audit observation as an `observe` request line.
 pub fn write_observation(out: &mut String, o: &Observation) {
     use std::fmt::Write as _;
@@ -737,18 +693,18 @@ pub fn write_observation(out: &mut String, o: &Observation) {
 /// never shrinks), the kind one of `cfg.kinds`, the traffic in range,
 /// and every number of the right sign and below a physical cap.
 pub fn read_observation(ev: &RawEvent, cfg: &FleetConfig) -> Result<Observation, String> {
-    let model_name = need_str(ev, "model")?;
+    let model_name = ev.need_str("model")?;
     let (spec, _) = cfg
         .portfolio
         .iter()
         .find(|(s, _)| s.name == model_name)
         .ok_or_else(|| format!("model {model_name} is not in the portfolio"))?;
-    let kind_name = need_str(ev, "kind")?;
+    let kind_name = ev.need_str("kind")?;
     let kind = NfKind::from_name(kind_name)
         .filter(|k| cfg.kinds.contains(k))
         .ok_or_else(|| format!("NF kind {kind_name} is not served here"))?;
     let mut accel_pressure = Vec::new();
-    for entry in need_str(ev, "press")?.split(',').filter(|s| !s.is_empty()) {
+    for entry in ev.need_str("press")?.split(',').filter(|s| !s.is_empty()) {
         let parsed = entry.split_once(':').and_then(|(k, v)| {
             let k = ResourceKind::ACCELERATORS
                 .into_iter()
@@ -763,12 +719,7 @@ pub fn read_observation(ev: &RawEvent, cfg: &FleetConfig) -> Result<Observation,
             parsed.ok_or_else(|| format!("pressure entry {entry} is not accelerator:value"));
         accel_pressure.push(parsed?);
     }
-    let bounded = |key: &str, cap: f64| {
-        need_num(ev, key)
-            .ok()
-            .filter(|v| (0.0..=cap).contains(v))
-            .ok_or_else(|| format!("field {key} must be a number in [0, {cap:e}]"))
-    };
+    let bounded = |key: &str, cap: f64| ev.need_in(key, 0.0, cap);
     let counter = |key: &str| bounded(key, MAX_OBSERVED_COUNTER);
     let solo_tput = bounded("solo", MAX_OBSERVED_PPS)?;
     if solo_tput == 0.0 {
@@ -777,7 +728,7 @@ pub fn read_observation(ev: &RawEvent, cfg: &FleetConfig) -> Result<Observation,
     Ok(Observation {
         model: spec.model(),
         kind,
-        traffic: traffic_from(ev)?,
+        traffic: read_traffic(ev, TRAFFIC_KEYS)?,
         competitors: CounterSample {
             ipc: counter("ipc")?,
             irt: counter("irt")?,
@@ -807,6 +758,7 @@ const MAX_OBSERVED_COUNTER: f64 = 1e15;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yala_traffic::TrafficProfile;
 
     fn cfg(seed: u64) -> FleetConfig {
         let mut c = FleetConfig::small(seed);
@@ -974,14 +926,21 @@ mod tests {
         assert!(s
             .handle_line(&place(9, "nat", 5_000), &engine)
             .starts_with("{\"ok\":true"));
+        let mut observe = String::new();
+        write_observation(&mut observe, &sample_observation());
+        let sent = "\"flows\":12345,\"psize\":512,\"mtbr\":733.25";
+        assert!(observe.contains(sent), "{observe}");
         for (flows, psize, mtbr, field) in [
             ("0", "512", "0.0", "flows"),
             ("4000000000", "512", "0.0", "flows"),
             ("4294967297", "512", "0.0", "flows"),
+            ("5000.5", "512", "0.0", "flows"),
             ("5000", "0", "0.0", "psize"),
             ("5000", "9000", "0.0", "psize"),
+            ("5000", "\"512\"", "0.0", "psize"),
             ("5000", "512", "-1.0", "mtbr"),
             ("5000", "512", "1e9", "mtbr"),
+            ("5000", "512", "1e999", "mtbr"),
         ] {
             let traffic = format!("\"flows\":{flows},\"psize\":{psize},\"mtbr\":{mtbr}");
             for line in [
@@ -990,10 +949,11 @@ mod tests {
                 ),
                 format!("{{\"op\":\"query\",\"kind\":\"nat\",{traffic},\"sla_drop\":0.1}}"),
                 format!("{{\"op\":\"drift\",\"id\":9,{traffic}}}"),
+                observe.trim_end().replacen(sent, &traffic, 1),
             ] {
                 let r = s.handle_line(&line, &engine);
                 assert!(
-                    r.starts_with("{\"ok\":false") && r.contains(field),
+                    r.starts_with("{\"ok\":false") && r.contains(&format!("field {field} ")),
                     "{line} => {r}"
                 );
             }
@@ -1346,7 +1306,7 @@ mod tests {
                 continue;
             }
             let ev = parse_line(line).expect("a request");
-            let traffic = traffic_from(&ev).expect("traffic");
+            let traffic = read_traffic(&ev, TRAFFIC_KEYS).expect("traffic");
             let key = ProfileKey {
                 kind,
                 traffic: TrafficKey::exact(&traffic),

@@ -243,6 +243,14 @@ impl NicSpec {
         }
     }
 
+    /// The known spec named `name` (the inverse of its `name` field):
+    /// only models this simulator implements resolve.
+    pub fn from_name(name: &str) -> Option<NicSpec> {
+        [Self::bluefield2(), Self::pensando()]
+            .into_iter()
+            .find(|s| s.name == name)
+    }
+
     /// Accelerator spec for a resource kind, if present on this NIC.
     ///
     /// # Panics
@@ -325,6 +333,14 @@ mod tests {
     fn display_names() {
         assert_eq!(ResourceKind::Regex.to_string(), "regex");
         assert_eq!(ResourceKind::CpuMem.to_string(), "cpu-mem");
+    }
+
+    #[test]
+    fn from_name_inverts_name() {
+        for spec in [NicSpec::bluefield2(), NicSpec::pensando()] {
+            assert_eq!(NicSpec::from_name(&spec.name), Some(spec));
+        }
+        assert_eq!(NicSpec::from_name("no-such-nic"), None);
     }
 
     #[test]

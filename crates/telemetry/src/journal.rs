@@ -418,12 +418,7 @@ impl RawEvent {
     /// and within ±2^53 (where every integer is exactly representable);
     /// the writer never emits a float for an integer field.
     pub fn int(&self, key: &str) -> Option<i64> {
-        const EXACT: f64 = (1u64 << 53) as f64;
-        match self.get(key)? {
-            FieldValue::Int(i) => Some(*i),
-            FieldValue::Num(f) if f.fract() == 0.0 && f.abs() <= EXACT => Some(*f as i64),
-            _ => None,
-        }
+        self.get(key).and_then(int_of)
     }
 
     /// Float field accessor (integers widen).
@@ -439,7 +434,114 @@ impl RawEvent {
     pub fn tag(&self) -> &str {
         self.str("ev").unwrap_or("")
     }
+
+    /// `read(key)` of a field that must be there: the error names `key`,
+    /// and says whether it is missing or present as something else.
+    fn need<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a FieldValue) -> Option<T>,
+    ) -> Result<T, String> {
+        let value = self
+            .get(key)
+            .ok_or_else(|| format!("missing field {key}"))?;
+        read(value).ok_or_else(|| format!("field {key} is not {what}"))
+    }
+
+    /// Required string field.
+    pub fn need_str(&self, key: &str) -> Result<&str, String> {
+        self.need(key, "a string", |v| match v {
+            FieldValue::Str(s) => Some(s.as_str()),
+            _ => None,
+        })
+    }
+
+    /// Required boolean field.
+    pub fn need_bool(&self, key: &str) -> Result<bool, String> {
+        self.need(key, "a boolean", |v| match v {
+            FieldValue::Bool(b) => Some(*b),
+            _ => None,
+        })
+    }
+
+    /// Required number: finite, and an integer only within ±2^53, where
+    /// `f64` holds every integer and prints it back as the same digits
+    /// (`1e999` and `9223372036854775807` would be read as some other
+    /// number than the one sent).
+    pub fn need_num(&self, key: &str) -> Result<f64, String> {
+        self.need(key, "a finite number", |v| match *v {
+            FieldValue::Num(f) => Some(f).filter(|f| f.is_finite()),
+            FieldValue::Int(i) => Some(i as f64).filter(|f| f.abs() <= EXACT),
+            _ => None,
+        })
+    }
+
+    /// Required integer as a `T`, refused when `T` cannot hold it (an
+    /// `as` cast would wrap it into some other, valid-looking value).
+    pub fn need_int<T: TryFrom<i64>>(&self, key: &str) -> Result<T, String> {
+        let v = self.need(key, "an integer", int_of)?;
+        T::try_from(v).map_err(|_| format!("field {key} = {v} out of range"))
+    }
+
+    /// Required number inside `lo..=hi`, refused (not clamped) outside.
+    pub fn need_in<T: Scalar>(&self, key: &str, lo: T, hi: T) -> Result<T, String> {
+        let v = T::need(self, key)?;
+        if (lo..=hi).contains(&v) {
+            Ok(v)
+        } else {
+            Err(format!("field {key} = {v} outside [{lo},{hi}]"))
+        }
+    }
+
+    /// `read(self, key)` if the line has `key`, `None` if it has not: an
+    /// absent optional field may default, a malformed one is still refused.
+    pub fn optional<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.get(key).map(|_| read(self, key)).transpose()
+    }
 }
+
+/// The largest magnitude below which `f64` holds every integer.
+const EXACT: f64 = (1u64 << 53) as f64;
+
+/// `value` as an integer: see [`RawEvent::int`].
+fn int_of(value: &FieldValue) -> Option<i64> {
+    match *value {
+        FieldValue::Int(i) => Some(i),
+        FieldValue::Num(f) if f.fract() == 0.0 && f.abs() <= EXACT => Some(f as i64),
+        _ => None,
+    }
+}
+
+/// A number a required field reads as with [`RawEvent::need_in`]:
+/// integers through [`RawEvent::need_int`], `f64` through
+/// [`RawEvent::need_num`].
+pub trait Scalar: Copy + PartialOrd + std::fmt::Display {
+    /// Required field `key` of `ev` as `Self`.
+    fn need(ev: &RawEvent, key: &str) -> Result<Self, String>;
+}
+
+impl Scalar for f64 {
+    fn need(ev: &RawEvent, key: &str) -> Result<Self, String> {
+        ev.need_num(key)
+    }
+}
+
+macro_rules! integer_scalar {
+    ($($t:ty),*) => {$(
+        impl Scalar for $t {
+            fn need(ev: &RawEvent, key: &str) -> Result<Self, String> {
+                ev.need_int(key)
+            }
+        }
+    )*};
+}
+
+integer_scalar!(i64, u32, u64, usize);
 
 /// Parses one line of the journal's own JSONL output. Returns `None` on
 /// anything the writer would not have produced (blank lines included).
@@ -607,6 +709,41 @@ mod tests {
         for key in ["d", "e", "f", "g"] {
             assert_eq!(ev.int(key), None, "{key}");
             assert!(ev.num(key).is_some(), "{key} is still a number");
+        }
+    }
+
+    #[test]
+    fn required_fields_name_the_key_and_refuse_what_the_type_cannot_hold() {
+        let ev = parse_line(
+            "{\"s\":\"x\",\"n\":-0.5,\"i\":300,\"neg\":-1,\"big\":9223372036854775807,\
+             \"inf\":1e999,\"b\":true}",
+        )
+        .expect("parseable");
+        assert_eq!(ev.need_str("s"), Ok("x"));
+        assert_eq!(ev.need_num("n"), Ok(-0.5));
+        assert_eq!(ev.need_num("i"), Ok(300.0));
+        assert_eq!(ev.need_int::<u32>("i"), Ok(300));
+        assert_eq!(ev.need_in("i", 1u32, 300), Ok(300));
+        assert_eq!(ev.need_in("n", -1.0, 0.0), Ok(-0.5));
+        assert_eq!(ev.optional("s", RawEvent::need_str), Ok(Some("x")));
+        assert_eq!(ev.optional("absent", RawEvent::need_str), Ok(None));
+        assert_eq!(ev.need_bool("b"), Ok(true));
+        for (err, key) in [
+            (ev.need_str("absent").map(drop), "absent"),
+            (ev.need_str("i").map(drop), "i"),
+            (ev.need_num("b").map(drop), "b"),
+            (ev.need_bool("i").map(drop), "i"),
+            (ev.need_num("inf").map(drop), "inf"),
+            (ev.need_num("big").map(drop), "big"),
+            (ev.need_int::<i64>("n").map(drop), "n"),
+            (ev.need_int::<u8>("i").map(drop), "i"),
+            (ev.need_int::<u64>("neg").map(drop), "neg"),
+            (ev.need_in("i", 1u32, 299).map(drop), "i"),
+            (ev.need_in("inf", 0.0, f64::MAX).map(drop), "inf"),
+            (ev.optional("b", RawEvent::need_str).map(drop), "b"),
+        ] {
+            let why = err.expect_err(key);
+            assert!(why.contains(&format!("field {key}")), "{why}");
         }
     }
 
