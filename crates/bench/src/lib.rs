@@ -103,9 +103,6 @@ impl Zoo {
             ..TrainConfig::default()
         };
         let yala = ModelBank::train_yala(specs, NOISE_SIGMA, kinds, &cfg, engine);
-        // SLOMO's (CAR, WSS) sweep parallelises *within* each target: every
-        // grid level is an independent scenario, so even a single NF's
-        // training scales with cores.
         let slomo = train_slomo_bank(specs, NOISE_SIGMA, kinds, &default_mem_grid(), seed, engine);
         let model = specs[0].model();
         let sim = Simulator::with_noise(specs[0].clone(), NOISE_SIGMA, seed);

@@ -14,8 +14,8 @@
 //!
 //! Training seeds are assigned by the cell's position in the flattened
 //! model-major matrix, so the first portfolio entry's cells get the exact
-//! seeds the old homogeneous `train_all` path used — an all-BlueField-2
-//! bank is bit-identical to the pre-heterogeneity models.
+//! seeds a homogeneous single-model bank uses — an all-BlueField-2 bank
+//! is bit-identical to the pre-heterogeneity models.
 
 use crate::engine::{scenario_seed, simulator_for, Engine};
 use crate::observe::{ObservationBuffer, Refinable};
@@ -244,9 +244,8 @@ pub fn matrix_cells(specs: &[NicSpec], kinds: &[NfKind]) -> Vec<(usize, NfKind)>
 impl ModelBank<YalaModel> {
     /// Trains the Yala bank for a NIC-model portfolio: one [`YalaModel`]
     /// per admitted `(model, kind)` cell, each on a private simulator
-    /// seeded `scenario_seed(cfg.seed, cell_index)`. With a single-spec
-    /// portfolio this reproduces the old homogeneous `train_all` results
-    /// bit for bit.
+    /// seeded `scenario_seed(cfg.seed, cell_index)`, bit-identical across
+    /// engine thread counts.
     pub fn train_yala(
         specs: &[NicSpec],
         noise_sigma: f64,

@@ -92,40 +92,6 @@ impl YalaModel {
         Self::finish(sim, kind, memory, run.kept, run.measurements, cfg)
     }
 
-    /// Trains one model per NF kind on a single NIC model — the
-    /// homogeneous convenience wrapper around the per-model
-    /// [`crate::bank::ModelBank`], which is the actual training path
-    /// (kind `i` trains on a private simulator seeded
-    /// `scenario_seed(cfg.seed, i)`, bit-identical across engine thread
-    /// counts). Heterogeneous deployments call
-    /// [`crate::bank::ModelBank::train_yala`] with the full portfolio
-    /// instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a kind is outside `spec`'s profiling matrix
-    /// ([`NfKind::profiled_on`]), e.g. a regex NF on a regex-less NIC.
-    pub fn train_all(
-        spec: &yala_sim::NicSpec,
-        noise_sigma: f64,
-        kinds: &[NfKind],
-        cfg: &TrainConfig,
-        engine: &crate::engine::Engine,
-    ) -> Vec<(NfKind, YalaModel)> {
-        let bank = crate::bank::ModelBank::train_yala(
-            std::slice::from_ref(spec),
-            noise_sigma,
-            kinds,
-            cfg,
-            engine,
-        );
-        let model = spec.model();
-        kinds
-            .iter()
-            .map(|&k| (k, bank.expect(model, k).clone()))
-            .collect()
-    }
-
     /// Trains the fixed-traffic variant (memory model with 7 features at
     /// one profile) — used by the §7.3 multi-resource-only experiments.
     pub fn train_fixed(

@@ -228,7 +228,8 @@ mod tests {
             .collect();
         let build = || {
             ProfiledTrace::build(
-                FleetTrace::from_records(cfg.clone(), records.clone()).expect("valid records"),
+                FleetTrace::from_records(cfg.clone(), records.clone(), Vec::new())
+                    .expect("valid records"),
                 &Engine::sequential(),
                 BuildOpts::default(),
             )

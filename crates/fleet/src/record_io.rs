@@ -241,9 +241,10 @@ fn read_config(h: &RawEvent) -> Result<FleetConfig, String> {
 }
 
 /// Parses `.yala-trace` JSONL text back into a [`FleetTrace`]. The
-/// recorded fault lines are authoritative: they overwrite the schedule
-/// recomputed from the config (for generated traces the two are
-/// identical, but the file must stand alone). Every field is read through
+/// recorded fault lines are the schedule: the header's fault plan is
+/// never re-run (for generated traces the two agree, but the file must
+/// stand alone, and a recorded incident log need not match any
+/// generator). Every field is read through
 /// [`RawEvent`]'s required-field accessors, so a value a field cannot
 /// hold is refused naming the field and the line, never wrapped, clamped
 /// or defaulted.
@@ -268,7 +269,6 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
     };
     let (expect_records, expect_faults) = (count("records")?, count("faults")?);
 
-    let nics = config.nics();
     let mut records = Vec::new();
     let mut faults = Vec::new();
     for (i, raw) in lines.enumerate() {
@@ -299,13 +299,9 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
             }
             "fault" => {
                 let unknown = || bad(format!("unknown fault kind {kind_name}"));
-                let nic = ev.need_int("nic").map_err(bad)?;
-                if nic >= nics {
-                    return Err(bad(format!("fault NIC {nic} outside a {nics}-NIC fleet")));
-                }
                 faults.push(FaultEvent {
                     t_ms: ev.need_int("t_ms").map_err(bad)?,
-                    nic,
+                    nic: ev.need_int("nic").map_err(bad)?,
                     kind: FaultKind::from_name(kind_name).ok_or_else(unknown)?,
                 });
             }
@@ -322,11 +318,7 @@ pub fn read_trace(text: &str) -> Result<FleetTrace, TraceIoError> {
             )));
         }
     }
-    let mut trace = FleetTrace::from_records(config, records)?;
-    // The file is authoritative for faults: a recorded production
-    // incident log need not match any generator's schedule.
-    trace.faults = faults;
-    Ok(trace)
+    Ok(FleetTrace::from_records(config, records, faults)?)
 }
 
 #[cfg(test)]
@@ -503,6 +495,23 @@ mod tests {
                 other => panic!("templates = {value} read as {other:?}"),
             }
         }
+        // Values the replay would die on: the simulator's noise and the
+        // quantizer's threshold.
+        for (field, value) in [
+            ("noise_sigma", "0.5"),
+            ("noise_sigma", "-0.1"),
+            ("noise_sigma", "0.3"),
+            ("reprofile_threshold", "1.5"),
+            ("reprofile_threshold", "0"),
+            ("reprofile_threshold", "1"),
+        ] {
+            match read_trace(&with_header(field, value)) {
+                Err(TraceIoError::Invalid(e)) => {
+                    assert!(e.to_string().contains(field), "{e}")
+                }
+                other => panic!("{field} = {value} read as {other:?}"),
+            }
+        }
         // The ceiling itself is accepted.
         for field in ["drain_notice_s", "drain_offline_s"] {
             let at_ceiling = read_trace(&with_header(field, &ceiling));
@@ -532,5 +541,27 @@ mod tests {
         let uncounted = truncated.replacen(&records, "", 1);
         assert_ne!(uncounted, truncated);
         assert!(read_trace(&uncounted).is_ok());
+    }
+
+    #[test]
+    fn reader_keeps_the_file_faults_without_replanning() {
+        // A fault plan whose schedule would hold billions of incidents:
+        // the reader must not compute it, only read the fault lines.
+        let trace = FleetTrace::diurnal(faulty_config(47));
+        let text = write_trace(&trace);
+        let header = text.lines().next().expect("a header");
+        let huge = header
+            .replacen("\"mtbf_s\":7200", "\"mtbf_s\":0.001", 1)
+            .replacen(
+                &format!("\"duration_s\":{}", trace.config.duration_s),
+                "\"duration_s\":100000000000",
+                1,
+            );
+        assert_eq!(huge.matches("0.001").count(), 1);
+        assert!(huge.contains("100000000000"));
+        let back = read_trace(&text.replacen(header, &huge, 1)).expect("reads");
+        assert_eq!(back.config.faults.mtbf_s, 0.001);
+        assert!(!trace.faults.is_empty());
+        assert_eq!(back.faults, trace.faults);
     }
 }

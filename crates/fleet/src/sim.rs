@@ -807,7 +807,7 @@ mod tests {
             })
             .collect();
         let profiled = ProfiledTrace::build(
-            FleetTrace::from_records(cfg, records).expect("valid records"),
+            FleetTrace::from_records(cfg, records, Vec::new()).expect("valid records"),
             &Engine::sequential(),
             BuildOpts::default(),
         );
@@ -862,8 +862,7 @@ mod tests {
         records: Vec<NfRecord>,
         faults: Vec<FaultEvent>,
     ) -> ProfiledTrace {
-        let mut trace = FleetTrace::from_records(cfg, records).expect("valid records");
-        trace.faults = faults;
+        let trace = FleetTrace::from_records(cfg, records, faults).expect("valid records");
         ProfiledTrace::build(trace, &Engine::sequential(), BuildOpts::default())
     }
 

@@ -475,6 +475,12 @@ pub enum TraceError {
     BadGuaranteedFraction(f64),
     /// A fault-plan rate or duration is negative or non-finite.
     BadFaultPlan(&'static str),
+    /// Measurement `noise_sigma` outside `[0, 0.3)`.
+    BadNoiseSigma(f64),
+    /// `reprofile_threshold` outside `(0, 1)`.
+    BadReprofileThreshold(f64),
+    /// Fault `index` names a NIC outside the fleet.
+    FaultNicOutOfRange { index: usize, nic: usize },
     /// `records[index].id` is not `index` (ids must be dense `0..n`).
     SparseIds { index: usize, id: u32 },
     /// Record `index` arrives before its predecessor.
@@ -510,6 +516,13 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::BadFaultPlan(field) => {
                 write!(f, "fault plan {field} must be finite and non-negative")
+            }
+            TraceError::BadNoiseSigma(s) => write!(f, "noise_sigma {s} outside [0, 0.3)"),
+            TraceError::BadReprofileThreshold(t) => {
+                write!(f, "reprofile_threshold {t} outside (0, 1)")
+            }
+            TraceError::FaultNicOutOfRange { index, nic } => {
+                write!(f, "fault {index} names NIC {nic}, outside the fleet")
             }
             TraceError::SparseIds { index, id } => {
                 write!(f, "record {index} has id {id}: ids must be dense (0..n)")
@@ -562,12 +575,22 @@ impl FleetTrace {
     ///   would poison every prediction touching the NIC),
     /// * the config names at least one NF kind and a positive audit
     ///   period, every portfolio model name is distinct, and the
-    ///   guaranteed fraction and fault plan are well-formed.
+    ///   guaranteed fraction, fault plan, noise and re-profile threshold
+    ///   are well-formed,
+    /// * every fault names a NIC of the fleet.
+    ///
+    /// `faults` is the schedule the event loop replays, kept as given:
+    /// generators pass [`FleetConfig::fault_schedule`], a recorded file
+    /// its own fault lines.
     ///
     /// Returns a descriptive [`TraceError`] naming the offending record
     /// instead of panicking, so callers loading external traces can
     /// surface actionable diagnostics.
-    pub fn from_records(config: FleetConfig, records: Vec<NfRecord>) -> Result<Self, TraceError> {
+    pub fn from_records(
+        config: FleetConfig,
+        records: Vec<NfRecord>,
+        faults: Vec<FaultEvent>,
+    ) -> Result<Self, TraceError> {
         if config.kinds.is_empty() {
             return Err(TraceError::NoKinds);
         }
@@ -605,6 +628,18 @@ impl FleetTrace {
         if !plan.mean_repair_s.is_finite() || plan.mean_repair_s < 0.0 {
             return Err(TraceError::BadFaultPlan("mean_repair_s"));
         }
+        if !(0.0..0.3).contains(&config.noise_sigma) {
+            return Err(TraceError::BadNoiseSigma(config.noise_sigma));
+        }
+        if !(config.reprofile_threshold > 0.0 && config.reprofile_threshold < 1.0) {
+            return Err(TraceError::BadReprofileThreshold(
+                config.reprofile_threshold,
+            ));
+        }
+        let nics = config.nics();
+        if let Some((index, f)) = faults.iter().enumerate().find(|(_, f)| f.nic >= nics) {
+            return Err(TraceError::FaultNicOutOfRange { index, nic: f.nic });
+        }
         let horizon_ms = config.duration_s * MS_PER_S;
         let mut last_arrival = 0u64;
         for (i, r) in records.iter().enumerate() {
@@ -631,7 +666,6 @@ impl FleetTrace {
             }
             last_arrival = r.arrival_ms;
         }
-        let faults = config.fault_schedule();
         Ok(Self {
             config,
             records,
@@ -666,7 +700,9 @@ impl FleetTrace {
                 &mut qos_rng,
             ));
         }
-        Self::from_records(config, records).expect("generated records satisfy trace invariants")
+        let faults = config.fault_schedule();
+        Self::from_records(config, records, faults)
+            .expect("generated records satisfy trace invariants")
     }
 
     /// A trace with a diurnal arrival pattern: the Poisson rate is
@@ -731,7 +767,9 @@ impl FleetTrace {
                 &mut qos_rng,
             ));
         }
-        Self::from_records(config, records).expect("generated records satisfy trace invariants")
+        let faults = config.fault_schedule();
+        Self::from_records(config, records, faults)
+            .expect("generated records satisfy trace invariants")
     }
 }
 
@@ -909,8 +947,9 @@ mod tests {
     #[test]
     fn from_records_accepts_generated_and_empirical_records() {
         let gen = FleetTrace::generate(FleetConfig::small(17));
-        let rebuilt = FleetTrace::from_records(gen.config.clone(), gen.records.clone())
-            .expect("generated records round-trip");
+        let rebuilt =
+            FleetTrace::from_records(gen.config.clone(), gen.records.clone(), gen.faults.clone())
+                .expect("generated records round-trip");
         assert_eq!(rebuilt.records.len(), gen.records.len());
         // A non-Poisson flash crowd: five NFs arriving in the same
         // millisecond, constant traffic, staggered departures.
@@ -923,7 +962,8 @@ mod tests {
                 ..ok_record()
             })
             .collect();
-        let trace = FleetTrace::from_records(cfg, records).expect("flash crowd is valid");
+        let trace =
+            FleetTrace::from_records(cfg, records, Vec::new()).expect("flash crowd is valid");
         assert_eq!(trace.records.len(), 5);
     }
 
@@ -935,7 +975,7 @@ mod tests {
             ..ok_record()
         };
         assert_eq!(
-            FleetTrace::from_records(cfg, vec![r]).unwrap_err(),
+            FleetTrace::from_records(cfg, vec![r], Vec::new()).unwrap_err(),
             TraceError::SparseIds { index: 0, id: 3 }
         );
     }
@@ -951,7 +991,7 @@ mod tests {
             ..ok_record()
         };
         assert_eq!(
-            FleetTrace::from_records(cfg, vec![r]).unwrap_err(),
+            FleetTrace::from_records(cfg, vec![r], Vec::new()).unwrap_err(),
             TraceError::ZeroLifetime { index: 0 }
         );
     }
@@ -965,7 +1005,7 @@ mod tests {
             ..ok_record()
         };
         assert_eq!(
-            FleetTrace::from_records(cfg, vec![r]).unwrap_err(),
+            FleetTrace::from_records(cfg, vec![r], Vec::new()).unwrap_err(),
             TraceError::OffHorizonArrival { index: 0 }
         );
     }
@@ -987,7 +1027,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            FleetTrace::from_records(cfg, records).unwrap_err(),
+            FleetTrace::from_records(cfg, records, Vec::new()).unwrap_err(),
             TraceError::OutOfOrderArrival { index: 1 }
         );
     }
@@ -1000,7 +1040,7 @@ mod tests {
             ..ok_record()
         };
         assert_eq!(
-            FleetTrace::from_records(cfg.clone(), vec![r]).unwrap_err(),
+            FleetTrace::from_records(cfg.clone(), vec![r], Vec::new()).unwrap_err(),
             TraceError::NonFiniteTraffic { index: 0 }
         );
         let r = NfRecord {
@@ -1008,7 +1048,7 @@ mod tests {
             ..ok_record()
         };
         assert!(matches!(
-            FleetTrace::from_records(cfg, vec![r]).unwrap_err(),
+            FleetTrace::from_records(cfg, vec![r], Vec::new()).unwrap_err(),
             TraceError::BadSla { index: 0, .. }
         ));
     }
@@ -1018,20 +1058,32 @@ mod tests {
         let mut cfg = FleetConfig::small(0);
         cfg.guaranteed_fraction = 1.5;
         assert_eq!(
-            FleetTrace::from_records(cfg, Vec::new()).unwrap_err(),
+            FleetTrace::from_records(cfg, Vec::new(), Vec::new()).unwrap_err(),
             TraceError::BadGuaranteedFraction(1.5)
         );
         let mut cfg = FleetConfig::small(0);
         cfg.faults.mtbf_s = f64::NAN;
         assert_eq!(
-            FleetTrace::from_records(cfg, Vec::new()).unwrap_err(),
+            FleetTrace::from_records(cfg, Vec::new(), Vec::new()).unwrap_err(),
             TraceError::BadFaultPlan("mtbf_s")
         );
         let mut cfg = FleetConfig::small(0);
         cfg.kinds.clear();
         assert_eq!(
-            FleetTrace::from_records(cfg, Vec::new()).unwrap_err(),
+            FleetTrace::from_records(cfg, Vec::new(), Vec::new()).unwrap_err(),
             TraceError::NoKinds
+        );
+        let fault = FaultEvent {
+            t_ms: 1,
+            nic: FleetConfig::small(0).nics(),
+            kind: FaultKind::Fail,
+        };
+        assert_eq!(
+            FleetTrace::from_records(FleetConfig::small(0), Vec::new(), vec![fault]).unwrap_err(),
+            TraceError::FaultNicOutOfRange {
+                index: 0,
+                nic: fault.nic
+            }
         );
     }
 
@@ -1040,7 +1092,7 @@ mod tests {
         let mut cfg = FleetConfig::small(0);
         cfg.portfolio = vec![(NicSpec::bluefield2(), 4), (NicSpec::bluefield2(), 4)];
         assert_eq!(
-            FleetTrace::from_records(cfg, Vec::new()).unwrap_err(),
+            FleetTrace::from_records(cfg, Vec::new(), Vec::new()).unwrap_err(),
             TraceError::DuplicateModel("bluefield2".to_string())
         );
     }

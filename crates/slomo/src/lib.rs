@@ -7,12 +7,15 @@
 //! profile, with *sensitivity extrapolation* to adapt to moderate traffic
 //! shifts.
 //!
-//! Faithful to the paper's baseline setup:
+//! That regressor is exactly Yala's fixed-traffic memory curve (§4.1.2), so
+//! a [`SlomoModel`] is a [`MemoryModel`] fitted on
+//! [`memory_dataset_fixed`]'s rows plus the solo throughput it was trained
+//! at. What makes it the baseline is what it leaves out:
 //!
 //! * Training co-runs the target with `mem-bench` swept over (CAR, WSS)
 //!   levels; features are mem-bench's solo counter vector.
 //! * Prediction aggregates the competitors' solo counters and queries the
-//!   GBR. Accelerator contention is invisible to it — by design, this is
+//!   curve. Accelerator contention is invisible to it — by design, this is
 //!   the gap Yala closes (Fig. 2a).
 //! * When the test traffic profile differs from the training one,
 //!   [`SlomoModel::predict_extrapolated`] rescales by the solo-throughput
@@ -20,32 +23,16 @@
 //!   for small deviations and degrades for large ones (Fig. 7b).
 
 use yala_core::engine::{scenario_seed, simulator_for, Engine};
+use yala_core::memory_model::{MemoryModel, N_COUNTER_FEATURES};
 use yala_core::observe::{Observation, Refinable};
+use yala_core::profiler::{bench_counters, cached_workload, memory_dataset_fixed, MemLevel};
 use yala_core::ModelBank;
-use yala_ml::{Dataset, GbrParams, GradientBoostingRegressor};
+use yala_ml::{Dataset, GbrParams};
 use yala_nf::NfKind;
 use yala_sim::{CounterSample, NicSpec, Simulator, WorkloadSpec};
+use yala_traffic::TrafficProfile;
 
-/// A (CAR, WSS, compute-intensity) contention level for the training sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemLevel {
-    /// mem-bench target cache-access rate, refs/s.
-    pub car: f64,
-    /// mem-bench working-set size, bytes.
-    pub wss: f64,
-    /// mem-bench compute cycles per iteration (decorrelates IPC/IRT from
-    /// CAR so the GBR learns the causal counters).
-    pub cycles: f64,
-}
-
-impl MemLevel {
-    /// The mem-bench workload realising this level.
-    pub fn bench(&self) -> WorkloadSpec {
-        yala_nf::bench::mem_bench_with_cycles(self.car, self.wss, self.cycles)
-    }
-}
-
-/// The default training grid: 10 CAR levels × 6 working-set sizes, with
+/// SLOMO's training grid: 10 CAR levels × 6 working-set sizes, with
 /// rotating compute intensity.
 pub fn default_mem_grid() -> Vec<MemLevel> {
     let mut grid = Vec::new();
@@ -63,122 +50,71 @@ pub fn default_mem_grid() -> Vec<MemLevel> {
     grid
 }
 
-/// Measures mem-bench's solo counter vector at a contention level — the
-/// feature vector SLOMO-style models use for that level.
-pub fn bench_features(sim: &mut Simulator, level: MemLevel) -> CounterSample {
-    sim.solo(&level.bench()).counters
-}
-
-/// A trained SLOMO model for one target NF. Like the Yala memory model,
-/// it retains its training dataset and fit parameters so in-production
-/// audit observations can be absorbed later ([`Refinable::refine`]) via
-/// a deterministic refit over the extended dataset.
+/// A trained SLOMO model for one target NF: a fixed-traffic memory curve
+/// and the solo throughput at its training traffic profile. The curve
+/// keeps its training rows, so in-production audit observations can be
+/// absorbed later ([`Refinable::refine`]) by a deterministic refit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlomoModel {
-    gbr: GradientBoostingRegressor,
+    memory: MemoryModel,
     /// Solo throughput at the training traffic profile.
     solo_tput_train: f64,
-    dataset: Dataset,
-    params: GbrParams,
-    seed: u64,
-    refits: u32,
 }
 
 impl SlomoModel {
     /// Trains SLOMO for `target` (a workload profiled at the training
-    /// traffic profile) by sweeping mem-bench over `grid`.
+    /// traffic profile) by sweeping mem-bench over `grid` on `sim`.
     ///
     /// # Panics
     ///
     /// Panics if `grid` is empty.
     pub fn train(sim: &mut Simulator, target: &WorkloadSpec, grid: &[MemLevel], seed: u64) -> Self {
         assert!(!grid.is_empty(), "empty training grid");
-        let solo_tput_train = sim.solo(target).throughput_pps;
-        let mut ds = Dataset::new(7);
-        // Include the uncontended point so the model anchors at solo.
-        ds.push(&CounterSample::default().as_features(), solo_tput_train);
-        for &level in grid {
-            let features = bench_features(sim, level);
-            let report = sim.co_run(&[target.clone(), level.bench()]);
-            ds.push(&features.as_features(), report.outcomes[0].throughput_pps);
-        }
-        let params = GbrParams {
-            n_estimators: 300,
-            learning_rate: 0.05,
-            ..GbrParams::default()
-        };
-        let gbr = GradientBoostingRegressor::fit(&ds, &params, seed);
-        Self {
-            gbr,
-            solo_tput_train,
-            dataset: ds,
-            params,
-            seed,
-            refits: 0,
-        }
+        Self::fit(&memory_dataset_fixed(sim, target, grid), seed)
     }
 
-    /// Trains SLOMO with the (CAR, WSS) sweep dispatched across `engine`'s
-    /// worker pool: the solo anchor and each grid level are independent
-    /// co-run scenarios, each measured on a private simulator seeded
-    /// `scenario_seed(seed, scenario)` (noise-free when `noise_sigma` is
-    /// 0). The assembled dataset — and therefore the fitted model — is a
-    /// pure function of the inputs: bit-identical whether `engine` is
-    /// sequential or parallel, while the sweep's wall-clock scales with
-    /// core count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grid` is empty.
-    pub fn train_with_engine(
+    /// [`Self::train`] with every row of the sweep measured on its own
+    /// simulator: scenario 0 anchors at solo and scenario `i + 1`
+    /// measures `grid[i]`, each seeded `scenario_seed(seed, scenario)`
+    /// (noise-free when `noise_sigma` is 0). The bank's per-cell trainer.
+    fn train_per_scenario(
         spec: &NicSpec,
         noise_sigma: f64,
         target: &WorkloadSpec,
         grid: &[MemLevel],
         seed: u64,
-        engine: &Engine,
     ) -> Self {
         assert!(!grid.is_empty(), "empty training grid");
-        // Scenario 0 anchors at solo; scenario i+1 measures grid[i].
-        let rows: Vec<([f64; 7], f64)> = engine.run(grid.len() + 1, |i| {
-            let mut sim = simulator_for(spec, noise_sigma, scenario_seed(seed, i));
-            if i == 0 {
-                (
-                    CounterSample::default().as_features(),
-                    sim.solo(target).throughput_pps,
-                )
-            } else {
-                let level = grid[i - 1];
-                let features = bench_features(&mut sim, level);
-                let report = sim.co_run(&[target.clone(), level.bench()]);
-                (features.as_features(), report.outcomes[0].throughput_pps)
-            }
-        });
-        let solo_tput_train = rows[0].1;
-        let mut ds = Dataset::new(7);
-        for (x, t) in &rows {
-            ds.push(x, *t);
+        let sim = |scenario| simulator_for(spec, noise_sigma, scenario_seed(seed, scenario));
+        let mut ds = Dataset::new(N_COUNTER_FEATURES);
+        let solo = sim(0).solo(target).throughput_pps;
+        ds.push(&CounterSample::default().as_features(), solo);
+        for (i, &level) in grid.iter().enumerate() {
+            let mut sim = sim(i + 1);
+            let features = bench_counters(&mut sim, level);
+            let report = sim.co_run(&[target.clone(), level.bench()]);
+            ds.push(&features.as_features(), report.outcomes[0].throughput_pps);
         }
+        Self::fit(&ds, seed)
+    }
+
+    /// Fits the curve on a sweep whose row 0 is the uncontended anchor.
+    fn fit(ds: &Dataset, seed: u64) -> Self {
         let params = GbrParams {
             n_estimators: 300,
             learning_rate: 0.05,
             ..GbrParams::default()
         };
-        let gbr = GradientBoostingRegressor::fit(&ds, &params, seed);
         Self {
-            gbr,
-            solo_tput_train,
-            dataset: ds,
-            params,
-            seed,
-            refits: 0,
+            memory: MemoryModel::fit(ds, &params, seed),
+            solo_tput_train: ds.target(0),
         }
     }
 
     /// Predicts the target's throughput when co-located with competitors
     /// whose aggregate solo counters are `competitors`.
     pub fn predict(&self, competitors: &CounterSample) -> f64 {
-        self.gbr.predict(&competitors.as_features()).max(0.0)
+        self.memory.predict(competitors, None)
     }
 
     /// Prediction with sensitivity extrapolation: rescales the fixed-profile
@@ -193,12 +129,6 @@ impl SlomoModel {
     pub fn solo_tput_train(&self) -> f64 {
         self.solo_tput_train
     }
-
-    /// How many online refit passes the model has absorbed (0 = the
-    /// offline train-once state).
-    pub fn refits(&self) -> u32 {
-        self.refits
-    }
 }
 
 impl Refinable for SlomoModel {
@@ -206,14 +136,14 @@ impl Refinable for SlomoModel {
     /// profile with sensitivity extrapolation, so an observation at the
     /// NF's live traffic is mapped back to the training profile by
     /// inverting the extrapolation — `T_train = T_measured · solo_train /
-    /// solo_live` — and appended as a (competitor counters → throughput)
-    /// row; the GBR is then re-fitted once with the original parameters
-    /// and seed. Accelerator pressure stays invisible, faithful to the
-    /// baseline: the refit absorbs accel-induced drops into the memory
-    /// response (and inherits that attribution error). Returns rows
-    /// absorbed; an empty or all-degenerate slice is a strict no-op.
+    /// solo_live` — and becomes a (competitor counters → throughput) row
+    /// for [`MemoryModel::absorb_rows`]. Accelerator pressure stays
+    /// invisible, faithful to the baseline: the refit absorbs accel-induced
+    /// drops into the memory response (and inherits that attribution
+    /// error). Returns rows absorbed; an empty or all-degenerate slice is a
+    /// strict no-op.
     fn refine(&mut self, observations: &[&Observation]) -> usize {
-        let mut absorbed = 0usize;
+        let mut rows = Dataset::new(N_COUNTER_FEATURES);
         for o in observations {
             if o.solo_tput <= 0.0 || o.measured_tput <= 0.0 || !o.measured_tput.is_finite() {
                 continue;
@@ -222,29 +152,22 @@ impl Refinable for SlomoModel {
             // never teach the model a physically impossible regime.
             let measured = o.measured_tput.min(o.solo_tput);
             let implied_train = measured * self.solo_tput_train / o.solo_tput;
-            if !implied_train.is_finite() {
-                continue;
+            if implied_train.is_finite() {
+                rows.push(&o.competitors.as_features(), implied_train);
             }
-            self.dataset
-                .push(&o.competitors.as_features(), implied_train);
-            absorbed += 1;
         }
-        if absorbed == 0 {
-            return 0;
-        }
-        self.gbr = GradientBoostingRegressor::fit(&self.dataset, &self.params, self.seed);
-        self.refits += 1;
-        absorbed
+        self.memory.absorb_rows(&rows)
     }
 }
 
 /// Trains a per-NIC-model SLOMO bank: one model per `(NIC model, NF)`
 /// cell of the profiling matrix ([`NfKind::profiled_on`]), each at the
-/// SLOMO training traffic profile (the default), with the `(CAR, WSS)`
-/// sweep of every cell dispatched across `engine`'s workers. Cells are
-/// enumerated model-major and seeded `scenario_seed(seed, cell_index)`,
-/// so a single-spec portfolio reproduces the homogeneous per-kind
-/// training exactly and the bank is bit-identical across thread counts.
+/// SLOMO training traffic profile (the default). Cells run across
+/// `engine`'s workers through [`ModelBank::train_matrix`], and cell `i`'s
+/// sweep runs in order on simulators seeded from
+/// `scenario_seed(seed, i)`, so a single-spec portfolio reproduces the
+/// homogeneous per-kind training exactly and the bank is bit-identical
+/// across thread counts.
 ///
 /// # Panics
 ///
@@ -257,38 +180,11 @@ pub fn train_slomo_bank(
     seed: u64,
     engine: &Engine,
 ) -> ModelBank<SlomoModel> {
-    let mut bank = ModelBank::new();
-    // The shared model-major cell enumeration keeps the cell-index
-    // seeding in lockstep with the Yala bank; cells run sequentially
-    // here because each one's (CAR, WSS) sweep already fans out across
-    // the engine.
-    for (cell, &(s, kind)) in yala_core::bank::matrix_cells(specs, kinds)
-        .iter()
-        .enumerate()
-    {
-        let spec = &specs[s];
-        let target = yala_core::profiler::cached_workload(
-            kind,
-            yala_traffic::TrafficProfile::default(),
-            kind as usize as u64,
-        );
-        let model = SlomoModel::train_with_engine(
-            spec,
-            noise_sigma,
-            &target,
-            grid,
-            scenario_seed(seed, cell),
-            engine,
-        );
-        bank.insert(spec.model(), kind, model);
-    }
-    bank
-}
-
-/// Aggregates the solo counters of a competitor set into SLOMO's feature
-/// vector.
-pub fn aggregate_competitors(counters: &[CounterSample]) -> CounterSample {
-    CounterSample::aggregate(counters.iter())
+    ModelBank::train_matrix(specs, kinds, engine, |spec, kind, cell| {
+        let target = cached_workload(kind, TrafficProfile::default(), kind as usize as u64);
+        let cell_seed = scenario_seed(seed, cell);
+        SlomoModel::train_per_scenario(spec, noise_sigma, &target, grid, cell_seed)
+    })
 }
 
 #[cfg(test)]
@@ -296,9 +192,6 @@ mod tests {
     use super::*;
     use yala_ml::metrics;
     use yala_nf::bench::mem_bench;
-    use yala_nf::NfKind;
-    use yala_sim::NicSpec;
-    use yala_traffic::TrafficProfile;
 
     fn sim() -> Simulator {
         Simulator::with_noise(NicSpec::bluefield2(), 0.005, 42)
@@ -325,7 +218,7 @@ mod tests {
                 wss,
                 cycles: 600.0,
             };
-            let features = bench_features(&mut sim, level);
+            let features = bench_counters(&mut sim, level);
             let report = sim.co_run(&[target.clone(), mem_bench(car, wss)]);
             truth.push(report.outcomes[0].throughput_pps);
             pred.push(model.predict(&features));
@@ -367,19 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_is_elementwise_sum() {
-        let a = CounterSample {
-            l2crd: 1.0,
-            ..Default::default()
-        };
-        let b = CounterSample {
-            l2crd: 2.0,
-            ..Default::default()
-        };
-        assert_eq!(aggregate_competitors(&[a, b]).l2crd, 3.0);
-    }
-
-    #[test]
     #[should_panic(expected = "empty training grid")]
     fn empty_grid_panics() {
         let mut sim = sim();
@@ -410,8 +290,8 @@ mod tests {
         };
         let before = model.predict(&heavy);
         let observed = before * 0.3;
-        let obs: Vec<yala_core::Observation> = (0..12)
-            .map(|_| yala_core::Observation {
+        let obs: Vec<Observation> = (0..12)
+            .map(|_| Observation {
                 model: NicSpec::bluefield2().model(),
                 kind: NfKind::FlowStats,
                 traffic: TrafficProfile::default(),
@@ -421,9 +301,9 @@ mod tests {
                 measured_tput: observed,
             })
             .collect();
-        let refs: Vec<&yala_core::Observation> = obs.iter().collect();
+        let refs: Vec<&Observation> = obs.iter().collect();
         assert_eq!(model.refine(&refs), 12);
-        assert_eq!(model.refits(), 1);
+        assert_eq!(model.memory.refits(), 1);
         let after = model.predict(&heavy);
         assert!(
             (after - observed).abs() < (before - observed).abs(),
@@ -436,57 +316,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_sequential() {
-        let spec = NicSpec::bluefield2();
-        let target = NfKind::FlowStats.workload(TrafficProfile::default(), 1);
-        let grid: Vec<MemLevel> = default_mem_grid().into_iter().step_by(4).collect();
-        let seq =
-            SlomoModel::train_with_engine(&spec, 0.005, &target, &grid, 7, &Engine::sequential());
-        let par = SlomoModel::train_with_engine(
-            &spec,
-            0.005,
-            &target,
-            &grid,
-            7,
-            &Engine::with_threads(4),
-        );
-        assert_eq!(seq.solo_tput_train(), par.solo_tput_train());
-        // The fitted models must agree bitwise on arbitrary queries.
-        let mut sim = sim();
-        for level in [
-            MemLevel {
-                car: 5e7,
-                wss: 2e6,
-                cycles: 60.0,
-            },
-            MemLevel {
-                car: 2.4e8,
-                wss: 10e6,
-                cycles: 2_400.0,
-            },
-        ] {
-            let f = bench_features(&mut sim, level);
-            assert_eq!(seq.predict(&f), par.predict(&f));
-        }
+    fn bank_is_bit_identical_across_engine_thread_counts() {
+        let specs = [NicSpec::bluefield2(), NicSpec::pensando()];
+        let kinds = [NfKind::FlowStats, NfKind::Acl];
+        let grid: Vec<MemLevel> = default_mem_grid().into_iter().step_by(6).collect();
+        let train = |engine| train_slomo_bank(&specs, 0.005, &kinds, &grid, 7, &engine);
+        let seq = train(Engine::sequential());
+        assert_eq!(seq.len(), 4);
+        assert_eq!(seq, train(Engine::with_threads(3)));
     }
 
     #[test]
-    fn engine_trained_model_predicts_like_sequential_training() {
-        // train_with_engine assembles the same (solo anchor + grid) dataset
-        // as train(); with a noise-free simulator the two paths measure
-        // identical rows and must fit bitwise-equal models.
+    fn per_scenario_sweep_at_zero_noise_fits_like_train() {
+        // At noise 0 every simulator measures the same rows, so the
+        // per-scenario sweep and one simulator's sweep fit one model.
         let spec = NicSpec::bluefield2();
         let target = NfKind::Acl.workload(TrafficProfile::default(), 2);
         let grid: Vec<MemLevel> = default_mem_grid().into_iter().step_by(6).collect();
-        let engine_model =
-            SlomoModel::train_with_engine(&spec, 0.0, &target, &grid, 9, &Engine::with_threads(2));
-        let mut sim = Simulator::new(NicSpec::bluefield2());
-        let reference = SlomoModel::train(&mut sim, &target, &grid, 9);
-        assert_eq!(engine_model.solo_tput_train(), reference.solo_tput_train());
-        let probe = CounterSample {
-            l2crd: 1e8,
-            ..Default::default()
-        };
-        assert_eq!(engine_model.predict(&probe), reference.predict(&probe));
+        let swept = SlomoModel::train_per_scenario(&spec, 0.0, &target, &grid, 9);
+        let reference = SlomoModel::train(&mut Simulator::new(spec), &target, &grid, 9);
+        assert_eq!(swept, reference);
     }
 }

@@ -9,7 +9,7 @@
 //!    placement preparation.
 
 use yala::core::adaptive::{adaptive_profile_all, AdaptiveConfig, TrafficRanges};
-use yala::core::{Engine, QosClass, TrainConfig, YalaModel};
+use yala::core::{Engine, ModelBank, QosClass, TrainConfig};
 use yala::nf::runtime::{build_workload_per_packet, Profiler, DEFAULT_SAMPLE_PACKETS};
 use yala::nf::NfKind;
 use yala::placement::{prepare_all, Arrival};
@@ -100,11 +100,9 @@ fn parallel_adaptive_profiling_matches_sequential() {
     }
 }
 
-/// Parallel fleet training yields bitwise-equal models: predictions agree
-/// exactly on arbitrary queries.
+/// Parallel fleet training yields a bitwise-equal bank.
 #[test]
 fn parallel_model_training_matches_sequential() {
-    let spec = NicSpec::bluefield2();
     let kinds = [NfKind::FlowStats, NfKind::Acl];
     let cfg = TrainConfig {
         adaptive: AdaptiveConfig {
@@ -113,18 +111,15 @@ fn parallel_model_training_matches_sequential() {
         },
         ..TrainConfig::default()
     };
-    let seq = YalaModel::train_all(&spec, 0.005, &kinds, &cfg, &Engine::sequential());
-    let par = YalaModel::train_all(&spec, 0.005, &kinds, &cfg, &Engine::with_threads(2));
-    for ((k1, m1), (k2, m2)) in seq.iter().zip(&par) {
-        assert_eq!(k1, k2);
-        assert_eq!(m1.pattern, m2.pattern, "{k1} pattern diverged");
-        assert_eq!(m1.kept_attributes, m2.kept_attributes);
-        assert_eq!(m1.profiling_cost, m2.profiling_cost);
-        let traffic = TrafficProfile::new(40_000, 1024, 300.0);
-        let pred1 = m1.predict(1e6, &traffic, &[]);
-        let pred2 = m2.predict(1e6, &traffic, &[]);
-        assert_eq!(pred1, pred2, "{k1} predictions diverged");
-    }
+    let train =
+        |engine| ModelBank::train_yala(&[NicSpec::bluefield2()], 0.005, &kinds, &cfg, &engine);
+    let seq = train(Engine::sequential());
+    assert_eq!(seq.len(), kinds.len());
+    assert_eq!(
+        seq,
+        train(Engine::with_threads(2)),
+        "parallel training diverged"
+    );
 }
 
 /// Parallel placement preparation reproduces the sequential arrival loop
