@@ -92,36 +92,74 @@ impl MemoryModel {
     ///
     /// Panics if the model is traffic-aware and `traffic` is `None`.
     pub fn predict(&self, competitors: &CounterSample, traffic: Option<&TrafficProfile>) -> f64 {
-        self.predict_via(competitors, traffic, |x| self.gbr.predict(x))
+        let (x, width) = self.row(competitors, traffic);
+        self.gbr.predict(&x[..width]).max(0.0)
     }
 
-    /// [`Self::predict`] through a caller-owned memo of this model's
-    /// answers by forest cell: the same bits, without the walk when the
-    /// cell was answered before. Whoever calls [`Self::absorb_rows`] must
-    /// clear `memo` — a refit grows another forest.
-    pub fn predict_memo(
+    /// Words of a cell key: the counter features first, then (a
+    /// traffic-aware model's) the traffic attributes.
+    pub fn cell_width(&self) -> usize {
+        if self.traffic_aware {
+            N_COUNTER_FEATURES + N_TRAFFIC_FEATURES
+        } else {
+            N_COUNTER_FEATURES
+        }
+    }
+
+    /// The counter words of a cell: where the competitors' aggregate
+    /// `counters` fall on this fit's thresholds.
+    pub fn counter_words(&self, counters: &CounterSample) -> [u32; N_COUNTER_FEATURES] {
+        let x = counters.as_features();
+        std::array::from_fn(|f| self.gbr.rank(f, x[f]))
+    }
+
+    /// The traffic words of a cell: where the target's `traffic` falls
+    /// on this fit's thresholds. Zeros for a fixed-traffic model, whose
+    /// cells have none.
+    pub fn traffic_words(&self, traffic: &TrafficProfile) -> [u32; N_TRAFFIC_FEATURES] {
+        if !self.traffic_aware {
+            return [0; N_TRAFFIC_FEATURES];
+        }
+        let x = traffic.as_vector();
+        std::array::from_fn(|f| self.gbr.rank(N_COUNTER_FEATURES + f, x[f]))
+    }
+
+    /// [`Self::predict`] for a caller that assembled the question's cell
+    /// itself ([`Self::counter_words`], then [`Self::traffic_words`];
+    /// [`Self::cell_width`] words in all), through a caller-owned memo of
+    /// this model's answers by cell: the same bits, and `competitors` is
+    /// called, and the forest walked, only when the cell was not answered
+    /// before. Whoever calls [`Self::absorb_rows`] must clear `memo` — a
+    /// refit grows another forest.
+    pub fn predict_cell(
         &self,
-        competitors: &CounterSample,
+        cell: &[u32],
+        competitors: impl FnOnce() -> CounterSample,
         traffic: Option<&TrafficProfile>,
         memo: &mut CellMemo,
     ) -> f64 {
-        self.predict_via(competitors, traffic, |x| self.gbr.predict_memo(x, memo))
+        self.gbr
+            .predict_cell(cell, memo, || {
+                let (x, width) = self.row(&competitors(), traffic);
+                self.gbr.predict(&x[..width])
+            })
+            .max(0.0)
     }
 
-    /// Assembles the feature row and clamps what `gbr` makes of it.
-    fn predict_via(
+    /// The feature row of a question, and how many of its features the
+    /// model reads.
+    fn row(
         &self,
         competitors: &CounterSample,
         traffic: Option<&TrafficProfile>,
-        gbr: impl FnOnce(&[f64]) -> f64,
-    ) -> f64 {
-        let pred = if self.traffic_aware {
+    ) -> ([f64; N_COUNTER_FEATURES + N_TRAFFIC_FEATURES], usize) {
+        let mut x = [0.0; N_COUNTER_FEATURES + N_TRAFFIC_FEATURES];
+        x[..N_COUNTER_FEATURES].copy_from_slice(&competitors.as_features());
+        if self.traffic_aware {
             let t = traffic.expect("traffic-aware model needs a traffic profile");
-            gbr(&traffic_aware_features(competitors, t))
-        } else {
-            gbr(&competitors.as_features())
-        };
-        pred.max(0.0)
+            x[N_COUNTER_FEATURES..].copy_from_slice(&t.as_vector());
+        }
+        (x, self.cell_width())
     }
 }
 

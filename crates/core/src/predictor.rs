@@ -194,14 +194,15 @@ impl YalaModel {
     }
 
     /// The `T_k` of [`Self::per_resource`] in the same order, on the
-    /// stack: the values and how many of them are set. With `memo`, the
-    /// memory model answers through it.
+    /// stack: the values and how many of them are set. With a memo and
+    /// the question's cell, the memory model answers through them
+    /// ([`MemoryModel::predict_cell`]).
     fn per_resource_tputs(
         &self,
         solo_tput: f64,
         traffic: &TrafficProfile,
         contenders: &[Contender],
-        memo: Option<&mut CellMemo>,
+        memo: Option<(&mut CellMemo, &[u32])>,
     ) -> ([f64; MAX_RESOURCES], usize) {
         assert!(solo_tput > 0.0, "solo throughput must be positive");
         assert!(
@@ -209,11 +210,15 @@ impl YalaModel {
             "more accelerator models than accelerator kinds"
         );
         let traffic_arg = self.memory.is_traffic_aware().then_some(traffic);
-        let competitors = aggregate_counters(contenders);
         let mut per = [0.0; MAX_RESOURCES];
         per[0] = match memo {
-            Some(memo) => self.memory.predict_memo(&competitors, traffic_arg, memo),
-            None => self.memory.predict(&competitors, traffic_arg),
+            Some((memo, cell)) => {
+                self.memory
+                    .predict_cell(cell, || aggregate_counters(contenders), traffic_arg, memo)
+            }
+            None => self
+                .memory
+                .predict(&aggregate_counters(contenders), traffic_arg),
         }
         .min(solo_tput);
         for (t_k, am) in per[1..].iter_mut().zip(&self.accels) {
@@ -246,14 +251,18 @@ impl YalaModel {
         )
     }
 
-    /// [`Self::predict`] with the memory model answering through a
-    /// caller-owned memo ([`MemoryModel::predict_memo`]): the same bits,
-    /// cheaper when the forest was asked about the same cell before. A
-    /// placement loop keeps one memo per model and clears it when the
-    /// model is refined.
-    pub fn predict_memo(
+    /// [`Self::predict`] for a caller that assembled the question's cell
+    /// in the memory model's forest — the words of the contenders'
+    /// aggregate counters ([`MemoryModel::counter_words`]) and of
+    /// `traffic` ([`MemoryModel::traffic_words`]) — with the memory model
+    /// answering through a caller-owned memo of its cells
+    /// ([`MemoryModel::predict_cell`]): the same bits, cheaper when the
+    /// cell was asked about before. A placement loop keeps one memo per
+    /// model and clears it when the model is refined.
+    pub fn predict_cell(
         &self,
         memo: &mut CellMemo,
+        cell: &[u32],
         solo_tput: f64,
         traffic: &TrafficProfile,
         contenders: &[Contender],
@@ -263,7 +272,7 @@ impl YalaModel {
             solo_tput,
             traffic,
             contenders,
-            Some(memo),
+            Some((memo, cell)),
         )
     }
 
@@ -284,7 +293,7 @@ impl YalaModel {
         solo_tput: f64,
         traffic: &TrafficProfile,
         contenders: &[Contender],
-        memo: Option<&mut CellMemo>,
+        memo: Option<(&mut CellMemo, &[u32])>,
     ) -> f64 {
         let (per, n) = self.per_resource_tputs(solo_tput, traffic, contenders, memo);
         let per = &per[..n];

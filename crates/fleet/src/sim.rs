@@ -19,7 +19,7 @@
 use crate::policy::FleetPolicy;
 use crate::report::{ClassStats, FleetReport, FleetSample};
 use crate::residency::NicState;
-use crate::state::FleetState;
+use crate::state::{FleetState, READMITTED, VIOLATIONS};
 use crate::timeline::ProfiledTrace;
 use crate::trace::{FaultKind, MS_PER_S};
 use yala_core::engine::{scenario_seed, simulator_for, Engine};
@@ -489,7 +489,7 @@ impl<'a> FleetSim<'a> {
                     violating += 1;
                     let qos = records[id as usize].qos;
                     self.violation_min[qos as usize] += self.period_min;
-                    tel.inc(&format!("fleet.violations.{}", qos.name()), 1);
+                    tel.inc(VIOLATIONS.of(qos), 1);
                     if observing {
                         // Diagnose the measured violation for the journal.
                         // The diagnoser is pure (&self), so the extra call
@@ -597,7 +597,7 @@ impl<'a> FleetSim<'a> {
                 Some(nic) => {
                     state.place(policy.predictor(), nic, id);
                     state.readmitted[nf.qos() as usize] += 1;
-                    tel.inc(&format!("fleet.readmitted.{}", nf.qos().name()), 1);
+                    tel.inc(READMITTED.of(nf.qos()), 1);
                     tel.rec(t_ms, || Event::Readmit {
                         id,
                         nic: nic as u32,

@@ -21,6 +21,31 @@ use yala_placement::{Placed, PlacementPredictor};
 use yala_sim::{CoRunReport, ResourceKind};
 use yala_telemetry::{Event, Telemetry};
 
+/// The names of one per-class counter, `fleet.<what>.<class>`, in
+/// [`QosClass`] order: spelled out, so bumping one with telemetry off
+/// formats nothing.
+pub(crate) struct ClassCounter([&'static str; 2]);
+
+impl ClassCounter {
+    pub(crate) fn of(&self, qos: QosClass) -> &'static str {
+        self.0[qos as usize]
+    }
+}
+
+pub(crate) const VIOLATIONS: ClassCounter = ClassCounter([
+    "fleet.violations.guaranteed",
+    "fleet.violations.best_effort",
+]);
+pub(crate) const READMITTED: ClassCounter = ClassCounter([
+    "fleet.readmitted.guaranteed",
+    "fleet.readmitted.best_effort",
+]);
+const EVACUATIONS: ClassCounter = ClassCounter([
+    "fleet.evacuations.guaranteed",
+    "fleet.evacuations.best_effort",
+]);
+const SHED: ClassCounter = ClassCounter(["fleet.shed.guaranteed", "fleet.shed.best_effort"]);
+
 /// A shed NF waiting to re-enter the fleet: retried at audit epochs
 /// with exponential backoff.
 #[derive(Debug)]
@@ -296,7 +321,7 @@ impl<'a> FleetState<'a> {
                     }
                     self.place(policy.predictor(), dst, id);
                     self.evacuations[qos as usize] += 1;
-                    tel.inc(&format!("fleet.evacuations.{}", qos.name()), 1);
+                    tel.inc(EVACUATIONS.of(qos), 1);
                     tel.rec(t_ms, || Event::Evacuate {
                         id,
                         from: src as u32,
@@ -325,7 +350,7 @@ impl<'a> FleetState<'a> {
     ) {
         self.parked.push(Parked::new(id, t_ms));
         self.shed[qos as usize] += 1;
-        tel.inc(&format!("fleet.shed.{}", qos.name()), 1);
+        tel.inc(SHED.of(qos), 1);
         tel.rec(t_ms, || Event::Park {
             id,
             qos: qos.name(),
@@ -534,5 +559,24 @@ impl<'a> FleetState<'a> {
             }
         }
         moved
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn class_counters_are_named_after_their_class() {
+        for qos in [QosClass::Guaranteed, QosClass::BestEffort] {
+            for (what, table) in [
+                ("violations", &VIOLATIONS),
+                ("readmitted", &READMITTED),
+                ("evacuations", &EVACUATIONS),
+                ("shed", &SHED),
+            ] {
+                assert_eq!(table.of(qos), format!("fleet.{what}.{}", qos.name()));
+            }
+        }
     }
 }

@@ -113,22 +113,25 @@ impl Forest {
         }
     }
 
-    /// Writes the cell of `x` to `out`: per feature, one more than the
-    /// number of thresholds `x` goes right of (so no word is zero, which
-    /// [`crate::memo::WordMemo`] reserves).
+    /// `v`'s word on `feature` in a cell: one more than the number of
+    /// the feature's thresholds `v` goes right of (so no word is zero,
+    /// which [`crate::memo::WordMemo`] reserves).
+    pub(crate) fn rank(&self, feature: usize, v: f64) -> u32 {
+        // The predicate of `step`, true on a prefix of the ascending
+        // thresholds (on all of them for NaN).
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let rank = self.cuts_of(feature).partition_point(|&t| !(v <= t));
+        index(rank) + 1
+    }
+
+    /// Writes the cell of `x` to `out`: [`Self::rank`] feature by
+    /// feature.
+    #[cfg(test)]
     pub(crate) fn cell(&self, x: &[f64], out: &mut Vec<u32>) {
-        out.extend(self.cut_starts.windows(2).zip(x).map(|(span, &v)| {
-            let cuts = &self.cuts[span[0] as usize..span[1] as usize];
-            // The predicate of `step`, true on a prefix of the ascending
-            // thresholds (on all of them for NaN).
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let rank = cuts.partition_point(|&t| !(v <= t));
-            index(rank) + 1
-        }));
+        out.extend(x.iter().enumerate().map(|(f, &v)| self.rank(f, v)));
     }
 
     /// The thresholds `feature` is ranked against.
-    #[cfg(test)]
     pub(crate) fn cuts_of(&self, feature: usize) -> &[f64] {
         &self.cuts[self.cut_starts[feature] as usize..self.cut_starts[feature + 1] as usize]
     }

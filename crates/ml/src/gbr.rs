@@ -86,21 +86,35 @@ impl GradientBoostingRegressor {
         self.forest.predict(self.base, x)
     }
 
-    /// [`Self::predict`] through a caller-owned memo: the bits of the
-    /// walk, which is skipped when `memo` already holds the answer of
-    /// `x`'s cell of the threshold grid. `memo` must have been filled by
-    /// this fit only (see [`CellMemo`]).
+    /// `v`'s word on `feature` in the cell of a feature row: rows whose
+    /// words agree on every feature walk to the same leaves and predict
+    /// the same bits.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` differs from the training feature count.
-    pub fn predict_memo(&self, x: &[f64], memo: &mut CellMemo) -> f64 {
-        assert_eq!(x.len(), self.n_features, "feature width mismatch");
-        memo.answer(
-            self.n_features,
-            |cell| self.forest.cell(x, cell),
-            || self.forest.predict(self.base, x),
-        )
+    /// Panics if `feature` is not below the training feature count.
+    pub fn rank(&self, feature: usize, v: f64) -> u32 {
+        assert!(feature < self.n_features, "feature out of range");
+        self.forest.rank(feature, v)
+    }
+
+    /// [`Self::predict`] of the row whose cell is `cell` (its
+    /// [`Self::rank`]s, feature by feature), through a caller-owned memo:
+    /// the remembered answer of the cell, or else `walk()` — which must be
+    /// [`Self::predict`] of that row — remembered from now on. `memo` must
+    /// have been filled by this fit only (see [`CellMemo`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell.len()` differs from the training feature count.
+    pub fn predict_cell(
+        &self,
+        cell: &[u32],
+        memo: &mut CellMemo,
+        walk: impl FnOnce() -> f64,
+    ) -> f64 {
+        assert_eq!(cell.len(), self.n_features, "feature width mismatch");
+        memo.answer(self.n_features, |out| out.extend_from_slice(cell), walk)
     }
 
     /// Predictions for every row of `ds`.
@@ -348,15 +362,17 @@ mod tests {
                         "case {case} depth {} at {x:?}",
                         params.tree.max_depth
                     );
+                    let mut cell = Vec::new();
+                    model.forest.cell(x, &mut cell);
                     for ask in 0..2 {
                         assert_eq!(
-                            model.predict_memo(x, &mut memo).to_bits(),
+                            model
+                                .predict_cell(&cell, &mut memo, || model.predict(x))
+                                .to_bits(),
                             want.to_bits(),
                             "case {case} round {round} ask {ask} at {x:?}"
                         );
                     }
-                    let mut cell = Vec::new();
-                    model.forest.cell(x, &mut cell);
                     assert_eq!(
                         *bits_of_cell.entry(cell).or_insert(want.to_bits()),
                         want.to_bits(),

@@ -14,6 +14,9 @@
 /// way — the new answer dropping the least recently used of the set.
 const WAYS: usize = 4;
 
+/// Words an entry may take: a key and an answer's two halves.
+const MAX_STRIDE: usize = 16;
+
 /// A fixed-capacity table from keys of `width` words to `f64` answers.
 ///
 /// The first word of a key must be non-zero: an all-zero key marks an
@@ -37,6 +40,11 @@ impl WordMemo {
     /// [`Self::put`].
     pub fn new(width: usize, cap: usize) -> Self {
         assert!(width > 0, "a key needs at least one word");
+        assert!(
+            width + 2 <= MAX_STRIDE,
+            "a key of at most {} words",
+            MAX_STRIDE - 2
+        );
         Self {
             width,
             sets: cap.div_ceil(WAYS).max(1),
@@ -83,11 +91,21 @@ impl WordMemo {
         let (stride, width) = (self.stride(), self.width);
         let set = self.set_of(key);
         let set = &mut self.entries[set..set + WAYS * stride];
-        let way = (0..WAYS).find(|&way| set[way * stride..][..width] == *key)?;
-        set[..(way + 1) * stride].rotate_right(stride);
-        Some(f64::from_bits(
-            u64::from(set[width]) | u64::from(set[width + 1]) << 32,
-        ))
+        let way = (0..WAYS).find(|&way| {
+            let held = &set[way * stride..][..width];
+            held.iter().zip(key).all(|(a, b)| a == b)
+        })?;
+        let answer = f64::from_bits(
+            u64::from(set[way * stride + width]) | u64::from(set[way * stride + width + 1]) << 32,
+        );
+        if way > 0 {
+            // The hit moves to way 0, the ways before it back one.
+            let mut hit = [0u32; MAX_STRIDE];
+            hit[..stride].copy_from_slice(&set[way * stride..][..stride]);
+            set.copy_within(..way * stride, stride);
+            set[..stride].copy_from_slice(&hit[..stride]);
+        }
+        Some(answer)
     }
 
     /// Stores `answer` under `key`, in place of the least recently used
@@ -101,7 +119,7 @@ impl WordMemo {
         }
         let set = self.set_of(key);
         let set = &mut self.entries[set..set + WAYS * stride];
-        set.rotate_right(stride);
+        set.copy_within(..(WAYS - 1) * stride, stride);
         set[..width].copy_from_slice(key);
         let bits = answer.to_bits();
         set[width] = bits as u32;
@@ -110,7 +128,7 @@ impl WordMemo {
 }
 
 /// A caller-owned memo of one fitted ensemble's predictions, by grid cell
-/// ([`crate::GradientBoostingRegressor::predict_memo`]).
+/// ([`crate::GradientBoostingRegressor::predict_cell`]).
 ///
 /// It belongs to the fit that filled it: whoever re-fits the model must
 /// [`Self::clear`] the memo (or start a new one) before asking again —

@@ -31,7 +31,9 @@ mod memo;
 
 pub use memo::MemoStats;
 
+use yala_core::contender::aggregate_counters;
 use yala_core::engine::{model_seed_base, scenario_seed, simulator_for, Engine};
+use yala_core::memory_model::{N_COUNTER_FEATURES, N_TRAFFIC_FEATURES};
 use yala_core::profile_cache::{ProfileEntry, SoloProfile};
 use yala_core::{CellMemo, Contender, ModelBank, ObservationBuffer, QosClass, YalaModel};
 use yala_nf::{NfKind, Profiler};
@@ -504,9 +506,16 @@ pub struct YalaPredictor {
     memo: memo::Memo,
     /// One memo per bank cell, in bank order.
     cells: Vec<CellMemo>,
-    /// The contender slate of the evaluation in progress, and the class
-    /// ids of the by-content question in progress, kept for their
-    /// capacity.
+    /// Each bank cell's place among its NIC model's cells: which of a
+    /// competitor's [`memo::Described::counter_words`] it reads.
+    slots: Vec<usize>,
+    /// Per resident of the evaluation in progress, where its description
+    /// is: a tabled slot, or one of `loose` (its class is no longer
+    /// tabled). Kept, with the evaluation's contender slate, for their
+    /// capacity; so are the class ids of the by-content question in
+    /// progress.
+    described: Vec<Result<usize, usize>>,
+    loose: Vec<memo::Described>,
     slate: Vec<Contender>,
     named: Vec<u32>,
 }
@@ -529,6 +538,13 @@ impl YalaPredictor {
             refine_passes: 0,
             memo: memo::Memo::new(cap),
             cells: vec![CellMemo::new(cap.min(CELL_MEMO_CAP / bank.len().max(1))); bank.len()],
+            slots: bank
+                .iter()
+                .enumerate()
+                .map(|(at, (model, _, _))| bank.iter().take(at).filter(|c| c.0 == model).count())
+                .collect(),
+            described: Vec::new(),
+            loose: Vec::new(),
             slate: Vec::new(),
             named: Vec::new(),
         }
@@ -583,25 +599,56 @@ impl PlacementPredictor for YalaPredictor {
         if let Some(known) = self.memo.get(key) {
             return known;
         }
-        let bank = &self.bank;
-        self.slate.clear();
-        self.slate
-            .extend((0..classes.len()).filter(|&k| k != target).map(|k| {
-                let p = resident(k);
-                bank.expect(model, p.arrival.kind)
-                    .as_contender(p.solo(model).counters, p.arrival.traffic.mtbr)
-            }));
-        let t = resident(target);
-        let cell = bank
-            .position(model, t.arrival.kind)
-            .unwrap_or_else(|| panic!("no model trained for {} on {model}", t.arrival.kind));
-        let predicted = bank.at(cell).predict_memo(
-            &mut self.cells[cell],
-            t.solo(model).solo_tput,
-            &t.arrival.traffic,
-            &self.slate,
+        let Self {
+            bank,
+            memo,
+            cells,
+            slots,
+            described,
+            loose,
+            slate,
+            ..
+        } = self;
+        described.clear();
+        loose.clear();
+        for (k, &class) in classes.iter().enumerate() {
+            let describe = || describe(bank, model, resident(k));
+            described.push(match memo.slot(class) {
+                Some(slot) => {
+                    memo.describe(slot, describe);
+                    Ok(slot)
+                }
+                None => {
+                    loose.push(describe());
+                    Err(loose.len() - 1)
+                }
+            });
+        }
+        let of = |k: usize| match described[k] {
+            Ok(slot) => memo.described(slot),
+            Err(at) => &loose[at],
+        };
+        let t = of(target);
+        let others = (0..classes.len()).filter(|&k| k != target);
+        slate.clear();
+        slate.extend(others.clone().map(|k| of(k).contender.clone()));
+        // The question's forest cell: the competitors' aggregate counters
+        // (one competitor's are its own), then the target's traffic.
+        let yala = bank.at(t.cell);
+        let mut cell = [0; N_COUNTER_FEATURES + N_TRAFFIC_FEATURES];
+        cell[..N_COUNTER_FEATURES].copy_from_slice(&match slate.len() {
+            1 => of(others.clone().next().expect("one competitor")).counter_words[slots[t.cell]],
+            _ => yala.memory.counter_words(&aggregate_counters(slate)),
+        });
+        cell[N_COUNTER_FEATURES..].copy_from_slice(&t.traffic_words);
+        let predicted = yala.predict_cell(
+            &mut cells[t.cell],
+            &cell[..yala.memory.cell_width()],
+            t.solo_tput,
+            &t.traffic,
+            slate,
         );
-        self.memo.put(key, predicted);
+        memo.put(key, predicted);
         predicted
     }
 
@@ -632,6 +679,29 @@ impl PlacementPredictor for YalaPredictor {
             forest_walks: self.cells.iter().map(CellMemo::walks).sum(),
             ..self.memo.stats
         })
+    }
+}
+
+/// What an evaluation on a NIC of `model` reads of resident `p`.
+fn describe(bank: &ModelBank<YalaModel>, model: NicModelId, p: &Placed) -> memo::Described {
+    let kind = p.arrival.kind;
+    let cell = bank
+        .position(model, kind)
+        .unwrap_or_else(|| panic!("no model trained for {kind} on NIC model {model}"));
+    let solo = p.solo(model);
+    let traffic = p.arrival.traffic;
+    let own = bank.at(cell);
+    memo::Described {
+        cell,
+        solo_tput: solo.solo_tput,
+        traffic,
+        contender: own.as_contender(solo.counters, traffic.mtbr),
+        traffic_words: own.memory.traffic_words(&traffic),
+        counter_words: bank
+            .iter()
+            .filter(|(m, _, _)| *m == model)
+            .map(|(_, _, yala)| yala.memory.counter_words(&solo.counters))
+            .collect(),
     }
 }
 

@@ -21,13 +21,21 @@
 //! table of descriptions fills up it is emptied (the ids already handed
 //! out stay valid; a description seen again gets a new one and its old
 //! answers are simply not found).
+//!
+//! Beside each tabled id the table keeps what an evaluation reads of that
+//! resident, worked out the first time an evaluation needs it
+//! ([`Described`]), so a question the answers do not hold is priced by
+//! its arithmetic: a pair's forest cell is two residents' words laid side
+//! by side. A refit of the bank drops these with the answers.
 
 use crate::Placed;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use yala_core::WordMemo;
+use yala_core::memory_model::{N_COUNTER_FEATURES, N_TRAFFIC_FEATURES};
+use yala_core::{Contender, WordMemo};
 use yala_nf::NfKind;
 use yala_sim::NicModelId;
+use yala_traffic::TrafficProfile;
 
 /// The most resident descriptions tabled at once, and the unit the
 /// answer tables are sized in ([`ANSWER_TABLES`]).
@@ -112,11 +120,30 @@ pub struct MemoStats {
     pub forest_walks: u64,
 }
 
+/// What an evaluation reads of one resident on one NIC model.
+pub(crate) struct Described {
+    /// The bank cell of its NF on the model.
+    pub(crate) cell: usize,
+    pub(crate) solo_tput: f64,
+    pub(crate) traffic: TrafficProfile,
+    /// It as a competitor.
+    pub(crate) contender: Contender,
+    /// Its traffic's words in its own cell's forest.
+    pub(crate) traffic_words: [u32; N_TRAFFIC_FEATURES],
+    /// Its solo counters' words as a lone competitor in the forest of
+    /// each bank cell of the model, in bank order.
+    pub(crate) counter_words: Vec<[u32; N_COUNTER_FEATURES]>,
+}
+
 pub(crate) struct Memo {
     cap: usize,
     classes: HashMap<ResidentBits, u32>,
     /// The next class id; `u32::MAX` once they are used up.
     next_class: u32,
+    /// The description of every tabled id from `first` on, in id order
+    /// (`None` until an evaluation needs it).
+    described: Vec<Option<Described>>,
+    first: u32,
     /// One table per entry of [`ANSWER_TABLES`].
     answers: [WordMemo; 3],
     pub(crate) stats: MemoStats,
@@ -128,6 +155,8 @@ impl Memo {
             cap: cap.max(1),
             classes: HashMap::new(),
             next_class: 1,
+            described: Vec::new(),
+            first: 1,
             answers: ANSWER_TABLES.map(|(ids, share)| WordMemo::new(ids, cap * share / 16)),
             stats: MemoStats::default(),
         }
@@ -150,16 +179,38 @@ impl Memo {
         }
         if self.classes.len() >= self.cap {
             self.classes.clear();
+            self.described.clear();
+            self.first = self.next_class;
             self.stats.clears += 1;
         }
         let class = self.next_class;
         self.next_class += 1;
         self.classes.insert(bits, class);
+        self.described.push(None);
         class
     }
 
-    /// Forgets every answer: the bank they were computed from changed.
+    /// The slot of `class`'s description, if the class is tabled.
+    pub(crate) fn slot(&self, class: u32) -> Option<usize> {
+        let slot = class.checked_sub(self.first)? as usize;
+        (slot < self.described.len()).then_some(slot)
+    }
+
+    /// The description in `slot`, worked out by `describe` if it is not
+    /// yet.
+    pub(crate) fn describe(&mut self, slot: usize, describe: impl FnOnce() -> Described) {
+        self.described[slot].get_or_insert_with(describe);
+    }
+
+    /// The description in `slot`, once [`Self::describe`] has filled it.
+    pub(crate) fn described(&self, slot: usize) -> &Described {
+        self.described[slot].as_ref().expect("described before use")
+    }
+
+    /// Forgets every answer and description: the bank they were computed
+    /// from changed.
     pub(crate) fn clear_answers(&mut self) {
+        self.described.iter_mut().for_each(|d| *d = None);
         if self.answers.iter().any(|table| !table.is_empty()) {
             self.answers.iter_mut().for_each(WordMemo::clear);
             self.stats.clears += 1;

@@ -56,6 +56,26 @@ pub struct AccelState {
 ///
 /// Panics if any input has zero queues or non-positive service time.
 pub fn solve(inputs: &[AccelInput]) -> AccelState {
+    check(inputs);
+    let fair = fair_rate(inputs, None);
+    let outcomes = (0..inputs.len())
+        .map(|i| {
+            let (capacity_rps, sojourn_s) = at_capacity(inputs, i);
+            AccelOutcome {
+                granted_rps: grant(inputs, None, fair, i),
+                capacity_rps,
+                sojourn_s,
+            }
+        })
+        .collect();
+    AccelState {
+        outcomes,
+        utilization: utilization(inputs),
+    }
+}
+
+/// The input checks of [`solve`].
+pub(crate) fn check(inputs: &[AccelInput]) {
     for w in inputs {
         assert!(
             w.queues > 0,
@@ -64,52 +84,60 @@ pub fn solve(inputs: &[AccelInput]) -> AccelState {
         assert!(w.service_s > 0.0, "service time must be positive");
         assert!(w.offered_rps >= 0.0, "offered rate cannot be negative");
     }
-    let grants = grant_rates(inputs, None);
-    let utilization: f64 = inputs
+}
+
+/// Fraction of accelerator time in use (≤ 1).
+pub(crate) fn utilization(inputs: &[AccelInput]) -> f64 {
+    let fair = fair_rate(inputs, None);
+    inputs
         .iter()
-        .zip(&grants)
-        .map(|(w, &g)| g * w.service_s)
+        .enumerate()
+        .map(|(i, w)| grant(inputs, None, fair, i) * w.service_s)
         .sum::<f64>()
-        .min(1.0);
+        .min(1.0)
+}
 
-    let outcomes = (0..inputs.len())
-        .map(|i| {
-            // Capacity: re-solve with NF i backlogged (infinite offer).
-            let caps = grant_rates(inputs, Some(i));
-            let capacity_rps = caps[i];
-            // Per-queue turn rate when i is backlogged; one request is
-            // served per queue per round, so per-request sojourn at
-            // capacity is one round interval (floor: its own service).
-            let per_queue = capacity_rps / inputs[i].queues as f64;
-            let sojourn_s = (1.0 / per_queue).max(inputs[i].service_s);
-            AccelOutcome {
-                granted_rps: grants[i],
-                capacity_rps,
-                sojourn_s,
-            }
-        })
-        .collect();
+/// NF `i`'s capacity and sojourn: what it gets by backlogging its queues
+/// while every other NF's offer holds.
+pub(crate) fn at_capacity(inputs: &[AccelInput], i: usize) -> (f64, f64) {
+    let capacity_rps = grant(inputs, Some(i), fair_rate(inputs, Some(i)), i);
+    // Per-queue turn rate when i is backlogged; one request is served per
+    // queue per round, so per-request sojourn at capacity is one round
+    // interval (floor: its own service).
+    let per_queue = capacity_rps / inputs[i].queues as f64;
+    (capacity_rps, (1.0 / per_queue).max(inputs[i].service_s))
+}
 
-    AccelState {
-        outcomes,
-        utilization,
+/// NF `i`'s offer, infinite when it is the `backlogged` one.
+fn offered(inputs: &[AccelInput], backlogged: Option<usize>, i: usize) -> f64 {
+    if backlogged == Some(i) {
+        f64::INFINITY
+    } else {
+        inputs[i].offered_rps
     }
 }
 
-/// Computes granted request rates under fluid round-robin. When
-/// `backlogged` is `Some(i)`, NF `i`'s offer is treated as infinite.
-fn grant_rates(inputs: &[AccelInput], backlogged: Option<usize>) -> Vec<f64> {
-    let offered = |i: usize| -> f64 {
-        if backlogged == Some(i) {
-            f64::INFINITY
-        } else {
-            inputs[i].offered_rps
+/// NF `i`'s granted request rate under fluid round-robin, given the
+/// per-queue fair rate ([`fair_rate`]; `None` when everyone is served).
+fn grant(inputs: &[AccelInput], backlogged: Option<usize>, fair: Option<f64>, i: usize) -> f64 {
+    let o = offered(inputs, backlogged, i);
+    match fair {
+        None => o,
+        Some(r) => {
+            let n = inputs[i].queues as f64;
+            n * (o / n).min(r)
         }
-    };
+    }
+}
+
+/// The per-queue fair rate `r` of a saturated accelerator, or `None` when
+/// every offer fits. When `backlogged` is `Some(i)`, NF `i`'s offer is
+/// treated as infinite.
+fn fair_rate(inputs: &[AccelInput], backlogged: Option<usize>) -> Option<f64> {
     // Total busy fraction if everyone were fully served.
     let full: f64 = (0..inputs.len())
         .map(|i| {
-            let o = offered(i);
+            let o = offered(inputs, backlogged, i);
             if o.is_infinite() {
                 f64::INFINITY
             } else {
@@ -118,7 +146,7 @@ fn grant_rates(inputs: &[AccelInput], backlogged: Option<usize>) -> Vec<f64> {
         })
         .sum();
     if full <= 1.0 {
-        return (0..inputs.len()).map(offered).collect();
+        return None;
     }
     // Saturated: find per-queue fair rate r by bisection on
     // W(r) = Σ n_i min(λ_i/n_i, r) s_i  (monotone increasing in r).
@@ -126,7 +154,7 @@ fn grant_rates(inputs: &[AccelInput], backlogged: Option<usize>) -> Vec<f64> {
         (0..inputs.len())
             .map(|i| {
                 let n = inputs[i].queues as f64;
-                let per_queue = (offered(i) / n).min(r);
+                let per_queue = (offered(inputs, backlogged, i) / n).min(r);
                 n * per_queue * inputs[i].service_s
             })
             .sum()
@@ -139,19 +167,15 @@ fn grant_rates(inputs: &[AccelInput], backlogged: Option<usize>) -> Vec<f64> {
         .fold(0.0f64, f64::max);
     for _ in 0..200 {
         let mid = 0.5 * (lo + hi);
-        if work_at(mid) < 1.0 {
-            lo = mid;
-        } else {
-            hi = mid;
+        let bound = if work_at(mid) < 1.0 { &mut lo } else { &mut hi };
+        // A step that moves neither bound leaves the state every later
+        // step starts from: they would all be no-ops.
+        if bound.to_bits() == mid.to_bits() {
+            break;
         }
+        *bound = mid;
     }
-    let r = 0.5 * (lo + hi);
-    (0..inputs.len())
-        .map(|i| {
-            let n = inputs[i].queues as f64;
-            n * (offered(i) / n).min(r)
-        })
-        .collect()
+    Some(0.5 * (lo + hi))
 }
 
 #[cfg(test)]

@@ -67,14 +67,58 @@ const UTIL_KNEE: f64 = 0.95;
 ///    a queueing factor `q = 1/(1 - min(U, knee))` (capped) multiplying the
 ///    miss penalty.
 pub fn solve(spec: &NicSpec, inputs: &[MemInput]) -> MemState {
+    let mut outcomes = Vec::with_capacity(inputs.len());
+    let (dram_utilization, dram_queue_factor) =
+        solve_into(spec, inputs, &mut Scratch::default(), &mut outcomes);
+    MemState {
+        outcomes,
+        dram_utilization,
+        dram_queue_factor,
+    }
+}
+
+/// The buffers [`solve_into`] works in, kept by a caller that solves
+/// again and again.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch {
+    demands: Vec<f64>,
+    alloc: Vec<f64>,
+    open: Vec<usize>,
+    weights: Vec<f64>,
+}
+
+/// [`solve`] into `out`, through `scratch`: returns the DRAM utilisation
+/// and queueing factor.
+pub(crate) fn solve_into(
+    spec: &NicSpec,
+    inputs: &[MemInput],
+    scratch: &mut Scratch,
+    out: &mut Vec<MemOutcome>,
+) -> (f64, f64) {
     let c = spec.llc_bytes;
-    let demands: Vec<f64> = inputs.iter().map(|w| w.wss_bytes.min(c).max(0.0)).collect();
+    let Scratch {
+        demands,
+        alloc,
+        open,
+        weights,
+    } = scratch;
+    demands.clear();
+    demands.extend(inputs.iter().map(|w| w.wss_bytes.min(c).max(0.0)));
     let total_demand: f64 = demands.iter().sum();
 
-    let occupancy = if total_demand <= c {
-        demands.clone()
+    let occupancy: &[f64] = if total_demand <= c {
+        demands
     } else {
-        pressure_allocate(c, &demands, inputs, spec.occupancy_alpha)
+        pressure_allocate(
+            c,
+            demands,
+            inputs,
+            spec.occupancy_alpha,
+            alloc,
+            open,
+            weights,
+        );
+        alloc
     };
 
     // Miss ratios from resident fractions. Residency is measured against
@@ -82,87 +126,93 @@ pub fn solve(spec: &NicSpec, inputs: &[MemInput]) -> MemState {
     // working set in a 6 MB cache is mostly non-resident even when it owns
     // the whole LLC. The slope term saturates the curve at miss ratio 1 —
     // the Fig. 6a plateau once the LLC is hopeless.
-    let miss: Vec<f64> = inputs
-        .iter()
-        .zip(&occupancy)
-        .map(|(w, &a)| {
-            if w.wss_bytes <= 0.0 {
-                spec.miss_floor
-            } else {
-                let nonresident = (1.0 - a / w.wss_bytes).clamp(0.0, 1.0);
-                let eff = (spec.miss_slope * nonresident).min(1.0);
-                spec.miss_floor + (1.0 - spec.miss_floor) * eff.powf(spec.miss_gamma)
-            }
-        })
-        .collect();
+    out.clear();
+    out.extend(inputs.iter().zip(occupancy).map(|(w, &a)| {
+        let miss_ratio = if w.wss_bytes <= 0.0 {
+            spec.miss_floor
+        } else {
+            let nonresident = (1.0 - a / w.wss_bytes).clamp(0.0, 1.0);
+            let eff = (spec.miss_slope * nonresident).min(1.0);
+            spec.miss_floor + (1.0 - spec.miss_floor) * eff.powf(spec.miss_gamma)
+        };
+        MemOutcome {
+            occupancy_bytes: a,
+            miss_ratio,
+            stall_per_ref_s: 0.0,
+        }
+    }));
 
     // DRAM bandwidth queueing.
     let traffic: f64 = inputs
         .iter()
-        .zip(&miss)
-        .map(|(w, &m)| w.refs_per_s * m * spec.line_bytes)
+        .zip(out.iter())
+        .map(|(w, o)| w.refs_per_s * o.miss_ratio * spec.line_bytes)
         .sum();
     let util = traffic / spec.dram_bw_bytes;
     let queue_factor = (1.0 / (1.0 - util.min(UTIL_KNEE))).min(MAX_QUEUE_FACTOR);
-
-    let outcomes = inputs
-        .iter()
-        .zip(&occupancy)
-        .zip(&miss)
-        .map(|((_, &a), &m)| MemOutcome {
-            occupancy_bytes: a,
-            miss_ratio: m,
-            stall_per_ref_s: spec.llc_hit_s + m * spec.dram_latency_s * queue_factor,
-        })
-        .collect();
-
-    MemState {
-        outcomes,
-        dram_utilization: util,
-        dram_queue_factor: queue_factor,
+    for o in out.iter_mut() {
+        o.stall_per_ref_s = spec.llc_hit_s + o.miss_ratio * spec.dram_latency_s * queue_factor;
     }
+    (util, queue_factor)
 }
 
-/// Allocates `capacity` bytes among workloads by pressure weight
-/// `w_i = D_i * refs_i^alpha`, capping each at its demand `D_i` and
-/// redistributing the excess until stable.
-fn pressure_allocate(capacity: f64, demands: &[f64], inputs: &[MemInput], alpha: f64) -> Vec<f64> {
+/// Allocates `capacity` bytes among workloads into `alloc` by pressure
+/// weight `w_i = D_i * refs_i^alpha`, capping each at its demand `D_i`
+/// and redistributing the excess until stable. `open` and `weights` are
+/// scratch.
+fn pressure_allocate(
+    capacity: f64,
+    demands: &[f64],
+    inputs: &[MemInput],
+    alpha: f64,
+    alloc: &mut Vec<f64>,
+    open: &mut Vec<usize>,
+    weights: &mut Vec<f64>,
+) {
     let n = demands.len();
-    let mut alloc = vec![0.0f64; n];
-    let mut open: Vec<usize> = (0..n).filter(|&i| demands[i] > 0.0).collect();
+    alloc.clear();
+    alloc.resize(n, 0.0);
+    open.clear();
+    open.extend((0..n).filter(|&i| demands[i] > 0.0));
     let mut remaining = capacity;
     // At most n rounds: each round either finishes or closes >=1 workload.
     for _ in 0..n {
         if open.is_empty() || remaining <= 0.0 {
             break;
         }
-        let weights: Vec<f64> = open
-            .iter()
-            .map(|&i| demands[i] * (inputs[i].refs_per_s.max(1.0)).powf(alpha))
-            .collect();
+        weights.clear();
+        weights.extend(
+            open.iter()
+                .map(|&i| demands[i] * (inputs[i].refs_per_s.max(1.0)).powf(alpha)),
+        );
         let total_w: f64 = weights.iter().sum();
         if total_w <= 0.0 {
             break;
         }
-        let mut any_capped = false;
-        let shares: Vec<f64> = weights.iter().map(|w| remaining * w / total_w).collect();
-        let mut next_open = Vec::with_capacity(open.len());
-        for (k, &i) in open.iter().enumerate() {
+        // Every share is cut from this round's `remaining`.
+        for w in weights.iter_mut() {
+            *w = remaining * *w / total_w;
+        }
+        let shares = &weights[..];
+        let mut kept = 0;
+        for k in 0..open.len() {
+            let i = open[k];
             if shares[k] >= demands[i] {
                 alloc[i] = demands[i];
                 remaining -= demands[i];
-                any_capped = true;
             } else {
-                next_open.push(i);
+                open[kept] = i;
+                kept += 1;
             }
         }
-        if !any_capped {
-            for (k, &i) in open.iter().enumerate() {
-                alloc[i] = shares[k];
+        if kept == open.len() {
+            // Nobody was capped, so `open` still lines up with `shares`.
+            for (&i, &share) in open.iter().zip(shares) {
+                alloc[i] = share;
             }
-            return alloc;
+            return;
         }
-        open = next_open;
+        open.truncate(kept);
     }
     // Degenerate exit: give what remains proportionally (only reachable if
     // every workload was capped, i.e. total demand <= capacity).
@@ -172,7 +222,6 @@ fn pressure_allocate(capacity: f64, demands: &[f64], inputs: &[MemInput], alpha:
             remaining -= alloc[i];
         }
     }
-    alloc
 }
 
 #[cfg(test)]

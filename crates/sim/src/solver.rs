@@ -11,7 +11,7 @@
 
 use crate::accel::{self, AccelInput};
 use crate::counters::CounterSample;
-use crate::memory::{self, MemInput};
+use crate::memory::{self, MemInput, MemOutcome};
 use crate::spec::{NicSpec, ResourceKind};
 use crate::workload::{ExecutionPattern, StageDemand, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -108,6 +108,8 @@ pub struct Simulator {
     spec: NicSpec,
     noise_sigma: f64,
     rng: StdRng,
+    /// The buffers of the last co-run, kept for their capacity.
+    scratch: Scratch,
 }
 
 impl Simulator {
@@ -117,6 +119,7 @@ impl Simulator {
             spec,
             noise_sigma: 0.0,
             rng: StdRng::seed_from_u64(0),
+            scratch: Scratch::default(),
         }
     }
 
@@ -128,6 +131,7 @@ impl Simulator {
             spec,
             noise_sigma: sigma,
             rng: StdRng::seed_from_u64(seed),
+            scratch: Scratch::default(),
         }
     }
 
@@ -145,16 +149,17 @@ impl Simulator {
     /// Simulates the co-located `workloads` — owned or borrowed specs —
     /// to equilibrium.
     ///
+    /// The fixed point sweeps over buffers the simulator keeps, and a
+    /// sweep works out throughputs only: what does not change across
+    /// sweeps — each workload's demands and its accelerator service
+    /// times — is worked out once per co-run, and the per-resource times,
+    /// bottlenecks, utilisations and counters once, from the last sweep.
+    ///
     /// # Panics
     ///
     /// Panics if a workload uses an accelerator the NIC doesn't have, or if
     /// two workloads share a name.
     pub fn co_run<W: Borrow<WorkloadSpec>>(&mut self, workloads: &[W]) -> CoRunReport {
-        let workloads: Vec<&WorkloadSpec> = workloads.iter().map(Borrow::borrow).collect();
-        self.co_run_refs(&workloads)
-    }
-
-    fn co_run_refs(&mut self, workloads: &[&WorkloadSpec]) -> CoRunReport {
         self.validate(workloads);
         let n = workloads.len();
         if n == 0 {
@@ -164,59 +169,66 @@ impl Simulator {
                 accel_utilization: Vec::new(),
             };
         }
+        let mut s = std::mem::take(&mut self.scratch);
         // Initial iterate: uncontended throughput estimates.
-        let mut tput: Vec<f64> = workloads
-            .iter()
-            .map(|w| self.uncontended_estimate(w))
-            .collect();
-
-        let mut equil = self.evaluate(workloads, &tput);
+        s.load(&self.spec, workloads);
+        s.sweep(&self.spec);
         for _ in 0..MAX_ITERS {
             let mut max_delta = 0.0f64;
-            for (slot, new) in tput.iter_mut().zip(&equil.tput) {
+            for (slot, new) in s.tput.iter_mut().zip(&s.next) {
                 let new = new.max(MIN_PPS);
                 let old = *slot;
                 let next = old * (1.0 - DAMPING) + new * DAMPING;
                 max_delta = max_delta.max((next - old).abs() / old.max(MIN_PPS));
                 *slot = next;
             }
-            equil = self.evaluate(workloads, &tput);
+            s.sweep(&self.spec);
             if max_delta < TOL {
                 break;
             }
         }
 
-        // Assemble outcomes (with optional measurement noise).
-        let outcomes = (0..n)
-            .map(|i| {
-                let w = workloads[i];
-                let t = tput[i].max(MIN_PPS);
-                let mem = equil.mem.outcomes[i];
-                let counters = self.counters(w, t, mem.miss_ratio, mem.stall_per_ref_s);
+        // Assemble outcomes from the last sweep (with optional
+        // measurement noise, drawn workload by workload: counters first).
+        let accel_utilization = ResourceKind::ACCELERATORS
+            .iter()
+            .zip(&s.accels)
+            .filter(|(_, users)| !users.inputs.is_empty())
+            .map(|(kind, users)| (*kind, accel::utilization(&users.inputs)))
+            .collect();
+        let outcomes = workloads
+            .iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let t = s.tput[i].max(MIN_PPS);
+                let mem = s.mem_out[i];
+                let counters = self.counters(&s.demands[i], t, mem);
+                let (_, merged, bottleneck) = s.compose(i);
                 NfOutcome {
-                    name: w.name.clone(),
+                    name: w.borrow().name.clone(),
                     throughput_pps: self.noisy(t),
                     counters,
-                    per_resource_time_s: equil.resource_times[i].clone(),
-                    bottleneck: equil.bottleneck[i],
+                    per_resource_time_s: merged.to_vec(),
+                    bottleneck,
                     miss_ratio: mem.miss_ratio,
                 }
             })
             .collect();
-
-        CoRunReport {
+        let report = CoRunReport {
             outcomes,
-            dram_utilization: equil.mem.dram_utilization,
-            accel_utilization: equil.accel_utilization,
-        }
+            dram_utilization: s.dram_utilization,
+            accel_utilization,
+        };
+        self.scratch = s;
+        report
     }
 
-    fn validate(&self, workloads: &[&WorkloadSpec]) {
-        let mut names = std::collections::HashSet::new();
+    fn validate<W: Borrow<WorkloadSpec>>(&self, workloads: &[W]) {
         let mut total_cores = 0u32;
-        for w in workloads {
+        for (i, w) in workloads.iter().enumerate() {
+            let w = w.borrow();
             assert!(
-                names.insert(w.name.as_str()),
+                workloads[..i].iter().all(|o| o.borrow().name != w.name),
                 "duplicate workload name {}",
                 w.name
             );
@@ -239,245 +251,15 @@ impl Simulator {
         );
     }
 
-    /// Uncontended throughput estimate used to seed the fixed point.
-    fn uncontended_estimate(&self, w: &WorkloadSpec) -> f64 {
-        let stall = self.spec.llc_hit_s + self.spec.miss_floor * self.spec.dram_latency_s;
-        let mut cpu_time = 0.0f64;
-        let mut accel_time = 0.0f64;
-        for s in &w.stages {
-            match s {
-                StageDemand::CpuMem {
-                    cycles_per_pkt,
-                    cache_refs_per_pkt,
-                    ..
-                } => {
-                    cpu_time += cycles_per_pkt / self.spec.freq_hz + cache_refs_per_pkt * stall;
-                }
-                StageDemand::Accelerator {
-                    kind,
-                    reqs_per_pkt,
-                    bytes_per_req,
-                    matches_per_req,
-                    ..
-                } => {
-                    let spec = self.spec.accel(*kind).expect("validated");
-                    accel_time +=
-                        reqs_per_pkt * spec.service_time(*bytes_per_req, *matches_per_req);
-                }
-            }
-        }
-        let total = (cpu_time + accel_time).max(1e-12);
-        let t = w.cores as f64 / total;
-        self.apply_caps(w, t)
-    }
-
-    fn apply_caps(&self, w: &WorkloadSpec, t: f64) -> f64 {
-        let port_cap = self.spec.port_bps / (w.packet_bytes * 8.0);
-        let mut out = t.min(port_cap);
-        if let Some(offered) = w.offered_pps {
-            out = out.min(offered);
-        }
-        out.max(MIN_PPS)
-    }
-
-    /// One sweep of the contention models at the current throughput iterate.
-    fn evaluate(&self, workloads: &[&WorkloadSpec], tput: &[f64]) -> Equilibrium {
-        let n = workloads.len();
-        // Memory subsystem.
-        let mem_inputs: Vec<MemInput> = workloads
-            .iter()
-            .zip(tput)
-            .map(|(w, &t)| MemInput {
-                refs_per_s: t * w.cache_refs_per_pkt(),
-                wss_bytes: w.wss_bytes(),
-                write_frac: w.write_frac(),
-            })
-            .collect();
-        let mem = memory::solve(&self.spec, &mem_inputs);
-
-        // Accelerators: group users per kind, solve each once.
-        let mut accel_results: Vec<Vec<Option<accel::AccelOutcome>>> =
-            vec![vec![None; n]; ResourceKind::ACCELERATORS.len()];
-        let mut accel_utilization = Vec::new();
-        for (k_idx, kind) in ResourceKind::ACCELERATORS.iter().enumerate() {
-            let mut users: Vec<usize> = Vec::new();
-            let mut inputs: Vec<AccelInput> = Vec::new();
-            for (i, w) in workloads.iter().enumerate() {
-                for s in &w.stages {
-                    if let StageDemand::Accelerator {
-                        kind: k,
-                        queues,
-                        reqs_per_pkt,
-                        bytes_per_req,
-                        matches_per_req,
-                    } = s
-                    {
-                        if k == kind {
-                            let spec = self.spec.accel(*kind).expect("validated");
-                            users.push(i);
-                            // Rate-limited workloads (the synthetic benches)
-                            // submit fire-and-forget at their configured
-                            // arrival rate; open-loop NFs submit at their
-                            // achieved throughput.
-                            let arrival_pps = w.offered_pps.unwrap_or(tput[i]);
-                            inputs.push(AccelInput {
-                                queues: *queues,
-                                service_s: spec.service_time(*bytes_per_req, *matches_per_req),
-                                offered_rps: arrival_pps * reqs_per_pkt,
-                            });
-                        }
-                    }
-                }
-            }
-            if inputs.is_empty() {
-                continue;
-            }
-            let state = accel::solve(&inputs);
-            accel_utilization.push((*kind, state.utilization));
-            for (slot, outcome) in users.iter().zip(state.outcomes) {
-                accel_results[k_idx][*slot] = Some(outcome);
-            }
-        }
-
-        // Compose per-workload throughput.
-        let mut new_tput = Vec::with_capacity(n);
-        let mut resource_times = Vec::with_capacity(n);
-        let mut bottleneck = Vec::with_capacity(n);
-        for (i, w) in workloads.iter().enumerate() {
-            let stall = mem.outcomes[i].stall_per_ref_s;
-            let (t, times, bn) = self.compose(w, stall, |kind| {
-                let k_idx = ResourceKind::ACCELERATORS
-                    .iter()
-                    .position(|k| *k == kind)
-                    .expect("accelerator kind");
-                accel_results[k_idx][i].expect("user has outcome")
-            });
-            new_tput.push(self.apply_caps(w, t));
-            resource_times.push(times);
-            bottleneck.push(bn);
-        }
-
-        Equilibrium {
-            tput: new_tput,
-            mem,
-            accel_utilization,
-            resource_times,
-            bottleneck,
-        }
-    }
-
-    /// Pattern-based composition of stage times into end-to-end throughput.
-    /// Returns `(throughput, per-resource packet times, bottleneck)`.
-    fn compose(
-        &self,
-        w: &WorkloadSpec,
-        stall_per_ref: f64,
-        accel_outcome: impl Fn(ResourceKind) -> accel::AccelOutcome,
-    ) -> (f64, Vec<(ResourceKind, f64)>, ResourceKind) {
-        // Per-stage packet service times on their resource.
-        let mut stage_time: Vec<(ResourceKind, f64)> = Vec::with_capacity(w.stages.len());
-        // Accelerator grant caps (requests/s / reqs_per_pkt) limiting T.
-        let mut accel_caps: Vec<(ResourceKind, f64)> = Vec::new();
-        for s in &w.stages {
-            match s {
-                StageDemand::CpuMem {
-                    cycles_per_pkt,
-                    cache_refs_per_pkt,
-                    ..
-                } => {
-                    let t = cycles_per_pkt / self.spec.freq_hz + cache_refs_per_pkt * stall_per_ref;
-                    stage_time.push((ResourceKind::CpuMem, t));
-                }
-                StageDemand::Accelerator {
-                    kind, reqs_per_pkt, ..
-                } => {
-                    let o = accel_outcome(*kind);
-                    stage_time.push((*kind, reqs_per_pkt * o.sojourn_s));
-                    accel_caps.push((*kind, o.capacity_rps / reqs_per_pkt.max(1e-12)));
-                }
-            }
-        }
-        // Merge repeated resources into per-resource totals.
-        let mut merged: Vec<(ResourceKind, f64)> = Vec::new();
-        for &(k, t) in &stage_time {
-            match merged.iter_mut().find(|(mk, _)| *mk == k) {
-                Some((_, mt)) => *mt += t,
-                None => merged.push((k, t)),
-            }
-        }
-
-        match w.pattern {
-            ExecutionPattern::RunToCompletion => {
-                // Times add; the NF's cores process packets in parallel.
-                let total: f64 = merged.iter().map(|(_, t)| t).sum();
-                let mut t = w.cores as f64 / total.max(1e-12);
-                // A packet cannot complete faster than its accelerator grants.
-                for &(_, cap) in &accel_caps {
-                    t = t.min(cap);
-                }
-                let bottleneck = merged
-                    .iter()
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite times"))
-                    .map(|(k, _)| *k)
-                    .unwrap_or(ResourceKind::CpuMem);
-                (t, merged, bottleneck)
-            }
-            ExecutionPattern::Pipeline => {
-                // Each CPU stage gets an equal share of the NF's cores; each
-                // accelerator stage runs at its granted capacity.
-                let n_cpu_stages = w
-                    .stages
-                    .iter()
-                    .filter(|s| matches!(s, StageDemand::CpuMem { .. }))
-                    .count()
-                    .max(1);
-                let cores_per_stage = w.cores as f64 / n_cpu_stages as f64;
-                let mut best: Option<(ResourceKind, f64)> = None; // (resource, rate)
-                for &(k, t) in &stage_time {
-                    let rate = match k {
-                        ResourceKind::CpuMem => cores_per_stage / t.max(1e-12),
-                        _ => {
-                            let (_, cap) = *accel_caps
-                                .iter()
-                                .find(|(ck, _)| *ck == k)
-                                .expect("accel stage has cap");
-                            cap
-                        }
-                    };
-                    if best.map(|(_, r)| rate < r).unwrap_or(true) {
-                        best = Some((k, rate));
-                    }
-                }
-                let (bn, rate) = best.expect("at least one stage");
-                (rate, merged, bn)
-            }
-        }
-    }
-
     /// Table 11 counters from the equilibrium state of one workload.
-    fn counters(
-        &mut self,
-        w: &WorkloadSpec,
-        tput: f64,
-        miss_ratio: f64,
-        stall_per_ref: f64,
-    ) -> CounterSample {
-        let refs_pp = w.cache_refs_per_pkt();
-        let wf = w.write_frac();
-        let cycles_pp: f64 = w
-            .stages
-            .iter()
-            .map(|s| match s {
-                StageDemand::CpuMem { cycles_per_pkt, .. } => *cycles_per_pkt,
-                _ => 0.0,
-            })
-            .sum();
+    fn counters(&mut self, d: &Demand, tput: f64, mem: MemOutcome) -> CounterSample {
         // Synthetic-but-consistent instruction count: compute instructions
         // plus ~2 per memory access.
-        let inst_pp = 1.2 * cycles_pp + 2.0 * refs_pp;
-        let actual_cycles_pp = cycles_pp + refs_pp * stall_per_ref * self.spec.freq_hz;
-        let refs_rate = tput * refs_pp;
-        let miss_rate = refs_rate * miss_ratio;
+        let inst_pp = 1.2 * d.cycles_pp + 2.0 * d.refs_pp;
+        let actual_cycles_pp = d.cycles_pp + d.refs_pp * mem.stall_per_ref_s * self.spec.freq_hz;
+        let refs_rate = tput * d.refs_pp;
+        let miss_rate = refs_rate * mem.miss_ratio;
+        let wf = d.write_frac;
         CounterSample {
             ipc: self.noisy(inst_pp / actual_cycles_pp.max(1.0)),
             irt: self.noisy(inst_pp * tput),
@@ -485,7 +267,7 @@ impl Simulator {
             l2cwr: self.noisy(refs_rate * wf),
             memrd: self.noisy(miss_rate * (1.0 - wf)),
             memwr: self.noisy(miss_rate * wf),
-            wss: self.noisy(w.wss_bytes()),
+            wss: self.noisy(d.wss),
         }
     }
 
@@ -501,13 +283,349 @@ impl Simulator {
     }
 }
 
-/// Internal snapshot of one evaluation sweep.
-struct Equilibrium {
+/// What the fixed point reads of one workload, worked out once per
+/// co-run.
+#[derive(Debug, Clone, Copy)]
+struct Demand {
+    refs_pp: f64,
+    wss: f64,
+    write_frac: f64,
+    /// CPU cycles per packet over every stage (for the counters).
+    cycles_pp: f64,
+    cores: f64,
+    /// A CPU stage's share of the cores when the NF is a pipeline.
+    cores_per_stage: f64,
+    pattern: ExecutionPattern,
+    port_cap: f64,
+    offered_pps: Option<f64>,
+    /// Where its stages start and end in [`Scratch::stages`].
+    stages: (usize, usize),
+}
+
+impl Demand {
+    /// `t` under the port rate and the offered load, floored.
+    fn capped(&self, t: f64) -> f64 {
+        let mut out = t.min(self.port_cap);
+        if let Some(offered) = self.offered_pps {
+            out = out.min(offered);
+        }
+        out.max(MIN_PPS)
+    }
+}
+
+/// One stage of a workload, its constants worked out.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    Cpu {
+        /// Compute seconds per packet.
+        cpu_s: f64,
+        refs: f64,
+    },
+    Accel {
+        kind: ResourceKind,
+        /// The accelerator's index in [`ResourceKind::ACCELERATORS`].
+        slot: usize,
+        /// The input whose outcome the stage reads: its workload's last
+        /// on this accelerator.
+        input: usize,
+        reqs: f64,
+        /// Requests per packet of its workload's first stage on this
+        /// accelerator: the one a pipeline's grant cap divides by.
+        first_reqs: f64,
+    },
+}
+
+/// The users of one accelerator, in workload then stage order.
+#[derive(Debug, Clone, Default)]
+struct AccelUsers {
+    inputs: Vec<AccelInput>,
+    /// Each input's workload and requests per packet.
+    owners: Vec<(usize, f64)>,
+    /// Each input's `(capacity, sojourn)` at the last sweep.
+    at_capacity: Vec<(f64, f64)>,
+}
+
+/// Every buffer of a co-run.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    demands: Vec<Demand>,
+    stages: Vec<Stage>,
+    accels: [AccelUsers; 3],
+    mem_in: Vec<MemInput>,
+    mem: memory::Scratch,
+    mem_out: Vec<MemOutcome>,
+    dram_utilization: f64,
+    /// The throughput iterate, and what the last sweep made of it.
     tput: Vec<f64>,
-    mem: memory::MemState,
-    accel_utilization: Vec<(ResourceKind, f64)>,
-    resource_times: Vec<Vec<(ResourceKind, f64)>>,
-    bottleneck: Vec<ResourceKind>,
+    next: Vec<f64>,
+}
+
+/// Resources a workload can spend time on.
+const RESOURCES: usize = 4;
+
+impl Scratch {
+    /// Works out the constants of `workloads` and the initial iterate:
+    /// uncontended throughput estimates.
+    fn load<W: Borrow<WorkloadSpec>>(&mut self, spec: &NicSpec, workloads: &[W]) {
+        self.demands.clear();
+        self.stages.clear();
+        self.tput.clear();
+        for users in &mut self.accels {
+            users.inputs.clear();
+            users.owners.clear();
+        }
+        let stall = spec.llc_hit_s + spec.miss_floor * spec.dram_latency_s;
+        for (i, w) in workloads.iter().enumerate() {
+            let w = w.borrow();
+            let start = self.stages.len();
+            let mut cpu_time = 0.0f64;
+            let mut accel_time = 0.0f64;
+            for s in &w.stages {
+                match *s {
+                    StageDemand::CpuMem {
+                        cycles_per_pkt,
+                        cache_refs_per_pkt,
+                        ..
+                    } => {
+                        let cpu_s = cycles_per_pkt / spec.freq_hz;
+                        cpu_time += cpu_s + cache_refs_per_pkt * stall;
+                        self.stages.push(Stage::Cpu {
+                            cpu_s,
+                            refs: cache_refs_per_pkt,
+                        });
+                    }
+                    StageDemand::Accelerator {
+                        kind,
+                        queues,
+                        reqs_per_pkt,
+                        bytes_per_req,
+                        matches_per_req,
+                    } => {
+                        let slot = ResourceKind::ACCELERATORS
+                            .iter()
+                            .position(|k| *k == kind)
+                            .expect("accelerator kind");
+                        let service_s = spec
+                            .accel(kind)
+                            .expect("validated")
+                            .service_time(bytes_per_req, matches_per_req);
+                        accel_time += reqs_per_pkt * service_s;
+                        let users = &mut self.accels[slot];
+                        users.inputs.push(AccelInput {
+                            queues,
+                            service_s,
+                            offered_rps: 0.0,
+                        });
+                        users.owners.push((i, reqs_per_pkt));
+                        self.stages.push(Stage::Accel {
+                            kind,
+                            slot,
+                            input: users.inputs.len() - 1,
+                            reqs: reqs_per_pkt,
+                            first_reqs: reqs_per_pkt,
+                        });
+                    }
+                }
+            }
+            // A stage on an accelerator the workload uses twice reads the
+            // outcome of its last input there, and a pipeline caps it by
+            // its first stage's requests.
+            let own = &mut self.stages[start..];
+            for a in 0..own.len() {
+                if let Stage::Accel { slot, .. } = own[a] {
+                    let same = |s: &Stage| matches!(*s, Stage::Accel { slot: k, .. } if k == slot);
+                    let first = own.iter().position(same).expect("a stage is its own");
+                    let last = own.iter().rposition(same).expect("a stage is its own");
+                    let (Stage::Accel { reqs, .. }, Stage::Accel { input, .. }) =
+                        (own[first], own[last])
+                    else {
+                        unreachable!("both are accelerator stages")
+                    };
+                    if let Stage::Accel {
+                        input: at,
+                        first_reqs,
+                        ..
+                    } = &mut own[a]
+                    {
+                        *at = input;
+                        *first_reqs = reqs;
+                    }
+                }
+            }
+            let n_cpu_stages = w
+                .stages
+                .iter()
+                .filter(|s| matches!(s, StageDemand::CpuMem { .. }))
+                .count()
+                .max(1);
+            let d = Demand {
+                refs_pp: w.cache_refs_per_pkt(),
+                wss: w.wss_bytes(),
+                write_frac: w.write_frac(),
+                cycles_pp: w
+                    .stages
+                    .iter()
+                    .map(|s| match s {
+                        StageDemand::CpuMem { cycles_per_pkt, .. } => *cycles_per_pkt,
+                        _ => 0.0,
+                    })
+                    .sum(),
+                cores: w.cores as f64,
+                cores_per_stage: w.cores as f64 / n_cpu_stages as f64,
+                pattern: w.pattern,
+                port_cap: spec.port_bps / (w.packet_bytes * 8.0),
+                offered_pps: w.offered_pps,
+                stages: (start, self.stages.len()),
+            };
+            let total = (cpu_time + accel_time).max(1e-12);
+            self.tput.push(d.capped(d.cores / total));
+            self.demands.push(d);
+        }
+    }
+
+    /// One sweep of the contention models at the current iterate: the
+    /// throughput each workload would reach, into `next`.
+    fn sweep(&mut self, spec: &NicSpec) {
+        self.mem_in.clear();
+        self.mem_in
+            .extend(self.demands.iter().zip(&self.tput).map(|(d, &t)| MemInput {
+                refs_per_s: t * d.refs_pp,
+                wss_bytes: d.wss,
+                write_frac: d.write_frac,
+            }));
+        self.dram_utilization =
+            memory::solve_into(spec, &self.mem_in, &mut self.mem, &mut self.mem_out).0;
+
+        for users in &mut self.accels {
+            for (input, &(owner, reqs)) in users.inputs.iter_mut().zip(&users.owners) {
+                // Rate-limited workloads (the synthetic benches) submit
+                // fire-and-forget at their configured arrival rate;
+                // open-loop NFs submit at their achieved throughput.
+                let arrival_pps = self.demands[owner].offered_pps.unwrap_or(self.tput[owner]);
+                input.offered_rps = arrival_pps * reqs;
+            }
+            accel::check(&users.inputs);
+            users.at_capacity.clear();
+            users
+                .at_capacity
+                .extend((0..users.inputs.len()).map(|j| accel::at_capacity(&users.inputs, j)));
+        }
+
+        self.next.clear();
+        for i in 0..self.demands.len() {
+            let t = self.compose(i).0;
+            self.next.push(self.demands[i].capped(t));
+        }
+    }
+
+    /// Pattern-based composition of workload `i`'s stage times at the
+    /// last sweep into end-to-end throughput. Returns `(throughput,
+    /// per-resource packet times, bottleneck)`.
+    fn compose(&self, i: usize) -> (f64, PerResource, ResourceKind) {
+        let d = &self.demands[i];
+        let stall_per_ref = self.mem_out[i].stall_per_ref_s;
+        let stages = &self.stages[d.stages.0..d.stages.1];
+        // A stage's packet time on its resource, and for an accelerator
+        // stage its grant cap (requests/s / requests per packet) with its
+        // own requests and with its workload's first stage's there.
+        let timed = |stage: &Stage| match *stage {
+            Stage::Cpu { cpu_s, refs } => {
+                (ResourceKind::CpuMem, cpu_s + refs * stall_per_ref, 0.0, 0.0)
+            }
+            Stage::Accel {
+                kind,
+                slot,
+                input,
+                reqs,
+                first_reqs,
+            } => {
+                let (capacity, sojourn) = self.accels[slot].at_capacity[input];
+                (
+                    kind,
+                    reqs * sojourn,
+                    capacity / reqs.max(1e-12),
+                    capacity / first_reqs.max(1e-12),
+                )
+            }
+        };
+        // Merge repeated resources into per-resource totals.
+        let mut merged = PerResource::default();
+        for stage in stages {
+            let (k, t, _, _) = timed(stage);
+            merged.add(k, t);
+        }
+
+        match d.pattern {
+            ExecutionPattern::RunToCompletion => {
+                // Times add; the NF's cores process packets in parallel.
+                let total: f64 = merged.iter().map(|(_, t)| t).sum();
+                let mut t = d.cores / total.max(1e-12);
+                // A packet cannot complete faster than its accelerator grants.
+                for stage in stages.iter().filter(|s| matches!(s, Stage::Accel { .. })) {
+                    t = t.min(timed(stage).2);
+                }
+                let bottleneck = merged
+                    .iter()
+                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite times"))
+                    .map(|(k, _)| *k)
+                    .unwrap_or(ResourceKind::CpuMem);
+                (t, merged, bottleneck)
+            }
+            ExecutionPattern::Pipeline => {
+                // Each CPU stage gets an equal share of the NF's cores; each
+                // accelerator stage runs at its granted capacity.
+                let mut best: Option<(ResourceKind, f64)> = None; // (resource, rate)
+                for stage in stages {
+                    let (k, t, _, first_cap) = timed(stage);
+                    let rate = match k {
+                        ResourceKind::CpuMem => d.cores_per_stage / t.max(1e-12),
+                        _ => first_cap,
+                    };
+                    if best.map(|(_, r)| rate < r).unwrap_or(true) {
+                        best = Some((k, rate));
+                    }
+                }
+                let (bn, rate) = best.expect("at least one stage");
+                (rate, merged, bn)
+            }
+        }
+    }
+}
+
+/// Per-resource packet times in first-use order, on the stack.
+#[derive(Debug, Clone, Copy)]
+struct PerResource {
+    times: [(ResourceKind, f64); RESOURCES],
+    len: usize,
+}
+
+impl Default for PerResource {
+    fn default() -> Self {
+        Self {
+            times: [(ResourceKind::CpuMem, 0.0); RESOURCES],
+            len: 0,
+        }
+    }
+}
+
+impl PerResource {
+    fn add(&mut self, kind: ResourceKind, t: f64) {
+        match self.times[..self.len].iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, total)) => *total += t,
+            None => {
+                self.times[self.len] = (kind, t);
+                self.len += 1;
+            }
+        }
+    }
+
+    fn iter(&self) -> std::slice::Iter<'_, (ResourceKind, f64)> {
+        self.times[..self.len].iter()
+    }
+
+    fn to_vec(self) -> Vec<(ResourceKind, f64)> {
+        self.times[..self.len].to_vec()
+    }
 }
 
 #[cfg(test)]

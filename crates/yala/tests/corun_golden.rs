@@ -66,7 +66,7 @@ fn pool() -> Vec<WorkloadSpec> {
 
 /// Set `s`: its NIC, its noise, and which pool entries it co-runs.
 fn draw(s: u64, pool: &[WorkloadSpec]) -> (NicSpec, f64, Vec<usize>) {
-    let spec = if s % 2 == 0 {
+    let spec = if s.is_multiple_of(2) {
         NicSpec::bluefield2()
     } else {
         NicSpec::pensando()

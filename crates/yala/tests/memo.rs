@@ -1,8 +1,10 @@
 //! The memos in `YalaPredictor` — answers by question, forest cells by
 //! bank cell — may change how long an answer takes and nothing else.
-//! Four angles: every prediction of a fleet day (online refinement on, so
+//! Five angles: every prediction of a fleet day (online refinement on, so
 //! the bank changes mid-run), asked by class id as the fleet asks,
-//! equals the bank evaluated by hand; after an absorb a warm predictor
+//! equals the bank evaluated by hand — on memory-only traffic-aware
+//! cells, and again on a bank with an accelerator NF and a fixed-traffic
+//! cell under memos of six entries; after an absorb a warm predictor
 //! answers like a fresh one built on the refined bank; memos of six
 //! entries leave the report and the journal of the day byte-identical;
 //! and two profiles share a class id exactly when every bit a prediction
@@ -20,8 +22,9 @@ use yala::fleet::{
 use yala::ml::GbrParams;
 use yala::nf::NfKind;
 use yala::placement::{Placed, PlacementPredictor, YalaPredictor};
-use yala::sim::{CounterSample, NicModelId, NicSpec};
+use yala::sim::{CounterSample, NicModelId, NicSpec, Simulator};
 use yala::telemetry::Telemetry;
+use yala::traffic::TrafficProfile;
 
 const KINDS: [NfKind; 2] = [NfKind::FlowStats, NfKind::Nat];
 const NOISE: f64 = 0.005;
@@ -31,45 +34,93 @@ struct Fixture {
     bank: ModelBank<YalaModel>,
 }
 
-/// A small bank and a catalog-traffic day on a fleet too small for it
-/// (cached timelines): few templates on few NICs, so the placement loop
-/// keeps asking about the same co-locations.
+fn train_config() -> TrainConfig {
+    TrainConfig {
+        ranges: TrafficRanges::default(),
+        adaptive: AdaptiveConfig {
+            quota: 120,
+            ..AdaptiveConfig::default()
+        },
+        gbr: GbrParams {
+            n_estimators: 120,
+            learning_rate: 0.1,
+            ..GbrParams::default()
+        },
+        seed: 11,
+        ..TrainConfig::default()
+    }
+}
+
+/// A catalog-traffic day of `kinds` on a fleet too small for it (cached
+/// timelines): few templates on few NICs, so the placement loop keeps
+/// asking about the same co-locations.
+fn day(kinds: &[NfKind], engine: &Engine) -> ProfiledTrace {
+    let mut cfg = FleetConfig::small(43);
+    cfg.portfolio = vec![(NicSpec::bluefield2(), 10)];
+    cfg.duration_s = 3 * 3_600;
+    cfg.mean_interarrival_s = 60.0;
+    cfg.mean_lifetime_s = 2_400.0;
+    cfg.audit_period_s = 600;
+    cfg.kinds = kinds.to_vec();
+    cfg.max_flows = 60_000;
+    cfg.sla_drop_range = (0.10, 0.30);
+    cfg.noise_sigma = NOISE;
+    cfg.guaranteed_fraction = 0.5;
+    cfg.traffic_model = TrafficModel::Templates {
+        count: 12,
+        jitter: 0.02,
+    };
+    ProfiledTrace::build_cached(FleetTrace::generate(cfg), engine)
+}
+
+/// A small bank of memory-only, traffic-aware cells and a day of them.
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let engine = Engine::auto();
-        let train = TrainConfig {
-            ranges: TrafficRanges::default(),
-            adaptive: AdaptiveConfig {
-                quota: 120,
-                ..AdaptiveConfig::default()
-            },
-            gbr: GbrParams {
-                n_estimators: 120,
-                learning_rate: 0.1,
-                ..GbrParams::default()
-            },
-            seed: 11,
-            ..TrainConfig::default()
-        };
-        let bank = ModelBank::train_yala(&[NicSpec::bluefield2()], NOISE, &KINDS, &train, &engine);
-        let mut cfg = FleetConfig::small(43);
-        cfg.portfolio = vec![(NicSpec::bluefield2(), 10)];
-        cfg.duration_s = 3 * 3_600;
-        cfg.mean_interarrival_s = 60.0;
-        cfg.mean_lifetime_s = 2_400.0;
-        cfg.audit_period_s = 600;
-        cfg.kinds = KINDS.to_vec();
-        cfg.max_flows = 60_000;
-        cfg.sla_drop_range = (0.10, 0.30);
-        cfg.noise_sigma = NOISE;
-        cfg.guaranteed_fraction = 0.5;
-        cfg.traffic_model = TrafficModel::Templates {
-            count: 12,
-            jitter: 0.02,
-        };
-        let profiled = ProfiledTrace::build_cached(FleetTrace::generate(cfg), &engine);
-        Fixture { profiled, bank }
+        let bank = ModelBank::train_yala(
+            &[NicSpec::bluefield2()],
+            NOISE,
+            &KINDS,
+            &train_config(),
+            &engine,
+        );
+        Fixture {
+            profiled: day(&KINDS, &engine),
+            bank,
+        }
+    })
+}
+
+/// The kinds of [`shaped_fixture`]: NIDS submits to the regex engine.
+const SHAPED_KINDS: [NfKind; 3] = [NfKind::FlowStats, NfKind::Nat, NfKind::Nids];
+
+/// A bank of every cell shape an evaluation assembles — traffic-aware
+/// memory-only (FlowStats), fixed-traffic with seven-feature cells (Nat),
+/// traffic-aware with an accelerator model (NIDS) — and a day of them.
+fn shaped_fixture() -> &'static Fixture {
+    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let engine = Engine::auto();
+        let train = train_config();
+        let spec = NicSpec::bluefield2();
+        let mut bank = ModelBank::train_yala(
+            std::slice::from_ref(&spec),
+            NOISE,
+            &SHAPED_KINDS,
+            &train,
+            &engine,
+        );
+        let mut sim = Simulator::with_noise(spec.clone(), NOISE, 5);
+        let fixed =
+            YalaModel::train_fixed(&mut sim, NfKind::Nat, TrafficProfile::default(), &train);
+        assert!(!fixed.memory.is_traffic_aware());
+        bank.insert(spec.model(), NfKind::Nat, fixed);
+        assert!(!bank.expect(spec.model(), NfKind::Nids).accels.is_empty());
+        Fixture {
+            profiled: day(&SHAPED_KINDS, &engine),
+            bank,
+        }
     })
 }
 
@@ -109,10 +160,40 @@ struct Checked {
     inner: YalaPredictor,
     checked: u64,
     by_class: u64,
+    /// How often each kind was the target, and how often it was one of
+    /// several competitors.
+    targets: Vec<(NfKind, u64)>,
+    crowded: u64,
+    /// Whether to check every id against its resident's.
+    check_ids: bool,
 }
 
 impl Checked {
+    fn new(inner: YalaPredictor) -> Self {
+        Self {
+            inner,
+            checked: 0,
+            by_class: 0,
+            targets: Vec::new(),
+            crowded: 0,
+            check_ids: true,
+        }
+    }
+
+    fn asked(&self, kind: NfKind) -> u64 {
+        self.targets
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map_or(0, |(_, n)| *n)
+    }
+
     fn check(&mut self, got: f64, model: NicModelId, target: usize, residents: &[&Placed]) {
+        let kind = residents[target].arrival.kind;
+        match self.targets.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, n)) => *n += 1,
+            None => self.targets.push((kind, 1)),
+        }
+        self.crowded += u64::from(residents.len() > 2);
         let want = by_hand(self.inner.bank(), model, target, residents);
         assert_eq!(
             got.to_bits(),
@@ -146,7 +227,9 @@ impl PlacementPredictor for Checked {
         // The ids must name exactly the residents the caller would hand
         // over: an id kept past its profile would show here.
         let residents: Vec<&Placed> = (0..classes.len()).map(resident).collect();
-        for (class, p) in classes.iter().zip(&residents) {
+        // (Asking again would itself re-issue ids under a cap small
+        // enough to empty the table.)
+        for (class, p) in classes.iter().zip(&residents).filter(|_| self.check_ids) {
             assert_eq!(*class, self.inner.class_of(model, p), "stale class id");
         }
         self.check(got, model, target, &residents);
@@ -157,16 +240,16 @@ impl PlacementPredictor for Checked {
     fn absorb(&mut self, buffer: &ObservationBuffer, engine: &Engine) -> usize {
         self.inner.absorb(buffer, engine)
     }
+
+    fn memo_stats(&self) -> Option<yala::placement::MemoStats> {
+        self.inner.memo_stats()
+    }
 }
 
 #[test]
 fn every_prediction_of_a_fleet_day_equals_direct_evaluation() {
     let fx = fixture();
-    let mut predictor = Checked {
-        inner: YalaPredictor::new(&fx.bank),
-        checked: 0,
-        by_class: 0,
-    };
+    let mut predictor = Checked::new(YalaPredictor::new(&fx.bank));
     run_fleet_observed(
         &fx.profiled,
         FleetPolicy::ContentionAware {
@@ -205,6 +288,53 @@ fn every_prediction_of_a_fleet_day_equals_direct_evaluation() {
     assert!(
         refits > 0 && stats.clears as usize >= refits,
         "every refit must empty the memo: {refits} refits, {stats:?}"
+    );
+}
+
+#[test]
+fn every_cell_shape_equals_direct_evaluation_under_a_tiny_cap_and_a_refit() {
+    let fx = shaped_fixture();
+    let mut predictor = Checked {
+        check_ids: false,
+        ..Checked::new(YalaPredictor::with_memo_cap(&fx.bank, 6))
+    };
+    run_fleet_observed(
+        &fx.profiled,
+        FleetPolicy::ContentionAware {
+            predictor: &mut predictor,
+            diagnoser: Diagnoser::Yala(&fx.bank),
+            online: Some(OnlineRefine {
+                min_observations: 24,
+            }),
+            qos_aware: true,
+        },
+        "checked",
+        &Engine::sequential(),
+        &mut Telemetry::disabled(),
+    );
+    let stats = predictor.inner.memo_stats().expect("yala keeps a memo");
+    assert_eq!(stats.lookups, predictor.checked);
+    for kind in SHAPED_KINDS {
+        assert!(
+            predictor.asked(kind) > 100,
+            "{kind} must be asked about as a target: {:?}",
+            predictor.targets
+        );
+    }
+    assert!(
+        predictor.crowded > 100,
+        "competitors must also be summed: {}",
+        predictor.crowded
+    );
+    // Six classes tabled at a time: ids are re-issued all day long, and
+    // descriptions are dropped with them.
+    assert!(
+        stats.clears > 50,
+        "the tiny cap must be reached: {stats:?}"
+    );
+    assert!(
+        predictor.inner.refine_passes() > 0,
+        "the bank must be refitted mid-day"
     );
 }
 
