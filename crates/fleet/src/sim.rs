@@ -489,7 +489,7 @@ impl<'a> FleetSim<'a> {
                     violating += 1;
                     let qos = records[id as usize].qos;
                     self.violation_min[qos as usize] += self.period_min;
-                    tel.inc(VIOLATIONS.of(qos), 1);
+                    tel.inc(VIOLATIONS[qos as usize], 1);
                     if observing {
                         // Diagnose the measured violation for the journal.
                         // The diagnoser is pure (&self), so the extra call
@@ -597,7 +597,7 @@ impl<'a> FleetSim<'a> {
                 Some(nic) => {
                     state.place(policy.predictor(), nic, id);
                     state.readmitted[nf.qos() as usize] += 1;
-                    tel.inc(READMITTED.of(nf.qos()), 1);
+                    tel.inc(READMITTED[nf.qos() as usize], 1);
                     tel.rec(t_ms, || Event::Readmit {
                         id,
                         nic: nic as u32,

@@ -21,30 +21,24 @@ use yala_placement::{Placed, PlacementPredictor};
 use yala_sim::{CoRunReport, ResourceKind};
 use yala_telemetry::{Event, Telemetry};
 
-/// The names of one per-class counter, `fleet.<what>.<class>`, in
-/// [`QosClass`] order: spelled out, so bumping one with telemetry off
+/// The names of a per-class counter, `fleet.<what>.<class>`, indexed by
+/// `QosClass as usize`: spelled out, so bumping one with telemetry off
 /// formats nothing.
-pub(crate) struct ClassCounter([&'static str; 2]);
+pub(crate) type ClassCounter = [&'static str; 2];
 
-impl ClassCounter {
-    pub(crate) fn of(&self, qos: QosClass) -> &'static str {
-        self.0[qos as usize]
-    }
-}
-
-pub(crate) const VIOLATIONS: ClassCounter = ClassCounter([
+pub(crate) const VIOLATIONS: ClassCounter = [
     "fleet.violations.guaranteed",
     "fleet.violations.best_effort",
-]);
-pub(crate) const READMITTED: ClassCounter = ClassCounter([
+];
+pub(crate) const READMITTED: ClassCounter = [
     "fleet.readmitted.guaranteed",
     "fleet.readmitted.best_effort",
-]);
-const EVACUATIONS: ClassCounter = ClassCounter([
+];
+const EVACUATIONS: ClassCounter = [
     "fleet.evacuations.guaranteed",
     "fleet.evacuations.best_effort",
-]);
-const SHED: ClassCounter = ClassCounter(["fleet.shed.guaranteed", "fleet.shed.best_effort"]);
+];
+const SHED: ClassCounter = ["fleet.shed.guaranteed", "fleet.shed.best_effort"];
 
 /// A shed NF waiting to re-enter the fleet: retried at audit epochs
 /// with exponential backoff.
@@ -321,7 +315,7 @@ impl<'a> FleetState<'a> {
                     }
                     self.place(policy.predictor(), dst, id);
                     self.evacuations[qos as usize] += 1;
-                    tel.inc(EVACUATIONS.of(qos), 1);
+                    tel.inc(EVACUATIONS[qos as usize], 1);
                     tel.rec(t_ms, || Event::Evacuate {
                         id,
                         from: src as u32,
@@ -350,7 +344,7 @@ impl<'a> FleetState<'a> {
     ) {
         self.parked.push(Parked::new(id, t_ms));
         self.shed[qos as usize] += 1;
-        tel.inc(SHED.of(qos), 1);
+        tel.inc(SHED[qos as usize], 1);
         tel.rec(t_ms, || Event::Park {
             id,
             qos: qos.name(),
@@ -575,7 +569,7 @@ mod tests {
                 ("evacuations", &EVACUATIONS),
                 ("shed", &SHED),
             ] {
-                assert_eq!(table.of(qos), format!("fleet.{what}.{}", qos.name()));
+                assert_eq!(table[qos as usize], format!("fleet.{what}.{}", qos.name()));
             }
         }
     }

@@ -140,9 +140,10 @@ pub(crate) struct Memo {
     classes: HashMap<ResidentBits, u32>,
     /// The next class id; `u32::MAX` once they are used up.
     next_class: u32,
-    /// The description of every tabled id from `first` on, in id order
-    /// (`None` until an evaluation needs it).
-    described: Vec<Option<Described>>,
+    /// The description of every tabled id from `first` on, in id order:
+    /// `None` until an evaluation needs it, so an id none needs costs a
+    /// word.
+    described: Vec<Option<Box<Described>>>,
     first: u32,
     /// One table per entry of [`ANSWER_TABLES`].
     answers: [WordMemo; 3],
@@ -199,7 +200,7 @@ impl Memo {
     /// The description in `slot`, worked out by `describe` if it is not
     /// yet.
     pub(crate) fn describe(&mut self, slot: usize, describe: impl FnOnce() -> Described) {
-        self.described[slot].get_or_insert_with(describe);
+        self.described[slot].get_or_insert_with(|| Box::new(describe()));
     }
 
     /// The description in `slot`, once [`Self::describe`] has filled it.

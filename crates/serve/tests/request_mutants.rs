@@ -211,8 +211,15 @@ fn every_request_mutant_is_refused_by_key_or_answered_as_its_twin() {
         want.push(daemon.handle_line(line, &engine));
         cached.push(daemon.cached_profiles());
     }
-    let accepted = want.iter().filter(|r| r.starts_with("{\"ok\":true")).count();
-    assert!(accepted * 3 > want.len() * 2, "{accepted} of {} accepted", want.len());
+    let accepted = want
+        .iter()
+        .filter(|r| r.starts_with("{\"ok\":true"))
+        .count();
+    assert!(
+        accepted * 3 > want.len() * 2,
+        "{accepted} of {} accepted",
+        want.len()
+    );
 
     let mut daemon = ServeLoop::new(&cfg, "yala-online", &engine).expect("build");
     let (mut refused, mut twins) = (0usize, 0usize);

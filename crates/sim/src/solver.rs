@@ -203,12 +203,12 @@ impl Simulator {
                 let t = s.tput[i].max(MIN_PPS);
                 let mem = s.mem_out[i];
                 let counters = self.counters(&s.demands[i], t, mem);
-                let (_, merged, bottleneck) = s.compose(i);
+                let (_, (times, len), bottleneck) = s.compose(i);
                 NfOutcome {
                     name: w.borrow().name.clone(),
                     throughput_pps: self.noisy(t),
                     counters,
-                    per_resource_time_s: merged.to_vec(),
+                    per_resource_time_s: times[..len].to_vec(),
                     bottleneck,
                     miss_ratio: mem.miss_ratio,
                 }
@@ -300,6 +300,10 @@ struct Demand {
     offered_pps: Option<f64>,
     /// Where its stages start and end in [`Scratch::stages`].
     stages: (usize, usize),
+    /// Per accelerator it uses: the input whose outcome all its stages
+    /// there read (its last there), and the requests per packet of its
+    /// first stage there, which a pipeline's grant cap divides by.
+    accels: [Option<(usize, f64)>; 3],
 }
 
 impl Demand {
@@ -322,16 +326,9 @@ enum Stage {
         refs: f64,
     },
     Accel {
-        kind: ResourceKind,
         /// The accelerator's index in [`ResourceKind::ACCELERATORS`].
         slot: usize,
-        /// The input whose outcome the stage reads: its workload's last
-        /// on this accelerator.
-        input: usize,
         reqs: f64,
-        /// Requests per packet of its workload's first stage on this
-        /// accelerator: the one a pipeline's grant cap divides by.
-        first_reqs: f64,
     },
 }
 
@@ -363,6 +360,10 @@ struct Scratch {
 /// Resources a workload can spend time on.
 const RESOURCES: usize = 4;
 
+/// Per-resource packet times in first-use order, on the stack, and how
+/// many are set.
+type PerResource = ([(ResourceKind, f64); RESOURCES], usize);
+
 impl Scratch {
     /// Works out the constants of `workloads` and the initial iterate:
     /// uncontended throughput estimates.
@@ -378,6 +379,7 @@ impl Scratch {
         for (i, w) in workloads.iter().enumerate() {
             let w = w.borrow();
             let start = self.stages.len();
+            let mut accels = [None; 3];
             let mut cpu_time = 0.0f64;
             let mut accel_time = 0.0f64;
             for s in &w.stages {
@@ -417,38 +419,12 @@ impl Scratch {
                             offered_rps: 0.0,
                         });
                         users.owners.push((i, reqs_per_pkt));
+                        let first_reqs = accels[slot].map_or(reqs_per_pkt, |(_, first)| first);
+                        accels[slot] = Some((users.inputs.len() - 1, first_reqs));
                         self.stages.push(Stage::Accel {
-                            kind,
                             slot,
-                            input: users.inputs.len() - 1,
                             reqs: reqs_per_pkt,
-                            first_reqs: reqs_per_pkt,
                         });
-                    }
-                }
-            }
-            // A stage on an accelerator the workload uses twice reads the
-            // outcome of its last input there, and a pipeline caps it by
-            // its first stage's requests.
-            let own = &mut self.stages[start..];
-            for a in 0..own.len() {
-                if let Stage::Accel { slot, .. } = own[a] {
-                    let same = |s: &Stage| matches!(*s, Stage::Accel { slot: k, .. } if k == slot);
-                    let first = own.iter().position(same).expect("a stage is its own");
-                    let last = own.iter().rposition(same).expect("a stage is its own");
-                    let (Stage::Accel { reqs, .. }, Stage::Accel { input, .. }) =
-                        (own[first], own[last])
-                    else {
-                        unreachable!("both are accelerator stages")
-                    };
-                    if let Stage::Accel {
-                        input: at,
-                        first_reqs,
-                        ..
-                    } = &mut own[a]
-                    {
-                        *at = input;
-                        *first_reqs = reqs;
                     }
                 }
             }
@@ -476,6 +452,7 @@ impl Scratch {
                 port_cap: spec.port_bps / (w.packet_bytes * 8.0),
                 offered_pps: w.offered_pps,
                 stages: (start, self.stages.len()),
+                accels,
             };
             let total = (cpu_time + accel_time).max(1e-12);
             self.tput.push(d.capped(d.cores / total));
@@ -532,16 +509,11 @@ impl Scratch {
             Stage::Cpu { cpu_s, refs } => {
                 (ResourceKind::CpuMem, cpu_s + refs * stall_per_ref, 0.0, 0.0)
             }
-            Stage::Accel {
-                kind,
-                slot,
-                input,
-                reqs,
-                first_reqs,
-            } => {
+            Stage::Accel { slot, reqs } => {
+                let (input, first_reqs) = d.accels[slot].expect("loaded with the stage");
                 let (capacity, sojourn) = self.accels[slot].at_capacity[input];
                 (
-                    kind,
+                    ResourceKind::ACCELERATORS[slot],
                     reqs * sojourn,
                     capacity / reqs.max(1e-12),
                     capacity / first_reqs.max(1e-12),
@@ -549,27 +521,34 @@ impl Scratch {
             }
         };
         // Merge repeated resources into per-resource totals.
-        let mut merged = PerResource::default();
+        let mut merged = [(ResourceKind::CpuMem, 0.0); RESOURCES];
+        let mut len = 0;
         for stage in stages {
             let (k, t, _, _) = timed(stage);
-            merged.add(k, t);
+            match merged[..len].iter_mut().find(|(mk, _)| *mk == k) {
+                Some((_, mt)) => *mt += t,
+                None => {
+                    merged[len] = (k, t);
+                    len += 1;
+                }
+            }
         }
 
         match d.pattern {
             ExecutionPattern::RunToCompletion => {
                 // Times add; the NF's cores process packets in parallel.
-                let total: f64 = merged.iter().map(|(_, t)| t).sum();
+                let total: f64 = merged[..len].iter().map(|(_, t)| t).sum();
                 let mut t = d.cores / total.max(1e-12);
                 // A packet cannot complete faster than its accelerator grants.
                 for stage in stages.iter().filter(|s| matches!(s, Stage::Accel { .. })) {
                     t = t.min(timed(stage).2);
                 }
-                let bottleneck = merged
+                let bottleneck = merged[..len]
                     .iter()
                     .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite times"))
                     .map(|(k, _)| *k)
                     .unwrap_or(ResourceKind::CpuMem);
-                (t, merged, bottleneck)
+                (t, (merged, len), bottleneck)
             }
             ExecutionPattern::Pipeline => {
                 // Each CPU stage gets an equal share of the NF's cores; each
@@ -586,45 +565,9 @@ impl Scratch {
                     }
                 }
                 let (bn, rate) = best.expect("at least one stage");
-                (rate, merged, bn)
+                (rate, (merged, len), bn)
             }
         }
-    }
-}
-
-/// Per-resource packet times in first-use order, on the stack.
-#[derive(Debug, Clone, Copy)]
-struct PerResource {
-    times: [(ResourceKind, f64); RESOURCES],
-    len: usize,
-}
-
-impl Default for PerResource {
-    fn default() -> Self {
-        Self {
-            times: [(ResourceKind::CpuMem, 0.0); RESOURCES],
-            len: 0,
-        }
-    }
-}
-
-impl PerResource {
-    fn add(&mut self, kind: ResourceKind, t: f64) {
-        match self.times[..self.len].iter_mut().find(|(k, _)| *k == kind) {
-            Some((_, total)) => *total += t,
-            None => {
-                self.times[self.len] = (kind, t);
-                self.len += 1;
-            }
-        }
-    }
-
-    fn iter(&self) -> std::slice::Iter<'_, (ResourceKind, f64)> {
-        self.times[..self.len].iter()
-    }
-
-    fn to_vec(self) -> Vec<(ResourceKind, f64)> {
-        self.times[..self.len].to_vec()
     }
 }
 

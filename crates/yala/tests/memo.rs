@@ -328,10 +328,7 @@ fn every_cell_shape_equals_direct_evaluation_under_a_tiny_cap_and_a_refit() {
     );
     // Six classes tabled at a time: ids are re-issued all day long, and
     // descriptions are dropped with them.
-    assert!(
-        stats.clears > 50,
-        "the tiny cap must be reached: {stats:?}"
-    );
+    assert!(stats.clears > 50, "the tiny cap must be reached: {stats:?}");
     assert!(
         predictor.inner.refine_passes() > 0,
         "the bank must be refitted mid-day"
