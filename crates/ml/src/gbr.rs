@@ -114,7 +114,7 @@ impl GradientBoostingRegressor {
         walk: impl FnOnce() -> f64,
     ) -> f64 {
         assert_eq!(cell.len(), self.n_features, "feature width mismatch");
-        memo.answer(self.n_features, |out| out.extend_from_slice(cell), walk)
+        memo.answer(cell, walk)
     }
 
     /// Predictions for every row of `ds`.

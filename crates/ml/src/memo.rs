@@ -139,8 +139,6 @@ pub struct CellMemo {
     cap: usize,
     /// Sized on first use, when the feature width is known.
     table: Option<WordMemo>,
-    /// The cell of the question in progress, kept for its capacity.
-    cell: Vec<u32>,
     hits: u64,
     walks: u64,
 }
@@ -151,7 +149,6 @@ impl CellMemo {
         Self {
             cap,
             table: None,
-            cell: Vec::new(),
             hits: 0,
             walks: 0,
         }
@@ -172,30 +169,24 @@ impl CellMemo {
         self.walks
     }
 
-    /// The remembered answer of the cell `fill` writes (`width` words,
-    /// first one non-zero), or `walk()`'s, remembered from now on.
-    pub(crate) fn answer(
-        &mut self,
-        width: usize,
-        fill: impl FnOnce(&mut Vec<u32>),
-        walk: impl FnOnce() -> f64,
-    ) -> f64 {
-        self.cell.clear();
-        fill(&mut self.cell);
-        debug_assert_eq!(self.cell.len(), width);
+    /// The remembered answer of `cell` (first word non-zero), or
+    /// `walk()`'s, remembered from now on.
+    pub(crate) fn answer(&mut self, cell: &[u32], walk: impl FnOnce() -> f64) -> f64 {
         // Another width is another model's grid.
-        if self.table.as_ref().is_some_and(|t| t.width() != width) {
+        if self.table.as_ref().is_some_and(|t| t.width() != cell.len()) {
             self.table = None;
         }
         let cap = self.cap;
-        let table = self.table.get_or_insert_with(|| WordMemo::new(width, cap));
-        if let Some(known) = table.get(&self.cell) {
+        let table = self
+            .table
+            .get_or_insert_with(|| WordMemo::new(cell.len(), cap));
+        if let Some(known) = table.get(cell) {
             self.hits += 1;
             return known;
         }
         let answer = walk();
         self.walks += 1;
-        table.put(&self.cell, answer);
+        table.put(cell, answer);
         answer
     }
 }
@@ -256,9 +247,7 @@ mod tests {
     #[test]
     fn cell_memo_counts_and_survives_a_width_change() {
         let mut memo = CellMemo::new(8);
-        let ask = |memo: &mut CellMemo, cell: &[u32], value: f64| {
-            memo.answer(cell.len(), |out| out.extend_from_slice(cell), || value)
-        };
+        let ask = |memo: &mut CellMemo, cell: &[u32], value: f64| memo.answer(cell, || value);
         assert_eq!(ask(&mut memo, &[1, 5], 10.0), 10.0);
         // The walk is not consulted on a hit.
         assert_eq!(ask(&mut memo, &[1, 5], f64::NAN), 10.0);
