@@ -18,7 +18,11 @@
 //! * [`policy`] — placement rules (monopolization / greedy /
 //!   contention-aware behind any [`yala_placement::PlacementPredictor`])
 //!   plus the reactive half: predicted-violation migration with
-//!   diagnosis-guided victim selection ([`yala_diagnosis::select_victim`]).
+//!   diagnosis-guided victim selection ([`yala_diagnosis::select_victim`]),
+//!   and [`NamedPolicy`], a policy by its `yalad` name.
+//! * [`FleetState`] — the one tenant state machine, which the event loop
+//!   and the `yalad` daemon both drive, each through its own
+//!   [`ProfileSource`] and [`Rules`].
 //! * [`sim`] — the event loop: departures, arrivals, and periodic SLA
 //!   audits (ground-truth co-runs fanned across engine workers with
 //!   per-`(epoch, NIC)` seeding) in a statically ordered event list.
@@ -61,13 +65,14 @@ mod state;
 pub mod timeline;
 pub mod trace;
 
-pub use policy::{Diagnoser, FleetPolicy, OnlineRefine};
+pub use policy::{Diagnoser, FleetPolicy, NamedPolicy, OnlineRefine};
 pub use record_io::{read_trace, read_traffic, write_trace, TraceIoError, TRACE_VERSION};
 pub use replay::{replay_journal, verify_against, ReplaySummary};
 pub use report::{ClassStats, FleetReport, FleetSample};
 pub use residency::Residency;
 pub use sim::{run_fleet, run_fleet_observed, FleetSim, Processed};
 pub use snapshot::{restore_fleet, snapshot_fleet, SnapshotError, SNAPSHOT_VERSION};
+pub use state::{DaemonRules, FleetState, ProfileSource, Rules};
 pub use timeline::{BuildOpts, CacheMode, NfTimeline, ProfileStats, ProfiledTrace};
 pub use trace::{
     FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetTrace, NfRecord, TraceError, TrafficModel,

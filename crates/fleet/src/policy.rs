@@ -16,10 +16,11 @@
 //! hardest on the violator's bottleneck resource — and re-place it
 //! elsewhere under the same predictor.
 
-use yala_core::{Contender, ModelBank, YalaModel};
+use crate::trace::FleetConfig;
+use yala_core::{Contender, Engine, ModelBank, YalaModel};
 use yala_diagnosis::diagnose_yala;
 use yala_nf::NfKind;
-use yala_placement::{Placed, PlacementPredictor};
+use yala_placement::{Placed, PlacementPredictor, YalaPredictor};
 use yala_sim::{NicModelId, ResourceKind};
 
 /// How the migration loop diagnoses a predicted violator's bottleneck.
@@ -147,7 +148,7 @@ pub enum FleetPolicy<'a> {
 
 impl<'a> FleetPolicy<'a> {
     /// The predictor behind a contention-aware policy.
-    pub(crate) fn predictor(&mut self) -> Option<&mut (dyn PlacementPredictor + 'a)> {
+    pub fn predictor(&mut self) -> Option<&mut (dyn PlacementPredictor + 'a)> {
         match self {
             FleetPolicy::ContentionAware { predictor, .. } => Some(&mut **predictor),
             _ => None,
@@ -163,5 +164,72 @@ impl<'a> FleetPolicy<'a> {
                 ..
             }
         )
+    }
+}
+
+/// A policy by its name — `mono`, `greedy`, `yala` or `yala-online` —
+/// owning what it lends as a [`FleetPolicy`]: the yala policies' bank,
+/// trained once (their diagnoser's), and the predictor cloned from it.
+pub struct NamedPolicy {
+    name: &'static str,
+    predictor: Option<YalaPredictor>,
+    bank: Option<ModelBank<YalaModel>>,
+    online: Option<OnlineRefine>,
+}
+
+impl NamedPolicy {
+    /// Parses `name`; `yala-online` refines on `online`'s terms.
+    pub fn new(
+        cfg: &FleetConfig,
+        name: &str,
+        online: OnlineRefine,
+        engine: &Engine,
+    ) -> Result<Self, String> {
+        let name = ["mono", "greedy", "yala", "yala-online"]
+            .into_iter()
+            .find(|&n| n == name)
+            .ok_or_else(|| format!("unknown policy {name}"))?;
+        let bank = name.starts_with("yala").then(|| cfg.train_bank(engine));
+        Ok(Self {
+            name,
+            predictor: bank.as_ref().map(YalaPredictor::new),
+            bank,
+            online: (name == "yala-online").then_some(online),
+        })
+    }
+
+    /// Drops the trained bank, for a caller that never diagnoses (the
+    /// daemon neither audits nor migrates): its policy then diagnoses
+    /// memory-only, and the one bank it holds is the predictor's.
+    pub fn without_diagnosis(mut self) -> Self {
+        self.bank = None;
+        self
+    }
+
+    /// The policy's name.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The yala policies' predictor.
+    pub fn predictor(&mut self) -> Option<&mut YalaPredictor> {
+        self.predictor.as_mut()
+    }
+
+    /// The policy, lent (`qos_aware` as in [`FleetPolicy`]).
+    pub fn lend(&mut self, qos_aware: bool) -> FleetPolicy<'_> {
+        match &mut self.predictor {
+            Some(predictor) => FleetPolicy::ContentionAware {
+                predictor,
+                diagnoser: self
+                    .bank
+                    .as_ref()
+                    .map_or(Diagnoser::MemoryOnly, Diagnoser::Yala),
+                online: self.online,
+                qos_aware,
+            },
+            None if self.name == "mono" => FleetPolicy::Monopolization,
+            None => FleetPolicy::Greedy,
+        }
     }
 }

@@ -1,14 +1,15 @@
-//! Who shares which NIC — the one NIC-side state of a fleet, whoever
-//! drives it (the event loop's `FleetState`, the daemon's `ServeLoop`):
-//! per NIC its hardware model, operational state, residents in residency
-//! order, the predictor's view of them (`rows`) and the candidate index
-//! (`pidx`, which also holds the core accounting).
+//! Who shares which NIC — the NIC side of the one tenant state machine,
+//! [`crate::state::FleetState`], whoever drives it (the event loop or the
+//! daemon): per NIC its hardware model, operational state, residents in
+//! residency order, the predictor's view of them (`rows`) and the
+//! candidate index (`pidx`, which also holds the core accounting).
 //!
 //! Those move together, and only [`Residency::place`], [`Residency::remove`],
 //! [`Residency::take_all`], [`Residency::reprofiled`] and
-//! [`Residency::set_state`] move them; the choosers and the admission
-//! test [`Residency::admits`] read them. Profiles come from the caller, as
-//! an `id -> &Placed` lookup of those in force. Debug builds recompute a
+//! [`Residency::set_state`] move them — crate-private, and called from
+//! `FleetState` alone; the choosers and the admission test
+//! [`Residency::admits`] read them. Profiles come from the caller, as an
+//! `id -> &Placed` lookup of those in force. Debug builds recompute a
 //! NIC's row and core accounting from it after every change
 //! ([`Residency::assert_row`]) and every indexed answer by its linear scan
 //! ([`linear`]).
@@ -21,12 +22,12 @@ use yala_sim::NicModelId;
 /// Per-resident predicted-vs-floor margins a contention-aware placement
 /// gathered on the NIC it accepted: `(slot, predicted, floor_with_margin)`.
 /// `None` disables collection entirely (the telemetry-off path).
-pub(crate) type MarginSink<'m> = Option<&'m mut Vec<(usize, f64, f64)>>;
+pub type MarginSink<'m> = Option<&'m mut Vec<(usize, f64, f64)>>;
 
 /// The policy's predictor, lent to the code that names residents for the
 /// NIC rows (`None`: prediction-free, every class is 0). The object's own
 /// lifetime is spelled out so a reborrow can be handed on.
-pub(crate) type Namer<'r, 'p> = Option<&'r mut (dyn PlacementPredictor + 'p)>;
+pub type Namer<'r, 'p> = Option<&'r mut (dyn PlacementPredictor + 'p)>;
 
 /// Operational state of a NIC under the fault machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +56,7 @@ struct NicRow {
 /// model does not support it), named once per decision, the relative SLA
 /// slack the decision demands, and the class ids of the candidate being
 /// judged, kept for their capacity.
-pub struct Newcomer<'p> {
+pub(crate) struct Newcomer<'p> {
     nf: &'p Placed,
     margin: f64,
     class_at: Vec<u32>,
@@ -84,7 +85,7 @@ impl Residency {
     /// The empty fleet of `cfg`'s portfolio — expanded through the
     /// config's own NIC→model mapping ([`FleetConfig::nic_model_pos`]), so
     /// the order lives in one place: every NIC `Up`, nobody placed.
-    pub fn new(cfg: &FleetConfig) -> Self {
+    pub(crate) fn new(cfg: &FleetConfig) -> Self {
         let n = cfg.nics();
         let spec_pos: Vec<usize> = (0..n).map(|nic| cfg.nic_model_pos(nic)).collect();
         let cores: Vec<u32> = (0..n).map(|nic| cfg.nic_spec(nic).cores).collect();
@@ -104,27 +105,27 @@ impl Residency {
     }
 
     /// Hardware model of `nic`.
-    pub fn model(&self, nic: usize) -> NicModelId {
+    pub(crate) fn model(&self, nic: usize) -> NicModelId {
         self.model[nic]
     }
 
     /// Total cores of `nic`.
-    pub fn cores(&self, nic: usize) -> u32 {
+    pub(crate) fn cores(&self, nic: usize) -> u32 {
         self.pidx.cores(nic)
     }
 
     /// Cores `nic`'s residents use under their profiles in force.
-    pub fn used(&self, nic: usize) -> u32 {
+    pub(crate) fn used(&self, nic: usize) -> u32 {
         self.pidx.used(nic)
     }
 
     /// Every NIC's residents, in residency order.
-    pub fn residents(&self) -> &[Vec<u32>] {
+    pub(crate) fn residents(&self) -> &[Vec<u32>] {
         &self.residents
     }
 
     /// The [`PlacementPredictor::class_of`] ids of `nic`'s residents.
-    pub fn classes(&self, nic: usize) -> &[u32] {
+    pub(crate) fn classes(&self, nic: usize) -> &[u32] {
         &self.rows[nic].classes
     }
 
@@ -195,7 +196,7 @@ impl Residency {
 
     /// Puts NF `id` on `nic` under its profile in force, `profile(id)`;
     /// `predictor` names it for the NIC's row.
-    pub fn place<'p>(
+    pub(crate) fn place<'p>(
         &mut self,
         mut predictor: Namer<'_, '_>,
         nic: usize,
@@ -214,7 +215,7 @@ impl Residency {
     }
 
     /// Takes resident `id` off `nic`.
-    pub fn remove<'p>(&mut self, nic: usize, id: u32, profile: impl Fn(u32) -> &'p Placed) {
+    pub(crate) fn remove<'p>(&mut self, nic: usize, id: u32, profile: impl Fn(u32) -> &'p Placed) {
         let slot = self.slot(nic, id);
         self.residents[nic].remove(slot);
         self.rows[nic].classes.remove(slot);
@@ -227,7 +228,7 @@ impl Residency {
 
     /// Bulk-evicts a retired NIC (hard failure or drain deadline),
     /// returning its former residents in residency order.
-    pub fn take_all(&mut self, nic: usize) -> Vec<u32> {
+    pub(crate) fn take_all(&mut self, nic: usize) -> Vec<u32> {
         self.rows[nic] = NicRow::default();
         self.pidx.clear_retired(nic);
         std::mem::take(&mut self.residents[nic])
@@ -235,7 +236,7 @@ impl Residency {
 
     /// Resident `id` of `nic` changed profile, to `profile(id)` from one of
     /// `old_cores` cores: renames it in the row, re-prices the NIC.
-    pub fn reprofiled<'p>(
+    pub(crate) fn reprofiled<'p>(
         &mut self,
         mut predictor: Namer<'_, '_>,
         nic: usize,
@@ -266,11 +267,6 @@ impl Residency {
         }
     }
 
-    /// Takes `nic` out of service (`Down`) or returns it (`Up`).
-    pub fn set_up(&mut self, nic: usize, up: bool) {
-        self.set_state(nic, if up { NicState::Up } else { NicState::Down });
-    }
-
     /// Portfolio positions whose hardware model supports `nf`, ascending.
     fn supported_positions(&self, nf: &Placed) -> Vec<usize> {
         (0..self.pos_models.len())
@@ -292,7 +288,7 @@ impl Residency {
 
     /// First empty `Up` NIC (lowest index) whose model supports `nf`,
     /// skipping `exclude` — answered from the index.
-    pub fn choose_empty(&self, nf: &Placed, exclude: Option<usize>) -> Option<usize> {
+    pub(crate) fn choose_empty(&self, nf: &Placed, exclude: Option<usize>) -> Option<usize> {
         let sup = self.supported_positions(nf);
         let found = self.pidx.first_empty(&sup, exclude);
         Self::checked(found, || linear::choose_empty(self, nf, exclude))
@@ -301,7 +297,7 @@ impl Residency {
     /// Greedy: the occupied `Up` NIC with the most available cores among
     /// those where `nf` fits and is feasible (ties break to the lowest
     /// index) — answered from the index's free-core buckets.
-    pub fn choose_greedy(&self, nf: &Placed, exclude: Option<usize>) -> Option<usize> {
+    pub(crate) fn choose_greedy(&self, nf: &Placed, exclude: Option<usize>) -> Option<usize> {
         let sup = self.supported_positions(nf);
         let found = self.pidx.most_free(&sup, nf.workload.cores, exclude);
         Self::checked(found, || linear::choose_greedy(self, nf, exclude))
@@ -311,7 +307,7 @@ impl Residency {
     /// occupied, feasible, fitting NICs, ascending — the same NICs the
     /// linear scan would evaluate, in the same order, so the predictor
     /// sees an identical call sequence.
-    pub fn shortlist(&self, nf: &Placed, exclude: Option<usize>) -> Vec<usize> {
+    pub(crate) fn shortlist(&self, nf: &Placed, exclude: Option<usize>) -> Vec<usize> {
         let sup = self.supported_positions(nf);
         let mut cands = Vec::new();
         self.pidx
@@ -323,7 +319,7 @@ impl Residency {
     /// predictions must clear each SLA floor by the relative `margin`
     /// (0.0 for normal placements, the readmission hysteresis for parked
     /// retries).
-    pub fn newcomer<'p>(
+    pub(crate) fn newcomer<'p>(
         &self,
         predictor: &mut dyn PlacementPredictor,
         nf: &'p Placed,
@@ -349,7 +345,7 @@ impl Residency {
     /// are asked about in residency order, the newcomer last, stopping at
     /// the first violation; `margins` collects `(candidate slot,
     /// predicted, floor)` per question asked.
-    pub fn admits<'p>(
+    pub(crate) fn admits<'p>(
         &self,
         predictor: &mut dyn PlacementPredictor,
         who: &mut Newcomer<'p>,

@@ -19,7 +19,7 @@
 use crate::policy::FleetPolicy;
 use crate::report::{ClassStats, FleetReport, FleetSample};
 use crate::residency::NicState;
-use crate::state::{FleetState, READMITTED, VIOLATIONS};
+use crate::state::{FleetState, SimRules, Timelines, READMITTED, VIOLATIONS};
 use crate::timeline::ProfiledTrace;
 use crate::trace::{FaultKind, MS_PER_S};
 use yala_core::engine::{scenario_seed, simulator_for, Engine};
@@ -120,7 +120,8 @@ pub enum Processed {
 /// consumed)`, which is also its checkpoint format: a restore rebuilds
 /// it with `new` and re-steps (see [`crate::snapshot`]).
 pub struct FleetSim<'a> {
-    state: FleetState<'a>,
+    profiled: &'a ProfiledTrace,
+    state: FleetState<Timelines<'a>, SimRules>,
     policy: FleetPolicy<'a>,
     label: String,
     /// The static event list: (time, class, index). Index is the NF id
@@ -134,8 +135,6 @@ pub struct FleetSim<'a> {
     // Per-epoch scratch, hoisted: reused across epochs instead of
     // reallocated.
     occupied: Vec<usize>,
-    order: Vec<usize>,
-    admitted: Vec<u32>,
     margin_buf: Vec<(usize, f64, f64)>,
     // Report accumulators.
     period_min: f64,
@@ -199,6 +198,7 @@ impl<'a> FleetSim<'a> {
                     .fold(0u32, |acc, (p, _)| acc | (1 << p))
             })
             .collect();
+        let cursor = vec![0; records.len()];
         let cache_hit_rate = if profiled.stats.lookups > 0 {
             profiled.stats.hits as f64 / profiled.stats.lookups as f64
         } else {
@@ -206,15 +206,14 @@ impl<'a> FleetSim<'a> {
         };
 
         Self {
-            state: FleetState::new(profiled),
+            profiled,
+            state: FleetState::new(cfg, Timelines { profiled, cursor }, SimRules),
             policy,
             label: label.to_string(),
             events,
             next_event: 0,
             pending: ObservationBuffer::new(),
             occupied: Vec::new(),
-            order: Vec::new(),
-            admitted: Vec::new(),
             margin_buf: Vec::new(),
             period_min: cfg.audit_period_s as f64 / 60.0,
             samples: Vec::with_capacity(cfg.epochs() as usize),
@@ -245,7 +244,7 @@ impl<'a> FleetSim<'a> {
     /// carry — how it was profiled and how the policy was configured. A
     /// restore refuses a snapshot whose fields differ from its own.
     pub(crate) fn identity(&self) -> Vec<(&'static str, FieldValue)> {
-        let profiled = self.state.profiled;
+        let profiled = self.profiled;
         let cfg = &profiled.trace.config;
         let (min_observations, qos_aware) = match &self.policy {
             FleetPolicy::ContentionAware {
@@ -314,14 +313,13 @@ impl<'a> FleetSim<'a> {
     }
 
     fn on_departure(&mut self, t_ms: u64, id: u32, tel: &mut Telemetry) -> Processed {
-        let nic = self.state.remove(id).map_or(-1, |n| n as i64);
-        self.state.parked.retain(|p| p.id != id);
+        let nic = self.state.depart(id).map_or(-1, |n| n as i64);
         tel.rec(t_ms, || Event::Depart { id, nic });
         Processed::Departure(id)
     }
 
     fn on_fault(&mut self, t_ms: u64, index: u32, tel: &mut Telemetry) -> Processed {
-        let ev = self.state.profiled.trace.faults[index as usize];
+        let ev = self.profiled.trace.faults[index as usize];
         tel.rec(t_ms, || Event::Fault {
             nic: ev.nic as u32,
             kind: ev.kind.name(),
@@ -335,24 +333,20 @@ impl<'a> FleetSim<'a> {
                     self.faults_total += 1;
                     tel.inc("fleet.faults", 1);
                 }
-                state.nics.set_state(ev.nic, NicState::Down);
-                let evicted = state.take_all(ev.nic);
-                state.evacuate(policy, evicted, ev.nic, true, t_ms, tel);
+                state.evacuate(policy, ev.nic, true, t_ms, tel);
             }
             FaultKind::DrainStart => {
                 self.drains_total += 1;
                 tel.inc("fleet.drains", 1);
-                state.nics.set_state(ev.nic, NicState::Draining);
-                let ids = state.residents()[ev.nic].clone();
-                state.evacuate(policy, ids, ev.nic, false, t_ms, tel);
+                state.evacuate(policy, ev.nic, false, t_ms, tel);
             }
-            FaultKind::Recover => state.nics.set_state(ev.nic, NicState::Up),
+            FaultKind::Recover => state.recover(ev.nic),
         }
         Processed::Fault(index)
     }
 
     fn on_arrival(&mut self, t_ms: u64, id: u32, tel: &mut Telemetry) -> Processed {
-        let nf = &self.state.profiled.timelines[id as usize].snapshots[0].1;
+        let nf = &self.profiled.timelines[id as usize].snapshots[0].1;
         tel.inc("fleet.arrivals", 1);
         tel.rec(t_ms, || Event::Arrival {
             id,
@@ -362,27 +356,9 @@ impl<'a> FleetSim<'a> {
         });
         self.margin_buf.clear();
         let margins = tel.is_enabled().then_some(&mut self.margin_buf);
-        let mut reason = "arrival";
-        let slot = self
-            .state
-            .choose_slot(&mut self.policy, nf, None, 0.0, margins)
-            .or_else(|| {
-                // A guaranteed arrival that found no safe slot may, under
-                // a QoS-aware policy, park best-effort residents to make
-                // room.
-                let nic = self.state.try_preempt_best_effort(
-                    &mut self.policy,
-                    nf,
-                    None,
-                    0.0,
-                    t_ms,
-                    tel,
-                )?;
-                reason = "preempt";
-                Some(nic)
-            });
-        match slot {
-            Some(nic) => {
+        let (state, policy) = (&mut self.state, &mut self.policy);
+        match state.admit(policy, id, None, 0.0, margins, t_ms, tel) {
+            Some((nic, reason)) => {
                 debug_assert!(nf.supported_on(self.state.nics.model(nic)));
                 tel.rec(t_ms, || Event::Place {
                     id,
@@ -390,19 +366,17 @@ impl<'a> FleetSim<'a> {
                     reason,
                 });
                 // The margins refer to the accepted NIC's candidate
-                // vector: its residents *before* this placement, then
-                // the arriving NF.
+                // vector: its residents before this placement, then the
+                // arriving NF — now the last of them.
                 let residents = &self.state.residents()[nic];
                 for &(slot_idx, predicted, floor) in &self.margin_buf {
-                    let mid = residents.get(slot_idx).copied().unwrap_or(id);
                     tel.rec(t_ms, || Event::Margin {
-                        id: mid,
+                        id: residents[slot_idx],
                         nic: nic as u32,
                         predicted,
                         floor,
                     });
                 }
-                self.state.place(self.policy.predictor(), nic, id);
             }
             None => {
                 self.rejected += 1;
@@ -439,7 +413,8 @@ impl<'a> FleetSim<'a> {
         // 3. Learn, then 4. react: the refit runs *before* migration so
         // the refreshed models inform this epoch's decisions.
         self.absorb(t_ms, epoch, &reports, engine, tel);
-        let epoch_migrations = self.state.migrate(&mut self.policy, t_ms, tel);
+        let budget = self.profiled.trace.config.max_migrations_per_audit;
+        let epoch_migrations = self.state.migrate(&mut self.policy, budget, t_ms, tel);
         self.migrations_total += epoch_migrations;
         // 4b. Readmission.
         if !self.state.parked.is_empty() {
@@ -456,7 +431,7 @@ impl<'a> FleetSim<'a> {
     fn co_run_occupied(&self, epoch: u32, engine: &Engine) -> Vec<CoRunReport> {
         let state = &self.state;
         let occupied = &self.occupied;
-        let cfg = &state.profiled.trace.config;
+        let cfg = &self.profiled.trace.config;
         let audit_base = scenario_seed(cfg.seed ^ AUDIT_SALT, epoch as usize);
         engine.run_chunked(occupied.len(), AUDIT_CHUNK, |j| {
             let nic = occupied[j];
@@ -464,7 +439,7 @@ impl<'a> FleetSim<'a> {
             let mut sim = simulator_for(spec, cfg.noise_sigma, scenario_seed(audit_base, j));
             let workloads: Vec<&WorkloadSpec> = state.residents()[nic]
                 .iter()
-                .map(|&id| &state.snapshot(id).workload)
+                .map(|&id| &state.profile(id).workload)
                 .collect();
             sim.co_run(&workloads)
         })
@@ -475,7 +450,7 @@ impl<'a> FleetSim<'a> {
     fn tally_violations(&mut self, t_ms: u64, reports: &[CoRunReport], tel: &mut Telemetry) -> u32 {
         let observing = tel.is_enabled();
         let state = &self.state;
-        let records = &state.profiled.trace.records;
+        let records = &self.profiled.trace.records;
         let mut violating = 0u32;
         for (&nic, report) in self.occupied.iter().zip(reports) {
             let model = state.nics.model(nic);
@@ -484,7 +459,7 @@ impl<'a> FleetSim<'a> {
                 tel.observe_log2("fleet.co_residents", 1.0, 6, residents.len() as f64);
             }
             for (pos, (&id, outcome)) in residents.iter().zip(&report.outcomes).enumerate() {
-                let floor = state.snapshot(id).sla_floor(model);
+                let floor = state.profile(id).sla_floor(model);
                 if outcome.throughput_pps < floor {
                     violating += 1;
                     let qos = records[id as usize].qos;
@@ -497,7 +472,7 @@ impl<'a> FleetSim<'a> {
                         // diagnoser-free policies record "none".
                         let bottleneck = match (&self.policy, residents.len()) {
                             (FleetPolicy::ContentionAware { diagnoser, .. }, n) if n >= 2 => {
-                                let placed = state.snapshots(nic);
+                                let placed = state.profiles(nic);
                                 let co = diagnoser.contenders(model, &placed, pos);
                                 diagnoser.bottleneck(model, &placed, pos, &co).to_string()
                             }
@@ -569,58 +544,39 @@ impl<'a> FleetSim<'a> {
     /// `BACKOFF_CAP_EPOCHS`).
     fn readmit_parked(&mut self, t_ms: u64, tel: &mut Telemetry) {
         let (state, policy) = (&mut self.state, &mut self.policy);
-        let cfg = &state.profiled.trace.config;
-        let records = &state.profiled.trace.records;
-        let period_ms = cfg.audit_period_s * MS_PER_S;
+        let records = &self.profiled.trace.records;
+        let period_ms = self.profiled.trace.config.audit_period_s * MS_PER_S;
         let aware = policy.qos_aware();
-        self.order.clear();
-        self.order.extend(0..state.parked.len());
-        let parked_now = &state.parked;
-        self.order.sort_by_key(|&k| {
-            let q = records[parked_now[k].id as usize].qos as u8;
-            (if aware { q } else { 0 }, parked_now[k].id)
-        });
-        self.admitted.clear();
-        for &k in &self.order {
-            if state.parked[k].next_retry_ms > t_ms {
+        let due = state.parked.iter().filter(|p| p.next_retry_ms <= t_ms);
+        let mut due: Vec<u32> = due.map(|p| p.id).collect();
+        due.sort_by_key(|&id| (aware && !records[id as usize].qos.is_guaranteed(), id));
+        for id in due {
+            state.seek(None, id, t_ms);
+            let Some((nic, _)) = state.admit(policy, id, None, READMIT_MARGIN, None, t_ms, tel)
+            else {
+                let p = state.parked.iter_mut().find(|p| p.id == id);
+                let p = p.expect("a failed retry stays parked");
+                p.next_retry_ms = t_ms + p.backoff_epochs * period_ms;
+                p.backoff_epochs = (p.backoff_epochs * 2).min(BACKOFF_CAP_EPOCHS);
                 continue;
-            }
-            let id = state.parked[k].id;
-            state.seek(id, t_ms);
-            let nf = state.snapshot(id);
-            let slot = state
-                .choose_slot(policy, nf, None, READMIT_MARGIN, None)
-                .or_else(|| {
-                    state.try_preempt_best_effort(policy, nf, None, READMIT_MARGIN, t_ms, tel)
-                });
-            match slot {
-                Some(nic) => {
-                    state.place(policy.predictor(), nic, id);
-                    state.readmitted[nf.qos() as usize] += 1;
-                    tel.inc(READMITTED[nf.qos() as usize], 1);
-                    tel.rec(t_ms, || Event::Readmit {
-                        id,
-                        nic: nic as u32,
-                        qos: nf.qos().name(),
-                    });
-                    self.admitted.push(id);
-                }
-                None => {
-                    let p = &mut state.parked[k];
-                    p.next_retry_ms = t_ms + p.backoff_epochs * period_ms;
-                    p.backoff_epochs = (p.backoff_epochs * 2).min(BACKOFF_CAP_EPOCHS);
-                }
-            }
+            };
+            state.parked.retain(|p| p.id != id);
+            let qos = state.profile(id).qos();
+            state.readmitted[qos as usize] += 1;
+            tel.inc(READMITTED[qos as usize], 1);
+            tel.rec(t_ms, || Event::Readmit {
+                id,
+                nic: nic as u32,
+                qos: qos.name(),
+            });
         }
-        let admitted = &self.admitted;
-        state.parked.retain(|p| !admitted.contains(&p.id));
     }
 
     /// Folds the settled epoch into the report accumulators, gauges, and
     /// the epoch sample.
     fn close_epoch(&mut self, t_ms: u64, violating: u32, migrations: u32, tel: &mut Telemetry) {
         let state = &self.state;
-        let records = &state.profiled.trace.records;
+        let records = &self.profiled.trace.records;
         let mut active = 0u32;
         let mut nics_in_use = 0u32;
         let mut wasted_cores = 0u32;
@@ -633,7 +589,7 @@ impl<'a> FleetSim<'a> {
             nics_in_use += 1;
             let mut used = 0u32;
             for &id in res {
-                let c = state.snapshot(id).workload.cores;
+                let c = state.profile(id).workload.cores;
                 used += c;
                 cores_by_mask[self.masks[id as usize] as usize] += c;
             }
@@ -703,7 +659,7 @@ impl<'a> FleetSim<'a> {
     /// Closes the books: the final [`FleetReport`] of the run. Call
     /// after [`FleetSim::step`] returns `None`.
     pub fn into_report(self) -> FleetReport {
-        let profiled = self.state.profiled;
+        let profiled = self.profiled;
         let cfg = &profiled.trace.config;
         let class_stats = |c: QosClass| ClassStats {
             violation_minutes: self.violation_min[c as usize],
@@ -811,7 +767,12 @@ mod tests {
             &Engine::sequential(),
             BuildOpts::default(),
         );
-        let mut state = FleetState::new(&profiled);
+        let (cfg, cursor) = (&profiled.trace.config, vec![0; 2]);
+        let tenants = Timelines {
+            profiled: &profiled,
+            cursor,
+        };
+        let mut state = FleetState::new(cfg, tenants, SimRules);
         let (bf2, pen) = (state.nics.model(0), state.nics.model(1));
         assert_ne!(bf2, pen, "two hardware models");
         // Hand-place both NFs on the BF-2 NIC (a blind packer would).
@@ -824,7 +785,8 @@ mod tests {
             online: None,
             qos_aware: false,
         };
-        let moved = state.migrate(&mut policy, 600_000, &mut Telemetry::disabled());
+        let budget = profiled.trace.config.max_migrations_per_audit;
+        let moved = state.migrate(&mut policy, budget, 600_000, &mut Telemetry::disabled());
         assert_eq!(moved, 1, "the predicted violation must drain a victim");
         assert_eq!(state.residents()[0].len(), 1);
         assert_eq!(
@@ -835,7 +797,7 @@ mod tests {
         let victim = state.residents()[1][0];
         // The migrated NF is priced against its *destination-model* solo
         // baseline, which differs from its BF-2 one.
-        let snap = state.snapshot(victim);
+        let snap = state.profile(victim);
         assert!(snap.supported_on(pen));
         assert_ne!(snap.solo(bf2).solo_tput, snap.solo(pen).solo_tput);
         assert_eq!(state.remove(victim), Some(1), "location moved with it");

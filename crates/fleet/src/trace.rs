@@ -289,6 +289,15 @@ impl FleetConfig {
         &self.portfolio[self.nic_model_pos(nic)].0
     }
 
+    /// The NF kind `name` names, if `kinds` (what a bank is trained for)
+    /// lists it: the rule for a daemon request, as
+    /// [`TraceError::UnservedKind`] is for a trace record.
+    pub fn served_kind(&self, name: &str) -> Result<NfKind, String> {
+        NfKind::from_name(name)
+            .filter(|k| self.kinds.contains(k))
+            .ok_or_else(|| format!("NF kind {name} is not served here"))
+    }
+
     /// The Yala bank of this config: one model per `(portfolio model,
     /// kind)` cell, trained from the scenario seed. The daemon, `yalad
     /// replay`, and every restore of either derive their predictor from
@@ -496,6 +505,8 @@ pub enum TraceError {
     NonFiniteTraffic { index: usize },
     /// Record `index` has a non-finite or out-of-range SLA drop.
     BadSla { index: usize, sla_drop: f64 },
+    /// Record `index` is of a kind `kinds` does not list.
+    UnservedKind { index: usize, kind: NfKind },
 }
 
 impl std::fmt::Display for TraceError {
@@ -541,6 +552,12 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::BadSla { index, sla_drop } => {
                 write!(f, "record {index} has SLA drop {sla_drop} outside [0, 1)")
+            }
+            TraceError::UnservedKind { index, kind } => {
+                write!(
+                    f,
+                    "record {index} has NF kind {kind}, which kinds does not list"
+                )
             }
         }
     }
@@ -662,6 +679,12 @@ impl FleetTrace {
                 return Err(TraceError::BadSla {
                     index: i,
                     sla_drop: r.sla_drop,
+                });
+            }
+            if !config.kinds.contains(&r.kind) {
+                return Err(TraceError::UnservedKind {
+                    index: i,
+                    kind: r.kind,
                 });
             }
             last_arrival = r.arrival_ms;
@@ -1051,6 +1074,34 @@ mod tests {
             FleetTrace::from_records(cfg, vec![r], Vec::new()).unwrap_err(),
             TraceError::BadSla { index: 0, .. }
         ));
+    }
+
+    #[test]
+    fn from_records_rejects_a_kind_the_header_does_not_list() {
+        let mut cfg = FleetConfig::small(0);
+        cfg.kinds = vec![NfKind::FlowStats, NfKind::Nat];
+        let records = vec![
+            NfRecord {
+                kind: NfKind::Nat,
+                ..ok_record()
+            },
+            NfRecord {
+                id: 1,
+                ..ok_record()
+            },
+        ];
+        let err = FleetTrace::from_records(cfg, records, Vec::new()).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::UnservedKind {
+                index: 1,
+                kind: NfKind::Acl
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "record 1 has NF kind acl, which kinds does not list"
+        );
     }
 
     #[test]

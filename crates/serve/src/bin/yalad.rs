@@ -25,12 +25,11 @@
 use std::io::{BufRead, Write};
 use std::process::exit;
 
-use yala_core::{Engine, ModelBank};
+use yala_core::Engine;
 use yala_fleet::{
-    read_trace, restore_fleet, snapshot_fleet, write_trace, BuildOpts, Diagnoser, FaultPlan,
-    FleetConfig, FleetPolicy, FleetSim, FleetTrace, OnlineRefine, Processed, ProfiledTrace,
+    read_trace, restore_fleet, snapshot_fleet, write_trace, BuildOpts, FaultPlan, FleetConfig,
+    FleetSim, FleetTrace, NamedPolicy, OnlineRefine, Processed, ProfiledTrace,
 };
-use yala_placement::YalaPredictor;
 use yala_serve::ServeLoop;
 use yala_telemetry::Telemetry;
 
@@ -189,49 +188,6 @@ fn gen_trace(mut f: Flags) {
     );
 }
 
-/// Policy construction is split from the run loop because the yala
-/// policies borrow a trained bank that must outlive the simulator.
-struct PolicyKit {
-    bank: Option<ModelBank<yala_core::YalaModel>>,
-    predictor: Option<YalaPredictor>,
-    online: Option<OnlineRefine>,
-    name: String,
-}
-
-impl PolicyKit {
-    fn build(cfg: &FleetConfig, name: &str, min_observations: usize, engine: &Engine) -> Self {
-        let (bank, predictor, online) = match name {
-            "mono" | "greedy" => (None, None, None),
-            "yala" | "yala-online" => {
-                let bank = cfg.train_bank(engine);
-                let predictor = YalaPredictor::new(&bank);
-                let online = (name == "yala-online").then_some(OnlineRefine { min_observations });
-                (Some(bank), Some(predictor), online)
-            }
-            other => die(&format!("unknown policy {other}")),
-        };
-        Self {
-            bank,
-            predictor,
-            online,
-            name: name.to_string(),
-        }
-    }
-
-    fn policy(&mut self) -> FleetPolicy<'_> {
-        match (&mut self.predictor, &self.bank) {
-            (Some(p), Some(b)) => FleetPolicy::ContentionAware {
-                predictor: p,
-                diagnoser: Diagnoser::Yala(b),
-                online: self.online,
-                qos_aware: true,
-            },
-            _ if self.name == "mono" => FleetPolicy::Monopolization,
-            _ => FleetPolicy::Greedy,
-        }
-    }
-}
-
 fn replay(mut f: Flags) {
     let policy_name = f
         .take_value("--policy")
@@ -251,15 +207,14 @@ fn replay(mut f: Flags) {
     if checkpoint_at.is_some() && snapshot_path.is_none() {
         die("--checkpoint-at-audit needs --snapshot");
     }
-    let engine = if threads == 0 {
-        Engine::sequential()
-    } else {
-        Engine::with_threads(threads)
-    };
+    let engine = Engine::with_threads(threads.max(1));
     let trace = read_trace(&read_file(trace_path))
         .unwrap_or_else(|e| die(&format!("parsing {trace_path}: {e}")));
-    let cfg = trace.config.clone();
-    let mut kit = PolicyKit::build(&cfg, &policy_name, min_observations, &engine);
+    // The policy's bank is trained before the trace is profiled, and
+    // outlives the simulator that borrows it.
+    let online = OnlineRefine { min_observations };
+    let mut policy =
+        NamedPolicy::new(&trace.config, &policy_name, online, &engine).unwrap_or_else(|e| die(&e));
     let profiled = if cached {
         ProfiledTrace::build_cached(trace, &engine)
     } else {
@@ -270,14 +225,14 @@ fn replay(mut f: Flags) {
     let mut sim = match &restore_path {
         Some(p) => restore_fleet(
             &profiled,
-            kit.policy(),
+            policy.lend(true),
             &policy_name,
             &read_file(p),
             &engine,
             &mut tel,
         )
         .unwrap_or_else(|e| die(&format!("restoring {p}: {e}"))),
-        None => FleetSim::new(&profiled, kit.policy(), &policy_name),
+        None => FleetSim::new(&profiled, policy.lend(true), &policy_name),
     };
     let mut audits = 0u32;
     while let Some(ev) = sim.step(&engine, &mut tel) {
@@ -324,11 +279,7 @@ fn serve(mut f: Flags) {
     if !f.finish().is_empty() {
         die("serve takes no positional arguments");
     }
-    let engine = if threads == 0 {
-        Engine::sequential()
-    } else {
-        Engine::with_threads(threads)
-    };
+    let engine = Engine::with_threads(threads.max(1));
     // The trace header doubles as the daemon's config file; its records
     // (if any) are ignored here — clients drive arrivals over the wire.
     let cfg = read_trace(&read_file(&config_path))

@@ -22,15 +22,13 @@
 //! way — [`yala_fleet::snapshot_fleet`] is a header, and its input log is
 //! the `.yala-trace` itself; both headers are versioned.
 //!
-//! Beyond its state the loop keeps two caches, and neither reaches a
-//! reply or a snapshot: the profile cache of `query` measurements, and
-//! the [`yala_nf::Profiler`] those measurements go through. Every query
-//! measures under one seed, so that profiler's prefix family — the
-//! seed's flow sequence and table growth chains — outlives the `place`s
-//! and `drift`s in between (which measure under their instances' seeds
-//! through the thread's profiler), and a query at a new flow count is
-//! cut from it. A restored daemon starts both cold and answers byte for
-//! byte as the uninterrupted one.
+//! The tenants are the fleet's one state machine,
+//! [`yala_fleet::FleetState`], over the daemon's two seams: profiles
+//! measured per wire id, and [`yala_fleet::DaemonRules`]. A request is
+//! parsed, turned into a call of it, and its outcome rendered. Beyond that
+//! state the loop keeps two caches that reach no reply or snapshot: the
+//! profile cache of `query` measurements and the profiler they go through
+//! (see [`ServeLoop`]).
 //!
 //! ## Wire format (version [`SERVE_WIRE_VERSION`])
 //!
@@ -40,21 +38,21 @@
 //! `hello`, `shutdown`). Responses always carry `"ok"` and echo `"op"`.
 //! See DESIGN.md, "Serving placement", for the full field tables.
 
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use yala_core::{
-    Engine, Observation, ObservationBuffer, ProfileCache, ProfileEntry, ProfileKey, QosClass,
-    TrafficKey,
+    Engine, Observation, ObservationBuffer, ProfileCache, ProfileKey, QosClass, TrafficKey,
 };
-use yala_fleet::{read_traffic, FleetConfig, Residency};
+use yala_fleet::{
+    read_traffic, DaemonRules, FleetConfig, FleetPolicy, FleetState, NamedPolicy, OnlineRefine,
+};
 use yala_nf::{NfKind, Profiler};
 use yala_placement::{
     measure_entry, measure_entry_with, placed_from_entry, sims_for, Arrival, Placed,
-    PlacementPredictor, YalaPredictor,
 };
 use yala_sim::{CounterSample, NicModelId, ResourceKind, Simulator};
 use yala_telemetry::journal::{parse_line, RawEvent};
+use yala_telemetry::Telemetry;
 
 /// Version stamp of the request/response line protocol and of the serve
 /// snapshot header. Bumped on any incompatible change.
@@ -79,42 +77,6 @@ const MAX_ID: u32 = QUERY_INSTANCE - 1;
 
 /// The keys of the traffic triple on every op that carries one.
 const TRAFFIC_KEYS: [&str; 3] = ["flows", "psize", "mtbr"];
-
-/// Placement rule the daemon serves with. The names double as the wire
-/// and CLI spelling (`--policy greedy`).
-enum ServePolicy {
-    /// One NF per NIC, prediction-free.
-    Mono,
-    /// Most-free-cores first, prediction-free.
-    Greedy,
-    /// Contention-aware: a candidate NIC is accepted only if the trained
-    /// predictor foresees every resident (the newcomer included) above
-    /// its SLA floor. With `online`, absorbed audit observations refine
-    /// the predictor's bank between requests.
-    Yala {
-        predictor: Box<YalaPredictor>,
-        online: bool,
-    },
-}
-
-impl ServePolicy {
-    /// The predictor that names residents for the NIC rows, if any.
-    fn predictor(&mut self) -> Option<&mut (dyn PlacementPredictor + 'static)> {
-        match self {
-            ServePolicy::Yala { predictor, .. } => Some(&mut **predictor),
-            _ => None,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            ServePolicy::Mono => "mono",
-            ServePolicy::Greedy => "greedy",
-            ServePolicy::Yala { online: false, .. } => "yala",
-            ServePolicy::Yala { online: true, .. } => "yala-online",
-        }
-    }
-}
 
 /// Monotonic request counters, reported by `stats` and carried verbatim
 /// through snapshots (queries are not logged, so replay alone cannot
@@ -157,26 +119,16 @@ impl Counters {
     }
 }
 
-/// A placed NF instance: its NIC and its profiled placement record.
-struct Instance {
-    nic: usize,
-    placed: Placed,
-}
-
-/// The `id -> profile in force` lookup the daemon hands its [`Residency`].
-fn profiles<'a>(instances: &'a BTreeMap<u32, Instance>) -> impl Fn(u32) -> &'a Placed {
-    move |id| &instances[&id].placed
-}
-
-/// The daemon state machine. See the crate docs for the contract; see
-/// [`ServeLoop::handle_line`] for the dispatch table.
+/// The daemon: a line codec around the fleet's tenant state machine.
+/// See the crate docs for the contract; see [`ServeLoop::handle_line`]
+/// for the dispatch table.
 pub struct ServeLoop {
     cfg: FleetConfig,
-    /// Who shares which NIC, under the profiles `instances` holds: the
-    /// same table, lockstep rules and admission test as the simulator's.
-    nics: Residency,
-    instances: BTreeMap<u32, Instance>,
-    policy: ServePolicy,
+    /// The tenants: each wire id's measured profile, placed by the
+    /// daemon's rules.
+    state: FleetState<BTreeMap<u32, Placed>, DaemonRules>,
+    /// Lent QoS-blind to every step: the daemon preempts no one.
+    policy: NamedPolicy,
     cache: ProfileCache,
     /// The profiler `query` measures through, and nothing else. Every
     /// query measures under one seed, so the prefix family this keeps
@@ -204,19 +156,12 @@ impl ServeLoop {
         if cfg.nics() == 0 {
             return Err("empty NIC portfolio".to_string());
         }
-        let policy = match policy_name {
-            "mono" => ServePolicy::Mono,
-            "greedy" => ServePolicy::Greedy,
-            "yala" | "yala-online" => ServePolicy::Yala {
-                predictor: Box::new(YalaPredictor::new(&cfg.train_bank(engine))),
-                online: policy_name == "yala-online",
-            },
-            other => return Err(format!("unknown policy {other}")),
-        };
+        // The daemon absorbs when asked: the batch size goes unread.
+        let policy = NamedPolicy::new(cfg, policy_name, OnlineRefine::default(), engine)?;
+        let policy = policy.without_diagnosis();
         Ok(Self {
             cfg: cfg.clone(),
-            nics: Residency::new(cfg),
-            instances: BTreeMap::new(),
+            state: FleetState::new(cfg, BTreeMap::new(), DaemonRules),
             policy,
             cache: ProfileCache::new(),
             query_profiler: Profiler::new(),
@@ -233,16 +178,6 @@ impl ServeLoop {
         self.cache.len()
     }
 
-    /// Resident descriptions the predictor has tabled right now (0 under
-    /// a prediction-free policy): bounded however many requests were
-    /// served.
-    pub fn classes_tabled(&self) -> usize {
-        match &self.policy {
-            ServePolicy::Yala { predictor, .. } => predictor.classes_tabled(),
-            _ => 0,
-        }
-    }
-
     /// Whether a `shutdown` request has been served. The driving loop
     /// exits when this turns true.
     pub fn is_shutdown(&self) -> bool {
@@ -256,7 +191,7 @@ impl ServeLoop {
             "{{\"ok\":true,\"op\":\"hello\",\"yala_serve\":{SERVE_WIRE_VERSION},\
              \"policy\":\"{}\",\"nics\":{},\"seed\":\"{}\"}}",
             self.policy.name(),
-            self.nics.nics(),
+            self.cfg.nics(),
             self.cfg.seed
         )
     }
@@ -293,9 +228,7 @@ impl ServeLoop {
     }
 
     fn arrival_from(&self, ev: &RawEvent) -> Result<Arrival, String> {
-        let kind_name = ev.need_str("kind")?;
-        let kind =
-            NfKind::from_name(kind_name).ok_or_else(|| format!("unknown NF kind {kind_name}"))?;
+        let kind = self.cfg.served_kind(ev.need_str("kind")?)?;
         let qos = match ev.optional("qos", RawEvent::need_str)? {
             None => QosClass::Guaranteed,
             Some(name) => {
@@ -314,82 +247,39 @@ impl ServeLoop {
         })
     }
 
-    /// The seed of every random stream in instance `id`'s measurement —
-    /// the timeline convention: scenario seed plus instance id.
-    fn workload_seed(&self, id: u32) -> u64 {
-        self.cfg.seed.wrapping_add(id as u64)
-    }
-
-    /// Measures `arrival` for instance `id`: per-instance workload seed,
-    /// salted simulator stream. A pure function of its arguments and the
-    /// configuration.
-    fn measure(&self, id: u32, arrival: &Arrival) -> ProfileEntry {
-        let sims = &mut sims(&self.cfg, arrival.kind, id);
-        let seed = self.workload_seed(id);
-        measure_entry(sims, arrival.kind, arrival.traffic, seed)
-    }
-
-    /// Measures and materializes the placement record of a real
-    /// instance — past the cache. Its key would be `(kind, traffic,
-    /// seed + id)`: `place` asks for it once and a `drift` moves on to
-    /// another, so caching it kept one entry nothing could hit for every
-    /// request a long-running daemon served.
+    /// Measures `arrival` for instance `id` into its placement record —
+    /// salted simulator stream, and every workload stream seeded by the
+    /// timeline convention, scenario seed plus instance id — past the
+    /// cache. Its key would be `(kind, traffic, seed + id)`: `place` asks
+    /// for it once and a `drift` moves on to another, so caching it kept
+    /// one entry nothing could hit for every request a long-running
+    /// daemon served.
     fn profile(&self, id: u32, arrival: Arrival) -> Placed {
-        let name = format!("nf{id}");
-        placed_from_entry(&self.measure(id, &arrival), arrival, Some(&name))
-    }
-
-    /// The placement decision: up NICs that support `placed` and fit it,
-    /// most-free-cores-first (ties to the lowest index), the first the
-    /// policy accepts — an empty one without a question, an occupied one
-    /// if [`Residency::admits`]. Deterministic by construction.
-    fn choose_nic(&mut self, placed: &Placed) -> Option<usize> {
-        let (nics, profile) = (&self.nics, profiles(&self.instances));
-        let need = placed.workload.cores;
-        let spare = |n: usize| nics.cores(n).checked_sub(nics.used(n) + need);
-        // Sorted as `(cores to spare, descending; index)`: the order above.
-        let mut order: Vec<(Reverse<u32>, usize)> = (0..nics.nics())
-            .filter(|&n| nics.is_up(n) && placed.supported_on(nics.model(n)))
-            .filter_map(|n| Some((Reverse(spare(n)?), n)))
-            .collect();
-        order.sort_unstable();
-        let mut order = order.into_iter().map(|(_, n)| n);
-        let empty = |n: usize| nics.residents()[n].is_empty();
-        match &mut self.policy {
-            ServePolicy::Mono => order.find(|&n| empty(n)),
-            ServePolicy::Greedy => order.next(),
-            ServePolicy::Yala { predictor, .. } => {
-                let predictor: &mut dyn PlacementPredictor = &mut **predictor;
-                let mut who = nics.newcomer(predictor, placed, 0.0);
-                order
-                    .find(|&n| empty(n) || nics.admits(predictor, &mut who, n, &[], None, &profile))
-            }
-        }
-    }
-
-    /// Makes instance `id`, already among `instances`, a resident of `n`.
-    fn settle(&mut self, n: usize, id: u32) {
-        let profile = profiles(&self.instances);
-        self.nics.place(self.policy.predictor(), n, id, profile);
+        let sims = &mut sims(&self.cfg, arrival.kind, id);
+        let seed = self.cfg.seed.wrapping_add(id as u64);
+        let entry = measure_entry(sims, arrival.kind, arrival.traffic, seed);
+        placed_from_entry(&entry, arrival, Some(&format!("nf{id}")))
     }
 
     fn op_place(&mut self, ev: &RawEvent) -> Result<String, String> {
         let id = ev.need_in("id", 0, MAX_ID)?;
-        if self.instances.contains_key(&id) {
+        if self.state.tenants().get(&id).is_some() {
             return Err(format!("instance {id} already exists"));
         }
-        let arrival = self.arrival_from(ev)?;
-        let placed = self.profile(id, arrival);
-        let nic = self.choose_nic(&placed);
-        match nic {
-            Some(n) => {
-                self.instances.insert(id, Instance { nic: n, placed });
-                self.settle(n, id);
+        let placed = self.profile(id, self.arrival_from(ev)?);
+        self.state.reprofile(None, id, placed);
+        let (policy, tel) = (&mut self.policy.lend(false), &mut Telemetry::disabled());
+        let n = match self.state.admit(policy, id, None, 0.0, None, 0, tel) {
+            Some((nic, _)) => {
                 self.counters.admissions += 1;
+                nic as i64
             }
-            None => self.counters.rejections += 1,
-        }
-        let n = nic.map_or(-1, |n| n as i64);
+            None => {
+                self.state.depart(id);
+                self.counters.rejections += 1;
+                -1
+            }
+        };
         Ok(format!(
             "{{\"ok\":true,\"op\":\"place\",\"id\":{id},\"nic\":{n}}}"
         ))
@@ -401,11 +291,11 @@ impl ServeLoop {
         // repeated queries are cheap and, crucially, never perturb any
         // real instance's measurement stream. A hit is the bytes a fresh
         // measurement of the key would be; a miss is measured as
-        // `measure` would, through the query profiler.
+        // `profile` would, through the query profiler.
         let key = ProfileKey {
             kind: arrival.kind,
             traffic: TrafficKey::exact(&arrival.traffic),
-            seed: self.workload_seed(QUERY_INSTANCE),
+            seed: self.cfg.seed.wrapping_add(QUERY_INSTANCE as u64),
         };
         let (cfg, profiler) = (&self.cfg, &mut self.query_profiler);
         let entry = self.cache.get_or_measure(&key, || {
@@ -414,7 +304,8 @@ impl ServeLoop {
         });
         let name = format!("nf{QUERY_INSTANCE}");
         let placed = placed_from_entry(&entry, arrival, Some(&name));
-        let nic = self.choose_nic(&placed);
+        let policy = &mut self.policy.lend(false);
+        let nic = self.state.choose_slot(policy, &placed, None, 0.0, None);
         self.counters.queries += 1;
         let n = nic.map_or(-1, |n| n as i64);
         Ok(format!("{{\"ok\":true,\"op\":\"query\",\"nic\":{n}}}"))
@@ -422,11 +313,8 @@ impl ServeLoop {
 
     fn op_depart(&mut self, ev: &RawEvent) -> Result<String, String> {
         let id = ev.need_in("id", 0, MAX_ID)?;
-        let Some(nic) = self.instances.get(&id).map(|inst| inst.nic) else {
-            return Err(format!("no instance {id}"));
-        };
-        self.nics.remove(nic, id, profiles(&self.instances));
-        self.instances.remove(&id);
+        // Every tenant is placed: one that is not is unknown.
+        let nic = self.state.depart(id).ok_or(format!("no instance {id}"))?;
         self.counters.departures += 1;
         Ok(format!(
             "{{\"ok\":true,\"op\":\"depart\",\"id\":{id},\"nic\":{nic}}}"
@@ -435,23 +323,19 @@ impl ServeLoop {
 
     fn op_drift(&mut self, ev: &RawEvent) -> Result<String, String> {
         let id = ev.need_in("id", 0, MAX_ID)?;
-        let old = self
-            .instances
-            .get(&id)
-            .ok_or_else(|| format!("no instance {id}"))?;
+        let old = self.state.tenants().get(&id);
+        let old = old.ok_or_else(|| format!("no instance {id}"))?;
         let arrival = Arrival {
             traffic: read_traffic(ev, TRAFFIC_KEYS)?,
-            ..old.placed.arrival
+            ..old.arrival
         };
-        let (nic, old_cores) = (old.nic, old.placed.workload.cores);
         // Drift re-profiles in place: the instance keeps its NIC (the
         // serve loop has no migration budget of its own — an operator
         // departs and re-places to move one), only the accounting moves.
         let fresh = self.profile(id, arrival);
-        self.instances.get_mut(&id).expect("checked above").placed = fresh;
-        let profile = profiles(&self.instances);
-        self.nics
-            .reprofiled(self.policy.predictor(), nic, id, old_cores, profile);
+        let mut policy = self.policy.lend(false);
+        let nic = self.state.reprofile(policy.predictor(), id, fresh);
+        let nic = nic.expect("every tenant is placed");
         Ok(format!(
             "{{\"ok\":true,\"op\":\"drift\",\"id\":{id},\"nic\":{nic}}}"
         ))
@@ -459,42 +343,25 @@ impl ServeLoop {
 
     fn op_fault(&mut self, ev: &RawEvent) -> Result<String, String> {
         let nic: usize = ev.need_int("nic")?;
-        if nic >= self.nics.nics() {
+        if nic >= self.cfg.nics() {
             return Err(format!("nic {nic} out of range"));
         }
         match ev.need_str("kind")? {
             "recover" => {
-                self.nics.set_up(nic, true);
+                self.state.recover(nic);
                 Ok(format!(
                     "{{\"ok\":true,\"op\":\"fault\",\"nic\":{nic},\"kind\":\"recover\"}}"
                 ))
             }
             "fail" => {
-                self.nics.set_up(nic, false);
-                // Evacuate in ascending instance id — deterministic, and
-                // guaranteed tenants (lower contention floors aside) get
-                // no special order here: the serve loop is a placement
-                // service, not the fleet simulator's QoS machinery.
-                let mut ids = self.nics.take_all(nic);
-                ids.sort_unstable();
-                let evicted = ids.len() as u64;
-                let mut replaced = 0u64;
-                for id in ids {
-                    let placed = self.instances[&id].placed.clone();
-                    match self.choose_nic(&placed) {
-                        Some(n) => {
-                            self.instances.get_mut(&id).expect("resident").nic = n;
-                            self.settle(n, id);
-                            replaced += 1;
-                        }
-                        None => {
-                            self.instances.remove(&id);
-                            self.counters.sheds += 1;
-                        }
-                    }
-                }
-                let shed = evicted - replaced;
+                // The simulator's fail step; the daemon retries no
+                // admission, so whoever found no NIC is shed.
+                let (policy, tel) = (&mut self.policy.lend(false), &mut Telemetry::disabled());
+                let evicted = self.state.evacuate(policy, nic, true, 0, tel) as u64;
+                let shed = self.state.shed_parked() as u64;
+                let replaced = evicted - shed;
                 self.counters.evictions += evicted;
+                self.counters.sheds += shed;
                 Ok(format!(
                     "{{\"ok\":true,\"op\":\"fault\",\"nic\":{nic},\"kind\":\"fail\",\
                      \"evicted\":{evicted},\"replaced\":{replaced},\"shed\":{shed}}}"
@@ -515,10 +382,11 @@ impl ServeLoop {
     }
 
     fn op_absorb(&mut self, engine: &Engine) -> Result<String, String> {
-        let absorbed = match &mut self.policy {
-            ServePolicy::Yala {
+        let absorbed = match self.policy.lend(false) {
+            FleetPolicy::ContentionAware {
                 predictor,
-                online: true,
+                online: Some(_),
+                ..
             } if !self.pending.is_empty() => {
                 let n = predictor.absorb(&self.pending, engine) as u64;
                 self.pending.clear();
@@ -537,9 +405,9 @@ impl ServeLoop {
     }
 
     fn op_stats(&mut self) -> String {
-        let active = self.instances.len();
-        let in_service = |&n: &usize| self.nics.is_up(n);
-        let nics_up = (0..self.nics.nics()).filter(in_service).count();
+        let active = self.state.tenants().len();
+        let nics = self.state.residency();
+        let nics_up = (0..nics.nics()).filter(|&n| nics.is_up(n)).count();
         format!(
             "{{\"ok\":true,\"op\":\"stats\",{},\"active\":{active},\"nics_up\":{nics_up},\
              \"pending\":{}}}",
@@ -556,7 +424,7 @@ impl ServeLoop {
              \"policy\":\"{}\",\"nics\":{},{},\"log\":{log}}}",
             self.cfg.seed,
             self.policy.name(),
-            self.nics.nics(),
+            self.cfg.nics(),
             counters.fields()
         )
     }
@@ -602,7 +470,7 @@ impl ServeLoop {
             ));
         }
         let mut loop_ = ServeLoop::new(cfg, policy_name, engine)?;
-        if header.int("nics") != Some(loop_.nics.nics() as i64) {
+        if header.int("nics") != Some(cfg.nics() as i64) {
             return Err("snapshot NIC count does not match config".to_string());
         }
         // Queries are unlogged; every counter comes from the header, so
@@ -699,10 +567,7 @@ pub fn read_observation(ev: &RawEvent, cfg: &FleetConfig) -> Result<Observation,
         .iter()
         .find(|(s, _)| s.name == model_name)
         .ok_or_else(|| format!("model {model_name} is not in the portfolio"))?;
-    let kind_name = ev.need_str("kind")?;
-    let kind = NfKind::from_name(kind_name)
-        .filter(|k| cfg.kinds.contains(k))
-        .ok_or_else(|| format!("NF kind {kind_name} is not served here"))?;
+    let kind = cfg.served_kind(ev.need_str("kind")?)?;
     let mut accel_pressure = Vec::new();
     for entry in ev.need_str("press")?.split(',').filter(|s| !s.is_empty()) {
         let parsed = entry.split_once(':').and_then(|(k, v)| {
@@ -758,6 +623,7 @@ const MAX_OBSERVED_COUNTER: f64 = 1e15;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use yala_placement::{PlacementPredictor, YalaPredictor};
     use yala_traffic::TrafficProfile;
 
     fn cfg(seed: u64) -> FleetConfig {
@@ -850,7 +716,7 @@ mod tests {
         // Three distinct queries were asked (flows 50, 150, 250); no
         // instance is live.
         assert_eq!(s.cached_profiles(), 3);
-        assert_eq!(s.classes_tabled(), 0, "greedy names nothing");
+        assert!(s.policy.predictor().is_none(), "greedy names nothing");
         // A repeated query still hits.
         s.handle_line(&query(150), &engine);
         assert_eq!(s.cached_profiles(), 3);
@@ -862,25 +728,25 @@ mod tests {
         // one, and ends the day with at most 64 tabled.
         let mut roomy = ServeLoop::new(&cfg(5), "yala", &engine).expect("build");
         let mut tight = ServeLoop::new(&cfg(5), "yala", &engine).expect("build");
-        let ServePolicy::Yala { predictor, .. } = &mut tight.policy else {
-            unreachable!("built as yala");
-        };
-        **predictor = YalaPredictor::with_memo_cap(predictor.bank(), 64);
+        // Resident descriptions the predictor has tabled right now.
+        let tabled = |s: &mut ServeLoop| s.policy.predictor().expect("yala").classes_tabled();
+        let predictor = tight.policy.predictor().expect("built as yala");
+        *predictor = YalaPredictor::with_memo_cap(predictor.bank(), 64);
         // (A refused instance's `depart` is an error; the replies need
         // not all be ok, they need to be the same.)
         assert_eq!(drive(&mut roomy), drive(&mut tight));
         assert!(
-            roomy.classes_tabled() > 4_000,
+            tabled(&mut roomy) > 4_000,
             "each instance was named: {}",
-            roomy.classes_tabled()
+            tabled(&mut roomy)
         );
-        assert!(tight.classes_tabled() <= 64, "{}", tight.classes_tabled());
-        let asked = |s: &ServeLoop| match &s.policy {
-            ServePolicy::Yala { predictor, .. } => predictor.memo_stats().expect("memo").lookups,
-            _ => 0,
+        assert!(tabled(&mut tight) <= 64, "{}", tabled(&mut tight));
+        let asked = |s: &mut ServeLoop| {
+            let predictor = s.policy.predictor().expect("built as yala");
+            predictor.memo_stats().expect("memo").lookups
         };
-        assert!(asked(&roomy) > 4_000, "{}", asked(&roomy));
-        assert_eq!(asked(&roomy), asked(&tight));
+        assert!(asked(&mut roomy) > 4_000, "{}", asked(&mut roomy));
+        assert_eq!(asked(&mut roomy), asked(&mut tight));
     }
 
     #[test]
@@ -966,6 +832,24 @@ mod tests {
         assert!(ok.starts_with("{\"ok\":true"), "{ok}");
         let dup = s.handle_line(&place(8, "nat", 5_000), &engine);
         assert!(dup.starts_with("{\"ok\":false"), "{dup}");
+
+        // A kind the config does not list has no trained model: a
+        // predicting daemon with a resident to ask about refuses it by
+        // name, as `observe` does, and serves on.
+        let mut yala = ServeLoop::new(&cfg(11), "yala", &engine).expect("build");
+        let r = yala.handle_line(&place(1, "nat", 5_000), &engine);
+        assert!(r.contains("\"nic\":0"), "{r}");
+        let query = "{\"op\":\"query\",\"kind\":\"acl\",\"flows\":5000,\"psize\":512,\
+                     \"mtbr\":0.0,\"sla_drop\":0.1}";
+        for line in [place(2, "acl", 5_000), query.to_string()] {
+            let r = yala.handle_line(&line, &engine);
+            assert!(
+                r.starts_with("{\"ok\":false") && r.contains("NF kind acl is not served"),
+                "{line} => {r}"
+            );
+        }
+        let r = yala.handle_line(&place(2, "nat", 5_000), &engine);
+        assert!(r.starts_with("{\"ok\":true"), "{r}");
     }
 
     #[test]
@@ -1033,7 +917,7 @@ mod tests {
             let key = ProfileKey {
                 kind: NfKind::Nat,
                 traffic: TrafficKey::exact(&TrafficProfile::new(flows, psize, 0.0)),
-                seed: whole.workload_seed(QUERY_INSTANCE),
+                seed: c.seed.wrapping_add(QUERY_INSTANCE as u64),
             };
             let entry = |s: &ServeLoop| format!("{:?}", s.cache.get(&key).expect("measured"));
             assert_eq!(entry(&restored), entry(&whole), "{flows} flows");
@@ -1310,7 +1194,7 @@ mod tests {
             let key = ProfileKey {
                 kind,
                 traffic: TrafficKey::exact(&traffic),
-                seed: s.workload_seed(QUERY_INSTANCE),
+                seed: c.seed.wrapping_add(QUERY_INSTANCE as u64),
             };
             let cached = s.cache.get(&key).expect("the query measured its key");
             let (specs, sigma, seed) = (c.specs(), c.noise_sigma, key.seed);

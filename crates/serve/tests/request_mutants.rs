@@ -2,9 +2,9 @@
 //! `ServeLoop::handle_line`. Every `place`, `query`, `drift`, `observe`
 //! and `fault` line of an interleaved request stream is mutated —
 //! truncated, a key dropped or duplicated, a value of the wrong type,
-//! non-finite, out of range, or 1 MiB long — and each mutant is served
-//! in place of its line by a daemon that has served every line before
-//! it. A mutant must get `{"ok":false,...}` naming the key it broke, or
+//! non-finite, out of range, an NF kind not served, or 1 MiB long — and
+//! each mutant is served in place of its line by a daemon that has
+//! served every line before it. A mutant must get `{"ok":false,...}` naming the key it broke, or
 //! the very reply its well-formed twin gets (and then it stands in for
 //! the twin). It must never panic, never move a later reply, and never
 //! grow the profile cache past what the well-formed stream grows it to.
@@ -124,7 +124,8 @@ struct Mutant {
 /// Every mutant of the one-line request `line`, seeded by `seed`: four
 /// truncations; per field, dropped (unless it is the optional `qos`),
 /// given a value of the wrong type, each bad number, and duplicated in
-/// front of itself with a bad number; on one line in [`MIB_EVERY`], a
+/// front of itself with a bad number; a `kind` given an NF kind the
+/// config does not list; on one line in [`MIB_EVERY`], a
 /// 1 MiB value for a seeded field; and last, a seeded field duplicated
 /// behind itself with its own value — the line's twin, as the reader
 /// takes a key's first value.
@@ -158,6 +159,13 @@ fn mutants(line: &str, seed: u64) -> Vec<Mutant> {
         if name != "qos" {
             let mut fs = owned.clone();
             fs.remove(i);
+            push(fs);
+        }
+        if name == "kind" {
+            // A valid NF kind the config does not list: no model is
+            // trained for it.
+            let mut fs = owned.clone();
+            fs[i].1 = format!("\"{}\"", NfKind::Acl.name());
             push(fs);
         }
         let wrong = if value.starts_with('"') { "7" } else { "\"7\"" };
