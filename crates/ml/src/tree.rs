@@ -216,7 +216,13 @@ impl Builder<'_> {
         let Some((feature, threshold)) = self.best_split(lo, hi, sum) else {
             return self.push_leaf(mean);
         };
-        let mid = self.partition(lo, hi, feature, threshold);
+        // Children at the depth limit are leaves, which read list 0 only.
+        let lists = if depth + 1 >= self.params.max_depth {
+            1
+        } else {
+            self.data.columns.len() + 1
+        };
+        let mid = self.partition(lo, hi, feature, threshold, lists);
         let node = self.nodes.len();
         self.nodes.push(Node::Leaf { value: mean }); // placeholder, patched below
         let left = self.build(lo, mid, depth + 1);
@@ -292,11 +298,18 @@ impl Builder<'_> {
 
     /// Stably moves the rows of `lo..hi` with `x[feature] <= threshold` —
     /// the test [`RegressionTree::predict`] applies — ahead of the rest, in
-    /// every list; returns where the right child starts.
-    fn partition(&mut self, lo: usize, hi: usize, feature: usize, threshold: f64) -> usize {
+    /// the first `lists` lists; returns where the right child starts.
+    fn partition(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        feature: usize,
+        threshold: f64,
+        lists: usize,
+    ) -> usize {
         let (x, n) = (&self.data.columns[feature], self.data.rows.len());
         let mut mid = lo;
-        for (l, list) in self.lists.chunks_exact_mut(n).enumerate() {
+        for (l, list) in self.lists.chunks_exact_mut(n).take(lists).enumerate() {
             let (mut left, mut right) = (lo, 0);
             for k in lo..hi {
                 let r = list[k];

@@ -101,7 +101,8 @@ pub trait NetworkFunction {
 /// * **reused** — the generator's flow `Vec` and dedupe scratch, the
 ///   [`PacketBatch`] arena, the [`CostTracker`] and the
 ///   [`CostAggregate`]; the flow tables' probe arrays come from and go
-///   back to [`crate::table`]'s process-wide pool;
+///   back to [`crate::table`]'s process-wide pool, and a cut table is a
+///   view of the family's growth chain that holds no probe array;
 /// * **not reused** — the NF instance itself and its tables' dense value
 ///   stores, built per measurement and dropped with the NF (keeping a
 ///   warmed NF per kind costs more resident memory than it saves time).

@@ -20,6 +20,12 @@
 //! the textbook one-array table — `tests/table_oracle.rs` holds the two
 //! to equal probe counts, step for step.
 //!
+//! A warmed table need not own its probe array: it may be a read-only
+//! *view* that computes each slot on demand (below). One linear-probe
+//! loop reads all three backings through a slot accessor, so probes,
+//! `len`, `capacity` and `wss_bytes` do not depend on the backing; the
+//! first `insert` into a view materializes it into an owned array.
+//!
 //! # Warming: cut from a growth chain
 //!
 //! An NF's warm-up inserts one key per flow of the measurement, and a
@@ -29,18 +35,20 @@
 //! never moves a placed key, and the growth points depend only on the
 //! insert count; so the table after `n` inserts is the final layout of
 //! `n`'s epoch with the slots of later inserts freed. A [`TableFamily`]
-//! keeps, per flow-keyed rule and initial capacity, one growth chain: each
-//! epoch's final layout as one `u32` dense index per slot, replayed once
-//! up to the largest flow count asked for. [`Prefix::table`] cuts a table
-//! from it in one sequential pass into a pooled probe array (the key of a
-//! slot is recomputed from the flow that inserted it). A family's first
-//! measurement keeps nothing and hands its inserts' final array over as
-//! the table, so a seed measured once pays only the inserts.
-//! `tests/table_oracle.rs` holds cut tables to the one-array table after
-//! the same inserts: at every count of a small chain, around every growth
-//! of the larger ones.
+//! keeps the `hash64` of every flow replayed so far and, per flow-keyed
+//! rule and initial capacity, one growth chain: each epoch's final layout
+//! as one `u32` dense index per slot, replayed once up to the largest
+//! flow count asked for. [`Prefix::table`] cuts a table from it as a view
+//! of that layout: a slot is live iff its dense index is below the
+//! table's length, and its key is the kept hash of the flow that first
+//! inserted it. A family's first measurement keeps nothing and hands its
+//! inserts' final array over as the table, so a seed measured once pays
+//! only the inserts. `tests/table_oracle.rs` holds cut tables to the
+//! one-array table after the same inserts: at every count of a small
+//! chain, around every growth of the larger ones, and after more inserts
+//! into each.
 //!
-//! # Cyclic keys: laid out in closed form
+//! # Cyclic keys: a closed-form view
 //!
 //! A [`Keys::Cyclic`] table (`Nat`'s port-keyed return table) needs no
 //! chain. Its keys are consecutive integers, `start + i % period`, and a
@@ -48,14 +56,20 @@
 //! (`key & (capacity - 1)`) are distinct in every epoch, every insert
 //! lands at its key's home, and a growth re-places each key at its new
 //! home — whatever the growth history, each key sits at its home and one
-//! probe finds it. The table after `count` inserts is built directly: the
-//! capacity the growth checks reach at the peak entry count, one pass
-//! writing each key at its home, and each key's value that of its last
-//! insert (later laps overwrite). `tests/table_oracle.rs` holds it to the
-//! one-array table at `Nat`'s real shape, around every growth up to
-//! 200 k inserts and around the 55 536-port wrap.
+//! probe finds it. The table after `count` inserts is the capacity the
+//! growth checks reach at the peak entry count, the live ids as one
+//! cyclic block of slots at their homes (no array: a slot is live iff its
+//! offset from `start`'s home is below the id count), and each key's
+//! value that of its last insert (later laps overwrite). A miss walks to
+//! the first free slot after the block, as on the array.
+//! `tests/table_oracle.rs` holds it to the one-array table at `Nat`'s
+//! real shape, around every growth up to 200 k inserts and around the
+//! 55 536-port wrap.
+//!
+//! Under debug assertions every view is materialized once when it is
+//! made, and every lookup it answers is compared with that array.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use yala_traffic::FiveTuple;
 
 /// One probe-array slot. `index == FREE` marks an empty slot; any key,
@@ -74,13 +88,18 @@ const EMPTY_SLOT: Slot = Slot {
 };
 
 /// Probe arrays the pool keeps at most. A measurement holds one probe
-/// array per table (two for `Nat`) plus the one a growth is filling, and
-/// the engine measures on two to four threads: eight covers that, and
-/// bounds what an idle process retains to eight arrays of the largest
-/// size seen. (Per-thread pools and pooled NF instances were measured at
-/// +27 % to +60 % peak RSS; see DESIGN.md, "What a profile measurement
-/// costs".)
+/// array per table it inserted into (a view holds none) plus the one a
+/// growth is filling, and the engine measures on two to four threads:
+/// eight covers that. (Per-thread pools and pooled NF instances were
+/// measured at +27 % to +60 % peak RSS; see DESIGN.md, "What a profile
+/// measurement costs".)
 const POOL_ARRAYS: usize = 8;
+
+/// The largest array the pool keeps: 512 Ki slots (8 MiB). Only
+/// profiling points past 393 k flows grow bigger ones, and a full pool
+/// keeping eight of those would hold 128 MiB for as long as the process
+/// lives; the chain build such a point pays for dwarfs their page faults.
+const POOL_MAX_SLOTS: usize = 1 << 19;
 
 /// The process-wide stock of emptied probe arrays.
 struct ProbePool {
@@ -118,9 +137,10 @@ impl ProbePool {
     }
 
     /// Returns a probe array. A full pool keeps its largest arrays: those
-    /// are the ones a fresh allocation pays the most page faults for.
+    /// are the ones a fresh allocation pays the most page faults for. An
+    /// array past [`POOL_MAX_SLOTS`] is freed.
     fn give(&self, array: Vec<Slot>) {
-        if array.capacity() == 0 {
+        if array.capacity() == 0 || array.capacity() > POOL_MAX_SLOTS {
             return;
         }
         let mut arrays = self.lock();
@@ -158,11 +178,22 @@ impl ProbePool {
 /// ```
 #[derive(Debug)]
 pub struct FlowTable<V> {
-    slots: Vec<Slot>,
-    /// Values in insertion order; `slots[..].index` points in here.
+    slots: Slots,
+    /// Values in insertion order; a slot's dense index points in here.
     values: Vec<V>,
     /// Modelled bytes one entry occupies on the NIC (key + value + metadata).
     entry_bytes: f64,
+}
+
+/// Where a table's slots come from.
+#[derive(Debug, Clone)]
+enum Slots {
+    /// A probe array of the table's own.
+    Owned(Vec<Slot>),
+    /// A view of a growth chain's epoch layout.
+    Cut(Checked<Cut>),
+    /// A closed-form view of [`Keys::Cyclic`] ids at their homes.
+    Cyclic(Checked<Block>),
 }
 
 impl<V: Clone> Clone for FlowTable<V> {
@@ -177,7 +208,9 @@ impl<V: Clone> Clone for FlowTable<V> {
 
 impl<V> Drop for FlowTable<V> {
     fn drop(&mut self) {
-        POOL.give(std::mem::take(&mut self.slots));
+        if let Slots::Owned(slots) = &mut self.slots {
+            POOL.give(std::mem::take(slots));
+        }
     }
 }
 
@@ -198,7 +231,7 @@ impl<V> FlowTable<V> {
     pub fn with_entry_bytes(capacity: usize, entry_bytes: f64) -> Self {
         assert!(entry_bytes > 0.0, "entry bytes must be positive");
         Self {
-            slots: POOL.take(capacity.max(8).next_power_of_two()),
+            slots: Slots::Owned(POOL.take(capacity.max(8).next_power_of_two())),
             values: Vec::new(),
             entry_bytes,
         }
@@ -216,13 +249,17 @@ impl<V> FlowTable<V> {
 
     /// Current slot capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        match &self.slots {
+            Slots::Owned(slots) => slots.len(),
+            Slots::Cut(cut) => cut.view.capacity(),
+            Slots::Cyclic(block) => block.view.capacity(),
+        }
     }
 
     /// Modelled working-set footprint: live entries plus the slot array's
     /// occupancy metadata.
     pub fn wss_bytes(&self) -> f64 {
-        self.len() as f64 * self.entry_bytes + self.slots.len() as f64 * 8.0
+        self.len() as f64 * self.entry_bytes + self.capacity() as f64 * 8.0
     }
 
     /// The values, in insertion order.
@@ -233,29 +270,39 @@ impl<V> FlowTable<V> {
     /// Looks up `key`, returning the value (if present) and the number of
     /// slots probed — each probe is one cache-line touch.
     pub fn get_mut(&mut self, key: u64) -> (Option<&mut V>, usize) {
-        let (at, probes) = probe(&self.slots, key);
-        match self.slots[at].index {
+        let (_, probes, index) = match &self.slots {
+            Slots::Owned(slots) => probe(slots.as_slice(), key),
+            Slots::Cut(cut) => cut.probe(key),
+            Slots::Cyclic(block) => block.probe(key),
+        };
+        match index {
             FREE => (None, probes),
             index => (Some(&mut self.values[index as usize]), probes),
         }
     }
 
     /// Inserts or overwrites `key`, returning the number of probes.
-    /// Resizes (rehash) at 75% load.
+    /// Resizes (rehash) at 75% load. A view is materialized first.
     ///
     /// # Panics
     ///
     /// Panics if the table would hold `u32::MAX` entries.
     pub fn insert(&mut self, key: u64, value: V) -> usize {
-        if must_grow(self.len(), self.slots.len()) {
-            self.grow();
+        let len = self.len();
+        let slots = self.owned();
+        if must_grow(len, slots.len()) {
+            let old = std::mem::take(slots);
+            *slots = doubled(&old);
+            POOL.give(old);
         }
-        let (at, probes) = probe(&self.slots, key);
-        match self.slots[at].index {
+        let (at, probes, index) = probe(slots.as_slice(), key);
+        match index {
             FREE => {
-                assert!(self.len() < FREE as usize, "flow table is full");
-                let index = self.len() as u32;
-                self.slots[at] = Slot { key, index };
+                assert!(len < FREE as usize, "flow table is full");
+                slots[at] = Slot {
+                    key,
+                    index: len as u32,
+                };
                 self.values.push(value);
             }
             index => self.values[index as usize] = value,
@@ -263,11 +310,20 @@ impl<V> FlowTable<V> {
         probes
     }
 
-    /// Doubles the probe array, re-placing entries in old-slot order.
-    fn grow(&mut self) {
-        let old = std::mem::take(&mut self.slots);
-        self.slots = doubled(&old);
-        POOL.give(old);
+    /// The table's own probe array, materializing a view into one.
+    fn owned(&mut self) -> &mut Vec<Slot> {
+        let array = match &self.slots {
+            Slots::Owned(_) => None,
+            Slots::Cut(cut) => Some(cut.view.materialize()),
+            Slots::Cyclic(block) => Some(block.view.materialize()),
+        };
+        if let Some(array) = array {
+            self.slots = Slots::Owned(array);
+        }
+        match &mut self.slots {
+            Slots::Owned(slots) => slots,
+            _ => unreachable!("materialized above"),
+        }
     }
 }
 
@@ -279,25 +335,46 @@ fn must_grow(len: usize, slots: usize) -> bool {
     (len + 1) * 4 > slots * 3
 }
 
-/// Probes for `key` from its home slot: the slot holding it or the free
-/// slot ending its chain, and the slots touched getting there.
-#[inline]
-fn probe(slots: &[Slot], key: u64) -> (usize, usize) {
-    let mask = slots.len() - 1;
-    let mut at = (key as usize) & mask;
-    let mut probes = 1usize;
-    loop {
-        let slot = slots[at];
-        if slot.index == FREE || slot.key == key {
-            return (at, probes);
-        }
-        at = (at + 1) & mask;
-        probes += 1;
-        debug_assert!(probes <= slots.len(), "table full during probe");
+/// Read access to a probe array's slots, however they are kept.
+trait SlotRead {
+    /// Slot count (a power of two).
+    fn capacity(&self) -> usize;
+    /// The slot at `at < capacity`.
+    fn slot(&self, at: usize) -> Slot;
+}
+
+impl SlotRead for [Slot] {
+    #[inline]
+    fn capacity(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn slot(&self, at: usize) -> Slot {
+        self[at]
     }
 }
 
-/// A pooled probe array twice the size of `old` holding its entries,
+/// Probes for `key` from its home slot: the slot holding it or the free
+/// slot ending its chain, the slots touched getting there, and the dense
+/// index found (`FREE` for a miss).
+#[inline]
+fn probe(slots: &(impl SlotRead + ?Sized), key: u64) -> (usize, usize, u32) {
+    let mask = slots.capacity() - 1;
+    let mut at = (key as usize) & mask;
+    let mut probes = 1usize;
+    loop {
+        let slot = slots.slot(at);
+        if slot.index == FREE || slot.key == key {
+            return (at, probes, slot.index);
+        }
+        at = (at + 1) & mask;
+        probes += 1;
+        debug_assert!(probes <= mask + 1, "table full during probe");
+    }
+}
+
+/// A probe array twice the size of `old` holding its entries,
 /// re-placed in old-slot order (the order decides which key ends up
 /// displaced, hence every later probe count).
 fn doubled(old: &[Slot]) -> Vec<Slot> {
@@ -311,6 +388,44 @@ fn doubled(old: &[Slot]) -> Vec<Slot> {
         slots[at] = *slot;
     }
     slots
+}
+
+/// A table's slots computed on demand instead of stored.
+trait View: SlotRead {
+    /// The probe array the view stands for, taken from the pool.
+    fn materialize(&self) -> Vec<Slot>;
+}
+
+/// A view and, under debug assertions, the array it stands for,
+/// materialized once when the view is made: every lookup the view
+/// answers is compared with it.
+#[derive(Debug, Clone)]
+struct Checked<L> {
+    view: L,
+    #[cfg(debug_assertions)]
+    array: Vec<Slot>,
+}
+
+impl<L: View> Checked<L> {
+    fn new(view: L) -> Self {
+        Self {
+            #[cfg(debug_assertions)]
+            array: view.materialize(),
+            view,
+        }
+    }
+
+    #[inline]
+    fn probe(&self, key: u64) -> (usize, usize, u32) {
+        let found = probe(&self.view, key);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            found,
+            probe(self.array.as_slice(), key),
+            "a view's lookup of {key:#x} differs from its array's"
+        );
+        found
+    }
 }
 
 /// How a warmed table's insert calls are keyed.
@@ -372,12 +487,12 @@ struct Chain {
     /// Flows replayed so far.
     positions: usize,
     /// Positions whose key was already present: an overwrite, or a
-    /// skipped insert under [`Keys::NewFlows`].
-    repeats: Repeats,
+    /// skipped insert under [`Keys::NewFlows`]. Shared with the cuts.
+    repeats: Arc<Repeats>,
     /// Per epoch: the position whose insert grew the table into it (0 for
     /// the first), and its layout — the dense index in each slot, `FREE`
-    /// if empty — as of `positions`.
-    epochs: Vec<(usize, Vec<u32>)>,
+    /// if empty — as of `positions`. Shared with the cuts.
+    epochs: Vec<(usize, Arc<Vec<u32>>)>,
 }
 
 impl Chain {
@@ -386,8 +501,8 @@ impl Chain {
             capacity,
             rule,
             positions: 0,
-            repeats: Repeats::default(),
-            epochs: vec![(0, Vec::new())],
+            repeats: Arc::default(),
+            epochs: vec![(0, Arc::default())],
         }
     }
 
@@ -396,72 +511,63 @@ impl Chain {
         n - self.repeats.before(n)
     }
 
-    /// The probe array after `n ≤ positions` positions (`key(pos)` keys
-    /// position `pos`), in one sequential pass over the layout of the
-    /// epoch `n` falls in.
-    fn restrict(&self, n: usize, key: impl Fn(usize) -> u64) -> Vec<Slot> {
-        debug_assert!(n <= self.positions);
+    /// The table after `n ≤ positions` positions, as a view of the
+    /// layout of the epoch `n` falls in; `keys[pos]` keys position `pos`.
+    fn cut(&self, n: usize, keys: &Arc<Vec<u64>>) -> Cut {
+        debug_assert!(n <= self.positions && self.positions <= keys.len());
         let epoch = self.epochs.partition_point(|e| e.0 < n).max(1) - 1;
-        let layout = &self.epochs[epoch].1;
-        let len = self.len_at(n);
-        let mut slots = POOL.take_cleared(layout.len());
-        slots.extend(layout.iter().map(|&index| {
-            if (index as usize) < len {
-                Slot {
-                    key: key(self.repeats.new_position(index as usize)),
-                    index,
-                }
-            } else {
-                EMPTY_SLOT
-            }
-        }));
-        debug_assert_eq!(
-            slots.iter().filter(|s| s.index != FREE).count(),
-            len,
-            "kept slots are the entries at {n}"
-        );
-        debug_assert_eq!(slots.len(), self.capacity << epoch, "the chain's capacity");
-        slots
+        let layout = Arc::clone(&self.epochs[epoch].1);
+        debug_assert_eq!(layout.len(), self.capacity << epoch, "the chain's capacity");
+        Cut {
+            layout,
+            keys: Arc::clone(keys),
+            repeats: Arc::clone(&self.repeats),
+            len: self.len_at(n),
+        }
     }
 
-    /// Replays positions up to `n` (`key(pos)` keys position `pos`) and
-    /// returns the probe array after `n`; `inserted(pos, repeat)` sees
-    /// every insert made, `repeat` the dense index an overwrite hits.
-    /// With `keep`, every epoch's final layout is recorded (the last one
-    /// as of `n`); without, the chain cannot be cut or extended again.
+    /// Replays positions up to `n` (`key(pos)` keys position `pos`) into
+    /// `slots`, the probe array after `positions`, and returns the probe
+    /// array after `n`; `inserted(pos, repeat)` sees every insert made,
+    /// `repeat` the dense index an overwrite hits. With `keep`, every
+    /// epoch's final layout is recorded (the last one as of `n`); without,
+    /// the chain cannot be cut or extended again.
     fn extend(
         &mut self,
+        mut slots: Vec<Slot>,
         n: usize,
         key: impl Fn(usize) -> u64,
         keep: bool,
         mut inserted: impl FnMut(usize, Option<u32>),
     ) -> Vec<Slot> {
-        let mut slots = if self.positions == 0 {
-            POOL.take(self.capacity)
-        } else {
-            self.restrict(self.positions, &key)
-        };
         let skip_repeats = self.rule.skips_repeats();
         let mut len = self.len_at(self.positions);
+        let repeats = Arc::make_mut(&mut self.repeats);
         for pos in self.positions..n {
             let key = key(pos);
+            // Under `NewFlows` the repeat check's probe is the insert's,
+            // unless a growth moves the slots in between.
+            let mut found = None;
             if skip_repeats {
-                let (at, _) = probe(&slots, key);
-                if slots[at].index != FREE {
-                    self.repeats.push(pos, slots[at].index);
+                let (at, probes, index) = probe(slots.as_slice(), key);
+                if index != FREE {
+                    repeats.push(pos, index);
                     continue;
                 }
+                found = Some((at, probes, index));
             }
             if must_grow(len, slots.len()) {
                 if keep {
-                    snapshot(&slots, &mut self.epochs.last_mut().expect("an epoch").1);
-                    self.epochs.push((pos, Vec::new()));
+                    let last = self.epochs.last_mut().expect("an epoch");
+                    snapshot(&slots, Arc::make_mut(&mut last.1));
+                    self.epochs.push((pos, Arc::default()));
                 }
                 let bigger = doubled(&slots);
                 POOL.give(std::mem::replace(&mut slots, bigger));
+                found = None;
             }
-            let (at, _) = probe(&slots, key);
-            match slots[at].index {
+            let (at, _, index) = found.unwrap_or_else(|| probe(slots.as_slice(), key));
+            match index {
                 FREE => {
                     assert!(len < FREE as usize, "flow table is full");
                     slots[at] = Slot {
@@ -472,14 +578,15 @@ impl Chain {
                     inserted(pos, None);
                 }
                 index => {
-                    self.repeats.push(pos, index);
+                    repeats.push(pos, index);
                     inserted(pos, Some(index));
                 }
             }
         }
         self.positions = n;
         if keep {
-            snapshot(&slots, &mut self.epochs.last_mut().expect("an epoch").1);
+            let last = self.epochs.last_mut().expect("an epoch");
+            snapshot(&slots, Arc::make_mut(&mut last.1));
         }
         slots
     }
@@ -511,6 +618,55 @@ impl Chain {
             values.push(value(pos, dense));
         }
         values
+    }
+}
+
+/// A table cut from a growth chain, read in place: slot `at` holds dense
+/// index `layout[at]` if that is below `len` and is free otherwise, and
+/// a live slot's key is that of the position that first inserted it.
+#[derive(Debug, Clone)]
+struct Cut {
+    /// The layout of the cut's epoch, as of the chain's last replay.
+    layout: Arc<Vec<u32>>,
+    /// The family's key of every replayed position.
+    keys: Arc<Vec<u64>>,
+    /// The chain's repeated positions.
+    repeats: Arc<Repeats>,
+    /// Entries at the cut.
+    len: usize,
+}
+
+impl SlotRead for Cut {
+    #[inline]
+    fn capacity(&self) -> usize {
+        self.layout.len()
+    }
+
+    #[inline]
+    fn slot(&self, at: usize) -> Slot {
+        let index = self.layout[at];
+        if (index as usize) < self.len {
+            Slot {
+                key: self.keys[self.repeats.new_position(index as usize)],
+                index,
+            }
+        } else {
+            EMPTY_SLOT
+        }
+    }
+}
+
+impl View for Cut {
+    /// The cut's probe array, in one sequential pass over the layout.
+    fn materialize(&self) -> Vec<Slot> {
+        let mut slots = POOL.take_cleared(self.capacity());
+        slots.extend((0..self.capacity()).map(|at| self.slot(at)));
+        debug_assert_eq!(
+            slots.iter().filter(|s| s.index != FREE).count(),
+            self.len,
+            "kept slots are the entries at the cut"
+        );
+        slots
     }
 }
 
@@ -589,13 +745,16 @@ fn snapshot(slots: &[Slot], layout: &mut Vec<u32>) {
 /// A family's first measurement keeps nothing: its flow-keyed tables are
 /// built by plain inserts and handed over as they are. From the second
 /// on, each one asked for is cut from its growth chain, which is
-/// replayed — once — as far as the largest flow count asked for. A
-/// [`Keys::Cyclic`] table has no chain: it is laid out in closed form
-/// every time.
+/// replayed — once — as far as the largest flow count asked for, and the
+/// `hash64` of every flow replayed is kept for the cuts to read. A
+/// [`Keys::Cyclic`] table has no chain: it is a closed-form view every
+/// time.
 /// [`Self::clear`] starts the next family (a new seed: new keys).
 #[derive(Debug, Clone, Default)]
 pub struct TableFamily {
     chains: Vec<Chain>,
+    /// `hash64` of each flow position replayed by any chain.
+    keys: Arc<Vec<u64>>,
     /// Whether a measurement has drawn on the family yet.
     measured: bool,
 }
@@ -610,6 +769,7 @@ impl TableFamily {
     /// sequence.
     pub fn clear(&mut self) {
         self.chains.clear();
+        self.keys = Arc::default();
         self.measured = false;
     }
 
@@ -664,11 +824,11 @@ impl<'a> Prefix<'a> {
     /// keyed by its `hash64`.
     fn build<V>(&mut self, spec: TableSpec, value: impl FnMut(usize, usize) -> V) -> FlowTable<V> {
         let flows = self.flows;
-        let (n, key) = (flows.len(), |pos: usize| flows[pos].hash64());
+        let n = flows.len();
         let capacity = spec.capacity.max(8).next_power_of_two();
         let rule = spec.keys;
         let (slots, values) = if self.keep {
-            let chains = &mut self.family.chains;
+            let TableFamily { chains, keys, .. } = &mut *self.family;
             let at = chains
                 .iter()
                 .position(|c| c.capacity == capacity && c.rule == rule)
@@ -678,9 +838,17 @@ impl<'a> Prefix<'a> {
                 });
             let chain = &mut chains[at];
             let slots = if n <= chain.positions && chain.positions > 0 {
-                chain.restrict(n, key)
+                Slots::Cut(Checked::new(chain.cut(n, keys)))
             } else {
-                chain.extend(n, key, true, |_, _| {})
+                if keys.len() < n {
+                    let keys = Arc::make_mut(keys);
+                    keys.extend(flows[keys.len()..].iter().map(FiveTuple::hash64));
+                }
+                let slots = match chain.positions {
+                    0 => POOL.take(capacity),
+                    replayed => chain.cut(replayed, keys).materialize(),
+                };
+                Slots::Owned(chain.extend(slots, n, |pos| keys[pos], true, |_, _| {}))
             };
             (slots, chain.values(n, value))
         } else {
@@ -688,14 +856,21 @@ impl<'a> Prefix<'a> {
             let mut value = value;
             let mut values = Vec::with_capacity(n);
             let chain = &mut Chain::new(capacity, rule);
-            let slots = chain.extend(n, key, false, |pos, repeat| match repeat {
-                None => {
-                    let dense = values.len();
-                    values.push(value(pos, dense));
-                }
-                Some(dense) => values[dense as usize] = value(pos, dense as usize),
-            });
-            (slots, values)
+            let key = |pos: usize| flows[pos].hash64();
+            let slots = chain.extend(
+                POOL.take(capacity),
+                n,
+                key,
+                false,
+                |pos, repeat| match repeat {
+                    None => {
+                        let dense = values.len();
+                        values.push(value(pos, dense));
+                    }
+                    Some(dense) => values[dense as usize] = value(pos, dense as usize),
+                },
+            );
+            (Slots::Owned(slots), values)
         };
         FlowTable {
             slots,
@@ -705,9 +880,10 @@ impl<'a> Prefix<'a> {
     }
 }
 
-/// The table [`Keys::Cyclic`]'s `count` inserts leave, laid out in closed
-/// form (see the module docs): the capacity the growth checks reach, each
-/// live id at its home slot, and each id's value that of its last insert.
+/// The table [`Keys::Cyclic`]'s `count` inserts leave, in closed form
+/// (see the module docs): the capacity the growth checks reach, each live
+/// id at its home slot as a [`Block`] view, and each id's value that of
+/// its last insert.
 ///
 /// # Panics
 ///
@@ -732,24 +908,66 @@ fn cyclic<V>(
             capacity *= 2;
         }
     }
-    let mut slots = POOL.take(capacity);
-    let mask = capacity - 1;
-    for dense in 0..len {
-        let key = start + dense as u64;
-        let home = &mut slots[key as usize & mask];
-        debug_assert_eq!(home.index, FREE, "id {key}'s home slot is taken");
-        *home = Slot {
-            key,
-            index: dense as u32,
-        };
-    }
+    let block = Block {
+        start,
+        len,
+        mask: capacity - 1,
+    };
     // Id `dense` was last inserted whole laps after its first insert.
     let last = |dense: usize| dense + (count - 1 - dense) / period * period;
     let values = (0..len).map(|dense| value(last(dense), dense)).collect();
     FlowTable {
-        slots,
+        slots: Slots::Cyclic(Checked::new(block)),
         values,
         entry_bytes: spec.entry_bytes,
+    }
+}
+
+/// The ids `start + dense` for `dense < len`, each at its home slot: one
+/// cyclic block of slots from `start`'s home, the rest free.
+#[derive(Debug, Clone)]
+struct Block {
+    start: u64,
+    len: usize,
+    /// Slot count minus one.
+    mask: usize,
+}
+
+impl SlotRead for Block {
+    #[inline]
+    fn capacity(&self) -> usize {
+        self.mask + 1
+    }
+
+    #[inline]
+    fn slot(&self, at: usize) -> Slot {
+        // The id whose home `at` is, if it is live.
+        let dense = at.wrapping_sub(self.start as usize) & self.mask;
+        if dense < self.len {
+            Slot {
+                key: self.start + dense as u64,
+                index: dense as u32,
+            }
+        } else {
+            EMPTY_SLOT
+        }
+    }
+}
+
+impl View for Block {
+    /// The block's probe array, written one home slot per id.
+    fn materialize(&self) -> Vec<Slot> {
+        let mut slots = POOL.take(self.capacity());
+        for dense in 0..self.len {
+            let key = self.start + dense as u64;
+            let home = &mut slots[key as usize & self.mask];
+            debug_assert_eq!(home.index, FREE, "id {key}'s home slot is taken");
+            *home = Slot {
+                key,
+                index: dense as u32,
+            };
+        }
+        slots
     }
 }
 
@@ -864,6 +1082,19 @@ mod tests {
         assert!(array.iter().all(|s| s.index == FREE));
         assert_eq!(array.capacity(), 2 * POOL_ARRAYS + 2);
         assert_eq!(pool.lock().len(), POOL_ARRAYS - 1);
+    }
+
+    #[test]
+    fn pool_frees_arrays_past_its_largest_size() {
+        let pool = ProbePool {
+            arrays: Mutex::new(Vec::new()),
+        };
+        // Reserved, never touched: no page of these is made resident.
+        for capacity in [POOL_MAX_SLOTS + 1, POOL_MAX_SLOTS, 4 * POOL_MAX_SLOTS] {
+            pool.give(Vec::with_capacity(capacity));
+        }
+        let held: Vec<usize> = pool.lock().iter().map(Vec::capacity).collect();
+        assert_eq!(held, [POOL_MAX_SLOTS]);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use yala_traffic::FiveTuple;
 
 /// The reference model (linear probing, power-of-two capacity, growth
 /// at 75 % load re-placing entries in old-slot order).
+#[derive(Clone)]
 struct OracleTable<V> {
     slots: Vec<Option<(u64, V)>>,
     len: usize,
@@ -234,6 +235,62 @@ fn assert_same(
     }
 }
 
+/// Inserts into `table` and `oracle` alike until the oracle has grown
+/// once more, and eight inserts past that, comparing the probes of each
+/// (`next(i)` keys insert `i`). Then compares both on `lookups` and every
+/// key inserted. A table that is a view materializes at its first insert.
+fn insert_past_a_growth(
+    table: &mut FlowTable<(u64, u32)>,
+    oracle: &mut OracleTable<(u64, u32)>,
+    mut next: impl FnMut(usize) -> u64,
+    lookups: &[u64],
+    what: &str,
+) {
+    let start = oracle.capacity();
+    let mut keys = lookups.to_vec();
+    let mut past = 0;
+    for i in 0.. {
+        if oracle.capacity() != start {
+            past += 1;
+            if past > 8 {
+                break;
+            }
+        }
+        let key = next(i);
+        let value = value_of(1 << 40 | i, key);
+        assert_eq!(
+            table.insert(key, value),
+            oracle.insert(key, value),
+            "{what}: probes of insert {i} after the cut"
+        );
+        keys.push(key);
+    }
+    assert_same(table, oracle, &keys, &format!("{what}, grown past the cut"));
+}
+
+/// Keys absent from a table holding the ids `start..start + len` at
+/// their homes in `capacity` slots, whose homes lie inside that block of
+/// slots (at its first, middle and last id), just past its end, and, if
+/// the block wraps past the last slot, at the first slot, the last
+/// wrapped one and the first free one after it.
+fn cyclic_misses(start: u64, len: usize, capacity: usize) -> Vec<u64> {
+    let lap = capacity as u64;
+    let mut homes: Vec<u64> = [0, len / 2, len.saturating_sub(1), len]
+        .into_iter()
+        .map(|d| start + d as u64)
+        .collect();
+    let first = start as usize & (capacity - 1);
+    if let Some(wrapped) = (first + len).checked_sub(capacity) {
+        homes.extend([0, wrapped.saturating_sub(1), wrapped].map(|at| at as u64));
+    }
+    // A key one or more whole laps past a home shares it; none of these
+    // is a live id, since every id lies within one lap of `start`.
+    homes
+        .into_iter()
+        .flat_map(|home| [home + lap * (start / lap + 3), home | 1 << 40])
+        .collect()
+}
+
 /// A flow sequence in which about one flow in eight repeats an earlier
 /// one, so its `hash64` repeats.
 fn flows_with_repeats(rng: &mut StdRng, count: usize) -> Vec<FiveTuple> {
@@ -334,9 +391,27 @@ fn tables_cut_from_a_growth_chain_equal_the_one_array_table_at_every_count() {
                     let around = lookups.iter().skip(n.saturating_sub(4)).take(8);
                     around.chain(&lookups[total..]).copied().collect()
                 };
+                let mut sample = sample;
+                if let Keys::Cyclic { start, .. } = rule {
+                    let len = n.min(initial * 14);
+                    sample.extend(cyclic_misses(start, len, oracle.capacity()));
+                }
                 let what = format!("initial {initial}, {rule:?}, cut at {n}");
                 for family in [&mut big_first, &mut ascending] {
-                    assert_same(&mut cut(family, n), &mut oracle, &sample, &what);
+                    let mut table = cut(family, n);
+                    assert_same(&mut table, &mut oracle, &sample, &what);
+                    // Ids go on from the live block (a random key would
+                    // walk it end to end); flows alternate earlier flows
+                    // (overwrites or skips) with new hashes.
+                    let next = |i: usize| match rule {
+                        Keys::Cyclic { start, period, .. } => {
+                            start + (n as u64).min(period) + i as u64
+                        }
+                        _ if i.is_multiple_of(2) => key((n + i / 2) % total),
+                        _ => rng.gen(),
+                    };
+                    let mut grown = oracle.clone();
+                    insert_past_a_growth(&mut table, &mut grown, next, &sample, &what);
                 }
             }
             assert!(oracle.capacity() >= initial << 4, "four doublings");
@@ -347,8 +422,10 @@ fn tables_cut_from_a_growth_chain_equal_the_one_array_table_at_every_count() {
 /// Nat's port-keyed return table as it really is — ids from 10 000,
 /// wrapping after 55 536 — laid out in closed form, against the one-array
 /// table after the same inserts: at every count within three of each
-/// growth up to 200 k inserts and of the wrap. (Under debug assertions
-/// the closed form also checks that every home slot it writes was free.)
+/// growth up to 200 k inserts and of the wrap, absent ids whose homes lie
+/// in and around the block of live ids included, and again after more
+/// inserts past one growth. (Under debug assertions the closed form also
+/// checks that every home slot it writes was free.)
 #[test]
 fn nat_port_tables_equal_the_one_array_table_around_every_growth_and_the_wrap() {
     const START: u64 = 10_000;
@@ -407,11 +484,16 @@ fn nat_port_tables_equal_the_one_array_table_around_every_growth_and_the_wrap() 
             .prefix(&[])
             .table(spec(n), |pos, _| value_of(pos, key(pos)));
         let what = format!("{n} ports");
-        let lookups = if n == TOTAL || n == PERIOD as usize {
+        let mut lookups = if n == TOTAL || n == PERIOD as usize {
             all.clone()
         } else {
             sample(n)
         };
+        let live = n.min(PERIOD as usize);
+        lookups.extend(cyclic_misses(START, live, oracle.capacity()));
         assert_same(&mut table, &mut oracle, &lookups, &what);
+        // New ids after the live block, as a wider allocator would hand out.
+        let next = |i: usize| START + (live + i) as u64;
+        insert_past_a_growth(&mut table, &mut oracle.clone(), next, &lookups, &what);
     }
 }
