@@ -3,7 +3,9 @@
 //!
 //! Measures per-rule (12 DFA passes) vs fused (one pass) scans of the
 //! default L7 ruleset over traffic-generator payloads at several MTBR
-//! levels, plus the one-time fused compile cost. `bench_rxp [--quick]
+//! levels, the same payloads scanned as one batch of [`BATCH`] through
+//! `Ruleset::scan_batch` (four lanes in lockstep), plus the one-time
+//! fused compile cost. `bench_rxp [--quick]
 //! [--check] [--out PATH]`: `--quick` (CI, implied by `--check`) runs
 //! fewer iterations; numbers are wall-clock medians of repeated batches,
 //! so quick mode stays representative — and the record stays out of
@@ -13,11 +15,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use yala_bench::{write_artifact, RegressionCheck};
-use yala_rxp::{l7_default_ruleset, Ruleset, ScanReport};
+use yala_rxp::{l7_default_ruleset, BatchScan, Ruleset, ScanReport};
 use yala_traffic::PayloadSynthesizer;
 
 /// Payload size for the headline numbers (MTU-ish, as in the paper).
 const PAYLOAD_LEN: usize = 1500;
+
+/// Payloads per MTBR level: one measurement batch.
+const BATCH: usize = 64;
 
 /// The committed record this binary regenerates (and `--check`s against).
 const RECORD: &str = "BENCH_rxp.json";
@@ -28,18 +33,25 @@ fn median_ns(mut samples: Vec<f64>) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Times `f` over `batches` batches of `iters` calls; returns median ns/call.
-fn time_ns(batches: usize, iters: usize, mut f: impl FnMut()) -> f64 {
-    let samples: Vec<f64> = (0..batches)
-        .map(|_| {
+/// Times each probe over `batches` batches of `iters` calls, the probes
+/// in turn within a batch so drift in the machine's speed reaches them
+/// alike; returns each probe's median ns/call.
+fn time_ns<const N: usize>(
+    batches: usize,
+    iters: usize,
+    mut probes: [&mut dyn FnMut(); N],
+) -> [f64; N] {
+    let mut samples = [(); N].map(|_| Vec::with_capacity(batches));
+    for _ in 0..batches {
+        for (f, samples) in probes.iter_mut().zip(&mut samples) {
             let t0 = Instant::now();
             for _ in 0..iters {
                 f();
             }
-            t0.elapsed().as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    median_ns(samples)
+            samples.push(t0.elapsed().as_nanos() as f64 / iters as f64);
+        }
+    }
+    samples.map(median_ns)
 }
 
 /// The flags: `(quick, check, out)`. Anything else exits 2 naming it, so
@@ -66,11 +78,14 @@ struct Row {
     mtbr: f64,
     per_rule_ns: f64,
     fused_ns: f64,
+    /// Per payload, scanned as one batch of [`BATCH`].
+    batch_ns: f64,
 }
 
 fn main() {
     let (quick, check, out) = parse_args();
-    let (batches, iters, payloads) = if quick { (5, 50, 8) } else { (9, 400, 32) };
+    // Each call scans the whole corpus of one MTBR level.
+    let (batches, iters) = if quick { (7, 2) } else { (15, 8) };
 
     let rules = l7_default_ruleset();
     let synth = PayloadSynthesizer::new();
@@ -102,40 +117,49 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for &mtbr in &[0.0f64, 600.0, 2000.0] {
         let mut rng = StdRng::seed_from_u64(0xBE9C + mtbr as u64);
-        let corpus: Vec<Vec<u8>> = (0..payloads)
+        let corpus: Vec<Vec<u8>> = (0..BATCH)
             .map(|_| synth.generate(&mut rng, PAYLOAD_LEN, mtbr))
             .collect();
-        let mut i = 0usize;
-        let per_rule_ns = time_ns(batches, iters, || {
-            let r = rules.scan_per_rule(&corpus[i % payloads]);
-            assert!(r.bytes_scanned == PAYLOAD_LEN);
-            i += 1;
-        });
         let mut report = ScanReport::with_rules(rules.len());
-        let mut j = 0usize;
-        let fused_ns = time_ns(batches, iters, || {
-            rules.scan_into(&corpus[j % payloads], &mut report);
-            j += 1;
-        });
+        let mut scan = BatchScan::default();
+        let per_corpus = time_ns(
+            batches,
+            iters,
+            [
+                &mut || {
+                    for p in &corpus {
+                        assert_eq!(rules.scan_per_rule(p).bytes_scanned, PAYLOAD_LEN);
+                    }
+                },
+                &mut || {
+                    for p in &corpus {
+                        rules.scan_into(p, &mut report);
+                    }
+                },
+                &mut || rules.scan_batch(corpus.iter().map(Vec::as_slice), &mut scan),
+            ],
+        );
+        let [per_rule_ns, fused_ns, batch_ns] = per_corpus.map(|ns| ns / BATCH as f64);
         println!(
-            "  mtbr {mtbr:>6.0}: per-rule {per_rule_ns:>9.0} ns/scan | fused {fused_ns:>7.0} ns/scan | {:.2}x",
-            per_rule_ns / fused_ns
+            "  mtbr {mtbr:>6.0}: per-rule {per_rule_ns:>9.0} ns/scan | fused {fused_ns:>7.0} ns/scan | {:.2}x | batch {batch_ns:>6.0} ns/payload | {:.2}x fused",
+            per_rule_ns / fused_ns,
+            fused_ns / batch_ns
         );
         rows.push(Row {
             mtbr,
             per_rule_ns,
             fused_ns,
+            batch_ns,
         });
     }
 
-    let geomean_speedup = (rows
-        .iter()
-        .map(|r| (r.per_rule_ns / r.fused_ns).ln())
-        .sum::<f64>()
-        / rows.len() as f64)
-        .exp();
+    let geomean = |ratio: fn(&Row) -> f64| {
+        (rows.iter().map(|r| ratio(r).ln()).sum::<f64>() / rows.len() as f64).exp()
+    };
+    let geomean_speedup = geomean(|r| r.per_rule_ns / r.fused_ns);
+    let batch_speedup = geomean(|r| r.fused_ns / r.batch_ns);
     println!(
-        "  fused compile: {compile_ms:.1} ms (once per process) | geomean speedup {geomean_speedup:.2}x"
+        "  fused compile: {compile_ms:.1} ms (once per process) | geomean speedup {geomean_speedup:.2}x | batch vs fused {batch_speedup:.2}x"
     );
 
     // Hand-rolled JSON: the offline workspace has no serde_json.
@@ -143,16 +167,18 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"mtbr\": {}, \"per_rule_ns\": {:.1}, \"fused_ns\": {:.1}, \"speedup\": {:.3}}}",
+                "    {{\"mtbr\": {}, \"per_rule_ns\": {:.1}, \"fused_ns\": {:.1}, \"speedup\": {:.3}, \"batch_ns\": {:.1}, \"batch_speedup\": {:.3}}}",
                 r.mtbr,
                 r.per_rule_ns,
                 r.fused_ns,
-                r.per_rule_ns / r.fused_ns
+                r.per_rule_ns / r.fused_ns,
+                r.batch_ns,
+                r.fused_ns / r.batch_ns
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"ruleset_scan\",\n  \"payload_len\": {PAYLOAD_LEN},\n  \"rules\": {},\n  \"fused_rules\": {},\n  \"fused_states\": {},\n  \"fused_compile_ms\": {compile_ms:.2},\n  \"quick\": {quick},\n  \"geomean_speedup\": {geomean_speedup:.3},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"ruleset_scan\",\n  \"payload_len\": {PAYLOAD_LEN},\n  \"rules\": {},\n  \"fused_rules\": {},\n  \"fused_states\": {},\n  \"fused_compile_ms\": {compile_ms:.2},\n  \"quick\": {quick},\n  \"geomean_speedup\": {geomean_speedup:.3},\n  \"batch_speedup\": {batch_speedup:.3},\n  \"rows\": [\n{}\n  ]\n}}\n",
         rules.len(),
         rules.fused_rule_count(),
         rules.fused_state_count(),
@@ -166,8 +192,10 @@ fn main() {
     // Regression gate. Unlike the fleet records this one is wall-clock
     // timing, so the committed absolute ns are machine-specific; what
     // must not regress is the *structure* (every rule still fuses) and
-    // the *relative* win (fused vs per-rule speedup). A broken fused path
-    // (silent per-rule fallback) collapses the speedup to ~1x and fails.
+    // the *relative* wins (fused vs per-rule, batch vs fused). A broken
+    // fused path (silent per-rule fallback) collapses the first speedup
+    // to ~1x, a batch scan that stops overlapping its lanes the second;
+    // either fails.
     if check {
         let mut check = RegressionCheck::against(RECORD);
         check.exact("rules", rules.len() as f64, "", "rules");
@@ -175,6 +203,7 @@ fn main() {
         check.at_least("fused_rules", fused, "", "fused_rules", 1.0);
         let speedup = geomean_speedup;
         check.at_least("geomean_speedup", speedup, "", "geomean_speedup", 0.5);
+        check.at_least("batch_speedup", batch_speedup, "", "batch_speedup", 0.5);
         check.finish();
     }
 }

@@ -5,12 +5,12 @@
 //! single-resource predictors (Fig. 2).
 
 use crate::cost::{CostTracker, HASH_CYCLES, PARSE_CYCLES, PROBE_CYCLES, UPDATE_CYCLES};
-use crate::runtime::{NetworkFunction, Verdict};
+use crate::runtime::{forwarded, NetworkFunction, Verdict};
 use crate::table::{FlowTable, Keys, Prefix, TableSpec};
-use yala_rxp::{l7_default_ruleset, Ruleset, ScanReport};
+use yala_rxp::{l7_default_ruleset, BatchScan, Ruleset};
 use yala_sim::{ExecutionPattern, ResourceKind};
 use yala_traffic::FiveTuple;
-use yala_traffic::PacketView;
+use yala_traffic::{PacketBatch, PacketView};
 
 /// The per-flow match table: one insert per flow.
 const TABLE: TableSpec = TableSpec {
@@ -33,8 +33,9 @@ pub struct MonitorEntry {
 pub struct FlowMonitor {
     table: FlowTable<MonitorEntry>,
     rules: Ruleset,
-    /// Reusable scan scratch: keeps the per-packet hot loop allocation-free.
-    scratch: ScanReport,
+    /// The scan of the batch in hand, reused so a warm dataplane
+    /// allocates nothing.
+    scan: BatchScan,
 }
 
 impl FlowMonitor {
@@ -47,7 +48,7 @@ impl FlowMonitor {
     pub fn with_ruleset(rules: Ruleset) -> Self {
         Self {
             table: FlowTable::with_entry_bytes(TABLE.capacity, TABLE.entry_bytes),
-            scratch: ScanReport::with_rules(rules.len()),
+            scan: BatchScan::default(),
             rules,
         }
     }
@@ -56,31 +57,16 @@ impl FlowMonitor {
     pub fn entry(&mut self, flow: &FiveTuple) -> Option<MonitorEntry> {
         self.table.get_mut(flow.hash64()).0.copied()
     }
-}
 
-impl Default for FlowMonitor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NetworkFunction for FlowMonitor {
-    fn name(&self) -> &'static str {
-        "flowmonitor"
-    }
-
-    fn pattern(&self) -> ExecutionPattern {
-        ExecutionPattern::RunToCompletion
-    }
-
-    fn process(&mut self, pkt: PacketView<'_>, cost: &mut CostTracker) -> Verdict {
+    /// The packet's logic, given the index of its payload's scan in
+    /// `self.scan`.
+    fn inspect(&mut self, pkt: PacketView<'_>, scanned: usize, cost: &mut CostTracker) -> Verdict {
         cost.compute(PARSE_CYCLES + HASH_CYCLES);
         cost.read_lines(1.0);
         // Offload the payload scan to the regex accelerator. The match
-        // count is *measured* by really scanning — this is what makes MTBR
-        // a causal traffic attribute in the reproduction.
-        self.rules.scan_into(pkt.payload, &mut self.scratch);
-        let total_matches = self.scratch.total_matches;
+        // count was *measured* by really scanning the payload — this is
+        // what makes MTBR a causal traffic attribute in the reproduction.
+        let total_matches = self.scan.total_matches(scanned);
         cost.accel_request(
             ResourceKind::Regex,
             pkt.payload_len() as f64,
@@ -115,6 +101,33 @@ impl NetworkFunction for FlowMonitor {
             }
         }
         Verdict::Forward
+    }
+}
+
+impl Default for FlowMonitor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl NetworkFunction for FlowMonitor {
+    fn name(&self) -> &'static str {
+        "flowmonitor"
+    }
+
+    fn pattern(&self) -> ExecutionPattern {
+        ExecutionPattern::RunToCompletion
+    }
+
+    fn process(&mut self, pkt: PacketView<'_>, cost: &mut CostTracker) -> Verdict {
+        self.rules.scan_batch([pkt.payload], &mut self.scan);
+        self.inspect(pkt, 0, cost)
+    }
+
+    fn process_batch(&mut self, batch: &PacketBatch, cost: &mut CostTracker) -> usize {
+        self.rules
+            .scan_batch(batch.iter().map(|p| p.payload), &mut self.scan);
+        forwarded(batch, |i, pkt| self.inspect(pkt, i, cost))
     }
 
     fn wss_bytes(&self) -> f64 {

@@ -4,17 +4,18 @@
 //! resources with traffic — the diagnosis use case of Table 7.
 
 use crate::cost::{CostTracker, PARSE_CYCLES};
-use crate::runtime::{NetworkFunction, Verdict};
-use yala_rxp::{l7_default_ruleset, Ruleset, ScanReport};
+use crate::runtime::{forwarded, NetworkFunction, Verdict};
+use yala_rxp::{l7_default_ruleset, BatchScan, Ruleset};
 use yala_sim::{ExecutionPattern, ResourceKind};
-use yala_traffic::PacketView;
+use yala_traffic::{PacketBatch, PacketView};
 
 /// The IPComp gateway NF.
 #[derive(Debug, Clone)]
 pub struct IpCompGateway {
     rules: Ruleset,
-    /// Reusable scan scratch: keeps the per-packet hot loop allocation-free.
-    scratch: ScanReport,
+    /// The scan of the batch in hand, reused so a warm dataplane
+    /// allocates nothing.
+    scan: BatchScan,
     /// Index of the `tls_hello` rule (hoisted out of the per-packet path).
     tls_idx: usize,
     compressed: u64,
@@ -31,7 +32,7 @@ impl IpCompGateway {
             .position(|r| r.name == "tls_hello")
             .expect("default ruleset has tls_hello");
         Self {
-            scratch: ScanReport::with_rules(rules.len()),
+            scan: BatchScan::default(),
             tls_idx,
             rules,
             compressed: 0,
@@ -47,6 +48,37 @@ impl IpCompGateway {
     /// Packets that bypassed compression (already-compressed protocols).
     pub fn bypassed(&self) -> u64 {
         self.bypassed
+    }
+
+    /// The packet's logic, given the index of its payload's scan in
+    /// `self.scan`.
+    fn inspect(&mut self, pkt: PacketView<'_>, scanned: usize, cost: &mut CostTracker) -> Verdict {
+        cost.compute(PARSE_CYCLES);
+        cost.read_lines(1.0);
+        let bytes = pkt.payload_len() as f64;
+        // Classify with the regex engine (protocol detection).
+        cost.accel_request(
+            ResourceKind::Regex,
+            bytes,
+            self.scan.total_matches(scanned) as f64,
+        );
+        cost.compute(90.0);
+        cost.read_lines(1.0);
+        cost.write_lines(1.0);
+        // TLS/compressed protocols bypass; everything else is compressed.
+        if self.scan.per_rule(scanned)[self.tls_idx] > 0 {
+            self.bypassed += 1;
+        } else {
+            cost.accel_request(ResourceKind::Compression, bytes, 0.0);
+            cost.compute(60.0);
+            cost.read_lines(1.0);
+            cost.write_lines(1.0);
+            self.compressed += 1;
+        }
+        // IPComp header rewrite.
+        cost.compute(40.0);
+        cost.write_lines(1.0);
+        Verdict::Forward
     }
 }
 
@@ -66,33 +98,14 @@ impl NetworkFunction for IpCompGateway {
     }
 
     fn process(&mut self, pkt: PacketView<'_>, cost: &mut CostTracker) -> Verdict {
-        cost.compute(PARSE_CYCLES);
-        cost.read_lines(1.0);
-        let bytes = pkt.payload_len() as f64;
-        // Classify with the regex engine (protocol detection).
-        self.rules.scan_into(pkt.payload, &mut self.scratch);
-        cost.accel_request(
-            ResourceKind::Regex,
-            bytes,
-            self.scratch.total_matches as f64,
-        );
-        cost.compute(90.0);
-        cost.read_lines(1.0);
-        cost.write_lines(1.0);
-        // TLS/compressed protocols bypass; everything else is compressed.
-        if self.scratch.per_rule[self.tls_idx] > 0 {
-            self.bypassed += 1;
-        } else {
-            cost.accel_request(ResourceKind::Compression, bytes, 0.0);
-            cost.compute(60.0);
-            cost.read_lines(1.0);
-            cost.write_lines(1.0);
-            self.compressed += 1;
-        }
-        // IPComp header rewrite.
-        cost.compute(40.0);
-        cost.write_lines(1.0);
-        Verdict::Forward
+        self.rules.scan_batch([pkt.payload], &mut self.scan);
+        self.inspect(pkt, 0, cost)
+    }
+
+    fn process_batch(&mut self, batch: &PacketBatch, cost: &mut CostTracker) -> usize {
+        self.rules
+            .scan_batch(batch.iter().map(|p| p.payload), &mut self.scan);
+        forwarded(batch, |i, pkt| self.inspect(pkt, i, cost))
     }
 
     fn wss_bytes(&self) -> f64 {

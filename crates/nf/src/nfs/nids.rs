@@ -4,12 +4,12 @@
 //! scan run as separate stages.
 
 use crate::cost::{CostTracker, HASH_CYCLES, PARSE_CYCLES, PROBE_CYCLES, UPDATE_CYCLES};
-use crate::runtime::{NetworkFunction, Verdict};
+use crate::runtime::{forwarded, NetworkFunction, Verdict};
 use crate::table::{FlowTable, Keys, Prefix, TableSpec};
-use yala_rxp::{l7_default_ruleset, Ruleset, ScanReport};
+use yala_rxp::{l7_default_ruleset, BatchScan, Ruleset};
 use yala_sim::{ExecutionPattern, ResourceKind};
 use yala_traffic::FiveTuple;
-use yala_traffic::PacketView;
+use yala_traffic::{PacketBatch, PacketView};
 
 /// The connection table: one insert per flow.
 const TABLE: TableSpec = TableSpec {
@@ -32,8 +32,9 @@ pub struct ConnState {
 pub struct Nids {
     table: FlowTable<ConnState>,
     rules: Ruleset,
-    /// Reusable scan scratch: keeps the per-packet hot loop allocation-free.
-    scratch: ScanReport,
+    /// The scan of the batch in hand, reused so a warm dataplane
+    /// allocates nothing.
+    scan: BatchScan,
     alerts: u64,
 }
 
@@ -43,7 +44,7 @@ impl Nids {
         let rules = l7_default_ruleset();
         Self {
             table: FlowTable::with_entry_bytes(TABLE.capacity, TABLE.entry_bytes),
-            scratch: ScanReport::with_rules(rules.len()),
+            scan: BatchScan::default(),
             rules,
             alerts: 0,
         }
@@ -58,24 +59,10 @@ impl Nids {
     pub fn conn(&mut self, flow: &FiveTuple) -> Option<ConnState> {
         self.table.get_mut(flow.hash64()).0.copied()
     }
-}
 
-impl Default for Nids {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NetworkFunction for Nids {
-    fn name(&self) -> &'static str {
-        "nids"
-    }
-
-    fn pattern(&self) -> ExecutionPattern {
-        ExecutionPattern::Pipeline
-    }
-
-    fn process(&mut self, pkt: PacketView<'_>, cost: &mut CostTracker) -> Verdict {
+    /// The packet's logic, given the index of its payload's scan in
+    /// `self.scan`.
+    fn inspect(&mut self, pkt: PacketView<'_>, scanned: usize, cost: &mut CostTracker) -> Verdict {
         // Stage 1 (CPU): parse + connection tracking.
         cost.compute(PARSE_CYCLES + HASH_CYCLES);
         cost.read_lines(1.0);
@@ -89,9 +76,9 @@ impl NetworkFunction for Nids {
             cost.compute(PROBE_CYCLES * p as f64 + UPDATE_CYCLES);
             cost.write_lines(p as f64);
         }
-        // Stage 2 (regex accelerator): signature scan.
-        self.rules.scan_into(pkt.payload, &mut self.scratch);
-        let total_matches = self.scratch.total_matches;
+        // Stage 2 (regex accelerator): signature scan, its matches
+        // counted by the scan of the batch.
+        let total_matches = self.scan.total_matches(scanned);
         cost.accel_request(
             ResourceKind::Regex,
             pkt.payload_len() as f64,
@@ -114,6 +101,33 @@ impl NetworkFunction for Nids {
             return Verdict::Drop;
         }
         Verdict::Forward
+    }
+}
+
+impl Default for Nids {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl NetworkFunction for Nids {
+    fn name(&self) -> &'static str {
+        "nids"
+    }
+
+    fn pattern(&self) -> ExecutionPattern {
+        ExecutionPattern::Pipeline
+    }
+
+    fn process(&mut self, pkt: PacketView<'_>, cost: &mut CostTracker) -> Verdict {
+        self.rules.scan_batch([pkt.payload], &mut self.scan);
+        self.inspect(pkt, 0, cost)
+    }
+
+    fn process_batch(&mut self, batch: &PacketBatch, cost: &mut CostTracker) -> usize {
+        self.rules
+            .scan_batch(batch.iter().map(|p| p.payload), &mut self.scan);
+        forwarded(batch, |i, pkt| self.inspect(pkt, i, cost))
     }
 
     fn wss_bytes(&self) -> f64 {

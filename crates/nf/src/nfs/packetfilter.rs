@@ -3,17 +3,18 @@
 //! packet size through the scan itself.
 
 use crate::cost::{CostTracker, PARSE_CYCLES};
-use crate::runtime::{NetworkFunction, Verdict};
-use yala_rxp::{l7_default_ruleset, Ruleset, ScanReport};
+use crate::runtime::{forwarded, NetworkFunction, Verdict};
+use yala_rxp::{l7_default_ruleset, BatchScan, Ruleset};
 use yala_sim::{ExecutionPattern, ResourceKind};
-use yala_traffic::PacketView;
+use yala_traffic::{PacketBatch, PacketView};
 
 /// The PacketFilter NF.
 #[derive(Debug, Clone)]
 pub struct PacketFilter {
     rules: Ruleset,
-    /// Reusable scan scratch: keeps the per-packet hot loop allocation-free.
-    scratch: ScanReport,
+    /// The scan of the batch in hand, reused so a warm dataplane
+    /// allocates nothing.
+    scan: BatchScan,
     dropped: u64,
     passed: u64,
 }
@@ -23,7 +24,7 @@ impl PacketFilter {
     pub fn new() -> Self {
         let rules = l7_default_ruleset();
         Self {
-            scratch: ScanReport::with_rules(rules.len()),
+            scan: BatchScan::default(),
             rules,
             dropped: 0,
             passed: 0,
@@ -38,6 +39,29 @@ impl PacketFilter {
     /// Packets passed so far.
     pub fn passed(&self) -> u64 {
         self.passed
+    }
+
+    /// The packet's logic, given the index of its payload's scan in
+    /// `self.scan`.
+    fn inspect(&mut self, pkt: PacketView<'_>, scanned: usize, cost: &mut CostTracker) -> Verdict {
+        cost.compute(PARSE_CYCLES);
+        cost.read_lines(1.0);
+        let total_matches = self.scan.total_matches(scanned);
+        cost.accel_request(
+            ResourceKind::Regex,
+            pkt.payload_len() as f64,
+            total_matches as f64,
+        );
+        cost.compute(70.0);
+        cost.read_lines(1.0);
+        cost.write_lines(1.0);
+        if total_matches > 0 {
+            self.dropped += 1;
+            Verdict::Drop
+        } else {
+            self.passed += 1;
+            Verdict::Forward
+        }
     }
 }
 
@@ -57,25 +81,14 @@ impl NetworkFunction for PacketFilter {
     }
 
     fn process(&mut self, pkt: PacketView<'_>, cost: &mut CostTracker) -> Verdict {
-        cost.compute(PARSE_CYCLES);
-        cost.read_lines(1.0);
-        self.rules.scan_into(pkt.payload, &mut self.scratch);
-        let total_matches = self.scratch.total_matches;
-        cost.accel_request(
-            ResourceKind::Regex,
-            pkt.payload_len() as f64,
-            total_matches as f64,
-        );
-        cost.compute(70.0);
-        cost.read_lines(1.0);
-        cost.write_lines(1.0);
-        if total_matches > 0 {
-            self.dropped += 1;
-            Verdict::Drop
-        } else {
-            self.passed += 1;
-            Verdict::Forward
-        }
+        self.rules.scan_batch([pkt.payload], &mut self.scan);
+        self.inspect(pkt, 0, cost)
+    }
+
+    fn process_batch(&mut self, batch: &PacketBatch, cost: &mut CostTracker) -> usize {
+        self.rules
+            .scan_batch(batch.iter().map(|p| p.payload), &mut self.scan);
+        forwarded(batch, |i, pkt| self.inspect(pkt, i, cost))
     }
 
     fn wss_bytes(&self) -> f64 {

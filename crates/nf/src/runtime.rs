@@ -59,13 +59,7 @@ pub trait NetworkFunction {
     /// equivalent vectorised loop, but must charge *identical* costs — the
     /// parity suite holds every implementation to the per-packet oracle.
     fn process_batch(&mut self, batch: &PacketBatch, cost: &mut CostTracker) -> usize {
-        let mut forwarded = 0usize;
-        for pkt in batch.iter() {
-            if self.process(pkt, cost) == Verdict::Forward {
-                forwarded += 1;
-            }
-        }
-        forwarded
+        forwarded(batch, |_, pkt| self.process(pkt, cost))
     }
 
     /// Current working-set footprint of the NF's live data structures.
@@ -80,6 +74,19 @@ pub trait NetworkFunction {
     fn warm(&mut self, prefix: &mut Prefix<'_>) {
         let _ = prefix;
     }
+}
+
+/// Runs `verdict` on each packet of `batch` with its index, in arrival
+/// order, and returns how many packets it forwarded.
+pub(crate) fn forwarded(
+    batch: &PacketBatch,
+    mut verdict: impl FnMut(usize, PacketView<'_>) -> Verdict,
+) -> usize {
+    batch
+        .iter()
+        .enumerate()
+        .filter(|&(i, pkt)| verdict(i, pkt) == Verdict::Forward)
+        .count()
 }
 
 /// The streaming measurement harness. A measurement is O(flows) set-up

@@ -9,9 +9,13 @@
 //! assertions every view is also materialized once to check its lookups
 //! against; that array is allowed for here, so the bound gates only a
 //! release build.
+//!
+//! A regex NF scans each batch into scratch it keeps, so once warm its
+//! cut allocates nothing that grows with the number of batches.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use yala_nf::nfs::flowstats::FlowStatsEntry;
 use yala_nf::nfs::nat::NatBinding;
 use yala_nf::runtime::{NetworkFunction, DEFAULT_SAMPLE_PACKETS};
@@ -59,21 +63,33 @@ const CUT_SLOTS: usize = 65_536;
 /// What a measurement allocates besides its tables: the NF, the
 /// workload it returns.
 const MARGIN: usize = 64 << 10;
+/// What two measurements of one cut may differ by in bytes allocated
+/// (one batch's scan rows are 6 KiB).
+const PER_RUN_SLACK: usize = 1 << 10;
 
 fn traffic(flows: u32) -> TrafficProfile {
     TrafficProfile::new(flows, 512, 300.0)
 }
 
-/// Bytes allocated by measuring `nf` at `flows`.
-fn measured_bytes(profiler: &mut Profiler, nf: &mut dyn NetworkFunction, flows: u32) -> usize {
+/// Held by each test: the tests read one process-wide byte counter, and
+/// no other test's tables may pass through the pool meanwhile.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Bytes allocated by measuring `nf` at `flows` over `packets` packets.
+fn measured_bytes(
+    profiler: &mut Profiler,
+    nf: &mut dyn NetworkFunction,
+    flows: u32,
+    packets: usize,
+) -> usize {
     let before = BYTES.load(Ordering::Relaxed);
-    profiler.profile(nf, traffic(flows), DEFAULT_SAMPLE_PACKETS, SEED);
+    profiler.profile(nf, traffic(flows), packets, SEED);
     BYTES.load(Ordering::Relaxed) - before
 }
 
-/// One test, so no other test's tables pass through the pool meanwhile.
 #[test]
 fn a_cut_allocates_its_values_and_no_probe_array() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     // Per kind: the value bytes of one flow, and its tables.
     let kinds = [
         (NfKind::FlowStats, std::mem::size_of::<FlowStatsEntry>(), 1),
@@ -86,11 +102,11 @@ fn a_cut_allocates_its_values_and_no_probe_array() {
         // replays the chain with layouts.
         for _ in 0..2 {
             let mut nf = kind.build();
-            measured_bytes(&mut profiler, nf.as_mut(), GROWN);
+            measured_bytes(&mut profiler, nf.as_mut(), GROWN, DEFAULT_SAMPLE_PACKETS);
             held.push(nf);
         }
         let mut nf = kind.build();
-        let bytes = measured_bytes(&mut profiler, nf.as_mut(), CUT);
+        let bytes = measured_bytes(&mut profiler, nf.as_mut(), CUT, DEFAULT_SAMPLE_PACKETS);
         let cross_check = if cfg!(debug_assertions) {
             tables * CUT_SLOTS * 16
         } else {
@@ -102,5 +118,33 @@ fn a_cut_allocates_its_values_and_no_probe_array() {
             "{kind}: a cut at {CUT} flows allocated {bytes} bytes, bound {bound}"
         );
         held.push(nf);
+    }
+}
+
+/// Streaming four times the packets, so four times the batches, through a
+/// warm regex NF's cut allocates no more than the default sample does.
+#[test]
+fn a_regex_cut_allocates_nothing_per_batch() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut held = Vec::new();
+    for kind in [NfKind::Nids, NfKind::FlowMonitor] {
+        let mut profiler = Profiler::new();
+        let mut measure = |flows, packets| {
+            let mut nf = kind.build();
+            let bytes = measured_bytes(&mut profiler, nf.as_mut(), flows, packets);
+            held.push(nf);
+            bytes
+        };
+        for _ in 0..2 {
+            measure(GROWN, DEFAULT_SAMPLE_PACKETS);
+        }
+        let sample = measure(CUT, DEFAULT_SAMPLE_PACKETS);
+        let longer = measure(CUT, 4 * DEFAULT_SAMPLE_PACKETS);
+        assert!(
+            longer <= sample + PER_RUN_SLACK,
+            "{kind}: a cut of {} packets allocated {longer} bytes, of {} packets {sample}",
+            4 * DEFAULT_SAMPLE_PACKETS,
+            DEFAULT_SAMPLE_PACKETS
+        );
     }
 }

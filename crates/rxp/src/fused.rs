@@ -43,6 +43,9 @@ pub const MAX_FUSED_GROUP: usize = 32;
 /// room to spare.
 pub const MAX_FUSED_BUDGET: usize = 1 << 22;
 
+/// Payloads [`FusedDfa::scan_lanes`] steps in lockstep.
+pub const LANES: usize = 4;
+
 /// A fused scanning DFA over up to [`MAX_FUSED_GROUP`] rules.
 ///
 /// The transition table packs, per `(state, byte-class)` entry, the
@@ -51,12 +54,14 @@ pub const MAX_FUSED_BUDGET: usize = 1 << 22;
 /// payload byte.
 #[derive(Debug, Clone)]
 pub struct FusedDfa {
-    /// Byte → equivalence-class index over the merged alphabet.
-    class_of: Vec<u16>,
+    /// Byte → equivalence-class index over the merged alphabet (an array,
+    /// so a byte indexes it unchecked).
+    class_of: Box<[u16; 256]>,
     n_classes: usize,
     /// `table[state_id * n_classes + class]` = `target_premultiplied << 32
     /// | match_mask`. Targets are premultiplied by `n_classes` so the scan
-    /// loop is a single add + load per byte.
+    /// loop is a single add + load per byte. Zero-padded to a power-of-two
+    /// length (see `FusedDfa::entry`); the padding is never reached.
     table: Vec<u64>,
     /// Premultiplied start state id.
     start: u32,
@@ -216,13 +221,15 @@ impl FusedDfa {
 
         // Pack premultiplied targets + match masks into one u64 per entry.
         let nc = n_classes as u64;
-        let table: Vec<u64> = targets
-            .iter()
-            .zip(&masks)
-            .map(|(&t, &m)| ((t as u64 * nc) << 32) | m as u64)
-            .collect();
+        let mut table = vec![0u64; targets.len().next_power_of_two()];
+        for (entry, (&t, &m)) in table.iter_mut().zip(targets.iter().zip(&masks)) {
+            *entry = ((t as u64 * nc) << 32) | m as u64;
+        }
         Ok(Self {
-            class_of,
+            class_of: class_of
+                .into_boxed_slice()
+                .try_into()
+                .expect("one class per byte"),
             n_classes,
             table,
             start: start * n_classes as u32,
@@ -233,21 +240,102 @@ impl FusedDfa {
 
     /// Scans `payload` once, accumulating match counts into `per_rule`
     /// (indexed by ruleset rule id; entries for other groups untouched).
+    ///
+    /// This is the one-lane remainder of [`FusedDfa::scan_lanes`].
     pub fn scan_into(&self, payload: &[u8], per_rule: &mut [usize]) {
-        let mut cur = self.start as usize;
-        for &b in payload {
+        let end = self.step(self.start as usize, payload, per_rule);
+        self.count(self.eof_mask[end / self.n_classes], per_rule);
+    }
+
+    /// Scans up to [`LANES`] payloads, accumulating lane `k`'s counts into
+    /// `rows[k * n_rules..(k + 1) * n_rules]` (indexed by ruleset rule
+    /// id, like [`FusedDfa::scan_into`]'s `per_rule`).
+    ///
+    /// Four payloads step in lockstep over their common length, so four
+    /// independent state chains overlap where one chain would wait on
+    /// each table load; the four match masks are tested once per step
+    /// and counted only when one is set. Each lane then finishes its own
+    /// tail and end-of-payload mask one lane at a time. Fewer than four
+    /// payloads scan one lane at a time. The counts equal
+    /// [`FusedDfa::scan_into`]'s on each payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` holds more than [`LANES`] payloads or `rows` is
+    /// shorter than `lanes.len() * n_rules`.
+    pub fn scan_lanes(&self, lanes: &[&[u8]], rows: &mut [usize], n_rules: usize) {
+        assert!(lanes.len() <= LANES, "at most {LANES} lanes");
+        let mut ends = [self.start as usize; LANES];
+        let mut stepped = 0;
+        if let [p0, p1, p2, p3] = *lanes {
+            stepped = p0.len().min(p1.len()).min(p2.len()).min(p3.len());
+            let (p0, p1, p2, p3) = (
+                &p0[..stepped],
+                &p1[..stepped],
+                &p2[..stepped],
+                &p3[..stepped],
+            );
+            let [mut c0, mut c1, mut c2, mut c3] = ends;
+            for i in 0..stepped {
+                let e0 = self.entry(c0, p0[i]);
+                let e1 = self.entry(c1, p1[i]);
+                let e2 = self.entry(c2, p2[i]);
+                let e3 = self.entry(c3, p3[i]);
+                c0 = (e0 >> 32) as usize;
+                c1 = (e1 >> 32) as usize;
+                c2 = (e2 >> 32) as usize;
+                c3 = (e3 >> 32) as usize;
+                if (e0 | e1 | e2 | e3) as u32 != 0 {
+                    self.count_lanes([e0, e1, e2, e3].map(|e| e as u32), rows, n_rules);
+                }
+            }
+            ends = [c0, c1, c2, c3];
+        }
+        for (k, (lane, end)) in lanes.iter().zip(&mut ends).enumerate() {
+            let row = &mut rows[k * n_rules..(k + 1) * n_rules];
+            *end = self.step(*end, &lane[stepped..], row);
+            self.count(self.eof_mask[*end / self.n_classes], row);
+        }
+    }
+
+    /// Steps one lane from premultiplied state `cur` over `bytes`,
+    /// counting the rules that complete into `per_rule`; returns the
+    /// state reached. One chain waits on each load, so the index is
+    /// bounds-checked beside the chain rather than masked on it (as
+    /// [`FusedDfa::entry`] does for the lanes).
+    fn step(&self, mut cur: usize, bytes: &[u8], per_rule: &mut [usize]) -> usize {
+        for &b in bytes {
             let e = self.table[cur + self.class_of[b as usize] as usize];
             cur = (e >> 32) as usize;
-            let mut m = e as u32;
-            while m != 0 {
-                per_rule[self.rule_ids[m.trailing_zeros() as usize] as usize] += 1;
-                m &= m - 1;
-            }
+            self.count(e as u32, per_rule);
         }
-        let mut m = self.eof_mask[cur / self.n_classes];
-        while m != 0 {
-            per_rule[self.rule_ids[m.trailing_zeros() as usize] as usize] += 1;
-            m &= m - 1;
+        cur
+    }
+
+    /// The entry stepping premultiplied state `cur` on `byte`. The table's
+    /// length is a power of two, so masking the index (a no-op on every
+    /// index the automaton forms) bounds it without a check: four lanes
+    /// are bound by instructions issued, not by one chain's latency.
+    #[inline(always)]
+    fn entry(&self, cur: usize, byte: u8) -> u64 {
+        self.table[(cur + self.class_of[byte as usize] as usize) & (self.table.len() - 1)]
+    }
+
+    /// Counts lane `k`'s match mask `masks[k]` into its row of `rows`. Out
+    /// of line and cold, so the lockstep loop keeps its registers.
+    #[cold]
+    #[inline(never)]
+    fn count_lanes(&self, masks: [u32; LANES], rows: &mut [usize], n_rules: usize) {
+        for (mask, row) in masks.into_iter().zip(rows.chunks_mut(n_rules)) {
+            self.count(mask, row);
+        }
+    }
+
+    /// Bumps the counter of each rule whose bit is set in `mask`.
+    fn count(&self, mut mask: u32, per_rule: &mut [usize]) {
+        while mask != 0 {
+            per_rule[self.rule_ids[mask.trailing_zeros() as usize] as usize] += 1;
+            mask &= mask - 1;
         }
     }
 

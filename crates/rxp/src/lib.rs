@@ -22,7 +22,8 @@
 //! * [`fused`] — the fused multi-pattern DFA: the whole ruleset compiled
 //!   into one automaton (as real RXP hardware does), emitting per-rule
 //!   match counts in a single pass, with transparent per-rule fallback
-//!   under the state budget.
+//!   under the state budget; a batch's payloads step through it four at
+//!   a time in lockstep.
 //! * [`Regex`] — the compiled form; [`Ruleset`] — a multi-pattern set with
 //!   per-rule match counting and an L7-filter-style default set.
 //!
@@ -46,4 +47,4 @@ pub mod ruleset;
 pub use crate::regex::{CompileRegexError, Regex};
 pub use classes::ClassSet;
 pub use fused::{FusedDfa, FusedScanner};
-pub use ruleset::{l7_default_ruleset, Rule, Ruleset, ScanReport};
+pub use ruleset::{l7_default_ruleset, BatchScan, Rule, Ruleset, ScanReport};

@@ -6,7 +6,7 @@
 //! traffic generator can plant matches at a controlled MTBR.
 
 use crate::dfa::MAX_DFA_STATES;
-use crate::fused::{FusedScanner, RuleNfa};
+use crate::fused::{FusedScanner, RuleNfa, LANES};
 use crate::regex::{compile_parts, CompileRegexError, Regex};
 use std::sync::Arc;
 
@@ -24,8 +24,9 @@ pub struct Rule {
 /// Scanning runs on a *fused* multi-pattern DFA (see [`crate::fused`]):
 /// all rules whose fusion fits the state budget share one automaton and
 /// one O(len) pass; the rest transparently scan with their standalone
-/// per-rule DFAs. [`Ruleset::scan`] / [`Ruleset::scan_into`] behave
-/// identically whichever strategy was chosen.
+/// per-rule DFAs. [`Ruleset::scan`], [`Ruleset::scan_into`] and
+/// [`Ruleset::scan_batch`] behave identically whichever strategy was
+/// chosen.
 ///
 /// The compiled form is immutable and internally reference-counted, so
 /// cloning a `Ruleset` (every regex NF holds one) is O(1) and shares the
@@ -88,6 +89,51 @@ impl ScanReport {
             return 0.0;
         }
         self.total_matches as f64 / self.bytes_scanned as f64 * 1_000_000.0
+    }
+}
+
+/// Results of scanning a batch of payloads against a [`Ruleset`]: the
+/// reusable scratch for [`Ruleset::scan_batch`], allocation-free once it
+/// has held a batch of the same size.
+#[derive(Debug, Clone, Default)]
+pub struct BatchScan {
+    n_rules: usize,
+    /// Payload `i`'s per-rule counts at `i * n_rules..(i + 1) * n_rules`.
+    per_rule: Vec<usize>,
+    totals: Vec<usize>,
+    /// The per-payload report each result is checked against under debug
+    /// assertions.
+    check: ScanReport,
+}
+
+impl BatchScan {
+    /// Payloads scanned.
+    pub fn len(&self) -> usize {
+        self.totals.len()
+    }
+
+    /// Whether no payload was scanned.
+    pub fn is_empty(&self) -> bool {
+        self.totals.is_empty()
+    }
+
+    /// Payload `i`'s match count summed over rules.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn total_matches(&self, i: usize) -> usize {
+        self.totals[i]
+    }
+
+    /// Payload `i`'s match count per rule, in ruleset order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    pub fn per_rule(&self, i: usize) -> &[usize] {
+        assert!(i < self.len(), "payload {i} of {}", self.len());
+        &self.per_rule[i * self.n_rules..(i + 1) * self.n_rules]
     }
 }
 
@@ -165,6 +211,61 @@ impl Ruleset {
         }
         report.total_matches = report.per_rule.iter().sum();
         report.bytes_scanned = payload.len();
+    }
+
+    /// Scans every payload of `payloads` into `out`, replacing what it
+    /// held: payload `i`'s counts are `out.per_rule(i)` and
+    /// `out.total_matches(i)`, equal to what [`Ruleset::scan_into`] reports
+    /// for it.
+    ///
+    /// Payloads are taken [`LANES`] at a time and each fused group steps
+    /// them in lockstep ([`crate::FusedDfa::scan_lanes`]); fallback rules
+    /// scan per payload. Under debug assertions every payload is scanned
+    /// again through [`Ruleset::scan_into`] and compared.
+    pub fn scan_batch<'p, I>(&self, payloads: I, out: &mut BatchScan)
+    where
+        I: IntoIterator<Item = &'p [u8]>,
+    {
+        let n_rules = self.len();
+        out.n_rules = n_rules;
+        out.per_rule.clear();
+        out.totals.clear();
+        let mut payloads = payloads.into_iter().fuse();
+        let mut lanes: [&[u8]; LANES] = [&[]; LANES];
+        loop {
+            let mut k = 0;
+            for (lane, p) in lanes.iter_mut().zip(&mut payloads) {
+                *lane = p;
+                k += 1;
+            }
+            if k == 0 {
+                break;
+            }
+            let lanes = &lanes[..k];
+            let first = out.totals.len();
+            out.per_rule.resize((first + k) * n_rules, 0);
+            let rows = &mut out.per_rule[first * n_rules..];
+            for group in self.inner.fused.groups() {
+                group.scan_lanes(lanes, rows, n_rules);
+            }
+            for (i, lane) in lanes.iter().enumerate() {
+                let row = &mut rows[i * n_rules..(i + 1) * n_rules];
+                for &ri in self.inner.fused.fallback_rules() {
+                    row[ri as usize] = self.inner.rules[ri as usize].regex.count_matches(lane);
+                }
+                let total = row.iter().sum();
+                out.totals.push(total);
+                if cfg!(debug_assertions) {
+                    self.scan_into(lane, &mut out.check);
+                    assert_eq!(
+                        (&*row, total),
+                        (&out.check.per_rule[..], out.check.total_matches),
+                        "payload {} of the batch: lane scan diverged from scan_into",
+                        first + i
+                    );
+                }
+            }
+        }
     }
 
     /// Reference scan that runs every rule's standalone DFA — one pass per

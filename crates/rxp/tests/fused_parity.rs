@@ -3,10 +3,12 @@
 //! scan (`Ruleset::scan_per_rule`, one standalone DFA pass per rule) on
 //! every input — seeds, planted-match payloads across MTBR levels, every
 //! anchor flavour, and payload lengths 0–4096. The fused path is only a
-//! performance strategy; any observable difference is a bug.
+//! performance strategy; any observable difference is a bug. A batch
+//! scan (`Ruleset::scan_batch`, four payloads stepped in lockstep) must
+//! report, for each payload, what `scan_into` and the oracle report.
 
 use yala_rxp::ruleset::match_seeds;
-use yala_rxp::{l7_default_ruleset, Ruleset, ScanReport};
+use yala_rxp::{l7_default_ruleset, BatchScan, Ruleset, ScanReport};
 
 /// Deterministic LCG so the corpus is reproducible without pulling the
 /// traffic crate (which depends on this one).
@@ -227,4 +229,171 @@ fn scratch_reuse_is_stateless() {
     };
     rs.scan_into(payload, &mut scratch);
     assert_eq!(scratch, expected);
+}
+
+/// Asserts that scanning `payloads` as one batch into `batch` (reused,
+/// so it holds whatever the last batch left) reports, for each payload,
+/// what `scan_into` and the per-rule oracle report.
+fn assert_batch_parity(rs: &Ruleset, batch: &mut BatchScan, payloads: &[Vec<u8>], what: &str) {
+    rs.scan_batch(payloads.iter().map(Vec::as_slice), batch);
+    assert_eq!(batch.len(), payloads.len(), "{what}: payloads scanned");
+    let mut scratch = ScanReport::default();
+    for (i, p) in payloads.iter().enumerate() {
+        let oracle = rs.scan_per_rule(p);
+        rs.scan_into(p, &mut scratch);
+        assert_eq!(scratch, oracle, "{what}: scan_into of payload {i}");
+        assert_eq!(batch.per_rule(i), oracle.per_rule, "{what}: payload {i}");
+        assert_eq!(
+            batch.total_matches(i),
+            oracle.total_matches,
+            "{what}: payload {i}"
+        );
+    }
+}
+
+/// Filler payloads of the given lengths, each with about one planted
+/// seed per 200 bytes.
+fn corpus(rng: &mut Lcg, lens: &[usize]) -> Vec<Vec<u8>> {
+    lens.iter()
+        .map(|&len| payload_with_seeds(rng, len, len / 200))
+        .collect()
+}
+
+#[test]
+fn batch_parity_across_batch_sizes() {
+    let rs = l7_default_ruleset();
+    let mut batch = BatchScan::default();
+    let mut rng = Lcg(0xBA7C);
+    for n in [0usize, 1, 3, 4, 5, 64] {
+        let equal = corpus(&mut rng, &vec![1500; n]);
+        assert_batch_parity(&rs, &mut batch, &equal, &format!("{n} x 1500 B"));
+        let lens: Vec<usize> = (0..n).map(|_| rng.below(1600)).collect();
+        let unequal = corpus(&mut rng, &lens);
+        assert_batch_parity(&rs, &mut batch, &unequal, &format!("{n} of {lens:?} B"));
+    }
+}
+
+/// Empty and unequal payloads in every lane of a four-payload group, and
+/// groups whose shortest payload is in each lane.
+#[test]
+fn batch_parity_on_unequal_and_empty_lanes() {
+    let rs = l7_default_ruleset();
+    let mut batch = BatchScan::default();
+    let mut rng = Lcg(0xE3);
+    let shapes: &[[usize; 4]] = &[
+        [0, 0, 0, 0],
+        [0, 700, 700, 700],
+        [700, 0, 700, 700],
+        [700, 700, 0, 700],
+        [700, 700, 700, 0],
+        [1, 0, 1500, 7],
+        [1500, 64, 65, 1499],
+        [30, 1500, 1500, 1500],
+        [1500, 1500, 30, 1500],
+    ];
+    for shape in shapes {
+        for _ in 0..5 {
+            let payloads = corpus(&mut rng, shape);
+            assert_batch_parity(&rs, &mut batch, &payloads, &format!("lanes {shape:?}"));
+            // The same group after a full one, and a group of five.
+            let mut two = corpus(&mut rng, &[400; 4]);
+            two.extend(payloads.iter().cloned());
+            assert_batch_parity(&rs, &mut batch, &two, &format!("4 x 400 then {shape:?}"));
+            two.push(payloads[0].clone());
+            assert_batch_parity(&rs, &mut batch, &two, &format!("... {shape:?} and one"));
+        }
+    }
+}
+
+/// A seed whose last byte is its lane's last byte, in each lane, with that
+/// lane the shortest of its group (its end is the lockstep's end), in the
+/// middle, and the longest (its end is in its own tail).
+#[test]
+fn batch_parity_with_a_seed_ending_on_a_lane_end() {
+    let rs = l7_default_ruleset();
+    let mut batch = BatchScan::default();
+    let mut rng = Lcg(0x5EED);
+    for (name, seed) in match_seeds() {
+        for lane in 0..4 {
+            for len in [seed.len(), 200, 600, 1000] {
+                let mut payloads = corpus(&mut rng, &[600; 4]);
+                let mut p = payload_with_seeds(&mut rng, len, 0);
+                p[len - seed.len()..].copy_from_slice(seed);
+                payloads[lane] = p;
+                let what = format!("{name} ending lane {lane} of {len} B");
+                assert_batch_parity(&rs, &mut batch, &payloads, &what);
+            }
+        }
+    }
+}
+
+/// `^…`, `…$` and `^…$` rules matching, or just missing, at each lane's end
+/// of payload.
+#[test]
+fn batch_parity_on_anchors_at_each_lane_end() {
+    let rs = Ruleset::compile(vec![
+        ("head", r"^GET [a-z]+"),
+        ("tail", r"[0-9]{3}$"),
+        ("exact", r"^HELLO$"),
+        ("plain", r"abc"),
+        ("reset", r"aa"),
+    ])
+    .unwrap();
+    let mut batch = BatchScan::default();
+    let mut rng = Lcg(0xA4C);
+    let alpha = b"abcdogGET xyzw123HELOfr";
+    let ends: &[&[u8]] = &[
+        b"HELLO", b"HELLO ", b"GET abc", b"x 123", b"x 12", b"123 ", b"aa",
+    ];
+    for lane in 0..4 {
+        for end in ends {
+            for len in [0usize, 3, 40, 90] {
+                let mut payloads: Vec<Vec<u8>> = (0..4)
+                    .map(|_| (0..60).map(|_| alpha[rng.below(alpha.len())]).collect())
+                    .collect();
+                let mut p: Vec<u8> = (0..len).map(|_| alpha[rng.below(alpha.len())]).collect();
+                p.extend_from_slice(end);
+                payloads[lane] = p;
+                payloads.push(end.to_vec());
+                let what = format!("{end:?} ending lane {lane} after {len} B");
+                assert_batch_parity(&rs, &mut batch, &payloads, &what);
+            }
+        }
+    }
+}
+
+/// A budget too small to fuse anything, and one that splits the rules:
+/// the batch scan counts fallback rules per payload.
+#[test]
+fn batch_parity_under_forced_fallback() {
+    let patterns = vec![
+        ("http", r"(?i)(get|post) /[!-~]* http/1\.[01]"),
+        ("ssh", r"(?i)ssh-[12]\.[0-9]"),
+        ("sqli", r"(?i)' or 1=1"),
+        ("tail", r"[0-9]{3}$"),
+        ("head", r"^SSH"),
+    ];
+    let unfused = Ruleset::compile_with_budget(patterns.clone(), 1).unwrap();
+    let split = Ruleset::compile_with_budget(patterns, 40).unwrap();
+    assert_eq!(unfused.fused_rule_count(), 0, "budget 1 fuses nothing");
+    assert!(split.fused_rule_count() > 0 && split.fused_rule_count() < split.len());
+    let mut batch = BatchScan::default();
+    let mut rng = Lcg(0xFA11);
+    for n in [1usize, 4, 5, 64] {
+        let mut payloads: Vec<Vec<u8>> = (0..n)
+            .map(|_| {
+                let len = rng.below(700);
+                let mut p = payload_with_seeds(&mut rng, len, 1);
+                if len > 40 {
+                    p[..20].copy_from_slice(b"GET /idx http/1.1 qq");
+                    p[len - 3..].copy_from_slice(b"123");
+                }
+                p
+            })
+            .collect();
+        payloads.push(b"SSH-2.0 999".to_vec());
+        for (rs, what) in [(&unfused, "unfused"), (&split, "split")] {
+            assert_batch_parity(rs, &mut batch, &payloads, &format!("{what}, {n} payloads"));
+        }
+    }
 }
