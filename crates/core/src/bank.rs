@@ -142,6 +142,13 @@ impl<M> ModelBank<M> {
     /// counts, and the first spec's cells reproduce the homogeneous
     /// single-spec training exactly.
     ///
+    /// The engine runs one job per NF kind, claimed in the order of the
+    /// kind's first cell: the kind's cells on every spec, in index order,
+    /// on one worker. An NF's packet replay does not depend on the NIC,
+    /// so the worker's `cached_workload` cache and profiler family serve
+    /// the kind's later cells from its first cell's measurements. Both
+    /// are exact, so each cell is still a pure function of its index.
+    ///
     /// # Panics
     ///
     /// Panics if two specs share a model name (the portfolio must list
@@ -152,15 +159,32 @@ impl<M> ModelBank<M> {
         F: Fn(&NicSpec, NfKind, usize) -> M + Sync,
     {
         let cells = matrix_cells(specs, kinds);
-        let trained = engine.run(cells.len(), |i| {
-            let (s, kind) = cells[i];
-            train(&specs[s], kind, i)
-        });
+        let mut jobs: Vec<Vec<usize>> = Vec::new();
+        for (i, &(_, kind)) in cells.iter().enumerate() {
+            match jobs.iter_mut().find(|job| cells[job[0]].1 == kind) {
+                Some(job) => job.push(i),
+                None => jobs.push(vec![i]),
+            }
+        }
+        let mut trained: Vec<(usize, M)> = engine
+            .run(jobs.len(), |j| {
+                jobs[j]
+                    .iter()
+                    .map(|&i| {
+                        let (s, kind) = cells[i];
+                        (i, train(&specs[s], kind, i))
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        trained.sort_unstable_by_key(|&(i, _)| i);
         Self {
             entries: cells
                 .iter()
                 .zip(trained)
-                .map(|(&(s, kind), v)| (specs[s].model(), kind, v))
+                .map(|(&(s, kind), (_, v))| (specs[s].model(), kind, v))
                 .collect(),
         }
     }
@@ -290,29 +314,65 @@ mod tests {
         bank.expect(NicSpec::bluefield2().model(), NfKind::Acl);
     }
 
+    const MIXED_KINDS: [NfKind; 3] = [NfKind::FlowStats, NfKind::Nids, NfKind::Firewall];
+
+    /// The `(spec, kind, index)` cells of a BF-2 + Pensando portfolio
+    /// over [`MIXED_KINDS`], in entry order.
+    fn mixed_cells() -> Vec<(String, NfKind, usize)> {
+        // BF-2 trains FlowStats + Nids (no Firewall: Pensando-only NF);
+        // Pensando trains FlowStats + Firewall (no Nids: no regex engine).
+        vec![
+            ("bluefield2".to_string(), NfKind::FlowStats, 0),
+            ("bluefield2".to_string(), NfKind::Nids, 1),
+            ("pensando".to_string(), NfKind::FlowStats, 2),
+            ("pensando".to_string(), NfKind::Firewall, 3),
+        ]
+    }
+
     #[test]
     fn matrix_respects_profiling_matrix_and_indexing() {
         let specs = [NicSpec::bluefield2(), NicSpec::pensando()];
-        let kinds = [NfKind::FlowStats, NfKind::Nids, NfKind::Firewall];
         // Record which (spec, kind, index) triples training saw.
-        let bank = ModelBank::train_matrix(&specs, &kinds, &Engine::sequential(), |s, k, i| {
-            (s.name.clone(), k, i)
-        });
+        let bank =
+            ModelBank::train_matrix(&specs, &MIXED_KINDS, &Engine::sequential(), |s, k, i| {
+                (s.name.clone(), k, i)
+            });
         let cells: Vec<_> = bank.iter().map(|(_, _, v)| v.clone()).collect();
-        // BF-2 trains FlowStats + Nids (no Firewall: Pensando-only NF);
-        // Pensando trains FlowStats + Firewall (no Nids: no regex engine).
-        assert_eq!(
-            cells,
-            vec![
-                ("bluefield2".to_string(), NfKind::FlowStats, 0),
-                ("bluefield2".to_string(), NfKind::Nids, 1),
-                ("pensando".to_string(), NfKind::FlowStats, 2),
-                ("pensando".to_string(), NfKind::Firewall, 3),
-            ]
-        );
+        assert_eq!(cells, mixed_cells());
         // First spec's cells use indices 0..: the homogeneous seed layout.
         let bf2 = specs[0].model();
         assert_eq!(bank.kinds_for(bf2), vec![NfKind::FlowStats, NfKind::Nids]);
+    }
+
+    #[test]
+    fn a_kinds_cells_train_in_index_order_on_one_worker() {
+        let specs = [NicSpec::bluefield2(), NicSpec::pensando()];
+        let calls = std::sync::Mutex::new(Vec::new());
+        let bank =
+            ModelBank::train_matrix(&specs, &MIXED_KINDS, &Engine::with_threads(3), |s, k, i| {
+                // Long enough that three workers each claim work at once.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                calls
+                    .lock()
+                    .unwrap()
+                    .push((std::thread::current().id(), k, i));
+                (s.name.clone(), k, i)
+            });
+        let calls = calls.into_inner().unwrap();
+        assert_eq!(calls.len(), 4, "every cell trained once");
+        for kind in MIXED_KINDS {
+            let ran: Vec<_> = calls.iter().filter(|c| c.1 == kind).collect();
+            assert!(
+                ran.iter().all(|c| c.0 == ran[0].0),
+                "{kind}'s cells ran on more than one worker: {calls:?}"
+            );
+            assert!(
+                ran.windows(2).all(|w| w[0].2 < w[1].2),
+                "{kind}'s cells ran out of index order: {calls:?}"
+            );
+        }
+        let cells: Vec<_> = bank.iter().map(|(_, _, v)| v.clone()).collect();
+        assert_eq!(cells, mixed_cells(), "entry order and indices");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::memory_model::{
     traffic_aware_features, MemoryModel, N_COUNTER_FEATURES, N_TRAFFIC_FEATURES,
 };
 use crate::observe::{Observation, Refinable};
-use crate::profiler::{memory_dataset_fixed, MemLevel};
+use crate::profiler::{cached_workload, memory_dataset_fixed, MemLevel};
 use std::borrow::Cow;
 use yala_ml::{CellMemo, Dataset, GbrParams};
 use yala_nf::NfKind;
@@ -126,7 +126,7 @@ impl YalaModel {
                     mtbr,
                     ..TrafficProfile::default()
                 };
-                kind.workload(p, kind as usize as u64)
+                cached_workload(kind, p, kind as usize as u64)
             };
             if let Some(m) = infer_service_model(sim, kind_a, &mut workload_at, &cfg.infer) {
                 cost += cfg.infer.mtbrs.len();
@@ -158,7 +158,7 @@ impl YalaModel {
             // Single-resource NF: composition is vacuous.
             return ExecutionPattern::RunToCompletion;
         };
-        let target = kind.workload(TrafficProfile::default(), kind as usize as u64);
+        let target = cached_workload(kind, TrafficProfile::default(), kind as usize as u64);
         let mem = MemLevel {
             car: 1.5e8,
             wss: 8e6,

@@ -9,11 +9,14 @@
 //!    placement preparation.
 
 use yala::core::adaptive::{adaptive_profile_all, AdaptiveConfig, TrafficRanges};
-use yala::core::{Engine, ModelBank, QosClass, TrainConfig};
+use yala::core::bank::matrix_cells;
+use yala::core::engine::{scenario_seed, simulator_for};
+use yala::core::{Engine, ModelBank, QosClass, TrainConfig, YalaModel};
 use yala::nf::runtime::{build_workload_per_packet, Profiler, DEFAULT_SAMPLE_PACKETS};
 use yala::nf::NfKind;
 use yala::placement::{prepare_all, Arrival};
 use yala::sim::NicSpec;
+use yala::slomo::{default_mem_grid, train_slomo_bank};
 use yala::traffic::TrafficProfile;
 
 /// `process_batch` must change *nothing* about the measured demand: the
@@ -120,6 +123,56 @@ fn parallel_model_training_matches_sequential() {
         train(Engine::with_threads(2)),
         "parallel training diverged"
     );
+}
+
+/// A mixed portfolio gives a kind cells on both NIC models, so the engine
+/// runs kind jobs of two cells next to jobs of one (Nids: BF-2 only).
+/// The Yala and SLOMO banks equal the sequential ones at every width, and
+/// the Yala bank equals its cells trained each on a fresh thread, where
+/// no cell inherits another's measurements.
+#[test]
+fn kind_jobs_train_a_mixed_portfolio_like_sequential() {
+    let specs = [NicSpec::bluefield2(), NicSpec::pensando()];
+    let kinds = [NfKind::FlowStats, NfKind::Nat, NfKind::Nids];
+    let cfg = TrainConfig {
+        adaptive: AdaptiveConfig {
+            quota: 50,
+            ..AdaptiveConfig::default()
+        },
+        ..TrainConfig::default()
+    };
+    let yala = |engine| ModelBank::train_yala(&specs, 0.005, &kinds, &cfg, &engine);
+    let grid = default_mem_grid();
+    let slomo = |engine| train_slomo_bank(&specs, 0.005, &kinds, &grid, 7, &engine);
+    let (yala_seq, slomo_seq) = (yala(Engine::sequential()), slomo(Engine::sequential()));
+    assert_eq!(yala_seq.len(), 5);
+    let mut per_cell = ModelBank::new();
+    for (i, (s, kind)) in matrix_cells(&specs, &kinds).into_iter().enumerate() {
+        let train = || {
+            let mut sim = simulator_for(&specs[s], 0.005, scenario_seed(cfg.seed, i));
+            YalaModel::train(&mut sim, kind, &cfg)
+        };
+        let model = std::thread::scope(|scope| scope.spawn(train).join().expect("cell"));
+        per_cell.insert(specs[s].model(), kind, model);
+    }
+    assert_eq!(
+        yala_seq, per_cell,
+        "kind jobs diverged from per-cell training"
+    );
+    assert_eq!(slomo_seq.len(), 5);
+    for threads in [2, 3] {
+        let engine = Engine::with_threads(threads);
+        assert_eq!(
+            yala(engine),
+            yala_seq,
+            "Yala bank diverged at {threads} threads"
+        );
+        assert_eq!(
+            slomo(engine),
+            slomo_seq,
+            "SLOMO bank diverged at {threads} threads"
+        );
+    }
 }
 
 /// Parallel placement preparation reproduces the sequential arrival loop
