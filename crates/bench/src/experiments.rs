@@ -19,13 +19,14 @@ use rand::{seq::SliceRandom, Rng, SeedableRng};
 use yala_core::adaptive::{
     adaptive_profile, full_profile, random_profile, AdaptiveConfig, TrafficRanges,
 };
+use yala_core::baseline::{default_mem_grid, SlomoModel};
 use yala_core::composition::{compose, compose_min, compose_sum};
+use yala_core::diagnosis::{correctness, diagnose_slomo, diagnose_yala};
 use yala_core::memory_model::MemoryModel;
 use yala_core::profiler::{
     bench_counters, cached_workload, mem_bench_contender, regex_bench_contender, MemLevel,
 };
 use yala_core::{Contender, QosClass, TrainConfig, YalaModel};
-use yala_diagnosis::{correctness, diagnose_slomo, diagnose_yala};
 use yala_ml::metrics;
 use yala_nf::bench::{
     compression_bench, mem_bench, regex_bench, regex_nf, synthetic_nf1, synthetic_nf2,
@@ -36,7 +37,6 @@ use yala_placement::{
     YalaPredictor,
 };
 use yala_sim::{CounterSample, ExecutionPattern, NicSpec, ResourceKind, Simulator, WorkloadSpec};
-use yala_slomo::{default_mem_grid, SlomoModel};
 use yala_telemetry::Telemetry;
 use yala_traffic::TrafficProfile;
 

@@ -16,12 +16,12 @@ pub mod experiments;
 pub mod record;
 
 use std::collections::HashMap;
+use yala_core::baseline::{default_mem_grid, train_slomo_bank, SlomoModel};
 use yala_core::profiler::cached_workload;
 use yala_core::{Contender, Engine, ModelBank, TrainConfig, YalaModel};
 use yala_ml::metrics;
 use yala_nf::NfKind;
 use yala_sim::{CounterSample, NicModelId, NicSpec, Simulator, WorkloadSpec};
-use yala_slomo::{default_mem_grid, train_slomo_bank, SlomoModel};
 use yala_traffic::TrafficProfile;
 
 /// Measurement noise used across experiments (≈ real counter jitter).

@@ -17,12 +17,11 @@
 //! a line gives the traffic-aware law.
 
 use crate::contender::{total_pressure, Contender};
-use serde::{Deserialize, Serialize};
 use yala_ml::{Dataset, LinearRegression};
 use yala_sim::{ResourceKind, Simulator, WorkloadSpec};
 
 /// A fitted per-NF accelerator service model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccelServiceModel {
     /// Which accelerator this models.
     pub kind: ResourceKind,

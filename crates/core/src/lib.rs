@@ -33,6 +33,10 @@
 //!   `(context, outcome)` pairs buffered into an [`ObservationBuffer`]
 //!   and absorbed back into the trained banks ([`bank::ModelBank::refine`]),
 //!   turning train-once values into versioned, refinable state.
+//! * [`baseline`] — the SLOMO baseline (§7.1): Yala's fixed-traffic memory
+//!   curve plus a solo-throughput ratio, blind to accelerator contention.
+//! * [`diagnosis`] — bottleneck diagnosis (§7.5.2) and the diagnosis-guided
+//!   victim election behind reactive migration.
 //!
 //! # Example
 //!
@@ -56,8 +60,10 @@
 pub mod accel_model;
 pub mod adaptive;
 pub mod bank;
+pub mod baseline;
 pub mod composition;
 pub mod contender;
+pub mod diagnosis;
 pub mod engine;
 pub mod memory_model;
 pub mod observe;
@@ -80,3 +86,6 @@ pub use profile_cache::{
 };
 pub use qos::QosClass;
 pub use yala_ml::{CellMemo, WordMemo};
+
+#[cfg(test)]
+mod tests;

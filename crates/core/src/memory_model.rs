@@ -2,7 +2,6 @@
 //! over the competitors' aggregate Table 11 counters, optionally augmented
 //! with the target's traffic-attribute vector (§5.1.2).
 
-use serde::{Deserialize, Serialize};
 use yala_ml::{CellMemo, Dataset, GbrParams, GradientBoostingRegressor};
 use yala_sim::CounterSample;
 use yala_traffic::TrafficProfile;
@@ -18,7 +17,7 @@ pub const N_TRAFFIC_FEATURES: usize = 3;
 /// on the extended dataset with the original parameters and seed, so a
 /// refined model is a pure function of `(training data, absorbed rows)`
 /// — bit-identical wherever and whenever the refit runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryModel {
     gbr: GradientBoostingRegressor,
     traffic_aware: bool,

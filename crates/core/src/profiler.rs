@@ -48,7 +48,12 @@ impl MemLevel {
     }
 }
 
-/// The default memory-contention training grid (CAR × WSS × intensity).
+/// The default memory-contention training grid (CAR × WSS × intensity):
+/// 8 CAR levels × 5 working-set sizes, for Yala's fixed-traffic memory
+/// curve (§4.1.2). SLOMO trains on its own 10×6 grid,
+/// [`crate::baseline::default_mem_grid`], so comparing the two models
+/// also compares two grids (ROADMAP.md, the ablation ladder's grid
+/// confound).
 pub fn default_mem_grid() -> Vec<MemLevel> {
     let mut grid = Vec::new();
     for i in 0..8 {

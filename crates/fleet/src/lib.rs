@@ -18,8 +18,9 @@
 //! * [`policy`] — placement rules (monopolization / greedy /
 //!   contention-aware behind any [`yala_placement::PlacementPredictor`])
 //!   plus the reactive half: predicted-violation migration with
-//!   diagnosis-guided victim selection ([`yala_diagnosis::select_victim`]),
-//!   and [`NamedPolicy`], a policy by its `yalad` name.
+//!   diagnosis-guided victim selection
+//!   ([`yala_core::diagnosis::select_victim`]), and [`NamedPolicy`], a
+//!   policy by its `yalad` name.
 //! * [`FleetState`] — the one tenant state machine, which the event loop
 //!   and the `yalad` daemon both drive, each through its own
 //!   [`ProfileSource`] and [`Rules`].

@@ -12,13 +12,13 @@
 //! contention-aware policies re-evaluate every NIC through the
 //! predictor's [`PlacementPredictor::reevaluate`] hook and, on a
 //! predicted violation, drain one resident — chosen by diagnosis
-//! ([`yala_diagnosis::select_victim`]) as the co-resident pressing
+//! ([`yala_core::diagnosis::select_victim`]) as the co-resident pressing
 //! hardest on the violator's bottleneck resource — and re-place it
 //! elsewhere under the same predictor.
 
 use crate::trace::FleetConfig;
+use yala_core::diagnosis::diagnose_yala;
 use yala_core::{Contender, Engine, ModelBank, YalaModel};
-use yala_diagnosis::diagnose_yala;
 use yala_nf::NfKind;
 use yala_placement::{Placed, PlacementPredictor, YalaPredictor};
 use yala_sim::{NicModelId, ResourceKind};

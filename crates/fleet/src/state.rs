@@ -22,8 +22,8 @@ use crate::residency::{MarginSink, Namer, NicState, Residency};
 use crate::timeline::ProfiledTrace;
 use crate::trace::FleetConfig;
 use yala_core::contender::{aggregate_counters, total_pressure};
+use yala_core::diagnosis::{select_victim, select_victim_qos, victim_pressure};
 use yala_core::{Observation, ObservationBuffer, QosClass};
-use yala_diagnosis::{select_victim, select_victim_qos, victim_pressure};
 use yala_placement::Placed;
 use yala_sim::{CoRunReport, ResourceKind};
 use yala_telemetry::{Event, Telemetry};

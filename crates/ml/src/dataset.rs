@@ -1,7 +1,5 @@
 //! Row-major feature matrix with regression targets.
 
-use serde::{Deserialize, Serialize};
-
 /// A regression dataset: a dense row-major feature matrix plus one target
 /// value per row.
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ds.feature(1, 0), 4.0);
 /// assert_eq!(ds.target(1), 9.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
     n_features: usize,
     features: Vec<f64>,

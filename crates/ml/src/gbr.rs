@@ -11,10 +11,9 @@ use crate::tree::{Presorted, RegressionTree, TreeParams};
 use crate::Dataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for [`GradientBoostingRegressor`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GbrParams {
     /// Number of boosting stages. sklearn default: 100.
     pub n_estimators: usize,
@@ -54,7 +53,7 @@ impl Default for GbrParams {
 /// let err = (model.predict(&[5.0, 10.0]) - 10.0).abs();
 /// assert!(err < 1.0, "err={err}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GradientBoostingRegressor {
     base: f64,
     forest: Forest,

@@ -6,7 +6,6 @@
 //! and an optional ridge term for numerical safety.
 
 use crate::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// A fitted linear model `y = intercept + coefficients · x`.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((m.coefficients()[0] - 2.0).abs() < 1e-9);
 /// assert!((m.intercept() - 1.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearRegression {
     intercept: f64,
     coefficients: Vec<f64>,

@@ -7,10 +7,9 @@
 //! A fit sorts its rows once, not once per node (see `Presorted`).
 
 use crate::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for [`RegressionTree`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeParams {
     /// Maximum tree depth (root = depth 0). sklearn's GBR default is 3.
     pub max_depth: usize,
@@ -31,7 +30,7 @@ impl Default for TreeParams {
 }
 
 /// One node of the tree, stored in a flat arena (root at index 0).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Node {
     Leaf {
         value: f64,
@@ -61,7 +60,7 @@ pub(crate) enum Node {
 /// assert!((tree.predict(&[10.0]) - 1.0).abs() < 1e-9);
 /// assert!((tree.predict(&[90.0]) - 5.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
     n_features: usize,

@@ -7,13 +7,12 @@ use crate::nfs::{
     IpTunnel, Nat, Nids, PacketFilter,
 };
 use crate::runtime::{NetworkFunction, Profiler, DEFAULT_SAMPLE_PACKETS};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use yala_sim::{NicSpec, ResourceKind, WorkloadSpec};
 use yala_traffic::TrafficProfile;
 
 /// The NFs of Table 1 (plus the Pensando Firewall of §8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NfKind {
     /// Per-flow packet/byte statistics (Click).
     FlowStats,

@@ -31,6 +31,7 @@ mod memo;
 
 pub use memo::MemoStats;
 
+use yala_core::baseline::SlomoModel;
 use yala_core::contender::aggregate_counters;
 use yala_core::engine::{model_seed_base, scenario_seed, simulator_for, Engine};
 use yala_core::memory_model::{N_COUNTER_FEATURES, N_TRAFFIC_FEATURES};
@@ -38,7 +39,6 @@ use yala_core::profile_cache::{ProfileEntry, SoloProfile};
 use yala_core::{CellMemo, Contender, ModelBank, ObservationBuffer, QosClass, YalaModel};
 use yala_nf::{NfKind, Profiler};
 use yala_sim::{CounterSample, NicModelId, NicSpec, Simulator, WorkloadSpec};
-use yala_slomo::SlomoModel;
 use yala_traffic::TrafficProfile;
 
 /// One arriving NF instance.

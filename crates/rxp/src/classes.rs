@@ -1,8 +1,6 @@
 //! Byte-class sets: 256-bit membership sets used by the regex AST, NFA
 //! transitions, and DFA byte-class compression.
 
-use serde::{Deserialize, Serialize};
-
 /// A set of bytes represented as a 256-bit bitmap.
 ///
 /// # Example
@@ -14,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!digits.contains(b'a'));
 /// assert_eq!(digits.len(), 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ClassSet {
     bits: [u64; 4],
 }

@@ -3,8 +3,6 @@
 //! fine-grained counters (§4.1.1) — that asymmetry is why Yala models them
 //! white-box — so none are emitted here.
 
-use serde::{Deserialize, Serialize};
-
 /// One sample of the Table 11 counters for a single NF.
 ///
 /// | Counter | Definition |
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// | MEMRD   | Data memory read accesses (per second) |
 /// | MEMWR   | Data memory write accesses (per second) |
 /// | WSS     | Working set size (bytes) |
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CounterSample {
     /// Instructions per cycle.
     pub ipc: f64,

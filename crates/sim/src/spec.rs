@@ -2,7 +2,6 @@
 //! accelerator service parameters. Presets model the paper's two testbeds
 //! (NVIDIA BlueField-2, AMD Pensando).
 
-use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, OnceLock};
 
 /// The kinds of shared resources an on-NIC NF can contend on.
@@ -10,7 +9,7 @@ use std::sync::{Mutex, OnceLock};
 /// `CpuMem` covers the core + memory-subsystem path (per-packet compute and
 /// cache/DRAM accesses); the remaining variants are hardware accelerators
 /// reached through round-robin request queues (§4.1.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// CPU cycles plus cache/DRAM accesses (the memory subsystem of §4.1.2).
     CpuMem,
@@ -117,7 +116,7 @@ impl std::fmt::Display for NicModelId {
 
 /// Service-time parameters of one accelerator: a request costs
 /// `base_s + bytes * per_byte_s + matches * per_match_s` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelSpec {
     /// Fixed per-request overhead (doorbell + descriptor fetch), seconds.
     pub base_s: f64,
@@ -135,7 +134,7 @@ impl AccelSpec {
 }
 
 /// Full NIC hardware description consumed by the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NicSpec {
     /// Human-readable name, e.g. `"bluefield2"`.
     pub name: String,

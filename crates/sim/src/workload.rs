@@ -3,13 +3,12 @@
 //! resource demands, core allocation, and offered load.
 
 use crate::spec::ResourceKind;
-use serde::{Deserialize, Serialize};
 
 /// How an NF schedules its stages (§4.2): a pipeline keeps packets flowing
 /// through per-stage execution contexts (throughput = slowest stage), while
 /// run-to-completion processes each packet through all stages before taking
 /// the next (per-packet stage times add).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionPattern {
     /// Stage-per-context pipelining.
     Pipeline,
@@ -27,7 +26,7 @@ impl std::fmt::Display for ExecutionPattern {
 }
 
 /// Per-packet demand of one processing stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StageDemand {
     /// A compute + memory stage executed on the NF's cores.
     CpuMem {
@@ -66,7 +65,7 @@ impl StageDemand {
 }
 
 /// A complete workload description handed to the co-run solver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Display name (unique within a co-run).
     pub name: String,

@@ -1,7 +1,6 @@
 //! Flow identities (5-tuples) and deterministic flow-set synthesis.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A transport 5-tuple identifying a flow.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ft.proto, 6);
 /// assert_ne!(ft.hash64(), FiveTuple::new(0x0a000001, 0x0a000002, 1234, 81, 6).hash64());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FiveTuple {
     /// Source IPv4 address.
     pub src_ip: u32,

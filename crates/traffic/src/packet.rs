@@ -7,7 +7,6 @@
 
 use crate::batch::PacketView;
 use crate::flow::FiveTuple;
-use serde::{Deserialize, Serialize};
 
 /// Bytes of framing we model per packet: Ethernet (14) + IPv4 (20) +
 /// TCP (20) = 54.
@@ -23,7 +22,7 @@ pub const HEADER_BYTES: u32 = 54;
 /// assert_eq!(p.payload_len(), 100);
 /// assert_eq!(p.wire_len(), 154);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Flow identity (parsed header fields).
     pub five_tuple: FiveTuple,

@@ -1,7 +1,6 @@
 //! Traffic profiles: the three attributes Yala's traffic-aware models use.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Minimum packet size we generate (Ethernet minimum).
 pub const MIN_PACKET_SIZE: u32 = 64;
@@ -26,7 +25,7 @@ pub const MAX_MTBR: f64 = 1200.0;
 /// assert_eq!(p.mtbr, 600.0);
 /// assert_eq!(p.as_vector(), [16_000.0, 1500.0, 600.0]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficProfile {
     /// Number of distinct flows in the stream.
     pub flow_count: u32,

@@ -12,9 +12,10 @@
 //!   performance counters, co-run contention solver).
 //! * [`nf`] — network functions from Table 1 plus the synthetic bench NFs.
 //! * [`core`] — the Yala prediction framework itself.
-//! * [`slomo`] — the SLOMO baseline and naive composition baselines.
+//! * [`slomo`] — the SLOMO baseline (`core::baseline`).
 //! * [`placement`] — the contention-aware scheduling use case (§7.5.1).
-//! * [`diagnosis`] — the performance-diagnosis use case (§7.5.2).
+//! * [`diagnosis`] — the performance-diagnosis use case (§7.5.2,
+//!   `core::diagnosis`).
 //! * [`fleet`] — the live-cluster orchestrator: traffic drift, periodic
 //!   SLA audits, and reactive migration over simulated hours.
 //! * [`telemetry`] — the deterministic observability plane: metrics
@@ -25,13 +26,13 @@
 //! and hardware-substitution notes.
 
 pub use yala_core as core;
-pub use yala_diagnosis as diagnosis;
+pub use yala_core::baseline as slomo;
+pub use yala_core::diagnosis;
 pub use yala_fleet as fleet;
 pub use yala_ml as ml;
 pub use yala_nf as nf;
 pub use yala_placement as placement;
 pub use yala_rxp as rxp;
 pub use yala_sim as sim;
-pub use yala_slomo as slomo;
 pub use yala_telemetry as telemetry;
 pub use yala_traffic as traffic;

@@ -6,7 +6,7 @@
 //! bad minutes than the QoS-blind baseline under the *same* fault
 //! schedule. The per-decision invariant (never evict a guaranteed NF
 //! while a best-effort co-resident remains feasible) is property-tested
-//! in `yala-diagnosis`; here we check its fleet-level consequence.
+//! in `core::diagnosis`; here we check its fleet-level consequence.
 
 use std::sync::OnceLock;
 use yala::core::adaptive::AdaptiveConfig;
