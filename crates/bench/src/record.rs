@@ -5,11 +5,14 @@
 //! [`Output::record`] for `repro` to write or `--check`.
 //!
 //! Every scenario is deterministic — same seed ⇒ bit-identical
-//! `FleetReport`s — and records hold counts and reports only (wall time
-//! is measured in one place, `benchmark/`), so each committed record
-//! regenerates byte-identically on any machine at any `--threads`. The
-//! default scale (what the committed records hold, `"quick": true`)
-//! trains fewer NF kinds and audits on a coarser cadence than `--full`.
+//! `FleetReport`s — and records hold nothing timed (wall time is measured
+//! in one place, `benchmark/`), so each committed record regenerates
+//! byte-identically on any machine at any `--threads`. A record keeps
+//! each report's headline scalars and a digest of its full JSON, which
+//! pins every per-epoch sample; `--telemetry DIR` writes the full
+//! reports to `DIR/<name>.report.json`. The default scale (what the
+//! committed records hold, `"quick": true`) trains fewer NF kinds and
+//! audits on a coarser cadence than `--full`.
 
 use crate::experiments::Output;
 use crate::{json_f64, BenchArgs, Zoo, NOISE_SIGMA};
@@ -27,14 +30,15 @@ use yala_placement::{MemoStats, PlacementPredictor, SlomoPredictor, YalaPredicto
 use yala_serve::ServeLoop;
 use yala_sim::NicSpec;
 use yala_telemetry::journal::DEFAULT_CAPACITY;
-use yala_telemetry::{Journal, Telemetry};
+use yala_telemetry::{stable_hash64, Journal, Telemetry};
 use yala_traffic::TrafficProfile;
 
 /// A `BENCH_*.json` envelope: top-level keys in insertion order, one per
-/// line, each value already rendered as JSON.
-#[derive(Debug, Clone)]
+/// line, each value already rendered as JSON. An empty one builds a
+/// nested object for [`Record::inline`].
+#[derive(Debug, Clone, Default)]
 pub struct Record {
-    fields: Vec<(&'static str, String)>,
+    fields: Vec<String>,
 }
 
 impl Record {
@@ -46,14 +50,16 @@ impl Record {
     }
 
     /// Appends `"key": value`.
-    pub fn field(mut self, key: &'static str, value: impl Display) -> Self {
-        self.fields.push((key, value.to_string()));
+    pub fn field(mut self, key: &str, value: impl Display) -> Self {
+        self.fields.push(format!("\"{key}\": {value}"));
         self
     }
 
-    /// Appends the scenario constants every report of a run shares.
+    /// Appends the scenario every report of a run shares.
     pub fn scenario(self, r: &FleetReport) -> Self {
-        self.field("duration_s", r.duration_s)
+        self.field("nics", r.nics)
+            .field("arrivals", r.total_arrivals)
+            .field("duration_s", r.duration_s)
             .field("audit_period_s", r.audit_period_s)
             .field("seed", r.seed)
     }
@@ -70,21 +76,38 @@ impl Record {
             .field("profile_cache", profiled.stats.to_json())
     }
 
-    /// Appends the per-policy reports, one object per line group.
+    /// Appends the per-policy reports, one line each: every top-level
+    /// key of the report's JSON but `samples`, then its digest.
     pub fn policies(self, reports: &[&FleetReport]) -> Self {
-        let json: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-        self.field("policies", format!("[\n{}\n]", json.join(",\n")))
+        let lines: Vec<String> = reports.iter().map(|r| headline(r)).collect();
+        self.field("policies", format!("[\n{}\n]", lines.join(",\n")))
     }
 
     /// The canonical serialization.
     pub fn to_json(&self) -> String {
-        let lines: Vec<String> = self
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect();
-        format!("{{\n{}\n}}\n", lines.join(",\n"))
+        format!("{{\n{}\n}}\n", self.fields.join(",\n"))
     }
+
+    /// The fields as one JSON object on one line.
+    pub fn inline(&self) -> String {
+        format!("{{{}}}", self.fields.join(", "))
+    }
+}
+
+/// The 16-hex-digit `stable_hash64` of a report's `to_json`, quoted: a
+/// record's pin on every byte of the report, samples included.
+fn digest(report_json: &str) -> String {
+    format!("\"{:016x}\"", stable_hash64(report_json.as_bytes()))
+}
+
+/// `r`'s policy entry: the key lines of its JSON up to `samples` joined
+/// on one line, then `report_digest`.
+fn headline(r: &FleetReport) -> String {
+    let json = r.to_json();
+    let end = json.find(",\n    \"samples\"").expect("samples last");
+    let keys: Vec<&str> = json[..end].lines().skip(1).map(str::trim_start).collect();
+    let (keys, digest) = (keys.join(" "), digest(&json));
+    format!("  {{{keys}, \"report_digest\": {digest}}}")
 }
 
 impl Output {
@@ -100,8 +123,14 @@ impl Output {
         out
     }
 
-    /// Finishes a record experiment's output with its record.
-    fn with_record(mut self, record: Record) -> Self {
+    /// Finishes a record experiment's output with its record. Under
+    /// `--telemetry` the full `reports` it digests go to
+    /// `<name>.report.json`, each `to_json`, comma-separated.
+    fn with_record(mut self, record: Record, reports: &[&FleetReport]) -> Self {
+        if self.telemetry.is_enabled() {
+            let json: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
+            self.artifacts.push(("report.json", json.join(",\n")));
+        }
         self.record = Some(record.to_json());
         self
     }
@@ -271,7 +300,6 @@ pub fn fleet(ctx: &BenchArgs) -> Output {
 
     let zoo = Zoo::train(&kinds, 6, &ctx.engine());
     let profiled = out.profile(ctx, cfg, BuildOpts::default());
-    let arrivals = profiled.trace.records.len();
 
     let mono = run_fleet(
         &profiled,
@@ -301,13 +329,11 @@ pub fn fleet(ctx: &BenchArgs) -> Output {
     assert_dominates(&yala, &greedy, &mono);
 
     let record = Record::new("fleet", !ctx.full)
-        .field("nics", mono.nics)
-        .field("arrivals", arrivals)
         .scenario(&mono)
         .kinds(&kinds)
         .profile(&profiled)
         .policies(&reports);
-    out.with_record(record)
+    out.with_record(record, &reports)
 }
 
 /// `BENCH_hetero.json`: the heterogeneous-fleet comparison — a mixed
@@ -355,7 +381,6 @@ pub fn hetero(ctx: &BenchArgs) -> Output {
     // With `--telemetry`, migrations in this journal may cross hardware
     // models.
     let profiled = out.profile(ctx, cfg, BuildOpts::default());
-    let arrivals = profiled.trace.records.len();
     println!("  {} trained cells", zoo.yala_bank().len());
 
     // Structural capability check: no snapshot carries a baseline on
@@ -405,14 +430,12 @@ pub fn hetero(ctx: &BenchArgs) -> Output {
         .collect();
     let record = Record::new("hetero", !ctx.full)
         .field("portfolio", format!("[{}]", portfolio_json.join(", ")))
-        .field("nics", mono.nics)
-        .field("arrivals", arrivals)
         .scenario(&mono)
         .kinds(&kinds)
         .field("trained_cells", zoo.yala_bank().len())
         .profile(&profiled)
         .policies(&reports);
-    out.with_record(record)
+    out.with_record(record, &reports)
 }
 
 /// Largest flow count seen while the `online` record's offline bank was
@@ -472,7 +495,6 @@ pub fn online(ctx: &BenchArgs) -> Output {
     let bluefield2 = [NicSpec::bluefield2()];
     let bank = ModelBank::train_yala(&bluefield2, NOISE_SIGMA, &kinds, &train_cfg, &ctx.engine());
     let profiled = out.profile(ctx, cfg, BuildOpts::default());
-    let arrivals = profiled.trace.records.len();
 
     let greedy = run_fleet(&profiled, FleetPolicy::Greedy, "greedy", &ctx.engine());
     let mut frozen_predictor = YalaPredictor::new(&bank);
@@ -513,8 +535,6 @@ pub fn online(ctx: &BenchArgs) -> Output {
     );
 
     let record = Record::new("online", !ctx.full)
-        .field("nics", frozen.nics)
-        .field("arrivals", arrivals)
         .scenario(&frozen)
         .kinds(&kinds)
         .field("trained_flow_ceiling", STALE_FLOW_CEILING)
@@ -524,7 +544,7 @@ pub fn online(ctx: &BenchArgs) -> Output {
         .field("absorbed_observations", absorbed)
         .profile(&profiled)
         .policies(&reports);
-    out.with_record(record)
+    out.with_record(record, &reports)
 }
 
 /// Canonical traffic templates in the `cache` record's fleet (a realistic
@@ -563,7 +583,6 @@ pub fn cache(ctx: &BenchArgs) -> Output {
 
     // The pre-cache bill: every snapshot is measured.
     let trace = FleetTrace::generate(cfg.clone());
-    let arrivals = trace.records.len();
     let exact = ProfiledTrace::build(trace.clone(), &ctx.engine(), BuildOpts::default());
 
     // The cached bill: one measurement per distinct quantized key. With
@@ -601,10 +620,9 @@ pub fn cache(ctx: &BenchArgs) -> Output {
     // greedy report documents the scenario's scale either way.
     let greedy_exact = run_fleet(&exact, FleetPolicy::Greedy, "greedy-exact", &ctx.engine());
     let greedy_cached = run_fleet(&cached, FleetPolicy::Greedy, "greedy-cached", &ctx.engine());
+    let reports = [&greedy_exact, &greedy_cached];
 
     let record = Record::new("cache", !ctx.full)
-        .field("nics", greedy_exact.nics)
-        .field("arrivals", arrivals)
         .scenario(&greedy_exact)
         .kinds(&kinds)
         .field("templates", CACHE_TEMPLATES)
@@ -615,8 +633,8 @@ pub fn cache(ctx: &BenchArgs) -> Output {
         .field("cached_cache", cached.stats.to_json())
         .field("rebuild_cache", rebuilt.stats.to_json())
         .field("computed_reduction", format!("{reduction:.2}"))
-        .policies(&[&greedy_exact, &greedy_cached]);
-    out.with_record(record)
+        .policies(&reports);
+    out.with_record(record, &reports)
 }
 
 /// The acceptance bar on the `faults` record's QoS shield ratio (blind /
@@ -667,7 +685,6 @@ pub fn faults(ctx: &BenchArgs) -> Output {
     // the records produce (faults, evacuations, parks, readmissions).
     let profiled = out.profile(ctx, cfg, BuildOpts::default());
     let trace = &profiled.trace;
-    let arrivals = trace.records.len();
     let guaranteed_nfs = trace
         .records
         .iter()
@@ -741,16 +758,14 @@ pub fn faults(ctx: &BenchArgs) -> Output {
     );
 
     let record = Record::new("faults", !ctx.full)
-        .field("nics", aware.nics)
-        .field("arrivals", arrivals)
+        .scenario(&aware)
         .field("guaranteed_nfs", guaranteed_nfs)
         .field("fail_events", fail_events)
         .field("drain_events", drain_events)
-        .scenario(&aware)
         .kinds(&kinds)
         .field("shield_ratio", format!("{shield_ratio:.3}"))
         .policies(&reports);
-    out.with_record(record)
+    out.with_record(record, &reports)
 }
 
 /// Blind-over-aware guaranteed bad minutes; an aware policy that keeps
@@ -900,7 +915,6 @@ pub fn scale(ctx: &BenchArgs) -> Output {
     // with `--telemetry`, a final flagship run) — the sweep runs below
     // get their own private handles so each measures only itself.
     let profiled = out.profile(ctx, cfg, BuildOpts::quantized(None));
-    let arrivals = profiled.trace.records.len();
 
     let greedy = sweep("greedy", journal_cap, |engine, tel| {
         run_fleet_observed(&profiled, FleetPolicy::Greedy, "greedy", engine, tel)
@@ -909,8 +923,7 @@ pub fn scale(ctx: &BenchArgs) -> Output {
 
     // With `--telemetry`, one more observed run on the flag-selected
     // engine fills the flagship journal (which also holds the profiling
-    // build's events), and the report itself is written beside it — CI
-    // byte-compares all of them across `--threads`.
+    // build's events) — CI byte-compares it across `--threads`.
     if out.telemetry.is_enabled() {
         let flagship = out.flagship(ctx, &profiled, FleetPolicy::Greedy, "greedy");
         assert_eq!(
@@ -918,7 +931,6 @@ pub fn scale(ctx: &BenchArgs) -> Output {
             report_json,
             "flagship run must match the sweep baseline byte for byte"
         );
-        out.artifacts.push(("report.json", report_json.clone()));
     }
 
     // The prediction-driven day: the same load per NIC on a fleet small
@@ -964,42 +976,32 @@ pub fn scale(ctx: &BenchArgs) -> Output {
 
     // Both blocks are compared exactly by `--check` — a mismatch means the
     // committed record describes a different scenario.
-    let count = |key: &str, n: u64| format!("\"{key}\": {n}");
-    let greedy_block = [
-        count("decisions", greedy.decisions),
-        count("journal_events", greedy.journal.len() as u64),
-        count("journal_dropped", greedy.journal.dropped()),
-        count("profile_measurements", profiled.stats.misses),
-    ];
-    let yala_block = [
-        count("decisions", yala.decisions),
-        count("journal_events", yala.journal.len() as u64),
-        count("rejected", yala.report.rejected.into()),
-        count("migrations", yala.report.migrations.into()),
-        format!(
-            "\"violation_minutes\": {:.3}",
-            yala.report.violation_minutes
-        ),
-        count("predictions", memo.lookups),
-        count("memo_hits", memo.hits),
-        count("forest_walks", memo.forest_walks),
-    ];
-    let render = |block: &[String]| format!("{{{}}}", block.join(", "));
+    let yala_violation_minutes = format!("{:.3}", yala.report.violation_minutes);
+    let greedy_block = Record::default()
+        .field("decisions", greedy.decisions)
+        .field("journal_events", greedy.journal.len())
+        .field("journal_dropped", greedy.journal.dropped())
+        .field("profile_measurements", profiled.stats.misses);
+    let yala_block = Record::default()
+        .field("decisions", yala.decisions)
+        .field("journal_events", yala.journal.len())
+        .field("rejected", yala.report.rejected)
+        .field("migrations", yala.report.migrations)
+        .field("violation_minutes", yala_violation_minutes)
+        .field("predictions", memo.lookups)
+        .field("memo_hits", memo.hits)
+        .field("forest_walks", memo.forest_walks);
+    let yala_day = Record::default()
+        .field("nics", YALA_NICS)
+        .field("arrivals", yala_arrivals)
+        .field("deterministic", yala_block.inline());
     let record = Record::new("scale", !ctx.full)
-        .field("nics", nics)
-        .field("arrivals", arrivals)
         .scenario(&greedy.report)
         .field("templates", SCALE_TEMPLATES)
-        .field("deterministic", render(&greedy_block))
-        .field(
-            "yala",
-            format!(
-                "{{\"nics\": {YALA_NICS}, \"arrivals\": {yala_arrivals},\n  \"deterministic\": {}}}",
-                render(&yala_block)
-            ),
-        )
-        .field("report", report_json.trim());
-    out.with_record(record)
+        .field("deterministic", greedy_block.inline())
+        .field("yala", yala_day.inline())
+        .field("report_digest", digest(&report_json));
+    out.with_record(record, &[&greedy.report])
 }
 
 /// The counters of the `serve` record's `deterministic` block, all
@@ -1127,21 +1129,19 @@ pub fn serve(ctx: &BenchArgs) -> Output {
     assert_eq!(stat("admissions"), admissions, "counter drift");
     assert_eq!(stat("rejections"), rejections, "counter drift");
 
-    let mut counters = vec![("requests", msgs.len() as u64)];
-    counters.extend(COUNTERS.map(|key| (key, stat(key))));
-    counters.push(("unadmitted_departs", errors));
-    let block: Vec<String> = counters
-        .iter()
-        .map(|(key, n)| format!("\"{key}\": {n}"))
-        .collect();
+    let block = Record::default().field("requests", msgs.len());
+    let block = COUNTERS
+        .into_iter()
+        .fold(block, |b, key| b.field(key, stat(key)));
+    let block = block.field("unadmitted_departs", errors);
     let record = Record::new("serve", !ctx.full)
         .field("seed", cfg.seed)
         .field("nics", cfg.nics())
         .field("policy", "\"yala-online\"")
         .field("duration_s", cfg.duration_s)
         .field("records", trace.records.len())
-        .field("deterministic", format!("{{{}}}", block.join(", ")));
-    Output::default().with_record(record)
+        .field("deterministic", block.inline());
+    Output::default().with_record(record, &[])
 }
 
 #[cfg(test)]
@@ -1179,5 +1179,61 @@ mod tests {
             .collect();
         assert!(at.windows(2).all(|w| w[0] < w[1]), "{json}");
         assert!(json.contains("\"kinds\": [\"nat\", \"acl\"],\n"));
+    }
+
+    #[test]
+    fn a_policy_entry_is_one_line_whose_digest_pins_every_sample() {
+        let sample = |t_s| yala_fleet::FleetSample {
+            t_s,
+            active_nfs: 3,
+            nics_in_use: 2,
+            violating_nfs: 1,
+            migrations: 0,
+            wasted_cores: 4,
+            oracle_lb_nics: 1,
+            parked: 0,
+            down_nics: 0,
+        };
+        let report = FleetReport {
+            policy: "greedy".into(),
+            seed: 7,
+            nics: 4,
+            duration_s: 1_200,
+            audit_period_s: 600,
+            total_arrivals: 3,
+            rejected: 0,
+            migrations: 0,
+            profile_snapshots: 3,
+            violation_minutes: 10.0,
+            nic_minutes: 20.0,
+            oracle_lb_nic_minutes: 10.0,
+            wasted_core_minutes: 40.0,
+            peak_nics: 2,
+            faults: 0,
+            drains: 0,
+            guaranteed: Default::default(),
+            best_effort: Default::default(),
+            samples: vec![sample(600), sample(1_200)],
+        };
+        let entry = headline(&report);
+        assert!(
+            !entry.contains('\n') && !entry.contains("samples"),
+            "{entry}"
+        );
+        assert!(
+            entry.starts_with("  {\"policy\": \"greedy\", \"seed\": 7, "),
+            "{entry}"
+        );
+        let digest = format!("{:016x}", stable_hash64(report.to_json().as_bytes()));
+        assert!(entry.ends_with(&format!(", \"report_digest\": \"{digest}\"}}")));
+
+        // One epoch's count moves, every headline scalar stays: only the
+        // digest tells the two reports apart.
+        let mut moved = report.clone();
+        moved.samples[1].wasted_cores += 1;
+        let other = headline(&moved);
+        assert_ne!(entry, other);
+        let cut = |e: &str| e[..e.find("\"report_digest\"").expect("digest")].to_string();
+        assert_eq!(cut(&entry), cut(&other));
     }
 }

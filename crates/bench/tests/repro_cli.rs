@@ -37,6 +37,28 @@ fn every_committed_record_has_exactly_one_producer() {
 }
 
 #[test]
+fn committed_records_hold_digests_not_samples() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let entries = std::fs::read_dir(root).expect("workspace root");
+    let mut total = 0;
+    for entry in entries.map(|e| e.expect("entry")) {
+        let name = entry.file_name().into_string().expect("utf-8");
+        if !name.starts_with("BENCH_") || !name.ends_with(".json") || name == "BENCH_rxp.json" {
+            continue;
+        }
+        let text = std::fs::read_to_string(entry.path()).expect("record reads");
+        // Per-epoch samples live in `--telemetry`'s `<name>.report.json`;
+        // a record pins them through each report's digest.
+        assert!(!text.contains("\"samples\""), "{name} holds samples");
+        total += text.len();
+    }
+    assert!(
+        total <= 30 * 1024,
+        "deterministic records total {total} bytes"
+    );
+}
+
+#[test]
 fn unknown_name_exits_2_listing_the_table() {
     let run = Command::new(env!("CARGO_BIN_EXE_repro"))
         .arg("table1")

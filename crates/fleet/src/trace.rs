@@ -702,30 +702,12 @@ impl FleetTrace {
     /// kinds, random start/end traffic, uniform SLA tightness, and QoS
     /// classes Bernoulli(`guaranteed_fraction`) from their own stream.
     pub fn generate(config: FleetConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut qos_rng = StdRng::seed_from_u64(config.seed ^ QOS_SALT);
-        let horizon_ms = config.duration_s * MS_PER_S;
-        let templates = config.traffic_templates();
-        let mut records = Vec::new();
+        let mean_s = config.mean_interarrival_s;
         let mut t_ms = 0.0f64;
-        loop {
-            t_ms += exponential_ms(&mut rng, config.mean_interarrival_s);
-            let arrival_ms = t_ms as u64;
-            if arrival_ms >= horizon_ms {
-                break;
-            }
-            records.push(draw_record(
-                &config,
-                &templates,
-                records.len() as u32,
-                arrival_ms,
-                &mut rng,
-                &mut qos_rng,
-            ));
-        }
-        let faults = config.fault_schedule();
-        Self::from_records(config, records, faults)
-            .expect("generated records satisfy trace invariants")
+        Self::generate_with(config, move |rng| {
+            t_ms += exponential_ms(rng, mean_s);
+            t_ms
+        })
     }
 
     /// A trace with a diurnal arrival pattern: the Poisson rate is
@@ -757,29 +739,43 @@ impl FleetTrace {
         })
     }
 
-    /// Shared non-homogeneous Poisson generator: candidate arrivals at
+    /// Shared non-homogeneous Poisson clock: candidate arrivals at
     /// `peak` times the base rate on the [`SHAPE_SALT`] stream, thinned
     /// by `intensity(frac)/peak` where `frac` is the fraction of the
     /// horizon elapsed. `intensity` must never exceed `peak` (thinning
     /// would silently clip the rate).
     fn generate_shaped(config: FleetConfig, peak: f64, intensity: impl Fn(f64) -> f64) -> Self {
         let mut arrival_rng = StdRng::seed_from_u64(config.seed ^ SHAPE_SALT);
+        let horizon_ms = (config.duration_s * MS_PER_S) as f64;
+        let mean_candidate_s = config.mean_interarrival_s / peak;
+        let mut t_ms = 0.0f64;
+        Self::generate_with(config, move |_| loop {
+            t_ms += exponential_ms(&mut arrival_rng, mean_candidate_s);
+            // The clock stops at the horizon without a thinning draw.
+            let past = t_ms >= horizon_ms;
+            if past || arrival_rng.gen::<f64>() * peak < intensity(t_ms / horizon_ms) {
+                return t_ms;
+            }
+        })
+    }
+
+    /// The one generator loop: `next_arrival_ms` advances the arrival
+    /// clock (it may draw from the main stream it is handed) until it
+    /// passes the horizon, and each arrival before it draws one NF from
+    /// the main and QoS streams.
+    fn generate_with(
+        config: FleetConfig,
+        mut next_arrival_ms: impl FnMut(&mut StdRng) -> f64,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut qos_rng = StdRng::seed_from_u64(config.seed ^ QOS_SALT);
         let horizon_ms = config.duration_s * MS_PER_S;
         let templates = config.traffic_templates();
         let mut records = Vec::new();
-        let mean_candidate_s = config.mean_interarrival_s / peak;
-        let mut t_ms = 0.0f64;
         loop {
-            t_ms += exponential_ms(&mut arrival_rng, mean_candidate_s);
-            let arrival_ms = t_ms as u64;
+            let arrival_ms = next_arrival_ms(&mut rng) as u64;
             if arrival_ms >= horizon_ms {
                 break;
-            }
-            let keep: f64 = arrival_rng.gen();
-            if keep * peak >= intensity(t_ms / horizon_ms as f64) {
-                continue;
             }
             records.push(draw_record(
                 &config,
@@ -798,9 +794,8 @@ impl FleetTrace {
 
 /// Draws one NF's attributes — lifetime, kind, traffic trajectory, SLA,
 /// QoS — in the exact order [`FleetTrace::generate`] has always drawn
-/// them. Factored out so shaped generators reuse the streams verbatim;
-/// committed bench records pin the uniform-mode byte stream, so the
-/// draw order here must never change.
+/// them, whatever the arrival clock; committed bench records pin the
+/// uniform-mode byte stream, so the draw order here must never change.
 fn draw_record(
     config: &FleetConfig,
     templates: &[TrafficProfile],

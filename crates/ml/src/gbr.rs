@@ -116,11 +116,6 @@ impl GradientBoostingRegressor {
         memo.answer(cell, walk)
     }
 
-    /// Predictions for every row of `ds`.
-    pub fn predict_dataset(&self, ds: &Dataset) -> Vec<f64> {
-        ds.rows().map(|(x, _)| self.predict(x)).collect()
-    }
-
     /// Number of fitted boosting stages.
     pub fn n_stages(&self) -> usize {
         self.forest.len()
@@ -205,7 +200,7 @@ mod tests {
     fn fits_additive_function() {
         let ds = grid_ds(|a, b| 3.0 * a + 0.5 * b + 10.0);
         let model = GradientBoostingRegressor::fit(&ds, &GbrParams::default(), 1);
-        let preds = model.predict_dataset(&ds);
+        let preds: Vec<f64> = ds.rows().map(|(x, _)| model.predict(x)).collect();
         assert!(metrics::mape(ds.targets(), &preds) < 3.0);
     }
 

@@ -13,7 +13,6 @@
 //! * [`memo`] — bounded exact memos: [`WordMemo`], and [`CellMemo`] for
 //!   repeated predictions of one fitted ensemble.
 //! * [`metrics`] — MAPE and the paper's ±5% / ±10% bounded accuracies.
-//! * [`split`] — seeded train/test splitting and k-fold cross validation.
 //!
 //! # Example
 //!
@@ -39,7 +38,6 @@ pub mod gbr;
 pub mod linear;
 pub mod memo;
 pub mod metrics;
-pub mod split;
 pub mod tree;
 
 pub use dataset::Dataset;

@@ -64,31 +64,6 @@ pub fn bounded_accuracy(truth: &[f64], pred: &[f64], bound_pct: f64) -> f64 {
     100.0 * hits as f64 / truth.len() as f64
 }
 
-/// Mean absolute error.
-pub fn mae(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "length mismatch");
-    assert!(!truth.is_empty(), "mae of empty slice");
-    truth
-        .iter()
-        .zip(pred)
-        .map(|(t, p)| (t - p).abs())
-        .sum::<f64>()
-        / truth.len() as f64
-}
-
-/// Root mean squared error.
-pub fn rmse(truth: &[f64], pred: &[f64]) -> f64 {
-    assert_eq!(truth.len(), pred.len(), "length mismatch");
-    assert!(!truth.is_empty(), "rmse of empty slice");
-    (truth
-        .iter()
-        .zip(pred)
-        .map(|(t, p)| (t - p).powi(2))
-        .sum::<f64>()
-        / truth.len() as f64)
-        .sqrt()
-}
-
 /// Coefficient of determination R².
 pub fn r2(truth: &[f64], pred: &[f64]) -> f64 {
     assert_eq!(truth.len(), pred.len(), "length mismatch");
@@ -167,16 +142,7 @@ mod tests {
         let v = [3.0, 4.0, 5.0];
         assert_eq!(mape(&v, &v), 0.0);
         assert_eq!(bounded_accuracy(&v, &v, 5.0), 100.0);
-        assert_eq!(mae(&v, &v), 0.0);
-        assert_eq!(rmse(&v, &v), 0.0);
         assert_eq!(r2(&v, &v), 1.0);
-    }
-
-    #[test]
-    fn rmse_geq_mae() {
-        let truth = [1.0, 2.0, 3.0, 4.0];
-        let pred = [1.5, 1.0, 4.0, 2.0];
-        assert!(rmse(&truth, &pred) >= mae(&truth, &pred));
     }
 
     #[test]

@@ -105,10 +105,12 @@ impl Inspector {
             self.count("migrate")
         ));
         out.push_str(&format!(
-            "  faults {} (fail {}, drain {})  evacuations {}  parked {}  readmitted {}\n",
-            self.count("fault"),
+            "  faults {}  drains {} (ended {})  recoveries {}  evacuations {}  parked {}  \
+             readmitted {}\n",
             self.count_by("fault", "kind", "fail"),
             self.count_by("fault", "kind", "drain_start"),
+            self.count_by("fault", "kind", "drain_end"),
+            self.count_by("fault", "kind", "recover"),
             self.count("evacuate"),
             self.count("park"),
             self.count("readmit")
@@ -558,6 +560,22 @@ mod tests {
         assert!(t.contains("[00:20:00]"));
         assert!(t.contains("parked=1"));
         assert!(t.contains("1 migrate"));
+    }
+
+    #[test]
+    fn summary_counts_failures_as_faults_and_names_the_other_kinds() {
+        let mut j = Journal::new();
+        for (t_ms, kind) in (0..).zip(["fail", "recover", "drain_start", "drain_end"]) {
+            j.push(t_ms, Event::Fault { nic: 3, kind });
+        }
+        let i = Inspector::from_jsonl(&j.to_jsonl());
+        // The report's `faults` and `fleet.faults` count failures only.
+        assert_eq!(i.reconstruct_metrics().counter("fleet.faults"), 1);
+        let s = i.summary();
+        assert!(
+            s.contains("  faults 1  drains 1 (ended 1)  recoveries 1  "),
+            "{s}"
+        );
     }
 
     #[test]
