@@ -100,16 +100,6 @@ impl Dataset {
         Rows { ds: self, i: 0 }
     }
 
-    /// Returns a new dataset containing only the rows at `indices`
-    /// (duplicates allowed, enabling bootstrap samples).
-    pub fn select(&self, indices: &[usize]) -> Dataset {
-        let mut out = Dataset::new(self.n_features);
-        for &i in indices {
-            out.push(self.row(i), self.target(i));
-        }
-        out
-    }
-
     /// Merges another dataset with identical width into this one.
     ///
     /// # Panics
@@ -179,17 +169,6 @@ mod tests {
     fn push_nan_panics() {
         let mut ds = Dataset::new(1);
         ds.push(&[f64::NAN], 0.0);
-    }
-
-    #[test]
-    fn select_allows_duplicates() {
-        let mut ds = Dataset::new(1);
-        ds.push(&[1.0], 1.0);
-        ds.push(&[2.0], 2.0);
-        let boot = ds.select(&[1, 1, 0]);
-        assert_eq!(boot.len(), 3);
-        assert_eq!(boot.target(0), 2.0);
-        assert_eq!(boot.target(2), 1.0);
     }
 
     #[test]

@@ -100,16 +100,16 @@ pub(crate) fn forwarded(
 ///   measured last is cut from state built for a larger count (the flow
 ///   set of `n` flows is a prefix of every larger one; see
 ///   [`crate::table`]), and only flows or inserts past the largest count
-///   seen are new work. A new seed starts a new family. A seed measured
-///   once keeps no chain. A caller that comes back to one seed between
+///   seen are new work. A new seed starts a new family; its first
+///   measurement replays each chain on the chain's own layouts and is a
+///   cut like every later one. A caller that comes back to one seed between
 ///   other seeds' measurements keeps that seed's family in a profiler of
 ///   its own (the daemon's `query` profiler), since the thread's
 ///   [`crate::NfKind::workload`] profiler keeps only the last seed's;
 /// * **reused** — the generator's flow `Vec` and dedupe scratch, the
 ///   [`PacketBatch`] arena, the [`CostTracker`] and the
-///   [`CostAggregate`]; the flow tables' probe arrays come from and go
-///   back to [`crate::table`]'s process-wide pool, and a cut table is a
-///   view of the family's growth chain that holds no probe array;
+///   [`CostAggregate`]; every warmed flow table is a view of the
+///   family's growth chain that holds no probe array;
 /// * **not reused** — the NF instance itself and its tables' dense value
 ///   stores, built per measurement and dropped with the NF (keeping a
 ///   warmed NF per kind costs more resident memory than it saves time).

@@ -11,17 +11,14 @@
 //!
 //! The probe array holds 16-byte `(key, dense index)` slots and nothing
 //! else; values live in an append-only `Vec<V>` in insertion order. A
-//! growth therefore re-places index entries, not payloads, and the probe
-//! array is the same type for every `V` — which is what lets emptied
-//! probe arrays be recycled through one small process-wide pool (at
-//! most `POOL_ARRAYS` of them) instead of being page-faulted in afresh
-//! by every measurement. Which slot a key lands in, when the table grows,
-//! and the order entries are re-placed in (old-slot order) are those of
-//! the textbook one-array table — `tests/table_oracle.rs` holds the two
-//! to equal probe counts, step for step.
+//! growth therefore re-places index entries, not payloads. Which slot a
+//! key lands in, when the table grows, and the order entries are
+//! re-placed in (old-slot order) are those of the textbook one-array
+//! table — `tests/table_oracle.rs` holds the two to equal probe counts,
+//! step for step.
 //!
-//! A warmed table need not own its probe array: it may be a read-only
-//! *view* that computes each slot on demand (below). One linear-probe
+//! A warmed table owns no probe array: it is a read-only *view* that
+//! computes each slot on demand (below). One linear-probe
 //! loop reads all three backings through a slot accessor, so probes,
 //! `len`, `capacity` and `wss_bytes` do not depend on the backing; the
 //! first `insert` into a view materializes it into an owned array.
@@ -36,17 +33,21 @@
 //! insert count; so the table after `n` inserts is the final layout of
 //! `n`'s epoch with the slots of later inserts freed. A [`TableFamily`]
 //! keeps the `hash64` of every flow replayed so far and, per flow-keyed
-//! rule and initial capacity, one growth chain: each epoch's final layout
-//! as one `u32` dense index per slot, replayed once up to the largest
-//! flow count asked for. [`Prefix::table`] cuts a table from it as a view
-//! of that layout: a slot is live iff its dense index is below the
-//! table's length, and its key is the kept hash of the flow that first
-//! inserted it. A family's first measurement keeps nothing and hands its
-//! inserts' final array over as the table, so a seed measured once pays
-//! only the inserts. `tests/table_oracle.rs` holds cut tables to the
+//! rule and initial capacity, one growth chain: each epoch's layout as
+//! one `u32` dense index per slot, replayed once up to the largest flow
+//! count asked for. The replay works on those layouts directly: the last
+//! epoch's layout is the probe array, a slot's key is the kept hash of
+//! the flow that first inserted its dense index, and a growth doubles
+//! into a fresh layout and leaves the old one as its epoch's final
+//! layout. Every warm, a family's first included, is cut from its chain:
+//! [`Prefix::table`] returns a view of the layout of `n`'s epoch, where a
+//! slot is live iff its dense index is below the table's length, and no
+//! warm writes a 16-byte probe array. A view still holding the last
+//! layout when its chain is extended keeps it as it was: the replay
+//! writes to a copy. `tests/table_oracle.rs` holds cut tables to the
 //! one-array table after the same inserts: at every count of a small
-//! chain, around every growth of the larger ones, and after more inserts
-//! into each.
+//! chain, around every growth of the larger ones, after more inserts
+//! into each, and while the chain is extended under them.
 //!
 //! # Cyclic keys: a closed-form view
 //!
@@ -69,12 +70,12 @@
 //! Under debug assertions every view is materialized once when it is
 //! made, and every lookup it answers is compared with that array.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use yala_traffic::FiveTuple;
 
 /// One probe-array slot. `index == FREE` marks an empty slot; any key,
 /// including 0 and `u64::MAX`, is a valid key.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Slot {
     key: u64,
     index: u32,
@@ -86,83 +87,6 @@ const EMPTY_SLOT: Slot = Slot {
     key: 0,
     index: FREE,
 };
-
-/// Probe arrays the pool keeps at most. A measurement holds one probe
-/// array per table it inserted into (a view holds none) plus the one a
-/// growth is filling, and the engine measures on two to four threads:
-/// eight covers that. (Per-thread pools and pooled NF instances were
-/// measured at +27 % to +60 % peak RSS; see DESIGN.md, "What a profile
-/// measurement costs".)
-const POOL_ARRAYS: usize = 8;
-
-/// The largest array the pool keeps: 512 Ki slots (8 MiB). Only
-/// profiling points past 393 k flows grow bigger ones, and a full pool
-/// keeping eight of those would hold 128 MiB for as long as the process
-/// lives; the chain build such a point pays for dwarfs their page faults.
-const POOL_MAX_SLOTS: usize = 1 << 19;
-
-/// The process-wide stock of emptied probe arrays.
-struct ProbePool {
-    arrays: Mutex<Vec<Vec<Slot>>>,
-}
-
-static POOL: ProbePool = ProbePool {
-    arrays: Mutex::new(Vec::new()),
-};
-
-impl ProbePool {
-    /// An all-free probe array of exactly `slots` slots: the smallest
-    /// pooled allocation that holds them, else a new one. Whatever the
-    /// array held before is overwritten here, so pool history cannot
-    /// reach a table.
-    fn take(&self, slots: usize) -> Vec<Slot> {
-        let mut array = self.take_cleared(slots);
-        array.resize(slots, EMPTY_SLOT);
-        array
-    }
-
-    /// An empty array with room for `slots` slots, for a caller that
-    /// pushes every slot itself.
-    fn take_cleared(&self, slots: usize) -> Vec<Slot> {
-        let recycled = {
-            let mut arrays = self.lock();
-            let best = (0..arrays.len())
-                .filter(|&i| arrays[i].capacity() >= slots)
-                .min_by_key(|&i| arrays[i].capacity());
-            best.map(|i| arrays.swap_remove(i))
-        };
-        let mut array = recycled.unwrap_or_else(|| Vec::with_capacity(slots));
-        array.clear();
-        array
-    }
-
-    /// Returns a probe array. A full pool keeps its largest arrays: those
-    /// are the ones a fresh allocation pays the most page faults for. An
-    /// array past [`POOL_MAX_SLOTS`] is freed.
-    fn give(&self, array: Vec<Slot>) {
-        if array.capacity() == 0 || array.capacity() > POOL_MAX_SLOTS {
-            return;
-        }
-        let mut arrays = self.lock();
-        if arrays.len() < POOL_ARRAYS {
-            arrays.push(array);
-            return;
-        }
-        let smallest = arrays.iter_mut().min_by_key(|a| a.capacity());
-        if let Some(smallest) = smallest.filter(|a| a.capacity() < array.capacity()) {
-            *smallest = array;
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Vec<Slot>>> {
-        // Every update leaves the pool a valid list of arrays, so a
-        // panicking holder poisons nothing worth refusing (and `give`
-        // runs in `Drop`, which must not panic).
-        self.arrays
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
 
 /// An open-addressing hash table keyed by 64-bit flow hashes.
 ///
@@ -176,7 +100,7 @@ impl ProbePool {
 /// let (v, _probes) = t.get_mut(42);
 /// assert_eq!(v.copied(), Some(7));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlowTable<V> {
     slots: Slots,
     /// Values in insertion order; a slot's dense index points in here.
@@ -196,24 +120,6 @@ enum Slots {
     Cyclic(Checked<Block>),
 }
 
-impl<V: Clone> Clone for FlowTable<V> {
-    fn clone(&self) -> Self {
-        Self {
-            slots: self.slots.clone(),
-            values: self.values.clone(),
-            entry_bytes: self.entry_bytes,
-        }
-    }
-}
-
-impl<V> Drop for FlowTable<V> {
-    fn drop(&mut self) {
-        if let Slots::Owned(slots) = &mut self.slots {
-            POOL.give(std::mem::take(slots));
-        }
-    }
-}
-
 impl<V> FlowTable<V> {
     /// Default modelled entry footprint (one cache line).
     pub const DEFAULT_ENTRY_BYTES: f64 = 64.0;
@@ -231,7 +137,7 @@ impl<V> FlowTable<V> {
     pub fn with_entry_bytes(capacity: usize, entry_bytes: f64) -> Self {
         assert!(entry_bytes > 0.0, "entry bytes must be positive");
         Self {
-            slots: Slots::Owned(POOL.take(capacity.max(8).next_power_of_two())),
+            slots: Slots::Owned(vec![EMPTY_SLOT; capacity.max(8).next_power_of_two()]),
             values: Vec::new(),
             entry_bytes,
         }
@@ -291,9 +197,7 @@ impl<V> FlowTable<V> {
         let len = self.len();
         let slots = self.owned();
         if must_grow(len, slots.len()) {
-            let old = std::mem::take(slots);
-            *slots = doubled(&old);
-            POOL.give(old);
+            *slots = doubled(slots.as_slice(), EMPTY_SLOT, |slot| slot);
         }
         let (at, probes, index) = probe(slots.as_slice(), key);
         match index {
@@ -374,25 +278,32 @@ fn probe(slots: &(impl SlotRead + ?Sized), key: u64) -> (usize, usize, u32) {
     }
 }
 
-/// A probe array twice the size of `old` holding its entries,
-/// re-placed in old-slot order (the order decides which key ends up
-/// displaced, hence every later probe count).
-fn doubled(old: &[Slot]) -> Vec<Slot> {
-    let mut slots = POOL.take(old.len() * 2);
+/// `old`'s entries in twice its slots, each written as `entry(slot)`
+/// and re-placed in old-slot order (the order decides which key ends up
+/// displaced, hence every later probe count); `free` marks an empty slot.
+fn doubled<T: Copy + PartialEq>(
+    old: &(impl SlotRead + ?Sized),
+    free: T,
+    entry: impl Fn(Slot) -> T,
+) -> Vec<T> {
+    let mut slots = vec![free; old.capacity() * 2];
     let mask = slots.len() - 1;
-    for slot in old.iter().filter(|s| s.index != FREE) {
+    for slot in (0..old.capacity()).map(|at| old.slot(at)) {
+        if slot.index == FREE {
+            continue;
+        }
         let mut at = (slot.key as usize) & mask;
-        while slots[at].index != FREE {
+        while slots[at] != free {
             at = (at + 1) & mask;
         }
-        slots[at] = *slot;
+        slots[at] = entry(slot);
     }
     slots
 }
 
 /// A table's slots computed on demand instead of stored.
 trait View: SlotRead {
-    /// The probe array the view stands for, taken from the pool.
+    /// The probe array the view stands for.
     fn materialize(&self) -> Vec<Slot>;
 }
 
@@ -491,7 +402,8 @@ struct Chain {
     repeats: Arc<Repeats>,
     /// Per epoch: the position whose insert grew the table into it (0 for
     /// the first), and its layout — the dense index in each slot, `FREE`
-    /// if empty — as of `positions`. Shared with the cuts.
+    /// if empty — as of `positions`. The last one is the replay's probe
+    /// array. Shared with the cuts.
     epochs: Vec<(usize, Arc<Vec<u32>>)>,
 }
 
@@ -502,7 +414,7 @@ impl Chain {
             rule,
             positions: 0,
             repeats: Arc::default(),
-            epochs: vec![(0, Arc::default())],
+            epochs: vec![(0, Arc::new(vec![FREE; capacity]))],
         }
     }
 
@@ -526,69 +438,50 @@ impl Chain {
         }
     }
 
-    /// Replays positions up to `n` (`key(pos)` keys position `pos`) into
-    /// `slots`, the probe array after `positions`, and returns the probe
-    /// array after `n`; `inserted(pos, repeat)` sees every insert made,
-    /// `repeat` the dense index an overwrite hits. With `keep`, every
-    /// epoch's final layout is recorded (the last one as of `n`); without,
-    /// the chain cannot be cut or extended again.
-    fn extend(
-        &mut self,
-        mut slots: Vec<Slot>,
-        n: usize,
-        key: impl Fn(usize) -> u64,
-        keep: bool,
-        mut inserted: impl FnMut(usize, Option<u32>),
-    ) -> Vec<Slot> {
+    /// Replays positions up to `n` on the last epoch's layout, `keys[pos]`
+    /// keying position `pos`. A growth doubles into a fresh layout and
+    /// leaves the old one as its epoch's final layout. A cut holding the
+    /// last layout keeps it unchanged: `Arc::make_mut` copies it first.
+    fn extend(&mut self, n: usize, keys: &[u64]) {
         let skip_repeats = self.rule.skips_repeats();
         let mut len = self.len_at(self.positions);
         let repeats = Arc::make_mut(&mut self.repeats);
+        let last = &mut self.epochs.last_mut().expect("an epoch").1;
+        let mut layout = std::mem::take(Arc::make_mut(last));
         for pos in self.positions..n {
-            let key = key(pos);
+            let key = keys[pos];
             // Under `NewFlows` the repeat check's probe is the insert's,
             // unless a growth moves the slots in between.
             let mut found = None;
             if skip_repeats {
-                let (at, probes, index) = probe(slots.as_slice(), key);
+                let (at, probes, index) = probe(&Layout::new(&layout, keys, repeats, len), key);
                 if index != FREE {
                     repeats.push(pos, index);
                     continue;
                 }
                 found = Some((at, probes, index));
             }
-            if must_grow(len, slots.len()) {
-                if keep {
-                    let last = self.epochs.last_mut().expect("an epoch");
-                    snapshot(&slots, Arc::make_mut(&mut last.1));
-                    self.epochs.push((pos, Arc::default()));
-                }
-                let bigger = doubled(&slots);
-                POOL.give(std::mem::replace(&mut slots, bigger));
+            if must_grow(len, layout.len()) {
+                let old = Layout::new(&layout, keys, repeats, len);
+                let bigger = doubled(&old, FREE, |slot| slot.index);
+                let full = std::mem::replace(&mut layout, bigger);
+                self.epochs.last_mut().expect("an epoch").1 = Arc::new(full);
+                self.epochs.push((pos, Arc::default()));
                 found = None;
             }
-            let (at, _, index) = found.unwrap_or_else(|| probe(slots.as_slice(), key));
+            let (at, _, index) =
+                found.unwrap_or_else(|| probe(&Layout::new(&layout, keys, repeats, len), key));
             match index {
                 FREE => {
                     assert!(len < FREE as usize, "flow table is full");
-                    slots[at] = Slot {
-                        key,
-                        index: len as u32,
-                    };
+                    layout[at] = len as u32;
                     len += 1;
-                    inserted(pos, None);
                 }
-                index => {
-                    repeats.push(pos, index);
-                    inserted(pos, Some(index));
-                }
+                index => repeats.push(pos, index),
             }
         }
         self.positions = n;
-        if keep {
-            let last = self.epochs.last_mut().expect("an epoch");
-            snapshot(&slots, Arc::make_mut(&mut last.1));
-        }
-        slots
+        self.epochs.last_mut().expect("an epoch").1 = Arc::new(layout);
     }
 
     /// The dense value store after `n` positions: `value(pos, dense)` for
@@ -621,22 +514,29 @@ impl Chain {
     }
 }
 
-/// A table cut from a growth chain, read in place: slot `at` holds dense
-/// index `layout[at]` if that is below `len` and is free otherwise, and
-/// a live slot's key is that of the position that first inserted it.
-#[derive(Debug, Clone)]
-struct Cut {
-    /// The layout of the cut's epoch, as of the chain's last replay.
-    layout: Arc<Vec<u32>>,
-    /// The family's key of every replayed position.
-    keys: Arc<Vec<u64>>,
-    /// The chain's repeated positions.
-    repeats: Arc<Repeats>,
-    /// Entries at the cut.
+/// A layout read as a probe array: slot `at` holds dense index
+/// `layout[at]` if that is below `len` and is free otherwise, and a live
+/// slot's key is that of the position that first inserted it.
+struct Layout<'a> {
+    layout: &'a [u32],
+    keys: &'a [u64],
+    repeats: &'a Repeats,
     len: usize,
 }
 
-impl SlotRead for Cut {
+impl<'a> Layout<'a> {
+    #[inline]
+    fn new(layout: &'a [u32], keys: &'a [u64], repeats: &'a Repeats, len: usize) -> Self {
+        Self {
+            layout,
+            keys,
+            repeats,
+            len,
+        }
+    }
+}
+
+impl SlotRead for Layout<'_> {
     #[inline]
     fn capacity(&self) -> usize {
         self.layout.len()
@@ -656,11 +556,42 @@ impl SlotRead for Cut {
     }
 }
 
+/// A table cut from a growth chain, read in place as a [`Layout`].
+#[derive(Debug, Clone)]
+struct Cut {
+    /// The layout of the cut's epoch, as of the chain's last replay.
+    layout: Arc<Vec<u32>>,
+    /// The family's key of every replayed position.
+    keys: Arc<Vec<u64>>,
+    /// The chain's repeated positions.
+    repeats: Arc<Repeats>,
+    /// Entries at the cut.
+    len: usize,
+}
+
+impl Cut {
+    #[inline]
+    fn slots(&self) -> Layout<'_> {
+        Layout::new(&self.layout, &self.keys, &self.repeats, self.len)
+    }
+}
+
+impl SlotRead for Cut {
+    #[inline]
+    fn capacity(&self) -> usize {
+        self.layout.len()
+    }
+
+    #[inline]
+    fn slot(&self, at: usize) -> Slot {
+        self.slots().slot(at)
+    }
+}
+
 impl View for Cut {
     /// The cut's probe array, in one sequential pass over the layout.
     fn materialize(&self) -> Vec<Slot> {
-        let mut slots = POOL.take_cleared(self.capacity());
-        slots.extend((0..self.capacity()).map(|at| self.slot(at)));
+        let slots: Vec<Slot> = (0..self.capacity()).map(|at| self.slot(at)).collect();
         debug_assert_eq!(
             slots.iter().filter(|s| s.index != FREE).count(),
             self.len,
@@ -733,30 +664,20 @@ impl Repeats {
     }
 }
 
-/// Writes the layout of `slots` (the dense index in each) into `layout`.
-fn snapshot(slots: &[Slot], layout: &mut Vec<u32>) {
-    layout.clear();
-    layout.extend(slots.iter().map(|s| s.index));
-}
-
 /// The growth chains of one flow sequence (one seed): what the warmed
 /// tables of every measurement cut from that sequence share.
 ///
-/// A family's first measurement keeps nothing: its flow-keyed tables are
-/// built by plain inserts and handed over as they are. From the second
-/// on, each one asked for is cut from its growth chain, which is
-/// replayed — once — as far as the largest flow count asked for, and the
-/// `hash64` of every flow replayed is kept for the cuts to read. A
-/// [`Keys::Cyclic`] table has no chain: it is a closed-form view every
-/// time.
-/// [`Self::clear`] starts the next family (a new seed: new keys).
+/// Each flow-keyed table asked for is cut from its growth chain, which
+/// is replayed — once — as far as the largest flow count asked for, and
+/// the `hash64` of every flow replayed is kept for the chains and cuts to
+/// read. A [`Keys::Cyclic`] table has no chain: it is a closed-form view
+/// every time. [`Self::clear`] starts the next family (a new seed: new
+/// keys).
 #[derive(Debug, Clone, Default)]
 pub struct TableFamily {
     chains: Vec<Chain>,
     /// `hash64` of each flow position replayed by any chain.
     keys: Arc<Vec<u64>>,
-    /// Whether a measurement has drawn on the family yet.
-    measured: bool,
 }
 
 impl TableFamily {
@@ -770,17 +691,14 @@ impl TableFamily {
     pub fn clear(&mut self) {
         self.chains.clear();
         self.keys = Arc::default();
-        self.measured = false;
     }
 
     /// The warm-up of one measurement whose flows are `flows` — a prefix
     /// of this family's flow sequence.
     pub fn prefix<'a>(&'a mut self, flows: &'a [FiveTuple]) -> Prefix<'a> {
-        let keep = std::mem::replace(&mut self.measured, true);
         Prefix {
             flows,
             family: self,
-            keep,
         }
     }
 }
@@ -791,7 +709,6 @@ impl TableFamily {
 pub struct Prefix<'a> {
     flows: &'a [FiveTuple],
     family: &'a mut TableFamily,
-    keep: bool,
 }
 
 impl<'a> Prefix<'a> {
@@ -811,7 +728,7 @@ impl<'a> Prefix<'a> {
     ) -> FlowTable<V> {
         assert!(spec.entry_bytes > 0.0, "entry bytes must be positive");
         match spec.keys {
-            Keys::EveryFlow | Keys::NewFlows => self.build(spec, value),
+            Keys::EveryFlow | Keys::NewFlows => self.cut(spec, value),
             Keys::Cyclic {
                 start,
                 period,
@@ -820,61 +737,30 @@ impl<'a> Prefix<'a> {
         }
     }
 
-    /// [`Self::table`] for a flow-keyed rule: one insert call per flow,
-    /// keyed by its `hash64`.
-    fn build<V>(&mut self, spec: TableSpec, value: impl FnMut(usize, usize) -> V) -> FlowTable<V> {
-        let flows = self.flows;
-        let n = flows.len();
+    /// [`Self::table`] for a flow-keyed rule, cut from its chain after
+    /// replaying it as far as this measurement's flows.
+    fn cut<V>(&mut self, spec: TableSpec, value: impl FnMut(usize, usize) -> V) -> FlowTable<V> {
+        let n = self.flows.len();
         let capacity = spec.capacity.max(8).next_power_of_two();
-        let rule = spec.keys;
-        let (slots, values) = if self.keep {
-            let TableFamily { chains, keys, .. } = &mut *self.family;
-            let at = chains
-                .iter()
-                .position(|c| c.capacity == capacity && c.rule == rule)
-                .unwrap_or_else(|| {
-                    chains.push(Chain::new(capacity, rule));
-                    chains.len() - 1
-                });
-            let chain = &mut chains[at];
-            let slots = if n <= chain.positions && chain.positions > 0 {
-                Slots::Cut(Checked::new(chain.cut(n, keys)))
-            } else {
-                if keys.len() < n {
-                    let keys = Arc::make_mut(keys);
-                    keys.extend(flows[keys.len()..].iter().map(FiveTuple::hash64));
-                }
-                let slots = match chain.positions {
-                    0 => POOL.take(capacity),
-                    replayed => chain.cut(replayed, keys).materialize(),
-                };
-                Slots::Owned(chain.extend(slots, n, |pos| keys[pos], true, |_, _| {}))
-            };
-            (slots, chain.values(n, value))
-        } else {
-            // Nothing kept: the values are written as the inserts go.
-            let mut value = value;
-            let mut values = Vec::with_capacity(n);
-            let chain = &mut Chain::new(capacity, rule);
-            let key = |pos: usize| flows[pos].hash64();
-            let slots = chain.extend(
-                POOL.take(capacity),
-                n,
-                key,
-                false,
-                |pos, repeat| match repeat {
-                    None => {
-                        let dense = values.len();
-                        values.push(value(pos, dense));
-                    }
-                    Some(dense) => values[dense as usize] = value(pos, dense as usize),
-                },
-            );
-            (Slots::Owned(slots), values)
-        };
+        let TableFamily { chains, keys } = &mut *self.family;
+        let at = chains
+            .iter()
+            .position(|c| c.capacity == capacity && c.rule == spec.keys)
+            .unwrap_or_else(|| {
+                chains.push(Chain::new(capacity, spec.keys));
+                chains.len() - 1
+            });
+        let chain = &mut chains[at];
+        if n > chain.positions {
+            if keys.len() < n {
+                let keys = Arc::make_mut(keys);
+                keys.extend(self.flows[keys.len()..].iter().map(FiveTuple::hash64));
+            }
+            chain.extend(n, keys);
+        }
         FlowTable {
-            slots,
-            values,
+            slots: Slots::Cut(Checked::new(chain.cut(n, keys))),
+            values: chain.values(n, value),
             entry_bytes: spec.entry_bytes,
         }
     }
@@ -957,7 +843,7 @@ impl SlotRead for Block {
 impl View for Block {
     /// The block's probe array, written one home slot per id.
     fn materialize(&self) -> Vec<Slot> {
-        let mut slots = POOL.take(self.capacity());
+        let mut slots = vec![EMPTY_SLOT; self.capacity()];
         for dense in 0..self.len {
             let key = self.start + dense as u64;
             let home = &mut slots[key as usize & self.mask];
@@ -1030,71 +916,6 @@ mod tests {
         }
         // dense resized along the way but operated at 75% load.
         assert!(dense_probes >= sparse_probes);
-    }
-
-    /// Inserts and looks up a fixed key stream, returning every probe
-    /// count, the final shape, and every value read back.
-    fn trace(initial: usize) -> (Vec<usize>, usize, usize, Vec<Option<u64>>) {
-        let mut t: FlowTable<u64> = FlowTable::new(initial);
-        let mut probes = Vec::new();
-        let key = |k: u64| k.wrapping_mul(0x100_0000_01b3) >> 7;
-        for k in 0..5_000u64 {
-            probes.push(t.insert(key(k), k));
-            probes.push(t.get_mut(key(k / 2 + 9_000)).1);
-        }
-        let read = (0..10_000).map(|k| t.get_mut(key(k)).0.copied()).collect();
-        (probes, t.len(), t.capacity(), read)
-    }
-
-    #[test]
-    fn poisoned_pool_arrays_never_reach_a_table() {
-        let clean = trace(8);
-        // Stock the pool to its bound with arrays of odd capacities whose
-        // every slot claims to be occupied, then run the same stream.
-        let garbage = Slot {
-            key: 0xDEAD_BEEF_DEAD_BEEF,
-            index: 7,
-        };
-        for capacity in [9, 1_000, 3_001, 8_193, 70_001, 16, 12_345, 65_537] {
-            POOL.give(vec![garbage; capacity]);
-        }
-        assert_eq!(trace(8), clean);
-        assert_eq!(trace(100), trace(128), "same power-of-two start");
-        let mut t: FlowTable<u8> = FlowTable::new(8);
-        assert_eq!(t.get_mut(0xDEAD_BEEF_DEAD_BEEF), (None, 1));
-    }
-
-    #[test]
-    fn pool_is_bounded_and_keeps_its_largest_arrays() {
-        let pool = ProbePool {
-            arrays: Mutex::new(Vec::new()),
-        };
-        for capacity in 1..=3 * POOL_ARRAYS {
-            pool.give(Vec::with_capacity(capacity));
-        }
-        let mut held: Vec<usize> = pool.lock().iter().map(Vec::capacity).collect();
-        held.sort_unstable();
-        let want: Vec<usize> = (2 * POOL_ARRAYS + 1..=3 * POOL_ARRAYS).collect();
-        assert_eq!(held, want);
-        // The smallest array that fits is the one handed out.
-        let array = pool.take(2 * POOL_ARRAYS + 2);
-        assert_eq!(array.len(), 2 * POOL_ARRAYS + 2);
-        assert!(array.iter().all(|s| s.index == FREE));
-        assert_eq!(array.capacity(), 2 * POOL_ARRAYS + 2);
-        assert_eq!(pool.lock().len(), POOL_ARRAYS - 1);
-    }
-
-    #[test]
-    fn pool_frees_arrays_past_its_largest_size() {
-        let pool = ProbePool {
-            arrays: Mutex::new(Vec::new()),
-        };
-        // Reserved, never touched: no page of these is made resident.
-        for capacity in [POOL_MAX_SLOTS + 1, POOL_MAX_SLOTS, 4 * POOL_MAX_SLOTS] {
-            pool.give(Vec::with_capacity(capacity));
-        }
-        let held: Vec<usize> = pool.lock().iter().map(Vec::capacity).collect();
-        assert_eq!(held, [POOL_MAX_SLOTS]);
     }
 
     #[test]

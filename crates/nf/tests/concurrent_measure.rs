@@ -1,6 +1,5 @@
-//! Measurements share one process-wide pool of probe arrays; threads
-//! measuring at the same time must still each get the bytes a lone
-//! thread gets.
+//! Each thread measures through a profiler of its own; threads measuring
+//! at the same time must each get the bytes a lone thread gets.
 
 use std::sync::Barrier;
 use yala_nf::NfKind;

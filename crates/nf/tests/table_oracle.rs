@@ -366,11 +366,10 @@ fn tables_cut_from_a_growth_chain_equal_the_one_array_table_at_every_count() {
                     .prefix(&flows[..n])
                     .table(spec(n), |pos, _| value_of(pos, key(pos)))
             };
-            // Big first: the family's first measurement keeps nothing,
-            // the second replays the whole chain, every cut after that
-            // restricts it. Ascending: every cut extends the chain.
+            // Big first: the first cut replays the whole chain, every cut
+            // after that restricts it. Ascending: every cut extends the
+            // chain.
             let mut big_first = TableFamily::new();
-            cut(&mut big_first, total);
             cut(&mut big_first, total);
             let mut ascending = TableFamily::new();
             cut(&mut ascending, 0);
@@ -416,6 +415,51 @@ fn tables_cut_from_a_growth_chain_equal_the_one_array_table_at_every_count() {
             }
             assert!(oracle.capacity() >= initial << 4, "four doublings");
         }
+    }
+}
+
+/// A cut held alive while its chain is extended past one or more growths
+/// still equals the one-array table at its count: the replay writes the
+/// layout it shares with the cut into a copy. The extended chain's cuts at
+/// the held counts, and at the count it was extended to, equal it too.
+#[test]
+fn a_cut_held_while_its_chain_extends_keeps_its_table() {
+    const INITIAL: usize = 64;
+    let mut rng = StdRng::seed_from_u64(5);
+    let total = INITIAL * 16;
+    let flows = flows_with_repeats(&mut rng, total);
+    let key = |pos: usize| flows[pos].hash64();
+    let lookups: Vec<u64> = (0..total).map(key).chain([0, u64::MAX, 7]).collect();
+    for rule in [Keys::EveryFlow, Keys::NewFlows] {
+        let spec = TableSpec {
+            capacity: INITIAL,
+            entry_bytes: 64.0,
+            keys: rule,
+        };
+        let oracle_at = |n: usize| {
+            let mut oracle = OracleTable::with_entry_bytes(INITIAL, 64.0);
+            (0..n).for_each(|pos| oracle_step(&mut oracle, rule, pos, key(pos)));
+            oracle
+        };
+        let mut family = TableFamily::new();
+        let mut cut = |n: usize| {
+            family
+                .prefix(&flows[..n])
+                .table(spec, |pos, _| value_of(pos, key(pos)))
+        };
+        // Within the first epoch, on either side of its growth, within a
+        // later epoch, and past several growths at once.
+        let mut held = Vec::new();
+        for n in [0, 30, 47, 50, 52, 130, 140, total] {
+            held.push((n, cut(n)));
+            for (m, table) in &mut held {
+                let what = format!("{rule:?}: cut at {m} held, chain at {n}");
+                assert_same(table, &mut oracle_at(*m), &lookups, &what);
+                let what = format!("{rule:?}: cut at {m} from the chain at {n}");
+                assert_same(&mut cut(*m), &mut oracle_at(*m), &lookups, &what);
+            }
+        }
+        assert!(oracle_at(total).capacity() >= INITIAL << 3, "three growths");
     }
 }
 

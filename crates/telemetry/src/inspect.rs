@@ -197,7 +197,15 @@ impl Inspector {
                         "place" => "place",
                         "reject" => "reject",
                         "depart" => "depart",
-                        "fault" => "fault",
+                        // A fault event is a failure, a recovery or either
+                        // end of a drain; only failures are faults.
+                        "fault" => match e.str("kind") {
+                            Some("fail") => "fault",
+                            Some("recover") => "recover",
+                            Some("drain_start") => "drain",
+                            Some("drain_end") => "drain_end",
+                            _ => "other",
+                        },
                         "evacuate" => "evacuate",
                         "park" => "park",
                         "readmit" => "readmit",
@@ -575,6 +583,35 @@ mod tests {
         assert!(
             s.contains("  faults 1  drains 1 (ended 1)  recoveries 1  "),
             "{s}"
+        );
+    }
+
+    #[test]
+    fn timeline_tallies_fault_events_by_kind() {
+        let mut j = Journal::new();
+        for (t_ms, kind) in (0..).zip(["fail", "recover", "drain_start", "drain_end"]) {
+            j.push(t_ms, Event::Fault { nic: 3, kind });
+        }
+        j.push(
+            600_000,
+            Event::Epoch {
+                t_s: 600,
+                active: 0,
+                nics_in_use: 0,
+                violating: 0,
+                migrations: 0,
+                wasted_cores: 0,
+                oracle_lb: 0,
+                parked: 0,
+                down: 0,
+                obs_queue: 0,
+                cache_hit_rate: 0.0,
+            },
+        );
+        let t = Inspector::from_jsonl(&j.to_jsonl()).timeline();
+        assert!(
+            t.ends_with("   (+1 fault, 1 recover, 1 drain, 1 drain_end)\n"),
+            "{t}"
         );
     }
 
